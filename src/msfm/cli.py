@@ -13,9 +13,9 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .config import PipelineConfig, load_config
+from .config import PipelineConfig, coerce_value, load_config
 from .descriptors import SearchStats
-from .errors import ConfigError, FormatError, MsfmError, StageError
+from .errors import ConfigError, FormatError, MsfmError
 from .evaluate import align_models
 from .features import FeatureStore, load_features, scale_coverage, select_top_scale
 from .geometry import fundamental_from_poses
@@ -27,12 +27,8 @@ from .io import (
     write_model,
     write_ply,
 )
-from .localize import localize_all
-from .densify import densify_stage
-from .matching import build_coarse_matchgraph
 from .model import model_stats
-from .pipeline import intrinsics_for_store, run_pipeline
-from .reconstruct import ReconstructionConfig, incremental_reconstruct
+from .pipeline import run_coarse, run_densify, run_localize, run_match, run_pipeline
 from .synth import SceneSpec, generate_scene, write_scene
 
 
@@ -40,24 +36,21 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value config file")
     for f in fields(PipelineConfig):
         flag = "--" + f.name.replace("_", "-")
-        if f.type == "bool" or isinstance(f.default, bool):
+        if isinstance(f.default, bool):
             parser.add_argument(flag, choices=["on", "off"], default=None)
         else:
             parser.add_argument(flag, type=str, default=None)
 
 
 def _build_config(args) -> PipelineConfig:
+    """Defaults, then the --config file, then flags; both parse values alike."""
     cfg = PipelineConfig()
     if getattr(args, "config", None):
         cfg = load_config(args.config, cfg)
     for f in fields(PipelineConfig):
         raw = getattr(args, f.name, None)
-        if raw is None:
-            continue
-        if isinstance(f.default, bool):
-            setattr(cfg, f.name, raw == "on")
-        else:
-            setattr(cfg, f.name, type(f.default)(raw))
+        if raw is not None:
+            setattr(cfg, f.name, coerce_value(f.name, raw))
     return cfg.validate()
 
 
@@ -107,13 +100,7 @@ def cmd_features_stats(args) -> int:
 
 def cmd_match(args) -> int:
     cfg = _build_config(args)
-    if args.ratio is not None:
-        cfg.ratio_unguided = float(args.ratio)
-        cfg.validate()
-    store = FeatureStore.load_dir(args.features, eta=cfg.eta)
-    graph = build_coarse_matchgraph(
-        store.sets, ratio=cfg.ratio_unguided, preemptive=cfg.preemptive,
-        min_edge_inliers=cfg.min_inliers, seed=cfg.seed, threads=cfg.threads)
+    graph = run_match(cfg, FeatureStore.load_dir(args.features))
     write_matchgraph(graph, args.out)
     print(f"edges={len(graph.edges)} out={args.out}")
     return 0
@@ -121,15 +108,8 @@ def cmd_match(args) -> int:
 
 def cmd_coarse(args) -> int:
     cfg = _build_config(args)
-    store = FeatureStore.load_dir(args.features, eta=cfg.eta)
-    graph = read_matchgraph(args.graph)
-    intr = intrinsics_for_store(store, cfg.focal)
-    try:
-        model = incremental_reconstruct(
-            graph, store, intr,
-            ReconstructionConfig(pnp_min_inliers=cfg.min_inliers, seed=cfg.seed))
-    except MsfmError as exc:
-        raise StageError(str(exc)) from exc
+    store = FeatureStore.load_dir(args.features)
+    model = run_coarse(cfg, store, read_matchgraph(args.graph))
     write_model(model, args.out)
     print(" ".join(model_stats(model, store).lines()))
     return 0
@@ -137,15 +117,9 @@ def cmd_coarse(args) -> int:
 
 def cmd_localize(args) -> int:
     cfg = _build_config(args)
-    store = FeatureStore.load_dir(args.features, eta=cfg.eta)
     model = read_model(args.model)
-    graph = read_matchgraph(args.graph)
-    intr = intrinsics_for_store(store, cfg.focal)
-    newly, results = localize_all(
-        model, store, graph, intr, set_cover_k=cfg.set_cover_k,
-        set_cover_engage=cfg.set_cover_engage, force_set_cover=cfg.force_set_cover,
-        ratio=cfg.ratio_unguided, min_correspondences=cfg.min_inliers,
-        pnp_min_inliers=cfg.min_inliers, seed=cfg.seed, threads=cfg.threads)
+    newly, results = run_localize(cfg, FeatureStore.load_dir(args.features), model,
+                                  read_matchgraph(args.graph))
     write_model(model, args.out)
     if args.report:
         lines = [
@@ -160,12 +134,8 @@ def cmd_localize(args) -> int:
 
 def cmd_densify(args) -> int:
     cfg = _build_config(args)
-    store = FeatureStore.load_dir(args.features, eta=cfg.eta)
     model = read_model(args.model)
-    summary = densify_stage(
-        model, store, iteration=args.iteration, d=cfg.d, ratio=cfg.ratio_guided,
-        inflation=cfg.grid_inflation, threshold=cfg.covis_threshold,
-        candidate_fraction=cfg.candidate_fraction, threads=cfg.threads)
+    summary = run_densify(cfg, FeatureStore.load_dir(args.features), model, args.iteration)
     write_model(model, args.out)
     print(" ".join(f"{k}={v}" for k, v in sorted(summary.items())))
     return 0
@@ -195,7 +165,7 @@ def cmd_export_ply(args) -> int:
 
 def cmd_bench_guided(args) -> int:
     cfg = _build_config(args)
-    store = FeatureStore.load_dir(args.features, eta=cfg.eta)
+    store = FeatureStore.load_dir(args.features)
     model = read_model(args.model)
     pairs = []
     for line in Path(args.pairs).read_text().splitlines():
@@ -210,9 +180,9 @@ def cmd_bench_guided(args) -> int:
         t0 = time.time()
         matches = guided_match_pair(
             store[a], store[b], geom, d=cfg.d, ratio=cfg.ratio_guided,
-            inflation=cfg.grid_inflation, strategy=args.strategy, stats=stats)
+            inflation=cfg.grid_inflation, stats=stats)
         dt = (time.time() - t0) * 1000.0
-        print(f"pair={a},{b} strategy={args.strategy} time_ms={dt:.2f} "
+        print(f"pair={a},{b} time_ms={dt:.2f} "
               f"comparisons={stats.candidates} matches={len(matches)}")
     return 0
 
@@ -243,8 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("match", help="build the coarse match graph")
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--ratio", type=float, default=None,
-                   help="unguided ratio-test threshold (alias for --ratio-unguided)")
     _add_config_flags(p)
     p.set_defaults(func=cmd_match)
 
@@ -294,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--features", required=True)
     pg.add_argument("--pairs", required=True)
     pg.add_argument("--model", required=True, help="model file providing the poses")
-    pg.add_argument("--strategy", choices=["linear", "radial", "grid"], default="grid")
     _add_config_flags(pg)
     pg.set_defaults(func=cmd_bench_guided)
 

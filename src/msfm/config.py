@@ -16,7 +16,6 @@ class PipelineConfig:
     ratio_guided: float = 0.8
     covis_threshold: int = 8
     candidate_fraction: float = 0.10
-    ranked_k: int = 10
     set_cover_k: int = 400
     set_cover_engage: int = 100_000
     force_set_cover: bool = False
@@ -49,7 +48,13 @@ _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
 
 
-def _coerce(name: str, kind: type, raw: str):
+_KINDS = {f.name: {"float": float, "int": int, "bool": bool}[f.type]
+          for f in fields(PipelineConfig)}
+
+
+def coerce_value(name: str, raw: str):
+    """Parse the text of one config value (file line or command-line flag)."""
+    kind = _KINDS[name]
     raw = raw.strip()
     if kind is bool:
         low = raw.lower()
@@ -67,8 +72,6 @@ def _coerce(name: str, kind: type, raw: str):
 def parse_config_text(text: str, base: PipelineConfig | None = None) -> PipelineConfig:
     """key=value lines (# comments allowed) applied over the defaults."""
     cfg = base or PipelineConfig()
-    types = {f.name: f.type for f in fields(PipelineConfig)}
-    kinds = {"float": float, "int": int, "bool": bool, "str": str}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -77,12 +80,9 @@ def parse_config_text(text: str, base: PipelineConfig | None = None) -> Pipeline
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, raw = line.partition("=")
         key = key.strip()
-        if key not in types:
+        if key not in _KINDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        kind = kinds.get(str(types[key]), None)
-        if kind is None:
-            kind = type(getattr(cfg, key))
-        setattr(cfg, key, _coerce(key, kind, raw))
+        setattr(cfg, key, coerce_value(key, raw))
     return cfg.validate()
 
 

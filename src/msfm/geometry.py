@@ -150,6 +150,21 @@ def sampson_distance(F: np.ndarray, pts_q: np.ndarray, pts_c: np.ndarray) -> np.
     return np.abs(num) / np.sqrt(np.maximum(den, 1e-30))
 
 
+def ransac_stop_count(inlier_ratio: float, sample_size: int,
+                      confidence: float, max_iters: int) -> int:
+    """Adaptive RANSAC iteration count for the best inlier ratio so far.
+
+    The number of samples needed to draw one all-inlier sample with the
+    given confidence, capped at ``max_iters``.  When ``1 - w**k`` rounds to
+    1 (a tiny inlier ratio) no finite count exists and ``max_iters`` is
+    returned.
+    """
+    denom = np.log(max(1.0 - inlier_ratio ** sample_size, 1e-15))
+    if denom == 0.0:
+        return max_iters
+    return min(max_iters, int(np.ceil(np.log(1.0 - confidence) / denom)))
+
+
 def estimate_fundamental_ransac(pts_q, pts_c, *,
                                 threshold: float = SAMPSON_THRESHOLD_PX,
                                 confidence: float = RANSAC_CONFIDENCE,
@@ -183,10 +198,7 @@ def estimate_fundamental_ransac(pts_q, pts_c, *,
         if count > best_count:
             best_count = count
             best_mask = mask
-            w = count / n
-            if w > 0:
-                denom = np.log(max(1.0 - w ** 8, 1e-15))
-                needed = min(max_iters, int(np.ceil(np.log(1.0 - confidence) / denom)))
+            needed = ransac_stop_count(count / n, 8, confidence, max_iters)
         it += 1
     if best_count < 8:
         geom = TwoViewGeometry(F=np.eye(3) / np.sqrt(3.0), inlier_count=0)
@@ -262,15 +274,6 @@ def relative_pose_from_fundamental(geom: TwoViewGeometry, K_q, K_c, pts_q, pts_c
     if median_angle < 1e-4:
         raise DegenerateGeometryError("near-zero parallax; relative pose unobservable")
     return R, tc, count
-
-
-def triangulation_angles(centers: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Pairwise angles (radians) between the rays from camera centres to X."""
-    rays = X[None, :] - centers
-    rays = rays / np.maximum(np.linalg.norm(rays, axis=1, keepdims=True), 1e-15)
-    cosang = np.clip(rays @ rays.T, -1.0, 1.0)
-    iu = np.triu_indices(len(centers), k=1)
-    return np.arccos(cosang[iu])
 
 
 def triangulate_track(observations: Sequence, *,

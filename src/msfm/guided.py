@@ -1,16 +1,12 @@
 """Geometry-guided feature matching near epipolar lines.
 
 Candidates for a query feature are the target features within a band of
-distance d around its epipolar line.  Three retrieval strategies are
-provided: an exact linear scan (the reference), a radial kd-tree search over
-sampled line points, and the overlapping-grid scheme where each line sample
-gathers its containing cells from four offset grids, giving O(K + |C'|)
-retrieval after a one-off binning pass.  Accumulating all four containing
-cells per sample makes the band provably covered once the cell half-size
-exceeds sqrt(5)/2 of the band (the samples sit at most d apart along the
-line); selecting only the centre-most cell is kept as a compatibility mode
-but its guaranteed reach is half a cell, which measurably leaks band-edge
-features.
+distance d around its epipolar line.  They are retrieved from four offset
+grids that bin the target features once per image: every sample of the
+line gathers its four containing cells, giving O(K + |C'|) retrieval.  With
+samples at most d apart and a cell half-size of at least sqrt(5)/2 of the
+band, the gathered cells provably cover the whole band.  The exact linear
+scan ``candidates_linear`` is the reference the tests compare against.
 
 Queries whose epipolar lines pierce the target boundary at nearly the same
 points share one candidate set, so their descriptor index is built once per
@@ -22,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .descriptors import SearchStats
 from .features import FeatureSet
@@ -47,16 +42,13 @@ _OFFSETS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 class OverlapGrid:
     """Four offset grids of cell size 2d binning target features by position.
 
-    Cell indices may be negative; centres sit at index*2d + offset + d per
-    axis.  ``printed_centers=True`` switches the centre formula to the legacy
-    variant kept for A/B comparison (indices and membership are unchanged).
-    All four grids share one sorted lookup table keyed by (grid, cell).
+    Cell indices may be negative.  All four grids share one sorted lookup
+    table keyed by (grid, cell).
     """
 
     d: float
     width: float
     height: float
-    printed_centers: bool = False
     _keys: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
     _starts: np.ndarray = field(default_factory=lambda: np.zeros(1, np.int64))
     _members: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
@@ -66,13 +58,6 @@ class OverlapGrid:
         xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
         shifted = xy[:, None, :] - _OFFSETS[None, :, :] * self.d
         return np.floor(shifted / (2.0 * self.d)).astype(np.int64)
-
-    def cell_centers(self, idx: np.ndarray) -> np.ndarray:
-        """(n, 4, 2) centre of the indexed cell in each offset grid."""
-        if self.printed_centers:
-            # legacy formula: floor(x / 2d [- 1/2]) * d + 2d
-            return idx * self.d + 2.0 * self.d
-        return idx * 2.0 * self.d + _OFFSETS[None, :, :] * self.d + self.d
 
     def _encode(self, idx: np.ndarray, grid=0) -> np.ndarray:
         """Pack grid id and (cx, cy) into one int64 key."""
@@ -99,17 +84,9 @@ class OverlapGrid:
         shift = np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
         return self._members[base + shift]
 
-    def members_of(self, grid: int, keys: np.ndarray) -> np.ndarray:
-        """Feature ids binned in the given cells of one offset grid.
-
-        ``keys`` are unpacked cell keys as produced for a single grid.
-        """
-        return self.lookup(np.asarray(keys, dtype=np.int64) + grid * (1 << 44))
-
 
 def build_grid(features: FeatureSet | np.ndarray, d: float, *,
-               width: float | None = None, height: float | None = None,
-               printed_centers: bool = False) -> OverlapGrid:
+               width: float | None = None, height: float | None = None) -> OverlapGrid:
     """Bin features into the four offset grids (once per target image)."""
     if d <= 0:
         raise ValueError(f"cell half-size d must be positive, got {d}")
@@ -121,8 +98,7 @@ def build_grid(features: FeatureSet | np.ndarray, d: float, *,
         xy = np.asarray(features, dtype=np.float64).reshape(-1, 2)
         if width is None or height is None:
             raise ValueError("width/height required when binning raw coordinates")
-    grid = OverlapGrid(d=float(d), width=float(width), height=float(height),
-                       printed_centers=printed_centers)
+    grid = OverlapGrid(d=float(d), width=float(width), height=float(height))
     idx = grid.cell_indices(xy)
     n = len(xy)
     grids = np.repeat(np.arange(4)[None, :], n, axis=0)
@@ -194,95 +170,24 @@ def candidates_linear(xy: np.ndarray, line: EpipolarLine, d: float) -> np.ndarra
     return np.flatnonzero(dist <= d)
 
 
-_LINEAR_BLOCK = 4096
+def candidates_grid(grid: OverlapGrid, line: EpipolarLine, d: float) -> np.ndarray:
+    """Band query via the grid cells of the line samples.
 
-
-def candidates_linear_batch(xy: np.ndarray, lines: np.ndarray, d: float) -> list[np.ndarray]:
-    """candidates_linear for many (a, b, c) rows at once.
-
-    Features are processed in fixed-size blocks so the working set stays
-    cache resident regardless of |F_c|; the scan cost is strictly linear in
-    the feature count.
+    Accumulates all four containing cells of every sample: with samples at
+    most d apart and cell half-size >= d * sqrt(5)/2 this provably covers
+    the whole band.  The result also holds features outside the band;
+    callers filter it to the exact band.
     """
-    xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
-    lines = np.asarray(lines, dtype=np.float64).reshape(-1, 3)
-    n = len(xy)
-    m = len(lines)
-    norms = np.hypot(lines[:, 0], lines[:, 1])
-    a = np.ascontiguousarray(lines[:, 0] / norms)[:, None]
-    b = np.ascontiguousarray(lines[:, 1] / norms)[:, None]
-    c = np.ascontiguousarray(lines[:, 2] / norms)[:, None]
-    x = np.ascontiguousarray(xy[:, 0])
-    y = np.ascontiguousarray(xy[:, 1])
-    rows_parts, cols_parts = [], []
-    buf = np.empty((m, min(_LINEAR_BLOCK, n)))
-    for lo in range(0, n, _LINEAR_BLOCK):
-        hi = min(lo + _LINEAR_BLOCK, n)
-        dist = buf[:, : hi - lo]
-        np.multiply(a, x[None, lo:hi], out=dist)
-        dist += b * y[None, lo:hi]
-        dist += c
-        np.abs(dist, out=dist)
-        r, col = np.nonzero(dist <= d)
-        rows_parts.append(r)
-        cols_parts.append(col + lo)
-    rows = np.concatenate(rows_parts) if rows_parts else np.zeros(0, np.int64)
-    cols = np.concatenate(cols_parts) if cols_parts else np.zeros(0, np.int64)
-    order = np.lexsort((cols, rows))
-    rows = rows[order]
-    cols = cols[order]
-    counts = np.bincount(rows, minlength=m)
-    return np.split(cols, np.cumsum(counts)[:-1])
-
-
-def candidates_grid(grid: OverlapGrid, line: EpipolarLine, d: float,
-                    samples: np.ndarray | None = None,
-                    cell_choice: str = "containing") -> np.ndarray:
-    """Approximate band query via the grid cells of the line samples.
-
-    ``cell_choice="containing"`` (default) accumulates all four containing
-    cells of every sample: with samples at most d apart and cell half-size
-    >= d * sqrt(5)/2 this provably covers the whole band.
-    ``cell_choice="center_most"`` keeps only the cell whose centre is
-    nearest each sample, the cheaper variant described in the literature;
-    its reach is half a cell, so it misses a few percent of band-edge
-    features at moderate inflation.
-    """
-    if samples is None:
-        samples = equidistant_line_points(line, (grid.width, grid.height), d, pad=d)
+    samples = equidistant_line_points(line, (grid.width, grid.height), d, pad=d)
     if len(samples) == 0:
         return np.array([], dtype=np.int64)
     idx = grid.cell_indices(samples)
-    if cell_choice == "containing":
-        grids = np.repeat(np.arange(4)[None, :], len(samples), axis=0)
-        keys = grid._encode(idx, grids).reshape(-1)
-    elif cell_choice == "center_most":
-        centers = grid.cell_centers(idx)
-        d2 = ((samples[:, None, :] - centers) ** 2).sum(axis=2)
-        chosen = np.argmin(d2, axis=1)
-        rows = np.arange(len(samples))
-        keys = grid._encode(idx[rows, chosen], chosen)
-    else:
-        raise ValueError(f"unknown cell_choice {cell_choice!r}")
+    grids = np.repeat(np.arange(4)[None, :], len(samples), axis=0)
+    keys = grid._encode(idx, grids).reshape(-1)
     members = grid.lookup(np.unique(keys))
     if len(members) == 0:
         return members
     return np.unique(members)
-
-
-def candidates_radial(tree: cKDTree, line: EpipolarLine, d: float,
-                      bounds: tuple[float, float],
-                      radius_factor: float = np.sqrt(2.0)) -> np.ndarray:
-    """Band query via radius-d*sqrt(2) disks around the line samples.
-
-    The sqrt(2) factor covers a band-edge feature halfway between samples.
-    """
-    samples = equidistant_line_points(line, bounds, d, pad=d)
-    if len(samples) == 0:
-        return np.array([], dtype=np.int64)
-    hits = tree.query_ball_point(samples, r=d * radius_factor)
-    flat = sorted({i for sub in hits for i in sub})
-    return np.array(flat, dtype=np.int64)
 
 
 @dataclass
@@ -364,18 +269,14 @@ def group_queries(query_fs: FeatureSet, geom: TwoViewGeometry,
         np.floor(pa[keep] / tolerance).astype(np.int64),
         np.floor(pb[keep] / tolerance).astype(np.int64),
     ], axis=1)
-    # composite key over the four bucket coordinates, 13 bits per field
-    # (plenty for desk-scale image sizes at pixel-level tolerances)
-    offset = np.int64(1) << 12
-    width_bits = np.int64(1) << 13
-    composite = cells[:, 0] + offset
-    for col in range(1, 4):
-        composite = composite * width_bits + (cells[:, col] + offset)
     kept_rows = np.flatnonzero(keep)
-    order = np.lexsort((qi[kept_rows], composite))
-    sorted_keys = composite[order]
-    boundaries = np.flatnonzero(np.concatenate([[True], sorted_keys[1:] != sorted_keys[:-1]]))
-    boundaries = np.append(boundaries, len(sorted_keys))
+    # sort by the four bucket coordinates (first column primary), then by
+    # query id; a group starts wherever any coordinate changes
+    order = np.lexsort((qi[kept_rows], cells[:, 3], cells[:, 2], cells[:, 1], cells[:, 0]))
+    sorted_cells = cells[order]
+    changed = (sorted_cells[1:] != sorted_cells[:-1]).any(axis=1)
+    boundaries = np.flatnonzero(np.concatenate([[True], changed]))
+    boundaries = np.append(boundaries, len(sorted_cells))
     groups = []
     for gi in range(len(boundaries) - 1):
         rows = order[boundaries[gi]:boundaries[gi + 1]]
@@ -395,7 +296,6 @@ def guided_match_pair(query_fs: FeatureSet, target_fs: FeatureSet,
                       d: float = BAND_D_PX,
                       ratio: float = RATIO_GUIDED,
                       inflation: float = GRID_INFLATION,
-                      strategy: str = "grid",
                       query_indices: np.ndarray | None = None,
                       target_indices: np.ndarray | None = None,
                       grid: OverlapGrid | None = None,
@@ -404,22 +304,18 @@ def guided_match_pair(query_fs: FeatureSet, target_fs: FeatureSet,
     """Match query features against target candidates near their epipolar lines.
 
     Queries are processed group by group so each candidate set is gathered
-    and indexed once.  Candidates are post-filtered to the exact band of each
-    member's own line, so every returned match satisfies dist <= d.
+    from the overlapping grid once; ``grid`` defaults to one built over the
+    target features with cell half-size ``d * inflation``.  Candidates are
+    post-filtered to the exact band of each member's own line, so every
+    returned match satisfies dist <= d.
     """
     ti = np.arange(len(target_fs)) if target_indices is None else np.asarray(target_indices)
     if len(ti) == 0:
         return []
     bounds = (float(target_fs.width), float(target_fs.height))
     txy = target_fs.xy[ti].astype(np.float64)
-    tree = None
-    if strategy == "grid":
-        if grid is None:
-            grid = build_grid(txy, d * inflation, width=bounds[0], height=bounds[1])
-    elif strategy == "radial":
-        tree = cKDTree(txy)
-    elif strategy != "linear":
-        raise ValueError(f"unknown strategy {strategy!r}")
+    if grid is None:
+        grid = build_grid(txy, d * inflation, width=bounds[0], height=bounds[1])
 
     groups = group_queries(query_fs, geom, bounds, query_indices=query_indices)
     tdesc = target_fs.descriptors_f32()[ti]
@@ -428,13 +324,7 @@ def guided_match_pair(query_fs: FeatureSet, target_fs: FeatureSet,
     qxy = query_fs.xy.astype(np.float64)
     accepted = []
     for group in groups:
-        line = group.representative_line
-        if strategy == "grid":
-            cand = candidates_grid(grid, line, d)
-        elif strategy == "radial":
-            cand = candidates_radial(tree, line, d, bounds)
-        else:
-            cand = candidates_linear(txy, line, d)
+        cand = candidates_grid(grid, group.representative_line, d)
         if len(cand) == 0:
             continue
         members = group.member_features

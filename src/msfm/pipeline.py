@@ -1,5 +1,10 @@
 """Stage sequencing: coarse reconstruction, then alternating camera and point
-addition, with per-stage snapshots, stats and timing reports."""
+addition, with per-stage snapshots, stats and timing reports.
+
+``run_match``, ``run_coarse``, ``run_localize`` and ``run_densify`` are the
+only places where a ``PipelineConfig`` becomes stage arguments; the full run
+and the CLI stage commands both go through them.
+"""
 
 from __future__ import annotations
 
@@ -16,8 +21,8 @@ from .densify import densify_stage
 from .errors import StageError
 from .features import FeatureStore
 from .io import write_model, write_ply
-from .localize import localize_all
-from .matching import build_coarse_matchgraph
+from .localize import LocalizationResult, localize_all
+from .matching import MatchGraph, build_coarse_matchgraph
 from .model import Model, StatsReport, make_intrinsics, model_stats
 from .reconstruct import ReconstructionConfig, incremental_reconstruct
 
@@ -32,6 +37,52 @@ def intrinsics_for_store(store: FeatureStore, focal: float = 0.0) -> dict[int, n
         f = focal if focal > 0 else 1.2 * max(fs.width, fs.height)
         out[image_id] = make_intrinsics(f, fs.width / 2.0, fs.height / 2.0)
     return out
+
+
+def run_match(config: PipelineConfig, store: FeatureStore) -> MatchGraph:
+    """Match stage: select the top-eta% scale tier, then build the coarse graph."""
+    store.apply_eta(config.eta)
+    return build_coarse_matchgraph(
+        store.sets, ratio=config.ratio_unguided, preemptive=config.preemptive,
+        min_edge_inliers=config.min_inliers, seed=config.seed, threads=config.threads)
+
+
+def run_coarse(config: PipelineConfig, store: FeatureStore, graph: MatchGraph) -> Model:
+    """Coarse stage: incremental reconstruction of the match graph.
+
+    An empty graph or any failure of the reconstruction is a StageError.
+    """
+    if not graph.edges:
+        raise StageError("match graph has no verified edges")
+    try:
+        return incremental_reconstruct(
+            graph, store, intrinsics_for_store(store, config.focal),
+            ReconstructionConfig(pnp_min_inliers=config.min_inliers, seed=config.seed))
+    except Exception as exc:
+        raise StageError(f"coarse reconstruction failed: {exc}") from exc
+
+
+def run_localize(config: PipelineConfig, store: FeatureStore, model: Model,
+                 graph: MatchGraph, iteration: int = 1
+                 ) -> tuple[list[int], list[LocalizationResult]]:
+    """Camera addition: register the remaining images to ``model`` in place."""
+    return localize_all(
+        model, store, graph, intrinsics_for_store(store, config.focal),
+        iteration=iteration, set_cover_k=config.set_cover_k,
+        set_cover_engage=config.set_cover_engage,
+        force_set_cover=config.force_set_cover, ratio=config.ratio_unguided,
+        min_correspondences=config.min_inliers, pnp_min_inliers=config.min_inliers,
+        seed=config.seed, threads=config.threads)
+
+
+def run_densify(config: PipelineConfig, store: FeatureStore, model: Model,
+                iteration: int = 1, query_images=None) -> dict:
+    """Point addition: guided matching and triangulation into ``model``."""
+    return densify_stage(
+        model, store, iteration=iteration, query_images=query_images,
+        d=config.d, ratio=config.ratio_guided, inflation=config.grid_inflation,
+        threshold=config.covis_threshold,
+        candidate_fraction=config.candidate_fraction, threads=config.threads)
 
 
 @dataclass
@@ -70,8 +121,6 @@ def run_pipeline(config: PipelineConfig, feature_dir, *,
     config.validate()
     if store is None:
         store = FeatureStore.load_dir(feature_dir)
-    store.apply_eta(config.eta)
-    intrinsics = intrinsics_for_store(store, config.focal)
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -90,33 +139,18 @@ def run_pipeline(config: PipelineConfig, feature_dir, *,
         log.info("%s", " ".join(rep.lines()))
 
     t0 = time.time()
-    graph = build_coarse_matchgraph(
-        store.sets, ratio=config.ratio_unguided, preemptive=config.preemptive,
-        min_edge_inliers=config.min_inliers, seed=config.seed, threads=config.threads)
+    graph = run_match(config, store)
     log.info("match graph: %d edges in %.1fs", len(graph.edges), time.time() - t0)
-    if not graph.edges:
-        raise StageError("match graph has no verified edges")
 
     t0 = time.time()
-    try:
-        model = incremental_reconstruct(
-            graph, store, intrinsics,
-            ReconstructionConfig(pnp_min_inliers=config.min_inliers, seed=config.seed))
-    except Exception as exc:
-        raise StageError(f"coarse reconstruction failed: {exc}") from exc
+    model = run_coarse(config, store, graph)
     snapshot(model, "coarse", t0,
              added_cam=len(model.cameras), added_pts=len(model.points))
 
     for iteration in range(1, config.iterations + 1):
         t0 = time.time()
         n_pts0 = len(model.points)
-        newly, results = localize_all(
-            model, store, graph, intrinsics, iteration=iteration,
-            set_cover_k=config.set_cover_k, set_cover_engage=config.set_cover_engage,
-            force_set_cover=config.force_set_cover, ratio=config.ratio_unguided,
-            min_correspondences=config.min_inliers,
-            pnp_min_inliers=config.min_inliers,
-            seed=config.seed, threads=config.threads)
+        newly, results = run_localize(config, store, model, graph, iteration)
         for r in results:
             loc_log.append(
                 f"iteration={iteration} image={r.image_id} method={r.method} "
@@ -126,16 +160,10 @@ def run_pipeline(config: PipelineConfig, feature_dir, *,
                  extra={"attempted": len(results)})
 
         t0 = time.time()
-        query = None if iteration == 1 else newly
-        if iteration > 1 and not newly:
-            summary = {"pairs": 0, "matches": 0, "new_points": 0, "extended_tracks": 0}
-            model.stage_tag = f"after_densify({iteration})"
-        else:
-            summary = densify_stage(
-                model, store, iteration=iteration, query_images=query,
-                d=config.d, ratio=config.ratio_guided, inflation=config.grid_inflation,
-                threshold=config.covis_threshold,
-                candidate_fraction=config.candidate_fraction, threads=config.threads)
+        # later iterations query only the newly localized cameras; with none,
+        # densify finds no pairs and adds nothing
+        summary = run_densify(config, store, model, iteration,
+                              query_images=None if iteration == 1 else newly)
         snapshot(model, f"densify_{iteration}", t0,
                  added_pts=len(model.points) - n_pts0, extra=summary)
 

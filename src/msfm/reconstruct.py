@@ -16,7 +16,7 @@ import numpy as np
 
 from .ba import bundle_adjust, rodrigues
 from .errors import InsufficientDataError, NoSeedError
-from .geometry import relative_pose_from_fundamental, triangulate_track
+from .geometry import ransac_stop_count, relative_pose_from_fundamental, triangulate_track
 from .matching import MatchGraph
 from .model import Camera, FeatureRef, Model
 
@@ -205,10 +205,7 @@ def pnp_ransac(points3d, pixels, K, *,
         if count > best_count:
             best_count = count
             best_mask = mask
-            w = count / n
-            if w > 0:
-                denom = np.log(max(1.0 - w ** 6, 1e-15))
-                needed = min(max_iters, int(np.ceil(np.log(1.0 - confidence) / denom)))
+            needed = ransac_stop_count(count / n, 6, confidence, max_iters)
     if best_mask is None or best_count < max(min_inliers, PNP_MIN_CORRESPONDENCES):
         return None
     try:

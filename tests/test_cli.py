@@ -1,8 +1,9 @@
 import pytest
 
+from msfm import pipeline
 from msfm.cli import main
 from msfm.config import PipelineConfig, parse_config_text
-from msfm.errors import ConfigError
+from msfm.errors import ConfigError, StageError
 from msfm.io import read_model
 from msfm.synth import SceneSpec, generate_scene, write_scene
 
@@ -26,7 +27,6 @@ class TestConfig:
         assert cfg.ratio_guided == 0.8
         assert cfg.covis_threshold == 8
         assert cfg.candidate_fraction == 0.10
-        assert cfg.ranked_k == 10
         assert cfg.set_cover_k == 400
         assert cfg.set_cover_engage == 100_000
         assert cfg.min_inliers == 16
@@ -45,6 +45,13 @@ class TestConfig:
     def test_invalid_value(self):
         with pytest.raises(ConfigError):
             parse_config_text("eta = 0\n")
+
+    def test_bad_flag_value_exit2(self, tmp_path):
+        # flags parse like config file lines: a bad value is a config error
+        assert main(["run", "--features", str(tmp_path), "--out", str(tmp_path / "o"),
+                     "--iterations", "two"]) == 2
+        assert main(["run", "--features", str(tmp_path), "--out", str(tmp_path / "o"),
+                     "--eta", "x"]) == 2
 
 
 class TestCliCommands:
@@ -94,18 +101,64 @@ class TestCliCommands:
         feat_dir, scene = scene_dir
         pairs = tmp_path / "pairs.txt"
         pairs.write_text("0 1\n")
-        for strategy in ("linear", "radial", "grid"):
-            code = main(["bench", "guided", "--features", str(feat_dir),
-                         "--pairs", str(pairs),
-                         "--model", str(feat_dir / "ground_truth.msfm"),
-                         "--strategy", strategy, "--d", "8"])
-            assert code == 0
+        assert main(["bench", "guided", "--features", str(feat_dir),
+                     "--pairs", str(pairs),
+                     "--model", str(feat_dir / "ground_truth.msfm"), "--d", "8"]) == 0
         out = capsys.readouterr().out
-        assert "strategy=grid" in out
+        assert "pair=0,1" in out
         assert "comparisons=" in out
+
+    def test_coarse_failure_exit4(self, scene_dir, tmp_path, monkeypatch):
+        def coarse_exit_code(feat_dir):
+            graph = tmp_path / "graph.txt"
+            assert main(["match", "--features", str(feat_dir), "--out", str(graph)]) == 0
+            return main(["coarse", "--graph", str(graph), "--features", str(feat_dir),
+                         "--out", str(tmp_path / "m.msfm"), "--focal", "900"])
+
+        cfg = PipelineConfig(focal=900.0)
+        # two unrelated images: the match graph has no edges
+        unrelated = tmp_path / "unrelated"
+        write_scene(generate_scene(SceneSpec(n_cameras=2, n_points=60, seed=3,
+                                             visibility_fraction=0.05)), unrelated)
+        with pytest.raises(StageError):
+            pipeline.run_pipeline(cfg, unrelated)
+        assert coarse_exit_code(unrelated) == 4
+
+        # any exception of the reconstruction is a stage failure
+        def broken(*args, **kwargs):
+            raise FloatingPointError("broken reconstruction")
+
+        monkeypatch.setattr(pipeline, "incremental_reconstruct", broken)
+        feat_dir, _ = scene_dir
+        with pytest.raises(StageError):
+            pipeline.run_pipeline(cfg, feat_dir)
+        assert coarse_exit_code(feat_dir) == 4
 
 
 class TestRunPipelineCli:
+    def test_stage_chain_matches_run(self, tmp_path):
+        # the stage commands and run map the config to stages the same way
+        feat_dir = tmp_path / "features"
+        write_scene(generate_scene(SceneSpec(n_cameras=10, n_points=800, seed=3)), feat_dir)
+        run = tmp_path / "run"
+        assert main(["run", "--features", str(feat_dir), "--out", str(run),
+                     "--focal", "900", "--iterations", "1"]) == 0
+        common = ["--features", str(feat_dir), "--focal", "900"]
+        graph = tmp_path / "graph.txt"
+        coarse = tmp_path / "coarse.msfm"
+        localized = tmp_path / "localize.msfm"
+        densified = tmp_path / "densify.msfm"
+        assert main(["match", "--out", str(graph)] + common) == 0
+        assert main(["coarse", "--graph", str(graph), "--out", str(coarse)] + common) == 0
+        assert main(["localize", "--model", str(coarse), "--graph", str(graph),
+                     "--out", str(localized)] + common) == 0
+        assert main(["densify", "--model", str(localized), "--iteration", "1",
+                     "--out", str(densified)] + common) == 0
+        for mine, theirs in ((coarse, "model_coarse.msfm"),
+                             (localized, "model_localize_1.msfm"),
+                             (densified, "model_densify_1.msfm")):
+            assert mine.read_bytes() == (run / theirs).read_bytes()
+
     def test_run_produces_snapshots(self, scene_dir, tmp_path, capsys):
         feat_dir, scene = scene_dir
         out = tmp_path / "run"

@@ -8,6 +8,7 @@ from msfm.geometry import (
     estimate_fundamental_ransac,
     fundamental_from_poses,
     point_line_distance,
+    ransac_stop_count,
     relative_pose_from_fundamental,
     sampson_distance,
     triangulate_track,
@@ -167,6 +168,18 @@ class TestPointLineDistance:
     def test_invalid_line(self):
         with pytest.raises(DegenerateGeometryError):
             point_line_distance((0.0, 0.0), EpipolarLine(0.0, 0.0, 1.0))
+
+
+class TestRansacStopCount:
+    def test_closed_form(self):
+        # ceil(log(1 - 0.999) / log(1 - 0.5**8)) = 1765
+        assert ransac_stop_count(0.5, 8, 0.999, 10_000) == 1765
+        assert ransac_stop_count(0.5, 8, 0.999, 100) == 100
+
+    def test_tiny_inlier_share_returns_max_iters(self):
+        # 1 - (1/133)**8 rounds to 1.0, so log gives 0 and no finite count exists
+        assert 1.0 - (1 / 133) ** 8 == 1.0
+        assert ransac_stop_count(1 / 133, 8, 0.999, 2048) == 2048
 
 
 class TestEstimateFundamentalRansac:

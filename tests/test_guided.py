@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 from msfm.descriptors import SearchStats
 from msfm.features import DESCRIPTOR_DIM, FeatureSet
-from msfm.geometry import EpipolarLine, fundamental_from_poses
+from msfm.geometry import EpipolarLine, TwoViewGeometry, fundamental_from_poses
 from msfm.guided import (
     build_grid,
     candidates_grid,
     candidates_linear,
-    candidates_radial,
     clip_line_to_bounds,
+    clip_lines_batch,
     equidistant_line_points,
     group_queries,
     guided_match_pair,
@@ -35,13 +36,7 @@ class TestBuildGrid:
         grid = build_grid(np.array([[0.0, 0.0]]), 10.0, width=100, height=100)
         idx = grid.cell_indices(np.array([[0.0, 0.0]]))[0]
         assert idx.tolist() == [[0, 0], [-1, 0], [0, -1], [-1, -1]]
-
-    def test_cell_center_formula(self):
-        grid = build_grid(np.array([[25.0, 25.0]]), 10.0, width=100, height=100)
-        idx = grid.cell_indices(np.array([[25.0, 25.0]]))
-        centers = grid.cell_centers(idx)[0]
-        assert idx[0, 0].tolist() == [1, 1]
-        assert centers[0].tolist() == [30.0, 30.0]
+        assert grid.cell_indices(np.array([[25.0, 25.0]]))[0, 0].tolist() == [1, 1]
 
     def test_every_feature_in_four_bins(self):
         rng = np.random.default_rng(1)
@@ -49,18 +44,16 @@ class TestBuildGrid:
         grid = build_grid(xy, 8.0, width=640, height=480)
         idx = grid.cell_indices(xy)
         for g in range(4):
-            members = np.concatenate([
-                grid.members_of(g, np.unique(grid._encode(idx[:, g, :])))
-            ])
+            members = grid.lookup(np.unique(grid._encode(idx[:, g, :], g)))
             assert sorted(members.tolist()) == list(range(10_000))
         # members lie inside their cells
         for g in range(4):
-            keys = grid._encode(idx[:, g, :])
+            keys = grid._encode(idx[:, g, :], g)
             uniq = np.unique(keys)
             for key in uniq[:50]:
-                ids = grid.members_of(g, np.array([key]))
+                ids = grid.lookup(np.array([key]))
                 sub_idx = idx[ids, g, :]
-                assert (grid._encode(sub_idx) == key).all()
+                assert (grid._encode(sub_idx, g) == key).all()
 
     def test_invalid_d(self):
         with pytest.raises(ValueError):
@@ -139,17 +132,6 @@ class TestCandidateRetrieval:
             got = set(candidates_grid(grid, line, self.d).tolist())
             assert lin <= got
 
-    def test_center_most_variant_recalls_most(self):
-        grid = build_grid(self.xy, self.d * 1.25, width=self.W, height=self.H)
-        total = hits = 0
-        for line in self.lines:
-            lin = set(candidates_linear(self.xy, line, self.d).tolist())
-            got = set(candidates_grid(grid, line, self.d,
-                                      cell_choice="center_most").tolist())
-            total += len(lin)
-            hits += len(lin & got)
-        assert 0.9 <= hits / total < 1.0  # cheaper variant leaks band edges
-
     def test_feature_on_line_always_retrieved(self):
         rng = self.rng
         grid_pts = self.xy.copy()
@@ -167,33 +149,6 @@ class TestCandidateRetrieval:
         grid = build_grid(np.zeros((0, 2)), 10.0, width=100, height=100)
         line = EpipolarLine(0.0, 1.0, -50.0)
         assert len(candidates_grid(grid, line, 10.0)) == 0
-
-    def test_radial_high_recall(self):
-        tree = cKDTree(self.xy)
-        total = hits = 0
-        for line in self.lines:
-            lin = set(candidates_linear(self.xy, line, self.d).tolist())
-            got = set(candidates_radial(tree, line, self.d, (self.W, self.H)).tolist())
-            total += len(lin)
-            hits += len(lin & got)
-        assert hits / total >= 0.99
-
-    def test_radial_never_beyond_geometry_bound(self):
-        # a feature at distance 2d from the line is out of reach of radius
-        # d*sqrt(2) disks centred on the line
-        xy = np.array([[320.0, 50.0 + 16.0]])
-        tree = cKDTree(xy)
-        line = EpipolarLine(0.0, 1.0, -50.0)
-        got = candidates_radial(tree, line, 8.0, (640, 480))
-        assert len(got) == 0
-
-    def test_radial_single_feature_at_sample(self):
-        line = EpipolarLine(0.0, 1.0, -50.0)
-        pts = equidistant_line_points(line, (640, 480), 8.0)
-        tree = cKDTree(pts[3][None, :])
-        got = candidates_radial(tree, line, 8.0, (640, 480))
-        assert got.tolist() == [0]
-
 
 class TestGroupQueries:
     def _pair(self, seed=5):
@@ -252,6 +207,38 @@ class TestGroupQueries:
         groups = group_queries(fs, geom, (100.0, 100.0))
         assert len(groups) == 2
 
+    @given(width=st.integers(4, 40_000), height=st.integers(4, 40_000),
+           epipole=st.floats(0.0, 0.5))
+    # no shrinking: each failing example holds arrays of up to 80k queries
+    @settings(max_examples=15, deadline=None, phases=[Phase.generate])
+    def test_group_members_share_buckets_at_any_image_size(self, width, height, epipole):
+        # every epipolar line passes through an epipole on the left edge and
+        # through its own query point, placed every pixel along the bottom
+        # and right edges of the target: boundary hits cover both edges
+        y0 = 2.0 * np.floor(epipole * height / 2.0) + 1.0
+        F = np.array([[0.0, -1.0, y0], [1.0, 0.0, 0.0], [-y0, 0.0, 0.0]])
+        bottom = np.stack([np.arange(width) + 0.5, np.full(width, float(height))], axis=1)
+        right = np.stack([np.full(height, float(width)), np.arange(height) + 0.5], axis=1)
+        xy = np.vstack([bottom, right]).astype(np.float32)
+        n = len(xy)
+        fs = FeatureSet(image_id=0, width=width, height=height, xy=xy,
+                        scale=np.ones(n, dtype=np.float32),
+                        orientation=np.zeros(n, dtype=np.float32),
+                        descriptors=np.zeros((n, DESCRIPTOR_DIM), dtype=np.uint8))
+        groups = group_queries(fs, TwoViewGeometry(F=F), (float(width), float(height)))
+        members = np.concatenate([g.member_features for g in groups])
+        group_of = np.repeat(np.arange(len(groups)), [len(g.member_features) for g in groups])
+        lines = np.hstack([xy[members].astype(np.float64), np.ones((len(members), 1))]) @ F.T
+        lines /= np.hypot(lines[:, 0], lines[:, 1])[:, None]
+        ok, pa, pb = clip_lines_batch(lines, width, height)
+        assert ok.all()
+        buckets = np.floor(np.hstack([pa, pb]) / 2.0).astype(np.int64)
+        starts = np.flatnonzero(np.diff(group_of, prepend=-1))
+        for col in range(4):
+            lo = np.minimum.reduceat(buckets[:, col], starts)
+            hi = np.maximum.reduceat(buckets[:, col], starts)
+            assert (lo == hi).all()
+
 
 class TestGuidedMatchPair:
     def _scene_pair(self, **kw):
@@ -287,16 +274,24 @@ class TestGuidedMatchPair:
             assert dist <= d + 1e-6
 
     def test_strategies_agree_on_matches(self):
-        scene, geom = self._scene_pair(seed=11)
-        fs_q, fs_t = scene.feature_sets[0], scene.feature_sets[1]
-        results = {}
-        for strategy in ("linear", "radial", "grid"):
-            results[strategy] = {
-                (m.query.feature_id, m.target.feature_id)
-                for m in guided_match_pair(fs_q, fs_t, geom, strategy=strategy)
-            }
-        assert results["grid"] == results["linear"]
-        assert results["radial"] == results["linear"]
+        # reference: one grid cell spans the whole image, so every target
+        # feature is a candidate of every group (an exhaustive band scan)
+        def rows(matches):
+            return [(m.query.feature_id, m.target.feature_id, m.distance, m.ratio)
+                    for m in matches]
+
+        for seed in (11, 3, 7, 21, 42):
+            scene = generate_scene(SceneSpec(n_cameras=3, layout="grid", ring_radius=1.2,
+                                             cloud_radius=2.0, n_points=600, seed=seed))
+            for a, b in ((0, 1), (1, 2), (0, 2)):
+                fs_q, fs_t = scene.feature_sets[a], scene.feature_sets[b]
+                geom = fundamental_from_poses(scene.cameras[a], scene.cameras[b])
+                w, h = fs_t.width, fs_t.height
+                exhaustive = build_grid(fs_t.xy.astype(np.float64), 4 * max(w, h),
+                                        width=w, height=h)
+                got = rows(guided_match_pair(fs_q, fs_t, geom))
+                assert len(got) > 0
+                assert got == rows(guided_match_pair(fs_q, fs_t, geom, grid=exhaustive))
 
     def test_repetition_groups_guided_beats_unguided(self):
         spec = SceneSpec(n_cameras=2, layout="grid", ring_radius=1.2,

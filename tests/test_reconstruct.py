@@ -70,6 +70,16 @@ class TestPnpRansac:
         uv = uv[:, :2] / uv[:, 2:]
         assert pnp_ransac(X, uv, K, seed=4) is None
 
+    @pytest.mark.parametrize("s", range(5))
+    def test_random_pairs_do_not_overflow(self, s):
+        # the first scoring hypothesis has a tiny inlier share; the adaptive
+        # stop count must stay finite instead of raising OverflowError
+        rng = np.random.default_rng(s)
+        X = rng.normal(size=(600, 3)) + [0.0, 0.0, 6.0]
+        uv = rng.uniform(0, [640, 480], size=(600, 2))
+        K = make_intrinsics(900.0, 320.0, 240.0)
+        assert pnp_ransac(X, uv, K) is None
+
     def test_below_minimum(self):
         with pytest.raises(InsufficientDataError):
             pnp_ransac(np.zeros((5, 3)), np.zeros((5, 2)), np.eye(3))
