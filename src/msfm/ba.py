@@ -19,6 +19,7 @@ from .model import Camera, Model, make_intrinsics
 
 BA_MAX_ITERS = 100
 BA_REL_TOL = 1e-6
+POINT_SWEEPS = 2
 
 CAM_PARAMS = 7  # rotation (3), translation (3), focal (1)
 
@@ -168,7 +169,7 @@ class BAStats:
 _SCHUR_POINT_CHUNK = 64
 
 
-def _lm_iterate(problem: BAProblem, max_iters: int, rel_tol: float) -> tuple[float, float, int]:
+def _lm_iterate(problem: BAProblem, max_iters: int) -> tuple[float, float, int]:
     nc, npnt = problem.n_cams, problem.n_pts
     nu = CAM_PARAMS
     res = problem.residuals()
@@ -259,7 +260,7 @@ def _lm_iterate(problem: BAProblem, max_iters: int, rel_tol: float) -> tuple[flo
                 cost = cost_new
                 lam = max(lam / 10.0, 1e-15)
                 accepted = True
-                if rel < rel_tol:
+                if rel < BA_REL_TOL:
                     return initial_cost, cost, it
                 break
             lam *= 10.0
@@ -268,7 +269,7 @@ def _lm_iterate(problem: BAProblem, max_iters: int, rel_tol: float) -> tuple[flo
     return initial_cost, cost, it
 
 
-def refine_points_only(problem: BAProblem, sweeps: int = 2) -> float:
+def refine_points_only(problem: BAProblem) -> float:
     """Gauss-Newton sweeps on point positions with cameras held fixed.
 
     Each point's 3x3 system is independent and well conditioned, which mops
@@ -277,7 +278,7 @@ def refine_points_only(problem: BAProblem, sweeps: int = 2) -> float:
     final total cost.
     """
     npnt = problem.n_pts
-    for _ in range(sweeps):
+    for _ in range(POINT_SWEEPS):
         res = problem.residuals()
         _, Jp = problem.jacobian_blocks()
         H = np.zeros((npnt, 3, 3))
@@ -300,9 +301,7 @@ def refine_points_only(problem: BAProblem, sweeps: int = 2) -> float:
     return float((problem.residuals() ** 2).sum())
 
 
-def bundle_adjust(model: Model, feature_store, *,
-                  max_iters: int = BA_MAX_ITERS,
-                  rel_tol: float = BA_REL_TOL) -> BAStats:
+def bundle_adjust(model: Model, feature_store, *, max_iters: int = BA_MAX_ITERS) -> BAStats:
     """Optimize all cameras (pose + focal) and points in place.
 
     Points producing non-finite residuals (behind a camera) are pruned once
@@ -325,7 +324,7 @@ def bundle_adjust(model: Model, feature_store, *,
                 model.remove_point(pt_ids[p])
                 pruned += 1
             continue
-        initial, final, iters = _lm_iterate(problem, max_iters, rel_tol)
+        initial, final, iters = _lm_iterate(problem, max_iters)
         final = min(final, refine_points_only(problem))
         for i, image_id in enumerate(cam_ids):
             old = model.cameras[image_id]

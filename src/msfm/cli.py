@@ -177,11 +177,11 @@ def cmd_bench_guided(args) -> int:
     for a, b in pairs:
         geom = fundamental_from_poses(model.cameras[a], model.cameras[b])
         stats = SearchStats()
-        t0 = time.time()
+        t0 = time.perf_counter()
         matches = guided_match_pair(
             store[a], store[b], geom, d=cfg.d, ratio=cfg.ratio_guided,
             inflation=cfg.grid_inflation, stats=stats)
-        dt = (time.time() - t0) * 1000.0
+        dt = (time.perf_counter() - t0) * 1000.0
         print(f"pair={a},{b} time_ms={dt:.2f} "
               f"comparisons={stats.candidates} matches={len(matches)}")
     return 0

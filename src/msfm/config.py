@@ -6,6 +6,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
+from .guided import MIN_GRID_INFLATION
 
 
 @dataclass
@@ -37,6 +38,11 @@ class PipelineConfig:
             v = getattr(self, name)
             if not 0 < v < 1:
                 raise ConfigError(f"{name} must be in (0, 1), got {v}")
+        if self.grid_inflation < MIN_GRID_INFLATION:
+            raise ConfigError(f"grid_inflation must be >= sqrt(5)/2 so the grid cells "
+                              f"cover the band, got {self.grid_inflation}")
+        if self.set_cover_k < 1:
+            raise ConfigError(f"set_cover_k must be >= 1, got {self.set_cover_k}")
         if self.iterations < 0:
             raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
         if self.threads < 1:

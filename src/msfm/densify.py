@@ -17,10 +17,11 @@ import numpy as np
 
 from .descriptors import SearchStats
 from .errors import DegenerateGeometryError, NotRegisteredError
-from .geometry import fundamental_from_poses, triangulate_track
+from .geometry import fundamental_from_poses
 from .guided import BAND_D_PX, GRID_INFLATION, build_grid, guided_match_pair
 from .matching import Match, RATIO_GUIDED
 from .model import FeatureRef, Model
+from .reconstruct import triangulate_refs
 
 log = logging.getLogger(__name__)
 
@@ -173,8 +174,6 @@ def densify_stage(model: Model, feature_store, *,
                   inflation: float = GRID_INFLATION,
                   threshold: int = COVIS_THRESHOLD,
                   candidate_fraction: float = CANDIDATE_FRACTION,
-                  tri_max_error_px: float = 4.0,
-                  tri_min_angle_deg: float = 1.0,
                   threads: int = 1,
                   stats: SearchStats | None = None) -> dict:
     """Match untracked features along epipolar bands and triangulate them.
@@ -244,13 +243,7 @@ def densify_stage(model: Model, feature_store, *,
     added_points = 0
     extended_tracks = 0
     for refs in new_tracks:
-        obs = [
-            (model.cameras[r.image_id],
-             feature_store.position(r.image_id, r.feature_id).astype(np.float64))
-            for r in refs
-        ]
-        tri = triangulate_track(obs, max_error=tri_max_error_px,
-                                min_angle_deg=tri_min_angle_deg)
+        tri = triangulate_refs(model, feature_store.sets, refs)
         if tri is None:
             continue
         model.add_point(tri.point, refs)
@@ -260,14 +253,7 @@ def densify_stage(model: Model, feature_store, *,
                  if model.owner(r) is None and r.image_id not in model.points[pid].track]
         if not fresh:
             continue
-        candidate_track = model.points[pid].refs() + fresh
-        obs = [
-            (model.cameras[r.image_id],
-             feature_store.position(r.image_id, r.feature_id).astype(np.float64))
-            for r in candidate_track
-        ]
-        tri = triangulate_track(obs, max_error=tri_max_error_px,
-                                min_angle_deg=tri_min_angle_deg)
+        tri = triangulate_refs(model, feature_store.sets, model.points[pid].refs() + fresh)
         if tri is None:
             continue  # grown track inconsistent, keep the original
         for r in fresh:

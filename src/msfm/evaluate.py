@@ -105,18 +105,15 @@ def mean_camera_distance(centers: np.ndarray) -> float:
     return float(dist[iu].mean())
 
 
-def _collinear(pts: np.ndarray, tol: float = 1e-9) -> bool:
+def _collinear(pts: np.ndarray) -> bool:
     v1 = pts[1] - pts[0]
     v2 = pts[2] - pts[0]
     cross = np.linalg.norm(np.cross(v1, v2))
     scale = max(np.linalg.norm(v1) * np.linalg.norm(v2), 1e-30)
-    return cross < tol * scale
+    return cross < 1e-9 * scale
 
 
-def align_models(estimated: Model, reference: Model, *,
-                 inlier_fraction: float = ALIGN_INLIER_FRACTION,
-                 samples: int = ALIGN_SAMPLES,
-                 seed: int = 0) -> AlignmentReport:
+def align_models(estimated: Model, reference: Model) -> AlignmentReport:
     """Align the estimated model onto the reference and report camera errors."""
     common = sorted(set(estimated.cameras) & set(reference.cameras))
     if len(common) < 3:
@@ -124,14 +121,14 @@ def align_models(estimated: Model, reference: Model, *,
     est_centers = np.stack([estimated.cameras[i].center() for i in common])
     ref_centers = np.stack([reference.cameras[i].center() for i in common])
     ref_dist = mean_camera_distance(ref_centers)
-    threshold = inlier_fraction * ref_dist
+    threshold = ALIGN_INLIER_FRACTION * ref_dist
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     n = len(common)
     best_mask = None
     best_count = -1
     degenerate_only = True
-    for _ in range(samples):
+    for _ in range(ALIGN_SAMPLES):
         pick = rng.choice(n, size=3, replace=False)
         if _collinear(ref_centers[pick]) or _collinear(est_centers[pick]):
             continue

@@ -161,19 +161,18 @@ def select_top_scale(fs: FeatureSet, eta: float = DEFAULT_ETA) -> FeatureSet:
     return replace(fs, coarse_count=count, _desc_f32=fs._desc_f32)
 
 
-def quantize_scale_levels(scale: np.ndarray, sigma0: float = SIGMA0,
-                          intervals: int = INTERVALS_PER_OCTAVE) -> np.ndarray:
+def quantize_scale_levels(scale: np.ndarray) -> np.ndarray:
     """Map scales to integer (octave, interval) levels of the scale pyramid."""
-    return np.round(np.log2(np.asarray(scale, dtype=np.float64) / sigma0) * intervals).astype(np.int64)
+    levels = np.log2(np.asarray(scale, dtype=np.float64) / SIGMA0) * INTERVALS_PER_OCTAVE
+    return np.round(levels).astype(np.int64)
 
 
-def scale_coverage(fs: FeatureSet, eta: float = DEFAULT_ETA, *,
-                   sigma0: float = SIGMA0, intervals: int = INTERVALS_PER_OCTAVE) -> float:
+def scale_coverage(fs: FeatureSet, eta: float = DEFAULT_ETA) -> float:
     """Fraction of distinct quantized scale levels spanned by the top-eta% tier."""
     if len(fs) == 0:
         raise ValueError("scale_coverage needs a non-empty feature set")
     tiered = select_top_scale(fs, eta)
-    levels = quantize_scale_levels(fs.scale, sigma0, intervals)
+    levels = quantize_scale_levels(fs.scale)
     total = np.unique(levels).size
     in_tier = np.unique(levels[: tiered.coarse_count]).size
     return in_tier / total

@@ -165,11 +165,7 @@ def ransac_stop_count(inlier_ratio: float, sample_size: int,
     return min(max_iters, int(np.ceil(np.log(1.0 - confidence) / denom)))
 
 
-def estimate_fundamental_ransac(pts_q, pts_c, *,
-                                threshold: float = SAMPSON_THRESHOLD_PX,
-                                confidence: float = RANSAC_CONFIDENCE,
-                                max_iters: int = RANSAC_MAX_ITERS,
-                                seed: int = 0):
+def estimate_fundamental_ransac(pts_q, pts_c, *, seed: int = 0):
     """Robust fundamental-matrix estimation by 8-point RANSAC.
 
     Returns (TwoViewGeometry, inlier_mask); the caller decides whether the
@@ -184,27 +180,27 @@ def estimate_fundamental_ransac(pts_q, pts_c, *,
     rng = np.random.default_rng(seed)
     best_mask = np.zeros(n, dtype=bool)
     best_count = 0
-    needed = max_iters
+    needed = RANSAC_MAX_ITERS
     it = 0
-    while it < needed and it < max_iters:
+    while it < needed and it < RANSAC_MAX_ITERS:
         sample = rng.choice(n, size=8, replace=False)
         try:
             F, _ = eight_point(pts_q[sample], pts_c[sample])
         except np.linalg.LinAlgError:
             it += 1
             continue
-        mask = sampson_distance(F, pts_q, pts_c) < threshold
+        mask = sampson_distance(F, pts_q, pts_c) < SAMPSON_THRESHOLD_PX
         count = int(mask.sum())
         if count > best_count:
             best_count = count
             best_mask = mask
-            needed = ransac_stop_count(count / n, 8, confidence, max_iters)
+            needed = ransac_stop_count(count / n, 8, RANSAC_CONFIDENCE, RANSAC_MAX_ITERS)
         it += 1
     if best_count < 8:
         geom = TwoViewGeometry(F=np.eye(3) / np.sqrt(3.0), inlier_count=0)
         return geom, np.zeros(n, dtype=bool)
     F, gap = eight_point(pts_q[best_mask], pts_c[best_mask])
-    mask = sampson_distance(F, pts_q, pts_c) < threshold
+    mask = sampson_distance(F, pts_q, pts_c) < SAMPSON_THRESHOLD_PX
     geom = TwoViewGeometry(F=F, inlier_count=int(mask.sum()),
                            degenerate_planar=gap < 1e-9)
     return geom, mask

@@ -15,6 +15,7 @@ group.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,17 +23,14 @@ import numpy as np
 from .descriptors import SearchStats
 from .features import FeatureSet
 from .geometry import EpipolarLine, TwoViewGeometry
-from .matching import (
-    RATIO_GUIDED,
-    SINGLE_CANDIDATE_CAP,
-    Match,
-    _dedupe_targets,
-    ratio_filter,
-)
+from .matching import RATIO_GUIDED, Match, _dedupe_targets, ratio_filter
 from .model import FeatureRef
 
 BAND_D_PX = 8.0
 GRID_INFLATION = 1.25
+# below this cell half-size / band ratio the four cells of a sample no
+# longer cover the band
+MIN_GRID_INFLATION = math.sqrt(5.0) / 2.0
 GROUP_BOUNDARY_PX = 2.0
 
 _OFFSETS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -199,8 +197,7 @@ class QueryGroup:
     boundary_points: np.ndarray  # (2, 2) endpoints of the representative
 
 
-def clip_lines_batch(lines: np.ndarray, width: float, height: float, *,
-                     pad: float = 0.0):
+def clip_lines_batch(lines: np.ndarray, width: float, height: float):
     """Vectorized rectangle clipping of N normalized lines.
 
     Returns (ok mask, p_A (N,2), p_B (N,2)) with endpoints ordered
@@ -209,8 +206,8 @@ def clip_lines_batch(lines: np.ndarray, width: float, height: float, *,
     lines = np.asarray(lines, dtype=np.float64).reshape(-1, 3)
     n = len(lines)
     a, b, c = lines[:, 0], lines[:, 1], lines[:, 2]
-    x0, x1 = -pad, width + pad
-    y0, y1 = -pad, height + pad
+    x0, x1 = 0.0, width
+    y0, y1 = 0.0, height
     cand = np.full((n, 4, 2), np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
         for k, xv in enumerate((x0, x1)):
@@ -224,7 +221,7 @@ def clip_lines_batch(lines: np.ndarray, width: float, height: float, *,
             cand[valid, k + 2, 0] = np.clip(x[valid], x0, x1)
             cand[valid, k + 2, 1] = yv
     # lexicographic order via a scalar key; coordinates are bounded by the
-    # padded rectangle so the key is collision free at sub-pixel level
+    # rectangle so the key is collision free at sub-pixel level
     span = max(x1 - x0, y1 - y0, 1.0)
     key = cand[:, :, 0] * (4.0 * span) + cand[:, :, 1]
     missing = np.isnan(key)
@@ -245,12 +242,12 @@ def clip_lines_batch(lines: np.ndarray, width: float, height: float, *,
 
 def group_queries(query_fs: FeatureSet, geom: TwoViewGeometry,
                   bounds: tuple[float, float], *,
-                  query_indices: np.ndarray | None = None,
-                  tolerance: float = GROUP_BOUNDARY_PX) -> list[QueryGroup]:
+                  query_indices: np.ndarray | None = None) -> list[QueryGroup]:
     """Partition query features by quantized boundary intersections.
 
-    Bucket width equals the tolerance, so two members of one group always hit
-    the boundary within ``tolerance`` of each other on both endpoints.
+    Bucket width equals ``GROUP_BOUNDARY_PX``, so two members of one group
+    always hit the boundary within that distance of each other on both
+    endpoints.
     Queries whose lines miss the target image are left out.
     """
     qi = np.arange(len(query_fs)) if query_indices is None else np.asarray(query_indices)
@@ -266,8 +263,8 @@ def group_queries(query_fs: FeatureSet, geom: TwoViewGeometry,
     if not keep.any():
         return []
     cells = np.concatenate([
-        np.floor(pa[keep] / tolerance).astype(np.int64),
-        np.floor(pb[keep] / tolerance).astype(np.int64),
+        np.floor(pa[keep] / GROUP_BOUNDARY_PX).astype(np.int64),
+        np.floor(pb[keep] / GROUP_BOUNDARY_PX).astype(np.int64),
     ], axis=1)
     kept_rows = np.flatnonzero(keep)
     # sort by the four bucket coordinates (first column primary), then by
@@ -299,7 +296,6 @@ def guided_match_pair(query_fs: FeatureSet, target_fs: FeatureSet,
                       query_indices: np.ndarray | None = None,
                       target_indices: np.ndarray | None = None,
                       grid: OverlapGrid | None = None,
-                      single_cap: float = SINGLE_CANDIDATE_CAP,
                       stats: SearchStats | None = None) -> list[Match]:
     """Match query features against target candidates near their epipolar lines.
 
@@ -357,7 +353,7 @@ def guided_match_pair(query_fs: FeatureSet, target_fs: FeatureSet,
         dist = np.sqrt(np.stack([best_d2, second_d2], axis=1))
         idx = np.stack([np.where(np.isfinite(best_d2), best, -1),
                         np.where(np.isfinite(second_d2), second, -1)], axis=1)
-        for k, local, dd, rr in ratio_filter(dist, idx, ratio, single_cap):
+        for k, local, dd, rr in ratio_filter(dist, idx, ratio):
             accepted.append((int(members[k]), int(cand[local]), dd, rr))
     return [
         Match(

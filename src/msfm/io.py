@@ -23,6 +23,7 @@ from .geometry import TwoViewGeometry
 from .model import Camera, FeatureRef, Model, make_intrinsics
 
 MODEL_MAGIC = "MSFM-MODEL 1"
+PLY_COLOR = (128, 128, 128)
 
 
 def _fmt(x: float) -> str:
@@ -84,7 +85,7 @@ def read_model(path) -> Model:
     return model
 
 
-def write_ply(model: Model, path, color=(128, 128, 128)) -> None:
+def write_ply(model: Model, path) -> None:
     """ASCII PLY point cloud of the model's points."""
     pids = model.point_ids()
     lines = [
@@ -99,7 +100,7 @@ def write_ply(model: Model, path, color=(128, 128, 128)) -> None:
         "property uchar blue",
         "end_header",
     ]
-    r, g, b = color
+    r, g, b = PLY_COLOR
     for pid in pids:
         x, y, z = model.points[pid].position
         lines.append(f"{x:.6f} {y:.6f} {z:.6f} {r} {g} {b}")

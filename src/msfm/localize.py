@@ -18,9 +18,9 @@ import numpy as np
 
 from .descriptors import DescriptorIndex, SearchStats
 from .errors import InsufficientDataError
-from .matching import MatchGraph, RATIO_UNGUIDED, SINGLE_CANDIDATE_CAP, ratio_filter
+from .matching import MatchGraph, RATIO_UNGUIDED, closest_one_to_one, ratio_filter
 from .model import Camera, FeatureRef, Model, Point3D
-from .reconstruct import pnp_ransac
+from .reconstruct import PNP_MIN_INLIERS, resect_image
 
 log = logging.getLogger(__name__)
 
@@ -98,7 +98,6 @@ def compute_set_cover(model: Model, k: int = SET_COVER_K) -> SetCover:
 
 def direct_3d2d_search(model: Model, point_ids, image_fs, feature_store, *,
                        ratio: float = RATIO_UNGUIDED,
-                       single_cap: float = SINGLE_CANDIDATE_CAP,
                        index: DescriptorIndex | None = None,
                        stats: SearchStats | None = None) -> list[tuple[int, int]]:
     """Match covered points' mean descriptors into an image's feature index.
@@ -113,20 +112,13 @@ def direct_3d2d_search(model: Model, point_ids, image_fs, feature_store, *,
     if index is None:
         index = DescriptorIndex(image_fs.descriptors_f32())
     dist, idx = index.knn2(queries, stats)
-    accepted = ratio_filter(dist, idx, ratio, single_cap)
-    by_feature: dict[int, tuple[float, int]] = {}
-    for row, feat, d, _ in accepted:
-        cur = by_feature.get(feat)
-        if cur is None or d < cur[0]:
-            by_feature[feat] = (d, point_ids[row])
-    return sorted((pid, feat) for feat, (d, pid) in by_feature.items())
+    return closest_one_to_one((point_ids[row], feat, d)
+                              for row, feat, d, _ in ratio_filter(dist, idx, ratio))
 
 
 def ranked_2d2d_search(model: Model, graph: MatchGraph, image_id: int, image_fs,
                        feature_store, *,
-                       top_k: int = RANKED_TOP_K,
                        ratio: float = RATIO_UNGUIDED,
-                       single_cap: float = SINGLE_CANDIDATE_CAP,
                        min_correspondences: int = MIN_CORRESPONDENCES,
                        index: DescriptorIndex | None = None,
                        stats: SearchStats | None = None) -> list[tuple[int, int]]:
@@ -147,8 +139,8 @@ def ranked_2d2d_search(model: Model, graph: MatchGraph, image_id: int, image_fs,
     neighbors.sort(reverse=True)
     if index is None:
         index = DescriptorIndex(image_fs.descriptors_f32())
-    best: dict[int, tuple[float, int]] = {}  # point -> (distance, feature_id)
-    for _, _, other in neighbors[:top_k]:
+    entries = []  # (point, feature in image, distance)
+    for _, _, other in neighbors[:RANKED_TOP_K]:
         proxy = [
             (pid, model.points[pid].track[other])
             for pid in sorted(model.points_visible_in(other))
@@ -160,17 +152,9 @@ def ranked_2d2d_search(model: Model, graph: MatchGraph, image_id: int, image_fs,
             for _, feat in proxy
         ])
         dist, idx = index.knn2(queries, stats)
-        for row, feat, d, _ in ratio_filter(dist, idx, ratio, single_cap):
-            pid = proxy[row][0]
-            cur = best.get(pid)
-            if cur is None or d < cur[0]:
-                best[pid] = (d, feat)
-    by_feature: dict[int, tuple[float, int]] = {}
-    for pid, (d, feat) in best.items():
-        cur = by_feature.get(feat)
-        if cur is None or d < cur[0]:
-            by_feature[feat] = (d, pid)
-    corr = sorted((pid, feat) for feat, (d, pid) in by_feature.items())
+        entries += [(proxy[row][0], feat, d)
+                    for row, feat, d, _ in ratio_filter(dist, idx, ratio)]
+    corr = closest_one_to_one(entries)
     if len(corr) <= min_correspondences:
         return []
     return corr
@@ -181,8 +165,7 @@ def localize_image(model: Model, graph: MatchGraph, image_id: int, feature_store
                    cover_points=None,
                    ratio: float = RATIO_UNGUIDED,
                    min_correspondences: int = MIN_CORRESPONDENCES,
-                   pnp_threshold: float = 4.0,
-                   pnp_min_inliers: int = 16,
+                   pnp_min_inliers: int = PNP_MIN_INLIERS,
                    seed: int = 0,
                    stats: SearchStats | None = None) -> LocalizationResult:
     """Pure function of (snapshot, image): direct search, then ranked fallback."""
@@ -204,22 +187,14 @@ def localize_image(model: Model, graph: MatchGraph, image_id: int, feature_store
         if len(corr) <= min_correspondences:
             return LocalizationResult(image_id=image_id, method=method,
                                       reason="below correspondence gate")
-    X = np.stack([model.points[pid].position for pid, _ in corr])
-    uv = np.stack([image_fs.xy[feat] for _, feat in corr]).astype(np.float64)
-    try:
-        result = pnp_ransac(X, uv, intrinsics, threshold=pnp_threshold,
-                            min_inliers=pnp_min_inliers, seed=seed + image_id)
-    except InsufficientDataError:
-        result = None
-    if result is None:
+    resected = resect_image(model, feature_store.sets, image_id, corr, intrinsics,
+                            min_inliers=pnp_min_inliers, seed=seed)
+    if resected is None:
         return LocalizationResult(image_id=image_id, method=method,
                                   correspondences=corr, reason="resection failed")
-    R, t, mask = result
-    pose = Camera(K=intrinsics, R=R, t=t, image_id=image_id)
-    inlier_refs = [(corr[i][0], FeatureRef(image_id, corr[i][1]))
-                   for i in range(len(corr)) if mask[i]]
+    pose, inlier_refs = resected
     return LocalizationResult(image_id=image_id, method=method, correspondences=corr,
-                              pose=pose, inliers=int(mask.sum()), inlier_refs=inlier_refs)
+                              pose=pose, inliers=len(inlier_refs), inlier_refs=inlier_refs)
 
 
 def localize_all(model: Model, feature_store, graph: MatchGraph,
@@ -230,8 +205,7 @@ def localize_all(model: Model, feature_store, graph: MatchGraph,
                  force_set_cover: bool = False,
                  ratio: float = RATIO_UNGUIDED,
                  min_correspondences: int = MIN_CORRESPONDENCES,
-                 pnp_threshold: float = 4.0,
-                 pnp_min_inliers: int = 16,
+                 pnp_min_inliers: int = PNP_MIN_INLIERS,
                  seed: int = 0,
                  threads: int = 1,
                  order=None) -> tuple[list[int], list[LocalizationResult]]:
@@ -257,7 +231,6 @@ def localize_all(model: Model, feature_store, graph: MatchGraph,
         return localize_image(model, graph, image_id, feature_store,
                               intrinsics[image_id], cover_points=cover_points,
                               ratio=ratio, min_correspondences=min_correspondences,
-                              pnp_threshold=pnp_threshold,
                               pnp_min_inliers=pnp_min_inliers, seed=seed)
 
     if threads > 1:

@@ -103,14 +103,36 @@ def ratio_filter(dist: np.ndarray, idx: np.ndarray, ratio: float,
     return out
 
 
-def _dedupe_targets(cands):
-    """Keep one candidate per target feature, preferring smaller distance."""
+def closest_per_key(entries, key: int) -> dict:
+    """The entry of smallest distance ``entry[2]`` for each ``entry[key]``.
+
+    Ties keep the entry seen first.  The dict lists keys in the order they
+    were first seen.
+    """
     best = {}
-    for row, tgt, d, r in cands:
-        cur = best.get(tgt)
-        if cur is None or d < cur[2] or (d == cur[2] and row < cur[0]):
-            best[tgt] = (row, tgt, d, r)
-    return sorted(best.values())
+    for entry in entries:
+        cur = best.get(entry[key])
+        if cur is None or entry[2] < cur[2]:
+            best[entry[key]] = entry
+    return best
+
+
+def closest_one_to_one(entries) -> list[tuple[int, int]]:
+    """Sorted (point_id, feature_id) pairs from (point, feature, distance) entries.
+
+    Each point keeps its closest feature, then each feature its closest
+    point, so a feature backs at most one point.
+    """
+    per_point = closest_per_key(entries, 0).values()
+    return sorted((pid, feat) for pid, feat, _ in closest_per_key(per_point, 1).values())
+
+
+def _dedupe_targets(cands):
+    """Keep one (row, target, distance, ratio) candidate per target feature.
+
+    The smallest distance wins; ties go to the smaller row.
+    """
+    return sorted(closest_per_key(sorted(cands), 1).values())
 
 
 def match_pair(query_fs: FeatureSet, target_fs: FeatureSet, *,
@@ -142,32 +164,30 @@ def match_pair(query_fs: FeatureSet, target_fs: FeatureSet, *,
 
 def hybrid_match(query_fs: FeatureSet, target_fs: FeatureSet, *,
                  ratio: float = RATIO_UNGUIDED,
-                 batch_fraction: float = HYBRID_BATCH_FRACTION,
-                 continue_min: int = HYBRID_CONTINUE_MIN,
                  early_stop: int = HYBRID_EARLY_STOP,
-                 single_cap: float = SINGLE_CANDIDATE_CAP,
                  stats: SearchStats | None = None) -> list[Match]:
     """Batched tier matching: high-scale query batches against the target tier.
 
-    After the first batch the next one runs only if more than ``continue_min``
-    matches accumulated; matching stops early at ``early_stop`` matches.
+    After the first batch the next one runs only if more than
+    ``HYBRID_CONTINUE_MIN`` matches accumulated; matching stops early at
+    ``early_stop`` matches.
     """
     n_tier = query_fs.coarse_count
     if n_tier == 0 or target_fs.coarse_count == 0:
         return []
-    batch = max(1, int(np.ceil(batch_fraction * len(query_fs))))
+    batch = max(1, int(np.ceil(HYBRID_BATCH_FRACTION * len(query_fs))))
     ti = target_fs.tier_indices
     index = DescriptorIndex(target_fs.descriptors_f32()[ti])
     accepted = []
     first_done = False
     for start in range(0, n_tier, batch):
-        if first_done and len(accepted) <= continue_min:
+        if first_done and len(accepted) <= HYBRID_CONTINUE_MIN:
             break
         if len(accepted) >= early_stop:
             break
         qi = np.arange(start, min(start + batch, n_tier))
         dist, idx = index.knn2(query_fs.descriptors_f32()[qi], stats)
-        for row, tgt, d, r in ratio_filter(dist, idx, ratio, single_cap):
+        for row, tgt, d, r in ratio_filter(dist, idx, ratio):
             accepted.append((int(qi[row]), tgt, d, r))
         first_done = True
     return [
@@ -182,12 +202,10 @@ def hybrid_match(query_fs: FeatureSet, target_fs: FeatureSet, *,
 
 
 def preemptive_pair_filter(feature_sets: dict[int, FeatureSet], *,
-                           n_top: int = PREEMPTIVE_TOP,
-                           min_matches: int = PREEMPTIVE_MIN_MATCHES,
                            ratio: float = RATIO_UNGUIDED) -> list[tuple[int, int]]:
     """Cheap pair filter: match only the top high-scale features of each pair."""
     ids = sorted(feature_sets)
-    tops = {i: np.arange(min(n_top, len(feature_sets[i]))) for i in ids}
+    tops = {i: np.arange(min(PREEMPTIVE_TOP, len(feature_sets[i]))) for i in ids}
     indexes = {
         i: DescriptorIndex(feature_sets[i].descriptors_f32()[tops[i]])
         for i in ids
@@ -201,7 +219,7 @@ def preemptive_pair_filter(feature_sets: dict[int, FeatureSet], *,
                 ratio=ratio, query_indices=tops[a], target_indices=tops[b],
                 index=indexes[b],
             )
-            if len(matches) >= min_matches:
+            if len(matches) >= PREEMPTIVE_MIN_MATCHES:
                 kept.append((a, b))
     return kept
 
@@ -209,9 +227,7 @@ def preemptive_pair_filter(feature_sets: dict[int, FeatureSet], *,
 def build_coarse_matchgraph(feature_sets: dict[int, FeatureSet], *,
                             ratio: float = RATIO_UNGUIDED,
                             preemptive: bool = False,
-                            min_edge_matches: int = MIN_EDGE_MATCHES,
                             min_edge_inliers: int = MIN_EDGE_INLIERS,
-                            early_stop: int = HYBRID_EARLY_STOP,
                             seed: int = 0,
                             threads: int = 1,
                             stats: SearchStats | None = None) -> MatchGraph:
@@ -224,9 +240,8 @@ def build_coarse_matchgraph(feature_sets: dict[int, FeatureSet], *,
 
     def process(pair):
         a, b = pair
-        matches = hybrid_match(feature_sets[a], feature_sets[b], ratio=ratio,
-                               early_stop=early_stop, stats=stats)
-        if len(matches) < min_edge_matches:
+        matches = hybrid_match(feature_sets[a], feature_sets[b], ratio=ratio, stats=stats)
+        if len(matches) < MIN_EDGE_MATCHES:
             return pair, None
         pts_q = np.array([feature_sets[a].xy[m.query.feature_id] for m in matches])
         pts_c = np.array([feature_sets[b].xy[m.target.feature_id] for m in matches])

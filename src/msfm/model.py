@@ -219,34 +219,40 @@ class StatsReport:
         ]
 
 
+def _observations(model: Model, feature_store):
+    """The model's observation arrays, as bundle adjustment sees them."""
+    from .ba import problem_from_model  # ba builds on this module
+
+    return problem_from_model(model, feature_store)[0]
+
+
 def reprojection_errors(model: Model, feature_store) -> np.ndarray:
     """Per-observation reprojection error in pixels over every track."""
-    errors = []
-    for pid in model.point_ids():
-        point = model.points[pid]
-        for image_id in sorted(point.track):
-            cam = model.cameras[image_id]
-            pix = feature_store.position(image_id, point.track[image_id])
-            proj, _ = cam.project(point.position)
-            errors.append(float(np.linalg.norm(proj[0] - pix)))
-    return np.array(errors)
+    if not model.points:
+        return np.zeros(0)
+    return np.linalg.norm(_observations(model, feature_store).residuals(), axis=1)
 
 
 def model_stats(model: Model, feature_store) -> StatsReport:
     """Camera/point counts, reprojection errors and connected-pair count."""
-    n_points3 = sum(1 for p in model.points.values() if p.track_length() >= 3)
-    errors = reprojection_errors(model, feature_store)
-    pairs = set()
-    for point in model.points.values():
-        ids = sorted(point.track)
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                pairs.add((ids[i], ids[j]))
+    errors = np.zeros(0)
+    n_points3 = connected_pairs = 0
+    if model.points:
+        obs = _observations(model, feature_store)
+        errors = np.linalg.norm(obs.residuals(), axis=1)
+        lengths = np.bincount(obs.pt_idx)
+        n_points3 = int((lengths >= 3).sum())
+        # observations come grouped by point, cameras ascending: pair each
+        # with the later observations of its track, count distinct pairs
+        later = np.cumsum(lengths)[obs.pt_idx] - 1 - np.arange(obs.n_obs)
+        first = np.repeat(np.arange(obs.n_obs), later)
+        second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+        connected_pairs = np.unique(obs.cam_idx[first] * obs.n_cams + obs.cam_idx[second]).size
     return StatsReport(
         n_cameras=len(model.cameras),
         n_points=len(model.points),
         n_points3=n_points3,
         reproj_mean=float(errors.mean()) if errors.size else 0.0,
         reproj_median=float(np.median(errors)) if errors.size else 0.0,
-        connected_pairs=len(pairs),
+        connected_pairs=connected_pairs,
     )

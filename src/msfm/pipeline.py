@@ -24,7 +24,7 @@ from .io import write_model, write_ply
 from .localize import LocalizationResult, localize_all
 from .matching import MatchGraph, build_coarse_matchgraph
 from .model import Model, StatsReport, make_intrinsics, model_stats
-from .reconstruct import ReconstructionConfig, incremental_reconstruct
+from .reconstruct import incremental_reconstruct
 
 log = logging.getLogger(__name__)
 
@@ -57,7 +57,7 @@ def run_coarse(config: PipelineConfig, store: FeatureStore, graph: MatchGraph) -
     try:
         return incremental_reconstruct(
             graph, store, intrinsics_for_store(store, config.focal),
-            ReconstructionConfig(pnp_min_inliers=config.min_inliers, seed=config.seed))
+            min_inliers=config.min_inliers, seed=config.seed)
     except Exception as exc:
         raise StageError(f"coarse reconstruction failed: {exc}") from exc
 
@@ -129,7 +129,7 @@ def run_pipeline(config: PipelineConfig, feature_dir, *,
     loc_log: list[str] = []
 
     def snapshot(model: Model, name: str, t0: float, added_cam=0, added_pts=0, extra=None):
-        rep = StageReport(name=name, seconds=time.time() - t0,
+        rep = StageReport(name=name, seconds=time.perf_counter() - t0,
                           stats=model_stats(model, store),
                           added_cameras=added_cam, added_points=added_pts,
                           extra=extra or {})
@@ -138,17 +138,17 @@ def run_pipeline(config: PipelineConfig, feature_dir, *,
             write_model(model, out_dir / f"model_{name}.msfm")
         log.info("%s", " ".join(rep.lines()))
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     graph = run_match(config, store)
-    log.info("match graph: %d edges in %.1fs", len(graph.edges), time.time() - t0)
+    log.info("match graph: %d edges in %.1fs", len(graph.edges), time.perf_counter() - t0)
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     model = run_coarse(config, store, graph)
     snapshot(model, "coarse", t0,
              added_cam=len(model.cameras), added_pts=len(model.points))
 
     for iteration in range(1, config.iterations + 1):
-        t0 = time.time()
+        t0 = time.perf_counter()
         n_pts0 = len(model.points)
         newly, results = run_localize(config, store, model, graph, iteration)
         for r in results:
@@ -159,7 +159,7 @@ def run_pipeline(config: PipelineConfig, feature_dir, *,
         snapshot(model, f"localize_{iteration}", t0, added_cam=len(newly),
                  extra={"attempted": len(results)})
 
-        t0 = time.time()
+        t0 = time.perf_counter()
         # later iterations query only the newly localized cameras; with none,
         # densify finds no pairs and adds nothing
         summary = run_densify(config, store, model, iteration,
@@ -168,7 +168,7 @@ def run_pipeline(config: PipelineConfig, feature_dir, *,
                  added_pts=len(model.points) - n_pts0, extra=summary)
 
     if config.final_ba:
-        t0 = time.time()
+        t0 = time.perf_counter()
         bundle_adjust(model, store)
         snapshot(model, "final_ba", t0)
 

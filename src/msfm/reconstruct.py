@@ -4,20 +4,27 @@ Seeded from the strongest well-conditioned edge, then grown image by image:
 the unregistered image with the most 2D matches into already-triangulated
 tracks is registered by robust resection, its fresh correspondences are
 triangulated, and bundle adjustment runs every few registrations plus once
-at the end.  This is the only stage that bundle-adjusts.
+at the end.  This is the only stage that bundle-adjusts.  Camera and point
+addition reuse its resection (``resect_image``) and track triangulation
+(``triangulate_refs``) with the same gates.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
 from .ba import bundle_adjust, rodrigues
 from .errors import InsufficientDataError, NoSeedError
-from .geometry import ransac_stop_count, relative_pose_from_fundamental, triangulate_track
-from .matching import MatchGraph
+from .geometry import (
+    TRI_MAX_ERROR_PX,
+    _triangulate_two_view_normalized,
+    ransac_stop_count,
+    relative_pose_from_fundamental,
+    triangulate_track,
+)
+from .matching import MatchGraph, closest_one_to_one
 from .model import Camera, FeatureRef, Model
 
 log = logging.getLogger(__name__)
@@ -27,27 +34,14 @@ PNP_MIN_INLIERS = 16
 PNP_MIN_CORRESPONDENCES = 6
 PNP_MAX_ITERS = 2048
 PNP_CONFIDENCE = 0.999
+PNP_LM_ITERS = 20
 
 SEED_MIN_MEDIAN_ANGLE_DEG = 2.0
+SEED_ANGLE_SAMPLES = 64
 MIN_REGISTER_CORRESPONDENCES = 16
 BA_BATCH = 8
 BA_ITERS_EARLY = 50
 BA_ITERS_FINAL = 100
-
-
-@dataclass
-class ReconstructionConfig:
-    seed_min_median_angle_deg: float = SEED_MIN_MEDIAN_ANGLE_DEG
-    pnp_threshold_px: float = PNP_THRESHOLD_PX
-    pnp_min_inliers: int = PNP_MIN_INLIERS
-    min_correspondences: int = MIN_REGISTER_CORRESPONDENCES
-    ba_batch: int = BA_BATCH
-    ba_iters_early: int = BA_ITERS_EARLY
-    ba_iters_final: int = BA_ITERS_FINAL
-    ba_rel_tol: float = 1e-6
-    tri_max_error_px: float = 4.0
-    tri_min_angle_deg: float = 1.0
-    seed: int = 0
 
 
 def dlt_pose(points3d: np.ndarray, pixels: np.ndarray, K: np.ndarray):
@@ -103,7 +97,7 @@ def dlt_pose(points3d: np.ndarray, pixels: np.ndarray, K: np.ndarray):
     return best[1], best[2]
 
 
-def refine_pose_lm(R, t, K, points3d, pixels, iters: int = 20):
+def refine_pose_lm(R, t, K, points3d, pixels):
     """Levenberg-Marquardt on (rotation, translation) with K fixed."""
     X = np.asarray(points3d, dtype=np.float64)
     uv = np.asarray(pixels, dtype=np.float64)
@@ -117,7 +111,7 @@ def refine_pose_lm(R, t, K, points3d, pixels, iters: int = 20):
     res, xc = residuals(R, t)
     cost = float((res ** 2).sum())
     lam = 1e-6
-    for _ in range(iters):
+    for _ in range(PNP_LM_ITERS):
         x, y, z = xc[:, 0], xc[:, 1], xc[:, 2]
         d_uv = np.zeros((len(X), 2, 3))
         d_uv[:, 0, 0] = f / z
@@ -165,12 +159,7 @@ def refine_pose_lm(R, t, K, points3d, pixels, iters: int = 20):
     return R, t
 
 
-def pnp_ransac(points3d, pixels, K, *,
-               threshold: float = PNP_THRESHOLD_PX,
-               min_inliers: int = PNP_MIN_INLIERS,
-               max_iters: int = PNP_MAX_ITERS,
-               confidence: float = PNP_CONFIDENCE,
-               seed: int = 0):
+def pnp_ransac(points3d, pixels, K, *, min_inliers: int = PNP_MIN_INLIERS, seed: int = 0):
     """Robust resection from 3D-2D correspondences.
 
     Returns (R, t, inlier_mask) or None when the best hypothesis has fewer
@@ -187,9 +176,9 @@ def pnp_ransac(points3d, pixels, K, *,
     pp = K[:2, 2]
     best_mask = None
     best_count = 0
-    needed = max_iters
+    needed = PNP_MAX_ITERS
     it = 0
-    while it < needed and it < max_iters:
+    while it < needed and it < PNP_MAX_ITERS:
         it += 1
         sample = rng.choice(n, size=6, replace=False)
         try:
@@ -200,12 +189,12 @@ def pnp_ransac(points3d, pixels, K, *,
         with np.errstate(divide="ignore", invalid="ignore"):
             proj = f * xc[:, :2] / xc[:, 2:3] + pp
             err = np.linalg.norm(proj - uv, axis=1)
-        mask = (xc[:, 2] > 0) & np.isfinite(err) & (err < threshold)
+        mask = (xc[:, 2] > 0) & np.isfinite(err) & (err < PNP_THRESHOLD_PX)
         count = int(mask.sum())
         if count > best_count:
             best_count = count
             best_mask = mask
-            needed = ransac_stop_count(count / n, 6, confidence, max_iters)
+            needed = ransac_stop_count(count / n, 6, PNP_CONFIDENCE, PNP_MAX_ITERS)
     if best_mask is None or best_count < max(min_inliers, PNP_MIN_CORRESPONDENCES):
         return None
     try:
@@ -217,10 +206,50 @@ def pnp_ransac(points3d, pixels, K, *,
     with np.errstate(divide="ignore", invalid="ignore"):
         proj = f * xc[:, :2] / xc[:, 2:3] + pp
         err = np.linalg.norm(proj - uv, axis=1)
-    mask = (xc[:, 2] > 0) & np.isfinite(err) & (err < threshold)
+    mask = (xc[:, 2] > 0) & np.isfinite(err) & (err < PNP_THRESHOLD_PX)
     if int(mask.sum()) < min_inliers:
         return None
     return R, t, mask
+
+
+def resect_image(model: Model, feature_sets, image_id: int, corr, K: np.ndarray, *,
+                 min_inliers: int, seed: int):
+    """Register one image from (point_id, feature_id) correspondences.
+
+    The resection shared by the coarse stage and camera addition: robust
+    PnP seeded with ``seed + image_id``.  Returns (camera, inlier refs as
+    (point_id, FeatureRef) pairs) or None when resection fails.
+    """
+    X = np.stack([model.points[pid].position for pid, _ in corr])
+    uv = feature_sets[image_id].xy[[feat for _, feat in corr]].astype(np.float64)
+    try:
+        result = pnp_ransac(X, uv, K, min_inliers=min_inliers, seed=seed + image_id)
+    except InsufficientDataError:
+        return None
+    if result is None:
+        return None
+    R, t, mask = result
+    inliers = [(pid, FeatureRef(image_id, feat))
+               for (pid, feat), keep in zip(corr, mask) if keep]
+    return Camera(K=K, R=R, t=t, image_id=image_id), inliers
+
+
+def triangulate_refs(model: Model, feature_sets, refs):
+    """Triangulate feature refs through the model's cameras (4 px / 1 deg gates)."""
+    return triangulate_track([
+        (model.cameras[r.image_id], feature_sets[r.image_id].xy[r.feature_id].astype(np.float64))
+        for r in refs
+    ])
+
+
+def _triangulate_matches(model: Model, feature_sets, matches) -> None:
+    """New two-view points from the matches whose features are both untracked."""
+    for m in matches:
+        if model.owner(m.query) is not None or model.owner(m.target) is not None:
+            continue
+        tri = triangulate_refs(model, feature_sets, (m.query, m.target))
+        if tri is not None:
+            model.add_point(tri.point, [m.query, m.target])
 
 
 def _edge_points(graph: MatchGraph, feature_sets, a: int, b: int):
@@ -231,13 +260,9 @@ def _edge_points(graph: MatchGraph, feature_sets, a: int, b: int):
     return matches, pts_q, pts_c
 
 
-def _edge_median_angle(edge, feature_sets, intrinsics, a, b, pts_q, pts_c,
-                       sample_cap: int = 64):
+def _edge_median_angle(edge, intrinsics, a, b, pts_q, pts_c):
     """Median triangulation angle (degrees) of an edge, or None if unusable."""
-    from .geometry import _triangulate_two_view_normalized
-
-    n = len(pts_q)
-    step = max(1, n // sample_cap)
+    step = max(1, len(pts_q) // SEED_ANGLE_SAMPLES)
     pq = pts_q[::step]
     pc = pts_c[::step]
     try:
@@ -268,47 +293,37 @@ def select_seed_pair(graph: MatchGraph, feature_sets, intrinsics) -> tuple[int, 
         (key for key in graph.edges if graph.edges[key].geometry is not None),
         key=lambda key: (-len(graph.edges[key].inlier_matches()), key))
     for (a, b) in order:
-        edge = graph.edges[(a, b)]
         matches, pts_q, pts_c = _edge_points(graph, feature_sets, a, b)
         if len(matches) < 8:
             continue
-        median_angle = _edge_median_angle(edge, feature_sets, intrinsics,
-                                          a, b, pts_q, pts_c)
+        median_angle = _edge_median_angle(graph.edges[(a, b)], intrinsics, a, b, pts_q, pts_c)
         if median_angle is not None and median_angle >= SEED_MIN_MEDIAN_ANGLE_DEG:
             return a, b
     raise NoSeedError("no geometry-verified edge has enough parallax to seed")
 
 
-def _correspondences_to_model(model: Model, graph: MatchGraph, feature_sets, image_id: int):
-    """(point_id, feature_id) pairs linking an unregistered image to tracks."""
-    best: dict[int, tuple[float, int]] = {}  # point -> (distance, feature in image)
+def _registered_edges(model: Model, graph: MatchGraph, image_id: int):
+    """(a, b, edge) of the graph edges linking an image to registered images."""
     for other in graph.neighbors(image_id):
-        if not model.is_registered(other):
-            continue
-        a, b = (image_id, other) if image_id < other else (other, image_id)
-        edge = graph.edges[(a, b)]
+        if model.is_registered(other) and other != image_id:
+            a, b = (image_id, other) if image_id < other else (other, image_id)
+            yield a, b, graph.edges[(a, b)]
+
+
+def _correspondences_to_model(model: Model, graph: MatchGraph, image_id: int):
+    """(point_id, feature_id) pairs linking an unregistered image to tracks."""
+    entries = []  # (point, feature in image, distance)
+    for a, _, edge in _registered_edges(model, graph, image_id):
         for m in edge.inlier_matches():
-            if a == image_id:
-                own_feat, their_ref = m.query.feature_id, m.target
-            else:
-                own_feat, their_ref = m.target.feature_id, m.query
-            pid = model.owner(their_ref)
-            if pid is None:
-                continue
-            cur = best.get(pid)
-            if cur is None or m.distance < cur[0]:
-                best[pid] = (m.distance, own_feat)
-    # a feature may support only one point
-    by_feature: dict[int, tuple[float, int]] = {}
-    for pid, (dist, feat) in best.items():
-        cur = by_feature.get(feat)
-        if cur is None or dist < cur[0]:
-            by_feature[feat] = (dist, pid)
-    return sorted((pid, feat) for feat, (dist, pid) in by_feature.items())
+            own, theirs = (m.query, m.target) if a == image_id else (m.target, m.query)
+            pid = model.owner(theirs)
+            if pid is not None:
+                entries.append((pid, own.feature_id, m.distance))
+    return closest_one_to_one(entries)
 
 
 def _triangulate_new_tracks(model: Model, graph: MatchGraph, feature_sets,
-                            image_id: int, config: ReconstructionConfig) -> int:
+                            image_id: int) -> None:
     """Grow tracks between a fresh camera and its registered neighbours.
 
     A match whose other feature already belongs to a track extends that track
@@ -316,22 +331,16 @@ def _triangulate_new_tracks(model: Model, graph: MatchGraph, feature_sets,
     a new two-view point.  Extending first keeps one physical point from
     spawning parallel tracks across edges.
     """
-    added = 0
-
     def maybe_extend(pid: int, ref: FeatureRef) -> None:
         cam = model.cameras[ref.image_id]
         pix = feature_sets[ref.image_id].xy[ref.feature_id].astype(np.float64)
         proj, depth = cam.project(model.points[pid].position)
-        if depth[0] <= 0 or np.linalg.norm(proj[0] - pix) > config.tri_max_error_px:
+        if depth[0] <= 0 or np.linalg.norm(proj[0] - pix) > TRI_MAX_ERROR_PX:
             return
         model.extend_track(pid, ref)
 
     pending = []
-    for other in graph.neighbors(image_id):
-        if not model.is_registered(other) or other == image_id:
-            continue
-        a, b = (image_id, other) if image_id < other else (other, image_id)
-        edge = graph.edges[(a, b)]
+    for _, _, edge in _registered_edges(model, graph, image_id):
         for m in edge.inlier_matches():
             own_q = model.owner(m.query)
             own_t = model.owner(m.target)
@@ -340,51 +349,29 @@ def _triangulate_new_tracks(model: Model, graph: MatchGraph, feature_sets,
             elif own_t is not None and own_q is None:
                 maybe_extend(own_t, m.query)
             elif own_q is None and own_t is None:
-                pending.append((a, b, m))
-    for a, b, m in pending:
-        if model.owner(m.query) is not None or model.owner(m.target) is not None:
-            continue
-        obs = [
-            (model.cameras[a], feature_sets[a].xy[m.query.feature_id].astype(np.float64)),
-            (model.cameras[b], feature_sets[b].xy[m.target.feature_id].astype(np.float64)),
-        ]
-        tri = triangulate_track(obs, max_error=config.tri_max_error_px,
-                                min_angle_deg=config.tri_min_angle_deg)
-        if tri is None:
-            continue
-        model.add_point(tri.point, [m.query, m.target])
-        added += 1
-    return added
+                pending.append(m)
+    _triangulate_matches(model, feature_sets, pending)
 
 
 def incremental_reconstruct(graph: MatchGraph, feature_store, intrinsics: dict[int, np.ndarray],
-                            config: ReconstructionConfig | None = None) -> Model:
-    """Grow a model from the match graph until no image clears the gate."""
-    config = config or ReconstructionConfig()
+                            *, min_inliers: int = PNP_MIN_INLIERS, seed: int = 0) -> Model:
+    """Grow a model from the match graph until no image clears the gate.
+
+    ``min_inliers`` gates each resection; ``seed`` seeds its RANSAC.
+    """
     feature_sets = feature_store.sets
     if not graph.edges:
         raise NoSeedError("empty match graph")
     a, b = select_seed_pair(graph, feature_sets, intrinsics)
-    edge = graph.edges[(a, b)]
     matches, pts_q, pts_c = _edge_points(graph, feature_sets, a, b)
     R, t, _ = relative_pose_from_fundamental(
-        edge.geometry, intrinsics[a], intrinsics[b], pts_q, pts_c)
+        graph.edges[(a, b)].geometry, intrinsics[a], intrinsics[b], pts_q, pts_c)
     model = Model(stage_tag="coarse")
-    cam_a = Camera(K=intrinsics[a], R=np.eye(3), t=np.zeros(3), image_id=a)
-    cam_b = Camera(K=intrinsics[b], R=R, t=t, image_id=b)
-    model.attach_camera(cam_a)
-    model.attach_camera(cam_b)
-    for i, m in enumerate(matches):
-        if model.owner(m.query) is not None or model.owner(m.target) is not None:
-            continue
-        tri = triangulate_track(
-            [(cam_a, pts_q[i]), (cam_b, pts_c[i])],
-            max_error=config.tri_max_error_px, min_angle_deg=config.tri_min_angle_deg)
-        if tri is not None:
-            model.add_point(tri.point, [m.query, m.target])
+    model.attach_camera(Camera(K=intrinsics[a], R=np.eye(3), t=np.zeros(3), image_id=a))
+    model.attach_camera(Camera(K=intrinsics[b], R=R, t=t, image_id=b))
+    _triangulate_matches(model, feature_sets, matches)
     log.info("seed pair (%d, %d): %d points", a, b, len(model.points))
-    bundle_adjust(model, feature_store, max_iters=config.ba_iters_early,
-                  rel_tol=config.ba_rel_tol)
+    bundle_adjust(model, feature_store, max_iters=BA_ITERS_EARLY)
 
     since_ba = 0
     while True:
@@ -392,43 +379,30 @@ def incremental_reconstruct(graph: MatchGraph, feature_store, intrinsics: dict[i
         for image_id in sorted(feature_sets):
             if model.is_registered(image_id):
                 continue
-            corr = _correspondences_to_model(model, graph, feature_sets, image_id)
-            if len(corr) >= config.min_correspondences:
+            corr = _correspondences_to_model(model, graph, image_id)
+            if len(corr) >= MIN_REGISTER_CORRESPONDENCES:
                 candidates.append((len(corr), -image_id, image_id, corr))
         if not candidates:
             break
         candidates.sort(reverse=True)
-        result = None
-        image_id = corr = None
-        for _, _, img, corr_img in candidates:
-            X = np.stack([model.points[pid].position for pid, _ in corr_img])
-            uv = np.stack([feature_sets[img].xy[feat]
-                           for _, feat in corr_img]).astype(np.float64)
-            result = pnp_ransac(X, uv, intrinsics[img],
-                                threshold=config.pnp_threshold_px,
-                                min_inliers=config.pnp_min_inliers,
-                                seed=config.seed + img)
-            if result is not None:
-                image_id, corr = img, corr_img
+        for _, _, image_id, corr in candidates:
+            resected = resect_image(model, feature_sets, image_id, corr, intrinsics[image_id],
+                                    min_inliers=min_inliers, seed=seed)
+            if resected is not None:
                 break
-            log.info("image %d failed resection this round", img)
-        if result is None:
+            log.info("image %d failed resection this round", image_id)
+        if resected is None:
             # remaining images are left for the localization stage
             break
-        R, t, mask = result
-        cam = Camera(K=intrinsics[image_id], R=R, t=t, image_id=image_id)
-        inliers = [(corr[i][0], FeatureRef(image_id, corr[i][1]))
-                   for i in range(len(corr)) if mask[i]]
+        cam, inliers = resected
         model.attach_camera(cam, inliers)
-        _triangulate_new_tracks(model, graph, feature_store.sets, image_id, config)
+        _triangulate_new_tracks(model, graph, feature_sets, image_id)
         since_ba += 1
         log.info("registered image %d (%d inliers), model: %d cams %d pts",
-                 image_id, int(mask.sum()), len(model.cameras), len(model.points))
-        if since_ba >= config.ba_batch:
-            bundle_adjust(model, feature_store, max_iters=config.ba_iters_early,
-                          rel_tol=config.ba_rel_tol)
+                 image_id, len(inliers), len(model.cameras), len(model.points))
+        if since_ba >= BA_BATCH:
+            bundle_adjust(model, feature_store, max_iters=BA_ITERS_EARLY)
             since_ba = 0
-    bundle_adjust(model, feature_store, max_iters=config.ba_iters_final,
-                  rel_tol=config.ba_rel_tol)
+    bundle_adjust(model, feature_store, max_iters=BA_ITERS_FINAL)
     model.stage_tag = "coarse"
     return model

@@ -53,6 +53,17 @@ class TestConfig:
         assert main(["run", "--features", str(tmp_path), "--out", str(tmp_path / "o"),
                      "--eta", "x"]) == 2
 
+    def test_grid_inflation_below_cover_bound_exit2(self, tmp_path):
+        # below sqrt(5)/2 the grid cells no longer cover the band
+        assert main(["run", "--features", str(tmp_path), "--out", str(tmp_path / "o"),
+                     "--grid-inflation", "0"]) == 2
+        assert main(["run", "--features", str(tmp_path), "--out", str(tmp_path / "o"),
+                     "--grid-inflation", "1.1"]) == 2
+
+    def test_set_cover_k_below_one_exit2(self, tmp_path):
+        assert main(["run", "--features", str(tmp_path), "--out", str(tmp_path / "o"),
+                     "--set-cover-k", "0", "--force-set-cover", "on"]) == 2
+
 
 class TestCliCommands:
     def test_synth_and_validate(self, tmp_path, capsys):

@@ -1,9 +1,13 @@
 import numpy as np
+from hypothesis import given, strategies as st
 
 from msfm.descriptors import DescriptorIndex, SearchStats, two_nearest_bruteforce
 from msfm.features import DESCRIPTOR_DIM, FeatureSet, select_top_scale
 from msfm.matching import (
+    _dedupe_targets,
     build_coarse_matchgraph,
+    closest_one_to_one,
+    closest_per_key,
     hybrid_match,
     match_pair,
     preemptive_pair_filter,
@@ -179,6 +183,62 @@ class TestMatchPair:
         owner = {m.target.feature_id: m.query.feature_id for m in matches}
         if 0 in owner:
             assert owner[0] == 0  # closer query wins
+
+
+# few distinct distances, so exact ties are common
+TIED_DISTANCES = st.sampled_from([0.0, 0.5, 1.0])
+
+
+def first_closest(entries, key):
+    """Brute force: per key, the first entry among those of least distance."""
+    out = {}
+    for entry in entries:
+        k = entry[key]
+        if k not in out:
+            least = min(e[2] for e in entries if e[key] == k)
+            out[k] = next(e for e in entries if e[key] == k and e[2] == least)
+    return out
+
+
+class TestClosestMatch:
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), TIED_DISTANCES),
+                    max_size=40),
+           st.sampled_from([0, 1]))
+    def test_first_seen_wins_ties(self, raw, key):
+        # the per-point and per-feature rule of the 3D-2D correspondence sites
+        entries = [(a, b, d, i) for i, (a, b, d) in enumerate(raw)]
+        got = closest_per_key(entries, key)
+        want = first_closest(entries, key)
+        assert got == want
+        assert list(got) == list(want)  # keys in first-seen order
+
+    @given(st.lists(st.tuples(st.integers(0, 4), TIED_DISTANCES), max_size=40),
+           st.randoms(use_true_random=False))
+    def test_dedupe_targets_smaller_row_wins_ties(self, raw, rnd):
+        # guided matching lists its rows group by group, not in row order
+        rows = list(range(len(raw)))
+        rnd.shuffle(rows)
+        cands = [(row, tgt, d, 0.5) for row, (tgt, d) in zip(rows, raw)]
+        want = []
+        for tgt in {c[1] for c in cands}:
+            mine = [c for c in cands if c[1] == tgt]
+            least = min(c[2] for c in mine)
+            want.append(min(c for c in mine if c[2] == least))
+        assert _dedupe_targets(cands) == sorted(want)
+
+    def test_tie_rules_differ_on_unordered_rows(self):
+        cands = [(5, 0, 1.0, 0.5), (2, 0, 1.0, 0.4)]
+        assert _dedupe_targets(cands) == [(2, 0, 1.0, 0.4)]
+        assert closest_per_key(cands, 1) == {0: (5, 0, 1.0, 0.5)}
+
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), TIED_DISTANCES),
+                    max_size=40))
+    def test_one_to_one(self, entries):
+        per_point = list(first_closest(entries, 0).values())
+        want = sorted((p, f) for p, f, _ in first_closest(per_point, 1).values())
+        got = closest_one_to_one(entries)
+        assert got == want
+        assert len({f for _, f in got}) == len(got) == len({p for p, _ in got})
 
 
 class TestHybridMatch:

@@ -198,6 +198,25 @@ class TestModelStats:
         stats = model_stats(model, ring_scene.store())
         assert 0.3 <= stats.reproj_median <= 1.0
 
+    def test_matches_per_observation_reference(self, ring_scene):
+        # reference: project every observation on its own, list every pair
+        model = ring_scene.ground_truth_model()
+        store = ring_scene.store()
+        errors, pairs = [], set()
+        for pid in model.point_ids():
+            point = model.points[pid]
+            ids = sorted(point.track)
+            for image_id in ids:
+                proj, _ = model.cameras[image_id].project(point.position)
+                pix = store.position(image_id, point.track[image_id])
+                errors.append(np.linalg.norm(proj[0] - pix))
+            pairs |= {(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]}
+        np.testing.assert_allclose(reprojection_errors(model, store), errors, rtol=0, atol=1e-9)
+        stats = model_stats(model, store)
+        assert stats.connected_pairs == len(pairs)
+        assert stats.n_points3 == sum(len(p.track) >= 3 for p in model.points.values())
+        assert stats.reproj_mean == pytest.approx(np.mean(errors), abs=1e-12)
+
     def test_connected_pairs_counts_sharing(self):
         rng = np.random.default_rng(10)
         model = simple_model(3, rng)

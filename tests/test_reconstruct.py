@@ -6,7 +6,6 @@ from msfm.evaluate import align_models
 from msfm.matching import MatchGraph, build_coarse_matchgraph
 from msfm.model import make_intrinsics
 from msfm.reconstruct import (
-    ReconstructionConfig,
     dlt_pose,
     incremental_reconstruct,
     pnp_ransac,
@@ -194,8 +193,8 @@ class TestIncrementalReconstruct:
         store = tiny_scene.store()
         graph = build_coarse_matchgraph(store.sets)
         K = {i: tiny_scene.cameras[i].K for i in store.sets}
-        m1 = incremental_reconstruct(graph, store, K, ReconstructionConfig(seed=0))
-        m2 = incremental_reconstruct(graph, store, K, ReconstructionConfig(seed=99))
+        m1 = incremental_reconstruct(graph, store, K, seed=0)
+        m2 = incremental_reconstruct(graph, store, K, seed=99)
         rep = align_models(m1, m2)
         assert rep.mean_rotation_deg < 1e-3
         assert rep.mean_translation_rel < 1e-3
