@@ -9,11 +9,10 @@ import argparse
 import logging
 import sys
 import time
-from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .config import PipelineConfig, coerce_value, load_config
+from .config import PipelineConfig, coerce_value, field_kinds, load_config, read_key_values
 from .descriptors import SearchStats
 from .errors import ConfigError, FormatError, MsfmError
 from .evaluate import align_models
@@ -34,9 +33,9 @@ from .synth import SceneSpec, generate_scene, write_scene
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value config file")
-    for f in fields(PipelineConfig):
-        flag = "--" + f.name.replace("_", "-")
-        if isinstance(f.default, bool):
+    for name, kind in field_kinds(PipelineConfig).items():
+        flag = "--" + name.replace("_", "-")
+        if kind is bool:
             parser.add_argument(flag, choices=["on", "off"], default=None)
         else:
             parser.add_argument(flag, type=str, default=None)
@@ -47,32 +46,17 @@ def _build_config(args) -> PipelineConfig:
     cfg = PipelineConfig()
     if getattr(args, "config", None):
         cfg = load_config(args.config, cfg)
-    for f in fields(PipelineConfig):
-        raw = getattr(args, f.name, None)
+    for name, kind in field_kinds(PipelineConfig).items():
+        raw = getattr(args, name, None)
         if raw is not None:
-            setattr(cfg, f.name, coerce_value(f.name, raw))
+            setattr(cfg, name, coerce_value(name, raw, kind))
     return cfg.validate()
 
 
 def cmd_synth(args) -> int:
     spec = SceneSpec()
     if args.spec:
-        text = Path(args.spec).read_text()
-        values = {}
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{args.spec}:{lineno}: expected key=value")
-            key, _, raw = line.partition("=")
-            values[key.strip()] = raw.strip()
-        names = {f.name: f for f in fields(SceneSpec)}
-        for key, raw in values.items():
-            if key not in names:
-                raise ConfigError(f"{args.spec}: unknown scene key {key!r}")
-            kind = type(names[key].default)
-            setattr(spec, key, kind(raw))
+        spec = SceneSpec(**read_key_values(Path(args.spec).read_text(), field_kinds(SceneSpec)))
     scene = generate_scene(spec)
     write_scene(scene, args.out)
     for w in scene.warnings:
@@ -89,10 +73,11 @@ def cmd_features_validate(args) -> int:
 
 
 def cmd_features_stats(args) -> int:
+    eta = PipelineConfig(eta=args.eta).validate().eta
     store = FeatureStore.load_dir(args.dir)
     for image_id in store.image_ids():
-        fs = select_top_scale(store[image_id], args.eta)
-        cov = scale_coverage(fs, args.eta) if len(fs) else 0.0
+        fs = select_top_scale(store[image_id], eta)
+        cov = scale_coverage(fs, eta) if len(fs) else 0.0
         print(f"image={image_id} features={len(fs)} tier={fs.coarse_count} "
               f"scale_coverage={cov:.3f}")
     return 0

@@ -10,7 +10,6 @@ form a graph whose connected components become new or extended tracks.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,7 +173,6 @@ def densify_stage(model: Model, feature_store, *,
                   inflation: float = GRID_INFLATION,
                   threshold: int = COVIS_THRESHOLD,
                   candidate_fraction: float = CANDIDATE_FRACTION,
-                  threads: int = 1,
                   stats: SearchStats | None = None) -> dict:
     """Match untracked features along epipolar bands and triangulate them.
 
@@ -196,12 +194,8 @@ def densify_stage(model: Model, feature_store, *,
     query_set = set(query_images)
 
     def untracked(image_id: int) -> np.ndarray:
-        fs = feature_store.sets[image_id]
-        owned = [
-            fid for fid in range(len(fs))
-            if model.owner(FeatureRef(image_id, fid)) is not None
-        ]
-        mask = np.ones(len(fs), dtype=bool)
+        owned = [model.points[pid].track[image_id] for pid in model.points_visible_in(image_id)]
+        mask = np.ones(len(feature_store.sets[image_id]), dtype=bool)
         mask[owned] = False
         return np.flatnonzero(mask)
 
@@ -216,27 +210,17 @@ def densify_stage(model: Model, feature_store, *,
                 width=fs.width, height=fs.height)
         return grid_cache[image_id]
 
-    def process(pair):
-        a, b = pair
+    # every pair is matched against the pre-stage model; tracks merge after
+    all_matches: list[Match] = []
+    for a, b in pairs:
         q, t = (a, b) if a in query_set else (b, a)
         geom = _pair_geometry(model, q, t)
         if geom is None:
-            return pair, []
-        matches = guided_match_pair(
+            continue
+        all_matches.extend(guided_match_pair(
             feature_store.sets[q], feature_store.sets[t], geom,
             d=d, ratio=ratio, inflation=inflation,
-            query_indices=untracked_cache[q], grid=grid_for(t), stats=stats)
-        return pair, matches
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(process, pairs))
-    else:
-        results = [process(p) for p in pairs]
-
-    all_matches: list[Match] = []
-    for _, matches in sorted(results, key=lambda item: item[0]):
-        all_matches.extend(matches)
+            query_indices=untracked_cache[q], grid=grid_for(t), stats=stats))
 
     new_tracks, extensions = merge_tracks(all_matches, model)
 

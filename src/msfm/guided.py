@@ -23,8 +23,7 @@ import numpy as np
 from .descriptors import SearchStats
 from .features import FeatureSet
 from .geometry import EpipolarLine, TwoViewGeometry
-from .matching import RATIO_GUIDED, Match, _dedupe_targets, ratio_filter
-from .model import FeatureRef
+from .matching import RATIO_GUIDED, Match, matches_from, ratio_filter
 
 BAND_D_PX = 8.0
 GRID_INFLATION = 1.25
@@ -355,12 +354,5 @@ def guided_match_pair(query_fs: FeatureSet, target_fs: FeatureSet,
                         np.where(np.isfinite(second_d2), second, -1)], axis=1)
         for k, local, dd, rr in ratio_filter(dist, idx, ratio):
             accepted.append((int(members[k]), int(cand[local]), dd, rr))
-    return [
-        Match(
-            query=FeatureRef(query_fs.image_id, row),
-            target=FeatureRef(target_fs.image_id, int(ti[tgt])),
-            distance=dd,
-            ratio=rr,
-        )
-        for row, tgt, dd, rr in _dedupe_targets(accepted)
-    ]
+    return matches_from(accepted, query_fs.image_id, target_fs.image_id,
+                        query_ids=None, target_ids=ti)

@@ -1,17 +1,17 @@
 """Camera addition: register every unregistered image against a model snapshot.
 
-Each image is attempted independently (the stage parallelizes trivially):
-first direct 3D-2D matching of point mean descriptors into the image's
-feature index, then, if that fails the correspondence gate, ranked 2D-2D
-matching through the image's best-connected localized neighbours.  Successful
-poses are applied in one deterministic merge pass.
+Every attempt reads the same snapshot and none adds to it, so the images
+register independently of one another: first direct 3D-2D matching of point
+mean descriptors into the image's feature index, then, if that fails the
+correspondence gate, ranked 2D-2D matching through the image's
+best-connected localized neighbours.  Successful poses are applied in one
+deterministic merge pass.
 """
 
 from __future__ import annotations
 
 import heapq
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,14 +207,13 @@ def localize_all(model: Model, feature_store, graph: MatchGraph,
                  min_correspondences: int = MIN_CORRESPONDENCES,
                  pnp_min_inliers: int = PNP_MIN_INLIERS,
                  seed: int = 0,
-                 threads: int = 1,
                  order=None) -> tuple[list[int], list[LocalizationResult]]:
     """Attempt every unregistered image against the current snapshot.
 
-    All attempts read the same snapshot; successful poses are attached in a
-    single image-id-ordered merge, so the outcome does not depend on the
-    processing order or thread count.  Returns (newly registered ids,
-    per-image results).
+    All attempts read the same snapshot, to which no attempt adds; successful
+    poses are attached afterwards in a single image-id-ordered merge, so the
+    outcome does not depend on the order of the attempts.  Returns (newly
+    registered ids, per-image results in attempt order).
     """
     unregistered = [i for i in sorted(feature_store.sets) if not model.is_registered(i)]
     if order is not None:
@@ -227,17 +226,13 @@ def localize_all(model: Model, feature_store, graph: MatchGraph,
     if force_set_cover or len(model.points) > set_cover_engage:
         cover_points = compute_set_cover(model, set_cover_k).selected
 
-    def attempt(image_id: int) -> LocalizationResult:
-        return localize_image(model, graph, image_id, feature_store,
-                              intrinsics[image_id], cover_points=cover_points,
-                              ratio=ratio, min_correspondences=min_correspondences,
-                              pnp_min_inliers=pnp_min_inliers, seed=seed)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(attempt, unregistered))
-    else:
-        results = [attempt(i) for i in unregistered]
+    results = [
+        localize_image(model, graph, image_id, feature_store, intrinsics[image_id],
+                       cover_points=cover_points, ratio=ratio,
+                       min_correspondences=min_correspondences,
+                       pnp_min_inliers=pnp_min_inliers, seed=seed)
+        for image_id in unregistered
+    ]
 
     newly = []
     for result in sorted(results, key=lambda r: r.image_id):

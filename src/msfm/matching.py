@@ -8,7 +8,6 @@ geometry.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,6 +134,25 @@ def _dedupe_targets(cands):
     return sorted(closest_per_key(sorted(cands), 1).values())
 
 
+def matches_from(accepted, query_image: int, target_image: int, *,
+                 query_ids, target_ids) -> list[Match]:
+    """Matches from accepted (row, target, distance, ratio) tuples, one per target.
+
+    ``_dedupe_targets`` picks among the tuples as given; then rows map to
+    feature ids through ``query_ids`` (None: rows are feature ids) and
+    targets through ``target_ids``.
+    """
+    return [
+        Match(
+            query=FeatureRef(query_image, int(row if query_ids is None else query_ids[row])),
+            target=FeatureRef(target_image, int(target_ids[tgt])),
+            distance=d,
+            ratio=r,
+        )
+        for row, tgt, d, r in _dedupe_targets(accepted)
+    ]
+
+
 def match_pair(query_fs: FeatureSet, target_fs: FeatureSet, *,
                ratio: float = RATIO_UNGUIDED,
                query_indices: np.ndarray | None = None,
@@ -150,16 +168,8 @@ def match_pair(query_fs: FeatureSet, target_fs: FeatureSet, *,
     if index is None:
         index = DescriptorIndex(target_fs.descriptors_f32()[ti])
     dist, idx = index.knn2(query_fs.descriptors_f32()[qi], stats)
-    accepted = ratio_filter(dist, idx, ratio, single_cap)
-    return [
-        Match(
-            query=FeatureRef(query_fs.image_id, int(qi[row])),
-            target=FeatureRef(target_fs.image_id, int(ti[tgt])),
-            distance=d,
-            ratio=r,
-        )
-        for row, tgt, d, r in _dedupe_targets(accepted)
-    ]
+    return matches_from(ratio_filter(dist, idx, ratio, single_cap),
+                        query_fs.image_id, target_fs.image_id, query_ids=qi, target_ids=ti)
 
 
 def hybrid_match(query_fs: FeatureSet, target_fs: FeatureSet, *,
@@ -190,15 +200,8 @@ def hybrid_match(query_fs: FeatureSet, target_fs: FeatureSet, *,
         for row, tgt, d, r in ratio_filter(dist, idx, ratio):
             accepted.append((int(qi[row]), tgt, d, r))
         first_done = True
-    return [
-        Match(
-            query=FeatureRef(query_fs.image_id, row),
-            target=FeatureRef(target_fs.image_id, int(ti[tgt])),
-            distance=d,
-            ratio=r,
-        )
-        for row, tgt, d, r in _dedupe_targets(accepted)
-    ]
+    return matches_from(accepted, query_fs.image_id, target_fs.image_id,
+                        query_ids=None, target_ids=ti)
 
 
 def preemptive_pair_filter(feature_sets: dict[int, FeatureSet], *,
@@ -229,7 +232,6 @@ def build_coarse_matchgraph(feature_sets: dict[int, FeatureSet], *,
                             preemptive: bool = False,
                             min_edge_inliers: int = MIN_EDGE_INLIERS,
                             seed: int = 0,
-                            threads: int = 1,
                             stats: SearchStats | None = None) -> MatchGraph:
     """Hybrid-match every surviving pair and keep geometry-verified edges."""
     if preemptive:
@@ -238,27 +240,15 @@ def build_coarse_matchgraph(feature_sets: dict[int, FeatureSet], *,
         ids = sorted(feature_sets)
         pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
 
-    def process(pair):
-        a, b = pair
+    graph = MatchGraph()
+    for a, b in pairs:
         matches = hybrid_match(feature_sets[a], feature_sets[b], ratio=ratio, stats=stats)
         if len(matches) < MIN_EDGE_MATCHES:
-            return pair, None
+            continue
         pts_q = np.array([feature_sets[a].xy[m.query.feature_id] for m in matches])
         pts_c = np.array([feature_sets[b].xy[m.target.feature_id] for m in matches])
         geom, mask = estimate_fundamental_ransac(
             pts_q, pts_c, seed=seed + a * 100003 + b)
-        if int(mask.sum()) < min_edge_inliers:
-            return pair, None
-        return pair, Edge(matches=matches, geometry=geom, inlier_mask=mask)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(process, pairs))
-    else:
-        results = [process(p) for p in pairs]
-
-    graph = MatchGraph()
-    for pair, edge in sorted(results, key=lambda item: item[0]):
-        if edge is not None:
-            graph.edges[pair] = edge
+        if int(mask.sum()) >= min_edge_inliers:
+            graph.edges[(a, b)] = Edge(matches=matches, geometry=geom, inlier_mask=mask)
     return graph

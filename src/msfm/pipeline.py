@@ -44,7 +44,7 @@ def run_match(config: PipelineConfig, store: FeatureStore) -> MatchGraph:
     store.apply_eta(config.eta)
     return build_coarse_matchgraph(
         store.sets, ratio=config.ratio_unguided, preemptive=config.preemptive,
-        min_edge_inliers=config.min_inliers, seed=config.seed, threads=config.threads)
+        min_edge_inliers=config.min_inliers, seed=config.seed)
 
 
 def run_coarse(config: PipelineConfig, store: FeatureStore, graph: MatchGraph) -> Model:
@@ -72,7 +72,7 @@ def run_localize(config: PipelineConfig, store: FeatureStore, model: Model,
         set_cover_engage=config.set_cover_engage,
         force_set_cover=config.force_set_cover, ratio=config.ratio_unguided,
         min_correspondences=config.min_inliers, pnp_min_inliers=config.min_inliers,
-        seed=config.seed, threads=config.threads)
+        seed=config.seed)
 
 
 def run_densify(config: PipelineConfig, store: FeatureStore, model: Model,
@@ -82,7 +82,7 @@ def run_densify(config: PipelineConfig, store: FeatureStore, model: Model,
         model, store, iteration=iteration, query_images=query_images,
         d=config.d, ratio=config.ratio_guided, inflation=config.grid_inflation,
         threshold=config.covis_threshold,
-        candidate_fraction=config.candidate_fraction, threads=config.threads)
+        candidate_fraction=config.candidate_fraction)
 
 
 @dataclass

@@ -456,7 +456,7 @@ class TestCriterion9Determinism:
         outs = []
         for run in range(2):
             out = tmp_path / f"run{run}"
-            cfg = PipelineConfig(focal=900.0, iterations=2, seed=5, threads=1)
+            cfg = PipelineConfig(focal=900.0, iterations=2, seed=5)
             run_pipeline(cfg, feature_dir, out_dir=out)
             outs.append(out)
         identical = True

@@ -33,10 +33,10 @@ class TestConfig:
         assert cfg.iterations == 2
 
     def test_parse_and_override(self):
-        cfg = parse_config_text("eta = 30\npreemptive = on\nthreads=2\n# comment\n")
+        cfg = parse_config_text("eta = 30\npreemptive = on\nseed=2\n# comment\n")
         assert cfg.eta == 30.0
         assert cfg.preemptive is True
-        assert cfg.threads == 2
+        assert cfg.seed == 2
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError):
@@ -64,6 +64,22 @@ class TestConfig:
         assert main(["run", "--features", str(tmp_path), "--out", str(tmp_path / "o"),
                      "--set-cover-k", "0", "--force-set-cover", "on"]) == 2
 
+    def test_threads_is_not_a_setting(self, tmp_path):
+        # the stages run serially: neither a config line nor a flag sets threads
+        config = tmp_path / "threads.cfg"
+        config.write_text("threads = 2\n")
+        assert main(["run", "--features", str(tmp_path), "--out", str(tmp_path / "o"),
+                     "--config", str(config)]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--features", str(tmp_path), "--out", str(tmp_path / "o"),
+                  "--threads", "2"])
+        assert exc.value.code == 2
+
+    def test_threads_constructor_argument(self):
+        assert PipelineConfig(focal=900.0, threads=1, iterations=2).iterations == 2
+        with pytest.raises(ConfigError):
+            PipelineConfig(threads=2)
+
 
 class TestCliCommands:
     def test_synth_and_validate(self, tmp_path, capsys):
@@ -76,8 +92,14 @@ class TestCliCommands:
 
     def test_synth_bad_spec_exit2(self, tmp_path):
         spec = tmp_path / "bad.cfg"
-        spec.write_text("bogus = 1\n")
-        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "x")]) == 2
+        for line in ("bogus = 1", "n_cameras = three"):
+            spec.write_text(line + "\n")
+            assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "x")]) == 2, line
+
+    def test_features_stats_bad_eta_exit2(self, scene_dir):
+        path, _ = scene_dir
+        assert main(["features", "stats", str(path), "--eta", "0"]) == 2
+        assert main(["features", "stats", str(path), "--eta", "20"]) == 0
 
     def test_missing_file_exit3(self, tmp_path):
         assert main(["features", "validate", str(tmp_path / "nope.msft")]) == 3

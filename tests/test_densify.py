@@ -273,18 +273,6 @@ class TestDensifyStage:
         # rerunning may extend tracks but adds few new points
         assert len(work.points) <= n * 1.02
 
-    def test_thread_count_invariance(self, coarse_setup, tmp_path):
-        from msfm.io import write_model
-        scene, store, model = coarse_setup
-        m1 = copy.deepcopy(model)
-        m2 = copy.deepcopy(model)
-        densify_stage(m1, store, iteration=1, threads=1)
-        densify_stage(m2, store, iteration=1, threads=3)
-        p1, p2 = tmp_path / "t1.msfm", tmp_path / "t3.msfm"
-        write_model(m1, p1)
-        write_model(m2, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-
     def test_band_respected_post_hoc(self, coarse_setup):
         from msfm.geometry import fundamental_from_poses, epipolar_line, point_line_distance
         scene, store, model = coarse_setup

@@ -274,18 +274,6 @@ class TestLocalizeAll:
         write_model(m2, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_thread_count_invariance(self, holdout_setup, tmp_path):
-        scene, store, graph, partial, held_out, K = holdout_setup
-        import copy
-        m1 = copy.deepcopy(partial)
-        m2 = copy.deepcopy(partial)
-        localize_all(m1, store, graph, K, threads=1)
-        localize_all(m2, store, graph, K, threads=3)
-        f1, f2 = tmp_path / "t1.msfm", tmp_path / "t3.msfm"
-        write_model(m1, f1)
-        write_model(m2, f2)
-        assert f1.read_bytes() == f2.read_bytes()
-
     def test_forced_set_cover_path(self, holdout_setup):
         scene, store, graph, partial, held_out, K = holdout_setup
         import copy

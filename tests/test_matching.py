@@ -354,14 +354,3 @@ class TestBuildCoarseMatchGraph:
                 1: feature_set_from_descriptors(b, 1)}
         graph = build_coarse_matchgraph(sets)
         assert graph.edges == {}
-
-    def test_thread_determinism(self, tiny_scene):
-        store = tiny_scene.store()
-        g1 = build_coarse_matchgraph(store.sets, threads=1)
-        g2 = build_coarse_matchgraph(store.sets, threads=3)
-        assert sorted(g1.edges) == sorted(g2.edges)
-        for key in g1.edges:
-            m1 = [(m.query, m.target, m.distance) for m in g1.edges[key].matches]
-            m2 = [(m.query, m.target, m.distance) for m in g2.edges[key].matches]
-            assert m1 == m2
-            assert np.array_equal(g1.edges[key].inlier_mask, g2.edges[key].inlier_mask)
