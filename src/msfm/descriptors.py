@@ -1,21 +1,14 @@
-"""Two-nearest-neighbour search over 128-dim descriptors.
+"""Exact two-nearest-neighbour search over 128-dim descriptors.
 
-Small target sets are searched exactly with blocked BLAS distance matrices.
-Large sets fall back to a kd-tree searched best-bin-first under a fixed
-visited-leaf budget, which keeps results deterministic (ties break toward the
-lower index) while bounding the work per query.
+Distances come from blocked BLAS distance matrices accumulated in f32; ties
+break toward the lower index.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
-
-EXACT_THRESHOLD = 2000
-LEAF_SIZE = 32
-MAX_LEAF_VISITS = 200
 
 _QUERY_BLOCK = 512
 
@@ -70,108 +63,3 @@ def two_nearest_bruteforce(queries: np.ndarray, targets: np.ndarray,
         idx[sl, 0] = best
         idx[sl, 1] = second
     return dist, idx
-
-
-class _KdNode:
-    __slots__ = ("dim", "threshold", "left", "right", "leaf_data", "leaf_norm", "leaf_idx")
-
-    def __init__(self):
-        self.dim = -1
-        self.threshold = 0.0
-        self.left = None
-        self.right = None
-        self.leaf_data = None
-        self.leaf_norm = None
-        self.leaf_idx = None
-
-
-def _build_kdtree(data: np.ndarray, indices: np.ndarray, leaf_size: int) -> _KdNode:
-    node = _KdNode()
-    if len(indices) <= leaf_size:
-        node.leaf_idx = indices
-        node.leaf_data = np.ascontiguousarray(data[indices])
-        node.leaf_norm = np.einsum("ij,ij->i", node.leaf_data, node.leaf_data)
-        return node
-    sub = data[indices]
-    node.dim = int(np.argmax(np.var(sub, axis=0)))
-    order = np.argsort(sub[:, node.dim], kind="stable")
-    half = len(indices) // 2
-    node.threshold = float(sub[order[half], node.dim])
-    node.left = _build_kdtree(data, indices[order[:half]], leaf_size)
-    node.right = _build_kdtree(data, indices[order[half:]], leaf_size)
-    return node
-
-
-class DescriptorIndex:
-    """Deterministic 2-NN index over descriptor rows."""
-
-    def __init__(self, descriptors: np.ndarray, *,
-                 exact_threshold: int = EXACT_THRESHOLD,
-                 leaf_size: int = LEAF_SIZE,
-                 max_leaf_visits: int = MAX_LEAF_VISITS):
-        self.data = np.ascontiguousarray(descriptors, dtype=np.float32)
-        self.n = len(self.data)
-        self.leaf_size = leaf_size
-        self.max_leaf_visits = max_leaf_visits
-        # a leaf budget that covers the whole tree degenerates to exact search,
-        # so take the fast exact path outright
-        self.exact = self.n <= exact_threshold or self.n <= leaf_size * max_leaf_visits
-        self._root = None
-        if not self.exact and self.n:
-            self._root = _build_kdtree(self.data, np.arange(self.n), leaf_size)
-
-    def knn2(self, queries: np.ndarray, stats: SearchStats | None = None):
-        """Top-2 neighbours for each query row; see two_nearest_bruteforce."""
-        if self.exact:
-            return two_nearest_bruteforce(queries, self.data, stats)
-        q = np.ascontiguousarray(queries, dtype=np.float32)
-        nq = len(q)
-        dist = np.full((nq, 2), np.inf)
-        idx = np.full((nq, 2), -1, dtype=np.int64)
-        visited_total = 0
-        for i in range(nq):
-            d0, d1, i0, i1, visited = self._query_one(q[i])
-            dist[i, 0], dist[i, 1] = np.sqrt(d0), np.sqrt(d1)
-            idx[i, 0], idx[i, 1] = i0, i1
-            visited_total += visited
-        if stats is not None:
-            stats.add(nq, visited_total)
-        return dist, idx
-
-    def _query_one(self, q: np.ndarray):
-        best_d2 = np.inf
-        second_d2 = np.inf
-        best_i = -1
-        second_i = -1
-        visited = 0
-        leaves = 0
-        counter = 0
-        heap = [(0.0, counter, self._root)]
-        while heap and leaves < self.max_leaf_visits:
-            bound, _, node = heapq.heappop(heap)
-            if bound >= second_d2:
-                break
-            while node.leaf_idx is None:
-                diff = q[node.dim] - node.threshold
-                if diff < 0:
-                    near, far = node.left, node.right
-                else:
-                    near, far = node.right, node.left
-                counter += 1
-                far_bound = bound + diff * diff
-                if far_bound < second_d2:
-                    heapq.heappush(heap, (far_bound, counter, far))
-                node = near
-            leaves += 1
-            ld = node.leaf_data
-            visited += len(ld)
-            d2 = node.leaf_norm - 2.0 * (ld @ q) + float(q @ q)
-            for k in np.argsort(d2, kind="stable")[:2]:
-                d = float(d2[k])
-                gi = int(node.leaf_idx[k])
-                if d < best_d2 or (d == best_d2 and gi < best_i):
-                    second_d2, second_i = best_d2, best_i
-                    best_d2, best_i = d, gi
-                elif d < second_d2 or (d == second_d2 and gi < second_i):
-                    second_d2, second_i = d, gi
-        return max(best_d2, 0.0), max(second_d2, 0.0), best_i, second_i, visited

@@ -9,8 +9,11 @@ band, the gathered cells provably cover the whole band.  The exact linear
 scan ``candidates_linear`` is the reference the tests compare against.
 
 Queries whose epipolar lines pierce the target boundary at nearly the same
-points share one candidate set, so their descriptor index is built once per
-group.
+points share one candidate set.  ``guided_match_pair`` handles all groups of
+an image pair in flat array passes: it samples every representative line,
+looks up every sample cell, filters every candidate to the exact band of
+each member's own line and takes every member's two nearest neighbours at
+once.  Only the descriptor product runs once per group.
 """
 
 from __future__ import annotations
@@ -31,6 +34,15 @@ GRID_INFLATION = 1.25
 # longer cover the band
 MIN_GRID_INFLATION = math.sqrt(5.0) / 2.0
 GROUP_BOUNDARY_PX = 2.0
+
+# guided matching handles a pair's groups in blocks of about this much work
+# (line samples times members, plus two), so that its flat arrays stay near
+# 1 MB each whatever the image or group size; larger blocks raise the
+# pipeline's peak RSS, smaller ones cost time per block
+_BLOCK_WORK = 1 << 16
+# a batch's (cell key, line) pairs share one int64: key << 16 | line, as
+# keys stay below 2^46
+_LINE_BITS = 16
 
 _OFFSETS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
@@ -58,28 +70,66 @@ class OverlapGrid:
 
     def _encode(self, idx: np.ndarray, grid=0) -> np.ndarray:
         """Pack grid id and (cx, cy) into one int64 key."""
-        cell = (idx[..., 0] + (1 << 20)) * (1 << 21) + (idx[..., 1] + (1 << 20))
-        return cell + np.asarray(grid, dtype=np.int64) * (1 << 44)
+        return _pack(idx[..., 0], idx[..., 1], grid)
+
+    def cell_keys(self, xy: np.ndarray) -> np.ndarray:
+        """(n, 4) keys of the cells holding each point, ``_encode(cell_indices(xy), g)``.
+
+        The four grids share two column and two row indices, so this takes
+        half the arithmetic.
+        """
+        xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
+        size = 2.0 * self.d
+        cols = [np.floor((xy[:, 0] - off * self.d) / size).astype(np.int64) for off in (0.0, 1.0)]
+        rows = [np.floor((xy[:, 1] - off * self.d) / size).astype(np.int64) for off in (0.0, 1.0)]
+        return np.stack([_pack(cols[int(ox)], rows[int(oy)], g)
+                         for g, (ox, oy) in enumerate(_OFFSETS)], axis=1)
 
     def lookup(self, keys: np.ndarray) -> np.ndarray:
         """Feature ids binned under the given packed keys (may repeat)."""
+        return self.lookup_runs(keys)[0]
+
+    def lookup_runs(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``lookup`` plus where its ids come from: (ids, found, lengths).
+
+        ``keys[found[i]]`` holds the next ``lengths[i]`` ids, in key order.
+        """
         table = self._keys
+        empty = np.array([], dtype=np.int64)
         if len(table) == 0 or len(keys) == 0:
-            return np.array([], dtype=np.int64)
+            return empty, empty, empty
         pos = np.searchsorted(table, keys)
         pos = np.minimum(pos, len(table) - 1)
-        pos = pos[table[pos] == keys]
-        if len(pos) == 0:
-            return np.array([], dtype=np.int64)
+        found = np.flatnonzero(table[pos] == keys)
+        pos = pos[found]
         lo = self._starts[pos]
         lengths = self._starts[pos + 1] - lo
-        total = int(lengths.sum())
-        if total == 0:
-            return np.array([], dtype=np.int64)
         # ragged gather: concatenate members[lo[i]:lo[i]+lengths[i]] for all i
-        base = np.repeat(lo, lengths)
-        shift = np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        return self._members[base + shift]
+        return self._members[np.repeat(lo, lengths) + _segment_offsets(lengths)], found, lengths
+
+
+def _pack(cx: np.ndarray, cy: np.ndarray, grid) -> np.ndarray:
+    """One int64 key per (grid id, cx, cy); cell indices lie within +-2^20."""
+    cell = (cx + (1 << 20)) * (1 << 21) + (cy + (1 << 20))
+    return cell + np.asarray(grid, dtype=np.int64) * (1 << 44)
+
+
+def _unique(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of an int64 array.
+
+    Same result as ``np.unique``, which in numpy 2.4 goes through a hash
+    table and takes 10-30x longer than this one sort.
+    """
+    values = np.sort(values)
+    first = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
+
+
+def _segment_offsets(lengths: np.ndarray) -> np.ndarray:
+    """0, 1, .., n-1 for every segment length n, concatenated."""
+    total = int(lengths.sum())
+    return np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
 
 def build_grid(features: FeatureSet | np.ndarray, d: float, *,
@@ -196,19 +246,14 @@ class QueryGroup:
     boundary_points: np.ndarray  # (2, 2) endpoints of the representative
 
 
-def clip_lines_batch(lines: np.ndarray, width: float, height: float):
-    """Vectorized rectangle clipping of N normalized lines.
+def _edge_hits(lines: np.ndarray, x0: float, x1: float, y0: float, y1: float) -> np.ndarray:
+    """(N, 4, 2) crossings of N lines with the edges x0, x1, y0 and y1; NaN if missed.
 
-    Returns (ok mask, p_A (N,2), p_B (N,2)) with endpoints ordered
-    lexicographically; rows with ok=False missed the rectangle.
+    Same arithmetic, 1e-9 tolerance and clamping as ``clip_line_to_bounds``.
     """
-    lines = np.asarray(lines, dtype=np.float64).reshape(-1, 3)
-    n = len(lines)
     a, b, c = lines[:, 0], lines[:, 1], lines[:, 2]
-    x0, x1 = 0.0, width
-    y0, y1 = 0.0, height
-    cand = np.full((n, 4, 2), np.nan)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    cand = np.full((len(lines), 4, 2), np.nan)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k, xv in enumerate((x0, x1)):
             y = -(a * xv + c) / b
             valid = (np.abs(b) > 1e-15) & (y >= y0 - 1e-9) & (y <= y1 + 1e-9)
@@ -219,6 +264,20 @@ def clip_lines_batch(lines: np.ndarray, width: float, height: float):
             valid = (np.abs(a) > 1e-15) & (x >= x0 - 1e-9) & (x <= x1 + 1e-9)
             cand[valid, k + 2, 0] = np.clip(x[valid], x0, x1)
             cand[valid, k + 2, 1] = yv
+    return cand
+
+
+def clip_lines_batch(lines: np.ndarray, width: float, height: float):
+    """Vectorized rectangle clipping of N normalized lines.
+
+    Returns (ok mask, p_A (N,2), p_B (N,2)) with endpoints ordered
+    lexicographically; rows with ok=False missed the rectangle.
+    """
+    lines = np.asarray(lines, dtype=np.float64).reshape(-1, 3)
+    n = len(lines)
+    x0, x1 = 0.0, width
+    y0, y1 = 0.0, height
+    cand = _edge_hits(lines, x0, x1, y0, y1)
     # lexicographic order via a scalar key; coordinates are bounded by the
     # rectangle so the key is collision free at sub-pixel level
     span = max(x1 - x0, y1 - y0, 1.0)
@@ -237,6 +296,29 @@ def clip_lines_batch(lines: np.ndarray, width: float, height: float):
     seg = np.hypot(pb[:, 0] - pa[:, 0], pb[:, 1] - pa[:, 1])
     ok = valid_any & (seg > 1e-12)
     return ok, pa, pb
+
+
+def _line_samples(lines: np.ndarray, width: float, height: float, d: float):
+    """Per line, what ``equidistant_line_points(line, (width, height), d, pad=d)`` uses.
+
+    Returns (number of samples, K, p_A, p_B), bit for bit: p_A and p_B are
+    the exact lexicographic extremes of the padded edge crossings, and a
+    line that misses the padded image has no samples.
+    """
+    cand = _edge_hits(lines, -d, width + d, -d, height + d)
+    x, y = cand[:, :, 0], cand[:, :, 1]
+    hit = ~np.isnan(x)
+    xa = np.where(hit, x, np.inf).min(axis=1)
+    xb = np.where(hit, x, -np.inf).max(axis=1)
+    ya = np.where(x == xa[:, None], y, np.inf).min(axis=1)
+    yb = np.where(x == xb[:, None], y, -np.inf).max(axis=1)
+    length = np.hypot(xb - xa, yb - ya)
+    ok = (hit.sum(axis=1) >= 2) & (length >= 1e-12)
+    k_count = np.maximum(1.0, np.ceil(length / d))
+    n_samples = np.where(ok, k_count + 1.0, 0.0).astype(np.int64)
+    pa = np.where(ok[:, None], np.stack([xa, ya], axis=1), 0.0)
+    pb = np.where(ok[:, None], np.stack([xb, yb], axis=1), 0.0)
+    return n_samples, k_count, pa, pb
 
 
 def group_queries(query_fs: FeatureSet, geom: TwoViewGeometry,
@@ -267,24 +349,66 @@ def group_queries(query_fs: FeatureSet, geom: TwoViewGeometry,
     ], axis=1)
     kept_rows = np.flatnonzero(keep)
     # sort by the four bucket coordinates (first column primary), then by
-    # query id; a group starts wherever any coordinate changes
+    # query id, so members come out sorted; a group starts wherever any
+    # coordinate changes
     order = np.lexsort((qi[kept_rows], cells[:, 3], cells[:, 2], cells[:, 1], cells[:, 0]))
     sorted_cells = cells[order]
     changed = (sorted_cells[1:] != sorted_cells[:-1]).any(axis=1)
-    boundaries = np.flatnonzero(np.concatenate([[True], changed]))
-    boundaries = np.append(boundaries, len(sorted_cells))
-    groups = []
-    for gi in range(len(boundaries) - 1):
-        rows = order[boundaries[gi]:boundaries[gi + 1]]
-        rep_row = kept_rows[rows[0]]
-        groups.append(QueryGroup(
-            representative_line=EpipolarLine(float(lines[rep_row, 0]),
-                                             float(lines[rep_row, 1]),
-                                             float(lines[rep_row, 2])),
-            member_features=np.sort(qi[kept_rows[rows]]),
-            boundary_points=np.stack([pa[rep_row], pb[rep_row]]),
-        ))
-    return groups
+    starts = np.flatnonzero(np.concatenate([[True], changed]))
+    rep_rows = kept_rows[order[starts]]
+    members = qi[kept_rows[order]]
+    cuts = np.append(starts, len(order)).tolist()
+    ends = np.stack([pa[rep_rows], pb[rep_rows]], axis=1)
+    return [QueryGroup(representative_line=EpipolarLine(a, b, c),
+                       member_features=members[lo:hi], boundary_points=e)
+            for (a, b, c), lo, hi, e in zip(lines[rep_rows].tolist(), cuts[:-1], cuts[1:], ends)]
+
+
+def _candidates_batch(grid: OverlapGrid, lines: np.ndarray, d: float):
+    """``candidates_grid`` of every row of ``lines`` (at most 2^16) in one pass.
+
+    Returns (line, feature id) arrays sorted by line, then id.
+    """
+    n_samples, k_count, pa, pb = _line_samples(lines, grid.width, grid.height, d)
+    # every sample of every line and its four cell keys; a key the previous
+    # sample of the same line had adds nothing
+    line_of = np.repeat(np.arange(len(lines)), n_samples)
+    k = _segment_offsets(n_samples).astype(np.float64)[:, None]
+    kc = np.repeat(k_count, n_samples)[:, None]
+    samples = (k * np.repeat(pa, n_samples, axis=0)
+               + (kc - k) * np.repeat(pb, n_samples, axis=0)) / kc
+    keys = grid.cell_keys(samples)
+    fresh = np.ones(keys.shape, dtype=bool)
+    fresh[1:] = (keys[1:] != keys[:-1]) | (line_of[1:] != line_of[:-1])[:, None]
+    # each distinct (cell, line) once, in key order so that the table search
+    # walks forward
+    cells = _unique(keys[fresh] << _LINE_BITS
+                    | np.broadcast_to(line_of[:, None], keys.shape)[fresh])
+    ids, found, lengths = grid.lookup_runs(cells >> _LINE_BITS)
+    line_of_id = np.repeat(cells[found] & ((1 << _LINE_BITS) - 1), lengths)
+    n_t = int(grid._members.max(initial=0)) + 1
+    return np.divmod(_unique(line_of_id * n_t + ids), n_t)
+
+
+def _two_nearest(d2: np.ndarray, starts: np.ndarray):
+    """(dist, idx) of the two smallest of every segment of squared distances.
+
+    ``idx`` holds positions in ``d2``, or -1 where no finite distance is
+    left; ties go to the lower position.  ``d2``'s minima are overwritten.
+    """
+    def segment_min(values):
+        low = np.minimum.reduceat(values, starts)
+        lengths = np.diff(np.append(starts, len(values)))
+        at = np.where(values == np.repeat(low, lengths), np.arange(len(values)), len(values))
+        return low, np.minimum.reduceat(at, starts)
+
+    best, best_at = segment_min(d2)
+    d2[best_at] = np.inf
+    second, second_at = segment_min(d2)
+    dist = np.sqrt(np.stack([best, second], axis=1))
+    idx = np.stack([np.where(np.isfinite(best), best_at, -1),
+                    np.where(np.isfinite(second), second_at, -1)], axis=1)
+    return dist, idx
 
 
 def guided_match_pair(query_fs: FeatureSet, target_fs: FeatureSet,
@@ -298,11 +422,13 @@ def guided_match_pair(query_fs: FeatureSet, target_fs: FeatureSet,
                       stats: SearchStats | None = None) -> list[Match]:
     """Match query features against target candidates near their epipolar lines.
 
-    Queries are processed group by group so each candidate set is gathered
-    from the overlapping grid once; ``grid`` defaults to one built over the
-    target features with cell half-size ``d * inflation``.  Candidates are
-    post-filtered to the exact band of each member's own line, so every
-    returned match satisfies dist <= d.
+    A group's candidates are the target features in the grid cells of its
+    representative line's samples (``candidates_grid``); ``grid`` defaults
+    to one built over the target features with cell half-size
+    ``d * inflation``.  Candidates are post-filtered to the exact band of
+    each member's own line, so every returned match satisfies dist <= d.
+    Groups run in blocks of flat arrays; only the descriptor product is
+    taken group by group.
     """
     ti = np.arange(len(target_fs)) if target_indices is None else np.asarray(target_indices)
     if len(ti) == 0:
@@ -313,46 +439,92 @@ def guided_match_pair(query_fs: FeatureSet, target_fs: FeatureSet,
         grid = build_grid(txy, d * inflation, width=bounds[0], height=bounds[1])
 
     groups = group_queries(query_fs, geom, bounds, query_indices=query_indices)
+    if not groups:
+        return []
     tdesc = target_fs.descriptors_f32()[ti]
     tnorm = np.einsum("ij,ij->i", tdesc, tdesc)
     qdesc = query_fs.descriptors_f32()
-    qxy = query_fs.xy.astype(np.float64)
-    accepted = []
-    for group in groups:
-        cand = candidates_grid(grid, group.representative_line, d)
-        if len(cand) == 0:
+    qnorm = np.einsum("ij,ij->i", qdesc, qdesc)
+
+    # members of all groups, group by group, with each member's own line
+    n_members = np.array([len(g.member_features) for g in groups])
+    member_start = np.cumsum(n_members) - n_members
+    members = np.concatenate([g.member_features for g in groups])
+    hom = np.hstack([query_fs.xy[members].astype(np.float64), np.ones((len(members), 1))])
+    mlines = hom @ geom.F.T
+    mlines /= np.maximum(np.hypot(mlines[:, 0], mlines[:, 1]), 1e-15)[:, None]
+
+    line_a, line_b, line_c = np.ascontiguousarray(mlines.T)
+    tx, ty = np.ascontiguousarray(txy.T)
+
+    def band_dist(rows, cand, repeats=1):
+        """|distance| of each candidate to the line of its member; members repeat."""
+        a, b, c = (np.repeat(col[rows], repeats) for col in (line_a, line_b, line_c))
+        return np.abs(a * tx[cand] + b * ty[cand] + c)
+
+    rep = np.array([(g.representative_line.a, g.representative_line.b,
+                     g.representative_line.c) for g in groups])
+    n_samples, _, pa, pb = _line_samples(rep, grid.width, grid.height, d)
+    # A member's line minus the line of member 0 of its group is a linear
+    # function.  A candidate lies in a cell that holds a sample of the
+    # segment pa-pb, so within r = 2 sqrt(2) grid.d of it, where that
+    # function is at most its larger end value plus r times its gradient.
+    # The group's slack bounds this over its members; 1e-6 px covers rounding.
+    diff = mlines - mlines[np.repeat(member_start, n_members)]
+    at_ends = [np.abs(diff[:, 0] * p[:, 0] + diff[:, 1] * p[:, 1] + diff[:, 2])
+               for p in (np.repeat(pa, n_members, axis=0), np.repeat(pb, n_members, axis=0))]
+    stray = np.maximum(*at_ends) + 2.0 * math.sqrt(2.0) * grid.d * np.hypot(diff[:, 0], diff[:, 1])
+    slack = np.maximum.reduceat(stray, member_start) + 1e-6
+
+    # a block's arrays grow with its samples and with its (member, candidate)
+    # pairs; at least 2 * 3 per group, so it holds fewer than 2^_LINE_BITS groups
+    work = np.maximum(n_samples, 2) * (n_members + 2)
+    block_of = (np.cumsum(work) - work) // _BLOCK_WORK
+    cuts = np.flatnonzero(np.diff(block_of, prepend=-1, append=block_of[-1] + 1)).tolist()
+    parts = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        nm = n_members[lo:hi]
+        ms = member_start[lo:hi]
+        cand_group, cand = _candidates_batch(grid, rep[lo:hi], d)
+        n_cand = np.bincount(cand_group, minlength=hi - lo)
+        # a candidate stays if it lies in the band of a member of its group:
+        # decided by member 0 unless it is within the slack of that band
+        near = band_dist(ms, cand, n_cand)
+        keep = near <= d
+        unsure = np.flatnonzero(~keep & (near <= d + slack[lo + cand_group]))
+        per = nm[cand_group[unsure]]
+        rows = np.repeat(ms[cand_group[unsure]], per) + _segment_offsets(per)
+        hit = band_dist(rows, np.repeat(cand[unsure], per)) <= d
+        keep[np.repeat(unsure, per)[hit]] = True
+        kept = cand[keep]
+        if len(kept) == 0:
             continue
-        members = group.member_features
-        # exact band of each member's own line; descriptor distances are only
-        # computed for candidates inside the union of the members' bands
-        hom = np.hstack([qxy[members], np.ones((len(members), 1))])
-        mlines = hom @ geom.F.T
-        mnorm = np.hypot(mlines[:, 0], mlines[:, 1])
-        mlines /= np.maximum(mnorm, 1e-15)[:, None]
-        in_band = np.abs(mlines[:, :2] @ txy[cand].T + mlines[:, 2:3]) <= d
-        cols = in_band.any(axis=0)
-        if not cols.any():
-            continue
-        cand = cand[cols]
-        in_band = in_band[:, cols]
-        qd = qdesc[members]
-        cdesc = tdesc[cand]
-        d2 = (np.einsum("ij,ij->i", qd, qd)[:, None] + tnorm[cand][None, :]
-              - 2.0 * (qd @ cdesc.T))
-        np.maximum(d2, 0.0, out=d2)
-        d2[~in_band] = np.inf
+        n_kept = np.bincount(cand_group[keep], minlength=hi - lo)
         if stats is not None:
-            stats.add(len(members), len(members) * len(cand))
-        rows = np.arange(len(members))
-        best = np.argmin(d2, axis=1)
-        best_d2 = d2[rows, best].copy()
-        d2[rows, best] = np.inf
-        second = np.argmin(d2, axis=1)
-        second_d2 = d2[rows, second]
-        dist = np.sqrt(np.stack([best_d2, second_d2], axis=1))
-        idx = np.stack([np.where(np.isfinite(best_d2), best, -1),
-                        np.where(np.isfinite(second_d2), second, -1)], axis=1)
-        for k, local, dd, rr in ratio_filter(dist, idx, ratio):
-            accepted.append((int(members[k]), int(cand[local]), dd, rr))
+            stats.add(int(nm[n_kept > 0].sum()), int((nm * n_kept).sum()))
+        # query-major (member, kept candidate) pairs, one BLAS product per group
+        kept_start = np.cumsum(n_kept) - n_kept
+        per_row = np.repeat(n_kept, nm)
+        cand_of = kept[np.repeat(np.repeat(kept_start, nm), per_row) + _segment_offsets(per_row)]
+        prod = np.empty(len(cand_of), dtype=np.float32)
+        at = 0
+        for m0, m1, c0, c1 in zip(ms.tolist(), (ms + nm).tolist(),
+                                  kept_start.tolist(), (kept_start + n_kept).tolist()):
+            if c0 == c1:
+                continue
+            product = qdesc[members[m0:m1]] @ tdesc[kept[c0:c1]].T
+            prod[at:at + product.size] = product.ravel()
+            at += product.size
+        block_members = slice(int(ms[0]), int(ms[-1] + nm[-1]))
+        d2 = np.repeat(qnorm[members[block_members]], per_row) + tnorm[cand_of]
+        d2 -= 2.0 * prod
+        np.maximum(d2, 0.0, out=d2)
+        d2[band_dist(block_members, cand_of, per_row) > d] = np.inf
+        dist, idx = _two_nearest(d2, (np.cumsum(per_row) - per_row)[per_row > 0])
+        row, target, dd, rr = ratio_filter(dist, idx, ratio)
+        parts.append((members[block_members][per_row > 0][row], cand_of[target], dd, rr))
+    if not parts:
+        return []
+    accepted = tuple(np.concatenate(column) for column in zip(*parts))
     return matches_from(accepted, query_fs.image_id, target_fs.image_id,
                         query_ids=None, target_ids=ti)

@@ -2,7 +2,7 @@
 
 Every attempt reads the same snapshot and none adds to it, so the images
 register independently of one another: first direct 3D-2D matching of point
-mean descriptors into the image's feature index, then, if that fails the
+mean descriptors into the image's features, then, if that fails the
 correspondence gate, ranked 2D-2D matching through the image's
 best-connected localized neighbours.  Successful poses are applied in one
 deterministic merge pass.
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .descriptors import DescriptorIndex, SearchStats
+from .descriptors import SearchStats, two_nearest_bruteforce
 from .errors import InsufficientDataError
 from .matching import MatchGraph, RATIO_UNGUIDED, closest_one_to_one, ratio_filter
 from .model import Camera, FeatureRef, Model, Point3D
@@ -98,9 +98,8 @@ def compute_set_cover(model: Model, k: int = SET_COVER_K) -> SetCover:
 
 def direct_3d2d_search(model: Model, point_ids, image_fs, feature_store, *,
                        ratio: float = RATIO_UNGUIDED,
-                       index: DescriptorIndex | None = None,
                        stats: SearchStats | None = None) -> list[tuple[int, int]]:
-    """Match covered points' mean descriptors into an image's feature index.
+    """Match covered points' mean descriptors into an image's features.
 
     Returns (point_id, feature_id) pairs; a feature backs at most one point.
     """
@@ -109,18 +108,16 @@ def direct_3d2d_search(model: Model, point_ids, image_fs, feature_store, *,
         return []
     queries = np.stack([mean_descriptor(model.points[pid], feature_store)
                         for pid in point_ids])
-    if index is None:
-        index = DescriptorIndex(image_fs.descriptors_f32())
-    dist, idx = index.knn2(queries, stats)
-    return closest_one_to_one((point_ids[row], feat, d)
-                              for row, feat, d, _ in ratio_filter(dist, idx, ratio))
+    dist, idx = two_nearest_bruteforce(queries, image_fs.descriptors_f32(), stats)
+    rows, feats, d, _ = ratio_filter(dist, idx, ratio)
+    return closest_one_to_one(zip([point_ids[row] for row in rows.tolist()],
+                                  feats.tolist(), d.tolist()))
 
 
 def ranked_2d2d_search(model: Model, graph: MatchGraph, image_id: int, image_fs,
                        feature_store, *,
                        ratio: float = RATIO_UNGUIDED,
                        min_correspondences: int = MIN_CORRESPONDENCES,
-                       index: DescriptorIndex | None = None,
                        stats: SearchStats | None = None) -> list[tuple[int, int]]:
     """3D-2D correspondences via track features of well-matched neighbours.
 
@@ -137,8 +134,6 @@ def ranked_2d2d_search(model: Model, graph: MatchGraph, image_id: int, image_fs,
     if not neighbors:
         raise InsufficientDataError(f"image {image_id} has no localized neighbours")
     neighbors.sort(reverse=True)
-    if index is None:
-        index = DescriptorIndex(image_fs.descriptors_f32())
     entries = []  # (point, feature in image, distance)
     for _, _, other in neighbors[:RANKED_TOP_K]:
         proxy = [
@@ -151,9 +146,9 @@ def ranked_2d2d_search(model: Model, graph: MatchGraph, image_id: int, image_fs,
             feature_store.descriptor(other, feat).astype(np.float32)
             for _, feat in proxy
         ])
-        dist, idx = index.knn2(queries, stats)
-        entries += [(proxy[row][0], feat, d)
-                    for row, feat, d, _ in ratio_filter(dist, idx, ratio)]
+        dist, idx = two_nearest_bruteforce(queries, image_fs.descriptors_f32(), stats)
+        rows, feats, d, _ = ratio_filter(dist, idx, ratio)
+        entries += zip([proxy[row][0] for row in rows.tolist()], feats.tolist(), d.tolist())
     corr = closest_one_to_one(entries)
     if len(corr) <= min_correspondences:
         return []
@@ -170,15 +165,14 @@ def localize_image(model: Model, graph: MatchGraph, image_id: int, feature_store
                    stats: SearchStats | None = None) -> LocalizationResult:
     """Pure function of (snapshot, image): direct search, then ranked fallback."""
     image_fs = feature_store.sets[image_id]
-    index = DescriptorIndex(image_fs.descriptors_f32())
     points = cover_points if cover_points is not None else sorted(model.points)
     corr = direct_3d2d_search(model, points, image_fs, feature_store,
-                              ratio=ratio, index=index, stats=stats)
+                              ratio=ratio, stats=stats)
     method = "direct3d2d"
     if len(corr) <= min_correspondences:
         try:
             corr = ranked_2d2d_search(model, graph, image_id, image_fs, feature_store,
-                                      ratio=ratio, index=index,
+                                      ratio=ratio,
                                       min_correspondences=min_correspondences,
                                       stats=stats)
         except InsufficientDataError:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .descriptors import DescriptorIndex, SearchStats
+from .descriptors import SearchStats, two_nearest_bruteforce
 from .features import FeatureSet
 from .geometry import MIN_EDGE_INLIERS, TwoViewGeometry, estimate_fundamental_ransac
 from .model import FeatureRef
@@ -80,26 +80,21 @@ class MatchGraph:
 
 def ratio_filter(dist: np.ndarray, idx: np.ndarray, ratio: float,
                  single_cap: float = SINGLE_CANDIDATE_CAP):
-    """Accepted (row, target, distance, ratio) tuples from 2-NN results.
+    """Accepted (rows, targets, distances, ratios) arrays from 2-NN results.
 
     A missing second neighbour falls back to an absolute distance cap and
-    reports ratio 0 (no competitor).
+    reports ratio 0 (no competitor).  Ratios are divided in ``dist``'s dtype.
     """
-    out = []
-    for row in range(len(dist)):
-        best, second = dist[row]
-        if idx[row, 0] < 0:
-            continue
-        if idx[row, 1] < 0 or not np.isfinite(second):
-            if best < single_cap:
-                out.append((row, int(idx[row, 0]), float(best), 0.0))
-            continue
-        # two zero distances mean duplicated descriptors: as ambiguous as it
-        # gets, so treat the ratio as 1
-        r = best / second if second > 0 else 1.0
-        if r < ratio:
-            out.append((row, int(idx[row, 0]), float(best), float(r)))
-    return out
+    best, second = dist[:, 0], dist[:, 1]
+    single = (idx[:, 1] < 0) | ~np.isfinite(second)
+    # two zero distances mean duplicated descriptors: as ambiguous as it
+    # gets, so treat the ratio as 1
+    r = np.ones_like(best)
+    np.divide(best, second, out=r, where=~single & (second > 0))
+    accept = (idx[:, 0] >= 0) & np.where(single, best < single_cap, r < ratio)
+    r[single] = 0.0
+    rows = np.flatnonzero(accept)
+    return rows, idx[rows, 0], best[rows], r[rows]
 
 
 def closest_per_key(entries, key: int) -> dict:
@@ -126,30 +121,35 @@ def closest_one_to_one(entries) -> list[tuple[int, int]]:
     return sorted((pid, feat) for pid, feat, _ in closest_per_key(per_point, 1).values())
 
 
-def _dedupe_targets(cands):
-    """Keep one (row, target, distance, ratio) candidate per target feature.
+def one_per_target(rows: np.ndarray, targets: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """Positions of the candidates kept when each target feature keeps one.
 
-    The smallest distance wins; ties go to the smaller row.
+    The smallest distance wins and ties go to the smaller row; the result is
+    ordered by row, then target.
     """
-    return sorted(closest_per_key(sorted(cands), 1).values())
+    order = np.lexsort((rows, dist, targets))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = targets[order[1:]] != targets[order[:-1]]
+    keep = order[first]
+    return keep[np.lexsort((targets[keep], rows[keep]))]
 
 
 def matches_from(accepted, query_image: int, target_image: int, *,
                  query_ids, target_ids) -> list[Match]:
-    """Matches from accepted (row, target, distance, ratio) tuples, one per target.
+    """Matches from accepted (rows, targets, distances, ratios) arrays, one per target.
 
-    ``_dedupe_targets`` picks among the tuples as given; then rows map to
-    feature ids through ``query_ids`` (None: rows are feature ids) and
-    targets through ``target_ids``.
+    ``one_per_target`` picks among the candidates; then rows map to feature
+    ids through ``query_ids`` (None: rows are feature ids) and targets
+    through ``target_ids``.
     """
+    rows, targets, dist, ratio = accepted
+    keep = one_per_target(rows, targets, dist)
+    queries = rows[keep] if query_ids is None else np.asarray(query_ids)[rows[keep]]
     return [
-        Match(
-            query=FeatureRef(query_image, int(row if query_ids is None else query_ids[row])),
-            target=FeatureRef(target_image, int(target_ids[tgt])),
-            distance=d,
-            ratio=r,
-        )
-        for row, tgt, d, r in _dedupe_targets(accepted)
+        Match(query=FeatureRef(query_image, q), target=FeatureRef(target_image, t),
+              distance=d, ratio=r)
+        for q, t, d, r in zip(queries.tolist(), np.asarray(target_ids)[targets[keep]].tolist(),
+                              dist[keep].tolist(), ratio[keep].tolist())
     ]
 
 
@@ -158,16 +158,14 @@ def match_pair(query_fs: FeatureSet, target_fs: FeatureSet, *,
                query_indices: np.ndarray | None = None,
                target_indices: np.ndarray | None = None,
                single_cap: float = SINGLE_CANDIDATE_CAP,
-               index: DescriptorIndex | None = None,
                stats: SearchStats | None = None) -> list[Match]:
     """Match two feature sets (their coarse tiers unless indices are given)."""
     qi = query_fs.tier_indices if query_indices is None else np.asarray(query_indices)
     ti = target_fs.tier_indices if target_indices is None else np.asarray(target_indices)
     if len(qi) == 0 or len(ti) == 0:
         return []
-    if index is None:
-        index = DescriptorIndex(target_fs.descriptors_f32()[ti])
-    dist, idx = index.knn2(query_fs.descriptors_f32()[qi], stats)
+    dist, idx = two_nearest_bruteforce(query_fs.descriptors_f32()[qi],
+                                       target_fs.descriptors_f32()[ti], stats)
     return matches_from(ratio_filter(dist, idx, ratio, single_cap),
                         query_fs.image_id, target_fs.image_id, query_ids=qi, target_ids=ti)
 
@@ -187,19 +185,20 @@ def hybrid_match(query_fs: FeatureSet, target_fs: FeatureSet, *,
         return []
     batch = max(1, int(np.ceil(HYBRID_BATCH_FRACTION * len(query_fs))))
     ti = target_fs.tier_indices
-    index = DescriptorIndex(target_fs.descriptors_f32()[ti])
-    accepted = []
-    first_done = False
+    tdesc = target_fs.descriptors_f32()[ti]
+    parts = []
+    n_accepted = 0
     for start in range(0, n_tier, batch):
-        if first_done and len(accepted) <= HYBRID_CONTINUE_MIN:
+        if parts and n_accepted <= HYBRID_CONTINUE_MIN:
             break
-        if len(accepted) >= early_stop:
+        if n_accepted >= early_stop:
             break
-        qi = np.arange(start, min(start + batch, n_tier))
-        dist, idx = index.knn2(query_fs.descriptors_f32()[qi], stats)
-        for row, tgt, d, r in ratio_filter(dist, idx, ratio):
-            accepted.append((int(qi[row]), tgt, d, r))
-        first_done = True
+        stop = min(start + batch, n_tier)
+        dist, idx = two_nearest_bruteforce(query_fs.descriptors_f32()[start:stop], tdesc, stats)
+        rows, targets, d, r = ratio_filter(dist, idx, ratio)
+        parts.append((rows + start, targets, d, r))
+        n_accepted += len(rows)
+    accepted = tuple(np.concatenate(column) for column in zip(*parts))
     return matches_from(accepted, query_fs.image_id, target_fs.image_id,
                         query_ids=None, target_ids=ti)
 
@@ -209,10 +208,6 @@ def preemptive_pair_filter(feature_sets: dict[int, FeatureSet], *,
     """Cheap pair filter: match only the top high-scale features of each pair."""
     ids = sorted(feature_sets)
     tops = {i: np.arange(min(PREEMPTIVE_TOP, len(feature_sets[i]))) for i in ids}
-    indexes = {
-        i: DescriptorIndex(feature_sets[i].descriptors_f32()[tops[i]])
-        for i in ids
-    }
     kept = []
     for ai in range(len(ids)):
         for bi in range(ai + 1, len(ids)):
@@ -220,7 +215,6 @@ def preemptive_pair_filter(feature_sets: dict[int, FeatureSet], *,
             matches = match_pair(
                 feature_sets[a], feature_sets[b],
                 ratio=ratio, query_indices=tops[a], target_indices=tops[b],
-                index=indexes[b],
             )
             if len(matches) >= PREEMPTIVE_MIN_MATCHES:
                 kept.append((a, b))

@@ -1,12 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 from scipy.spatial import cKDTree
 
+from msfm import densify
+from msfm.config import PipelineConfig
 from msfm.descriptors import SearchStats
 from msfm.features import DESCRIPTOR_DIM, FeatureSet
 from msfm.geometry import EpipolarLine, TwoViewGeometry, fundamental_from_poses
 from msfm.guided import (
+    _candidates_batch,
     build_grid,
     candidates_grid,
     candidates_linear,
@@ -16,8 +21,9 @@ from msfm.guided import (
     group_queries,
     guided_match_pair,
 )
-from msfm.matching import match_pair
+from msfm.matching import match_pair, matches_from, ratio_filter
 from msfm.model import Camera
+from msfm.pipeline import run_coarse, run_densify, run_match
 from msfm.synth import SceneSpec, generate_scene
 
 
@@ -29,6 +35,88 @@ def random_lines(rng, n, width, height):
         a, b = np.sin(ang), -np.cos(ang)
         out.append(EpipolarLine(a, b, -(a * p0[0] + b * p0[1])))
     return out
+
+
+def reference_guided_match_pair(query_fs, target_fs, geom, *, d=8.0, ratio=0.8,
+                                inflation=1.25, query_indices=None, target_indices=None,
+                                grid=None, stats=None):
+    """The group-by-group loop that ``guided_match_pair`` replaced, as its oracle."""
+    ti = np.arange(len(target_fs)) if target_indices is None else np.asarray(target_indices)
+    if len(ti) == 0:
+        return []
+    bounds = (float(target_fs.width), float(target_fs.height))
+    txy = target_fs.xy[ti].astype(np.float64)
+    if grid is None:
+        grid = build_grid(txy, d * inflation, width=bounds[0], height=bounds[1])
+
+    groups = group_queries(query_fs, geom, bounds, query_indices=query_indices)
+    tdesc = target_fs.descriptors_f32()[ti]
+    tnorm = np.einsum("ij,ij->i", tdesc, tdesc)
+    qdesc = query_fs.descriptors_f32()
+    qxy = query_fs.xy.astype(np.float64)
+    accepted = []
+    for group in groups:
+        cand = candidates_grid(grid, group.representative_line, d)
+        if len(cand) == 0:
+            continue
+        members = group.member_features
+        # exact band of each member's own line; descriptor distances are only
+        # computed for candidates inside the union of the members' bands
+        hom = np.hstack([qxy[members], np.ones((len(members), 1))])
+        mlines = hom @ geom.F.T
+        mnorm = np.hypot(mlines[:, 0], mlines[:, 1])
+        mlines /= np.maximum(mnorm, 1e-15)[:, None]
+        in_band = np.abs(mlines[:, :2] @ txy[cand].T + mlines[:, 2:3]) <= d
+        cols = in_band.any(axis=0)
+        if not cols.any():
+            continue
+        cand = cand[cols]
+        in_band = in_band[:, cols]
+        qd = qdesc[members]
+        cdesc = tdesc[cand]
+        d2 = (np.einsum("ij,ij->i", qd, qd)[:, None] + tnorm[cand][None, :]
+              - 2.0 * (qd @ cdesc.T))
+        np.maximum(d2, 0.0, out=d2)
+        d2[~in_band] = np.inf
+        if stats is not None:
+            stats.add(len(members), len(members) * len(cand))
+        rows = np.arange(len(members))
+        best = np.argmin(d2, axis=1)
+        best_d2 = d2[rows, best].copy()
+        d2[rows, best] = np.inf
+        second = np.argmin(d2, axis=1)
+        second_d2 = d2[rows, second]
+        dist = np.sqrt(np.stack([best_d2, second_d2], axis=1))
+        idx = np.stack([np.where(np.isfinite(best_d2), best, -1),
+                        np.where(np.isfinite(second_d2), second, -1)], axis=1)
+        k, local, dd, rr = ratio_filter(dist, idx, ratio)
+        accepted.append((members[k], cand[local], dd, rr))
+    if not accepted:
+        return []
+    return matches_from(tuple(np.concatenate(column) for column in zip(*accepted)),
+                        query_fs.image_id, target_fs.image_id, query_ids=None, target_ids=ti)
+
+
+def match_rows(matches):
+    return [(m.query.feature_id, m.target.feature_id, m.distance, m.ratio) for m in matches]
+
+
+def assert_same_as_reference(query_fs, target_fs, geom, **kw):
+    """Equal matches (ids, distances, ratios) and equal search counters."""
+    got_stats, want_stats = SearchStats(), SearchStats()
+    got = guided_match_pair(query_fs, target_fs, geom, stats=got_stats, **kw)
+    want = reference_guided_match_pair(query_fs, target_fs, geom, stats=want_stats, **kw)
+    assert match_rows(got) == match_rows(want)
+    assert (got_stats.queries, got_stats.candidates) == \
+        (want_stats.queries, want_stats.candidates)
+    return got
+
+
+def large_pair_spec(n_points):
+    """Criterion 6's make-up: two parallel 3072 x 2304 views of one cloud."""
+    return SceneSpec(n_cameras=2, layout="grid", ring_radius=6.0, cloud_radius=1.8,
+                     n_points=n_points, image_width=3072, image_height=2304, focal=2600.0,
+                     visibility_fraction=1.0, pixel_noise=0.3, descriptor_noise=3.0, seed=77)
 
 
 class TestBuildGrid:
@@ -334,3 +422,111 @@ class TestGuidedMatchPair:
         fs_q, fs_t = scene.feature_sets[0], scene.feature_sets[1]
         got = guided_match_pair(fs_q, fs_t, geom, target_indices=np.array([], dtype=int))
         assert got == []
+
+
+class TestGuidedOracle:
+    @pytest.mark.parametrize("seed", [2024, 7])
+    def test_every_densify_pair_of_a_ring(self, seed, monkeypatch):
+        # the pairs, query subsets and grids that densify passes on a
+        # 16-camera ring of the benchmark's make-up
+        scene = generate_scene(SceneSpec(n_cameras=16, n_points=2500, visibility_fraction=0.55,
+                                         pixel_noise=0.5, descriptor_noise=4.0, seed=seed))
+        store = scene.store()
+        config = PipelineConfig(focal=900.0)
+        model = run_coarse(config, store, run_match(config, store))
+        calls = []
+        monkeypatch.setattr(densify, "guided_match_pair",
+                            lambda *args, **kw: calls.append((args, kw)) or [])
+        run_densify(config, store, model)
+        assert len(calls) >= 10
+        for args, kw in calls:
+            del kw["stats"]
+            assert len(assert_same_as_reference(*args, **kw)) > 0
+
+    def test_repetition_scene(self):
+        # criterion 5's scene
+        scene = generate_scene(SceneSpec(
+            n_cameras=2, layout="grid", ring_radius=6.0, cloud_radius=1.8, n_points=450,
+            repetition_groups=20, repetition_group_size=10, image_width=1024,
+            image_height=768, focal=900.0, visibility_fraction=1.0, pixel_noise=0.3,
+            descriptor_noise=2.0, seed=6))
+        geom = fundamental_from_poses(scene.cameras[0], scene.cameras[1])
+        assert_same_as_reference(scene.feature_sets[0], scene.feature_sets[1], geom,
+                                 d=8.0, ratio=0.8)
+
+    def test_query_and_target_subsets(self):
+        scene = generate_scene(SceneSpec(n_cameras=2, layout="grid", ring_radius=1.2,
+                                         cloud_radius=2.0, n_points=600, seed=9))
+        fs_q, fs_t = scene.feature_sets[0], scene.feature_sets[1]
+        geom = fundamental_from_poses(scene.cameras[0], scene.cameras[1])
+        rng = np.random.default_rng(5)
+        qi = np.sort(rng.choice(len(fs_q), len(fs_q) // 2, replace=False))
+        ti = np.sort(rng.choice(len(fs_t), len(fs_t) // 2, replace=False))
+        assert_same_as_reference(fs_q, fs_t, geom, query_indices=qi)
+        assert_same_as_reference(fs_q, fs_t, geom, target_indices=ti)
+        assert_same_as_reference(fs_q, fs_t, geom, query_indices=qi,
+                                 target_indices=rng.permutation(ti))
+
+    def test_exact_ties_go_to_the_lower_target(self):
+        # every target feature has a twin 0.5 px away with its descriptor; a
+        # ratio above 1 accepts such ties, and the lower target id must win
+        scene = generate_scene(SceneSpec(n_cameras=2, layout="grid", ring_radius=1.2,
+                                         cloud_radius=2.0, n_points=300, seed=9))
+        fs_q, fs_t = scene.feature_sets[0], scene.feature_sets[1]
+        geom = fundamental_from_poses(scene.cameras[0], scene.cameras[1])
+        twins = FeatureSet(image_id=fs_t.image_id, width=fs_t.width, height=fs_t.height,
+                           xy=np.vstack([fs_t.xy, fs_t.xy + 0.5]).astype(np.float32),
+                           scale=np.concatenate([fs_t.scale, fs_t.scale]),
+                           orientation=np.concatenate([fs_t.orientation, fs_t.orientation]),
+                           descriptors=np.vstack([fs_t.descriptors, fs_t.descriptors]))
+        matches = assert_same_as_reference(fs_q, twins, geom, ratio=1.5)
+        assert sum(m.ratio == 1.0 for m in matches) >= 20
+
+    def test_groups_of_many_members(self):
+        # parallel views: epipolar lines run side by side, so groups hold
+        # many members whose bands differ at the candidates' edges
+        scene = generate_scene(large_pair_spec(4000))
+        fs_q, fs_t = scene.feature_sets[0], scene.feature_sets[1]
+        geom = fundamental_from_poses(scene.cameras[0], scene.cameras[1])
+        groups = group_queries(fs_q, geom, (fs_t.width, fs_t.height))
+        assert max(len(g.member_features) for g in groups) >= 8
+        assert_same_as_reference(fs_q, fs_t, geom, d=8.0)
+
+
+class TestBatchedRetrieval:
+    @given(st.lists(st.tuples(st.one_of(st.sampled_from([0.0, np.pi / 4, np.pi / 2]),
+                                        st.floats(0.0, np.pi)),
+                              st.floats(-60.0, 700.0), st.floats(-60.0, 540.0)),
+                    min_size=1, max_size=12),
+           st.sampled_from([4.0, 8.0]), st.sampled_from([1.25, np.sqrt(2.0), 40.0]),
+           st.integers(0, 2**32 - 1))
+    @settings(deadline=None)
+    def test_equals_candidates_grid(self, raw, d, inflation, seed):
+        # lines through any point near the 640 x 480 image at any angle,
+        # axis-parallel and diagonal ones included; some miss the image
+        rng = np.random.default_rng(seed)
+        xy = rng.uniform(0, [640, 480], size=(int(rng.integers(0, 3000)), 2))
+        grid = build_grid(xy, d * inflation, width=640, height=480)
+        lines = np.array([(np.sin(ang), -np.cos(ang), -(np.sin(ang) * x - np.cos(ang) * y))
+                          for ang, x, y in raw])
+        line_of, cand = _candidates_batch(grid, lines, d)
+        for i, line in enumerate(lines):
+            want = candidates_grid(grid, EpipolarLine(*line), d)
+            assert np.array_equal(cand[line_of == i], want)
+
+
+class TestGuidedMemory:
+    def test_traced_peak_on_criterion_6_pair(self):
+        # 21k x 21k features: the pair's flat arrays must come in blocks
+        scene = generate_scene(large_pair_spec(21_000))
+        fs_q, fs_t = scene.feature_sets[0], scene.feature_sets[1]
+        geom = fundamental_from_poses(scene.cameras[0], scene.cameras[1])
+        fs_q.descriptors_f32(), fs_t.descriptors_f32()  # cached before tracing
+        tracemalloc.start()
+        try:
+            matches = guided_match_pair(fs_q, fs_t, geom, d=8.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(matches) > 20_000
+        assert peak < 64 * 2**20

@@ -1,16 +1,17 @@
 import numpy as np
 from hypothesis import given, strategies as st
 
-from msfm.descriptors import DescriptorIndex, SearchStats, two_nearest_bruteforce
+from msfm.descriptors import SearchStats, two_nearest_bruteforce
 from msfm.features import DESCRIPTOR_DIM, FeatureSet, select_top_scale
 from msfm.matching import (
-    _dedupe_targets,
     build_coarse_matchgraph,
     closest_one_to_one,
     closest_per_key,
     hybrid_match,
     match_pair,
+    one_per_target,
     preemptive_pair_filter,
+    ratio_filter,
 )
 from msfm.synth import SceneSpec, generate_scene
 
@@ -73,33 +74,6 @@ class TestTwoNearest:
         dist, idx = two_nearest_bruteforce(q, t)
         assert (idx[:, 1] == -1).all()
         assert np.isinf(dist[:, 1]).all()
-
-    def test_kdtree_path_agrees_mostly(self):
-        # approximate path: every returned neighbour must be a true neighbour
-        # distance, and the vast majority must equal the exact result
-        rng = np.random.default_rng(2)
-        t = rng.integers(0, 256, size=(8000, DESCRIPTOR_DIM)).astype(np.float32)
-        q = t[:500] + rng.normal(0, 4, size=(500, DESCRIPTOR_DIM)).astype(np.float32)
-        index = DescriptorIndex(t, exact_threshold=1000, leaf_size=16, max_leaf_visits=64)
-        assert not index.exact
-        dist, idx = index.knn2(q)
-        exact_dist, exact_idx = two_nearest_bruteforce(q, t)
-        agree = (idx[:, 0] == exact_idx[:, 0]).mean()
-        assert agree >= 0.95
-        # the two paths accumulate in f32 with different formulas; allow
-        # cancellation noise of a few 1e-3 on distances of this magnitude
-        assert (dist[:, 0] >= exact_dist[:, 0] - 0.05).all()
-
-    def test_kdtree_deterministic(self):
-        rng = np.random.default_rng(3)
-        t = rng.integers(0, 256, size=(7000, DESCRIPTOR_DIM)).astype(np.float32)
-        q = rng.integers(0, 256, size=(100, DESCRIPTOR_DIM)).astype(np.float32)
-        index1 = DescriptorIndex(t, exact_threshold=1000, leaf_size=16, max_leaf_visits=64)
-        index2 = DescriptorIndex(t, exact_threshold=1000, leaf_size=16, max_leaf_visits=64)
-        d1, i1 = index1.knn2(q)
-        d2, i2 = index2.knn2(q)
-        assert np.array_equal(i1, i2)
-        assert np.array_equal(d1, d2)
 
     def test_stats_counting(self):
         rng = np.random.default_rng(4)
@@ -189,6 +163,48 @@ class TestMatchPair:
 TIED_DISTANCES = st.sampled_from([0.0, 0.5, 1.0])
 
 
+def loop_ratio_filter(dist, idx, ratio, single_cap):
+    """The row-by-row ratio test that ``ratio_filter`` replaced, as its oracle."""
+    out = []
+    for row in range(len(dist)):
+        best, second = dist[row]
+        if idx[row, 0] < 0:
+            continue
+        if idx[row, 1] < 0 or not np.isfinite(second):
+            if best < single_cap:
+                out.append((row, int(idx[row, 0]), float(best), 0.0))
+            continue
+        r = best / second if second > 0 else 1.0
+        if r < ratio:
+            out.append((row, int(idx[row, 0]), float(best), float(r)))
+    return out
+
+
+def kept_tuples(cands):
+    """The (row, target, distance, ratio) tuples that one_per_target keeps, in its order."""
+    rows, targets, dist = (np.array([c[k] for c in cands]) for k in range(3))
+    return [cands[k] for k in one_per_target(rows, targets, dist).tolist()]
+
+
+class TestRatioFilter:
+    @given(st.lists(st.tuples(st.sampled_from([0.0, 0.25, 1.0, 3.0, 44.5, 45.0, 60.0]),
+                              st.sampled_from([0.0, 0.25, 1.0, 4.0, 45.0, 75.0, np.inf]),
+                              st.integers(-1, 5), st.integers(-1, 5)),
+                    max_size=30),
+           st.sampled_from([np.float32, np.float64]),
+           st.sampled_from([0.6, 0.8, 1.0, 1.5]),
+           st.sampled_from([45.0, 1.0]))
+    def test_matches_row_loop(self, raw, dtype, ratio, single_cap):
+        # exact ties, zero distances, a missing second neighbour (-1 or inf)
+        # and the single-candidate cap, in float32 (guided) and float64 (2-NN)
+        dist = np.array([(b, s) for b, s, _, _ in raw], dtype=dtype).reshape(-1, 2)
+        idx = np.array([(i, j) for _, _, i, j in raw], dtype=np.int64).reshape(-1, 2)
+        rows, targets, d, r = ratio_filter(dist, idx, ratio, single_cap)
+        assert d.dtype == dtype and r.dtype == dtype
+        got = list(zip(rows.tolist(), targets.tolist(), d.tolist(), r.tolist()))
+        assert got == loop_ratio_filter(dist, idx, ratio, single_cap)
+
+
 def first_closest(entries, key):
     """Brute force: per key, the first entry among those of least distance."""
     out = {}
@@ -224,11 +240,11 @@ class TestClosestMatch:
             mine = [c for c in cands if c[1] == tgt]
             least = min(c[2] for c in mine)
             want.append(min(c for c in mine if c[2] == least))
-        assert _dedupe_targets(cands) == sorted(want)
+        assert kept_tuples(cands) == sorted(want)
 
     def test_tie_rules_differ_on_unordered_rows(self):
         cands = [(5, 0, 1.0, 0.5), (2, 0, 1.0, 0.4)]
-        assert _dedupe_targets(cands) == [(2, 0, 1.0, 0.4)]
+        assert kept_tuples(cands) == [(2, 0, 1.0, 0.4)]
         assert closest_per_key(cands, 1) == {0: (5, 0, 1.0, 0.5)}
 
     @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), TIED_DISTANCES),
