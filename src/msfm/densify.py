@@ -17,8 +17,8 @@ import numpy as np
 from .descriptors import SearchStats
 from .errors import DegenerateGeometryError, NotRegisteredError
 from .geometry import fundamental_from_poses
-from .guided import BAND_D_PX, GRID_INFLATION, build_grid, guided_match_pair
-from .matching import Match, RATIO_GUIDED
+from .guided import BAND_D_PX, GRID_INFLATION, build_grid, guided_match_pair, sorted_unique
+from .matching import RATIO_GUIDED
 from .model import FeatureRef, Model
 from .reconstruct import triangulate_refs
 
@@ -65,96 +65,73 @@ def unique_pairs(candidate_sets) -> list[tuple[int, int]]:
     return sorted(pairs)
 
 
-def merge_tracks(matches, model: Model):
+def merge_tracks(pair_matches, model: Model):
     """Connected components over feature references, seeded with model tracks.
 
+    ``pair_matches`` holds (query_image, target_image, Matches) triples.
     Returns (new_tracks, extensions): new_tracks are lists of FeatureRefs
     spanning >= 2 images with no existing point; extensions map point_id to
-    the new FeatureRefs joining that track.  Components are found by a
-    sequential depth-first search.  Conflicts (two features of one image, or
-    two distinct existing points in one component) are resolved by dropping
-    the weaker-supported features, never by touching existing tracks.
+    the new FeatureRefs joining that track.  Refs are the nodes
+    ``image << 32 | feature``; every model observation is a node linked to
+    its track, so components absorb whole tracks, and one
+    ``connected_components`` pass numbers them by their lowest node.
+    Conflicts (two features of one image, or two distinct existing points in
+    one component) are resolved by dropping the weaker-supported features
+    (larger smallest match distance, ties to the higher ref), never by
+    touching existing tracks.
     """
-    adjacency: dict[FeatureRef, list[FeatureRef]] = {}
-    edge_dist: dict[tuple[FeatureRef, FeatureRef], float] = {}
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
 
-    def add_edge(u: FeatureRef, v: FeatureRef, dist: float):
-        adjacency.setdefault(u, []).append(v)
-        adjacency.setdefault(v, []).append(u)
-        key = (u, v) if u < v else (v, u)
-        cur = edge_dist.get(key)
-        if cur is None or dist < cur:
-            edge_dist[key] = dist
+    if not sum(len(m) for _, _, m in pair_matches):
+        return [], {}
+    query = np.concatenate([np.int64(q) << 32 | m.query for q, _, m in pair_matches])
+    target = np.concatenate([np.int64(t) << 32 | m.target for _, t, m in pair_matches])
+    distance = np.concatenate([m.distance for _, _, m in pair_matches])
+    points = list(model.points.values())
+    lengths = [len(p.track) for p in points]
+    n_obs = sum(lengths)
+    observed = (np.fromiter((i for p in points for i in p.track), np.int64, n_obs) << 32
+                | np.fromiter((f for p in points for f in p.track.values()), np.int64, n_obs))
+    # each observation links to its track's first one
+    first = np.repeat(np.cumsum(lengths) - lengths, lengths).astype(np.int64)
 
-    for m in matches:
-        add_edge(m.query, m.target, m.distance)
+    nodes = sorted_unique(np.concatenate([query, target, observed]))
+    qi, ti, oi = (np.searchsorted(nodes, x) for x in (query, target, observed))
+    links = (np.concatenate([qi, oi[first]]), np.concatenate([ti, oi]))
+    graph = coo_matrix((np.ones(len(links[0])), links), shape=(len(nodes), len(nodes)))
+    n_comp, label = connected_components(graph, directed=False)
+    owner = np.full(len(nodes), -1, dtype=np.int64)
+    owner[oi] = np.repeat(np.fromiter(model.points, np.int64, len(points)), lengths)
+    support = np.full(len(nodes), np.inf)
+    np.minimum.at(support, qi, distance)
+    np.minimum.at(support, ti, distance)
 
-    # link existing track members so components absorb whole tracks
-    touched_points = set()
-    for ref in list(adjacency):
-        pid = model.owner(ref)
-        if pid is not None:
-            touched_points.add(pid)
-    for pid in touched_points:
-        refs = model.points[pid].refs()
-        for i in range(1, len(refs)):
-            add_edge(refs[0], refs[i], -1.0)
+    # a component whose matches bridge two distinct points is ambiguous
+    owned = owner >= 0
+    comp_points = sorted_unique(label[owned].astype(np.int64) << 32 | owner[owned])
+    n_points = np.bincount(comp_points >> 32, minlength=n_comp)
+    comp_owner = np.full(n_comp, -1, dtype=np.int64)
+    comp_owner[comp_points >> 32] = comp_points & 0xFFFFFFFF
+    log.debug("%d components bridge points, dropped", int((n_points >= 2).sum()))
 
-    visited: set[FeatureRef] = set()
+    # one feature per (component, image): an existing observation, else the
+    # best-supported one, ties to the lower ref
+    group = label.astype(np.int64) << 32 | nodes >> 32
+    order = np.lexsort((support, ~owned, group))
+    keep = order[np.diff(group[order], prepend=-1) != 0]
+    fresh = keep[~owned[keep] & (n_points[label[keep]] <= 1)]
+
     new_tracks: list[list[FeatureRef]] = []
     extensions: dict[int, list[FeatureRef]] = {}
-    for start in sorted(adjacency):
-        if start in visited:
-            continue
-        component = []
-        stack = [start]
-        visited.add(start)
-        while stack:
-            node = stack.pop()
-            component.append(node)
-            for nxt in adjacency[node]:
-                if nxt not in visited:
-                    visited.add(nxt)
-                    stack.append(nxt)
-        component.sort()
-
-        owners = {model.owner(r) for r in component} - {None}
-        if len(owners) >= 2:
-            # matches bridged two distinct points; ambiguous, drop the new features
-            log.debug("component bridges points %s, dropped", sorted(owners))
-            continue
-        owner = owners.pop() if owners else None
-        existing = set(model.points[owner].refs()) if owner is not None else set()
-
-        def support(ref: FeatureRef) -> float:
-            dists = [edge_dist[(min(ref, o), max(ref, o))]
-                     for o in adjacency[ref]
-                     if (min(ref, o), max(ref, o)) in edge_dist]
-            dists = [d for d in dists if d >= 0.0]
-            return min(dists) if dists else np.inf
-
-        by_image: dict[int, list[FeatureRef]] = {}
-        for ref in component:
-            by_image.setdefault(ref.image_id, []).append(ref)
-        keep = []
-        for image_id in sorted(by_image):
-            refs = by_image[image_id]
-            pinned = [r for r in refs if r in existing]
-            if pinned:
-                keep.extend(pinned)  # existing observations always win
-                continue
-            if owner is not None and image_id in model.points[owner].track:
-                continue  # the track already observes this image elsewhere
-            refs.sort(key=lambda r: (support(r), r))
-            keep.append(refs[0])
-
-        fresh = [r for r in keep if r not in existing]
-        if owner is not None:
-            if fresh:
-                extensions.setdefault(owner, []).extend(fresh)
-        else:
-            if len(fresh) >= 2 and len({r.image_id for r in fresh}) >= 2:
-                new_tracks.append(fresh)
+    starts = np.flatnonzero(np.diff(label[fresh], prepend=-1))
+    for comp, codes in zip(label[fresh[starts]].tolist(), np.split(nodes[fresh], starts[1:])):
+        refs = [FeatureRef(code >> 32, code & 0xFFFFFFFF) for code in codes.tolist()]
+        pid = int(comp_owner[comp])
+        if pid >= 0:
+            extensions[pid] = refs
+        elif len(refs) >= 2:
+            new_tracks.append(refs)
     return new_tracks, extensions
 
 
@@ -211,18 +188,18 @@ def densify_stage(model: Model, feature_store, *,
         return grid_cache[image_id]
 
     # every pair is matched against the pre-stage model; tracks merge after
-    all_matches: list[Match] = []
+    pair_matches = []
     for a, b in pairs:
         q, t = (a, b) if a in query_set else (b, a)
         geom = _pair_geometry(model, q, t)
         if geom is None:
             continue
-        all_matches.extend(guided_match_pair(
+        pair_matches.append((q, t, guided_match_pair(
             feature_store.sets[q], feature_store.sets[t], geom,
             d=d, ratio=ratio, inflation=inflation,
-            query_indices=untracked_cache[q], grid=grid_for(t), stats=stats))
+            query_indices=untracked_cache[q], grid=grid_for(t), stats=stats)))
 
-    new_tracks, extensions = merge_tracks(all_matches, model)
+    new_tracks, extensions = merge_tracks(pair_matches, model)
 
     added_points = 0
     extended_tracks = 0
@@ -248,7 +225,7 @@ def densify_stage(model: Model, feature_store, *,
     model.stage_tag = f"after_densify({iteration})"
     summary = {
         "pairs": len(pairs),
-        "matches": len(all_matches),
+        "matches": sum(len(m) for _, _, m in pair_matches),
         "new_points": added_points,
         "extended_tracks": extended_tracks,
     }

@@ -26,7 +26,7 @@ import numpy as np
 from .descriptors import SearchStats
 from .features import FeatureSet
 from .geometry import EpipolarLine, TwoViewGeometry
-from .matching import RATIO_GUIDED, Match, matches_from, ratio_filter
+from .matching import NO_MATCHES, RATIO_GUIDED, Matches, matches_from, ratio_filter
 
 BAND_D_PX = 8.0
 GRID_INFLATION = 1.25
@@ -114,7 +114,7 @@ def _pack(cx: np.ndarray, cy: np.ndarray, grid) -> np.ndarray:
     return cell + np.asarray(grid, dtype=np.int64) * (1 << 44)
 
 
-def _unique(values: np.ndarray) -> np.ndarray:
+def sorted_unique(values: np.ndarray) -> np.ndarray:
     """Sorted distinct values of an int64 array.
 
     Same result as ``np.unique``, which in numpy 2.4 goes through a hash
@@ -382,12 +382,12 @@ def _candidates_batch(grid: OverlapGrid, lines: np.ndarray, d: float):
     fresh[1:] = (keys[1:] != keys[:-1]) | (line_of[1:] != line_of[:-1])[:, None]
     # each distinct (cell, line) once, in key order so that the table search
     # walks forward
-    cells = _unique(keys[fresh] << _LINE_BITS
-                    | np.broadcast_to(line_of[:, None], keys.shape)[fresh])
+    cells = sorted_unique(keys[fresh] << _LINE_BITS
+                          | np.broadcast_to(line_of[:, None], keys.shape)[fresh])
     ids, found, lengths = grid.lookup_runs(cells >> _LINE_BITS)
     line_of_id = np.repeat(cells[found] & ((1 << _LINE_BITS) - 1), lengths)
     n_t = int(grid._members.max(initial=0)) + 1
-    return np.divmod(_unique(line_of_id * n_t + ids), n_t)
+    return np.divmod(sorted_unique(line_of_id * n_t + ids), n_t)
 
 
 def _two_nearest(d2: np.ndarray, starts: np.ndarray):
@@ -419,7 +419,7 @@ def guided_match_pair(query_fs: FeatureSet, target_fs: FeatureSet,
                       query_indices: np.ndarray | None = None,
                       target_indices: np.ndarray | None = None,
                       grid: OverlapGrid | None = None,
-                      stats: SearchStats | None = None) -> list[Match]:
+                      stats: SearchStats | None = None) -> Matches:
     """Match query features against target candidates near their epipolar lines.
 
     A group's candidates are the target features in the grid cells of its
@@ -432,7 +432,7 @@ def guided_match_pair(query_fs: FeatureSet, target_fs: FeatureSet,
     """
     ti = np.arange(len(target_fs)) if target_indices is None else np.asarray(target_indices)
     if len(ti) == 0:
-        return []
+        return NO_MATCHES
     bounds = (float(target_fs.width), float(target_fs.height))
     txy = target_fs.xy[ti].astype(np.float64)
     if grid is None:
@@ -440,7 +440,7 @@ def guided_match_pair(query_fs: FeatureSet, target_fs: FeatureSet,
 
     groups = group_queries(query_fs, geom, bounds, query_indices=query_indices)
     if not groups:
-        return []
+        return NO_MATCHES
     tdesc = target_fs.descriptors_f32()[ti]
     tnorm = np.einsum("ij,ij->i", tdesc, tdesc)
     qdesc = query_fs.descriptors_f32()
@@ -524,7 +524,6 @@ def guided_match_pair(query_fs: FeatureSet, target_fs: FeatureSet,
         row, target, dd, rr = ratio_filter(dist, idx, ratio)
         parts.append((members[block_members][per_row > 0][row], cand_of[target], dd, rr))
     if not parts:
-        return []
+        return NO_MATCHES
     accepted = tuple(np.concatenate(column) for column in zip(*parts))
-    return matches_from(accepted, query_fs.image_id, target_fs.image_id,
-                        query_ids=None, target_ids=ti)
+    return matches_from(accepted, query_ids=None, target_ids=ti)

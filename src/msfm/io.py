@@ -7,8 +7,8 @@ Model file (line oriented, whitespace separated):
     CAM <image_id> <f> <cx> <cy> <r11 .. r33 row-major> <t1 t2 t3>
     PT <x> <y> <z> <track_len> <image_id> <feature_id> ...
 
-Floats are written with repr precision so a rewrite of an unchanged model is
-byte-identical.
+Floats are written with repr precision so a rewrite of an unchanged model or
+match graph is byte-identical.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, MsfmError
-from .matching import Edge, Match, MatchGraph
+from .matching import Edge, Matches, MatchGraph
 from .geometry import TwoViewGeometry
 from .model import Camera, FeatureRef, Model, make_intrinsics
 
@@ -111,17 +111,14 @@ def write_matchgraph(graph: MatchGraph, path) -> None:
     lines = ["MSFM-GRAPH 1"]
     for (a, b) in sorted(graph.edges):
         edge = graph.edges[(a, b)]
-        mask = edge.inlier_mask
-        n_inl = int(mask.sum()) if mask is not None else len(edge.matches)
-        lines.append(f"EDGE {a} {b} {len(edge.matches)} {n_inl}")
+        m = edge.matches
+        lines.append(f"EDGE {a} {b} {len(m)} {int(edge.inlier_mask.sum())}")
         if edge.geometry is not None:
             lines.append("F " + " ".join(_fmt(v) for v in edge.geometry.F.reshape(-1)))
-        for i, m in enumerate(edge.matches):
-            flag = 1 if mask is None or mask[i] else 0
-            lines.append(
-                f"{m.query.feature_id} {m.target.feature_id} "
-                f"{_fmt(m.distance)} {_fmt(m.ratio)} {flag}"
-            )
+        lines += [f"{q} {t} {_fmt(d)} {_fmt(r)} {int(flag)}"
+                  for q, t, d, r, flag in zip(m.query.tolist(), m.target.tolist(),
+                                              m.distance.tolist(), m.ratio.tolist(),
+                                              edge.inlier_mask.tolist())]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -130,31 +127,37 @@ def read_matchgraph(path) -> MatchGraph:
     if not text or text[0].strip() != "MSFM-GRAPH 1":
         raise FormatError(f"{path}: missing 'MSFM-GRAPH 1' header")
     graph = MatchGraph()
-    i = 1
-    while i < len(text):
-        fields = text[i].split()
-        i += 1
-        if not fields:
-            continue
-        if fields[0] != "EDGE":
-            raise FormatError(f"{path}:{i}: expected EDGE record")
-        a, b, n_matches, _ = (int(v) for v in fields[1:5])
-        geometry = None
-        if i < len(text) and text[i].startswith("F "):
-            F = np.array([float(v) for v in text[i].split()[1:]]).reshape(3, 3)
-            geometry = TwoViewGeometry(F=F)
-            i += 1
-        matches = []
-        mask = np.zeros(n_matches, dtype=bool)
-        for k in range(n_matches):
-            qf, tf, dist, ratio, flag = text[i].split()
-            i += 1
-            matches.append(Match(
-                query=FeatureRef(a, int(qf)), target=FeatureRef(b, int(tf)),
-                distance=float(dist), ratio=float(ratio),
-            ))
-            mask[k] = flag == "1"
-        if geometry is not None:
-            geometry.inlier_count = int(mask.sum())
-        graph.edges[(a, b)] = Edge(matches=matches, geometry=geometry, inlier_mask=mask)
+    lineno = 1  # of the line last read
+    try:
+        while lineno < len(text):
+            fields = text[lineno].split()
+            lineno += 1
+            if not fields:
+                continue
+            if fields[0] != "EDGE":
+                raise FormatError(f"{path}:{lineno}: expected EDGE record")
+            a, b, n_matches, _ = (int(v) for v in fields[1:5])
+            geometry = None
+            if lineno < len(text) and text[lineno].startswith("F "):
+                lineno += 1
+                F = np.array([float(v) for v in text[lineno - 1].split()[1:]]).reshape(3, 3)
+                geometry = TwoViewGeometry(F=F)
+            if lineno + n_matches > len(text):
+                raise FormatError(f"{path}:{len(text)}: file ends inside edge {a} {b} "
+                                  f"of {n_matches} matches")
+            ids = np.zeros((2, n_matches), dtype=np.int64)
+            values = np.zeros((2, n_matches))
+            mask = np.zeros(n_matches, dtype=bool)
+            for k in range(n_matches):
+                lineno += 1
+                qf, tf, dist, ratio, flag = text[lineno - 1].split()
+                ids[:, k] = int(qf), int(tf)
+                values[:, k] = float(dist), float(ratio)
+                mask[k] = flag == "1"
+            if geometry is not None:
+                geometry.inlier_count = int(mask.sum())
+            matches = Matches(query=ids[0], target=ids[1], distance=values[0], ratio=values[1])
+            graph.edges[(a, b)] = Edge(matches=matches, inlier_mask=mask, geometry=geometry)
+    except ValueError as exc:
+        raise FormatError(f"{path}:{lineno}: {exc}") from exc
     return graph

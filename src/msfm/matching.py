@@ -1,9 +1,11 @@
 """Unguided descriptor matching and coarse match-graph construction.
 
-Matching is nearest-neighbour search with a ratio test.  The coarse graph is
-built from high-scale tiers only, using a hybrid batched scheme that abandons
-unpromising pairs early, then verifies every edge with robust two-view
-geometry.
+Matching is nearest-neighbour search with a ratio test.  Every matcher
+returns one image pair's matches as ``Matches``, parallel arrays of feature
+ids, distances and ratios; the image ids stay with the pair.  The coarse
+graph is built from high-scale tiers only, using a hybrid batched scheme
+that abandons unpromising pairs early, then verifies every edge with robust
+two-view geometry.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import numpy as np
 from .descriptors import SearchStats, two_nearest_bruteforce
 from .features import FeatureSet
 from .geometry import MIN_EDGE_INLIERS, TwoViewGeometry, estimate_fundamental_ransac
-from .model import FeatureRef
 
 RATIO_UNGUIDED = 0.6
 RATIO_GUIDED = 0.8
@@ -34,24 +35,39 @@ PREEMPTIVE_TOP = 100
 PREEMPTIVE_MIN_MATCHES = 4
 
 
-@dataclass(frozen=True)
-class Match:
-    query: FeatureRef
-    target: FeatureRef
-    distance: float
-    ratio: float
+@dataclass(frozen=True, eq=False)
+class Matches:
+    """One image pair's matches: feature ids (int64) in its query and target
+    image, descriptor distances and ratio-test ratios (float64; 0 when there
+    was no second neighbour)."""
+
+    query: np.ndarray
+    target: np.ndarray
+    distance: np.ndarray
+    ratio: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.query)
+
+    def subset(self, which) -> Matches:
+        """The matches a boolean mask or an index array selects."""
+        return Matches(self.query[which], self.target[which],
+                       self.distance[which], self.ratio[which])
+
+
+NO_MATCHES = Matches(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0), np.empty(0))
 
 
 @dataclass
 class Edge:
-    matches: list[Match]
-    geometry: TwoViewGeometry | None = None
-    inlier_mask: np.ndarray | None = None
+    """Matches of the images (a, b) of its key: a is the query image."""
 
-    def inlier_matches(self) -> list[Match]:
-        if self.inlier_mask is None:
-            return list(self.matches)
-        return [m for m, keep in zip(self.matches, self.inlier_mask) if keep]
+    matches: Matches
+    inlier_mask: np.ndarray
+    geometry: TwoViewGeometry | None = None
+
+    def inliers(self) -> Matches:
+        return self.matches.subset(self.inlier_mask)
 
 
 @dataclass
@@ -134,8 +150,7 @@ def one_per_target(rows: np.ndarray, targets: np.ndarray, dist: np.ndarray) -> n
     return keep[np.lexsort((targets[keep], rows[keep]))]
 
 
-def matches_from(accepted, query_image: int, target_image: int, *,
-                 query_ids, target_ids) -> list[Match]:
+def matches_from(accepted, *, query_ids, target_ids) -> Matches:
     """Matches from accepted (rows, targets, distances, ratios) arrays, one per target.
 
     ``one_per_target`` picks among the candidates; then rows map to feature
@@ -145,12 +160,10 @@ def matches_from(accepted, query_image: int, target_image: int, *,
     rows, targets, dist, ratio = accepted
     keep = one_per_target(rows, targets, dist)
     queries = rows[keep] if query_ids is None else np.asarray(query_ids)[rows[keep]]
-    return [
-        Match(query=FeatureRef(query_image, q), target=FeatureRef(target_image, t),
-              distance=d, ratio=r)
-        for q, t, d, r in zip(queries.tolist(), np.asarray(target_ids)[targets[keep]].tolist(),
-                              dist[keep].tolist(), ratio[keep].tolist())
-    ]
+    return Matches(query=queries.astype(np.int64),
+                   target=np.asarray(target_ids)[targets[keep]].astype(np.int64),
+                   distance=dist[keep].astype(np.float64),
+                   ratio=ratio[keep].astype(np.float64))
 
 
 def match_pair(query_fs: FeatureSet, target_fs: FeatureSet, *,
@@ -158,22 +171,21 @@ def match_pair(query_fs: FeatureSet, target_fs: FeatureSet, *,
                query_indices: np.ndarray | None = None,
                target_indices: np.ndarray | None = None,
                single_cap: float = SINGLE_CANDIDATE_CAP,
-               stats: SearchStats | None = None) -> list[Match]:
+               stats: SearchStats | None = None) -> Matches:
     """Match two feature sets (their coarse tiers unless indices are given)."""
     qi = query_fs.tier_indices if query_indices is None else np.asarray(query_indices)
     ti = target_fs.tier_indices if target_indices is None else np.asarray(target_indices)
     if len(qi) == 0 or len(ti) == 0:
-        return []
+        return NO_MATCHES
     dist, idx = two_nearest_bruteforce(query_fs.descriptors_f32()[qi],
                                        target_fs.descriptors_f32()[ti], stats)
-    return matches_from(ratio_filter(dist, idx, ratio, single_cap),
-                        query_fs.image_id, target_fs.image_id, query_ids=qi, target_ids=ti)
+    return matches_from(ratio_filter(dist, idx, ratio, single_cap), query_ids=qi, target_ids=ti)
 
 
 def hybrid_match(query_fs: FeatureSet, target_fs: FeatureSet, *,
                  ratio: float = RATIO_UNGUIDED,
                  early_stop: int = HYBRID_EARLY_STOP,
-                 stats: SearchStats | None = None) -> list[Match]:
+                 stats: SearchStats | None = None) -> Matches:
     """Batched tier matching: high-scale query batches against the target tier.
 
     After the first batch the next one runs only if more than
@@ -182,7 +194,7 @@ def hybrid_match(query_fs: FeatureSet, target_fs: FeatureSet, *,
     """
     n_tier = query_fs.coarse_count
     if n_tier == 0 or target_fs.coarse_count == 0:
-        return []
+        return NO_MATCHES
     batch = max(1, int(np.ceil(HYBRID_BATCH_FRACTION * len(query_fs))))
     ti = target_fs.tier_indices
     tdesc = target_fs.descriptors_f32()[ti]
@@ -199,8 +211,7 @@ def hybrid_match(query_fs: FeatureSet, target_fs: FeatureSet, *,
         parts.append((rows + start, targets, d, r))
         n_accepted += len(rows)
     accepted = tuple(np.concatenate(column) for column in zip(*parts))
-    return matches_from(accepted, query_fs.image_id, target_fs.image_id,
-                        query_ids=None, target_ids=ti)
+    return matches_from(accepted, query_ids=None, target_ids=ti)
 
 
 def preemptive_pair_filter(feature_sets: dict[int, FeatureSet], *,
@@ -239,10 +250,9 @@ def build_coarse_matchgraph(feature_sets: dict[int, FeatureSet], *,
         matches = hybrid_match(feature_sets[a], feature_sets[b], ratio=ratio, stats=stats)
         if len(matches) < MIN_EDGE_MATCHES:
             continue
-        pts_q = np.array([feature_sets[a].xy[m.query.feature_id] for m in matches])
-        pts_c = np.array([feature_sets[b].xy[m.target.feature_id] for m in matches])
         geom, mask = estimate_fundamental_ransac(
-            pts_q, pts_c, seed=seed + a * 100003 + b)
+            feature_sets[a].xy[matches.query], feature_sets[b].xy[matches.target],
+            seed=seed + a * 100003 + b)
         if int(mask.sum()) >= min_edge_inliers:
-            graph.edges[(a, b)] = Edge(matches=matches, geometry=geom, inlier_mask=mask)
+            graph.edges[(a, b)] = Edge(matches=matches, inlier_mask=mask, geometry=geom)
     return graph

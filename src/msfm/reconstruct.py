@@ -24,7 +24,7 @@ from .geometry import (
     relative_pose_from_fundamental,
     triangulate_track,
 )
-from .matching import MatchGraph, closest_one_to_one
+from .matching import Matches, MatchGraph, closest_one_to_one
 from .model import Camera, FeatureRef, Model
 
 log = logging.getLogger(__name__)
@@ -242,22 +242,26 @@ def triangulate_refs(model: Model, feature_sets, refs):
     ])
 
 
-def _triangulate_matches(model: Model, feature_sets, matches) -> None:
-    """New two-view points from the matches whose features are both untracked."""
-    for m in matches:
-        if model.owner(m.query) is not None or model.owner(m.target) is not None:
+def _ref_pairs(a: int, b: int, matches: Matches):
+    """(query ref, target ref) of each match of images a and b, one at a time."""
+    for q, t in zip(matches.query.tolist(), matches.target.tolist()):
+        yield FeatureRef(a, q), FeatureRef(b, t)
+
+
+def _triangulate_pairs(model: Model, feature_sets, ref_pairs) -> None:
+    """New two-view points from the ref pairs whose features are both untracked."""
+    for rq, rt in ref_pairs:
+        if model.owner(rq) is not None or model.owner(rt) is not None:
             continue
-        tri = triangulate_refs(model, feature_sets, (m.query, m.target))
+        tri = triangulate_refs(model, feature_sets, (rq, rt))
         if tri is not None:
-            model.add_point(tri.point, [m.query, m.target])
+            model.add_point(tri.point, [rq, rt])
 
 
 def _edge_points(graph: MatchGraph, feature_sets, a: int, b: int):
-    edge = graph.edges[(a, b)]
-    matches = edge.inlier_matches()
-    pts_q = np.array([feature_sets[a].xy[m.query.feature_id] for m in matches], dtype=np.float64)
-    pts_c = np.array([feature_sets[b].xy[m.target.feature_id] for m in matches], dtype=np.float64)
-    return matches, pts_q, pts_c
+    matches = graph.edges[(a, b)].inliers()
+    return (matches, feature_sets[a].xy[matches.query].astype(np.float64),
+            feature_sets[b].xy[matches.target].astype(np.float64))
 
 
 def _edge_median_angle(edge, intrinsics, a, b, pts_q, pts_c):
@@ -291,7 +295,7 @@ def select_seed_pair(graph: MatchGraph, feature_sets, intrinsics) -> tuple[int, 
     """
     order = sorted(
         (key for key in graph.edges if graph.edges[key].geometry is not None),
-        key=lambda key: (-len(graph.edges[key].inlier_matches()), key))
+        key=lambda key: (-len(graph.edges[key].inliers()), key))
     for (a, b) in order:
         matches, pts_q, pts_c = _edge_points(graph, feature_sets, a, b)
         if len(matches) < 8:
@@ -313,12 +317,13 @@ def _registered_edges(model: Model, graph: MatchGraph, image_id: int):
 def _correspondences_to_model(model: Model, graph: MatchGraph, image_id: int):
     """(point_id, feature_id) pairs linking an unregistered image to tracks."""
     entries = []  # (point, feature in image, distance)
-    for a, _, edge in _registered_edges(model, graph, image_id):
-        for m in edge.inlier_matches():
-            own, theirs = (m.query, m.target) if a == image_id else (m.target, m.query)
-            pid = model.owner(theirs)
+    for a, b, edge in _registered_edges(model, graph, image_id):
+        m = edge.inliers()
+        own, theirs, other = (m.query, m.target, b) if a == image_id else (m.target, m.query, a)
+        for feat, their_feat, dist in zip(own.tolist(), theirs.tolist(), m.distance.tolist()):
+            pid = model.owner(FeatureRef(other, their_feat))
             if pid is not None:
-                entries.append((pid, own.feature_id, m.distance))
+                entries.append((pid, feat, dist))
     return closest_one_to_one(entries)
 
 
@@ -340,17 +345,17 @@ def _triangulate_new_tracks(model: Model, graph: MatchGraph, feature_sets,
         model.extend_track(pid, ref)
 
     pending = []
-    for _, _, edge in _registered_edges(model, graph, image_id):
-        for m in edge.inlier_matches():
-            own_q = model.owner(m.query)
-            own_t = model.owner(m.target)
+    for a, b, edge in _registered_edges(model, graph, image_id):
+        for rq, rt in _ref_pairs(a, b, edge.inliers()):
+            own_q = model.owner(rq)
+            own_t = model.owner(rt)
             if own_q is not None and own_t is None:
-                maybe_extend(own_q, m.target)
+                maybe_extend(own_q, rt)
             elif own_t is not None and own_q is None:
-                maybe_extend(own_t, m.query)
+                maybe_extend(own_t, rq)
             elif own_q is None and own_t is None:
-                pending.append(m)
-    _triangulate_matches(model, feature_sets, pending)
+                pending.append((rq, rt))
+    _triangulate_pairs(model, feature_sets, pending)
 
 
 def incremental_reconstruct(graph: MatchGraph, feature_store, intrinsics: dict[int, np.ndarray],
@@ -369,7 +374,7 @@ def incremental_reconstruct(graph: MatchGraph, feature_store, intrinsics: dict[i
     model = Model(stage_tag="coarse")
     model.attach_camera(Camera(K=intrinsics[a], R=np.eye(3), t=np.zeros(3), image_id=a))
     model.attach_camera(Camera(K=intrinsics[b], R=R, t=t, image_id=b))
-    _triangulate_matches(model, feature_sets, matches)
+    _triangulate_pairs(model, feature_sets, _ref_pairs(a, b, matches))
     log.info("seed pair (%d, %d): %d points", a, b, len(model.points))
     bundle_adjust(model, feature_store, max_iters=BA_ITERS_EARLY)
 

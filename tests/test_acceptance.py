@@ -28,7 +28,7 @@ from msfm.guided import (
     candidates_linear,
     guided_match_pair,
 )
-from msfm.matching import Match, match_pair
+from msfm.matching import Matches, match_pair
 from msfm.model import Camera, FeatureRef, Model, reprojection_errors
 from msfm.pipeline import run_pipeline
 from msfm.synth import SceneSpec, generate_scene, write_scene
@@ -222,8 +222,8 @@ class TestCriterion5GuidedDensity:
         oracle = dict(scene.oracle_matches(0, 1))
 
         def correct(matches):
-            return sum(1 for m in matches
-                       if oracle.get(m.query.feature_id) == m.target.feature_id)
+            return sum(1 for q, t in zip(matches.query.tolist(), matches.target.tolist())
+                       if oracle.get(q) == t)
 
         guided = guided_match_pair(fs_q, fs_t, geom, d=8.0, ratio=0.8)
         unguided = match_pair(
@@ -296,9 +296,9 @@ class TestCriterion7OracleEquivalences:
             for _ in range(int(rng.integers(3, 40))):
                 a, b = rng.choice(n_images, size=2, replace=False)
                 # one feature per image avoids conflict resolution entirely
-                matches.append(Match(query=FeatureRef(int(a), 0),
-                                     target=FeatureRef(int(b), 0),
-                                     distance=1.0, ratio=0.5))
+                matches.append((int(a), int(b), Matches(
+                    query=np.array([0]), target=np.array([0]),
+                    distance=np.array([1.0]), ratio=np.array([0.5]))))
                 union((int(a), 0), (int(b), 0))
             new_tracks, _ = merge_tracks(matches, model)
             got = {
@@ -327,8 +327,8 @@ class TestCriterion7OracleEquivalences:
                 np.linspace(30, 1, n), np.zeros(n), descs)
 
         fs_a, fs_b = make(0, noisy()), make(1, noisy())
-        got = {(m.query.feature_id, m.target.feature_id)
-               for m in match_pair(fs_a, fs_b, ratio=0.6)}
+        matches = match_pair(fs_a, fs_b, ratio=0.6)
+        got = set(zip(matches.query.tolist(), matches.target.tolist()))
         qd = fs_a.descriptors.astype(np.float32)
         td = fs_b.descriptors.astype(np.float32)
         hits = {}

@@ -104,6 +104,14 @@ class TestCliCommands:
     def test_missing_file_exit3(self, tmp_path):
         assert main(["features", "validate", str(tmp_path / "nope.msft")]) == 3
 
+    def test_truncated_graph_exit3(self, scene_dir, tmp_path):
+        feat_dir, _ = scene_dir
+        graph = tmp_path / "graph.txt"
+        assert main(["match", "--features", str(feat_dir), "--out", str(graph)]) == 0
+        graph.write_text("\n".join(graph.read_text().splitlines()[:10]) + "\n")
+        assert main(["coarse", "--graph", str(graph), "--features", str(feat_dir),
+                     "--out", str(tmp_path / "m.msfm"), "--focal", "900"]) == 3
+
     def test_match_coarse_localize_densify_eval(self, scene_dir, tmp_path, capsys):
         feat_dir, scene = scene_dir
         graph = tmp_path / "graph.txt"

@@ -10,7 +10,7 @@ from msfm.densify import (
     unique_pairs,
 )
 from msfm.errors import NotRegisteredError
-from msfm.matching import Match, build_coarse_matchgraph
+from msfm.matching import Matches, build_coarse_matchgraph
 from msfm.model import FeatureRef, Model
 from msfm.reconstruct import incremental_reconstruct
 from msfm.synth import SceneSpec, generate_scene
@@ -45,9 +45,70 @@ class UnionFind:
         return sorted(frozenset(g) for g in groups.values())
 
 
+def reference_merge_tracks(pair_matches, model):
+    """The depth-first search that ``merge_tracks`` replaced, as its oracle."""
+    adjacency, edge_dist = {}, {}
+
+    def add_edge(u, v, dist):
+        adjacency.setdefault(u, []).append(v)
+        adjacency.setdefault(v, []).append(u)
+        key = (u, v) if u < v else (v, u)
+        if key not in edge_dist or dist < edge_dist[key]:
+            edge_dist[key] = dist
+
+    for qi, ti, m in pair_matches:
+        for qf, tf, dist in zip(m.query.tolist(), m.target.tolist(), m.distance.tolist()):
+            add_edge(FeatureRef(qi, qf), FeatureRef(ti, tf), dist)
+    touched = {model.owner(r) for r in list(adjacency)} - {None}
+    for pid in touched:
+        refs = model.points[pid].refs()
+        for r in refs[1:]:
+            add_edge(refs[0], r, -1.0)
+
+    def support(ref):
+        dists = [edge_dist[min(ref, o), max(ref, o)] for o in adjacency[ref]]
+        return min([d for d in dists if d >= 0.0], default=np.inf)
+
+    visited, new_tracks, extensions = set(), [], {}
+    for start in sorted(adjacency):
+        if start in visited:
+            continue
+        component, stack = [], [start]
+        visited.add(start)
+        while stack:
+            node = stack.pop()
+            component.append(node)
+            for nxt in adjacency[node]:
+                if nxt not in visited:
+                    visited.add(nxt)
+                    stack.append(nxt)
+        owners = {model.owner(r) for r in component} - {None}
+        if len(owners) >= 2:
+            continue
+        owner = owners.pop() if owners else None
+        existing = set(model.points[owner].refs()) if owner is not None else set()
+        by_image = {}
+        for ref in sorted(component):
+            by_image.setdefault(ref.image_id, []).append(ref)
+        keep = []
+        for image_id in sorted(by_image):
+            refs = by_image[image_id]
+            pinned = [r for r in refs if r in existing]
+            if pinned:
+                keep.extend(pinned)
+            elif owner is None or image_id not in model.points[owner].track:
+                keep.append(min(refs, key=lambda r: (support(r), r)))
+        fresh = [r for r in keep if r not in existing]
+        if owner is not None and fresh:
+            extensions.setdefault(owner, []).extend(fresh)
+        elif owner is None and len({r.image_id for r in fresh}) >= 2:
+            new_tracks.append(fresh)
+    return new_tracks, extensions
+
+
 def match(qi, qf, ti, tf, dist=1.0):
-    return Match(query=FeatureRef(qi, qf), target=FeatureRef(ti, tf),
-                 distance=dist, ratio=0.5)
+    return qi, ti, Matches(query=np.array([qf]), target=np.array([tf]),
+                           distance=np.array([dist]), ratio=np.array([0.5]))
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +252,31 @@ class TestMergeTracks:
             }
             expected = {c for c in uf.components() if len(c) >= 2}
             assert got == expected
+
+    def test_equals_dfs_reference(self):
+        # few features per image and few distinct distances: conflicts,
+        # bridged tracks and support ties on every graph
+        rng = np.random.default_rng(8)
+        for trial in range(300):
+            n_images, n_feats = int(rng.integers(2, 7)), int(rng.integers(1, 6))
+            model = Model()
+            for i in range(n_images):
+                model.attach_camera(random_camera(rng, image_id=i))
+            for _ in range(int(rng.integers(0, 4))):
+                images = rng.choice(n_images, size=int(rng.integers(2, n_images + 1)),
+                                    replace=False)
+                refs = [FeatureRef(int(i), int(rng.integers(n_feats))) for i in images]
+                if all(model.owner(r) is None for r in refs):
+                    model.add_point(np.zeros(3), refs)
+            pair_matches = []
+            for _ in range(int(rng.integers(1, 5))):
+                qi, ti = (int(i) for i in rng.choice(n_images, size=2, replace=False))
+                n = int(rng.integers(0, 8))
+                pair_matches.append((qi, ti, Matches(
+                    query=rng.integers(0, n_feats, n), target=rng.integers(0, n_feats, n),
+                    distance=rng.integers(0, 3, n).astype(float), ratio=np.full(n, 0.5))))
+            assert merge_tracks(pair_matches, model) == \
+                reference_merge_tracks(pair_matches, model), trial
 
     def test_extends_existing_track(self):
         rng = np.random.default_rng(5)

@@ -21,7 +21,7 @@ from msfm.guided import (
     group_queries,
     guided_match_pair,
 )
-from msfm.matching import match_pair, matches_from, ratio_filter
+from msfm.matching import NO_MATCHES, match_pair, matches_from, ratio_filter
 from msfm.model import Camera
 from msfm.pipeline import run_coarse, run_densify, run_match
 from msfm.synth import SceneSpec, generate_scene
@@ -43,7 +43,7 @@ def reference_guided_match_pair(query_fs, target_fs, geom, *, d=8.0, ratio=0.8,
     """The group-by-group loop that ``guided_match_pair`` replaced, as its oracle."""
     ti = np.arange(len(target_fs)) if target_indices is None else np.asarray(target_indices)
     if len(ti) == 0:
-        return []
+        return NO_MATCHES
     bounds = (float(target_fs.width), float(target_fs.height))
     txy = target_fs.xy[ti].astype(np.float64)
     if grid is None:
@@ -92,13 +92,14 @@ def reference_guided_match_pair(query_fs, target_fs, geom, *, d=8.0, ratio=0.8,
         k, local, dd, rr = ratio_filter(dist, idx, ratio)
         accepted.append((members[k], cand[local], dd, rr))
     if not accepted:
-        return []
+        return NO_MATCHES
     return matches_from(tuple(np.concatenate(column) for column in zip(*accepted)),
-                        query_fs.image_id, target_fs.image_id, query_ids=None, target_ids=ti)
+                        query_ids=None, target_ids=ti)
 
 
 def match_rows(matches):
-    return [(m.query.feature_id, m.target.feature_id, m.distance, m.ratio) for m in matches]
+    return list(zip(matches.query.tolist(), matches.target.tolist(),
+                    matches.distance.tolist(), matches.ratio.tolist()))
 
 
 def assert_same_as_reference(query_fs, target_fs, geom, **kw):
@@ -342,8 +343,7 @@ class TestGuidedMatchPair:
         fs_q, fs_t = scene.feature_sets[0], scene.feature_sets[1]
         matches = guided_match_pair(fs_q, fs_t, geom, d=8.0)
         oracle = dict(scene.oracle_matches(0, 1))
-        correct = sum(1 for m in matches
-                      if oracle.get(m.query.feature_id) == m.target.feature_id)
+        correct = sum(1 for q, t, _, _ in match_rows(matches) if oracle.get(q) == t)
         assert len(matches) > 0
         assert correct / len(matches) >= 0.99
         # matched at least the vast majority of oracle pairs
@@ -353,21 +353,17 @@ class TestGuidedMatchPair:
         scene, geom = self._scene_pair(seed=10)
         fs_q, fs_t = scene.feature_sets[0], scene.feature_sets[1]
         d = 8.0
-        for m in guided_match_pair(fs_q, fs_t, geom, d=d):
-            hom = np.append(fs_q.xy[m.query.feature_id].astype(np.float64), 1.0)
+        for q, t, _, _ in match_rows(guided_match_pair(fs_q, fs_t, geom, d=d)):
+            hom = np.append(fs_q.xy[q].astype(np.float64), 1.0)
             l = geom.F @ hom
             l = l / np.hypot(l[0], l[1])
-            p = fs_t.xy[m.target.feature_id]
+            p = fs_t.xy[t]
             dist = abs(l[0] * p[0] + l[1] * p[1] + l[2])
             assert dist <= d + 1e-6
 
     def test_strategies_agree_on_matches(self):
         # reference: one grid cell spans the whole image, so every target
         # feature is a candidate of every group (an exhaustive band scan)
-        def rows(matches):
-            return [(m.query.feature_id, m.target.feature_id, m.distance, m.ratio)
-                    for m in matches]
-
         for seed in (11, 3, 7, 21, 42):
             scene = generate_scene(SceneSpec(n_cameras=3, layout="grid", ring_radius=1.2,
                                              cloud_radius=2.0, n_points=600, seed=seed))
@@ -377,9 +373,9 @@ class TestGuidedMatchPair:
                 w, h = fs_t.width, fs_t.height
                 exhaustive = build_grid(fs_t.xy.astype(np.float64), 4 * max(w, h),
                                         width=w, height=h)
-                got = rows(guided_match_pair(fs_q, fs_t, geom))
+                got = match_rows(guided_match_pair(fs_q, fs_t, geom))
                 assert len(got) > 0
-                assert got == rows(guided_match_pair(fs_q, fs_t, geom, grid=exhaustive))
+                assert got == match_rows(guided_match_pair(fs_q, fs_t, geom, grid=exhaustive))
 
     def test_repetition_groups_guided_beats_unguided(self):
         spec = SceneSpec(n_cameras=2, layout="grid", ring_radius=1.2,
@@ -392,8 +388,7 @@ class TestGuidedMatchPair:
         oracle = dict(scene.oracle_matches(0, 1))
 
         def correct_count(matches):
-            return sum(1 for m in matches
-                       if oracle.get(m.query.feature_id) == m.target.feature_id)
+            return sum(1 for q, t, _, _ in match_rows(matches) if oracle.get(q) == t)
 
         guided = guided_match_pair(fs_q, fs_t, geom, d=8.0, ratio=0.8)
         unguided = match_pair(
@@ -421,7 +416,7 @@ class TestGuidedMatchPair:
         scene, geom = self._scene_pair(seed=14)
         fs_q, fs_t = scene.feature_sets[0], scene.feature_sets[1]
         got = guided_match_pair(fs_q, fs_t, geom, target_indices=np.array([], dtype=int))
-        assert got == []
+        assert len(got) == 0
 
 
 class TestGuidedOracle:
@@ -480,7 +475,7 @@ class TestGuidedOracle:
                            orientation=np.concatenate([fs_t.orientation, fs_t.orientation]),
                            descriptors=np.vstack([fs_t.descriptors, fs_t.descriptors]))
         matches = assert_same_as_reference(fs_q, twins, geom, ratio=1.5)
-        assert sum(m.ratio == 1.0 for m in matches) >= 20
+        assert sum(matches.ratio == 1.0) >= 20
 
     def test_groups_of_many_members(self):
         # parallel views: epipolar lines run side by side, so groups hold

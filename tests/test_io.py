@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -92,13 +94,26 @@ class TestMatchGraphFile:
             assert len(e1.matches) == len(e2.matches)
             assert np.array_equal(e1.inlier_mask, e2.inlier_mask)
             assert np.allclose(e1.geometry.F, e2.geometry.F)
-            for m1, m2 in zip(e1.matches, e2.matches):
-                assert m1.query == m2.query
-                assert m1.target == m2.target
-                assert m1.distance == m2.distance
+        # ids, distances and ratios survive the text form bit for bit
+        again = tmp_path / "again.txt"
+        write_matchgraph(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_bad_graph_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("whatever\n")
         with pytest.raises(FormatError):
+            read_matchgraph(path)
+
+    @pytest.mark.parametrize("damage, line", [
+        (lambda lines: lines[:10], 10),  # cut off inside the first edge's matches
+        (lambda lines: lines[:4] + [lines[4].replace(".", "x", 1)] + lines[5:], 5),
+    ])
+    def test_malformed_edge_names_file_and_line(self, tmp_path, tiny_scene, damage, line):
+        path = tmp_path / "graph.txt"
+        write_matchgraph(build_coarse_matchgraph(tiny_scene.store().sets), path)
+        lines = path.read_text().splitlines()
+        assert lines[1].startswith("EDGE") and lines[2].startswith("F ")
+        path.write_text("\n".join(damage(lines)) + "\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path}:{line}: ")):
             read_matchgraph(path)

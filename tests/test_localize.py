@@ -205,14 +205,13 @@ class TestRankedSearch:
         source = partial.image_ids()[0]
         fs = dataclasses.replace(store[source], image_id=97)
         # wire a fake graph edge so the neighbour ranking sees it
-        from msfm.matching import Edge, Match, MatchGraph
+        from msfm.matching import Edge, Matches, MatchGraph
         g = MatchGraph()
         key = (min(97, source), max(97, source))
-        g.edges[key] = Edge(matches=[
-            Match(query=FeatureRef(key[0], i), target=FeatureRef(key[1], i),
-                  distance=0.0, ratio=0.0)
-            for i in range(40)
-        ])
+        ids = np.arange(40)
+        g.edges[key] = Edge(matches=Matches(query=ids, target=ids, distance=np.zeros(40),
+                                            ratio=np.zeros(40)),
+                            inlier_mask=np.ones(40, dtype=bool))
         corr = ranked_2d2d_search(partial, g, 97, fs, store)
         tracked = {f for pid in partial.points_visible_in(source)
                    for i, f in partial.points[pid].track.items() if i == source}
@@ -281,3 +280,18 @@ class TestLocalizeAll:
         newly, _ = localize_all(model, store, graph, K,
                                 force_set_cover=True, set_cover_k=40)
         assert len(newly) >= len(held_out) - 1  # cover may drop a marginal one
+
+    def test_ranked_fallback_registers(self, holdout_setup):
+        # a one-point cover leaves direct search below the gate, so every
+        # held-out image falls back to the ranked 2D-2D search
+        scene, store, graph, partial, held_out, K = holdout_setup
+        import copy
+        model = copy.deepcopy(partial)
+        newly, results = localize_all(model, store, graph, K,
+                                      force_set_cover=True, set_cover_k=1)
+        assert newly == held_out
+        assert [r.method for r in results] == ["ranked2d2d"] * len(held_out)
+        for image_id in held_out:
+            est, true = model.cameras[image_id], scene.cameras[image_id]
+            c = np.clip((np.trace(est.R @ true.R.T) - 1) / 2, -1, 1)
+            assert np.degrees(np.arccos(c)) < 0.1

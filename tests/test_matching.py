@@ -37,6 +37,11 @@ def noisy_pair(rng, n, sigma=4.0, image_ids=(0, 1)):
             feature_set_from_descriptors(b, image_ids[1]))
 
 
+def id_pairs(matches):
+    """The (query id, target id) pairs of a pair's matches."""
+    return set(zip(matches.query.tolist(), matches.target.tolist()))
+
+
 def brute_force_match(query_fs, target_fs, ratio):
     """Exhaustive O(m^2) oracle with the same dedup rule."""
     q = query_fs.descriptors.astype(np.float32)
@@ -92,15 +97,14 @@ class TestMatchPair:
         fs_b = feature_set_from_descriptors(descs, 1)
         matches = match_pair(fs_a, fs_b, ratio=0.6)
         assert len(matches) == 50
-        for m in matches:
-            assert m.query.feature_id == m.target.feature_id
-            assert m.distance == 0.0
+        for q, t, dist in zip(matches.query, matches.target, matches.distance):
+            assert q == t
+            assert dist == 0.0
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(6)
         fs_a, fs_b = noisy_pair(rng, 500)
-        got = {(m.query.feature_id, m.target.feature_id)
-               for m in match_pair(fs_a, fs_b, ratio=0.6)}
+        got = id_pairs(match_pair(fs_a, fs_b, ratio=0.6))
         expected = brute_force_match(fs_a, fs_b, 0.6)
         assert got == expected
 
@@ -108,17 +112,15 @@ class TestMatchPair:
         rng = np.random.default_rng(7)
         fs_a, fs_b = noisy_pair(rng, 800)
         matches = match_pair(fs_a, fs_b, ratio=0.6)
-        correct = sum(1 for m in matches if m.query.feature_id == m.target.feature_id)
+        correct = int((matches.query == matches.target).sum())
         assert len(matches) > 700
         assert correct / len(matches) >= 0.99
 
     def test_ratio_monotone(self):
         rng = np.random.default_rng(8)
         fs_a, fs_b = noisy_pair(rng, 300, sigma=12.0)
-        loose = {(m.query.feature_id, m.target.feature_id)
-                 for m in match_pair(fs_a, fs_b, ratio=0.8)}
-        tight = {(m.query.feature_id, m.target.feature_id)
-                 for m in match_pair(fs_a, fs_b, ratio=0.5)}
+        loose = id_pairs(match_pair(fs_a, fs_b, ratio=0.8))
+        tight = id_pairs(match_pair(fs_a, fs_b, ratio=0.5))
         assert tight <= loose
 
     def test_single_candidate_cap(self):
@@ -131,15 +133,13 @@ class TestMatchPair:
         assert len(accepted) == 1
         far = np.clip(base + 120, 0, 255)
         fs_q2 = feature_set_from_descriptors(far, 0)
-        assert match_pair(fs_q2, fs_t, ratio=0.6, single_cap=45.0) == []
+        assert len(match_pair(fs_q2, fs_t, ratio=0.6, single_cap=45.0)) == 0
 
     def test_symmetry_on_noise_free_data(self):
         rng = np.random.default_rng(10)
         fs_a, fs_b = noisy_pair(rng, 200, sigma=0.0)
-        ab = {(m.query.feature_id, m.target.feature_id)
-              for m in match_pair(fs_a, fs_b, ratio=0.6)}
-        ba = {(m.target.feature_id, m.query.feature_id)
-              for m in match_pair(fs_b, fs_a, ratio=0.6)}
+        ab = id_pairs(match_pair(fs_a, fs_b, ratio=0.6))
+        ba = {(t, q) for q, t in id_pairs(match_pair(fs_b, fs_a, ratio=0.6))}
         assert ab == ba
 
     def test_target_dedup_keeps_best(self):
@@ -151,10 +151,9 @@ class TestMatchPair:
         fs_q = feature_set_from_descriptors(np.stack([q0, q1]), 0)
         fs_t = feature_set_from_descriptors(target, 1)
         matches = match_pair(fs_q, fs_t, ratio=0.99)
-        claims = [m for m in matches if m.target.feature_id is not None]
-        target_ids = [m.target.feature_id for m in matches]
+        target_ids = matches.target.tolist()
         assert len(target_ids) == len(set(target_ids))
-        owner = {m.target.feature_id: m.query.feature_id for m in matches}
+        owner = dict(zip(target_ids, matches.query.tolist()))
         if 0 in owner:
             assert owner[0] == 0  # closer query wins
 
@@ -284,10 +283,8 @@ class TestHybridMatch:
     def test_subset_of_full_tier_match(self):
         rng = np.random.default_rng(14)
         fs_a, fs_b = self._tiered_pair(rng)
-        hybrid = {(m.query.feature_id, m.target.feature_id)
-                  for m in hybrid_match(fs_a, fs_b, ratio=0.6, early_stop=10**9)}
-        full = {(m.query.feature_id, m.target.feature_id)
-                for m in match_pair(fs_a, fs_b, ratio=0.6)}
+        hybrid = id_pairs(hybrid_match(fs_a, fs_b, ratio=0.6, early_stop=10**9))
+        full = id_pairs(match_pair(fs_a, fs_b, ratio=0.6))
         assert hybrid <= full
 
 
@@ -357,8 +354,8 @@ class TestBuildCoarseMatchGraph:
         graph = build_coarse_matchgraph(store.sets)
         for (a, b), edge in list(graph.edges.items())[:5]:
             oracle = dict(scene.oracle_matches(a, b))
-            for m in edge.inlier_matches():
-                assert oracle.get(m.query.feature_id) == m.target.feature_id
+            for q, t in id_pairs(edge.inliers()):
+                assert oracle.get(q) == t
 
     def test_min_edge_matches_gate(self):
         rng = np.random.default_rng(18)

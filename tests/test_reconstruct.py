@@ -111,10 +111,10 @@ class TestSelectSeedPair:
         # restrict to two edges and check the more-inlier edge wins when both
         # qualify
         keys = sorted(graph.edges,
-                      key=lambda k: -len(graph.edges[k].inlier_matches()))[:2]
+                      key=lambda k: -len(graph.edges[k].inliers()))[:2]
         sub = MatchGraph(edges={k: graph.edges[k] for k in keys})
         chosen = select_seed_pair(sub, store.sets, K)
-        counts = {k: len(sub.edges[k].inlier_matches()) for k in keys}
+        counts = {k: len(sub.edges[k].inliers()) for k in keys}
         assert counts[chosen] == max(counts.values())
 
     def test_no_parallax_no_seed(self):
@@ -140,9 +140,9 @@ class TestSelectSeedPair:
         from msfm.geometry import relative_pose_from_fundamental, triangulate_track
         from msfm.model import Camera
         edge = graph.edges[(a, b)]
-        matches = edge.inlier_matches()
-        pts_q = np.stack([store.sets[a].xy[m.query.feature_id] for m in matches])
-        pts_c = np.stack([store.sets[b].xy[m.target.feature_id] for m in matches])
+        matches = edge.inliers()
+        pts_q = store.sets[a].xy[matches.query]
+        pts_c = store.sets[b].xy[matches.target]
         R, t, _ = relative_pose_from_fundamental(edge.geometry, K[a], K[b],
                                                  pts_q, pts_c)
         cam_a = Camera(K=K[a], R=np.eye(3), t=np.zeros(3), image_id=a)
@@ -159,7 +159,7 @@ class TestIncrementalReconstruct:
         store = tiny_scene.store()
         graph = build_coarse_matchgraph(store.sets)
         key = max(sorted(graph.edges),
-                  key=lambda k: len(graph.edges[k].inlier_matches()))
+                  key=lambda k: len(graph.edges[k].inliers()))
         sub = MatchGraph(edges={key: graph.edges[key]})
         K = {i: tiny_scene.cameras[i].K for i in store.sets}
         model = incremental_reconstruct(sub, store, K)
