@@ -26,7 +26,7 @@ from .io import (
     write_model,
     write_ply,
 )
-from .model import model_stats
+from .model import Model, model_stats
 from .pipeline import run_coarse, run_densify, run_localize, run_match, run_pipeline
 from .synth import SceneSpec, generate_scene, write_scene
 
@@ -100,11 +100,24 @@ def cmd_coarse(args) -> int:
     return 0
 
 
+def _read_model_for(path, store: FeatureStore, features_dir) -> Model:
+    """read_model, then check that every camera and observation has its feature."""
+    model = read_model(path)
+    for image_id in model.image_ids():
+        n = len(store[image_id]) if image_id in store else 0
+        bad = sorted(f for f in model.tracked(image_id) if not 0 <= f < n)
+        if image_id not in store or bad:
+            ref = f"{image_id}:{bad[0]}" if bad else f"camera {image_id}"
+            raise FormatError(f"{path}: {ref} is not a feature in {features_dir} "
+                              f"(image {image_id} has {n} features)")
+    return model
+
+
 def cmd_localize(args) -> int:
     cfg = _build_config(args)
-    model = read_model(args.model)
-    newly, results = run_localize(cfg, FeatureStore.load_dir(args.features), model,
-                                  read_matchgraph(args.graph))
+    store = FeatureStore.load_dir(args.features)
+    model = _read_model_for(args.model, store, args.features)
+    newly, results = run_localize(cfg, store, model, read_matchgraph(args.graph))
     write_model(model, args.out)
     if args.report:
         lines = [
@@ -119,8 +132,9 @@ def cmd_localize(args) -> int:
 
 def cmd_densify(args) -> int:
     cfg = _build_config(args)
-    model = read_model(args.model)
-    summary = run_densify(cfg, FeatureStore.load_dir(args.features), model, args.iteration)
+    store = FeatureStore.load_dir(args.features)
+    model = _read_model_for(args.model, store, args.features)
+    summary = run_densify(cfg, store, model, args.iteration)
     write_model(model, args.out)
     print(" ".join(f"{k}={v}" for k, v in sorted(summary.items())))
     return 0

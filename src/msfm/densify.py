@@ -10,12 +10,13 @@ form a graph whose connected components become new or extended tracks.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .descriptors import SearchStats
-from .errors import DegenerateGeometryError, NotRegisteredError
+from .errors import DegenerateGeometryError
 from .geometry import fundamental_from_poses
 from .guided import BAND_D_PX, GRID_INFLATION, build_grid, guided_match_pair, sorted_unique
 from .matching import RATIO_GUIDED
@@ -38,18 +39,13 @@ def candidate_images(model: Model, image_id: int, *,
                      threshold: int = COVIS_THRESHOLD,
                      k_limit: int | None = None) -> CandidateSet:
     """Top candidate partners for one image, ranked by covisible points."""
-    if not model.is_registered(image_id):
-        raise NotRegisteredError(f"image {image_id} is not registered")
+    own_points = model.tracked(image_id).values()
     if k_limit is None:
         k_limit = int(np.ceil(CANDIDATE_FRACTION * len(model.cameras)))
-    scored = []
-    for other in model.image_ids():
-        if other == image_id:
-            continue
-        n = len(model.covisible_points(image_id, other))
-        if n > threshold:
-            scored.append((-n, other))
-    scored.sort()
+    # each of the image's points counts once for every other image it is seen in
+    shared = Counter(other for pid in own_points for other in model.points[pid].track)
+    scored = sorted((-n, other) for other, n in shared.items()
+                    if other != image_id and n > threshold)
     return CandidateSet(
         image_id=image_id,
         candidates=[(other, -neg) for neg, other in scored[:k_limit]],
@@ -171,9 +167,8 @@ def densify_stage(model: Model, feature_store, *,
     query_set = set(query_images)
 
     def untracked(image_id: int) -> np.ndarray:
-        owned = [model.points[pid].track[image_id] for pid in model.points_visible_in(image_id)]
         mask = np.ones(len(feature_store.sets[image_id]), dtype=bool)
-        mask[owned] = False
+        mask[list(model.tracked(image_id))] = False
         return np.flatnonzero(mask)
 
     untracked_cache = {i: untracked(i) for i in sorted({x for p in pairs for x in p})}

@@ -4,7 +4,7 @@ Feature file layout (little-endian):
 
     magic   4 bytes  b"MSFT"
     version u32      = 1
-    image_id u32
+    image_id u32     < 2^31, as refs pack into int64 as image << 32 | feature
     width    u32
     height   u32
     count    u32
@@ -105,6 +105,8 @@ def load_features(path) -> FeatureSet:
         raise FormatError(f"{path}: bad magic {magic!r} at byte 0")
     if version != VERSION:
         raise FormatError(f"{path}: unsupported version {version} at byte 4")
+    if image_id >= 2 ** 31:
+        raise FormatError(f"{path}: image id {image_id} at byte 8 is not below 2^31")
     expected = HEADER.size + count * RECORD_BYTES
     if len(data) != expected:
         raise FormatError(

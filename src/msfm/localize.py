@@ -136,10 +136,7 @@ def ranked_2d2d_search(model: Model, graph: MatchGraph, image_id: int, image_fs,
     neighbors.sort(reverse=True)
     entries = []  # (point, feature in image, distance)
     for _, _, other in neighbors[:RANKED_TOP_K]:
-        proxy = [
-            (pid, model.points[pid].track[other])
-            for pid in sorted(model.points_visible_in(other))
-        ]
+        proxy = sorted((pid, feat) for feat, pid in model.tracked(other).items())
         if not proxy:
             continue
         queries = np.stack([

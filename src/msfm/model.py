@@ -1,9 +1,9 @@
-"""Reconstruction state: cameras, 3D points, tracks and visibility maps.
+"""Reconstruction state: cameras, 3D points, tracks and one ownership index.
 
-The model keeps two inverted indexes in lock-step with the tracks: one from
-image id to the points it sees, one from feature reference to the owning
-point.  Every mutator goes through attach_camera / add_point / extend_track
-so the indexes can never drift from the tracks.
+Next to the tracks (point -> image -> feature), the model keeps their inverse:
+one map per registered image from feature id to the point that owns it.
+Every mutator goes through attach_camera / add_point / extend_track /
+remove_point, so the index can never drift from the tracks.
 """
 
 from __future__ import annotations
@@ -73,15 +73,14 @@ class Point3D:
 
 
 class Model:
-    """Cameras plus points with mutually consistent visibility maps."""
+    """Cameras plus points, with the feature -> point map of each image."""
 
     def __init__(self, stage_tag: str = ""):
         self.cameras: dict[int, Camera] = {}
         self.points: dict[int, Point3D] = {}
         self.stage_tag = stage_tag
         self._next_point_id = 0
-        self._owner: dict[FeatureRef, int] = {}
-        self._visible: dict[int, set[int]] = {}
+        self._owner: dict[int, dict[int, int]] = {}  # image -> feature -> point
 
     # -- queries ---------------------------------------------------------
 
@@ -95,19 +94,17 @@ class Model:
         return sorted(self.points)
 
     def owner(self, ref: FeatureRef) -> int | None:
-        return self._owner.get(ref)
+        return self._owner.get(ref.image_id, {}).get(ref.feature_id)
+
+    def tracked(self, image_id: int) -> dict[int, int]:
+        """Feature id -> point map of a registered image: live, not to be mutated."""
+        try:
+            return self._owner[image_id]
+        except KeyError:
+            raise NotRegisteredError(f"image {image_id} is not registered") from None
 
     def points_visible_in(self, image_id: int) -> set[int]:
-        if image_id not in self.cameras:
-            raise NotRegisteredError(f"image {image_id} is not registered")
-        return set(self._visible.get(image_id, ()))
-
-    def covisible_points(self, image_a: int, image_b: int) -> set[int]:
-        if image_a not in self.cameras:
-            raise NotRegisteredError(f"image {image_a} is not registered")
-        if image_b not in self.cameras:
-            raise NotRegisteredError(f"image {image_b} is not registered")
-        return self._visible.get(image_a, set()) & self._visible.get(image_b, set())
+        return set(self.tracked(image_id).values())
 
     # -- mutators (serialized merge step only) ----------------------------
 
@@ -128,10 +125,10 @@ class Model:
             if ref.image_id != image_id:
                 raise ValueError(f"{ref} does not belong to image {image_id}")
         self.cameras[image_id] = camera
-        self._visible.setdefault(image_id, set())
+        owned = self._owner[image_id] = {}
         conflicts = 0
         for point_id, ref in inliers:
-            if ref in self._owner or image_id in self.points[point_id].track:
+            if ref.feature_id in owned or image_id in self.points[point_id].track:
                 conflicts += 1
                 continue
             self._link(point_id, ref)
@@ -146,8 +143,9 @@ class Model:
         for r in refs:
             if r.image_id not in self.cameras:
                 raise NotRegisteredError(f"image {r.image_id} is not registered")
-            if r in self._owner:
-                raise ValueError(f"{r} already belongs to point {self._owner[r]}")
+            owner = self._owner[r.image_id].get(r.feature_id)
+            if owner is not None:
+                raise ValueError(f"{r} already belongs to point {owner}")
         point_id = self._next_point_id
         self._next_point_id += 1
         self.points[point_id] = Point3D(position=np.asarray(position, dtype=np.float64).copy())
@@ -160,7 +158,7 @@ class Model:
         point = self.points[point_id]
         if ref.image_id not in self.cameras:
             raise NotRegisteredError(f"image {ref.image_id} is not registered")
-        if ref in self._owner or ref.image_id in point.track:
+        if ref.feature_id in self._owner[ref.image_id] or ref.image_id in point.track:
             return False
         self._link(point_id, ref)
         return True
@@ -171,32 +169,26 @@ class Model:
     def remove_point(self, point_id: int) -> None:
         point = self.points.pop(point_id)
         for image_id, feature_id in point.track.items():
-            del self._owner[FeatureRef(image_id, feature_id)]
-            self._visible[image_id].discard(point_id)
+            del self._owner[image_id][feature_id]
 
     def _link(self, point_id: int, ref: FeatureRef) -> None:
         self.points[point_id].track[ref.image_id] = ref.feature_id
         self.points[point_id].mean_descriptor = None  # track grew, cache stale
-        self._owner[ref] = point_id
-        self._visible.setdefault(ref.image_id, set()).add(point_id)
+        self._owner[ref.image_id][ref.feature_id] = point_id
 
     # -- integrity ---------------------------------------------------------
 
     def check_consistency(self) -> None:
         """Exhaustive invariant check (tests); raises AssertionError on drift."""
-        seen: dict[FeatureRef, int] = {}
+        assert self._owner.keys() == self.cameras.keys()
         for pid, point in self.points.items():
             assert len(point.track) >= 2, f"point {pid} has a short track"
             for image_id, feature_id in point.track.items():
-                ref = FeatureRef(image_id, feature_id)
-                assert ref not in seen, f"{ref} in points {seen[ref]} and {pid}"
-                seen[ref] = pid
-                assert self._owner.get(ref) == pid
-                assert pid in self._visible.get(image_id, set())
-        for image_id, pids in self._visible.items():
-            for pid in pids:
-                assert image_id in self.points[pid].track
-        assert seen == self._owner
+                owner = self._owner.get(image_id, {}).get(feature_id)
+                assert owner == pid, f"{image_id}:{feature_id} of point {pid} owned by {owner}"
+        # every track entry is indexed, so equal counts leave no stale entry
+        n_obs = sum(len(point.track) for point in self.points.values())
+        assert sum(map(len, self._owner.values())) == n_obs
 
 
 @dataclass

@@ -24,7 +24,7 @@ from .geometry import (
     relative_pose_from_fundamental,
     triangulate_track,
 )
-from .matching import Matches, MatchGraph, closest_one_to_one
+from .matching import MatchGraph, closest_one_to_one
 from .model import Camera, FeatureRef, Model
 
 log = logging.getLogger(__name__)
@@ -242,20 +242,15 @@ def triangulate_refs(model: Model, feature_sets, refs):
     ])
 
 
-def _ref_pairs(a: int, b: int, matches: Matches):
-    """(query ref, target ref) of each match of images a and b, one at a time."""
-    for q, t in zip(matches.query.tolist(), matches.target.tolist()):
-        yield FeatureRef(a, q), FeatureRef(b, t)
-
-
-def _triangulate_pairs(model: Model, feature_sets, ref_pairs) -> None:
-    """New two-view points from the ref pairs whose features are both untracked."""
-    for rq, rt in ref_pairs:
-        if model.owner(rq) is not None or model.owner(rt) is not None:
+def _triangulate_pairs(model: Model, feature_sets, pairs) -> None:
+    """Two-view points from the (a, feature, b, feature) pairs of untracked features."""
+    for a, q, b, t in pairs:
+        if q in model.tracked(a) or t in model.tracked(b):
             continue
-        tri = triangulate_refs(model, feature_sets, (rq, rt))
+        refs = (FeatureRef(a, q), FeatureRef(b, t))
+        tri = triangulate_refs(model, feature_sets, refs)
         if tri is not None:
-            model.add_point(tri.point, [rq, rt])
+            model.add_point(tri.point, refs)
 
 
 def _edge_points(graph: MatchGraph, feature_sets, a: int, b: int):
@@ -320,8 +315,9 @@ def _correspondences_to_model(model: Model, graph: MatchGraph, image_id: int):
     for a, b, edge in _registered_edges(model, graph, image_id):
         m = edge.inliers()
         own, theirs, other = (m.query, m.target, b) if a == image_id else (m.target, m.query, a)
+        owned = model.tracked(other)
         for feat, their_feat, dist in zip(own.tolist(), theirs.tolist(), m.distance.tolist()):
-            pid = model.owner(FeatureRef(other, their_feat))
+            pid = owned.get(their_feat)
             if pid is not None:
                 entries.append((pid, feat, dist))
     return closest_one_to_one(entries)
@@ -336,25 +332,27 @@ def _triangulate_new_tracks(model: Model, graph: MatchGraph, feature_sets,
     a new two-view point.  Extending first keeps one physical point from
     spawning parallel tracks across edges.
     """
-    def maybe_extend(pid: int, ref: FeatureRef) -> None:
-        cam = model.cameras[ref.image_id]
-        pix = feature_sets[ref.image_id].xy[ref.feature_id].astype(np.float64)
-        proj, depth = cam.project(model.points[pid].position)
+    def maybe_extend(pid: int, image: int, feat: int) -> None:
+        pix = feature_sets[image].xy[feat].astype(np.float64)
+        proj, depth = model.cameras[image].project(model.points[pid].position)
         if depth[0] <= 0 or np.linalg.norm(proj[0] - pix) > TRI_MAX_ERROR_PX:
             return
-        model.extend_track(pid, ref)
+        model.extend_track(pid, FeatureRef(image, feat))
 
     pending = []
     for a, b, edge in _registered_edges(model, graph, image_id):
-        for rq, rt in _ref_pairs(a, b, edge.inliers()):
-            own_q = model.owner(rq)
-            own_t = model.owner(rt)
+        m = edge.inliers()
+        # live maps: a track extended earlier in the loop is seen later
+        owned_a, owned_b = model.tracked(a), model.tracked(b)
+        for q, t in zip(m.query.tolist(), m.target.tolist()):
+            own_q = owned_a.get(q)
+            own_t = owned_b.get(t)
             if own_q is not None and own_t is None:
-                maybe_extend(own_q, rt)
+                maybe_extend(own_q, b, t)
             elif own_t is not None and own_q is None:
-                maybe_extend(own_t, rq)
+                maybe_extend(own_t, a, q)
             elif own_q is None and own_t is None:
-                pending.append((rq, rt))
+                pending.append((a, q, b, t))
     _triangulate_pairs(model, feature_sets, pending)
 
 
@@ -374,7 +372,8 @@ def incremental_reconstruct(graph: MatchGraph, feature_store, intrinsics: dict[i
     model = Model(stage_tag="coarse")
     model.attach_camera(Camera(K=intrinsics[a], R=np.eye(3), t=np.zeros(3), image_id=a))
     model.attach_camera(Camera(K=intrinsics[b], R=R, t=t, image_id=b))
-    _triangulate_pairs(model, feature_sets, _ref_pairs(a, b, matches))
+    seed_pairs = zip(matches.query.tolist(), matches.target.tolist())
+    _triangulate_pairs(model, feature_sets, ((a, q, b, t) for q, t in seed_pairs))
     log.info("seed pair (%d, %d): %d points", a, b, len(model.points))
     bundle_adjust(model, feature_store, max_iters=BA_ITERS_EARLY)
 

@@ -1,10 +1,12 @@
+import numpy as np
 import pytest
 
 from msfm import pipeline
 from msfm.cli import main
 from msfm.config import PipelineConfig, parse_config_text
 from msfm.errors import ConfigError, StageError
-from msfm.io import read_model
+from msfm.io import read_model, write_model
+from msfm.model import Camera, FeatureRef, Model
 from msfm.synth import SceneSpec, generate_scene, write_scene
 
 
@@ -174,6 +176,55 @@ class TestCliCommands:
         with pytest.raises(StageError):
             pipeline.run_pipeline(cfg, feat_dir)
         assert coarse_exit_code(feat_dir) == 4
+
+
+@pytest.fixture(scope="module")
+def mismatched_models(tmp_path_factory):
+    """An 8-camera scene's features with models that do not fit them.
+
+    ``bad_feature`` leaves camera 7 out and adds a point on feature 99999999
+    of images 0 and 1; ``renamed`` holds camera 7 as 77.  Either way
+    localize has an unregistered image to attempt.
+    """
+    path = tmp_path_factory.mktemp("mismatch")
+    write_scene(generate_scene(SceneSpec(n_cameras=8, n_points=400, seed=17)), path)
+    truth = read_model(path / "ground_truth.msfm")
+
+    def rebuilt(rename, keep=lambda image_id: True):
+        model = Model()
+        for image_id, cam in sorted(truth.cameras.items()):
+            if keep(image_id):
+                model.attach_camera(Camera(K=cam.K, R=cam.R, t=cam.t,
+                                           image_id=rename.get(image_id, image_id)))
+        for point in truth.points.values():
+            refs = [FeatureRef(rename.get(i, i), f) for i, f in sorted(point.track.items())
+                    if keep(i)]
+            if len(refs) >= 2:
+                model.add_point(point.position, refs)
+        return model
+
+    bad = rebuilt({}, keep=lambda image_id: image_id != 7)
+    bad.add_point(np.zeros(3), [FeatureRef(0, 99999999), FeatureRef(1, 99999999)])
+    write_model(bad, path / "bad_feature.msfm")
+    write_model(rebuilt({7: 77}), path / "renamed.msfm")
+    (path / "empty_graph.txt").write_text("MSFM-GRAPH 1\n")
+    first_of_7 = min(p.track[7] for p in truth.points.values() if 7 in p.track)
+    return path, {"bad_feature": "0:99999999", "renamed": f"77:{first_of_7}"}
+
+
+class TestModelAgainstFeatures:
+    @pytest.mark.parametrize("defect", ["bad_feature", "renamed"])
+    @pytest.mark.parametrize("command", ["densify", "localize"])
+    def test_mismatch_exit3_names_ref(self, mismatched_models, tmp_path, capsys,
+                                      command, defect):
+        path, first_bad = mismatched_models
+        args = [command, "--model", str(path / f"{defect}.msfm"), "--features", str(path),
+                "--out", str(tmp_path / "out.msfm"), "--focal", "900"]
+        if command == "localize":
+            args += ["--graph", str(path / "empty_graph.txt")]
+        assert main(args) == 3
+        assert f"{first_bad[defect]} is not a feature" in capsys.readouterr().err
+        assert not (tmp_path / "out.msfm").exists()
 
 
 class TestRunPipelineCli:

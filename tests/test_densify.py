@@ -154,7 +154,7 @@ class TestCandidateImages:
             cs = candidate_images(model, image_id, threshold=8, k_limit=k_limit)
             got = [other for other, _ in cs.candidates]
             counts = {
-                other: len(model.covisible_points(image_id, other))
+                other: len(model.points_visible_in(image_id) & model.points_visible_in(other))
                 for other in ids if other != image_id
             }
             expected = sorted(

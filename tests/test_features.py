@@ -70,6 +70,15 @@ class TestLoadStore:
         with pytest.raises(FormatError, match="byte"):
             load_features(path)
 
+    def test_image_id_below_2_31(self, tmp_path):
+        # refs pack image << 32 | feature into an int64; 2^31 would wrap negative
+        path = tmp_path / "big.msft"
+        write_features(make_set(3, image_id=2 ** 31 - 1), path)
+        assert load_features(path).image_id == 2 ** 31 - 1
+        write_features(make_set(3, image_id=2 ** 31), path)
+        with pytest.raises(FormatError, match="byte 8"):
+            load_features(path)
+
     def test_out_of_bounds_feature(self, tmp_path):
         fs = make_set(3)
         fs.xy[1, 0] = 5000.0

@@ -2,6 +2,7 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from msfm.errors import AlreadyRegisteredError, NotRegisteredError
 from msfm.model import (
@@ -70,31 +71,85 @@ class TestVisibilityQueries:
             }
             assert model.points_visible_in(image_id) == expected
 
-    def test_covisible_self_is_full_visibility(self):
-        model = simple_model(2)
-        model.add_point(np.zeros(3), [FeatureRef(0, 1), FeatureRef(1, 1)])
-        assert model.covisible_points(0, 0) == model.points_visible_in(0)
 
-    def test_covisible_unregistered_raises(self):
+def tracks_oracle(model):
+    """Image -> feature -> point, rebuilt from the tracks alone."""
+    tracked = {image_id: {} for image_id in model.cameras}
+    for pid, point in model.points.items():
+        for image_id, feature_id in point.track.items():
+            tracked[image_id][feature_id] = pid
+    return tracked
+
+
+class TestOwnershipIndex:
+    N_FEATURES = 4  # few features per image, so refs collide and get reused
+
+    def assert_index_matches_tracks(self, model):
+        tracked = tracks_oracle(model)
+        for image_id in model.image_ids():
+            assert model.tracked(image_id) == tracked[image_id]
+            assert model.points_visible_in(image_id) == set(tracked[image_id].values())
+            for feature_id in range(self.N_FEATURES):
+                assert (model.owner(FeatureRef(image_id, feature_id))
+                        == tracked[image_id].get(feature_id))
+        model.check_consistency()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_mutations_match_track_oracle(self, data):
+        rng = np.random.default_rng(0)
+        model = simple_model(2, rng)
+        feature = st.integers(0, self.N_FEATURES - 1)
+        for _ in range(data.draw(st.integers(1, 30), label="steps")):
+            op = data.draw(st.sampled_from(["attach", "add", "extend", "remove"]), label="op")
+            images = model.image_ids()
+            pids = sorted(model.points)
+            tracked = tracks_oracle(model)
+            if op == "attach":
+                image_id = images[-1] + 1
+                inliers = data.draw(st.lists(st.tuples(st.sampled_from(pids), feature),
+                                             max_size=6), label="inliers") if pids else []
+                # a claim conflicts when an earlier linked claim took its
+                # feature or its point
+                taken, seen, conflicts = set(), set(), 0
+                for pid, feature_id in inliers:
+                    if feature_id in taken or pid in seen:
+                        conflicts += 1
+                    else:
+                        taken.add(feature_id)
+                        seen.add(pid)
+                refs = [(pid, FeatureRef(image_id, f)) for pid, f in inliers]
+                assert model.attach_camera(random_camera(rng, image_id=image_id), refs) == conflicts
+            elif op == "add":
+                chosen = data.draw(st.lists(st.sampled_from(images), min_size=2, max_size=3,
+                                            unique=True), label="images")
+                refs = [FeatureRef(i, data.draw(feature, label="feature")) for i in chosen]
+                if any(r.feature_id in tracked[r.image_id] for r in refs):
+                    with pytest.raises(ValueError):
+                        model.add_point(np.zeros(3), refs)
+                else:
+                    pid = model.add_point(np.zeros(3), refs)
+                    assert model.points[pid].track == {r.image_id: r.feature_id for r in refs}
+            elif op == "extend" and pids:
+                pid = data.draw(st.sampled_from(pids), label="point")
+                ref = FeatureRef(data.draw(st.sampled_from(images), label="image"),
+                                 data.draw(feature, label="feature"))
+                free = (ref.feature_id not in tracked[ref.image_id]
+                        and ref.image_id not in model.points[pid].track)
+                assert model.extend_track(pid, ref) == free
+            elif op == "remove" and pids:
+                model.remove_point(data.draw(st.sampled_from(pids), label="point"))
+            self.assert_index_matches_tracks(model)
+
+    def test_tracked_is_live_and_checks_registration(self):
         model = simple_model(2)
+        owned = model.tracked(0)
+        pid = model.add_point(np.zeros(3), [FeatureRef(0, 4), FeatureRef(1, 9)])
+        assert owned == {4: pid}
+        model.remove_point(pid)
+        assert owned == {}
         with pytest.raises(NotRegisteredError):
-            model.covisible_points(0, 5)
-
-    def test_covisible_matches_oracle(self, tiny_scene):
-        model = tiny_scene.ground_truth_model()
-        ids = model.image_ids()
-        for a in ids[:4]:
-            for b in ids[:4]:
-                expected = model.points_visible_in(a) & model.points_visible_in(b)
-                assert model.covisible_points(a, b) == expected
-
-    def test_disjoint_views_share_nothing(self):
-        from msfm.synth import SceneSpec, generate_scene
-        scene = generate_scene(SceneSpec(
-            n_cameras=8, n_points=200, visibility_fraction=0.25, seed=5))
-        model = scene.ground_truth_model()
-        # opposite cameras on the ring see disjoint parts of the cloud
-        assert model.covisible_points(0, 4) == set()
+            model.tracked(5)
 
 
 class TestAttachCamera:
