@@ -165,13 +165,20 @@ def cmd_export_ply(args) -> int:
 def cmd_bench_guided(args) -> int:
     cfg = _build_config(args)
     store = FeatureStore.load_dir(args.features)
-    model = read_model(args.model)
+    model = _read_model_for(args.model, store, args.features)
     pairs = []
-    for line in Path(args.pairs).read_text().splitlines():
+    for lineno, line in enumerate(Path(args.pairs).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        a, b = (int(v) for v in line.split())
+        where = f"{args.pairs}:{lineno}"
+        try:
+            a, b = (int(v) for v in line.split())
+        except ValueError:
+            raise FormatError(f"{where}: expected two image ids, got {line!r}") from None
+        missing = [i for i in (a, b) if i not in model.cameras]
+        if missing:
+            raise FormatError(f"{where}: image {missing[0]} has no camera in {args.model}")
         pairs.append((a, b))
     for a, b in pairs:
         geom = fundamental_from_poses(model.cameras[a], model.cameras[b])

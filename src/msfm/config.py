@@ -5,26 +5,30 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass, fields
 from pathlib import Path
 
+from .densify import CANDIDATE_FRACTION, COVIS_THRESHOLD
 from .errors import ConfigError
-from .guided import MIN_GRID_INFLATION
+from .features import DEFAULT_ETA
+from .guided import BAND_D_PX, GRID_INFLATION, MIN_GRID_INFLATION
+from .localize import SET_COVER_ENGAGE_POINTS, SET_COVER_K
+from .matching import RATIO_GUIDED, RATIO_UNGUIDED
+from .reconstruct import PNP_MIN_INLIERS
 
 
 @dataclass
 class PipelineConfig:
-    eta: float = 20.0
-    d: float = 8.0
-    ratio_unguided: float = 0.6
-    ratio_guided: float = 0.8
-    covis_threshold: int = 8
-    candidate_fraction: float = 0.10
-    set_cover_k: int = 400
-    set_cover_engage: int = 100_000
-    force_set_cover: bool = False
-    min_inliers: int = 16
+    eta: float = DEFAULT_ETA
+    d: float = BAND_D_PX
+    ratio_unguided: float = RATIO_UNGUIDED
+    ratio_guided: float = RATIO_GUIDED
+    covis_threshold: int = COVIS_THRESHOLD
+    candidate_fraction: float = CANDIDATE_FRACTION
+    set_cover_k: int = SET_COVER_K
+    set_cover_engage: int = SET_COVER_ENGAGE_POINTS
+    min_inliers: int = PNP_MIN_INLIERS
     iterations: int = 2
     preemptive: bool = False
     final_ba: bool = False
-    grid_inflation: float = 1.25
+    grid_inflation: float = GRID_INFLATION
     focal: float = 0.0  # 0 means per-image heuristic (1.2 * max dimension)
     seed: int = 0
     # benchmark/timed.py still passes threads=1; this goes when the benchmark drops it

@@ -197,24 +197,26 @@ def densify_stage(model: Model, feature_store, *,
     new_tracks, extensions = merge_tracks(pair_matches, model)
 
     added_points = 0
-    extended_tracks = 0
-    for refs in new_tracks:
-        tri = triangulate_refs(model, feature_store.sets, refs)
-        if tri is None:
-            continue
-        model.add_point(tri.point, refs)
-        added_points += 1
+    for refs, point in zip(new_tracks, triangulate_refs(model, feature_store.sets, new_tracks)):
+        if point is not None:
+            model.add_point(point, refs)
+            added_points += 1
+    # components are disjoint, so no extension takes a ref of another
+    grown = []
     for pid in sorted(extensions):
         fresh = [r for r in sorted(set(extensions[pid]))
                  if model.owner(r) is None and r.image_id not in model.points[pid].track]
-        if not fresh:
-            continue
-        tri = triangulate_refs(model, feature_store.sets, model.points[pid].refs() + fresh)
-        if tri is None:
+        if fresh:
+            grown.append((pid, fresh))
+    extended_tracks = 0
+    points = triangulate_refs(model, feature_store.sets,
+                              [model.points[pid].refs() + fresh for pid, fresh in grown])
+    for (pid, fresh), point in zip(grown, points):
+        if point is None:
             continue  # grown track inconsistent, keep the original
         for r in fresh:
             model.extend_track(pid, r)
-        model.set_position(pid, tri.point)
+        model.set_position(pid, point)
         extended_tracks += 1
 
     model.stage_tag = f"after_densify({iteration})"

@@ -25,8 +25,7 @@ class DegenerateGeometryError(MsfmError):
     """Geometric configuration admits no meaningful answer.
 
     Raised for coincident camera centers, epipole queries, invalid lines,
-    parallel triangulation rays, unresolvable pose decompositions and
-    collinear alignment samples.
+    unresolvable pose decompositions and collinear alignment samples.
     """
 
 

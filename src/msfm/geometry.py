@@ -9,7 +9,6 @@ and are kept Frobenius-normalized with rank 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,11 +41,6 @@ class EpipolarLine:
     a: float
     b: float
     c: float
-
-
-class Triangulated(NamedTuple):
-    point: np.ndarray
-    mean_error: float
 
 
 def skew(v: np.ndarray) -> np.ndarray:
@@ -206,20 +200,19 @@ def estimate_fundamental_ransac(pts_q, pts_c, *, seed: int = 0):
     return geom, mask
 
 
+def _dlt_rows(P: np.ndarray, pix: np.ndarray) -> np.ndarray:
+    """DLT rows x P[2] - P[0], y P[2] - P[1]: (..., k, 3, 4), (..., k, 2) -> (..., 2k, 4)."""
+    A = pix[..., None] * P[..., 2:3, :] - P[..., :2, :]
+    return A.reshape(*A.shape[:-3], -1, 4)
+
+
 def _triangulate_two_view_normalized(R, t, xq, xc):
     """DLT triangulation of normalized-coordinate pairs under P=[I|0], [R|t].
 
     Batched: one (n, 4, 4) SVD instead of n small ones.
     """
-    n = len(xq)
-    P1 = np.hstack([np.eye(3), np.zeros((3, 1))])
-    P2 = np.hstack([R, t.reshape(3, 1)])
-    A = np.empty((n, 4, 4))
-    A[:, 0] = xq[:, 0, None] * P1[2] - P1[0]
-    A[:, 1] = xq[:, 1, None] * P1[2] - P1[1]
-    A[:, 2] = xc[:, 0, None] * P2[2] - P2[0]
-    A[:, 3] = xc[:, 1, None] * P2[2] - P2[1]
-    _, _, Vt = np.linalg.svd(A)
+    P = np.stack([np.hstack([np.eye(3), np.zeros((3, 1))]), np.hstack([R, t.reshape(3, 1)])])
+    _, _, Vt = np.linalg.svd(_dlt_rows(P, np.stack([xq, xc], axis=1)))
     X = Vt[:, -1, :]
     w = X[:, 3].copy()
     w[np.abs(w) < 1e-15] = 1e-15
@@ -229,9 +222,9 @@ def _triangulate_two_view_normalized(R, t, xq, xc):
 def relative_pose_from_fundamental(geom: TwoViewGeometry, K_q, K_c, pts_q, pts_c):
     """Decompose E = K_c^T F K_q into the (R, t) of the target w.r.t. the query.
 
-    Returns (R, t, cheirality_count) with unit-norm t.  Raises
-    DegenerateGeometryError when no candidate passes the positive-depth
-    majority (e.g. a zero-baseline pair).
+    Returns (R, t, cheirality_count, median triangulation angle in radians)
+    with unit-norm t.  Raises DegenerateGeometryError when no candidate
+    passes the positive-depth majority (e.g. a zero-baseline pair).
     """
     pts_q = np.asarray(pts_q, dtype=np.float64).reshape(-1, 2)
     pts_c = np.asarray(pts_c, dtype=np.float64).reshape(-1, 2)
@@ -269,88 +262,82 @@ def relative_pose_from_fundamental(geom: TwoViewGeometry, K_q, K_c, pts_q, pts_c
         )
     if median_angle < 1e-4:
         raise DegenerateGeometryError("near-zero parallax; relative pose unobservable")
-    return R, tc, count
+    return R, tc, count, median_angle
 
 
-def triangulate_track(observations: Sequence, *,
+def _reproject(K, R, t, X, pix):
+    """Residuals (n, k, 2), camera-frame points (n, k, 3) and mean errors (n,)
+    of points X (n, 3); a point at or behind a camera reads an inf error."""
+    xc = (R @ X[:, None, :, None])[..., 0] + t
+    uv = (K @ xc[..., None])[..., 0]
+    res = uv[..., :2] / uv[..., 2:3] - pix
+    res[xc[..., 2] <= 1e-12] = np.inf
+    err = np.linalg.norm(res, axis=-1).mean(axis=-1)
+    return res, xc, np.where(np.isfinite(res).all(axis=(1, 2)), err, np.inf)
+
+
+def triangulate_track(cameras, images, pixels, *,
                       max_error: float = TRI_MAX_ERROR_PX,
-                      min_angle_deg: float = TRI_MIN_ANGLE_DEG) -> Triangulated | None:
-    """Triangulate a track of (Camera, pixel) observations.
+                      min_angle_deg: float = TRI_MIN_ANGLE_DEG):
+    """Triangulate n tracks of k observations each in one stacked pass.
 
-    Linear DLT solution refined by one Gauss-Newton step on reprojection
-    error (the step is kept only when it does not increase the error).
-    Returns None when the track fails the acceptance gates (reprojection,
-    triangulation angle, positive depth); raises DegenerateGeometryError for
-    structurally parallel rays.
+    ``images`` (n, k) holds image ids looked up in ``cameras`` (image id ->
+    Camera) and ``pixels`` (n, k, 2) the observations.  Linear DLT, then one
+    Gauss-Newton step on reprojection error, kept when it does not increase
+    the error.  Returns (points (n, 3), mean errors (n,), ok (n,)): ok is
+    False where a track fails a gate (reprojection, angle, positive depth)
+    or is degenerate (one shared centre, parallel rays).
     """
-    cams = [obs[0] for obs in observations]
-    pix = np.array([obs[1] for obs in observations], dtype=np.float64)
-    n = len(cams)
-    if n < 2:
+    images = np.asarray(images, dtype=np.int64)
+    pix = np.asarray(pixels, dtype=np.float64)
+    n, k = images.shape
+    if k < 2:
         raise InsufficientDataError("need >= 2 observations")
-    centers = np.stack([c.center() for c in cams])
-    if np.all(np.linalg.norm(centers - centers[0], axis=1) < 1e-12):
-        raise DegenerateGeometryError("all observations share one camera centre")
-    P = [c.K @ np.hstack([c.R, c.t.reshape(3, 1)]) for c in cams]
-    A = np.zeros((2 * n, 4))
-    for i in range(n):
-        A[2 * i] = pix[i, 0] * P[i][2] - P[i][0]
-        A[2 * i + 1] = pix[i, 1] * P[i][2] - P[i][1]
-    _, _, Vt = np.linalg.svd(A)
-    Xh = Vt[-1]
-    if abs(Xh[3]) < 1e-12 * np.linalg.norm(Xh[:3]):
-        raise DegenerateGeometryError("triangulation rays are parallel")
-    X = Xh[:3] / Xh[3]
+    ids, slot = np.unique(images, return_inverse=True)
+    cams = [cameras[i] for i in ids.tolist()]
+    slot = slot.reshape(n, k)
+    K = np.stack([c.K for c in cams])[slot]
+    R = np.stack([c.R for c in cams])[slot]
+    t = np.stack([c.t for c in cams])[slot]
+    centers = np.stack([c.center() for c in cams])[slot]
+    P = np.stack([c.K @ np.hstack([c.R, c.t.reshape(3, 1)]) for c in cams])[slot]
+    shared_centre = (np.linalg.norm(centers - centers[:, :1], axis=-1) < 1e-12).all(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        _, _, Vt = np.linalg.svd(_dlt_rows(P, pix))
+        Xh = Vt[:, -1]
+        parallel = np.abs(Xh[:, 3]) < 1e-12 * np.linalg.norm(Xh[:, :3], axis=-1)
+        X = Xh[:, :3] / Xh[:, 3:]
+        res, xc, err = _reproject(K, R, t, X, pix)
 
-    def reproject(Xw):
-        res = np.zeros((n, 2))
-        depths = np.zeros(n)
-        for i, c in enumerate(cams):
-            xc = c.R @ Xw + c.t
-            depths[i] = xc[2]
-            if xc[2] <= 1e-12:
-                res[i] = np.inf
-                continue
-            uv = c.K @ xc
-            res[i] = uv[:2] / uv[2] - pix[i]
-        return res, depths
+        # one Gauss-Newton pass on the reprojection residuals; a singular
+        # system skips its own track's step only
+        live = np.flatnonzero(np.isfinite(err))
+        x, y, z = xc[live].transpose(2, 0, 1)
+        f = K[live, :, 0, 0]
+        # libm pow, as a scalar z ** 2 rounds; z * z can differ in the last bit
+        z2 = np.float_power(z, 2)
+        d_uv = np.zeros((len(live), k, 2, 3))
+        d_uv[..., 0, 0] = d_uv[..., 1, 1] = f / z
+        d_uv[..., 0, 2] = -f * x / z2
+        d_uv[..., 1, 2] = -f * y / z2
+        J = (d_uv @ R[live]).reshape(len(live), 2 * k, 3)
+        Jt = J.transpose(0, 2, 1)
+        H = Jt @ J
+        H[:, np.arange(3), np.arange(3)] += 1e-12
+        g = Jt @ res[live].reshape(len(live), 2 * k, 1)
+        solvable = np.linalg.det(H) != 0
+        live = live[solvable]
+        X_new = X[live] + np.linalg.solve(H[solvable], -g[solvable])[..., 0]
+        _, xc_new, err_new = _reproject(K[live], R[live], t[live], X_new, pix[live])
+        better = err_new <= err[live]
+        keep = live[better]
+        X[keep], xc[keep], err[keep] = X_new[better], xc_new[better], err_new[better]
 
-    res, depths = reproject(X)
-    err = float(np.mean(np.linalg.norm(res, axis=1))) if np.all(np.isfinite(res)) else np.inf
-
-    # one Gauss-Newton pass on the reprojection residuals
-    if np.isfinite(err):
-        J = np.zeros((2 * n, 3))
-        for i, c in enumerate(cams):
-            xc = c.R @ X + c.t
-            f = c.K[0, 0]
-            x, y, z = xc
-            d_uv = np.array([[f / z, 0.0, -f * x / z ** 2],
-                             [0.0, f / z, -f * y / z ** 2]])
-            J[2 * i:2 * i + 2] = d_uv @ c.R
-        r = res.reshape(-1)
-        H = J.T @ J
-        H[np.arange(3), np.arange(3)] += 1e-12
-        try:
-            step = np.linalg.solve(H, -(J.T @ r))
-            X_new = X + step
-            res_new, depths_new = reproject(X_new)
-            if np.all(np.isfinite(res_new)):
-                err_new = float(np.mean(np.linalg.norm(res_new, axis=1)))
-                if err_new <= err:
-                    X, res, depths, err = X_new, res_new, depths_new, err_new
-        except np.linalg.LinAlgError:
-            pass
-
-    if not np.isfinite(err) or np.any(depths <= 0):
-        return None
-    if err > max_error:
-        return None
-    rays = X[None, :] - centers
-    rays /= np.maximum(np.linalg.norm(rays, axis=1, keepdims=True), 1e-15)
-    cosang = rays @ rays.T
-    np.fill_diagonal(cosang, 1.0)
-    max_angle = np.arccos(np.clip(cosang.min(), -1.0, 1.0))
-    if np.degrees(max_angle) < min_angle_deg:
-        return None
-    return Triangulated(point=X, mean_error=err)
+        rays = X[:, None, :] - centers
+        rays /= np.maximum(np.linalg.norm(rays, axis=-1, keepdims=True), 1e-15)
+        cosang = rays @ rays.transpose(0, 2, 1)
+        cosang[:, np.arange(k), np.arange(k)] = 1.0
+        angle = np.degrees(np.arccos(np.clip(cosang.min(axis=(1, 2)), -1.0, 1.0)))
+    ok = (np.isfinite(err) & (xc[..., 2] > 0).all(axis=1) & (err <= max_error)
+          & (angle >= min_angle_deg) & ~shared_centre & ~parallel)
+    return X, err, ok

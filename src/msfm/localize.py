@@ -193,7 +193,6 @@ def localize_all(model: Model, feature_store, graph: MatchGraph,
                  iteration: int = 1,
                  set_cover_k: int = SET_COVER_K,
                  set_cover_engage: int = SET_COVER_ENGAGE_POINTS,
-                 force_set_cover: bool = False,
                  ratio: float = RATIO_UNGUIDED,
                  min_correspondences: int = MIN_CORRESPONDENCES,
                  pnp_min_inliers: int = PNP_MIN_INLIERS,
@@ -214,7 +213,7 @@ def localize_all(model: Model, feature_store, graph: MatchGraph,
         model.stage_tag = f"after_localize({iteration})"
         return [], []
     cover_points = None
-    if force_set_cover or len(model.points) > set_cover_engage:
+    if len(model.points) > set_cover_engage:
         cover_points = compute_set_cover(model, set_cover_k).selected
 
     results = [

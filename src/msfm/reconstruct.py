@@ -6,12 +6,14 @@ tracks is registered by robust resection, its fresh correspondences are
 triangulated, and bundle adjustment runs every few registrations plus once
 at the end.  This is the only stage that bundle-adjusts.  Camera and point
 addition reuse its resection (``resect_image``) and track triangulation
-(``triangulate_refs``) with the same gates.
+(``triangulate_refs``, one stacked pass per track length) with the same
+gates.
 """
 
 from __future__ import annotations
 
 import logging
+from collections import defaultdict
 
 import numpy as np
 
@@ -19,7 +21,6 @@ from .ba import bundle_adjust, rodrigues
 from .errors import InsufficientDataError, NoSeedError
 from .geometry import (
     TRI_MAX_ERROR_PX,
-    _triangulate_two_view_normalized,
     ransac_stop_count,
     relative_pose_from_fundamental,
     triangulate_track,
@@ -234,23 +235,35 @@ def resect_image(model: Model, feature_sets, image_id: int, corr, K: np.ndarray,
     return Camera(K=K, R=R, t=t, image_id=image_id), inliers
 
 
-def triangulate_refs(model: Model, feature_sets, refs):
-    """Triangulate feature refs through the model's cameras (4 px / 1 deg gates)."""
-    return triangulate_track([
-        (model.cameras[r.image_id], feature_sets[r.image_id].xy[r.feature_id].astype(np.float64))
-        for r in refs
-    ])
+def triangulate_refs(model: Model, feature_sets, tracks) -> list:
+    """Points of ref tracks through the model's cameras (4 px / 1 deg gates).
+
+    One stacked ``triangulate_track`` call per track length.  Returns each
+    track's point, or None where it fails the gates, in input order.
+    """
+    points = [None] * len(tracks)
+    by_length = defaultdict(list)
+    for i, refs in enumerate(tracks):
+        by_length[len(refs)].append(i)
+    for rows in by_length.values():
+        refs = [r for i in rows for r in tracks[i]]
+        X, _, ok = triangulate_track(
+            model.cameras, np.array([r.image_id for r in refs]).reshape(len(rows), -1),
+            np.array([feature_sets[r.image_id].xy[r.feature_id] for r in refs],
+                     dtype=np.float64).reshape(len(rows), -1, 2))
+        for j in np.flatnonzero(ok).tolist():
+            points[rows[j]] = X[j]
+    return points
 
 
 def _triangulate_pairs(model: Model, feature_sets, pairs) -> None:
-    """Two-view points from the (a, feature, b, feature) pairs of untracked features."""
-    for a, q, b, t in pairs:
-        if q in model.tracked(a) or t in model.tracked(b):
-            continue
-        refs = (FeatureRef(a, q), FeatureRef(b, t))
-        tri = triangulate_refs(model, feature_sets, refs)
-        if tri is not None:
-            model.add_point(tri.point, refs)
+    """Two-view points from the (a, feature, b, feature) pairs of untracked
+    features, added in order unless a feature is tracked by then."""
+    tracks = [(FeatureRef(a, q), FeatureRef(b, t)) for a, q, b, t in pairs]
+    points = triangulate_refs(model, feature_sets, tracks)
+    for (a, q, b, t), refs, point in zip(pairs, tracks, points):
+        if point is not None and q not in model.tracked(a) and t not in model.tracked(b):
+            model.add_point(point, refs)
 
 
 def _edge_points(graph: MatchGraph, feature_sets, a: int, b: int):
@@ -262,23 +275,12 @@ def _edge_points(graph: MatchGraph, feature_sets, a: int, b: int):
 def _edge_median_angle(edge, intrinsics, a, b, pts_q, pts_c):
     """Median triangulation angle (degrees) of an edge, or None if unusable."""
     step = max(1, len(pts_q) // SEED_ANGLE_SAMPLES)
-    pq = pts_q[::step]
-    pc = pts_c[::step]
     try:
-        R, t, _ = relative_pose_from_fundamental(
-            edge.geometry, intrinsics[a], intrinsics[b], pq, pc)
+        *_, angle = relative_pose_from_fundamental(
+            edge.geometry, intrinsics[a], intrinsics[b], pts_q[::step], pts_c[::step])
     except Exception:
         return None
-    k = len(pq)
-    xq = (np.linalg.inv(intrinsics[a]) @ np.hstack([pq, np.ones((k, 1))]).T).T[:, :2]
-    xc = (np.linalg.inv(intrinsics[b]) @ np.hstack([pc, np.ones((k, 1))]).T).T[:, :2]
-    X = _triangulate_two_view_normalized(R, t, xq, xc)
-    center_b = -R.T @ t
-    rays_a = X / np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-15)
-    rays_b = X - center_b
-    rays_b /= np.maximum(np.linalg.norm(rays_b, axis=1, keepdims=True), 1e-15)
-    cosang = np.clip(np.einsum("ij,ij->i", rays_a, rays_b), -1.0, 1.0)
-    return float(np.degrees(np.median(np.arccos(cosang))))
+    return float(np.degrees(angle))
 
 
 def select_seed_pair(graph: MatchGraph, feature_sets, intrinsics) -> tuple[int, int]:
@@ -367,13 +369,13 @@ def incremental_reconstruct(graph: MatchGraph, feature_store, intrinsics: dict[i
         raise NoSeedError("empty match graph")
     a, b = select_seed_pair(graph, feature_sets, intrinsics)
     matches, pts_q, pts_c = _edge_points(graph, feature_sets, a, b)
-    R, t, _ = relative_pose_from_fundamental(
+    R, t, _, _ = relative_pose_from_fundamental(
         graph.edges[(a, b)].geometry, intrinsics[a], intrinsics[b], pts_q, pts_c)
     model = Model(stage_tag="coarse")
     model.attach_camera(Camera(K=intrinsics[a], R=np.eye(3), t=np.zeros(3), image_id=a))
     model.attach_camera(Camera(K=intrinsics[b], R=R, t=t, image_id=b))
     seed_pairs = zip(matches.query.tolist(), matches.target.tolist())
-    _triangulate_pairs(model, feature_sets, ((a, q, b, t) for q, t in seed_pairs))
+    _triangulate_pairs(model, feature_sets, [(a, q, b, t) for q, t in seed_pairs])
     log.info("seed pair (%d, %d): %d points", a, b, len(model.points))
     bundle_adjust(model, feature_store, max_iters=BA_ITERS_EARLY)
 

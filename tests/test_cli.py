@@ -64,7 +64,7 @@ class TestConfig:
 
     def test_set_cover_k_below_one_exit2(self, tmp_path):
         assert main(["run", "--features", str(tmp_path), "--out", str(tmp_path / "o"),
-                     "--set-cover-k", "0", "--force-set-cover", "on"]) == 2
+                     "--set-cover-k", "0", "--set-cover-engage", "0"]) == 2
 
     def test_threads_is_not_a_setting(self, tmp_path):
         # the stages run serially: neither a config line nor a flag sets threads
@@ -150,6 +150,18 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "pair=0,1" in out
         assert "comparisons=" in out
+
+    @pytest.mark.parametrize("line, message", [
+        ("0 77", "pairs.txt:2: image 77 has no camera"),
+        ("0 x", "pairs.txt:2: expected two image ids"),
+    ])
+    def test_bench_guided_bad_pair_exit3(self, scene_dir, tmp_path, capsys, line, message):
+        feat_dir, _ = scene_dir
+        pairs = tmp_path / "pairs.txt"
+        pairs.write_text(f"# a b\n{line}\n")
+        assert main(["bench", "guided", "--features", str(feat_dir), "--pairs", str(pairs),
+                     "--model", str(feat_dir / "ground_truth.msfm")]) == 3
+        assert message in capsys.readouterr().err
 
     def test_coarse_failure_exit4(self, scene_dir, tmp_path, monkeypatch):
         def coarse_exit_code(feat_dir):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from msfm.ba import rodrigues
 from msfm.errors import DegenerateGeometryError, InsufficientDataError
 from msfm.geometry import (
     EpipolarLine,
@@ -267,7 +269,7 @@ class TestRelativePose:
         pq, _ = cam_q.project(pts)
         pc, _ = cam_c.project(pts)
         geom = fundamental_from_poses(cam_q, cam_c)
-        R, t, count = relative_pose_from_fundamental(geom, cam_q.K, cam_c.K, pq, pc)
+        R, t, count, _ = relative_pose_from_fundamental(geom, cam_q.K, cam_c.K, pq, pc)
         R_true = cam_c.R @ cam_q.R.T
         t_true = cam_c.t - R_true @ cam_q.t
         t_true = t_true / np.linalg.norm(t_true)
@@ -299,51 +301,65 @@ class TestRelativePose:
         pq, _ = cam_q.project(pts)
         pc, _ = cam_c.project(pts)
         geom = fundamental_from_poses(cam_q, cam_c)
-        _, _, count = relative_pose_from_fundamental(geom, cam_q.K, cam_c.K, pq, pc)
+        _, _, count, _ = relative_pose_from_fundamental(geom, cam_q.K, cam_c.K, pq, pc)
         assert count == 40  # the winning candidate places everything in front
 
 
-class TestTriangulateTrack:
-    def _cameras_on_arc(self, n, rng):
-        cams = []
-        K = make_intrinsics(900.0, 512.0, 384.0)
-        for i in range(n):
-            angle = -0.4 + 0.8 * i / max(n - 1, 1)
-            center = np.array([6.0 * np.sin(angle), 0.3 * i, -6.0 * np.cos(angle) + 6.0])
-            forward = np.array([0.0, 0.0, 6.0]) - center
-            forward /= np.linalg.norm(forward)
-            up = np.array([0.0, 1.0, 0.0])
-            right = np.cross(forward, up)
-            right /= np.linalg.norm(right)
-            down = np.cross(forward, right)
-            R = np.stack([right, down, forward])
-            cams.append(Camera(K=K, R=R, t=-R @ center, image_id=i))
-        return cams
+def cameras_on_arc(n):
+    """n cameras on an arc, all looking at (0, 0, 6)."""
+    cams = []
+    K = make_intrinsics(900.0, 512.0, 384.0)
+    for i in range(n):
+        angle = -0.4 + 0.8 * i / max(n - 1, 1)
+        center = np.array([6.0 * np.sin(angle), 0.3 * i, -6.0 * np.cos(angle) + 6.0])
+        forward = np.array([0.0, 0.0, 6.0]) - center
+        forward /= np.linalg.norm(forward)
+        up = np.array([0.0, 1.0, 0.0])
+        right = np.cross(forward, up)
+        right /= np.linalg.norm(right)
+        down = np.cross(forward, right)
+        R = np.stack([right, down, forward])
+        cams.append(Camera(K=K, R=R, t=-R @ center, image_id=i))
+    return cams
 
+
+def triangulate_one(obs, **gates):
+    """``triangulate_track`` on one track of (Camera, pixel) observations."""
+    points, errors, ok = triangulate_track({c.image_id: c for c, _ in obs},
+                                           [[c.image_id for c, _ in obs]],
+                                           [[uv for _, uv in obs]], **gates)
+    return points[0], errors[0], bool(ok[0])
+
+
+class TestTriangulateTrack:
     def test_two_view_exact(self):
-        rng = np.random.default_rng(47)
-        cams = self._cameras_on_arc(2, rng)
+        cams = cameras_on_arc(2)
         X = np.array([0.3, -0.2, 6.1])
         obs = [(c, c.project(X)[0][0]) for c in cams]
-        tri = triangulate_track(obs)
-        assert np.linalg.norm(tri.point - X) < 1e-8
-        assert tri.mean_error < 1e-8
+        point, error, ok = triangulate_one(obs)
+        assert ok
+        assert np.linalg.norm(point - X) < 1e-8
+        assert error < 1e-8
 
     def test_more_views_beat_two_views(self):
         # Monte-Carlo: median error over trials, 5 views vs 2 views
         rng = np.random.default_rng(53)
-        cams = self._cameras_on_arc(5, rng)
-        err2, err5 = [], []
+        cams = cameras_on_arc(5)
+        truth, pixels = [], []
         for _ in range(80):
             X = np.array([0.3, -0.2, 6.1]) + rng.normal(0, 0.2, 3)
-            obs = []
-            for c in cams:
-                uv = c.project(X)[0][0] + rng.normal(0, 0.5, 2)
-                obs.append((c, uv))
-            t2 = triangulate_track(obs[:2], max_error=np.inf, min_angle_deg=0.0)
-            t5 = triangulate_track(obs, max_error=np.inf, min_angle_deg=0.0)
-            err2.append(np.linalg.norm(t2.point - X))
-            err5.append(np.linalg.norm(t5.point - X))
+            truth.append(X)
+            pixels.append([c.project(X)[0][0] + rng.normal(0, 0.5, 2) for c in cams])
+        truth, pixels = np.array(truth), np.array(pixels)
+        by_id = {c.image_id: c for c in cams}
+        images = np.tile(np.arange(5), (80, 1))
+        t2, _, ok2 = triangulate_track(by_id, images[:, :2], pixels[:, :2],
+                                       max_error=np.inf, min_angle_deg=0.0)
+        t5, _, ok5 = triangulate_track(by_id, images, pixels,
+                                       max_error=np.inf, min_angle_deg=0.0)
+        assert ok2.all() and ok5.all()
+        err2 = np.linalg.norm(t2 - truth, axis=1)
+        err5 = np.linalg.norm(t5 - truth, axis=1)
         assert np.median(err5) < np.median(err2)
 
     def test_small_angle_rejected(self):
@@ -354,7 +370,7 @@ class TestTriangulateTrack:
         cam_b = Camera(K=K, R=np.eye(3), t=np.array([-baseline, 0.0, 0.0]), image_id=1)
         X = np.array([baseline / 2.0, 0.0, 10.0])
         obs = [(cam_a, cam_a.project(X)[0][0]), (cam_b, cam_b.project(X)[0][0])]
-        assert triangulate_track(obs) is None
+        assert not triangulate_one(obs)[2]
 
     def test_negative_depth_rejected(self):
         K = make_intrinsics(900.0, 512.0, 384.0)
@@ -362,15 +378,15 @@ class TestTriangulateTrack:
         cam_b = Camera(K=K, R=np.eye(3), t=np.array([-1.0, 0.0, 0.0]), image_id=1)
         # diverging rays intersect behind the cameras
         obs = [(cam_a, np.array([100.0, 384.0])), (cam_b, np.array([900.0, 384.0]))]
-        assert triangulate_track(obs, min_angle_deg=0.0) is None
+        assert not triangulate_one(obs, min_angle_deg=0.0)[2]
 
     def test_refinement_never_hurts(self):
         rng = np.random.default_rng(59)
-        cams = self._cameras_on_arc(4, rng)
+        cams = cameras_on_arc(4)
         for _ in range(40):
             X = np.array([0.0, 0.0, 6.0]) + rng.normal(0, 0.3, 3)
             obs = [(c, c.project(X)[0][0] + rng.normal(0, 1.0, 2)) for c in cams]
-            tri = triangulate_track(obs, max_error=np.inf, min_angle_deg=0.0)
+            _, error, ok = triangulate_one(obs, max_error=np.inf, min_angle_deg=0.0)
             # DLT-only solution for comparison
             A = []
             for c, uv in obs:
@@ -381,12 +397,148 @@ class TestTriangulateTrack:
             Xd = Vt[-1][:3] / Vt[-1][3]
             dlt_err = np.mean([
                 np.linalg.norm(c.project(Xd)[0][0] - uv) for c, uv in obs])
-            assert tri.mean_error <= dlt_err + 1e-12
+            assert ok
+            assert error <= dlt_err + 1e-12
 
-    def test_identical_centers_raise(self):
+    def test_identical_centers_rejected(self):
+        # one centre under three rotations sees one point: rejected as
+        # degenerate even with the error and angle gates off
         K = make_intrinsics(900.0, 512.0, 384.0)
-        cam_a = Camera(K=K, R=np.eye(3), t=np.zeros(3), image_id=0)
-        cam_b = Camera(K=K, R=np.eye(3), t=np.zeros(3), image_id=1)
-        with pytest.raises(DegenerateGeometryError):
-            triangulate_track([(cam_a, np.array([1.0, 2.0])),
-                               (cam_b, np.array([3.0, 4.0]))])
+        center = np.array([0.4, -0.4, 1.9])
+        cams = [Camera(K=K, R=rodrigues(w), t=-rodrigues(w) @ center, image_id=i)
+                for i, w in enumerate(np.array([[0, 0, 0], [0.1, 0, 0], [0, 0.1, 0.05]]))]
+        X = center + np.array([0.2, -0.1, 5.0])
+        obs = [(c, c.project(X)[0][0]) for c in cams]
+        assert not triangulate_one(obs, max_error=np.inf, min_angle_deg=0.0)[2]
+
+    def test_parallel_rays_rejected(self):
+        # one pixel under a pure translation: the rays meet at infinity
+        K = make_intrinsics(900.0, 512.0, 384.0)
+        cams = [Camera(K=K, R=np.eye(3), t=np.array([-float(i), 0.0, 0.0]), image_id=i)
+                for i in range(2)]
+        obs = [(c, np.array([500.0, 400.0])) for c in cams]
+        assert not triangulate_one(obs, max_error=np.inf, min_angle_deg=0.0)[2]
+
+    def test_one_observation_raises(self):
+        cam = cameras_on_arc(1)[0]
+        with pytest.raises(InsufficientDataError):
+            triangulate_track({0: cam}, [[0]], [[[1.0, 2.0]]])
+
+
+def _gate_rig():
+    """Cameras for every gate: an arc, a 0.06 degree cluster, one shared
+    centre under five rotations, and five translated copies of one pose."""
+    K = make_intrinsics(900.0, 512.0, 384.0)
+    cams = cameras_on_arc(6)
+    cams += [Camera(K=K, R=np.eye(3), t=np.array([-0.002 * i, 0.0, 0.0]), image_id=10 + i)
+             for i in range(5)]
+    cams += [Camera(K=K, R=random_rotation(np.random.default_rng(i)), t=np.zeros(3),
+                    image_id=20 + i) for i in range(5)]
+    cams += [Camera(K=K, R=np.eye(3), t=np.array([-0.5 * i, 0.1 * i, 0.0]), image_id=30 + i)
+             for i in range(5)]
+    return {c.image_id: c for c in cams}
+
+
+GATE_RIG = _gate_rig()
+# the outcome each kind of track must get from the default gates
+TRACK_KINDS = {"good": True, "noisy": False, "small_angle": False, "behind": False,
+               "shared_centre": False, "parallel": False}
+
+
+def gate_track(kind: str, k: int, rng):
+    """(image ids, pixels) of one k-observation track of the given kind."""
+    if kind == "shared_centre":
+        ids = 20 + np.arange(k)
+        return ids, rng.uniform(0.0, 1000.0, (k, 2))
+    if kind == "parallel":
+        # one pixel in pure translations: the rays meet at infinity
+        return 30 + np.arange(k), np.tile(rng.uniform(100.0, 900.0, 2), (k, 1))
+    ids = (10 if kind == "small_angle" else 0) + rng.permutation(5)[:k]
+    X = np.array([0.0, 0.0, 6.0]) + rng.normal(0.0, 0.3, 3)
+    if kind == "small_angle":
+        X = np.array([0.0, 0.0, 10.0]) + rng.normal(0.0, 0.3, 3)
+    if kind == "behind":
+        X = np.array([0.0, 0.0, -6.0]) + rng.normal(0.0, 0.3, 3)
+    pix = np.stack([GATE_RIG[i].project(X)[0][0] for i in ids.tolist()])
+    if kind == "noisy":
+        pix[0, 1] += 200.0  # across the epipolar lines: no point fits
+    return ids, pix + rng.normal(0.0, 0.3, pix.shape)
+
+
+def loop_triangulate(obs, max_error=4.0, min_angle_deg=1.0):
+    """Reference: one track, one observation at a time; (point, error) or None."""
+    cams = [c for c, _ in obs]
+    pix = np.array([uv for _, uv in obs], dtype=np.float64)
+    centers = np.stack([c.center() for c in cams])
+    if np.all(np.linalg.norm(centers - centers[0], axis=1) < 1e-12):
+        return None
+    A = []
+    for c, uv in zip(cams, pix):
+        P = c.K @ np.hstack([c.R, c.t.reshape(3, 1)])
+        A += [uv[0] * P[2] - P[0], uv[1] * P[2] - P[1]]
+    Xh = np.linalg.svd(np.array(A))[2][-1]
+    if abs(Xh[3]) < 1e-12 * np.linalg.norm(Xh[:3]):
+        return None
+    X = Xh[:3] / Xh[3]
+
+    def reproject(Xw):
+        res, depths = np.full((len(cams), 2), np.inf), np.zeros(len(cams))
+        for i, c in enumerate(cams):
+            xc = c.R @ Xw + c.t
+            depths[i] = xc[2]
+            if xc[2] > 1e-12:
+                uv = c.K @ xc
+                res[i] = uv[:2] / uv[2] - pix[i]
+        err = np.mean(np.linalg.norm(res, axis=1)) if np.isfinite(res).all() else np.inf
+        return err, depths
+
+    err, depths = reproject(X)
+    if np.isfinite(err):
+        J, r = [], []
+        for c, uv in zip(cams, pix):
+            x, y, z = c.R @ X + c.t
+            f = c.K[0, 0]
+            J.append(np.array([[f / z, 0.0, -f * x / z ** 2],
+                               [0.0, f / z, -f * y / z ** 2]]) @ c.R)
+            r.append((c.K @ np.array([x, y, z]))[:2] / z - uv)
+        J, r = np.vstack(J), np.concatenate(r)
+        H = J.T @ J + 1e-12 * np.eye(3)
+        try:
+            X_new = X + np.linalg.solve(H, -(J.T @ r))
+            err_new, depths_new = reproject(X_new)
+            if err_new <= err:
+                X, err, depths = X_new, err_new, depths_new
+        except np.linalg.LinAlgError:
+            pass
+    rays = X - centers
+    rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+    cosang = rays @ rays.T
+    np.fill_diagonal(cosang, 1.0)
+    angle = np.degrees(np.arccos(np.clip(cosang.min(), -1.0, 1.0)))
+    if not np.isfinite(err) or (depths <= 0).any() or err > max_error or angle < min_angle_deg:
+        return None
+    return X, err
+
+
+class TestStackedTriangulation:
+    @given(k=st.integers(2, 5),
+           kinds=st.lists(st.sampled_from(sorted(TRACK_KINDS)), min_size=1, max_size=8),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_stack_equals_one_track_stacks(self, k, kinds, seed):
+        rng = np.random.default_rng(seed)
+        tracks = [gate_track(kind, k, rng) for kind in kinds]
+        images = np.stack([ids for ids, _ in tracks])
+        pixels = np.stack([pix for _, pix in tracks])
+        points, errors, ok = triangulate_track(GATE_RIG, images, pixels)
+        assert ok.tolist() == [TRACK_KINDS[kind] for kind in kinds]
+        for i in range(len(kinds)):
+            one_point, one_error, one_ok = triangulate_track(GATE_RIG, images[i:i + 1],
+                                                             pixels[i:i + 1])
+            reference = loop_triangulate([(GATE_RIG[j], uv) for j, uv in
+                                          zip(images[i].tolist(), pixels[i])])
+            assert one_ok[0] == ok[i] == (reference is not None)
+            if ok[i]:
+                # a failing track elsewhere in the stack changes no bit
+                assert one_point[0].tobytes() == points[i].tobytes() == reference[0].tobytes()
+                assert one_error[0].tobytes() == errors[i].tobytes() == reference[1].tobytes()

@@ -278,7 +278,7 @@ class TestLocalizeAll:
         import copy
         model = copy.deepcopy(partial)
         newly, _ = localize_all(model, store, graph, K,
-                                force_set_cover=True, set_cover_k=40)
+                                set_cover_engage=0, set_cover_k=40)
         assert len(newly) >= len(held_out) - 1  # cover may drop a marginal one
 
     def test_ranked_fallback_registers(self, holdout_setup):
@@ -288,7 +288,7 @@ class TestLocalizeAll:
         import copy
         model = copy.deepcopy(partial)
         newly, results = localize_all(model, store, graph, K,
-                                      force_set_cover=True, set_cover_k=1)
+                                      set_cover_engage=0, set_cover_k=1)
         assert newly == held_out
         assert [r.method for r in results] == ["ranked2d2d"] * len(held_out)
         for image_id in held_out:

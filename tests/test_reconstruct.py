@@ -10,6 +10,7 @@ from msfm.reconstruct import (
     incremental_reconstruct,
     pnp_ransac,
     select_seed_pair,
+    triangulate_refs,
 )
 from msfm.synth import SceneSpec, generate_scene
 
@@ -143,15 +144,34 @@ class TestSelectSeedPair:
         matches = edge.inliers()
         pts_q = store.sets[a].xy[matches.query]
         pts_c = store.sets[b].xy[matches.target]
-        R, t, _ = relative_pose_from_fundamental(edge.geometry, K[a], K[b],
-                                                 pts_q, pts_c)
+        R, t, _, _ = relative_pose_from_fundamental(edge.geometry, K[a], K[b],
+                                                    pts_q, pts_c)
         cam_a = Camera(K=K[a], R=np.eye(3), t=np.zeros(3), image_id=a)
         cam_b = Camera(K=K[b], R=R, t=t, image_id=b)
-        ok = sum(
-            1 for i in range(len(matches))
-            if triangulate_track([(cam_a, pts_q[i]), (cam_b, pts_c[i])]) is not None
-        )
-        assert ok / len(matches) >= 0.9
+        _, _, ok = triangulate_track({a: cam_a, b: cam_b}, np.tile([a, b], (len(matches), 1)),
+                                     np.stack([pts_q, pts_c], axis=1))
+        assert ok.sum() / len(matches) >= 0.9
+
+
+class TestTriangulateRefs:
+    def test_input_order_over_mixed_lengths(self, tiny_scene):
+        model = tiny_scene.ground_truth_model()
+        sets = tiny_scene.store().sets
+        pids = sorted(model.points)[:12]
+        tracks = [model.points[pid].refs()[:2 + i % 4] for i, pid in enumerate(pids)]
+        # refs of two different points: no position fits both
+        a = model.points[pids[0]].refs()[0]
+        b = next(r for r in model.points[pids[1]].refs() if r.image_id != a.image_id)
+        tracks.insert(5, [a, b])
+        points = triangulate_refs(model, sets, tracks)
+        assert [p is None for p in points] == [i == 5 for i in range(len(tracks))]
+        for refs, point in zip(tracks, points):
+            alone = triangulate_refs(model, sets, [refs])[0]
+            assert (alone is None) == (point is None)
+            if point is not None:
+                assert point.tobytes() == alone.tobytes()
+                pid = model.owner(refs[0])
+                assert np.linalg.norm(point - model.points[pid].position) < 1e-6
 
 
 class TestIncrementalReconstruct:
