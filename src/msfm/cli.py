@@ -11,6 +11,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .config import PipelineConfig, coerce_value, field_kinds, load_config, read_key_values
 from .descriptors import SearchStats
@@ -94,30 +96,42 @@ def cmd_match(args) -> int:
 def cmd_coarse(args) -> int:
     cfg = _build_config(args)
     store = FeatureStore.load_dir(args.features)
-    model = run_coarse(cfg, store, read_matchgraph(args.graph))
+    graph = _read_checked(read_matchgraph, args.graph, store, args.features)
+    model = run_coarse(cfg, store, graph)
     write_model(model, args.out)
     print(" ".join(model_stats(model, store).lines()))
     return 0
 
 
-def _read_model_for(path, store: FeatureStore, features_dir) -> Model:
-    """read_model, then check that every camera and observation has its feature."""
-    model = read_model(path)
-    for image_id in model.image_ids():
+def _read_checked(read, path, store: FeatureStore, features_dir):
+    """``read(path)``, a model or a match graph, checked against the features.
+
+    FormatError names the first image without a feature file or the first
+    ``image:feature`` ref beyond its image's features.
+    """
+    data = read(path)
+    if isinstance(data, Model):
+        refs = [(i, list(data.tracked(i))) for i in data.image_ids()]
+    else:
+        refs = [(i, ids) for (a, b), edge in sorted(data.edges.items())
+                for i, ids in ((a, edge.matches.query), (b, edge.matches.target))]
+    for image_id, ids in refs:
         n = len(store[image_id]) if image_id in store else 0
-        bad = sorted(f for f in model.tracked(image_id) if not 0 <= f < n)
-        if image_id not in store or bad:
-            ref = f"{image_id}:{bad[0]}" if bad else f"camera {image_id}"
+        ids = np.asarray(ids, dtype=np.int64)
+        bad = ids[(ids < 0) | (ids >= n)]
+        if image_id not in store or len(bad):
+            ref = f"{image_id}:{bad.min()}" if len(bad) else f"image {image_id}"
             raise FormatError(f"{path}: {ref} is not a feature in {features_dir} "
                               f"(image {image_id} has {n} features)")
-    return model
+    return data
 
 
 def cmd_localize(args) -> int:
     cfg = _build_config(args)
     store = FeatureStore.load_dir(args.features)
-    model = _read_model_for(args.model, store, args.features)
-    newly, results = run_localize(cfg, store, model, read_matchgraph(args.graph))
+    model = _read_checked(read_model, args.model, store, args.features)
+    graph = _read_checked(read_matchgraph, args.graph, store, args.features)
+    newly, results = run_localize(cfg, store, model, graph)
     write_model(model, args.out)
     if args.report:
         lines = [
@@ -133,7 +147,7 @@ def cmd_localize(args) -> int:
 def cmd_densify(args) -> int:
     cfg = _build_config(args)
     store = FeatureStore.load_dir(args.features)
-    model = _read_model_for(args.model, store, args.features)
+    model = _read_checked(read_model, args.model, store, args.features)
     summary = run_densify(cfg, store, model, args.iteration)
     write_model(model, args.out)
     print(" ".join(f"{k}={v}" for k, v in sorted(summary.items())))
@@ -165,7 +179,7 @@ def cmd_export_ply(args) -> int:
 def cmd_bench_guided(args) -> int:
     cfg = _build_config(args)
     store = FeatureStore.load_dir(args.features)
-    model = _read_model_for(args.model, store, args.features)
+    model = _read_checked(read_model, args.model, store, args.features)
     pairs = []
     for lineno, line in enumerate(Path(args.pairs).read_text().splitlines(), start=1):
         line = line.strip()

@@ -132,25 +132,14 @@ def _segment_offsets(lengths: np.ndarray) -> np.ndarray:
     return np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
 
-def build_grid(features: FeatureSet | np.ndarray, d: float, *,
-               width: float | None = None, height: float | None = None) -> OverlapGrid:
-    """Bin features into the four offset grids (once per target image)."""
+def build_grid(xy: np.ndarray, d: float, *, width: float, height: float) -> OverlapGrid:
+    """Bin feature positions into the four offset grids (once per target image)."""
     if d <= 0:
         raise ValueError(f"cell half-size d must be positive, got {d}")
-    if isinstance(features, FeatureSet):
-        xy = features.xy.astype(np.float64)
-        width = float(features.width)
-        height = float(features.height)
-    else:
-        xy = np.asarray(features, dtype=np.float64).reshape(-1, 2)
-        if width is None or height is None:
-            raise ValueError("width/height required when binning raw coordinates")
     grid = OverlapGrid(d=float(d), width=float(width), height=float(height))
-    idx = grid.cell_indices(xy)
-    n = len(xy)
-    grids = np.repeat(np.arange(4)[None, :], n, axis=0)
-    keys = grid._encode(idx, grids).reshape(-1)
-    feat_ids = np.repeat(np.arange(n, dtype=np.int64), 4)
+    cells = grid.cell_keys(xy)
+    feat_ids = np.repeat(np.arange(len(cells), dtype=np.int64), 4)
+    keys = cells.reshape(-1)
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     uniq, starts = np.unique(sorted_keys, return_index=True)

@@ -137,6 +137,10 @@ def read_matchgraph(path) -> MatchGraph:
             if fields[0] != "EDGE":
                 raise FormatError(f"{path}:{lineno}: expected EDGE record")
             a, b, n_matches, _ = (int(v) for v in fields[1:5])
+            if a >= b:
+                raise FormatError(f"{path}:{lineno}: edge {a} {b} is not an ascending pair")
+            if (a, b) in graph.edges:
+                raise FormatError(f"{path}:{lineno}: edge {a} {b} is repeated")
             geometry = None
             if lineno < len(text) and text[lineno].startswith("F "):
                 lineno += 1

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .descriptors import SearchStats, two_nearest_bruteforce
+from .descriptors import two_nearest_bruteforce
 from .errors import InsufficientDataError
-from .matching import MatchGraph, RATIO_UNGUIDED, closest_one_to_one, ratio_filter
+from .matching import NO_ENTRIES, MatchGraph, RATIO_UNGUIDED, closest_one_to_one, ratio_filter
 from .model import Camera, FeatureRef, Model, Point3D
 from .reconstruct import PNP_MIN_INLIERS, resect_image
 
@@ -28,6 +28,7 @@ SET_COVER_K = 400
 SET_COVER_ENGAGE_POINTS = 100_000
 RANKED_TOP_K = 10
 MIN_CORRESPONDENCES = 16
+NO_CORRESPONDENCES = np.empty((0, 2), dtype=np.int64)
 
 
 @dataclass
@@ -37,11 +38,13 @@ class SetCover:
     coverage: dict[int, int]  # image_id -> achieved coverage
 
 
-@dataclass
+@dataclass(eq=False)
 class LocalizationResult:
+    """One image's attempt; ``correspondences`` holds (point_id, feature_id) rows."""
+
     image_id: int
     method: str  # "direct3d2d" | "ranked2d2d" | "failed"
-    correspondences: list[tuple[int, int]] = field(default_factory=list)  # (point_id, feature_id)
+    correspondences: np.ndarray = field(default_factory=NO_CORRESPONDENCES.copy)
     pose: Camera | None = None
     inliers: int = 0
     inlier_refs: list[tuple[int, FeatureRef]] = field(default_factory=list)
@@ -97,34 +100,33 @@ def compute_set_cover(model: Model, k: int = SET_COVER_K) -> SetCover:
 
 
 def direct_3d2d_search(model: Model, point_ids, image_fs, feature_store, *,
-                       ratio: float = RATIO_UNGUIDED,
-                       stats: SearchStats | None = None) -> list[tuple[int, int]]:
+                       ratio: float = RATIO_UNGUIDED) -> np.ndarray:
     """Match covered points' mean descriptors into an image's features.
 
-    Returns (point_id, feature_id) pairs; a feature backs at most one point.
+    Returns (n, 2) (point_id, feature_id) rows sorted by point; a feature
+    backs at most one point.
     """
-    point_ids = sorted(point_ids)
-    if not point_ids or len(image_fs) == 0:
-        return []
+    point_ids = np.array(sorted(point_ids), dtype=np.int64)
+    if len(point_ids) == 0 or len(image_fs) == 0:
+        return NO_CORRESPONDENCES
     queries = np.stack([mean_descriptor(model.points[pid], feature_store)
-                        for pid in point_ids])
-    dist, idx = two_nearest_bruteforce(queries, image_fs.descriptors_f32(), stats)
+                        for pid in point_ids.tolist()])
+    dist, idx = two_nearest_bruteforce(queries, image_fs.descriptors_f32())
     rows, feats, d, _ = ratio_filter(dist, idx, ratio)
-    return closest_one_to_one(zip([point_ids[row] for row in rows.tolist()],
-                                  feats.tolist(), d.tolist()))
+    return closest_one_to_one(point_ids[rows], feats, d)
 
 
 def ranked_2d2d_search(model: Model, graph: MatchGraph, image_id: int, image_fs,
                        feature_store, *,
                        ratio: float = RATIO_UNGUIDED,
-                       min_correspondences: int = MIN_CORRESPONDENCES,
-                       stats: SearchStats | None = None) -> list[tuple[int, int]]:
+                       min_correspondences: int = MIN_CORRESPONDENCES) -> np.ndarray:
     """3D-2D correspondences via track features of well-matched neighbours.
 
     The localized neighbours are ranked by shared coarse matches; each
-    neighbour's tracked 2D features act as proxies for their points.
-    Returns [] unless more than ``min_correspondences`` pairs were found.
-    Raises InsufficientDataError when no localized neighbour exists.
+    neighbour's tracked 2D features, in (point, feature) order, act as
+    proxies for their points.  Returns (n, 2) (point_id, feature_id) rows
+    sorted by point, or none unless more than ``min_correspondences`` were
+    found.  Raises InsufficientDataError when no localized neighbour exists.
     """
     neighbors = [
         (graph.match_count(image_id, other), -other, other)
@@ -134,21 +136,18 @@ def ranked_2d2d_search(model: Model, graph: MatchGraph, image_id: int, image_fs,
     if not neighbors:
         raise InsufficientDataError(f"image {image_id} has no localized neighbours")
     neighbors.sort(reverse=True)
-    entries = []  # (point, feature in image, distance)
+    entries = [NO_ENTRIES]
     for _, _, other in neighbors[:RANKED_TOP_K]:
-        proxy = sorted((pid, feat) for feat, pid in model.tracked(other).items())
-        if not proxy:
-            continue
-        queries = np.stack([
-            feature_store.descriptor(other, feat).astype(np.float32)
-            for _, feat in proxy
-        ])
-        dist, idx = two_nearest_bruteforce(queries, image_fs.descriptors_f32(), stats)
-        rows, feats, d, _ = ratio_filter(dist, idx, ratio)
-        entries += zip([proxy[row][0] for row in rows.tolist()], feats.tolist(), d.tolist())
-    corr = closest_one_to_one(entries)
+        tracked = model.tracked(other)
+        feats, pids = (np.fromiter(v, np.int64, len(tracked)) for v in (tracked, tracked.values()))
+        order = np.lexsort((feats, pids))
+        queries = feature_store.sets[other].descriptors_f32()[feats[order]]
+        dist, idx = two_nearest_bruteforce(queries, image_fs.descriptors_f32())
+        rows, found, d, _ = ratio_filter(dist, idx, ratio)
+        entries.append((pids[order][rows], found, d))
+    corr = closest_one_to_one(*map(np.concatenate, zip(*entries)))
     if len(corr) <= min_correspondences:
-        return []
+        return NO_CORRESPONDENCES
     return corr
 
 
@@ -158,22 +157,19 @@ def localize_image(model: Model, graph: MatchGraph, image_id: int, feature_store
                    ratio: float = RATIO_UNGUIDED,
                    min_correspondences: int = MIN_CORRESPONDENCES,
                    pnp_min_inliers: int = PNP_MIN_INLIERS,
-                   seed: int = 0,
-                   stats: SearchStats | None = None) -> LocalizationResult:
+                   seed: int = 0) -> LocalizationResult:
     """Pure function of (snapshot, image): direct search, then ranked fallback."""
     image_fs = feature_store.sets[image_id]
     points = cover_points if cover_points is not None else sorted(model.points)
-    corr = direct_3d2d_search(model, points, image_fs, feature_store,
-                              ratio=ratio, stats=stats)
+    corr = direct_3d2d_search(model, points, image_fs, feature_store, ratio=ratio)
     method = "direct3d2d"
     if len(corr) <= min_correspondences:
         try:
             corr = ranked_2d2d_search(model, graph, image_id, image_fs, feature_store,
                                       ratio=ratio,
-                                      min_correspondences=min_correspondences,
-                                      stats=stats)
+                                      min_correspondences=min_correspondences)
         except InsufficientDataError:
-            corr = []
+            corr = NO_CORRESPONDENCES
         method = "ranked2d2d"
         if len(corr) <= min_correspondences:
             return LocalizationResult(image_id=image_id, method=method,

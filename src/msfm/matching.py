@@ -56,6 +56,8 @@ class Matches:
 
 
 NO_MATCHES = Matches(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0), np.empty(0))
+# (points, features, distances) of no 3D-2D entry, for ``closest_one_to_one``
+NO_ENTRIES = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
 
 
 @dataclass
@@ -81,13 +83,7 @@ class MatchGraph:
         return self.edges.get(self.pair_key(a, b))
 
     def neighbors(self, image_id: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == image_id:
-                out.append(b)
-            elif b == image_id:
-                out.append(a)
-        return sorted(out)
+        return sorted(b if a == image_id else a for a, b in self.edges if image_id in (a, b))
 
     def match_count(self, a: int, b: int) -> int:
         edge = self.get(a, b)
@@ -113,28 +109,31 @@ def ratio_filter(dist: np.ndarray, idx: np.ndarray, ratio: float,
     return rows, idx[rows, 0], best[rows], r[rows]
 
 
-def closest_per_key(entries, key: int) -> dict:
-    """The entry of smallest distance ``entry[2]`` for each ``entry[key]``.
+def closest_per_key(keys: np.ndarray, dist: np.ndarray, tie: np.ndarray) -> np.ndarray:
+    """Position of the least-distance entry of each key, ordered by key.
 
-    Ties keep the entry seen first.  The dict lists keys in the order they
-    were first seen.
+    Ties go to the entry of least ``tie``.
     """
-    best = {}
-    for entry in entries:
-        cur = best.get(entry[key])
-        if cur is None or entry[2] < cur[2]:
-            best[entry[key]] = entry
-    return best
+    order = np.lexsort((tie, dist, keys))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = keys[order[1:]] != keys[order[:-1]]
+    return order[first]
 
 
-def closest_one_to_one(entries) -> list[tuple[int, int]]:
-    """Sorted (point_id, feature_id) pairs from (point, feature, distance) entries.
+def closest_one_to_one(points: np.ndarray, features: np.ndarray,
+                       distances: np.ndarray) -> np.ndarray:
+    """(n, 2) int64 (point_id, feature_id) rows, sorted by point, from entries.
 
-    Each point keeps its closest feature, then each feature its closest
-    point, so a feature backs at most one point.
+    Each point keeps its closest feature, ties going to its first entry; then
+    each feature keeps its closest point, ties going to the point whose first
+    entry came first.  So a feature backs at most one point.
     """
-    per_point = closest_per_key(entries, 0).values()
-    return sorted((pid, feat) for pid, feat, _ in closest_per_key(per_point, 1).values())
+    n = len(points)
+    per_point = closest_per_key(points, distances, np.arange(n))
+    first_entry = closest_per_key(points, np.zeros(n), np.arange(n))
+    keep = per_point[np.sort(closest_per_key(features[per_point], distances[per_point],
+                                             first_entry))]
+    return np.stack([points[keep], features[keep]], axis=1).astype(np.int64)
 
 
 def one_per_target(rows: np.ndarray, targets: np.ndarray, dist: np.ndarray) -> np.ndarray:
@@ -143,10 +142,7 @@ def one_per_target(rows: np.ndarray, targets: np.ndarray, dist: np.ndarray) -> n
     The smallest distance wins and ties go to the smaller row; the result is
     ordered by row, then target.
     """
-    order = np.lexsort((rows, dist, targets))
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = targets[order[1:]] != targets[order[:-1]]
-    keep = order[first]
+    keep = closest_per_key(targets, dist, rows)
     return keep[np.lexsort((targets[keep], rows[keep]))]
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 from collections import defaultdict
+from itertools import repeat
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .geometry import (
     relative_pose_from_fundamental,
     triangulate_track,
 )
-from .matching import MatchGraph, closest_one_to_one
+from .matching import NO_ENTRIES, MatchGraph, closest_one_to_one
 from .model import Camera, FeatureRef, Model
 
 log = logging.getLogger(__name__)
@@ -213,16 +214,17 @@ def pnp_ransac(points3d, pixels, K, *, min_inliers: int = PNP_MIN_INLIERS, seed:
     return R, t, mask
 
 
-def resect_image(model: Model, feature_sets, image_id: int, corr, K: np.ndarray, *,
-                 min_inliers: int, seed: int):
-    """Register one image from (point_id, feature_id) correspondences.
+def resect_image(model: Model, feature_sets, image_id: int, corr: np.ndarray,
+                 K: np.ndarray, *, min_inliers: int, seed: int):
+    """Register one image from an (n, 2) array of (point_id, feature_id) rows.
 
     The resection shared by the coarse stage and camera addition: robust
     PnP seeded with ``seed + image_id``.  Returns (camera, inlier refs as
-    (point_id, FeatureRef) pairs) or None when resection fails.
+    (point_id, FeatureRef) pairs, the form ``Model.attach_camera`` takes)
+    or None when resection fails.
     """
-    X = np.stack([model.points[pid].position for pid, _ in corr])
-    uv = feature_sets[image_id].xy[[feat for _, feat in corr]].astype(np.float64)
+    X = np.stack([model.points[pid].position for pid in corr[:, 0].tolist()])
+    uv = feature_sets[image_id].xy[corr[:, 1]].astype(np.float64)
     try:
         result = pnp_ransac(X, uv, K, min_inliers=min_inliers, seed=seed + image_id)
     except InsufficientDataError:
@@ -230,8 +232,7 @@ def resect_image(model: Model, feature_sets, image_id: int, corr, K: np.ndarray,
     if result is None:
         return None
     R, t, mask = result
-    inliers = [(pid, FeatureRef(image_id, feat))
-               for (pid, feat), keep in zip(corr, mask) if keep]
+    inliers = [(pid, FeatureRef(image_id, feat)) for pid, feat in corr[mask].tolist()]
     return Camera(K=K, R=R, t=t, image_id=image_id), inliers
 
 
@@ -311,18 +312,17 @@ def _registered_edges(model: Model, graph: MatchGraph, image_id: int):
             yield a, b, graph.edges[(a, b)]
 
 
-def _correspondences_to_model(model: Model, graph: MatchGraph, image_id: int):
-    """(point_id, feature_id) pairs linking an unregistered image to tracks."""
-    entries = []  # (point, feature in image, distance)
+def _correspondences_to_model(model: Model, graph: MatchGraph, image_id: int) -> np.ndarray:
+    """(n, 2) (point_id, feature_id) rows linking an unregistered image to tracks."""
+    entries = [NO_ENTRIES]
     for a, b, edge in _registered_edges(model, graph, image_id):
         m = edge.inliers()
         own, theirs, other = (m.query, m.target, b) if a == image_id else (m.target, m.query, a)
         owned = model.tracked(other)
-        for feat, their_feat, dist in zip(own.tolist(), theirs.tolist(), m.distance.tolist()):
-            pid = owned.get(their_feat)
-            if pid is not None:
-                entries.append((pid, feat, dist))
-    return closest_one_to_one(entries)
+        pids = np.fromiter(map(owned.get, theirs.tolist(), repeat(-1)), np.int64, len(theirs))
+        hit = pids >= 0
+        entries.append((pids[hit], own[hit], m.distance[hit]))
+    return closest_one_to_one(*map(np.concatenate, zip(*entries)))
 
 
 def _triangulate_new_tracks(model: Model, graph: MatchGraph, feature_sets,

@@ -239,6 +239,63 @@ class TestModelAgainstFeatures:
         assert not (tmp_path / "out.msfm").exists()
 
 
+def _first_edge(lines):
+    """Index of the first EDGE line, its (a, b) and the index of its first match."""
+    k = next(i for i, line in enumerate(lines) if line.startswith("EDGE "))
+    first_match = k + 2 if lines[k + 1].startswith("F ") else k + 1
+    return k, lines[k].split()[1:3], first_match
+
+
+def _reversed_edge(lines):
+    k, (a, b), _ = _first_edge(lines)
+    lines[k] = lines[k].replace(f"EDGE {a} {b} ", f"EDGE {b} {a} ", 1)
+    return lines, f"graph.txt:{k + 1}: edge {b} {a} is not an ascending pair"
+
+
+def _repeated_edge(lines):
+    k, (a, b), first_match = _first_edge(lines)
+    block = lines[k:first_match + int(lines[k].split()[3])]
+    return lines + block, f"graph.txt:{len(lines) + 1}: edge {a} {b} is repeated"
+
+
+def _feature_out_of_range(lines):
+    _, (a, _), first_match = _first_edge(lines)
+    lines[first_match] = "99999999 " + lines[first_match].split(" ", 1)[1]
+    return lines, f"{a}:99999999 is not a feature"
+
+
+def _missing_image(lines):
+    return lines + ["EDGE 0 77 1 1", "0 0 1.0 0.5 1"], "77:0 is not a feature"
+
+
+@pytest.fixture(scope="module")
+def graph_lines(scene_dir, tmp_path_factory):
+    feat_dir, _ = scene_dir
+    graph = tmp_path_factory.mktemp("graph") / "graph.txt"
+    assert main(["match", "--features", str(feat_dir), "--out", str(graph)]) == 0
+    return graph.read_text().splitlines()
+
+
+class TestGraphAgainstFeatures:
+    @pytest.mark.parametrize("defect", [_reversed_edge, _repeated_edge,
+                                        _feature_out_of_range, _missing_image])
+    @pytest.mark.parametrize("command", ["coarse", "localize"])
+    def test_graph_defect_exit3(self, scene_dir, graph_lines, tmp_path, capsys,
+                                command, defect):
+        # a graph that does not fit the features is a data error, whichever stage reads it
+        feat_dir, _ = scene_dir
+        lines, message = defect(list(graph_lines))
+        graph = tmp_path / "graph.txt"
+        graph.write_text("\n".join(lines) + "\n")
+        args = [command, "--graph", str(graph), "--features", str(feat_dir),
+                "--out", str(tmp_path / "out.msfm"), "--focal", "900"]
+        if command == "localize":
+            args += ["--model", str(feat_dir / "ground_truth.msfm")]
+        assert main(args) == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out.msfm").exists()
+
+
 class TestRunPipelineCli:
     def test_stage_chain_matches_run(self, tmp_path):
         # the stage commands and run map the config to stages the same way

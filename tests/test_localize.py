@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
+from msfm.descriptors import two_nearest_bruteforce
 from msfm.errors import InsufficientDataError
 from msfm.io import write_model
 from msfm.localize import (
+    MIN_CORRESPONDENCES,
+    RANKED_TOP_K,
     compute_set_cover,
     direct_3d2d_search,
     localize_all,
     mean_descriptor,
     ranked_2d2d_search,
 )
-from msfm.matching import build_coarse_matchgraph
+from msfm.matching import RATIO_UNGUIDED, build_coarse_matchgraph, ratio_filter
 from msfm.model import FeatureRef, Model
 from msfm.synth import SceneSpec, generate_scene
 
@@ -194,10 +197,49 @@ class TestDirectSearch:
         model.points[p1].mean_descriptor = desc[0].astype(np.float32)
         model.points[p2].mean_descriptor = desc[0].astype(np.float32)
         corr = direct_3d2d_search(model, [p1, p2], fs, store)
-        assert corr == []
+        assert len(corr) == 0
+
+
+def tuple_loop_ranked_search(model, graph, image_id, image_fs, store):
+    """The per-feature tuple loop and dict tie rule that ``ranked_2d2d_search``
+    replaced, as its oracle: sorted (point_id, feature_id) pairs, or []."""
+    neighbors = sorted(((graph.match_count(image_id, other), -other, other)
+                        for other in graph.neighbors(image_id)
+                        if model.is_registered(other)), reverse=True)
+    entries = []  # (point, feature in image, distance)
+    for _, _, other in neighbors[:RANKED_TOP_K]:
+        proxy = sorted((pid, feat) for feat, pid in model.tracked(other).items())
+        if not proxy:
+            continue
+        queries = np.stack([store.descriptor(other, feat).astype(np.float32)
+                            for _, feat in proxy])
+        dist, idx = two_nearest_bruteforce(queries, image_fs.descriptors_f32())
+        rows, feats, d, _ = ratio_filter(dist, idx, RATIO_UNGUIDED)
+        entries += zip([proxy[row][0] for row in rows.tolist()], feats.tolist(), d.tolist())
+
+    def closest_per_key(entries, key):
+        best = {}
+        for entry in entries:
+            cur = best.get(entry[key])
+            if cur is None or entry[2] < cur[2]:
+                best[entry[key]] = entry
+        return best
+
+    per_point = closest_per_key(entries, 0).values()
+    corr = sorted((pid, feat) for pid, feat, _ in closest_per_key(per_point, 1).values())
+    return corr if len(corr) > MIN_CORRESPONDENCES else []
 
 
 class TestRankedSearch:
+    def test_matches_tuple_loop(self, holdout_setup):
+        scene, store, graph, partial, held_out, K = holdout_setup
+        for image_id in held_out:
+            corr = ranked_2d2d_search(partial, graph, image_id, store[image_id], store)
+            want = tuple_loop_ranked_search(partial, graph, image_id, store[image_id], store)
+            assert len(want) > MIN_CORRESPONDENCES
+            assert corr.dtype == np.int64 and corr.shape == (len(want), 2)
+            assert [tuple(row) for row in corr.tolist()] == want
+
     def test_identical_image_covers_tracked_features(self, holdout_setup):
         scene, store, graph, partial, held_out, K = holdout_setup
         # query a copy of a localized image's features
@@ -225,7 +267,7 @@ class TestRankedSearch:
         # an absurdly strict ratio forces almost no matches
         corr = ranked_2d2d_search(partial, graph, image_id, store[image_id],
                                   store, ratio=1e-6)
-        assert corr == []
+        assert len(corr) == 0
 
     def test_no_neighbours_raises(self, holdout_setup):
         scene, store, graph, partial, held_out, K = holdout_setup

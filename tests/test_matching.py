@@ -215,6 +215,13 @@ def first_closest(entries, key):
     return out
 
 
+def columns(entries):
+    """The (point, feature, distance) columns of entry tuples, as arrays."""
+    return (np.array([e[0] for e in entries], dtype=np.int64),
+            np.array([e[1] for e in entries], dtype=np.int64),
+            np.array([e[2] for e in entries], dtype=np.float64))
+
+
 class TestClosestMatch:
     @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), TIED_DISTANCES),
                     max_size=40),
@@ -222,10 +229,11 @@ class TestClosestMatch:
     def test_first_seen_wins_ties(self, raw, key):
         # the per-point and per-feature rule of the 3D-2D correspondence sites
         entries = [(a, b, d, i) for i, (a, b, d) in enumerate(raw)]
-        got = closest_per_key(entries, key)
+        cols = columns(entries)
+        got = closest_per_key(cols[key], cols[2], np.arange(len(entries))).tolist()
         want = first_closest(entries, key)
-        assert got == want
-        assert list(got) == list(want)  # keys in first-seen order
+        assert {entries[k][key]: entries[k] for k in got} == want
+        assert [entries[k][key] for k in got] == sorted(want)  # ordered by key
 
     @given(st.lists(st.tuples(st.integers(0, 4), TIED_DISTANCES), max_size=40),
            st.randoms(use_true_random=False))
@@ -244,16 +252,20 @@ class TestClosestMatch:
     def test_tie_rules_differ_on_unordered_rows(self):
         cands = [(5, 0, 1.0, 0.5), (2, 0, 1.0, 0.4)]
         assert kept_tuples(cands) == [(2, 0, 1.0, 0.4)]
-        assert closest_per_key(cands, 1) == {0: (5, 0, 1.0, 0.5)}
+        # entry order, not row order, breaks the 3D-2D ties
+        _, targets, dist = columns(cands)
+        assert closest_per_key(targets, dist, np.arange(2)).tolist() == [0]
 
     @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), TIED_DISTANCES),
                     max_size=40))
     def test_one_to_one(self, entries):
+        # a feature's tie goes to the point whose first entry came first
         per_point = list(first_closest(entries, 0).values())
         want = sorted((p, f) for p, f, _ in first_closest(per_point, 1).values())
-        got = closest_one_to_one(entries)
-        assert got == want
-        assert len({f for _, f in got}) == len(got) == len({p for p, _ in got})
+        got = closest_one_to_one(*columns(entries))
+        assert got.dtype == np.int64 and got.shape == (len(want), 2)
+        assert [tuple(row) for row in got.tolist()] == want
+        assert len(set(got[:, 1].tolist())) == len(got) == len(set(got[:, 0].tolist()))
 
 
 class TestHybridMatch:
