@@ -29,7 +29,14 @@ from .io import (
     write_ply,
 )
 from .model import Model, model_stats
-from .pipeline import run_coarse, run_densify, run_localize, run_match, run_pipeline
+from .pipeline import (
+    localization_lines,
+    run_coarse,
+    run_densify,
+    run_localize,
+    run_match,
+    run_pipeline,
+)
 from .synth import SceneSpec, generate_scene, write_scene
 
 
@@ -134,11 +141,7 @@ def cmd_localize(args) -> int:
     newly, results = run_localize(cfg, store, model, graph)
     write_model(model, args.out)
     if args.report:
-        lines = [
-            f"image={r.image_id} method={r.method} inliers={r.inliers} "
-            f"ok={int(r.pose is not None)} reason={r.reason or 'ok'}"
-            for r in results
-        ]
+        lines = localization_lines(results, iteration=1)
         Path(args.report).write_text("\n".join(lines) + "\n" if lines else "")
     print(f"localized={len(newly)} out={args.out}")
     return 0

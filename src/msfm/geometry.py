@@ -77,26 +77,6 @@ def fundamental_from_poses(cam_q, cam_c) -> TwoViewGeometry:
     return TwoViewGeometry(F=_normalize_f(F), source="from_poses")
 
 
-def epipolar_line(geom: TwoViewGeometry | np.ndarray, p) -> EpipolarLine:
-    """Map a query-image pixel to its target-image epipolar line."""
-    F = geom.F if isinstance(geom, TwoViewGeometry) else geom
-    x, y = float(p[0]), float(p[1])
-    l = F @ np.array([x, y, 1.0])
-    n = float(np.hypot(l[0], l[1]))
-    if n < 1e-9 * max(1.0, np.hypot(x, y)):
-        raise DegenerateGeometryError(f"point ({x}, {y}) is the epipole")
-    l = l / n
-    return EpipolarLine(float(l[0]), float(l[1]), float(l[2]))
-
-
-def point_line_distance(p, line: EpipolarLine) -> float:
-    """Unsigned pixel distance from a point to a line."""
-    n = np.hypot(line.a, line.b)
-    if n == 0.0:
-        raise DegenerateGeometryError("line has a = b = 0")
-    return abs(line.a * float(p[0]) + line.b * float(p[1]) + line.c) / n
-
-
 def _hartley_normalize(pts: np.ndarray):
     centroid = pts.mean(axis=0)
     centered = pts - centroid

@@ -8,12 +8,15 @@ samples at most d apart and a cell half-size of at least sqrt(5)/2 of the
 band, the gathered cells provably cover the whole band.  The exact linear
 scan ``candidates_linear`` is the reference the tests compare against.
 
-Queries whose epipolar lines pierce the target boundary at nearly the same
-points share one candidate set.  ``guided_match_pair`` handles all groups of
-an image pair in flat array passes: it samples every representative line,
-looks up every sample cell, filters every candidate to the exact band of
-each member's own line and takes every member's two nearest neighbours at
-once.  Only the descriptor product runs once per group.
+Lines are normalized ``(n, 3)`` arrays of (a, b, c) with a*x + b*y + c = 0
+throughout; ``clip_lines`` is the one rectangle clip.  Queries whose
+epipolar lines pierce the target boundary at nearly the same points share
+one candidate set (``group_queries``).  ``guided_match_pair`` handles all
+groups of an image pair in flat array passes: it samples every
+representative line, looks up every sample cell, filters every candidate
+to the exact band of each member's own line and takes every member's two
+nearest neighbours at once.  Only the descriptor product runs once per
+group.
 """
 
 from __future__ import annotations
@@ -62,21 +65,11 @@ class OverlapGrid:
     _starts: np.ndarray = field(default_factory=lambda: np.zeros(1, np.int64))
     _members: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
 
-    def cell_indices(self, xy: np.ndarray) -> np.ndarray:
-        """(n, 4, 2) integer cell index of each point in each offset grid."""
-        xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
-        shifted = xy[:, None, :] - _OFFSETS[None, :, :] * self.d
-        return np.floor(shifted / (2.0 * self.d)).astype(np.int64)
-
-    def _encode(self, idx: np.ndarray, grid=0) -> np.ndarray:
-        """Pack grid id and (cx, cy) into one int64 key."""
-        return _pack(idx[..., 0], idx[..., 1], grid)
-
     def cell_keys(self, xy: np.ndarray) -> np.ndarray:
-        """(n, 4) keys of the cells holding each point, ``_encode(cell_indices(xy), g)``.
+        """(n, 4) keys of the cells holding each point, one column per grid.
 
-        The four grids share two column and two row indices, so this takes
-        half the arithmetic.
+        Grid g is offset by ``_OFFSETS[g] * d``; its cell (cx, cy) spans
+        [2d cx, 2d (cx + 1)) plus that offset.
         """
         xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
         size = 2.0 * self.d
@@ -85,14 +78,11 @@ class OverlapGrid:
         return np.stack([_pack(cols[int(ox)], rows[int(oy)], g)
                          for g, (ox, oy) in enumerate(_OFFSETS)], axis=1)
 
-    def lookup(self, keys: np.ndarray) -> np.ndarray:
-        """Feature ids binned under the given packed keys (may repeat)."""
-        return self.lookup_runs(keys)[0]
+    def lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Feature ids binned under the given packed keys: (ids, found, lengths).
 
-    def lookup_runs(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``lookup`` plus where its ids come from: (ids, found, lengths).
-
-        ``keys[found[i]]`` holds the next ``lengths[i]`` ids, in key order.
+        ``keys[found[i]]`` holds the next ``lengths[i]`` ids, in key order;
+        ids repeat when keys do.
         """
         table = self._keys
         empty = np.array([], dtype=np.int64)
@@ -121,9 +111,14 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     table and takes 10-30x longer than this one sort.
     """
     values = np.sort(values)
+    return values[_run_starts(values)]
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of every run of equal values."""
     first = np.ones(len(values), dtype=bool)
     np.not_equal(values[1:], values[:-1], out=first[1:])
-    return values[first]
+    return first
 
 
 def _segment_offsets(lengths: np.ndarray) -> np.ndarray:
@@ -142,61 +137,11 @@ def build_grid(xy: np.ndarray, d: float, *, width: float, height: float) -> Over
     keys = cells.reshape(-1)
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
-    uniq, starts = np.unique(sorted_keys, return_index=True)
-    grid._keys = uniq
-    grid._starts = np.append(starts, len(sorted_keys)).astype(np.int64)
+    first = _run_starts(sorted_keys)
+    grid._keys = sorted_keys[first]
+    grid._starts = np.append(np.flatnonzero(first), len(sorted_keys))
     grid._members = feat_ids[order]
     return grid
-
-
-def clip_line_to_bounds(line: EpipolarLine, width: float, height: float, *,
-                        pad: float = 0.0):
-    """Intersections of a line with the image rectangle [0,w] x [0,h].
-
-    ``pad`` expands the rectangle outward on all sides (used by candidate
-    retrieval so band features beyond the in-image segment still get
-    samples).  Returns (p_A, p_B) or None when the line misses the
-    rectangle; endpoints are ordered lexicographically for stable
-    downstream grouping.
-    """
-    a, b, c = line.a, line.b, line.c
-    x0, x1 = -pad, width + pad
-    y0, y1 = -pad, height + pad
-    pts = []
-    if abs(b) > 1e-15:
-        for x in (x0, x1):
-            y = -(a * x + c) / b
-            if y0 - 1e-9 <= y <= y1 + 1e-9:
-                pts.append((x, min(max(y, y0), y1)))
-    if abs(a) > 1e-15:
-        for y in (y0, y1):
-            x = -(b * y + c) / a
-            if x0 - 1e-9 <= x <= x1 + 1e-9:
-                pts.append((min(max(x, x0), x1), y))
-    if len(pts) < 2:
-        return None
-    pts = sorted(set(pts))
-    pa, pb = pts[0], pts[-1]
-    if np.hypot(pb[0] - pa[0], pb[1] - pa[1]) < 1e-12:
-        return None
-    return np.array(pa), np.array(pb)
-
-
-def equidistant_line_points(line: EpipolarLine, bounds: tuple[float, float],
-                            d: float, *, pad: float = 0.0) -> np.ndarray:
-    """K+1 points spaced at most d apart along the in-image line segment.
-
-    The sequence starts at the lexicographically larger endpoint (k = 0 maps
-    to p_B); an empty array signals that the line misses the image.
-    """
-    clipped = clip_line_to_bounds(line, bounds[0], bounds[1], pad=pad)
-    if clipped is None:
-        return np.zeros((0, 2))
-    pa, pb = clipped
-    length = float(np.hypot(*(pb - pa)))
-    k_count = max(1, int(np.ceil(length / d)))
-    k = np.arange(k_count + 1, dtype=np.float64)[:, None]
-    return (k * pa[None, :] + (k_count - k) * pb[None, :]) / k_count
 
 
 def candidates_linear(xy: np.ndarray, line: EpipolarLine, d: float) -> np.ndarray:
@@ -207,38 +152,18 @@ def candidates_linear(xy: np.ndarray, line: EpipolarLine, d: float) -> np.ndarra
 
 
 def candidates_grid(grid: OverlapGrid, line: EpipolarLine, d: float) -> np.ndarray:
-    """Band query via the grid cells of the line samples.
+    """Band query of one line via the grid cells of its samples.
 
-    Accumulates all four containing cells of every sample: with samples at
-    most d apart and cell half-size >= d * sqrt(5)/2 this provably covers
-    the whole band.  The result also holds features outside the band;
-    callers filter it to the exact band.
+    The result also holds features outside the band; callers filter it to
+    the exact band.
     """
-    samples = equidistant_line_points(line, (grid.width, grid.height), d, pad=d)
-    if len(samples) == 0:
-        return np.array([], dtype=np.int64)
-    idx = grid.cell_indices(samples)
-    grids = np.repeat(np.arange(4)[None, :], len(samples), axis=0)
-    keys = grid._encode(idx, grids).reshape(-1)
-    members = grid.lookup(np.unique(keys))
-    if len(members) == 0:
-        return members
-    return np.unique(members)
-
-
-@dataclass
-class QueryGroup:
-    """Query features whose epipolar lines pierce the target boundary together."""
-
-    representative_line: EpipolarLine
-    member_features: np.ndarray
-    boundary_points: np.ndarray  # (2, 2) endpoints of the representative
+    return _candidates_batch(grid, np.array([[line.a, line.b, line.c]]), d)[1]
 
 
 def _edge_hits(lines: np.ndarray, x0: float, x1: float, y0: float, y1: float) -> np.ndarray:
     """(N, 4, 2) crossings of N lines with the edges x0, x1, y0 and y1; NaN if missed.
 
-    Same arithmetic, 1e-9 tolerance and clamping as ``clip_line_to_bounds``.
+    A crossing within 1e-9 of the edge's span counts and is clamped to it.
     """
     a, b, c = lines[:, 0], lines[:, 1], lines[:, 2]
     cand = np.full((len(lines), 4, 2), np.nan)
@@ -256,82 +181,87 @@ def _edge_hits(lines: np.ndarray, x0: float, x1: float, y0: float, y1: float) ->
     return cand
 
 
-def clip_lines_batch(lines: np.ndarray, width: float, height: float):
-    """Vectorized rectangle clipping of N normalized lines.
+def clip_lines(lines: np.ndarray, width: float, height: float, *, pad: float = 0.0):
+    """Clip N normalized lines to the rectangle [-pad, width + pad] x [-pad, height + pad].
 
-    Returns (ok mask, p_A (N,2), p_B (N,2)) with endpoints ordered
-    lexicographically; rows with ok=False missed the rectangle.
+    Returns (ok, p_A, p_B): p_A and p_B are the lexicographically least and
+    greatest edge crossings, so the order of the endpoints does not depend
+    on the line's sign.  Rows with ok False miss the rectangle or touch it
+    in one point; their endpoints are 0.
     """
-    lines = np.asarray(lines, dtype=np.float64).reshape(-1, 3)
-    n = len(lines)
-    x0, x1 = 0.0, width
-    y0, y1 = 0.0, height
-    cand = _edge_hits(lines, x0, x1, y0, y1)
-    # lexicographic order via a scalar key; coordinates are bounded by the
-    # rectangle so the key is collision free at sub-pixel level
-    span = max(x1 - x0, y1 - y0, 1.0)
-    key = cand[:, :, 0] * (4.0 * span) + cand[:, :, 1]
-    missing = np.isnan(key)
-    key_lo = np.where(missing, np.inf, key)
-    key_hi = np.where(missing, -np.inf, key)
-    valid_any = ~missing.all(axis=1)
-    pa = np.zeros((n, 2))
-    pb = np.zeros((n, 2))
-    idx_min = np.argmin(key_lo, axis=1)
-    idx_max = np.argmax(key_hi, axis=1)
-    rows = np.arange(n)
-    pa[valid_any] = cand[rows[valid_any], idx_min[valid_any]]
-    pb[valid_any] = cand[rows[valid_any], idx_max[valid_any]]
-    seg = np.hypot(pb[:, 0] - pa[:, 0], pb[:, 1] - pa[:, 1])
-    ok = valid_any & (seg > 1e-12)
-    return ok, pa, pb
-
-
-def _line_samples(lines: np.ndarray, width: float, height: float, d: float):
-    """Per line, what ``equidistant_line_points(line, (width, height), d, pad=d)`` uses.
-
-    Returns (number of samples, K, p_A, p_B), bit for bit: p_A and p_B are
-    the exact lexicographic extremes of the padded edge crossings, and a
-    line that misses the padded image has no samples.
-    """
-    cand = _edge_hits(lines, -d, width + d, -d, height + d)
+    cand = _edge_hits(lines, -pad, width + pad, -pad, height + pad)
     x, y = cand[:, :, 0], cand[:, :, 1]
     hit = ~np.isnan(x)
     xa = np.where(hit, x, np.inf).min(axis=1)
     xb = np.where(hit, x, -np.inf).max(axis=1)
     ya = np.where(x == xa[:, None], y, np.inf).min(axis=1)
     yb = np.where(x == xb[:, None], y, -np.inf).max(axis=1)
-    length = np.hypot(xb - xa, yb - ya)
-    ok = (hit.sum(axis=1) >= 2) & (length >= 1e-12)
-    k_count = np.maximum(1.0, np.ceil(length / d))
-    n_samples = np.where(ok, k_count + 1.0, 0.0).astype(np.int64)
+    ok = (hit.sum(axis=1) >= 2) & (np.hypot(xb - xa, yb - ya) >= 1e-12)
     pa = np.where(ok[:, None], np.stack([xa, ya], axis=1), 0.0)
     pb = np.where(ok[:, None], np.stack([xb, yb], axis=1), 0.0)
+    return ok, pa, pb
+
+
+def _line_samples(lines: np.ndarray, width: float, height: float, d: float):
+    """Where each line's grid samples lie: (number of samples, K, p_A, p_B).
+
+    Sample k = 0 .. K of a line is (k p_A + (K - k) p_B) / K on its segment
+    clipped to the image padded by d, so samples lie at most d apart; a line
+    that misses the padded image has no samples.
+    """
+    ok, pa, pb = clip_lines(lines, width, height, pad=d)
+    length = np.hypot(pb[:, 0] - pa[:, 0], pb[:, 1] - pa[:, 1])
+    k_count = np.maximum(1.0, np.ceil(length / d))
+    n_samples = np.where(ok, k_count + 1.0, 0.0).astype(np.int64)
     return n_samples, k_count, pa, pb
+
+
+@dataclass(frozen=True, eq=False)
+class QueryGroups:
+    """Query features grouped by where their epipolar lines pierce the target boundary.
+
+    Group g holds ``members[starts[g]:starts[g + 1]]`` (the last one runs to
+    the end), in id order; ``lines[g]`` is the normalized epipolar line of
+    its first member, the group's representative.
+    """
+
+    members: np.ndarray
+    starts: np.ndarray
+    lines: np.ndarray  # (groups, 3)
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def sizes(self) -> np.ndarray:
+        """Members per group."""
+        return np.diff(self.starts, append=len(self.members))
+
+
+NO_GROUPS = QueryGroups(np.empty(0, np.int64), np.empty(0, np.int64), np.empty((0, 3)))
 
 
 def group_queries(query_fs: FeatureSet, geom: TwoViewGeometry,
                   bounds: tuple[float, float], *,
-                  query_indices: np.ndarray | None = None) -> list[QueryGroup]:
+                  query_indices: np.ndarray | None = None) -> QueryGroups:
     """Partition query features by quantized boundary intersections.
 
     Bucket width equals ``GROUP_BOUNDARY_PX``, so two members of one group
     always hit the boundary within that distance of each other on both
-    endpoints.
+    endpoints.  Groups come in bucket order.
     Queries whose lines miss the target image are left out.
     """
     qi = np.arange(len(query_fs)) if query_indices is None else np.asarray(query_indices)
     if len(qi) == 0:
-        return []
+        return NO_GROUPS
     hom = np.hstack([query_fs.xy[qi].astype(np.float64), np.ones((len(qi), 1))])
     lines = hom @ geom.F.T
     norms = np.hypot(lines[:, 0], lines[:, 1])
     ok = norms > 1e-12
     lines[ok] /= norms[ok, None]
-    clip_ok, pa, pb = clip_lines_batch(lines, bounds[0], bounds[1])
+    clip_ok, pa, pb = clip_lines(lines, bounds[0], bounds[1])
     keep = ok & clip_ok
     if not keep.any():
-        return []
+        return NO_GROUPS
     cells = np.concatenate([
         np.floor(pa[keep] / GROUP_BOUNDARY_PX).astype(np.int64),
         np.floor(pb[keep] / GROUP_BOUNDARY_PX).astype(np.int64),
@@ -344,19 +274,17 @@ def group_queries(query_fs: FeatureSet, geom: TwoViewGeometry,
     sorted_cells = cells[order]
     changed = (sorted_cells[1:] != sorted_cells[:-1]).any(axis=1)
     starts = np.flatnonzero(np.concatenate([[True], changed]))
-    rep_rows = kept_rows[order[starts]]
-    members = qi[kept_rows[order]]
-    cuts = np.append(starts, len(order)).tolist()
-    ends = np.stack([pa[rep_rows], pb[rep_rows]], axis=1)
-    return [QueryGroup(representative_line=EpipolarLine(a, b, c),
-                       member_features=members[lo:hi], boundary_points=e)
-            for (a, b, c), lo, hi, e in zip(lines[rep_rows].tolist(), cuts[:-1], cuts[1:], ends)]
+    return QueryGroups(members=qi[kept_rows[order]], starts=starts,
+                       lines=lines[kept_rows[order[starts]]])
 
 
 def _candidates_batch(grid: OverlapGrid, lines: np.ndarray, d: float):
-    """``candidates_grid`` of every row of ``lines`` (at most 2^16) in one pass.
+    """Grid candidates of every row of ``lines`` (at most 2^16) in one pass.
 
-    Returns (line, feature id) arrays sorted by line, then id.
+    Every sample of a line (``_line_samples``) gathers the features of its
+    four containing cells: with samples at most d apart and cell half-size
+    >= d * sqrt(5)/2 this covers the whole band of distance d.  Returns
+    (line, feature id) arrays sorted by line, then id.
     """
     n_samples, k_count, pa, pb = _line_samples(lines, grid.width, grid.height, d)
     # every sample of every line and its four cell keys; a key the previous
@@ -373,7 +301,7 @@ def _candidates_batch(grid: OverlapGrid, lines: np.ndarray, d: float):
     # walks forward
     cells = sorted_unique(keys[fresh] << _LINE_BITS
                           | np.broadcast_to(line_of[:, None], keys.shape)[fresh])
-    ids, found, lengths = grid.lookup_runs(cells >> _LINE_BITS)
+    ids, found, lengths = grid.lookup(cells >> _LINE_BITS)
     line_of_id = np.repeat(cells[found] & ((1 << _LINE_BITS) - 1), lengths)
     n_t = int(grid._members.max(initial=0)) + 1
     return np.divmod(sorted_unique(line_of_id * n_t + ids), n_t)
@@ -412,7 +340,7 @@ def guided_match_pair(query_fs: FeatureSet, target_fs: FeatureSet,
     """Match query features against target candidates near their epipolar lines.
 
     A group's candidates are the target features in the grid cells of its
-    representative line's samples (``candidates_grid``); ``grid`` defaults
+    representative line's samples (``_candidates_batch``); ``grid`` defaults
     to one built over the target features with cell half-size
     ``d * inflation``.  Candidates are post-filtered to the exact band of
     each member's own line, so every returned match satisfies dist <= d.
@@ -436,9 +364,8 @@ def guided_match_pair(query_fs: FeatureSet, target_fs: FeatureSet,
     qnorm = np.einsum("ij,ij->i", qdesc, qdesc)
 
     # members of all groups, group by group, with each member's own line
-    n_members = np.array([len(g.member_features) for g in groups])
-    member_start = np.cumsum(n_members) - n_members
-    members = np.concatenate([g.member_features for g in groups])
+    members, member_start, rep = groups.members, groups.starts, groups.lines
+    n_members = groups.sizes()
     hom = np.hstack([query_fs.xy[members].astype(np.float64), np.ones((len(members), 1))])
     mlines = hom @ geom.F.T
     mlines /= np.maximum(np.hypot(mlines[:, 0], mlines[:, 1]), 1e-15)[:, None]
@@ -451,8 +378,6 @@ def guided_match_pair(query_fs: FeatureSet, target_fs: FeatureSet,
         a, b, c = (np.repeat(col[rows], repeats) for col in (line_a, line_b, line_c))
         return np.abs(a * tx[cand] + b * ty[cand] + c)
 
-    rep = np.array([(g.representative_line.a, g.representative_line.b,
-                     g.representative_line.c) for g in groups])
     n_samples, _, pa, pb = _line_samples(rep, grid.width, grid.height, d)
     # A member's line minus the line of member 0 of its group is a linear
     # function.  A candidate lies in a cell that holds a sample of the

@@ -136,7 +136,8 @@ def read_matchgraph(path) -> MatchGraph:
                 continue
             if fields[0] != "EDGE":
                 raise FormatError(f"{path}:{lineno}: expected EDGE record")
-            a, b, n_matches, _ = (int(v) for v in fields[1:5])
+            a, b, n_matches, n_inliers = (int(v) for v in fields[1:5])
+            edge_line = lineno
             if a >= b:
                 raise FormatError(f"{path}:{lineno}: edge {a} {b} is not an ascending pair")
             if (a, b) in graph.edges:
@@ -158,8 +159,12 @@ def read_matchgraph(path) -> MatchGraph:
                 ids[:, k] = int(qf), int(tf)
                 values[:, k] = float(dist), float(ratio)
                 mask[k] = flag == "1"
+            n_flags = int(mask.sum())
+            if n_flags != n_inliers:
+                raise FormatError(f"{path}:{edge_line}: edge {a} {b} has {n_flags} "
+                                  f"inlier flags, not {n_inliers}")
             if geometry is not None:
-                geometry.inlier_count = int(mask.sum())
+                geometry.inlier_count = n_flags
             matches = Matches(query=ids[0], target=ids[1], distance=values[0], ratio=values[1])
             graph.edges[(a, b)] = Edge(matches=matches, inlier_mask=mask, geometry=geometry)
     except ValueError as exc:

@@ -84,6 +84,14 @@ def run_densify(config: PipelineConfig, store: FeatureStore, model: Model,
         candidate_fraction=config.candidate_fraction)
 
 
+def localization_lines(results: list[LocalizationResult], iteration: int) -> list[str]:
+    """One ``localization.txt`` record per localization attempt."""
+    return [f"iteration={iteration} image={r.image_id} method={r.method} "
+            f"correspondences={len(r.correspondences)} inliers={r.inliers} "
+            f"ok={int(r.pose is not None)} reason={r.reason or 'ok'}"
+            for r in results]
+
+
 @dataclass
 class StageReport:
     name: str
@@ -150,11 +158,7 @@ def run_pipeline(config: PipelineConfig, feature_dir, *,
         t0 = time.perf_counter()
         n_pts0 = len(model.points)
         newly, results = run_localize(config, store, model, graph, iteration)
-        for r in results:
-            loc_log.append(
-                f"iteration={iteration} image={r.image_id} method={r.method} "
-                f"correspondences={len(r.correspondences)} inliers={r.inliers} "
-                f"ok={int(r.pose is not None)} reason={r.reason or 'ok'}")
+        loc_log += localization_lines(results, iteration)
         snapshot(model, f"localize_{iteration}", t0, added_cam=len(newly),
                  extra={"attempted": len(results)})
 

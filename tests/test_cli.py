@@ -264,6 +264,15 @@ def _feature_out_of_range(lines):
     return lines, f"{a}:99999999 is not a feature"
 
 
+def _inlier_count_mismatch(lines):
+    k, (a, b), _ = _first_edge(lines)
+    fields = lines[k].split()
+    fields[4] = str(int(fields[4]) + 1)
+    lines[k] = " ".join(fields)
+    return lines, (f"graph.txt:{k + 1}: edge {a} {b} has {int(fields[4]) - 1} inlier flags, "
+                   f"not {fields[4]}")
+
+
 def _missing_image(lines):
     return lines + ["EDGE 0 77 1 1", "0 0 1.0 0.5 1"], "77:0 is not a feature"
 
@@ -277,7 +286,7 @@ def graph_lines(scene_dir, tmp_path_factory):
 
 
 class TestGraphAgainstFeatures:
-    @pytest.mark.parametrize("defect", [_reversed_edge, _repeated_edge,
+    @pytest.mark.parametrize("defect", [_reversed_edge, _repeated_edge, _inlier_count_mismatch,
                                         _feature_out_of_range, _missing_image])
     @pytest.mark.parametrize("command", ["coarse", "localize"])
     def test_graph_defect_exit3(self, scene_dir, graph_lines, tmp_path, capsys,
@@ -319,6 +328,28 @@ class TestRunPipelineCli:
                              (localized, "model_localize_1.msfm"),
                              (densified, "model_densify_1.msfm")):
             assert mine.read_bytes() == (run / theirs).read_bytes()
+
+    def test_localize_report_matches_run(self, tmp_path):
+        # a sparse scene whose coarse tier leaves three images to camera
+        # addition, which registers two; both commands write one record format
+        feat_dir = tmp_path / "features"
+        write_scene(generate_scene(SceneSpec(
+            n_cameras=10, n_points=800, visibility_fraction=0.4, pixel_noise=0.3,
+            descriptor_noise=3.0, seed=3)), feat_dir)
+        common = ["--features", str(feat_dir), "--focal", "900", "--eta", "10"]
+        run = tmp_path / "run"
+        assert main(["run", "--out", str(run), "--iterations", "1"] + common) == 0
+        graph = tmp_path / "graph.txt"
+        coarse = tmp_path / "coarse.msfm"
+        report = tmp_path / "loc.txt"
+        assert main(["match", "--out", str(graph)] + common) == 0
+        assert main(["coarse", "--graph", str(graph), "--out", str(coarse)] + common) == 0
+        assert main(["localize", "--model", str(coarse), "--graph", str(graph),
+                     "--out", str(tmp_path / "localize.msfm"), "--report", str(report)]
+                    + common) == 0
+        records = report.read_text().splitlines()
+        assert [r.split()[5] for r in records] == ["ok=1", "ok=0", "ok=1"]
+        assert report.read_text() == (run / "localization.txt").read_text()
 
     def test_run_produces_snapshots(self, scene_dir, tmp_path, capsys):
         feat_dir, scene = scene_dir

@@ -360,7 +360,8 @@ class TestDensifyStage:
         assert len(work.points) <= n * 1.02
 
     def test_band_respected_post_hoc(self, coarse_setup):
-        from msfm.geometry import fundamental_from_poses, epipolar_line, point_line_distance
+        from msfm.geometry import fundamental_from_poses
+        from line_oracles import epipolar_line, point_line_distance
         scene, store, model = coarse_setup
         work = copy.deepcopy(model)
         pre = set(work.point_ids())

@@ -6,10 +6,8 @@ from msfm.ba import rodrigues
 from msfm.errors import DegenerateGeometryError, InsufficientDataError
 from msfm.geometry import (
     EpipolarLine,
-    epipolar_line,
     estimate_fundamental_ransac,
     fundamental_from_poses,
-    point_line_distance,
     ransac_stop_count,
     relative_pose_from_fundamental,
     sampson_distance,
@@ -18,6 +16,7 @@ from msfm.geometry import (
 from msfm.model import Camera, make_intrinsics
 
 from conftest import random_rotation
+from line_oracles import epipolar_line, point_line_distance
 
 
 def covisible_cloud(rng, cam_q, cam_c, n=100, depth_center=None):

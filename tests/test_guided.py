@@ -9,15 +9,13 @@ from msfm import densify
 from msfm.config import PipelineConfig
 from msfm.descriptors import SearchStats
 from msfm.features import DESCRIPTOR_DIM, FeatureSet
-from msfm.geometry import EpipolarLine, TwoViewGeometry, fundamental_from_poses
+from msfm.geometry import EpipolarLine, TwoViewGeometry, fundamental_from_poses, skew
 from msfm.guided import (
     _candidates_batch,
     build_grid,
     candidates_grid,
     candidates_linear,
-    clip_line_to_bounds,
-    clip_lines_batch,
-    equidistant_line_points,
+    clip_lines,
     group_queries,
     guided_match_pair,
 )
@@ -25,6 +23,17 @@ from msfm.matching import NO_MATCHES, match_pair, matches_from, ratio_filter
 from msfm.model import Camera
 from msfm.pipeline import run_coarse, run_densify, run_match
 from msfm.synth import SceneSpec, generate_scene
+
+from line_oracles import (
+    cell_indices,
+    clip_line_to_bounds,
+    encode,
+    equidistant_line_points,
+    lookup_ids,
+    reference_candidates_grid,
+    reference_grid_table,
+    reference_group_queries,
+)
 
 
 def random_lines(rng, n, width, height):
@@ -49,14 +58,14 @@ def reference_guided_match_pair(query_fs, target_fs, geom, *, d=8.0, ratio=0.8,
     if grid is None:
         grid = build_grid(txy, d * inflation, width=bounds[0], height=bounds[1])
 
-    groups = group_queries(query_fs, geom, bounds, query_indices=query_indices)
+    groups = reference_group_queries(query_fs, geom, bounds, query_indices=query_indices)
     tdesc = target_fs.descriptors_f32()[ti]
     tnorm = np.einsum("ij,ij->i", tdesc, tdesc)
     qdesc = query_fs.descriptors_f32()
     qxy = query_fs.xy.astype(np.float64)
     accepted = []
     for group in groups:
-        cand = candidates_grid(grid, group.representative_line, d)
+        cand = reference_candidates_grid(grid, group.representative_line, d)
         if len(cand) == 0:
             continue
         members = group.member_features
@@ -123,26 +132,39 @@ def large_pair_spec(n_points):
 class TestBuildGrid:
     def test_origin_cell_indices(self):
         grid = build_grid(np.array([[0.0, 0.0]]), 10.0, width=100, height=100)
-        idx = grid.cell_indices(np.array([[0.0, 0.0]]))[0]
+        idx = cell_indices(grid, np.array([[0.0, 0.0]]))[0]
         assert idx.tolist() == [[0, 0], [-1, 0], [0, -1], [-1, -1]]
-        assert grid.cell_indices(np.array([[25.0, 25.0]]))[0, 0].tolist() == [1, 1]
+        assert cell_indices(grid, np.array([[25.0, 25.0]]))[0, 0].tolist() == [1, 1]
+        assert grid.cell_keys(np.array([[0.0, 0.0]]))[0].tolist() == \
+            [encode(idx[g], g) for g in range(4)]
 
     def test_every_feature_in_four_bins(self):
         rng = np.random.default_rng(1)
         xy = rng.uniform(0, [640, 480], size=(10_000, 2))
         grid = build_grid(xy, 8.0, width=640, height=480)
-        idx = grid.cell_indices(xy)
+        idx = cell_indices(grid, xy)
+        assert np.array_equal(grid.cell_keys(xy), encode(idx, np.arange(4)[None, :]))
         for g in range(4):
-            members = grid.lookup(np.unique(grid._encode(idx[:, g, :], g)))
+            members = lookup_ids(grid, np.unique(encode(idx[:, g, :], g)))
             assert sorted(members.tolist()) == list(range(10_000))
         # members lie inside their cells
         for g in range(4):
-            keys = grid._encode(idx[:, g, :], g)
+            keys = encode(idx[:, g, :], g)
             uniq = np.unique(keys)
             for key in uniq[:50]:
-                ids = grid.lookup(np.array([key]))
+                ids = lookup_ids(grid, np.array([key]))
                 sub_idx = idx[ids, g, :]
-                assert (grid._encode(sub_idx, g) == key).all()
+                assert (encode(sub_idx, g) == key).all()
+
+    @pytest.mark.parametrize("d", [3.3, 10.0, 12.5])
+    def test_table_equals_unique_reference(self, d):
+        rng = np.random.default_rng(17)
+        xy = rng.uniform(-20, [660, 500], size=(5000, 2))
+        grid = build_grid(xy, d, width=640, height=480)
+        keys, starts, members = reference_grid_table(grid, xy)
+        assert np.array_equal(grid._keys, keys)
+        assert np.array_equal(grid._starts, starts)
+        assert np.array_equal(grid._members, members)
 
     def test_invalid_d(self):
         with pytest.raises(ValueError):
@@ -259,19 +281,20 @@ class TestGroupQueries:
         )
         groups = group_queries(fs_dup, geom, (fs_t.width, fs_t.height))
         assert len(groups) == 1
-        assert len(groups[0].member_features) == 2
+        assert groups.members.tolist() == [0, 1]
 
     def test_groups_partition_queries(self):
         scene, fs_q, fs_t, geom = self._pair()
         groups = group_queries(fs_q, geom, (fs_t.width, fs_t.height))
-        seen = []
-        for g in groups:
-            seen.extend(g.member_features.tolist())
+        seen = groups.members.tolist()
         assert len(seen) == len(set(seen))
         # every member's own line hits the boundary within tolerance of the
         # representative's endpoints
-        for g in groups[:40]:
-            for fid in g.member_features:
+        ends = np.append(groups.starts, len(groups.members))
+        for g in range(min(40, len(groups))):
+            rep_a, rep_b = clip_line_to_bounds(
+                EpipolarLine(*groups.lines[g]), fs_t.width, fs_t.height)
+            for fid in groups.members[ends[g]:ends[g + 1]]:
                 hom = np.append(fs_q.xy[fid].astype(np.float64), 1.0)
                 l = geom.F @ hom
                 l = l / np.hypot(l[0], l[1])
@@ -279,8 +302,8 @@ class TestGroupQueries:
                     EpipolarLine(*l), fs_t.width, fs_t.height)
                 assert clipped is not None
                 pa, pb = clipped
-                assert np.linalg.norm(pa - g.boundary_points[0]) <= 2.0 * np.sqrt(2)
-                assert np.linalg.norm(pb - g.boundary_points[1]) <= 2.0 * np.sqrt(2)
+                assert np.linalg.norm(pa - rep_a) <= 2.0 * np.sqrt(2)
+                assert np.linalg.norm(pb - rep_b) <= 2.0 * np.sqrt(2)
 
     def test_distant_boundary_hits_split(self):
         # two horizontal epipolar lines 3 px apart must land in two groups
@@ -315,18 +338,64 @@ class TestGroupQueries:
                         orientation=np.zeros(n, dtype=np.float32),
                         descriptors=np.zeros((n, DESCRIPTOR_DIM), dtype=np.uint8))
         groups = group_queries(fs, TwoViewGeometry(F=F), (float(width), float(height)))
-        members = np.concatenate([g.member_features for g in groups])
-        group_of = np.repeat(np.arange(len(groups)), [len(g.member_features) for g in groups])
+        members, starts = groups.members, groups.starts
         lines = np.hstack([xy[members].astype(np.float64), np.ones((len(members), 1))]) @ F.T
         lines /= np.hypot(lines[:, 0], lines[:, 1])[:, None]
-        ok, pa, pb = clip_lines_batch(lines, width, height)
+        ok, pa, pb = clip_lines(lines, width, height)
         assert ok.all()
         buckets = np.floor(np.hstack([pa, pb]) / 2.0).astype(np.int64)
-        starts = np.flatnonzero(np.diff(group_of, prepend=-1))
         for col in range(4):
             lo = np.minimum.reduceat(buckets[:, col], starts)
             hi = np.maximum.reduceat(buckets[:, col], starts)
             assert (lo == hi).all()
+
+    @given(size=st.tuples(st.integers(4, 5000), st.integers(4, 5000)),
+           pencil=st.booleans(),
+           rows=st.tuples(*[st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+                                      st.floats(-1.0, 1.0))] * 3),
+           flatten=st.tuples(st.sampled_from([0, 1]),
+                             st.sampled_from([1.0, 0.0, 1e-12, 1e-7, 1e-3])),
+           through=st.tuples(st.floats(-0.2, 1.2), st.floats(-0.2, 1.2), st.floats(0.0, 2.0)),
+           n=st.integers(0, 300), subset=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @settings(deadline=None)
+    def test_arrays_equal_list_reference(self, size, pencil, rows, flatten, through, n,
+                                         subset, seed):
+        width, height = size
+        cx, cy, spread = through
+        F = np.array(rows, dtype=np.float64)
+        if pencil:
+            # the line of query (x, y) runs through the epipole (ex, ey) and
+            # through (ex + tilt (x - width / 2), y): near-vertical lines of
+            # both slants share their boundary buckets when tilt is small,
+            # and tilt 0 makes them exactly vertical
+            tilt = flatten[1]
+            ex, ey = cx * width, cy * height
+            F = skew(np.array([ex, ey, 1.0])) @ np.array(
+                [[tilt, 0.0, ex - tilt * width / 2.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        else:
+            # rows 0 and 1 of F give each line's normal, and row 2 puts it at
+            # about ``spread`` image sizes from (cx, cy); shrinking row 1 (0)
+            # makes the lines near vertical (horizontal), zeroing it makes
+            # them axis-parallel
+            F[flatten[0]] *= flatten[1]
+            F[2] = -(cx * width * F[0] + cy * height * F[1]) + spread * max(width, height) * F[2]
+        rng = np.random.default_rng(seed)
+        xy = rng.uniform(0, [width, height], size=(n, 2)).astype(np.float32)
+        fs = FeatureSet(image_id=0, width=width, height=height, xy=xy,
+                        scale=np.ones(n, dtype=np.float32),
+                        orientation=np.zeros(n, dtype=np.float32),
+                        descriptors=np.zeros((n, DESCRIPTOR_DIM), dtype=np.uint8))
+        qi = rng.permutation(n)[:int(rng.integers(0, n + 1))] if subset else None
+        geom, bounds = TwoViewGeometry(F=F), (float(width), float(height))
+        got = group_queries(fs, geom, bounds, query_indices=qi)
+        want = reference_group_queries(fs, geom, bounds, query_indices=qi)
+        sizes = [len(g.member_features) for g in want]
+        assert len(got) == len(want)
+        assert got.members.tolist() == [q for g in want for q in g.member_features.tolist()]
+        assert got.starts.tolist() == (np.cumsum(sizes) - sizes).tolist()
+        assert got.sizes().tolist() == sizes
+        assert got.lines.tolist() == [[g.representative_line.a, g.representative_line.b,
+                                       g.representative_line.c] for g in want]
 
 
 class TestGuidedMatchPair:
@@ -406,10 +475,8 @@ class TestGuidedMatchPair:
         groups = group_queries(fs_q, geom, (fs_t.width, fs_t.height))
         grid = build_grid(fs_t.xy.astype(np.float64), 8.0 * 1.25,
                           width=fs_t.width, height=fs_t.height)
-        bound = 0
-        for g in groups:
-            cand = candidates_grid(grid, g.representative_line, 8.0)
-            bound += len(g.member_features) * len(cand)
+        group_of, _ = _candidates_batch(grid, groups.lines, 8.0)
+        bound = int((groups.sizes() * np.bincount(group_of, minlength=len(groups))).sum())
         assert stats.candidates <= bound
 
     def test_empty_target(self):
@@ -484,7 +551,7 @@ class TestGuidedOracle:
         fs_q, fs_t = scene.feature_sets[0], scene.feature_sets[1]
         geom = fundamental_from_poses(scene.cameras[0], scene.cameras[1])
         groups = group_queries(fs_q, geom, (fs_t.width, fs_t.height))
-        assert max(len(g.member_features) for g in groups) >= 8
+        assert groups.sizes().max() >= 8
         assert_same_as_reference(fs_q, fs_t, geom, d=8.0)
 
 
@@ -506,8 +573,9 @@ class TestBatchedRetrieval:
                           for ang, x, y in raw])
         line_of, cand = _candidates_batch(grid, lines, d)
         for i, line in enumerate(lines):
-            want = candidates_grid(grid, EpipolarLine(*line), d)
+            want = reference_candidates_grid(grid, EpipolarLine(*line), d)
             assert np.array_equal(cand[line_of == i], want)
+            assert np.array_equal(candidates_grid(grid, EpipolarLine(*line), d), want)
 
 
 class TestGuidedMemory:
