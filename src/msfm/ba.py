@@ -135,25 +135,39 @@ class BAProblem:
 
 
 def problem_from_model(model: Model, feature_store) -> tuple[BAProblem, list[int], list[int]]:
+    """The model as a BA problem: observations grouped by point, cameras
+    ascending within a track.  ``feature_store.position(image_id, ids)``
+    gathers an image's feature positions for an array of feature ids.
+    Returns (problem, camera image ids, point ids) in problem order."""
     cam_ids = model.image_ids()
     pt_ids = model.point_ids()
     cam_pos = {c: i for i, c in enumerate(cam_ids)}
     pt_pos = {p: i for i, p in enumerate(pt_ids)}
-    obs_cam, obs_pt, obs_uv = [], [], []
+    obs_cam, obs_pt, obs_feature = [], [], []
     for pid in pt_ids:
-        for image_id in sorted(model.points[pid].track):
+        track = model.points[pid].track
+        for image_id in sorted(track):
             obs_cam.append(cam_pos[image_id])
             obs_pt.append(pt_pos[pid])
-            obs_uv.append(feature_store.position(image_id, model.points[pid].track[image_id]))
+            obs_feature.append(track[image_id])
+    obs_cam = np.array(obs_cam, dtype=np.int64)
+    obs_feature = np.array(obs_feature, dtype=np.int64)
+    # one position gather per image, over the observations sorted by camera
+    order = np.argsort(obs_cam, kind="stable")
+    starts = np.searchsorted(obs_cam[order], np.arange(len(cam_ids) + 1))
+    obs_uv = np.zeros((len(obs_cam), 2))
+    for c, image_id in enumerate(cam_ids):
+        rows = order[starts[c]:starts[c + 1]]
+        obs_uv[rows] = feature_store.position(image_id, obs_feature[rows])
     problem = BAProblem(
         R=np.stack([model.cameras[c].R for c in cam_ids]),
         t=np.stack([model.cameras[c].t for c in cam_ids]),
         f=np.array([model.cameras[c].K[0, 0] for c in cam_ids]),
         pp=np.stack([model.cameras[c].K[:2, 2] for c in cam_ids]),
         X=np.stack([model.points[p].position for p in pt_ids]),
-        cam_idx=np.array(obs_cam, dtype=np.int64),
+        cam_idx=obs_cam,
         pt_idx=np.array(obs_pt, dtype=np.int64),
-        uv=np.asarray(obs_uv, dtype=np.float64).reshape(-1, 2),
+        uv=obs_uv,
     )
     return problem, cam_ids, pt_ids
 

@@ -214,7 +214,8 @@ class FeatureStore:
     def __contains__(self, image_id: int) -> bool:
         return image_id in self.sets
 
-    def position(self, image_id: int, feature_id: int) -> np.ndarray:
+    def position(self, image_id: int, feature_id) -> np.ndarray:
+        """A feature's pixel position; (k, 2) positions for an array of ids."""
         return self.sets[image_id].xy[feature_id]
 
     def descriptor(self, image_id: int, feature_id: int) -> np.ndarray:

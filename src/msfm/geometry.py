@@ -8,6 +8,7 @@ and are kept Frobenius-normalized with rank 2.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,8 @@ SAMPSON_THRESHOLD_PX = 2.0
 RANSAC_CONFIDENCE = 0.999
 RANSAC_MAX_ITERS = 2048
 MIN_EDGE_INLIERS = 16
+# samples per problem in each lockstep round of block_ransac; the last repeats
+RANSAC_BLOCKS = (8, 16, 32, 64, 128)
 
 TRI_MAX_ERROR_PX = 4.0
 TRI_MIN_ANGLE_DEG = 1.0
@@ -52,12 +55,13 @@ def skew(v: np.ndarray) -> np.ndarray:
 
 
 def _normalize_f(F: np.ndarray) -> np.ndarray:
-    F = F / np.linalg.norm(F)
-    # canonical sign: the largest-magnitude entry is positive
-    flat = np.abs(F).argmax()
-    if F.flat[flat] < 0:
-        F = -F
-    return F
+    """Frobenius-normalize F (..., 3, 3); the largest-magnitude entry turns positive."""
+    # vecdot is the dot product np.linalg.norm takes, one slice at a time
+    flat = F.reshape(*F.shape[:-2], 9)
+    F = F / np.sqrt(np.vecdot(flat, flat))[..., None, None]
+    flat = F.reshape(*F.shape[:-2], 9)
+    big = np.take_along_axis(flat, np.abs(flat).argmax(axis=-1)[..., None], axis=-1)
+    return np.where(big[..., None] < 0, -F, F)
 
 
 def fundamental_from_poses(cam_q, cam_c) -> TwoViewGeometry:
@@ -78,49 +82,53 @@ def fundamental_from_poses(cam_q, cam_c) -> TwoViewGeometry:
 
 
 def _hartley_normalize(pts: np.ndarray):
-    centroid = pts.mean(axis=0)
+    """Centred, scaled points (..., n, 2) and their transforms T (..., 3, 3)."""
+    centroid = pts.mean(axis=-2, keepdims=True)
     centered = pts - centroid
-    rms = np.sqrt((centered ** 2).sum(axis=1).mean())
-    s = np.sqrt(2.0) / max(rms, 1e-12)
-    T = np.array([
-        [s, 0.0, -s * centroid[0]],
-        [0.0, s, -s * centroid[1]],
-        [0.0, 0.0, 1.0],
-    ])
-    return centered * s, T
+    rms = np.sqrt((centered ** 2).sum(axis=-1).mean(axis=-1))
+    s = np.sqrt(2.0) / np.maximum(rms, 1e-12)
+    T = np.zeros((*s.shape, 3, 3))
+    T[..., 0, 0] = T[..., 1, 1] = s
+    T[..., :2, 2] = -s[..., None] * centroid[..., 0, :]
+    T[..., 2, 2] = 1.0
+    return centered * s[..., None, None], T
 
 
 def eight_point(pts_q: np.ndarray, pts_c: np.ndarray):
-    """Normalized 8-point fit; returns (F, smallest design-space gap ratio).
+    """Normalized 8-point fits of a stack of b correspondence sets.
 
-    The second value is s[-2]/s[0] of the design matrix: a near-zero gap means
-    the system admits a solution family (coplanar scene), which callers flag.
+    ``pts_q`` and ``pts_c`` are (b, n, 2), n >= 8.  Returns F (b, 3, 3) and
+    each fit's design-space gap ratio s[-2]/s[0] (b,), 0 when n = 8: a
+    near-zero gap means the system admits a solution family (coplanar
+    scene), which callers flag.  Raises np.linalg.LinAlgError when any
+    slice's SVD fails.
     """
-    pts_q = np.asarray(pts_q, dtype=np.float64)
-    pts_c = np.asarray(pts_c, dtype=np.float64)
-    nq, Tq = _hartley_normalize(pts_q)
-    nc, Tc = _hartley_normalize(pts_c)
-    x, y = nq[:, 0], nq[:, 1]
-    xp, yp = nc[:, 0], nc[:, 1]
-    A = np.stack([xp * x, xp * y, xp, yp * x, yp * y, yp, x, y, np.ones_like(x)], axis=1)
+    nq, Tq = _hartley_normalize(np.asarray(pts_q, dtype=np.float64))
+    nc, Tc = _hartley_normalize(np.asarray(pts_c, dtype=np.float64))
+    x, y = nq[..., 0], nq[..., 1]
+    xp, yp = nc[..., 0], nc[..., 1]
+    A = np.stack([xp * x, xp * y, xp, yp * x, yp * y, yp, x, y, np.ones_like(x)], axis=-1)
     _, s, Vt = np.linalg.svd(A)
-    gap = s[-2] / s[0] if len(s) >= 9 else 0.0
-    F0 = Vt[-1].reshape(3, 3)
-    U, sv, Vt2 = np.linalg.svd(F0)
-    F0 = U @ np.diag([sv[0], sv[1], 0.0]) @ Vt2
-    F = Tc.T @ F0 @ Tq
-    return _normalize_f(F), float(gap)
+    gap = s[:, -2] / s[:, 0] if s.shape[-1] >= 9 else np.zeros(len(s))
+    U, sv, Vt2 = np.linalg.svd(Vt[:, -1].reshape(-1, 3, 3))
+    D = np.zeros_like(U)
+    D[:, 0, 0], D[:, 1, 1] = sv[:, 0], sv[:, 1]
+    F = Tc.transpose(0, 2, 1) @ (U @ D @ Vt2) @ Tq
+    return _normalize_f(F), gap
 
 
 def sampson_distance(F: np.ndarray, pts_q: np.ndarray, pts_c: np.ndarray) -> np.ndarray:
-    """First-order geometric error of the epipolar constraint, in pixels."""
+    """First-order geometric error of the epipolar constraint, in pixels.
+
+    F is (3, 3) or a stack (b, 3, 3); the distances are (n,) or (b, n).
+    """
     ones = np.ones((len(pts_q), 1))
     hq = np.hstack([pts_q, ones])
     hc = np.hstack([pts_c, ones])
-    Fq = hq @ F.T      # lines in the target image
-    Ftc = hc @ F       # lines in the query image
-    num = np.einsum("ij,ij->i", hc, Fq)
-    den = Fq[:, 0] ** 2 + Fq[:, 1] ** 2 + Ftc[:, 0] ** 2 + Ftc[:, 1] ** 2
+    Fq = hq @ np.swapaxes(F, -1, -2)      # lines in the target image
+    Ftc = hc @ F                          # lines in the query image
+    num = np.einsum("ij,...ij->...i", hc, Fq)
+    den = Fq[..., 0] ** 2 + Fq[..., 1] ** 2 + Ftc[..., 0] ** 2 + Ftc[..., 1] ** 2
     return np.abs(num) / np.sqrt(np.maximum(den, 1e-30))
 
 
@@ -139,45 +147,117 @@ def ransac_stop_count(inlier_ratio: float, sample_size: int,
     return min(max_iters, int(np.ceil(np.log(1.0 - confidence) / denom)))
 
 
-def estimate_fundamental_ransac(pts_q, pts_c, *, seed: int = 0):
-    """Robust fundamental-matrix estimation by 8-point RANSAC.
+def _fit_block(fit, owner: np.ndarray, samples: np.ndarray):
+    """``fit``'s (hypotheses, ok) for a block of samples.
 
-    Returns (TwoViewGeometry, inlier_mask); the caller decides whether the
-    inlier count clears its gate.  Raises InsufficientDataError below 8
-    correspondences.
+    A stacked SVD that raises fails its whole block, so such a block is
+    refit one sample at a time; a sample that raises alone is not ok.
     """
-    pts_q = np.asarray(pts_q, dtype=np.float64).reshape(-1, 2)
-    pts_c = np.asarray(pts_c, dtype=np.float64).reshape(-1, 2)
-    n = len(pts_q)
-    if n < 8:
-        raise InsufficientDataError(f"need >= 8 correspondences, got {n}")
-    rng = np.random.default_rng(seed)
-    best_mask = np.zeros(n, dtype=bool)
-    best_count = 0
-    needed = RANSAC_MAX_ITERS
-    it = 0
-    while it < needed and it < RANSAC_MAX_ITERS:
-        sample = rng.choice(n, size=8, replace=False)
+    try:
+        return fit(owner, samples)
+    except np.linalg.LinAlgError:
+        pass
+    hypotheses, ok = None, np.zeros(len(samples), dtype=bool)
+    for j in range(len(samples)):
         try:
-            F, _ = eight_point(pts_q[sample], pts_c[sample])
+            one, one_ok = fit(owner[j:j + 1], samples[j:j + 1])
         except np.linalg.LinAlgError:
-            it += 1
             continue
-        mask = sampson_distance(F, pts_q, pts_c) < SAMPSON_THRESHOLD_PX
-        count = int(mask.sum())
-        if count > best_count:
-            best_count = count
-            best_mask = mask
-            needed = ransac_stop_count(count / n, 8, RANSAC_CONFIDENCE, RANSAC_MAX_ITERS)
-        it += 1
-    if best_count < 8:
-        geom = TwoViewGeometry(F=np.eye(3) / np.sqrt(3.0), inlier_count=0)
-        return geom, np.zeros(n, dtype=bool)
-    F, gap = eight_point(pts_q[best_mask], pts_c[best_mask])
-    mask = sampson_distance(F, pts_q, pts_c) < SAMPSON_THRESHOLD_PX
-    geom = TwoViewGeometry(F=F, inlier_count=int(mask.sum()),
-                           degenerate_planar=gap < 1e-9)
-    return geom, mask
+        if hypotheses is None:
+            hypotheses = np.zeros((len(samples), *one.shape[1:]))
+        hypotheses[j], ok[j] = one[0], one_ok[0]
+    return hypotheses, ok
+
+
+def block_ransac(sizes, seeds, sample_size: int, fit, score, *,
+                 confidence: float, max_iters: int):
+    """Best consensus of each of several RANSAC problems, run in lockstep.
+
+    Problem i draws ``sample_size`` of its ``sizes[i]`` items per hypothesis
+    with ``np.random.default_rng(seeds[i]).choice(..., replace=False)``.
+    Each round, every unfinished problem draws a block of samples (sizes
+    ``RANSAC_BLOCKS``, never past its current stop count); one
+    ``fit(owner, samples)`` call fits the whole round, ``owner`` (b,) naming
+    each sample's problem and ``samples`` (b, k) its items, and returns
+    (hypotheses stacked on a leading axis, ok (b,)).  ``score(i,
+    hypotheses)`` gives the (m, sizes[i]) inlier masks of problem i's fits.
+    The draws are then replayed in order with the sequential update: a
+    draw that beats the best count so far takes its mask and lowers the
+    stop count (``ransac_stop_count``); draws past the stop are discarded.
+    A sample whose fit is not ok, or whose SVD fails, counts as a draw.
+
+    Returns one (best mask or None, best count) per problem.
+    """
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    drawn = [0] * len(sizes)
+    needed = [max_iters] * len(sizes)
+    best = [(None, 0)] * len(sizes)
+    blocks = itertools.chain(RANSAC_BLOCKS, itertools.repeat(RANSAC_BLOCKS[-1]))
+    live = list(range(len(sizes)))
+    while live:
+        block = next(blocks)
+        draws = [min(block, needed[i] - drawn[i]) for i in live]
+        samples = np.array([rngs[i].choice(sizes[i], size=sample_size, replace=False)
+                            for i, m in zip(live, draws) for _ in range(m)])
+        hypotheses, ok = _fit_block(fit, np.repeat(live, draws), samples)
+        stop = 0
+        for i, m in zip(live, draws):
+            rows = slice(stop, stop + m)
+            stop += m
+            masks = np.zeros((m, sizes[i]), dtype=bool)
+            if ok[rows].any():
+                masks[ok[rows]] = score(i, hypotheses[rows][ok[rows]])
+            for mask, support in zip(masks, masks.sum(axis=1).tolist()):
+                if drawn[i] >= needed[i]:
+                    break
+                drawn[i] += 1
+                if support > best[i][1]:
+                    best[i] = (mask, support)
+                    needed[i] = ransac_stop_count(support / sizes[i], sample_size,
+                                                  confidence, max_iters)
+        live = [i for i in live if drawn[i] < needed[i]]
+    return best
+
+
+def estimate_fundamental_ransac(problems):
+    """Robust fundamental matrices of image pairs by 8-point RANSAC.
+
+    ``problems`` is a sequence of (pts_q, pts_c, seed), one per pair; the
+    pairs are verified in lockstep (``block_ransac``), each drawing from its
+    own seed.  Returns one (TwoViewGeometry, inlier_mask) per pair; the
+    caller decides whether the inlier count clears its gate.  Raises
+    InsufficientDataError when a pair has below 8 correspondences.
+    """
+    if not problems:
+        return []
+    pts = [(np.asarray(q, dtype=np.float64).reshape(-1, 2),
+            np.asarray(c, dtype=np.float64).reshape(-1, 2)) for q, c, _ in problems]
+    sizes = [len(q) for q, _ in pts]
+    if min(sizes) < 8:
+        raise InsufficientDataError(f"need >= 8 correspondences, got {min(sizes)}")
+    offsets = np.cumsum([0] + sizes[:-1])
+    all_q, all_c = (np.concatenate(side) for side in zip(*pts))
+
+    def fit(owner, samples):
+        rows = offsets[owner][:, None] + samples
+        return eight_point(all_q[rows], all_c[rows])[0], np.ones(len(rows), dtype=bool)
+
+    def score(i, F):
+        return sampson_distance(F, *pts[i]) < SAMPSON_THRESHOLD_PX
+
+    found = block_ransac(sizes, [seed for *_, seed in problems], 8, fit, score,
+                         confidence=RANSAC_CONFIDENCE, max_iters=RANSAC_MAX_ITERS)
+    results = []
+    for (q, c), (best_mask, best_count) in zip(pts, found):
+        if best_count < 8:
+            results.append((TwoViewGeometry(F=np.eye(3) / np.sqrt(3.0), inlier_count=0),
+                            np.zeros(len(q), dtype=bool)))
+            continue
+        F, gap = eight_point(q[best_mask][None], c[best_mask][None])
+        mask = sampson_distance(F[0], q, c) < SAMPSON_THRESHOLD_PX
+        results.append((TwoViewGeometry(F=F[0], inlier_count=int(mask.sum()),
+                                        degenerate_planar=bool(gap[0] < 1e-9)), mask))
+    return results
 
 
 def _dlt_rows(P: np.ndarray, pix: np.ndarray) -> np.ndarray:

@@ -234,21 +234,27 @@ def build_coarse_matchgraph(feature_sets: dict[int, FeatureSet], *,
                             min_edge_inliers: int = MIN_EDGE_INLIERS,
                             seed: int = 0,
                             stats: SearchStats | None = None) -> MatchGraph:
-    """Hybrid-match every surviving pair and keep geometry-verified edges."""
+    """Hybrid-match every surviving pair and keep geometry-verified edges.
+
+    The fundamental-matrix RANSACs of all matched pairs run in lockstep,
+    each pair seeded ``seed + a * 100003 + b``.
+    """
     if preemptive:
         pairs = preemptive_pair_filter(feature_sets, ratio=ratio)
     else:
         ids = sorted(feature_sets)
         pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
 
-    graph = MatchGraph()
+    matched = []
     for a, b in pairs:
         matches = hybrid_match(feature_sets[a], feature_sets[b], ratio=ratio, stats=stats)
-        if len(matches) < MIN_EDGE_MATCHES:
-            continue
-        geom, mask = estimate_fundamental_ransac(
-            feature_sets[a].xy[matches.query], feature_sets[b].xy[matches.target],
-            seed=seed + a * 100003 + b)
+        if len(matches) >= MIN_EDGE_MATCHES:
+            matched.append((a, b, matches))
+    verified = estimate_fundamental_ransac([
+        (feature_sets[a].xy[m.query], feature_sets[b].xy[m.target], seed + a * 100003 + b)
+        for a, b, m in matched])
+    graph = MatchGraph()
+    for (a, b, matches), (geom, mask) in zip(matched, verified):
         if int(mask.sum()) >= min_edge_inliers:
             graph.edges[(a, b)] = Edge(matches=matches, inlier_mask=mask, geometry=geom)
     return graph

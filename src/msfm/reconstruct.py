@@ -22,7 +22,7 @@ from .ba import bundle_adjust, rodrigues
 from .errors import InsufficientDataError, NoSeedError
 from .geometry import (
     TRI_MAX_ERROR_PX,
-    ransac_stop_count,
+    block_ransac,
     relative_pose_from_fundamental,
     triangulate_track,
 )
@@ -47,56 +47,58 @@ BA_ITERS_FINAL = 100
 
 
 def dlt_pose(points3d: np.ndarray, pixels: np.ndarray, K: np.ndarray):
-    """Projection-matrix DLT resection; returns (R, t) for x ~ K(RX + t).
+    """Projection-matrix DLT resections of a stack of b 3D-2D sets, x ~ K(RX + t).
 
-    Needs >= 6 points in general position; the projective sign is fixed by
-    cheirality on the input points.
+    ``points3d`` is (b, n, 3) and ``pixels`` (b, n, 2), n >= 6 in general
+    position.  Returns R (b, 3, 3), t (b, 3) and ok (b,); the projective
+    sign is fixed by cheirality on the input points, and ok is False where
+    neither sign gives a proper rotation of positive scale with a point in
+    front.  Raises np.linalg.LinAlgError when any slice's SVD fails.
     """
     X = np.asarray(points3d, dtype=np.float64)
     uv = np.asarray(pixels, dtype=np.float64)
-    n = len(X)
+    b, n = X.shape[:2]
     if n < 6:
         raise InsufficientDataError(f"resection needs >= 6 points, got {n}")
     # normalize for conditioning
-    cx = X.mean(axis=0)
-    sx = np.sqrt(3.0) / max(np.linalg.norm(X - cx, axis=1).mean(), 1e-12)
-    cu = uv.mean(axis=0)
-    su = np.sqrt(2.0) / max(np.linalg.norm(uv - cu, axis=1).mean(), 1e-12)
-    Xn = (X - cx) * sx
-    un = (uv - cu) * su
-    A = np.zeros((2 * n, 12))
-    Xh = np.hstack([Xn, np.ones((n, 1))])
-    A[0::2, 0:4] = Xh
-    A[0::2, 8:12] = -un[:, 0:1] * Xh
-    A[1::2, 4:8] = Xh
-    A[1::2, 8:12] = -un[:, 1:2] * Xh
+    cx = X.mean(axis=1, keepdims=True)
+    sx = np.sqrt(3.0) / np.maximum(np.linalg.norm(X - cx, axis=-1).mean(axis=-1), 1e-12)
+    cu = uv.mean(axis=1, keepdims=True)
+    su = np.sqrt(2.0) / np.maximum(np.linalg.norm(uv - cu, axis=-1).mean(axis=-1), 1e-12)
+    Xn = (X - cx) * sx[:, None, None]
+    un = (uv - cu) * su[:, None, None]
+    A = np.zeros((b, 2 * n, 12))
+    Xh = np.concatenate([Xn, np.ones((b, n, 1))], axis=-1)
+    A[:, 0::2, 0:4] = Xh
+    A[:, 0::2, 8:12] = -un[..., 0:1] * Xh
+    A[:, 1::2, 4:8] = Xh
+    A[:, 1::2, 8:12] = -un[..., 1:2] * Xh
     _, _, Vt = np.linalg.svd(A)
-    Pn = Vt[-1].reshape(3, 4)
+    Pn = Vt[:, -1].reshape(b, 3, 4)
     # undo normalization
-    Tu = np.array([[su, 0, -su * cu[0]], [0, su, -su * cu[1]], [0, 0, 1.0]])
-    Tx = np.eye(4)
-    Tx[:3, :3] *= sx
-    Tx[:3, 3] = -sx * cx
-    P = np.linalg.inv(Tu) @ Pn @ Tx
-    G = np.linalg.inv(K) @ P
-    best = None
-    for sign in (1.0, -1.0):
-        M = sign * G[:, :3]
-        U, S, Vt2 = np.linalg.svd(M)
-        R = U @ Vt2
-        if np.linalg.det(R) < 0:
-            continue
-        scale = S.mean()
-        if scale < 1e-12:
-            continue
-        t = sign * G[:, 3] / scale
-        depths = (X @ R.T + t)[:, 2]
-        front = int((depths > 0).sum())
-        if best is None or front > best[0]:
-            best = (front, R, t)
-    if best is None or best[0] == 0:
-        raise InsufficientDataError("resection produced no valid orientation")
-    return best[1], best[2]
+    Tu = np.zeros((b, 3, 3))
+    Tu[:, 0, 0] = Tu[:, 1, 1] = su
+    Tu[:, :2, 2] = -su[:, None] * cu[:, 0]
+    Tu[:, 2, 2] = 1.0
+    Tx = np.tile(np.eye(4), (b, 1, 1))
+    Tx[:, :3, :3] *= sx[:, None, None]
+    Tx[:, :3, 3] = -sx[:, None] * cx[:, 0]
+    G = np.linalg.inv(K) @ (np.linalg.inv(Tu) @ Pn @ Tx)
+    # both projective signs at once: axis 1 is sign +1, then -1
+    sign = np.array([1.0, -1.0])
+    U, S, Vt2 = np.linalg.svd(sign[:, None, None] * G[:, None, :, :3])
+    R = U @ Vt2
+    scale = S.mean(axis=-1)
+    valid = ~(np.linalg.det(R) < 0) & ~(scale < 1e-12)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = sign[:, None] * G[:, None, :, 3] / scale[..., None]
+    depths = (X[:, None] @ R.transpose(0, 1, 3, 2) + t[:, :, None])[..., 2]
+    front = (depths > 0).sum(axis=-1)
+    # sign +1 wins unless only -1 is valid or -1 has more points in front
+    pick = (valid[:, 1] & (~valid[:, 0] | (front[:, 1] > front[:, 0]))).astype(np.int64)
+    rows = np.arange(b)
+    ok = valid[rows, pick] & (front[rows, pick] > 0)
+    return R[rows, pick], t[rows, pick], ok
 
 
 def refine_pose_lm(R, t, K, points3d, pixels):
@@ -161,11 +163,23 @@ def refine_pose_lm(R, t, K, points3d, pixels):
     return R, t
 
 
+def _pnp_inliers(R, t, K, X, uv) -> np.ndarray:
+    """Inlier masks (..., n) of poses R (..., 3, 3), t (..., 3): in front and
+    within ``PNP_THRESHOLD_PX`` of the pixels."""
+    xc = X @ np.swapaxes(R, -1, -2) + t[..., None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        proj = K[0, 0] * xc[..., :2] / xc[..., 2:3] + K[:2, 2]
+        err = np.linalg.norm(proj - uv, axis=-1)
+    return (xc[..., 2] > 0) & np.isfinite(err) & (err < PNP_THRESHOLD_PX)
+
+
 def pnp_ransac(points3d, pixels, K, *, min_inliers: int = PNP_MIN_INLIERS, seed: int = 0):
     """Robust resection from 3D-2D correspondences.
 
-    Returns (R, t, inlier_mask) or None when the best hypothesis has fewer
-    than ``min_inliers`` supporters.  Raises InsufficientDataError below 6
+    6-point DLT hypotheses in stacked blocks (``block_ransac``), then an
+    all-inlier DLT refit polished by ``refine_pose_lm``.  Returns (R, t,
+    inlier_mask) or None when the best hypothesis has fewer than
+    ``min_inliers`` supporters.  Raises InsufficientDataError below 6
     correspondences.
     """
     X = np.asarray(points3d, dtype=np.float64).reshape(-1, 3)
@@ -173,42 +187,27 @@ def pnp_ransac(points3d, pixels, K, *, min_inliers: int = PNP_MIN_INLIERS, seed:
     n = len(X)
     if n < PNP_MIN_CORRESPONDENCES:
         raise InsufficientDataError(f"resection needs >= 6 correspondences, got {n}")
-    rng = np.random.default_rng(seed)
-    f = K[0, 0]
-    pp = K[:2, 2]
-    best_mask = None
-    best_count = 0
-    needed = PNP_MAX_ITERS
-    it = 0
-    while it < needed and it < PNP_MAX_ITERS:
-        it += 1
-        sample = rng.choice(n, size=6, replace=False)
-        try:
-            R, t = dlt_pose(X[sample], uv[sample], K)
-        except (InsufficientDataError, np.linalg.LinAlgError):
-            continue
-        xc = X @ R.T + t
-        with np.errstate(divide="ignore", invalid="ignore"):
-            proj = f * xc[:, :2] / xc[:, 2:3] + pp
-            err = np.linalg.norm(proj - uv, axis=1)
-        mask = (xc[:, 2] > 0) & np.isfinite(err) & (err < PNP_THRESHOLD_PX)
-        count = int(mask.sum())
-        if count > best_count:
-            best_count = count
-            best_mask = mask
-            needed = ransac_stop_count(count / n, 6, PNP_CONFIDENCE, PNP_MAX_ITERS)
-    if best_mask is None or best_count < max(min_inliers, PNP_MIN_CORRESPONDENCES):
+
+    def fit(_, samples):
+        R, t, ok = dlt_pose(X[samples], uv[samples], K)
+        return np.concatenate([R, t[..., None]], axis=-1), ok
+
+    def score(_, poses):
+        return _pnp_inliers(poses[..., :3], poses[..., 3], K, X, uv)
+
+    [(best_mask, best_count)] = block_ransac(
+        [n], [seed], PNP_MIN_CORRESPONDENCES, fit, score,
+        confidence=PNP_CONFIDENCE, max_iters=PNP_MAX_ITERS)
+    if best_count < max(min_inliers, PNP_MIN_CORRESPONDENCES):
         return None
     try:
-        R, t = dlt_pose(X[best_mask], uv[best_mask], K)
-    except (InsufficientDataError, np.linalg.LinAlgError):
+        R, t, ok = dlt_pose(X[best_mask][None], uv[best_mask][None], K)
+    except np.linalg.LinAlgError:
         return None
-    R, t = refine_pose_lm(R, t, K, X[best_mask], uv[best_mask])
-    xc = X @ R.T + t
-    with np.errstate(divide="ignore", invalid="ignore"):
-        proj = f * xc[:, :2] / xc[:, 2:3] + pp
-        err = np.linalg.norm(proj - uv, axis=1)
-    mask = (xc[:, 2] > 0) & np.isfinite(err) & (err < PNP_THRESHOLD_PX)
+    if not ok[0]:
+        return None
+    R, t = refine_pose_lm(R[0], t[0], K, X[best_mask], uv[best_mask])
+    mask = _pnp_inliers(R, t, K, X, uv)
     if int(mask.sum()) < min_inliers:
         return None
     return R, t, mask

@@ -135,7 +135,8 @@ class ExactPositionStore:
             arr[tracked] = proj[table[tracked]]
             self._positions[image_id] = arr
 
-    def position(self, image_id: int, feature_id: int) -> np.ndarray:
+    def position(self, image_id: int, feature_id) -> np.ndarray:
+        """A feature's pixel position; (k, 2) positions for an array of ids."""
         return self._positions[image_id][feature_id]
 
 

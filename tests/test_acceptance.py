@@ -356,7 +356,7 @@ class TestCriterion7OracleEquivalences:
             fs0, fs1 = scene.feature_sets[0], scene.feature_sets[1]
             pq = np.stack([fs0.xy[a] for a, _ in pairs]).astype(np.float64)
             pc = np.stack([fs1.xy[b] for _, b in pairs]).astype(np.float64)
-            est, _ = estimate_fundamental_ransac(pq, pc, seed=trial)
+            est, _ = estimate_fundamental_ransac([(pq, pc, trial)])[0]
             true = fundamental_from_poses(scene.cameras[0], scene.cameras[1])
             diff = min(np.linalg.norm(est.F - true.F),
                        np.linalg.norm(est.F + true.F))
@@ -436,7 +436,7 @@ class TestCriterion8NumericalChecks:
             pairs = s2.oracle_matches(0, 1)
             pq = np.stack([s2.feature_sets[0].xy[a] for a, _ in pairs])
             pc = np.stack([s2.feature_sets[1].xy[b] for _, b in pairs])
-            F2 = estimate_fundamental_ransac(pq, pc, seed=trial)[0].F
+            F2 = estimate_fundamental_ransac([(pq, pc, trial)])[0][0].F
             for F in (F1, F2):
                 s = np.linalg.svd(F, compute_uv=False)
                 if s[2] / s[0] >= 1e-6:

@@ -30,6 +30,24 @@ class TestRodrigues:
             assert np.linalg.det(R) == pytest.approx(1.0)
 
 
+class TestProblemFromModel:
+    def test_equals_per_observation_gather(self, ring_scene):
+        model = ring_scene.ground_truth_model()
+        store = ring_scene.store()
+        problem, cam_ids, pt_ids = problem_from_model(model, store)
+        cam_idx, pt_idx, uv = [], [], []
+        for p, pid in enumerate(pt_ids):
+            track = model.points[pid].track
+            for image_id in sorted(track):
+                cam_idx.append(cam_ids.index(image_id))
+                pt_idx.append(p)
+                uv.append(store.position(image_id, track[image_id]))
+        assert np.array_equal(problem.cam_idx, cam_idx)
+        assert np.array_equal(problem.pt_idx, pt_idx)
+        assert problem.uv.dtype == np.float64
+        assert np.array_equal(problem.uv, np.asarray(uv, dtype=np.float64))
+
+
 class TestJacobian:
     def test_matches_central_differences(self, exact_scene):
         model = exact_scene.ground_truth_model()

@@ -191,7 +191,7 @@ class TestEstimateFundamentalRansac:
                               depth_center=np.array([0.5, 0.0, 6.0]))
         pq, _ = cam_q.project(pts)
         pc, _ = cam_c.project(pts)
-        geom, mask = estimate_fundamental_ransac(pq, pc, seed=1)
+        geom, mask = estimate_fundamental_ransac([(pq, pc, 1)])[0]
         assert mask.all()
         hq = np.hstack([pq, np.ones((8, 1))])
         hc = np.hstack([pc, np.ones((8, 1))])
@@ -211,14 +211,14 @@ class TestEstimateFundamentalRansac:
         truth = np.ones(200, dtype=bool)
         truth[outliers] = False
         pc[outliers] = rng.uniform(0, [1024, 768], size=(60, 2))
-        geom, mask = estimate_fundamental_ransac(pq, pc, seed=2)
+        geom, mask = estimate_fundamental_ransac([(pq, pc, 2)])[0]
         recall = (mask & truth).sum() / truth.sum()
         assert recall >= 0.95
         assert geom.inlier_count == mask.sum()
 
     def test_too_few_matches(self):
         with pytest.raises(InsufficientDataError):
-            estimate_fundamental_ransac(np.zeros((7, 2)), np.zeros((7, 2)))
+            estimate_fundamental_ransac([(np.zeros((7, 2)), np.zeros((7, 2)), 0)])
 
     def test_planar_scene_still_valid(self):
         rng = np.random.default_rng(23)
@@ -228,7 +228,7 @@ class TestEstimateFundamentalRansac:
         pts = np.column_stack([xy, 6.0 + 0.3 * xy[:, 0] + 0.1 * xy[:, 1]])
         pq, _ = cam_q.project(pts)
         pc, _ = cam_c.project(pts)
-        geom, mask = estimate_fundamental_ransac(pq, pc, seed=3)
+        geom, mask = estimate_fundamental_ransac([(pq, pc, 3)])[0]
         sd = sampson_distance(geom.F, pq, pc)
         assert sd.max() < 1e-3
         assert geom.degenerate_planar
@@ -240,7 +240,7 @@ class TestEstimateFundamentalRansac:
                               depth_center=np.array([0.5, 0.0, 6.0]))
         pq, _ = cam_q.project(pts)
         pc, _ = cam_c.project(pts)
-        est, _ = estimate_fundamental_ransac(pq, pc, seed=4)
+        est, _ = estimate_fundamental_ransac([(pq, pc, 4)])[0]
         true = fundamental_from_poses(cam_q, cam_c)
         diff = min(np.linalg.norm(est.F - true.F), np.linalg.norm(est.F + true.F))
         assert diff < 1e-6
@@ -288,7 +288,7 @@ class TestRelativePose:
                               depth_center=np.array([0.0, 0.0, 6.0]))
         pq, _ = cam_q.project(pts)
         pc, _ = cam_c.project(pts)
-        geom, _ = estimate_fundamental_ransac(pq, pc, seed=5)
+        geom, _ = estimate_fundamental_ransac([(pq, pc, 5)])[0]
         with pytest.raises(DegenerateGeometryError):
             relative_pose_from_fundamental(geom, K, K, pq, pc)
 

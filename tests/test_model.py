@@ -306,11 +306,10 @@ class TestModelStats:
         }
 
         class Store:
-            def position(self, image_id, feature_id):
-                point = model.points[p0 if feature_id == 0 else p1]
-                cam = model.cameras[image_id]
-                exact = cam.project(point.position)[0][0]
-                return exact + np.array([planted[(image_id, feature_id)], 0.0])
+            def position(self, image_id, feature_ids):
+                points = [model.points[p0 if f == 0 else p1].position for f in feature_ids]
+                exact = model.cameras[image_id].project(np.stack(points))[0]
+                return exact + [[planted[(image_id, f)], 0.0] for f in feature_ids]
 
         stats = model_stats(model, Store())
         assert stats.n_cameras == 3

@@ -1,0 +1,311 @@
+"""The stacked RANSAC fits and ``block_ransac`` against the one-sample loops.
+
+``tests/ransac_oracles.py`` keeps the one-sample ``eight_point`` and
+``dlt_pose`` and the hand-written hypothesis loops they replaced.  The
+stacked code draws the same samples and replays the same update, so every
+result must be equal bit for bit: fits, masks, counts, flags and poses.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import ransac_oracles as oracle
+from msfm import geometry, reconstruct
+from msfm.ba import rodrigues
+from msfm.errors import InsufficientDataError
+from msfm.geometry import (
+    RANSAC_BLOCKS,
+    RANSAC_MAX_ITERS,
+    _normalize_f,
+    block_ransac,
+    eight_point,
+    estimate_fundamental_ransac,
+    ransac_stop_count,
+    sampson_distance,
+)
+from msfm.model import make_intrinsics
+from msfm.reconstruct import PNP_MAX_ITERS, dlt_pose, pnp_ransac
+
+K = make_intrinsics(900.0, 512.0, 384.0)
+SCENES = ("general", "planar", "collinear", "noise")
+
+
+def project(R, t, X):
+    uv = (X @ R.T + t) @ K.T
+    return uv[:, :2] / uv[:, 2:3]
+
+
+def world_points(rng, n, scene):
+    """n points 5-9 units in front of the origin, in the scene's shape."""
+    X = rng.uniform([-2.0, -1.5, 5.0], [2.0, 1.5, 9.0], size=(n, 3))
+    if scene == "planar":
+        X[:, 2] = 6.0 + 0.3 * X[:, 0] + 0.1 * X[:, 1]
+    elif scene == "collinear":
+        X = np.outer(rng.uniform(5.0, 9.0, n), [0.1, 0.2, 1.0])
+    return X
+
+
+def two_view(rng, n, scene, outliers, noise=0.5):
+    """Correspondences (pts_q, pts_c) of a sideways pair; a share of the
+    target points replaced by uniform clutter, all of them for "noise"."""
+    X = world_points(rng, n, scene)
+    R = rodrigues(rng.normal(0.0, 0.05, 3))
+    pq = project(np.eye(3), np.zeros(3), X) + rng.normal(0.0, noise, (n, 2))
+    pc = project(R, -R @ [1.0, 0.2, 0.1], X) + rng.normal(0.0, noise, (n, 2))
+    bad = rng.random(n) < (1.0 if scene == "noise" else outliers)
+    pc[bad] = rng.uniform(0.0, [1024.0, 768.0], size=(int(bad.sum()), 2))
+    return pq, pc
+
+
+def resection(rng, n, scene, outliers, noise=0.5):
+    """3D-2D correspondences of one camera; clutter as in ``two_view``."""
+    X = world_points(rng, n, scene) + [0.0, 0.0, 0.5]
+    R = rodrigues(rng.normal(0.0, 0.1, 3))
+    uv = project(R, rng.normal(0.0, 0.3, 3), X) + rng.normal(0.0, noise, (n, 2))
+    bad = rng.random(n) < (1.0 if scene == "noise" else outliers)
+    uv[bad] = rng.uniform(0.0, [1024.0, 768.0], size=(int(bad.sum()), 2))
+    return X, uv
+
+
+def assert_same_geometry(new, old):
+    (geom, mask), (geom_o, mask_o) = new, old
+    assert np.array_equal(geom.F, geom_o.F)
+    assert np.array_equal(mask, mask_o)
+    assert geom.inlier_count == geom_o.inlier_count
+    assert geom.degenerate_planar == geom_o.degenerate_planar
+
+
+def assert_same_pose(new, old):
+    assert (new is None) == (old is None)
+    if new is not None:
+        for a, b in zip(new, old):
+            assert np.array_equal(a, b)
+
+
+class TestStackedFits:
+    @given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 40),
+           n=st.sampled_from([8, 9, 12, 50]), scene=st.sampled_from(SCENES))
+    @settings(max_examples=40, deadline=None)
+    def test_eight_point_equals_per_sample(self, seed, b, n, scene):
+        rng = np.random.default_rng(seed)
+        pq, pc = zip(*(two_view(rng, n, scene, 0.3) for _ in range(b)))
+        F, gap = eight_point(np.stack(pq), np.stack(pc))
+        for j in range(b):
+            F_o, gap_o = oracle.eight_point(pq[j], pc[j])
+            assert np.array_equal(F[j], F_o)
+            assert gap[j] == gap_o
+            assert np.array_equal(sampson_distance(F[j], pq[0], pc[0]),
+                                  oracle.sampson_distance(F_o, pq[0], pc[0]))
+        d = sampson_distance(F, pq[0], pc[0])
+        for j in range(b):
+            assert np.array_equal(d[j], oracle.sampson_distance(F[j], pq[0], pc[0]))
+
+    @given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 20))
+    @settings(max_examples=30, deadline=None)
+    def test_normalize_f_equals_per_matrix(self, seed, b):
+        F = np.random.default_rng(seed).normal(size=(b, 3, 3))
+        out = _normalize_f(F)
+        for j in range(b):
+            assert np.array_equal(out[j], oracle.normalize_f(F[j]))
+            assert np.array_equal(_normalize_f(F[j]), oracle.normalize_f(F[j]))
+
+    @given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 40),
+           n=st.sampled_from([6, 7, 20, 200]), scene=st.sampled_from(SCENES))
+    @settings(max_examples=40, deadline=None)
+    def test_dlt_pose_equals_per_sample(self, seed, b, n, scene):
+        rng = np.random.default_rng(seed)
+        X, uv = map(np.stack, zip(*(resection(rng, n, scene, 0.3) for _ in range(b))))
+        R, t, ok = dlt_pose(X, uv, K)
+        for j in range(b):
+            try:
+                R_o, t_o = oracle.dlt_pose(X[j], uv[j], K)
+            except InsufficientDataError:
+                assert not ok[j]
+                continue
+            assert ok[j]
+            assert np.array_equal(R[j], R_o)
+            assert np.array_equal(t[j], t_o)
+
+
+def sequential_consensus(supports, n, sample_size, max_iters):
+    """(best support, draws made) of the one-draw-at-a-time stop rule over
+    a sequence of hypothesis supports; a negative support is a failed fit."""
+    best, needed, drawn = 0, max_iters, 0
+    while drawn < needed:
+        support = supports[drawn]
+        drawn += 1
+        if support > best:
+            best = support
+            needed = ransac_stop_count(support / n, sample_size, 0.999, max_iters)
+    return best, drawn
+
+
+class TestBlockRansac:
+    """``block_ransac``'s replay against the sequential rule, with fits whose
+    supports are set in advance: a draw past the stop inside a block must
+    not count, however good.  Support -1 marks a fit that is not ok, -2 one
+    whose SVD raises (failing its whole block)."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_replay_equals_sequential_rule(self, data):
+        problems = data.draw(st.integers(1, 4))
+        max_iters = data.draw(st.integers(1, 300))
+        sizes = data.draw(st.lists(st.integers(100, 200), min_size=problems, max_size=problems))
+        supports = [data.draw(st.lists(st.one_of(st.sampled_from([-2, -1]), st.integers(0, n)),
+                                       min_size=max_iters + 128, max_size=max_iters + 128))
+                    for n in sizes]
+        # block_ransac's draws, to tell which draw a sample is (8 of >= 100
+        # items: the chance of a repeated sample is below 1e-10)
+        draw_of = {}
+        for i, n in enumerate(sizes):
+            rng = np.random.default_rng(i)
+            for d in range(max_iters + 128):
+                draw_of.setdefault((i, *rng.choice(n, size=8, replace=False).tolist()), d)
+        seen = [0] * problems
+
+        def fit(owner, samples):
+            draws = [draw_of[(i, *row)] for i, row in zip(owner.tolist(), samples.tolist())]
+            for i, d in zip(owner.tolist(), draws):
+                seen[i] = max(seen[i], d + 1)
+            if any(supports[i][d] == -2 for i, d in zip(owner.tolist(), draws)):
+                raise np.linalg.LinAlgError("planted")
+            ok = [supports[i][d] != -1 for i, d in zip(owner.tolist(), draws)]
+            return np.array(draws, dtype=np.float64), np.array(ok)
+
+        def score(i, draws):
+            return np.arange(sizes[i]) < np.array([supports[i][int(d)] for d in draws])[:, None]
+
+        found = block_ransac(sizes, range(problems), 8, fit, score,
+                             confidence=0.999, max_iters=max_iters)
+        for i, (mask, best) in enumerate(found):
+            expected, needed = sequential_consensus(supports[i], sizes[i], 8, max_iters)
+            assert best == expected
+            assert (mask is None) == (best == 0)
+            assert mask is None or mask.sum() == best
+            # draws past the stop are only those of its last block
+            assert needed <= seen[i] < needed + RANSAC_BLOCKS[-1]
+
+
+class TestFundamentalRansac:
+    # pure noise, which runs to the cap, is the slow case: see test_cases
+    @given(seed=st.integers(0, 2**32 - 1), pairs=st.integers(1, 4),
+           n=st.integers(8, 120), outliers=st.floats(0.3, 0.6),
+           scene=st.sampled_from(["general", "planar"]))
+    @settings(max_examples=10, deadline=None)
+    def test_lockstep_equals_loop(self, seed, pairs, n, outliers, scene):
+        rng = np.random.default_rng(seed)
+        problems = [(*two_view(rng, int(rng.integers(8, n + 1)), scene, outliers),
+                     int(rng.integers(0, 2**31))) for _ in range(pairs)]
+        for new, (pq, pc, s) in zip(estimate_fundamental_ransac(problems), problems):
+            assert_same_geometry(new, oracle.estimate_fundamental_ransac(pq, pc, seed=s))
+
+    @pytest.mark.parametrize("n, scene, outliers", [
+        (8, "general", 0.0),      # the exact minimal set
+        (50, "planar", 0.0),
+        (200, "general", 0.45),
+        (133, "noise", 1.0),      # inlier share ~1/133: runs to the cap
+    ])
+    def test_cases(self, n, scene, outliers):
+        pq, pc = two_view(np.random.default_rng(n), n, scene, outliers,
+                          noise=0.0 if outliers == 0.0 else 0.5)
+        new = estimate_fundamental_ransac([(pq, pc, 7)])[0]
+        assert_same_geometry(new, oracle.estimate_fundamental_ransac(pq, pc, seed=7))
+        if n == 8:
+            assert new[1].all()
+        if scene == "planar":
+            assert new[0].degenerate_planar
+
+    def test_pure_noise_runs_to_the_cap(self, monkeypatch):
+        pq, pc = two_view(np.random.default_rng(3), 133, "noise", 1.0)
+        calls = []
+        fit = geometry.eight_point
+        monkeypatch.setattr(geometry, "eight_point",
+                            lambda q, c: calls.append(len(q)) or fit(q, c))
+        estimate_fundamental_ransac([(pq, pc, 11)])
+        # every block of the schedule, capped at 2048 draws; the refit is a stack of one
+        assert sum(b for b in calls if b > 1) == RANSAC_MAX_ITERS
+        assert calls[:len(RANSAC_BLOCKS)] == list(RANSAC_BLOCKS)
+
+    def test_no_problems(self):
+        assert estimate_fundamental_ransac([]) == []
+
+
+class TestPnpRansac:
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(6, 100),
+           outliers=st.floats(0.3, 0.6), scene=st.sampled_from(["general", "planar"]))
+    @settings(max_examples=10, deadline=None)
+    def test_equals_loop(self, seed, n, outliers, scene):
+        X, uv = resection(np.random.default_rng(seed), n, scene, outliers)
+        assert_same_pose(pnp_ransac(X, uv, K, seed=seed), oracle.pnp_ransac(X, uv, K, seed=seed))
+
+    @pytest.mark.parametrize("n, scene, outliers", [
+        (6, "general", 0.0),      # the exact minimal set
+        (100, "general", 0.4),
+        (30, "collinear", 0.0),
+        (40, "planar", 0.3),
+    ])
+    def test_cases(self, n, scene, outliers):
+        X, uv = resection(np.random.default_rng(n), n, scene, outliers,
+                          noise=0.0 if outliers == 0.0 else 0.5)
+        assert_same_pose(pnp_ransac(X, uv, K, min_inliers=6, seed=5),
+                         oracle.pnp_ransac(X, uv, K, min_inliers=6, seed=5))
+
+    def test_random_pairs_equal_loop(self, monkeypatch):
+        # test_random_pairs_do_not_overflow's tiny inlier share: to the cap
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(600, 3)) + [0.0, 0.0, 6.0]
+        uv = rng.uniform(0, [640, 480], size=(600, 2))
+        K_small = make_intrinsics(900.0, 320.0, 240.0)
+        calls = []
+        fit = reconstruct.dlt_pose
+        monkeypatch.setattr(reconstruct, "dlt_pose",
+                            lambda X, uv, K: calls.append(len(X)) or fit(X, uv, K))
+        assert pnp_ransac(X, uv, K_small) is None
+        assert oracle.pnp_ransac(X, uv, K_small) is None
+        assert sum(calls) == PNP_MAX_ITERS
+
+
+class TestFailedSvd:
+    """A NaN correspondence fails the stacked SVD of its block; the block is
+    refit sample by sample, and the draw that holds it is skipped and
+    counted, as the loop does."""
+
+    def test_fundamental(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        problems = [(*two_view(rng, 30, "general", 0.2), s) for s in (1, 2, 3)]
+        problems[1][0][4] = np.nan
+        raised = []
+        fit = geometry.eight_point
+
+        def counting(q, c):
+            try:
+                return fit(q, c)
+            except np.linalg.LinAlgError:
+                raised.append(len(q))
+                raise
+        monkeypatch.setattr(geometry, "eight_point", counting)
+        results = estimate_fundamental_ransac(problems)
+        assert raised[0] > 1 and 1 in raised  # the block failed, then one slice
+        for new, (pq, pc, s) in zip(results, problems):
+            assert_same_geometry(new, oracle.estimate_fundamental_ransac(pq, pc, seed=s))
+        assert not results[1][1][4]
+
+    def test_resection(self, monkeypatch):
+        X, uv = resection(np.random.default_rng(6), 40, "general", 0.3)
+        X[7] = np.nan
+        raised = []
+        fit = reconstruct.dlt_pose
+
+        def counting(X, uv, K):
+            try:
+                return fit(X, uv, K)
+            except np.linalg.LinAlgError:
+                raised.append(len(X))
+                raise
+        monkeypatch.setattr(reconstruct, "dlt_pose", counting)
+        new = pnp_ransac(X, uv, K, seed=9)
+        assert raised[0] > 1 and 1 in raised
+        assert new is not None and not new[2][7]
+        assert_same_pose(new, oracle.pnp_ransac(X, uv, K, seed=9))

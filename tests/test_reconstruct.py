@@ -26,13 +26,14 @@ class TestDltPose:
         vis = sorted(tiny_scene.visible_points(2))[:6]
         X = tiny_scene.points[vis]
         uv, _ = cam.project(X)
-        R, t = dlt_pose(X, uv, cam.K)
-        assert rotation_error_deg(R, cam.R) < 1e-6
-        assert np.linalg.norm(t - cam.t) < 1e-6
+        R, t, ok = dlt_pose(X[None], uv[None], cam.K)
+        assert ok.tolist() == [True]
+        assert rotation_error_deg(R[0], cam.R) < 1e-6
+        assert np.linalg.norm(t[0] - cam.t) < 1e-6
 
     def test_too_few_points(self):
         with pytest.raises(InsufficientDataError):
-            dlt_pose(np.zeros((5, 3)), np.zeros((5, 2)), np.eye(3))
+            dlt_pose(np.zeros((1, 5, 3)), np.zeros((1, 5, 2)), np.eye(3))
 
 
 class TestPnpRansac:
