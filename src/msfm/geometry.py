@@ -108,7 +108,8 @@ def eight_point(pts_q: np.ndarray, pts_c: np.ndarray):
     x, y = nq[..., 0], nq[..., 1]
     xp, yp = nc[..., 0], nc[..., 1]
     A = np.stack([xp * x, xp * y, xp, yp * x, yp * y, yp, x, y, np.ones_like(x)], axis=-1)
-    _, s, Vt = np.linalg.svd(A)
+    # thin only when tall: a thin SVD of an 8 x 9 sample drops its null vector
+    _, s, Vt = np.linalg.svd(A, full_matrices=A.shape[-2] < A.shape[-1])
     gap = s[:, -2] / s[:, 0] if s.shape[-1] >= 9 else np.zeros(len(s))
     U, sv, Vt2 = np.linalg.svd(Vt[:, -1].reshape(-1, 3, 3))
     D = np.zeros_like(U)
@@ -147,6 +148,16 @@ def ransac_stop_count(inlier_ratio: float, sample_size: int,
     return min(max_iters, int(np.ceil(np.log(1.0 - confidence) / denom)))
 
 
+def draw_samples(rng: np.random.Generator, n: int, k: int, m: int) -> np.ndarray:
+    """m samples of k distinct items of n, (m, k) with sorted rows.
+
+    One ``rng.random((m, n))`` call; each row takes the items of its k
+    smallest keys.  m calls with m = 1 draw the same samples as one call.
+    """
+    keys = rng.random((m, n))
+    return np.sort(np.argpartition(keys, k - 1, axis=1)[:, :k], axis=1)
+
+
 def _fit_block(fit, owner: np.ndarray, samples: np.ndarray):
     """``fit``'s (hypotheses, ok) for a block of samples.
 
@@ -169,14 +180,21 @@ def _fit_block(fit, owner: np.ndarray, samples: np.ndarray):
     return hypotheses, ok
 
 
+def _local_opt(refine, i: int, mask: np.ndarray, support: int):
+    """Apply ``refine`` to a new best consensus while its count grows."""
+    while (grown := refine(i, mask)) is not None and (count := int(grown.sum())) > support:
+        mask, support = grown, count
+    return mask, support
+
+
 def block_ransac(sizes, seeds, sample_size: int, fit, score, *,
-                 confidence: float, max_iters: int):
+                 confidence: float, max_iters: int, refine=None):
     """Best consensus of each of several RANSAC problems, run in lockstep.
 
-    Problem i draws ``sample_size`` of its ``sizes[i]`` items per hypothesis
-    with ``np.random.default_rng(seeds[i]).choice(..., replace=False)``.
-    Each round, every unfinished problem draws a block of samples (sizes
-    ``RANSAC_BLOCKS``, never past its current stop count); one
+    Problem i draws its samples of ``sample_size`` of its ``sizes[i]`` items
+    from ``np.random.default_rng(seeds[i])`` (``draw_samples``).  Each
+    round, every unfinished problem draws a block of samples in one call
+    (sizes ``RANSAC_BLOCKS``, never past its current stop count); one
     ``fit(owner, samples)`` call fits the whole round, ``owner`` (b,) naming
     each sample's problem and ``samples`` (b, k) its items, and returns
     (hypotheses stacked on a leading axis, ok (b,)).  ``score(i,
@@ -185,6 +203,11 @@ def block_ransac(sizes, seeds, sample_size: int, fit, score, *,
     draw that beats the best count so far takes its mask and lowers the
     stop count (``ransac_stop_count``); draws past the stop are discarded.
     A sample whose fit is not ok, or whose SVD fails, counts as a draw.
+
+    ``refine(i, mask)``, when given, is the local optimisation of a new
+    best: it returns a refitted consensus of problem i, or None.  It is
+    applied again while the count grows, and the stop count follows the
+    refined count; a refined mask that does not grow is dropped.
 
     Returns one (best mask or None, best count) per problem.
     """
@@ -197,8 +220,8 @@ def block_ransac(sizes, seeds, sample_size: int, fit, score, *,
     while live:
         block = next(blocks)
         draws = [min(block, needed[i] - drawn[i]) for i in live]
-        samples = np.array([rngs[i].choice(sizes[i], size=sample_size, replace=False)
-                            for i, m in zip(live, draws) for _ in range(m)])
+        samples = np.concatenate([draw_samples(rngs[i], sizes[i], sample_size, m)
+                                  for i, m in zip(live, draws)])
         hypotheses, ok = _fit_block(fit, np.repeat(live, draws), samples)
         stop = 0
         for i, m in zip(live, draws):
@@ -212,6 +235,8 @@ def block_ransac(sizes, seeds, sample_size: int, fit, score, *,
                     break
                 drawn[i] += 1
                 if support > best[i][1]:
+                    if refine is not None:
+                        mask, support = _local_opt(refine, i, mask, support)
                     best[i] = (mask, support)
                     needed[i] = ransac_stop_count(support / sizes[i], sample_size,
                                                   confidence, max_iters)

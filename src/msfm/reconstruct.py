@@ -73,7 +73,8 @@ def dlt_pose(points3d: np.ndarray, pixels: np.ndarray, K: np.ndarray):
     A[:, 0::2, 8:12] = -un[..., 0:1] * Xh
     A[:, 1::2, 4:8] = Xh
     A[:, 1::2, 8:12] = -un[..., 1:2] * Xh
-    _, _, Vt = np.linalg.svd(A)
+    # A is (b, 2n, 12) with 2n >= 12: the thin SVD keeps the null vector
+    _, _, Vt = np.linalg.svd(A, full_matrices=False)
     Pn = Vt[:, -1].reshape(b, 3, 4)
     # undo normalization
     Tu = np.zeros((b, 3, 3))
@@ -173,14 +174,33 @@ def _pnp_inliers(R, t, K, X, uv) -> np.ndarray:
     return (xc[..., 2] > 0) & np.isfinite(err) & (err < PNP_THRESHOLD_PX)
 
 
+def _refit_pose(X, uv, K, mask):
+    """The consensus step of resection: a DLT on the masked correspondences,
+    polished by ``refine_pose_lm`` and rescored on all of them.
+
+    Returns (R, t, inlier mask), or None below 6 correspondences or when
+    the DLT fails.
+    """
+    if int(mask.sum()) < PNP_MIN_CORRESPONDENCES:
+        return None
+    try:
+        R, t, ok = dlt_pose(X[mask][None], uv[mask][None], K)
+    except np.linalg.LinAlgError:
+        return None
+    if not ok[0]:
+        return None
+    R, t = refine_pose_lm(R[0], t[0], K, X[mask], uv[mask])
+    return R, t, _pnp_inliers(R, t, K, X, uv)
+
+
 def pnp_ransac(points3d, pixels, K, *, min_inliers: int = PNP_MIN_INLIERS, seed: int = 0):
     """Robust resection from 3D-2D correspondences.
 
-    6-point DLT hypotheses in stacked blocks (``block_ransac``), then an
-    all-inlier DLT refit polished by ``refine_pose_lm``.  Returns (R, t,
-    inlier_mask) or None when the best hypothesis has fewer than
-    ``min_inliers`` supporters.  Raises InsufficientDataError below 6
-    correspondences.
+    6-point DLT hypotheses in stacked blocks (``block_ransac``); each new
+    best consensus is locally optimised by ``_refit_pose``, which also
+    makes the final all-inlier fit.  Returns (R, t, inlier_mask) or None
+    when the best consensus has fewer than ``min_inliers`` supporters.
+    Raises InsufficientDataError below 6 correspondences.
     """
     X = np.asarray(points3d, dtype=np.float64).reshape(-1, 3)
     uv = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
@@ -195,22 +215,23 @@ def pnp_ransac(points3d, pixels, K, *, min_inliers: int = PNP_MIN_INLIERS, seed:
     def score(_, poses):
         return _pnp_inliers(poses[..., :3], poses[..., 3], K, X, uv)
 
+    last = {}
+
+    def refine(_, mask):
+        last["mask"], last["refit"] = mask, _refit_pose(X, uv, K, mask)
+        return None if last["refit"] is None else last["refit"][2]
+
     [(best_mask, best_count)] = block_ransac(
         [n], [seed], PNP_MIN_CORRESPONDENCES, fit, score,
-        confidence=PNP_CONFIDENCE, max_iters=PNP_MAX_ITERS)
+        confidence=PNP_CONFIDENCE, max_iters=PNP_MAX_ITERS, refine=refine)
     if best_count < max(min_inliers, PNP_MIN_CORRESPONDENCES):
         return None
-    try:
-        R, t, ok = dlt_pose(X[best_mask][None], uv[best_mask][None], K)
-    except np.linalg.LinAlgError:
+    # block_ransac refines each new best until it stops growing, so the
+    # last refit is that of the best consensus
+    refit = last["refit"] if last.get("mask") is best_mask else _refit_pose(X, uv, K, best_mask)
+    if refit is None or int(refit[2].sum()) < min_inliers:
         return None
-    if not ok[0]:
-        return None
-    R, t = refine_pose_lm(R[0], t[0], K, X[best_mask], uv[best_mask])
-    mask = _pnp_inliers(R, t, K, X, uv)
-    if int(mask.sum()) < min_inliers:
-        return None
-    return R, t, mask
+    return refit
 
 
 def resect_image(model: Model, feature_sets, image_id: int, corr: np.ndarray,

@@ -3,8 +3,9 @@
 ``msfm.geometry.block_ransac`` draws, fits and scores hypotheses in stacked
 blocks, and ``eight_point`` and ``dlt_pose`` fit a stack of samples at once.
 The functions here do the same work one sample at a time, in the
-hand-written hypothesis loops the stacked code replaced; the tests require
-bit-identical results from both.
+hand-written hypothesis loops the stacked code replaced: one draw per
+sample, and for resection the local optimisation of each new best
+consensus; the tests require bit-identical results from both.
 """
 
 import numpy as np
@@ -25,6 +26,12 @@ from msfm.reconstruct import (
     PNP_THRESHOLD_PX,
     refine_pose_lm,
 )
+
+
+def draw_sample(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """One sample of k distinct items of n: those of the k smallest of n
+    uniform keys, sorted."""
+    return np.sort(np.argpartition(rng.random(n), k - 1)[:k])
 
 
 def normalize_f(F: np.ndarray) -> np.ndarray:
@@ -58,7 +65,7 @@ def eight_point(pts_q: np.ndarray, pts_c: np.ndarray):
     x, y = nq[:, 0], nq[:, 1]
     xp, yp = nc[:, 0], nc[:, 1]
     A = np.stack([xp * x, xp * y, xp, yp * x, yp * y, yp, x, y, np.ones_like(x)], axis=1)
-    _, s, Vt = np.linalg.svd(A)
+    _, s, Vt = np.linalg.svd(A, full_matrices=len(A) < 9)
     gap = s[-2] / s[0] if len(s) >= 9 else 0.0
     F0 = Vt[-1].reshape(3, 3)
     U, sv, Vt2 = np.linalg.svd(F0)
@@ -91,7 +98,7 @@ def estimate_fundamental_ransac(pts_q, pts_c, *, seed: int = 0):
     needed = RANSAC_MAX_ITERS
     it = 0
     while it < needed and it < RANSAC_MAX_ITERS:
-        sample = rng.choice(n, size=8, replace=False)
+        sample = draw_sample(rng, n, 8)
         try:
             F, _ = eight_point(pts_q[sample], pts_c[sample])
         except np.linalg.LinAlgError:
@@ -137,7 +144,7 @@ def dlt_pose(points3d: np.ndarray, pixels: np.ndarray, K: np.ndarray):
     A[0::2, 8:12] = -un[:, 0:1] * Xh
     A[1::2, 4:8] = Xh
     A[1::2, 8:12] = -un[:, 1:2] * Xh
-    _, _, Vt = np.linalg.svd(A)
+    _, _, Vt = np.linalg.svd(A, full_matrices=False)
     Pn = Vt[-1].reshape(3, 4)
     Tu = np.array([[su, 0, -su * cu[0]], [0, su, -su * cu[1]], [0, 0, 1.0]])
     Tx = np.eye(4)
@@ -173,8 +180,19 @@ def _pnp_mask(R, t, K, X, uv):
     return (xc[:, 2] > 0) & np.isfinite(err) & (err < PNP_THRESHOLD_PX)
 
 
+def refit_pose(X, uv, K, mask):
+    """DLT on a consensus, LM polish, rescore: (R, t, mask) or None."""
+    try:
+        R, t = dlt_pose(X[mask], uv[mask], K)
+    except (InsufficientDataError, np.linalg.LinAlgError):
+        return None
+    R, t = refine_pose_lm(R, t, K, X[mask], uv[mask])
+    return R, t, _pnp_mask(R, t, K, X, uv)
+
+
 def pnp_ransac(points3d, pixels, K, *, min_inliers: int = PNP_MIN_INLIERS, seed: int = 0):
-    """The hand-written resection RANSAC loop."""
+    """The hand-written resection RANSAC loop, refitting each new best
+    consensus while it grows."""
     X = np.asarray(points3d, dtype=np.float64).reshape(-1, 3)
     uv = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
     n = len(X)
@@ -187,7 +205,7 @@ def pnp_ransac(points3d, pixels, K, *, min_inliers: int = PNP_MIN_INLIERS, seed:
     it = 0
     while it < needed and it < PNP_MAX_ITERS:
         it += 1
-        sample = rng.choice(n, size=6, replace=False)
+        sample = draw_sample(rng, n, 6)
         try:
             R, t = dlt_pose(X[sample], uv[sample], K)
         except (InsufficientDataError, np.linalg.LinAlgError):
@@ -197,15 +215,16 @@ def pnp_ransac(points3d, pixels, K, *, min_inliers: int = PNP_MIN_INLIERS, seed:
         if count > best_count:
             best_count = count
             best_mask = mask
-            needed = ransac_stop_count(count / n, 6, PNP_CONFIDENCE, PNP_MAX_ITERS)
+            while True:
+                refit = refit_pose(X, uv, K, best_mask)
+                if refit is None or int(refit[2].sum()) <= best_count:
+                    break
+                best_mask = refit[2]
+                best_count = int(best_mask.sum())
+            needed = ransac_stop_count(best_count / n, 6, PNP_CONFIDENCE, PNP_MAX_ITERS)
     if best_mask is None or best_count < max(min_inliers, PNP_MIN_CORRESPONDENCES):
         return None
-    try:
-        R, t = dlt_pose(X[best_mask], uv[best_mask], K)
-    except (InsufficientDataError, np.linalg.LinAlgError):
+    refit = refit_pose(X, uv, K, best_mask)
+    if refit is None or int(refit[2].sum()) < min_inliers:
         return None
-    R, t = refine_pose_lm(R, t, K, X[best_mask], uv[best_mask])
-    mask = _pnp_mask(R, t, K, X, uv)
-    if int(mask.sum()) < min_inliers:
-        return None
-    return R, t, mask
+    return refit

@@ -5,6 +5,7 @@ from msfm import pipeline
 from msfm.cli import main
 from msfm.config import PipelineConfig, parse_config_text
 from msfm.errors import ConfigError, StageError
+from msfm.features import DESCRIPTOR_DIM, MIN_FEATURES_FOR_TIER, FeatureSet, write_features
 from msfm.io import read_model, write_model
 from msfm.model import Camera, FeatureRef, Model
 from msfm.synth import SceneSpec, generate_scene, write_scene
@@ -329,13 +330,35 @@ class TestRunPipelineCli:
                              (densified, "model_densify_1.msfm")):
             assert mine.read_bytes() == (run / theirs).read_bytes()
 
+    @staticmethod
+    def blind(fs: FeatureSet, rng) -> FeatureSet:
+        """Prepend random-descriptor clutter above every true scale, enough
+        to tier the set and fill its coarse tier at eta 10."""
+        n = MIN_FEATURES_FOR_TIER - len(fs)
+        scale = np.sort(float(fs.scale.max()) * rng.uniform(1.05, 2.0, n))[::-1]
+        xy = rng.uniform(0.0, [fs.width - 1e-3, fs.height - 1e-3], (n, 2))
+        return FeatureSet(
+            image_id=fs.image_id, width=fs.width, height=fs.height,
+            xy=np.concatenate([xy.astype(np.float32), fs.xy]),
+            scale=np.concatenate([scale.astype(np.float32), fs.scale]),
+            orientation=np.concatenate([rng.uniform(0.0, 2 * np.pi, n).astype(np.float32),
+                                        fs.orientation]),
+            descriptors=np.concatenate([rng.integers(0, 256, (n, DESCRIPTOR_DIM), dtype=np.uint8),
+                                        fs.descriptors]))
+
     def test_localize_report_matches_run(self, tmp_path):
-        # a sparse scene whose coarse tier leaves three images to camera
-        # addition, which registers two; both commands write one record format
+        # a sparse scene with three images blinded, so the coarse tier cannot
+        # reach them and camera addition registers two of them; both
+        # commands write one record format
         feat_dir = tmp_path / "features"
-        write_scene(generate_scene(SceneSpec(
+        scene = generate_scene(SceneSpec(
             n_cameras=10, n_points=800, visibility_fraction=0.4, pixel_noise=0.3,
-            descriptor_noise=3.0, seed=3)), feat_dir)
+            descriptor_noise=3.0, seed=3))
+        write_scene(scene, feat_dir)
+        rng = np.random.default_rng(0)
+        for image_id in (5, 6, 7):
+            write_features(self.blind(scene.feature_sets[image_id], rng),
+                           feat_dir / f"image_{image_id:05d}.msft")
         common = ["--features", str(feat_dir), "--focal", "900", "--eta", "10"]
         run = tmp_path / "run"
         assert main(["run", "--out", str(run), "--iterations", "1"] + common) == 0
@@ -348,6 +371,7 @@ class TestRunPipelineCli:
                      "--out", str(tmp_path / "localize.msfm"), "--report", str(report)]
                     + common) == 0
         records = report.read_text().splitlines()
+        assert [r.split()[1] for r in records] == ["image=5", "image=6", "image=7"]
         assert [r.split()[5] for r in records] == ["ok=1", "ok=0", "ok=1"]
         assert report.read_text() == (run / "localization.txt").read_text()
 

@@ -19,6 +19,7 @@ from msfm.geometry import (
     RANSAC_MAX_ITERS,
     _normalize_f,
     block_ransac,
+    draw_samples,
     eight_point,
     estimate_fundamental_ransac,
     ransac_stop_count,
@@ -64,6 +65,19 @@ def resection(rng, n, scene, outliers, noise=0.5):
     R = rodrigues(rng.normal(0.0, 0.1, 3))
     uv = project(R, rng.normal(0.0, 0.3, 3), X) + rng.normal(0.0, noise, (n, 2))
     bad = rng.random(n) < (1.0 if scene == "noise" else outliers)
+    uv[bad] = rng.uniform(0.0, [1024.0, 768.0], size=(int(bad.sum()), 2))
+    return X, uv
+
+
+def ring_resection(rng, n, outliers, noise=0.5):
+    """3D-2D correspondences in the ring scene's make-up (``msfm.synth``):
+    points in a ball of radius 2 seen from 6 units away."""
+    d = rng.normal(size=(n, 3))
+    X = 2.0 * d / np.linalg.norm(d, axis=1, keepdims=True) \
+        * rng.uniform(0.2, 1.0, (n, 1)) ** (1.0 / 3.0) + [0.0, 0.0, 6.0]
+    R = rodrigues(rng.normal(0.0, 0.1, 3))
+    uv = project(R, rng.normal(0.0, 0.3, 3), X) + rng.normal(0.0, noise, (n, 2))
+    bad = rng.random(n) < outliers
     uv[bad] = rng.uniform(0.0, [1024.0, 768.0], size=(int(bad.sum()), 2))
     return X, uv
 
@@ -128,24 +142,63 @@ class TestStackedFits:
             assert np.array_equal(t[j], t_o)
 
 
-def sequential_consensus(supports, n, sample_size, max_iters):
-    """(best support, draws made) of the one-draw-at-a-time stop rule over
-    a sequence of hypothesis supports; a negative support is a failed fit."""
-    best, needed, drawn = 0, max_iters, 0
+def sequential_consensus(supports, n, sample_size, max_iters, refined=None):
+    """(best support, draws made, refine calls) of the one-draw-at-a-time
+    stop rule over a sequence of hypothesis supports; a negative support is
+    a failed fit.  ``refined[c]``, when given, is the count that refining a
+    consensus of c returns (None: the refit fails); a new best is refined
+    while that count grows."""
+    best, needed, drawn, calls = 0, max_iters, 0, 0
     while drawn < needed:
         support = supports[drawn]
         drawn += 1
         if support > best:
             best = support
-            needed = ransac_stop_count(support / n, sample_size, 0.999, max_iters)
-    return best, drawn
+            while refined is not None:
+                calls += 1
+                if refined[best] is None or refined[best] <= best:
+                    break
+                best = refined[best]
+            needed = ransac_stop_count(best / n, sample_size, 0.999, max_iters)
+    return best, drawn, calls
+
+
+class TestDrawSamples:
+    @given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([6, 8]),
+           extra=st.integers(0, 300), m=st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_hold_distinct_items(self, seed, k, extra, m):
+        n = k + extra
+        samples = draw_samples(np.random.default_rng(seed), n, k, m)
+        assert samples.shape == (m, k)
+        assert ((samples >= 0) & (samples < n)).all()
+        assert (np.diff(samples, axis=1) > 0).all()  # sorted, so distinct
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 200), m=st.integers(1, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_one_call_equals_single_draws(self, seed, n, m):
+        block = draw_samples(np.random.default_rng(seed), n, 8, m)
+        rng = np.random.default_rng(seed)
+        assert np.array_equal(block, [oracle.draw_sample(rng, n, 8) for _ in range(m)])
+
+    @pytest.mark.parametrize("n, k", [(6, 6), (20, 6), (57, 8)])
+    def test_item_frequencies_are_uniform(self, n, k):
+        counts = np.zeros(n)
+        for seed in range(200):
+            counts += np.bincount(
+                draw_samples(np.random.default_rng(seed), n, k, 100).ravel(), minlength=n)
+        expected = 200 * 100 * k / n
+        chi2 = ((counts - expected) ** 2 / expected).sum()
+        # n - 1 degrees of freedom: chance above 2n + 20 is below 1e-4 for these n
+        assert chi2 < 2 * n + 20
 
 
 class TestBlockRansac:
     """``block_ransac``'s replay against the sequential rule, with fits whose
     supports are set in advance: a draw past the stop inside a block must
     not count, however good.  Support -1 marks a fit that is not ok, -2 one
-    whose SVD raises (failing its whole block)."""
+    whose SVD raises (failing its whole block).  A planted ``refine`` maps
+    a consensus count to a refined count, larger, smaller or None."""
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -156,14 +209,19 @@ class TestBlockRansac:
         supports = [data.draw(st.lists(st.one_of(st.sampled_from([-2, -1]), st.integers(0, n)),
                                        min_size=max_iters + 128, max_size=max_iters + 128))
                     for n in sizes]
+        refined = None
+        if data.draw(st.booleans()):
+            refined = [data.draw(st.lists(st.one_of(st.none(), st.integers(0, n)),
+                                          min_size=n + 1, max_size=n + 1)) for n in sizes]
         # block_ransac's draws, to tell which draw a sample is (8 of >= 100
         # items: the chance of a repeated sample is below 1e-10)
         draw_of = {}
         for i, n in enumerate(sizes):
             rng = np.random.default_rng(i)
             for d in range(max_iters + 128):
-                draw_of.setdefault((i, *rng.choice(n, size=8, replace=False).tolist()), d)
+                draw_of.setdefault((i, *oracle.draw_sample(rng, n, 8).tolist()), d)
         seen = [0] * problems
+        refine_calls = [0] * problems
 
         def fit(owner, samples):
             draws = [draw_of[(i, *row)] for i, row in zip(owner.tolist(), samples.tolist())]
@@ -177,15 +235,50 @@ class TestBlockRansac:
         def score(i, draws):
             return np.arange(sizes[i]) < np.array([supports[i][int(d)] for d in draws])[:, None]
 
-        found = block_ransac(sizes, range(problems), 8, fit, score,
-                             confidence=0.999, max_iters=max_iters)
+        def refine(i, mask):
+            refine_calls[i] += 1
+            count = refined[i][int(mask.sum())]
+            return None if count is None else np.arange(sizes[i]) < count
+
+        found = block_ransac(sizes, range(problems), 8, fit, score, confidence=0.999,
+                             max_iters=max_iters, refine=refine if refined else None)
         for i, (mask, best) in enumerate(found):
-            expected, needed = sequential_consensus(supports[i], sizes[i], 8, max_iters)
+            expected, needed, calls = sequential_consensus(
+                supports[i], sizes[i], 8, max_iters, refined and refined[i])
             assert best == expected
+            assert refine_calls[i] == calls
             assert (mask is None) == (best == 0)
             assert mask is None or mask.sum() == best
             # draws past the stop are only those of its last block
             assert needed <= seen[i] < needed + RANSAC_BLOCKS[-1]
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(100, 200),
+           max_iters=st.integers(1, 2048))
+    @settings(max_examples=30, deadline=None)
+    def test_local_opt_never_lowers_a_count(self, seed, n, max_iters):
+        rng = np.random.default_rng(seed)
+        supports = rng.integers(0, n + 1, size=max_iters + 128).tolist()
+        # refits that never grow a consensus, or fail: the result is the
+        # rule without them
+        shrink = [int(rng.integers(0, c + 1)) if rng.random() < 0.8 else None
+                  for c in range(n + 1)]
+        supports_of = iter(supports)
+
+        def fit(owner, samples):
+            return np.array([next(supports_of) for _ in owner], dtype=np.float64), \
+                np.ones(len(owner), dtype=bool)
+
+        def score(_, hyp):
+            return np.arange(n) < hyp[:, None]
+
+        def refine(_, mask):
+            count = shrink[int(mask.sum())]
+            return None if count is None else np.arange(n) < count
+
+        [(mask, best)] = block_ransac([n], [0], 8, fit, score, confidence=0.999,
+                                      max_iters=max_iters, refine=refine)
+        assert best == sequential_consensus(supports, n, 8, max_iters)[0]
+        assert mask is None or mask.sum() == best
 
 
 class TestFundamentalRansac:
@@ -228,6 +321,16 @@ class TestFundamentalRansac:
         assert sum(b for b in calls if b > 1) == RANSAC_MAX_ITERS
         assert calls[:len(RANSAC_BLOCKS)] == list(RANSAC_BLOCKS)
 
+    def test_eight_points_recover_f(self):
+        # the minimal system is 8 x 9: its F is the null vector that a thin
+        # SVD would drop
+        pq, pc = two_view(np.random.default_rng(8), 60, "general", 0.0, noise=0.0)
+        F, gap = eight_point(pq[None, :8], pc[None, :8])
+        assert gap[0] == 0.0
+        assert sampson_distance(F[0], pq, pc).max() < 1e-6
+        geom, mask = estimate_fundamental_ransac([(pq[:8], pc[:8], 0)])[0]
+        assert mask.all() and sampson_distance(geom.F, pq, pc).max() < 1e-6
+
     def test_no_problems(self):
         assert estimate_fundamental_ransac([]) == []
 
@@ -265,6 +368,58 @@ class TestPnpRansac:
         assert pnp_ransac(X, uv, K_small) is None
         assert oracle.pnp_ransac(X, uv, K_small) is None
         assert sum(calls) == PNP_MAX_ITERS
+
+
+class TestLocalOptimisation:
+    """Resection refits each new best consensus, so a draw whose consensus
+    is nearly complete sets the stop count the whole inlier share allows."""
+
+    @staticmethod
+    def fitted_samples(monkeypatch, X, uv, seed):
+        sizes = []
+        fit = reconstruct.dlt_pose
+
+        def counting(X, uv, K):
+            if X.shape[1] == 6:  # minimal samples; refits stack one consensus
+                sizes.append(len(X))
+            return fit(X, uv, K)
+        monkeypatch.setattr(reconstruct, "dlt_pose", counting)
+        return pnp_ransac(X, uv, K, seed=seed), sum(sizes)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_few_outliers_fit_one_block(self, monkeypatch, seed):
+        X, uv = ring_resection(np.random.default_rng(seed), 150, 0.05)
+        result, fitted = self.fitted_samples(monkeypatch, X, uv, seed)
+        assert result is not None and fitted <= RANSAC_BLOCKS[0]
+
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_outliers_fit_only_the_stop_count(self, monkeypatch, seed):
+        # at 20% outliers the stop rule itself asks for 28 draws on these
+        # seeds, more than one block: no draw is fitted beyond it
+        X, uv = ring_resection(np.random.default_rng(seed), 150, 0.2)
+        (_, _, mask), fitted = self.fitted_samples(monkeypatch, X, uv, seed)
+        assert fitted == ransac_stop_count(mask.sum() / len(X), 6, 0.999, PNP_MAX_ITERS)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 150),
+           outliers=st.floats(0.0, 0.6))
+    @settings(max_examples=15, deadline=None)
+    def test_refit_never_lowers_the_best_count(self, seed, n, outliers):
+        X, uv = ring_resection(np.random.default_rng(seed), n, outliers)
+        seen = []
+        run = geometry.block_ransac
+
+        def recording(*args, refine, **kwargs):
+            def watched(i, mask):
+                seen.append(int(mask.sum()))
+                return refine(i, mask)
+            found = run(*args, refine=watched, **kwargs)
+            seen.append(found[0][1])
+            return found
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reconstruct, "block_ransac", recording)
+            pnp_ransac(X, uv, K, seed=seed)
+        # every consensus handed to the refit is at most the final best
+        assert max(seen) == seen[-1]
 
 
 class TestFailedSvd:
@@ -308,4 +463,35 @@ class TestFailedSvd:
         new = pnp_ransac(X, uv, K, seed=9)
         assert raised[0] > 1 and 1 in raised
         assert new is not None and not new[2][7]
+        assert_same_pose(new, oracle.pnp_ransac(X, uv, K, seed=9))
+
+    def test_resection_consensus(self, monkeypatch):
+        # a NaN point never scores as an inlier, so both sides' scores are
+        # made to count it: it then lands in every consensus the refit
+        # takes, whose SVD fails; the draw keeps its own consensus
+        X, uv = resection(np.random.default_rng(6), 40, "general", 0.3)
+        X[7] = np.nan
+        raised = []
+        fit = reconstruct.dlt_pose
+
+        def counting(X, uv, K):
+            try:
+                return fit(X, uv, K)
+            except np.linalg.LinAlgError:
+                raised.append(X.shape[:2])
+                raise
+
+        def with_row_7(score):
+            def scored(*args):
+                mask = score(*args)
+                mask[..., 7] = True
+                return mask
+            return scored
+        monkeypatch.setattr(reconstruct, "dlt_pose", counting)
+        monkeypatch.setattr(reconstruct, "_pnp_inliers", with_row_7(reconstruct._pnp_inliers))
+        monkeypatch.setattr(oracle, "_pnp_mask", with_row_7(oracle._pnp_mask))
+        new = pnp_ransac(X, uv, K, seed=9)
+        assert (1, 6) in raised                       # a drawn sample
+        assert any(b == 1 and n > 6 for b, n in raised)  # a consensus refit
+        assert new is None  # the final refit takes it too
         assert_same_pose(new, oracle.pnp_ransac(X, uv, K, seed=9))
