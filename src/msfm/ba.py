@@ -141,17 +141,8 @@ def problem_from_model(model: Model, feature_store) -> tuple[BAProblem, list[int
     Returns (problem, camera image ids, point ids) in problem order."""
     cam_ids = model.image_ids()
     pt_ids = model.point_ids()
-    cam_pos = {c: i for i, c in enumerate(cam_ids)}
-    pt_pos = {p: i for i, p in enumerate(pt_ids)}
-    obs_cam, obs_pt, obs_feature = [], [], []
-    for pid in pt_ids:
-        track = model.points[pid].track
-        for image_id in sorted(track):
-            obs_cam.append(cam_pos[image_id])
-            obs_pt.append(pt_pos[pid])
-            obs_feature.append(track[image_id])
-    obs_cam = np.array(obs_cam, dtype=np.int64)
-    obs_feature = np.array(obs_feature, dtype=np.int64)
+    point, image, obs_feature = model.observations()
+    obs_cam = np.searchsorted(cam_ids, image)
     # one position gather per image, over the observations sorted by camera
     order = np.argsort(obs_cam, kind="stable")
     starts = np.searchsorted(obs_cam[order], np.arange(len(cam_ids) + 1))
@@ -166,7 +157,7 @@ def problem_from_model(model: Model, feature_store) -> tuple[BAProblem, list[int
         pp=np.stack([model.cameras[c].K[:2, 2] for c in cam_ids]),
         X=np.stack([model.points[p].position for p in pt_ids]),
         cam_idx=obs_cam,
-        pt_idx=np.array(obs_pt, dtype=np.int64),
+        pt_idx=np.searchsorted(pt_ids, point),
         uv=obs_uv,
     )
     return problem, cam_ids, pt_ids

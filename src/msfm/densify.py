@@ -10,8 +10,6 @@ form a graph whose connected components become new or extended tracks.
 from __future__ import annotations
 
 import logging
-from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +18,7 @@ from .errors import DegenerateGeometryError
 from .geometry import fundamental_from_poses
 from .guided import BAND_D_PX, GRID_INFLATION, build_grid, guided_match_pair, sorted_unique
 from .matching import RATIO_GUIDED
-from .model import FeatureRef, Model
+from .model import Model, covisible_pairs
 from .reconstruct import triangulate_refs
 
 log = logging.getLogger(__name__)
@@ -29,51 +27,42 @@ COVIS_THRESHOLD = 8
 CANDIDATE_FRACTION = 0.10
 
 
-@dataclass
-class CandidateSet:
-    image_id: int
-    candidates: list[tuple[int, int]]  # (image_id, covisible count), descending
+def select_pairs(model: Model, query_images, *, threshold: int = COVIS_THRESHOLD,
+                 k_limit: int) -> list[tuple[int, int]]:
+    """Candidate pairs of the query images, as sorted unordered pairs.
 
-
-def candidate_images(model: Model, image_id: int, *,
-                     threshold: int = COVIS_THRESHOLD,
-                     k_limit: int | None = None) -> CandidateSet:
-    """Top candidate partners for one image, ranked by covisible points."""
-    own_points = model.tracked(image_id).values()
-    if k_limit is None:
-        k_limit = int(np.ceil(CANDIDATE_FRACTION * len(model.cameras)))
-    # each of the image's points counts once for every other image it is seen in
-    shared = Counter(other for pid in own_points for other in model.points[pid].track)
-    scored = sorted((-n, other) for other, n in shared.items()
-                    if other != image_id and n > threshold)
-    return CandidateSet(
-        image_id=image_id,
-        candidates=[(other, -neg) for neg, other in scored[:k_limit]],
-    )
-
-
-def unique_pairs(candidate_sets) -> list[tuple[int, int]]:
-    """Deduplicated unordered pairs from all candidate sets, sorted."""
-    pairs = set()
-    for cs in candidate_sets:
-        for other, _ in cs.candidates:
-            pairs.add((cs.image_id, other) if cs.image_id < other else (other, cs.image_id))
-    return sorted(pairs)
+    Each query image keeps its top ``k_limit`` partners that share more than
+    ``threshold`` points with it, most shared first, ties to the lower id.
+    """
+    point, image, _ = model.observations()
+    a, b, shared = covisible_pairs(point, image)
+    strong = shared > threshold
+    query = np.concatenate([a[strong], b[strong]])
+    partner = np.concatenate([b[strong], a[strong]])
+    shared = np.tile(shared[strong], 2)
+    asked = np.isin(query, np.asarray(query_images, dtype=np.int64))
+    query, partner, shared = query[asked], partner[asked], shared[asked]
+    order = np.lexsort((partner, -shared, query))
+    query, partner = query[order], partner[order]
+    top = np.arange(len(query)) - np.searchsorted(query, query) < k_limit
+    codes = sorted_unique(np.minimum(query, partner)[top] << 32
+                          | np.maximum(query, partner)[top])
+    return list(zip((codes >> 32).tolist(), (codes & 0xFFFFFFFF).tolist()))
 
 
 def merge_tracks(pair_matches, model: Model):
     """Connected components over feature references, seeded with model tracks.
 
     ``pair_matches`` holds (query_image, target_image, Matches) triples.
-    Returns (new_tracks, extensions): new_tracks are lists of FeatureRefs
-    spanning >= 2 images with no existing point; extensions map point_id to
-    the new FeatureRefs joining that track.  Refs are the nodes
-    ``image << 32 | feature``; every model observation is a node linked to
-    its track, so components absorb whole tracks, and one
-    ``connected_components`` pass numbers them by their lowest node.
+    Returns (new_tracks, extensions): new_tracks are lists of (image_id,
+    feature_id) pairs spanning >= 2 images with no existing point;
+    extensions map point_id to the new pairs joining that track, each list
+    sorted.  The nodes are ``image << 32 | feature``; every model observation
+    is a node linked to its track, so components absorb whole tracks, and
+    one ``connected_components`` pass numbers them by their lowest node.
     Conflicts (two features of one image, or two distinct existing points in
     one component) are resolved by dropping the weaker-supported features
-    (larger smallest match distance, ties to the higher ref), never by
+    (larger smallest match distance, ties to the higher node), never by
     touching existing tracks.
     """
     from scipy.sparse import coo_matrix
@@ -84,21 +73,17 @@ def merge_tracks(pair_matches, model: Model):
     query = np.concatenate([np.int64(q) << 32 | m.query for q, _, m in pair_matches])
     target = np.concatenate([np.int64(t) << 32 | m.target for _, t, m in pair_matches])
     distance = np.concatenate([m.distance for _, _, m in pair_matches])
-    points = list(model.points.values())
-    lengths = [len(p.track) for p in points]
-    n_obs = sum(lengths)
-    observed = (np.fromiter((i for p in points for i in p.track), np.int64, n_obs) << 32
-                | np.fromiter((f for p in points for f in p.track.values()), np.int64, n_obs))
-    # each observation links to its track's first one
-    first = np.repeat(np.cumsum(lengths) - lengths, lengths).astype(np.int64)
+    point, image, feature = model.observations()
+    observed = image << 32 | feature
 
     nodes = sorted_unique(np.concatenate([query, target, observed]))
     qi, ti, oi = (np.searchsorted(nodes, x) for x in (query, target, observed))
-    links = (np.concatenate([qi, oi[first]]), np.concatenate([ti, oi]))
+    # each observation links to its track's first one
+    links = (np.concatenate([qi, oi[np.searchsorted(point, point)]]), np.concatenate([ti, oi]))
     graph = coo_matrix((np.ones(len(links[0])), links), shape=(len(nodes), len(nodes)))
     n_comp, label = connected_components(graph, directed=False)
     owner = np.full(len(nodes), -1, dtype=np.int64)
-    owner[oi] = np.repeat(np.fromiter(model.points, np.int64, len(points)), lengths)
+    owner[oi] = point
     support = np.full(len(nodes), np.inf)
     np.minimum.at(support, qi, distance)
     np.minimum.at(support, ti, distance)
@@ -112,22 +97,22 @@ def merge_tracks(pair_matches, model: Model):
     log.debug("%d components bridge points, dropped", int((n_points >= 2).sum()))
 
     # one feature per (component, image): an existing observation, else the
-    # best-supported one, ties to the lower ref
+    # best-supported one, ties to the lower node
     group = label.astype(np.int64) << 32 | nodes >> 32
     order = np.lexsort((support, ~owned, group))
     keep = order[np.diff(group[order], prepend=-1) != 0]
     fresh = keep[~owned[keep] & (n_points[label[keep]] <= 1)]
 
-    new_tracks: list[list[FeatureRef]] = []
-    extensions: dict[int, list[FeatureRef]] = {}
+    new_tracks: list[list[tuple[int, int]]] = []
+    extensions: dict[int, list[tuple[int, int]]] = {}
     starts = np.flatnonzero(np.diff(label[fresh], prepend=-1))
     for comp, codes in zip(label[fresh[starts]].tolist(), np.split(nodes[fresh], starts[1:])):
-        refs = [FeatureRef(code >> 32, code & 0xFFFFFFFF) for code in codes.tolist()]
+        pairs = list(zip((codes >> 32).tolist(), (codes & 0xFFFFFFFF).tolist()))
         pid = int(comp_owner[comp])
         if pid >= 0:
-            extensions[pid] = refs
-        elif len(refs) >= 2:
-            new_tracks.append(refs)
+            extensions[pid] = pairs
+        elif len(pairs) >= 2:
+            new_tracks.append(pairs)
     return new_tracks, extensions
 
 
@@ -158,12 +143,7 @@ def densify_stage(model: Model, feature_store, *,
         query_images = registered
     query_images = [i for i in sorted(query_images) if model.is_registered(i)]
     k_limit = max(1, int(np.ceil(candidate_fraction * len(registered))))
-    sets = []
-    for image_id in query_images:
-        cs = candidate_images(model, image_id, threshold=threshold, k_limit=k_limit)
-        if cs.candidates:
-            sets.append(cs)
-    pairs = unique_pairs(sets)
+    pairs = select_pairs(model, query_images, threshold=threshold, k_limit=k_limit)
     query_set = set(query_images)
 
     def untracked(image_id: int) -> np.ndarray:
@@ -197,25 +177,22 @@ def densify_stage(model: Model, feature_store, *,
     new_tracks, extensions = merge_tracks(pair_matches, model)
 
     added_points = 0
-    for refs, point in zip(new_tracks, triangulate_refs(model, feature_store.sets, new_tracks)):
+    for track, point in zip(new_tracks, triangulate_refs(model, feature_store.sets, new_tracks)):
         if point is not None:
-            model.add_point(point, refs)
+            model.add_point(point, track)
             added_points += 1
-    # components are disjoint, so no extension takes a ref of another
-    grown = []
-    for pid in sorted(extensions):
-        fresh = [r for r in sorted(set(extensions[pid]))
-                 if model.owner(r) is None and r.image_id not in model.points[pid].track]
-        if fresh:
-            grown.append((pid, fresh))
+    # components are disjoint, so each extension holds only unowned features
+    # of images its track does not observe yet
+    grown = sorted(extensions.items())
     extended_tracks = 0
     points = triangulate_refs(model, feature_store.sets,
-                              [model.points[pid].refs() + fresh for pid, fresh in grown])
+                              [sorted(model.points[pid].track.items()) + fresh
+                               for pid, fresh in grown])
     for (pid, fresh), point in zip(grown, points):
         if point is None:
             continue  # grown track inconsistent, keep the original
-        for r in fresh:
-            model.extend_track(pid, r)
+        for image_id, feature_id in fresh:
+            model.extend_track(pid, image_id, feature_id)
         model.set_position(pid, point)
         extended_tracks += 1
 

@@ -33,7 +33,6 @@ class TwoViewGeometry:
 
     F: np.ndarray
     inlier_count: int = 0
-    source: str = "estimated"  # "from_poses" | "estimated"
     degenerate_planar: bool = False
 
 
@@ -78,7 +77,7 @@ def fundamental_from_poses(cam_q, cam_c) -> TwoViewGeometry:
     Kq_inv = np.linalg.inv(cam_q.K)
     Kc_inv = np.linalg.inv(cam_c.K)
     F = Kc_inv.T @ cam_c.R @ skew(centre_diff) @ cam_q.R.T @ Kq_inv
-    return TwoViewGeometry(F=_normalize_f(F), source="from_poses")
+    return TwoViewGeometry(F=_normalize_f(F))
 
 
 def _hartley_normalize(pts: np.ndarray):

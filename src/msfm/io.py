@@ -8,7 +8,8 @@ Model file (line oriented, whitespace separated):
     PT <x> <y> <z> <track_len> <image_id> <feature_id> ...
 
 Floats are written with repr precision so a rewrite of an unchanged model or
-match graph is byte-identical.
+match graph is byte-identical.  A record with more or fewer fields than its
+kind takes is a FormatError naming the file and line.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .errors import FormatError, MsfmError
 from .matching import Edge, Matches, MatchGraph
 from .geometry import TwoViewGeometry
-from .model import Camera, FeatureRef, Model, make_intrinsics
+from .model import Camera, Model, make_intrinsics
 
 MODEL_MAGIC = "MSFM-MODEL 1"
 PLY_COLOR = (128, 128, 128)
@@ -63,6 +64,9 @@ def read_model(path) -> Model:
             if kind == "STAGE":
                 model.stage_tag = fields[1] if len(fields) > 1 else ""
             elif kind == "CAM":
+                if len(fields) != 17:
+                    raise FormatError(f"{path}:{lineno}: CAM record has {len(fields)} "
+                                      "fields, not 17")
                 image_id = int(fields[1])
                 f, cx, cy = (float(v) for v in fields[2:5])
                 R = np.array([float(v) for v in fields[5:14]]).reshape(3, 3)
@@ -72,10 +76,11 @@ def read_model(path) -> Model:
             elif kind == "PT":
                 pos = np.array([float(v) for v in fields[1:4]])
                 n = int(fields[4])
-                refs = []
-                for k in range(n):
-                    refs.append(FeatureRef(int(fields[5 + 2 * k]), int(fields[6 + 2 * k])))
-                model.add_point(pos, refs)
+                if len(fields) != 5 + 2 * n:
+                    raise FormatError(f"{path}:{lineno}: PT record of track length {n} has "
+                                      f"{len(fields)} fields, not {5 + 2 * n}")
+                ids = [int(v) for v in fields[5:]]
+                model.add_point(pos, zip(ids[::2], ids[1::2]))
             else:
                 raise FormatError(f"{path}:{lineno}: unknown record '{kind}'")
         except FormatError:
@@ -134,8 +139,8 @@ def read_matchgraph(path) -> MatchGraph:
             lineno += 1
             if not fields:
                 continue
-            if fields[0] != "EDGE":
-                raise FormatError(f"{path}:{lineno}: expected EDGE record")
+            if fields[0] != "EDGE" or len(fields) != 5:
+                raise FormatError(f"{path}:{lineno}: expected an EDGE record of 5 fields")
             a, b, n_matches, n_inliers = (int(v) for v in fields[1:5])
             edge_line = lineno
             if a >= b:

@@ -19,7 +19,7 @@ import numpy as np
 from .descriptors import two_nearest_bruteforce
 from .errors import InsufficientDataError
 from .matching import NO_ENTRIES, MatchGraph, RATIO_UNGUIDED, closest_one_to_one, ratio_filter
-from .model import Camera, FeatureRef, Model, Point3D
+from .model import Camera, Model, Point3D
 from .reconstruct import PNP_MIN_INLIERS, resect_image
 
 log = logging.getLogger(__name__)
@@ -40,14 +40,15 @@ class SetCover:
 
 @dataclass(eq=False)
 class LocalizationResult:
-    """One image's attempt; ``correspondences`` holds (point_id, feature_id) rows."""
+    """One image's attempt; ``correspondences`` and the resection's
+    ``inlier_refs`` among them hold (point_id, feature_id) rows."""
 
     image_id: int
     method: str  # "direct3d2d" | "ranked2d2d" | "failed"
     correspondences: np.ndarray = field(default_factory=NO_CORRESPONDENCES.copy)
     pose: Camera | None = None
     inliers: int = 0
-    inlier_refs: list[tuple[int, FeatureRef]] = field(default_factory=list)
+    inlier_refs: np.ndarray = field(default_factory=NO_CORRESPONDENCES.copy)
     reason: str = ""
 
 

@@ -3,24 +3,19 @@
 Next to the tracks (point -> image -> feature), the model keeps their inverse:
 one map per registered image from feature id to the point that owns it.
 Every mutator goes through attach_camera / add_point / extend_track /
-remove_point, so the index can never drift from the tracks.
+remove_point, so the index can never drift from the tracks.  Observations
+go in as (image, feature) pairs or (point, feature) rows of one image, and
+come out as one array view, ``Model.observations()``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .errors import AlreadyRegisteredError, NotRegisteredError
-
-
-@dataclass(frozen=True, order=True)
-class FeatureRef:
-    """(image, feature) handle; feature_id indexes the image's FeatureSet."""
-
-    image_id: int
-    feature_id: int
 
 
 @dataclass
@@ -65,9 +60,6 @@ class Point3D:
     track: dict[int, int] = field(default_factory=dict)  # image_id -> feature_id
     mean_descriptor: np.ndarray | None = None
 
-    def refs(self) -> list[FeatureRef]:
-        return [FeatureRef(i, f) for i, f in sorted(self.track.items())]
-
     def track_length(self) -> int:
         return len(self.track)
 
@@ -93,9 +85,6 @@ class Model:
     def point_ids(self) -> list[int]:
         return sorted(self.points)
 
-    def owner(self, ref: FeatureRef) -> int | None:
-        return self._owner.get(ref.image_id, {}).get(ref.feature_id)
-
     def tracked(self, image_id: int) -> dict[int, int]:
         """Feature id -> point map of a registered image: live, not to be mutated."""
         try:
@@ -106,61 +95,75 @@ class Model:
     def points_visible_in(self, image_id: int) -> set[int]:
         return set(self.tracked(image_id).values())
 
+    def observations(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(point, image, feature) int64 columns of every track entry,
+        grouped by point in id order, images ascending within a track."""
+        tracks = [p.track for p in self.points.values()]
+        lengths = list(map(len, tracks))
+        n = sum(lengths)
+        point = np.repeat(np.fromiter(self.points, np.int64, len(tracks)), lengths)
+        image = np.fromiter(chain.from_iterable(tracks), np.int64, n)
+        feature = np.fromiter(chain.from_iterable(map(dict.values, tracks)), np.int64, n)
+        # keys are unique; a stable sort is the fast one on the nearly sorted order
+        order = np.argsort(point << 32 | image, kind="stable")
+        return point[order], image[order], feature[order]
+
     # -- mutators (serialized merge step only) ----------------------------
 
-    def attach_camera(self, camera: Camera, inliers=()) -> int:
-        """Register a camera and extend the listed tracks with its features.
+    def attach_camera(self, camera: Camera, rows=()) -> int:
+        """Register a camera and extend tracks with its features.
 
-        Returns the number of dropped conflicting correspondences (feature
-        already owned, or the point already observed in this image).  A
-        rejected call (duplicate registration, bad references) mutates
-        nothing.
+        ``rows`` are (point_id, feature_id) pairs of this image, such as the
+        (n, 2) inlier array of a resection.  Returns the number of dropped
+        conflicting rows (feature already owned, or the point already
+        observed in this image).  A rejected call (duplicate registration,
+        unknown point) mutates nothing.
         """
         image_id = camera.image_id
         if image_id in self.cameras:
             raise AlreadyRegisteredError(f"image {image_id} already registered")
-        for point_id, ref in inliers:
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1, 2).tolist()
+        for point_id, _ in rows:
             if point_id not in self.points:
                 raise KeyError(f"unknown point id {point_id}")
-            if ref.image_id != image_id:
-                raise ValueError(f"{ref} does not belong to image {image_id}")
         self.cameras[image_id] = camera
         owned = self._owner[image_id] = {}
         conflicts = 0
-        for point_id, ref in inliers:
-            if ref.feature_id in owned or image_id in self.points[point_id].track:
+        for point_id, feature_id in rows:
+            if feature_id in owned or image_id in self.points[point_id].track:
                 conflicts += 1
                 continue
-            self._link(point_id, ref)
+            self._link(point_id, image_id, feature_id)
         return conflicts
 
-    def add_point(self, position: np.ndarray, refs) -> int:
-        """Create a point from >= 2 single-image observations; returns its id."""
-        refs = list(refs)
-        images = {r.image_id for r in refs}
-        if len(refs) < 2 or len(images) < len(refs):
+    def add_point(self, position: np.ndarray, pairs) -> int:
+        """Create a point from >= 2 (image_id, feature_id) pairs of distinct
+        registered images; returns its id."""
+        pairs = list(pairs)
+        if len(pairs) < 2 or len({i for i, _ in pairs}) < len(pairs):
             raise ValueError("a track needs >= 2 features from distinct images")
-        for r in refs:
-            if r.image_id not in self.cameras:
-                raise NotRegisteredError(f"image {r.image_id} is not registered")
-            owner = self._owner[r.image_id].get(r.feature_id)
+        for image_id, feature_id in pairs:
+            if image_id not in self.cameras:
+                raise NotRegisteredError(f"image {image_id} is not registered")
+            owner = self._owner[image_id].get(feature_id)
             if owner is not None:
-                raise ValueError(f"{r} already belongs to point {owner}")
+                raise ValueError(f"feature {image_id}:{feature_id} already belongs "
+                                 f"to point {owner}")
         point_id = self._next_point_id
         self._next_point_id += 1
         self.points[point_id] = Point3D(position=np.asarray(position, dtype=np.float64).copy())
-        for r in refs:
-            self._link(point_id, r)
+        for image_id, feature_id in pairs:
+            self._link(point_id, image_id, feature_id)
         return point_id
 
-    def extend_track(self, point_id: int, ref: FeatureRef) -> bool:
+    def extend_track(self, point_id: int, image_id: int, feature_id: int) -> bool:
         """Add one observation to a track; returns False on conflict."""
         point = self.points[point_id]
-        if ref.image_id not in self.cameras:
-            raise NotRegisteredError(f"image {ref.image_id} is not registered")
-        if ref.feature_id in self._owner[ref.image_id] or ref.image_id in point.track:
+        if image_id not in self.cameras:
+            raise NotRegisteredError(f"image {image_id} is not registered")
+        if feature_id in self._owner[image_id] or image_id in point.track:
             return False
-        self._link(point_id, ref)
+        self._link(point_id, image_id, feature_id)
         return True
 
     def set_position(self, point_id: int, position: np.ndarray) -> None:
@@ -171,10 +174,10 @@ class Model:
         for image_id, feature_id in point.track.items():
             del self._owner[image_id][feature_id]
 
-    def _link(self, point_id: int, ref: FeatureRef) -> None:
-        self.points[point_id].track[ref.image_id] = ref.feature_id
+    def _link(self, point_id: int, image_id: int, feature_id: int) -> None:
+        self.points[point_id].track[image_id] = feature_id
         self.points[point_id].mean_descriptor = None  # track grew, cache stale
-        self._owner[ref.image_id][ref.feature_id] = point_id
+        self._owner[image_id][feature_id] = point_id
 
     # -- integrity ---------------------------------------------------------
 
@@ -225,6 +228,25 @@ def reprojection_errors(model: Model, feature_store) -> np.ndarray:
     return np.linalg.norm(_observations(model, feature_store).residuals(), axis=1)
 
 
+def covisible_pairs(point: np.ndarray, image: np.ndarray):
+    """(a, b, shared) int64 arrays over every image pair a < b that shares
+    points, sorted by (a, b); ``shared`` counts the points both observe.
+
+    ``point`` and ``image`` are observation columns grouped by point,
+    images ascending within a track (``Model.observations()``'s order).
+    """
+    n = len(point)
+    # pair each observation with the later ones of its track, then count
+    # each pair as a run of one sort (np.unique hashes, and is far slower)
+    later = np.cumsum(np.bincount(point))[point] - 1 - np.arange(n)
+    first = np.repeat(np.arange(n), later)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    keys = np.sort(image[first] << 32 | image[second])
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    shared = np.diff(starts, append=len(keys))
+    return keys[starts] >> 32, keys[starts] & 0xFFFFFFFF, shared
+
+
 def model_stats(model: Model, feature_store) -> StatsReport:
     """Camera/point counts, reprojection errors and connected-pair count."""
     errors = np.zeros(0)
@@ -232,16 +254,8 @@ def model_stats(model: Model, feature_store) -> StatsReport:
     if model.points:
         obs = _observations(model, feature_store)
         errors = np.linalg.norm(obs.residuals(), axis=1)
-        lengths = np.bincount(obs.pt_idx)
-        n_points3 = int((lengths >= 3).sum())
-        # observations come grouped by point, cameras ascending: pair each
-        # with the later observations of its track, count distinct pairs as
-        # the run starts of one sort (np.unique hashes, and is far slower)
-        later = np.cumsum(lengths)[obs.pt_idx] - 1 - np.arange(obs.n_obs)
-        first = np.repeat(np.arange(obs.n_obs), later)
-        second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
-        keys = np.sort(obs.cam_idx[first] * obs.n_cams + obs.cam_idx[second])
-        connected_pairs = int(keys.size > 0) + int(np.count_nonzero(keys[1:] != keys[:-1]))
+        n_points3 = int((np.bincount(obs.pt_idx) >= 3).sum())
+        connected_pairs = len(covisible_pairs(obs.pt_idx, obs.cam_idx)[2])
     return StatsReport(
         n_cameras=len(model.cameras),
         n_points=len(model.points),

@@ -27,7 +27,7 @@ from .geometry import (
     triangulate_track,
 )
 from .matching import NO_ENTRIES, MatchGraph, closest_one_to_one
-from .model import Camera, FeatureRef, Model
+from .model import Camera, Model
 
 log = logging.getLogger(__name__)
 
@@ -239,9 +239,9 @@ def resect_image(model: Model, feature_sets, image_id: int, corr: np.ndarray,
     """Register one image from an (n, 2) array of (point_id, feature_id) rows.
 
     The resection shared by the coarse stage and camera addition: robust
-    PnP seeded with ``seed + image_id``.  Returns (camera, inlier refs as
-    (point_id, FeatureRef) pairs, the form ``Model.attach_camera`` takes)
-    or None when resection fails.
+    PnP seeded with ``seed + image_id``.  Returns (camera, the inlier rows
+    ``corr[mask]``, the form ``Model.attach_camera`` takes) or None when
+    resection fails.
     """
     X = np.stack([model.points[pid].position for pid in corr[:, 0].tolist()])
     uv = feature_sets[image_id].xy[corr[:, 1]].astype(np.float64)
@@ -252,25 +252,25 @@ def resect_image(model: Model, feature_sets, image_id: int, corr: np.ndarray,
     if result is None:
         return None
     R, t, mask = result
-    inliers = [(pid, FeatureRef(image_id, feat)) for pid, feat in corr[mask].tolist()]
-    return Camera(K=K, R=R, t=t, image_id=image_id), inliers
+    return Camera(K=K, R=R, t=t, image_id=image_id), corr[mask]
 
 
 def triangulate_refs(model: Model, feature_sets, tracks) -> list:
-    """Points of ref tracks through the model's cameras (4 px / 1 deg gates).
+    """Points of (image_id, feature_id) tracks through the model's cameras
+    (4 px / 1 deg gates).
 
     One stacked ``triangulate_track`` call per track length.  Returns each
     track's point, or None where it fails the gates, in input order.
     """
     points = [None] * len(tracks)
     by_length = defaultdict(list)
-    for i, refs in enumerate(tracks):
-        by_length[len(refs)].append(i)
+    for i, track in enumerate(tracks):
+        by_length[len(track)].append(i)
     for rows in by_length.values():
-        refs = [r for i in rows for r in tracks[i]]
+        pairs = [pair for i in rows for pair in tracks[i]]
         X, _, ok = triangulate_track(
-            model.cameras, np.array([r.image_id for r in refs]).reshape(len(rows), -1),
-            np.array([feature_sets[r.image_id].xy[r.feature_id] for r in refs],
+            model.cameras, np.array([i for i, _ in pairs]).reshape(len(rows), -1),
+            np.array([feature_sets[i].xy[f] for i, f in pairs],
                      dtype=np.float64).reshape(len(rows), -1, 2))
         for j in np.flatnonzero(ok).tolist():
             points[rows[j]] = X[j]
@@ -280,11 +280,11 @@ def triangulate_refs(model: Model, feature_sets, tracks) -> list:
 def _triangulate_pairs(model: Model, feature_sets, pairs) -> None:
     """Two-view points from the (a, feature, b, feature) pairs of untracked
     features, added in order unless a feature is tracked by then."""
-    tracks = [(FeatureRef(a, q), FeatureRef(b, t)) for a, q, b, t in pairs]
+    tracks = [((a, q), (b, t)) for a, q, b, t in pairs]
     points = triangulate_refs(model, feature_sets, tracks)
-    for (a, q, b, t), refs, point in zip(pairs, tracks, points):
+    for (a, q, b, t), track, point in zip(pairs, tracks, points):
         if point is not None and q not in model.tracked(a) and t not in model.tracked(b):
-            model.add_point(point, refs)
+            model.add_point(point, track)
 
 
 def _edge_points(graph: MatchGraph, feature_sets, a: int, b: int):
@@ -359,7 +359,7 @@ def _triangulate_new_tracks(model: Model, graph: MatchGraph, feature_sets,
         proj, depth = model.cameras[image].project(model.points[pid].position)
         if depth[0] <= 0 or np.linalg.norm(proj[0] - pix) > TRI_MAX_ERROR_PX:
             return
-        model.extend_track(pid, FeatureRef(image, feat))
+        model.extend_track(pid, image, feat)
 
     pending = []
     for a, b, edge in _registered_edges(model, graph, image_id):

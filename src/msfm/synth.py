@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .features import DESCRIPTOR_DIM, FeatureSet, FeatureStore, write_features
-from .model import Camera, Model, FeatureRef, make_intrinsics
+from .model import Camera, Model, make_intrinsics
 
 SCALE_LEVELS = 24  # 8 octaves x 3 intervals
 
@@ -107,12 +107,12 @@ class SyntheticScene:
         for cam in self.cameras:
             model.attach_camera(cam)
         for pid in sorted(self.triangulable_points()):
-            refs = []
+            track = []
             for image_id in sorted(self.feature_sets):
                 fid = self.feature_of_point(image_id, pid)
                 if fid is not None:
-                    refs.append(FeatureRef(image_id, fid))
-            model.add_point(self.points[pid], refs)
+                    track.append((image_id, fid))
+            model.add_point(self.points[pid], track)
         return model
 
 

@@ -29,7 +29,7 @@ from msfm.guided import (
     guided_match_pair,
 )
 from msfm.matching import Matches, match_pair
-from msfm.model import Camera, FeatureRef, Model, reprojection_errors
+from msfm.model import Camera, Model, reprojection_errors
 from msfm.pipeline import run_pipeline
 from msfm.synth import SceneSpec, generate_scene, write_scene
 
@@ -301,9 +301,7 @@ class TestCriterion7OracleEquivalences:
                     distance=np.array([1.0]), ratio=np.array([0.5]))))
                 union((int(a), 0), (int(b), 0))
             new_tracks, _ = merge_tracks(matches, model)
-            got = {
-                frozenset((r.image_id, r.feature_id) for r in refs)
-                for refs in new_tracks}
+            got = {frozenset(refs) for refs in new_tracks}
             groups = {}
             for node in parent:
                 groups.setdefault(find(node), set()).add(node)
@@ -480,7 +478,7 @@ class TestCriterion9Determinism:
             if image_id not in held_out:
                 partial.attach_camera(gt.cameras[image_id])
         for pid in gt.point_ids():
-            refs = [FeatureRef(i, f)
+            refs = [(i, f)
                     for i, f in sorted(gt.points[pid].track.items())
                     if i not in held_out]
             if len(refs) >= 2:

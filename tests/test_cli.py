@@ -7,7 +7,7 @@ from msfm.config import PipelineConfig, parse_config_text
 from msfm.errors import ConfigError, StageError
 from msfm.features import DESCRIPTOR_DIM, MIN_FEATURES_FOR_TIER, FeatureSet, write_features
 from msfm.io import read_model, write_model
-from msfm.model import Camera, FeatureRef, Model
+from msfm.model import Camera, Model
 from msfm.synth import SceneSpec, generate_scene, write_scene
 
 
@@ -210,14 +210,14 @@ def mismatched_models(tmp_path_factory):
                 model.attach_camera(Camera(K=cam.K, R=cam.R, t=cam.t,
                                            image_id=rename.get(image_id, image_id)))
         for point in truth.points.values():
-            refs = [FeatureRef(rename.get(i, i), f) for i, f in sorted(point.track.items())
+            refs = [(rename.get(i, i), f) for i, f in sorted(point.track.items())
                     if keep(i)]
             if len(refs) >= 2:
                 model.add_point(point.position, refs)
         return model
 
     bad = rebuilt({}, keep=lambda image_id: image_id != 7)
-    bad.add_point(np.zeros(3), [FeatureRef(0, 99999999), FeatureRef(1, 99999999)])
+    bad.add_point(np.zeros(3), [(0, 99999999), (1, 99999999)])
     write_model(bad, path / "bad_feature.msfm")
     write_model(rebuilt({7: 77}), path / "renamed.msfm")
     (path / "empty_graph.txt").write_text("MSFM-GRAPH 1\n")
@@ -274,6 +274,12 @@ def _inlier_count_mismatch(lines):
                    f"not {fields[4]}")
 
 
+def _extra_edge_field(lines):
+    k, _, _ = _first_edge(lines)
+    lines[k] += " 99"
+    return lines, f"graph.txt:{k + 1}: expected an EDGE record of 5 fields"
+
+
 def _missing_image(lines):
     return lines + ["EDGE 0 77 1 1", "0 0 1.0 0.5 1"], "77:0 is not a feature"
 
@@ -288,7 +294,8 @@ def graph_lines(scene_dir, tmp_path_factory):
 
 class TestGraphAgainstFeatures:
     @pytest.mark.parametrize("defect", [_reversed_edge, _repeated_edge, _inlier_count_mismatch,
-                                        _feature_out_of_range, _missing_image])
+                                        _feature_out_of_range, _missing_image,
+                                        _extra_edge_field])
     @pytest.mark.parametrize("command", ["coarse", "localize"])
     def test_graph_defect_exit3(self, scene_dir, graph_lines, tmp_path, capsys,
                                 command, defect):

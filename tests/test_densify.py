@@ -1,17 +1,20 @@
 import copy
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from msfm.densify import (
-    candidate_images,
+    COVIS_THRESHOLD,
+    CANDIDATE_FRACTION,
     densify_stage,
     merge_tracks,
-    unique_pairs,
+    select_pairs,
 )
 from msfm.errors import NotRegisteredError
 from msfm.matching import Matches, build_coarse_matchgraph
-from msfm.model import FeatureRef, Model
+from msfm.model import Model
 from msfm.reconstruct import incremental_reconstruct
 from msfm.synth import SceneSpec, generate_scene
 
@@ -45,6 +48,44 @@ class UnionFind:
         return sorted(frozenset(g) for g in groups.values())
 
 
+@dataclass
+class CandidateSet:
+    image_id: int
+    candidates: list[tuple[int, int]]  # (image_id, covisible count), descending
+
+
+def candidate_images(model: Model, image_id: int, *,
+                     threshold: int = COVIS_THRESHOLD,
+                     k_limit: int | None = None) -> CandidateSet:
+    """Top partners of one image by covisible points: the per-image
+    ranking that ``select_pairs`` replaced, as its oracle."""
+    own_points = model.tracked(image_id).values()
+    if k_limit is None:
+        k_limit = int(np.ceil(CANDIDATE_FRACTION * len(model.cameras)))
+    # each of the image's points counts once for every other image it is seen in
+    shared = Counter(other for pid in own_points for other in model.points[pid].track)
+    scored = sorted((-n, other) for other, n in shared.items()
+                    if other != image_id and n > threshold)
+    return CandidateSet(
+        image_id=image_id,
+        candidates=[(other, -neg) for neg, other in scored[:k_limit]],
+    )
+
+
+def unique_pairs(candidate_sets) -> list[tuple[int, int]]:
+    """Deduplicated unordered pairs from all candidate sets, sorted (oracle)."""
+    pairs = set()
+    for cs in candidate_sets:
+        for other, _ in cs.candidates:
+            pairs.add((cs.image_id, other) if cs.image_id < other else (other, cs.image_id))
+    return sorted(pairs)
+
+
+def reference_pairs(model, query_images, threshold, k_limit):
+    return unique_pairs([candidate_images(model, i, threshold=threshold, k_limit=k_limit)
+                         for i in query_images])
+
+
 def reference_merge_tracks(pair_matches, model):
     """The depth-first search that ``merge_tracks`` replaced, as its oracle."""
     adjacency, edge_dist = {}, {}
@@ -56,12 +97,18 @@ def reference_merge_tracks(pair_matches, model):
         if key not in edge_dist or dist < edge_dist[key]:
             edge_dist[key] = dist
 
+    def owner(ref):
+        return model.tracked(ref[0]).get(ref[1]) if model.is_registered(ref[0]) else None
+
+    def refs_of(pid):
+        return sorted(model.points[pid].track.items())
+
     for qi, ti, m in pair_matches:
         for qf, tf, dist in zip(m.query.tolist(), m.target.tolist(), m.distance.tolist()):
-            add_edge(FeatureRef(qi, qf), FeatureRef(ti, tf), dist)
-    touched = {model.owner(r) for r in list(adjacency)} - {None}
+            add_edge((qi, qf), (ti, tf), dist)
+    touched = {owner(r) for r in list(adjacency)} - {None}
     for pid in touched:
-        refs = model.points[pid].refs()
+        refs = refs_of(pid)
         for r in refs[1:]:
             add_edge(refs[0], r, -1.0)
 
@@ -82,26 +129,26 @@ def reference_merge_tracks(pair_matches, model):
                 if nxt not in visited:
                     visited.add(nxt)
                     stack.append(nxt)
-        owners = {model.owner(r) for r in component} - {None}
+        owners = {owner(r) for r in component} - {None}
         if len(owners) >= 2:
             continue
-        owner = owners.pop() if owners else None
-        existing = set(model.points[owner].refs()) if owner is not None else set()
+        pid = owners.pop() if owners else None
+        existing = set(refs_of(pid)) if pid is not None else set()
         by_image = {}
         for ref in sorted(component):
-            by_image.setdefault(ref.image_id, []).append(ref)
+            by_image.setdefault(ref[0], []).append(ref)
         keep = []
         for image_id in sorted(by_image):
             refs = by_image[image_id]
             pinned = [r for r in refs if r in existing]
             if pinned:
                 keep.extend(pinned)
-            elif owner is None or image_id not in model.points[owner].track:
+            elif pid is None or image_id not in model.points[pid].track:
                 keep.append(min(refs, key=lambda r: (support(r), r)))
         fresh = [r for r in keep if r not in existing]
-        if owner is not None and fresh:
-            extensions.setdefault(owner, []).extend(fresh)
-        elif owner is None and len({r.image_id for r in fresh}) >= 2:
+        if pid is not None and fresh:
+            extensions.setdefault(pid, []).extend(fresh)
+        elif pid is None and len({r[0] for r in fresh}) >= 2:
             new_tracks.append(fresh)
     return new_tracks, extensions
 
@@ -136,7 +183,7 @@ class TestCandidateImages:
         for i in range(3):
             model.attach_camera(random_camera(rng, image_id=i))
         for k in range(8):  # exactly 8 shared points between 0 and 1
-            model.add_point(rng.normal(size=3), [FeatureRef(0, k), FeatureRef(1, k)])
+            model.add_point(rng.normal(size=3), [(0, k), (1, k)])
         cs = candidate_images(model, 0, threshold=8, k_limit=10)
         assert cs.candidates == []  # 8 is not > 8
         cs7 = candidate_images(model, 0, threshold=7, k_limit=10)
@@ -172,7 +219,6 @@ class TestCandidateImages:
 
 class TestUniquePairs:
     def test_mutual_listing_dedup(self):
-        from msfm.densify import CandidateSet
         sets = [CandidateSet(0, [(1, 30)]), CandidateSet(1, [(0, 30)])]
         assert unique_pairs(sets) == [(0, 1)]
 
@@ -188,6 +234,69 @@ class TestUniquePairs:
         assert len(pairs) >= max(len(cs.candidates) for cs in sets)
 
 
+class TestSelectPairs:
+    """``select_pairs`` against the per-image ranking it replaced."""
+
+    @staticmethod
+    def shared_model(counts, n_images):
+        """A model whose image pairs (a, b) share counts[(a, b)] points."""
+        rng = np.random.default_rng(0)
+        model = Model()
+        for i in range(n_images):
+            model.attach_camera(random_camera(rng, image_id=i))
+        k = 0
+        for (a, b), n in sorted(counts.items()):
+            for _ in range(n):
+                model.add_point(np.zeros(3), [(a, k), (b, k)])
+                k += 1
+        return model
+
+    def test_equals_oracle_on_random_models(self):
+        # few images and small counts: counts at the threshold and ties at
+        # the k_limit cut on most models
+        rng = np.random.default_rng(12)
+        for trial in range(200):
+            n_images = int(rng.integers(2, 9))
+            model = Model()
+            for i in range(n_images):
+                model.attach_camera(random_camera(rng, image_id=i))
+            for k in range(int(rng.integers(0, 40))):
+                images = rng.choice(n_images, size=int(rng.integers(2, n_images + 1)),
+                                    replace=False)
+                model.add_point(np.zeros(3), [(int(i), k) for i in images])
+            threshold, k_limit = int(rng.integers(0, 6)), int(rng.integers(1, 4))
+            query = sorted(int(i) for i in np.flatnonzero(rng.random(n_images) < 0.6))
+            assert select_pairs(model, query, threshold=threshold, k_limit=k_limit) == \
+                reference_pairs(model, query, threshold, k_limit), trial
+
+    def test_threshold_is_strict(self):
+        model = self.shared_model({(0, 1): 8, (0, 2): 9}, 3)
+        assert select_pairs(model, [0], threshold=8, k_limit=10) == [(0, 2)]
+        assert select_pairs(model, [0], threshold=7, k_limit=10) == [(0, 1), (0, 2)]
+
+    def test_ties_at_the_cut_go_to_the_lower_id(self):
+        model = self.shared_model({(0, 3): 12, (0, 1): 10, (0, 2): 10, (1, 2): 20}, 4)
+        pairs = select_pairs(model, [0], threshold=8, k_limit=2)
+        assert pairs == [(0, 1), (0, 3)] == reference_pairs(model, [0], 8, 2)
+
+    def test_query_subset_and_image_without_partner(self):
+        # image 3 shares nothing; only images 2 and 3 are queried, as in a
+        # later iteration that localized them
+        model = self.shared_model({(0, 1): 20, (0, 2): 15, (1, 2): 9}, 4)
+        assert select_pairs(model, [2, 3], threshold=8, k_limit=1) == [(0, 2)]
+        assert select_pairs(model, [3], threshold=8, k_limit=5) == []
+        assert select_pairs(model, [], threshold=8, k_limit=5) == []
+        for query in ([2, 3], [3], [0, 1, 2, 3]):
+            assert select_pairs(model, query, threshold=8, k_limit=1) == \
+                reference_pairs(model, query, 8, 1)
+
+    def test_equals_oracle_on_a_ring(self, model):
+        ids = model.image_ids()
+        for query, k_limit in ((ids, 4), (ids[::3], 2), (ids[:1], 6)):
+            assert select_pairs(model, query, threshold=8, k_limit=k_limit) == \
+                reference_pairs(model, query, 8, k_limit)
+
+
 class TestMergeTracks:
     def test_chain_merges(self):
         model = Model()
@@ -195,7 +304,7 @@ class TestMergeTracks:
         new_tracks, extensions = merge_tracks(matches, model)
         assert extensions == {}
         assert len(new_tracks) == 1
-        assert set(new_tracks[0]) == {FeatureRef(0, 1), FeatureRef(1, 3), FeatureRef(2, 7)}
+        assert set(new_tracks[0]) == {(0, 1), (1, 3), (2, 7)}
 
     def test_conflict_drops_weaker_feature(self):
         model = Model()
@@ -203,7 +312,7 @@ class TestMergeTracks:
         matches = [match(0, 1, 1, 3, dist=0.5), match(0, 2, 1, 3, dist=2.0)]
         new_tracks, _ = merge_tracks(matches, model)
         assert len(new_tracks) == 1
-        assert set(new_tracks[0]) == {FeatureRef(0, 1), FeatureRef(1, 3)}
+        assert set(new_tracks[0]) == {(0, 1), (1, 3)}
 
     def test_matches_union_find_oracle(self):
         rng = np.random.default_rng(3)
@@ -228,7 +337,7 @@ class TestMergeTracks:
             # reconstruct full components from merge_tracks by rerunning with
             # distinct per-image features only
             for refs in new_tracks:
-                roots = {comp_of[(r.image_id, r.feature_id)] for r in refs}
+                roots = {comp_of[r] for r in refs}
                 assert len(roots) == 1
 
     def test_component_sets_identical_without_conflicts(self):
@@ -246,10 +355,7 @@ class TestMergeTracks:
                 matches.append(match(int(a), 7, int(b), 7))
                 uf.union((int(a), 7), (int(b), 7))
             new_tracks, _ = merge_tracks(matches, model)
-            got = {
-                frozenset((r.image_id, r.feature_id) for r in refs)
-                for refs in new_tracks
-            }
+            got = {frozenset(refs) for refs in new_tracks}
             expected = {c for c in uf.components() if len(c) >= 2}
             assert got == expected
 
@@ -265,8 +371,8 @@ class TestMergeTracks:
             for _ in range(int(rng.integers(0, 4))):
                 images = rng.choice(n_images, size=int(rng.integers(2, n_images + 1)),
                                     replace=False)
-                refs = [FeatureRef(int(i), int(rng.integers(n_feats))) for i in images]
-                if all(model.owner(r) is None for r in refs):
+                refs = [(int(i), int(rng.integers(n_feats))) for i in images]
+                if all(f not in model.tracked(i) for i, f in refs):
                     model.add_point(np.zeros(3), refs)
             pair_matches = []
             for _ in range(int(rng.integers(1, 5))):
@@ -283,19 +389,19 @@ class TestMergeTracks:
         model = Model()
         for i in range(3):
             model.attach_camera(random_camera(rng, image_id=i))
-        pid = model.add_point(np.zeros(3), [FeatureRef(0, 1), FeatureRef(1, 1)])
+        pid = model.add_point(np.zeros(3), [(0, 1), (1, 1)])
         matches = [match(1, 1, 2, 9)]
         new_tracks, extensions = merge_tracks(matches, model)
         assert new_tracks == []
-        assert extensions == {pid: [FeatureRef(2, 9)]}
+        assert extensions == {pid: [(2, 9)]}
 
     def test_two_existing_points_not_merged(self):
         rng = np.random.default_rng(6)
         model = Model()
         for i in range(4):
             model.attach_camera(random_camera(rng, image_id=i))
-        p1 = model.add_point(np.zeros(3), [FeatureRef(0, 1), FeatureRef(1, 1)])
-        p2 = model.add_point(np.ones(3), [FeatureRef(2, 1), FeatureRef(3, 1)])
+        p1 = model.add_point(np.zeros(3), [(0, 1), (1, 1)])
+        p2 = model.add_point(np.ones(3), [(2, 1), (3, 1)])
         matches = [match(1, 1, 2, 1)]  # bridges the two tracks
         new_tracks, extensions = merge_tracks(matches, model)
         assert new_tracks == []
@@ -307,7 +413,7 @@ class TestMergeTracks:
         model = Model()
         for i in range(3):
             model.attach_camera(random_camera(rng, image_id=i))
-        pid = model.add_point(np.zeros(3), [FeatureRef(0, 1), FeatureRef(1, 1)])
+        pid = model.add_point(np.zeros(3), [(0, 1), (1, 1)])
         # new feature (0, 5) connects into the track, but image 0 is taken
         matches = [match(0, 5, 1, 1, dist=0.01)]
         new_tracks, extensions = merge_tracks(matches, model)
@@ -369,13 +475,11 @@ class TestDensifyStage:
         fresh = [p for p in work.point_ids() if p not in pre]
         rng = np.random.default_rng(0)
         for pid in rng.choice(fresh, size=min(40, len(fresh)), replace=False):
-            refs = work.points[pid].refs()
+            refs = sorted(work.points[pid].track.items())
             for i in range(len(refs) - 1):
                 a, b = refs[i], refs[i + 1]
-                geom = fundamental_from_poses(work.cameras[a.image_id],
-                                              work.cameras[b.image_id])
-                line = epipolar_line(geom, store.position(a.image_id, a.feature_id))
-                dist = point_line_distance(
-                    store.position(b.image_id, b.feature_id), line)
+                geom = fundamental_from_poses(work.cameras[a[0]], work.cameras[b[0]])
+                line = epipolar_line(geom, store.position(*a))
+                dist = point_line_distance(store.position(*b), line)
                 # matched pairs respect the band; chained refs may differ a bit
                 assert dist <= 8.0 * 2.5

@@ -61,6 +61,24 @@ class TestModelFile:
         with pytest.raises(FormatError, match=":2"):
             read_model(path)
 
+    @pytest.mark.parametrize("kind, damage", [
+        ("CAM", lambda line: line + " 0.5"),
+        ("CAM", lambda line: line.rsplit(" ", 1)[0]),
+        ("PT", lambda line: line + " 7 7"),
+        ("PT", lambda line: line + " 7"),
+        ("PT", lambda line: line.rsplit(" ", 2)[0]),
+    ])
+    def test_field_count_names_file_and_line(self, tmp_path, tiny_scene, kind, damage):
+        # a record's fields are all read: extra or missing ones are an error
+        path = tmp_path / "m.msfm"
+        write_model(tiny_scene.ground_truth_model(), path)
+        lines = path.read_text().splitlines()
+        k = next(i for i, line in enumerate(lines) if line.startswith(kind + " "))
+        lines[k] = damage(lines[k])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path}:{k + 1}: {kind} record")):
+            read_model(path)
+
 
 class TestPly:
     def test_empty_model(self, tmp_path):
@@ -108,6 +126,8 @@ class TestMatchGraphFile:
     @pytest.mark.parametrize("damage, line", [
         (lambda lines: lines[:10], 10),  # cut off inside the first edge's matches
         (lambda lines: lines[:4] + [lines[4].replace(".", "x", 1)] + lines[5:], 5),
+        (lambda lines: lines[:1] + [lines[1] + " 99"] + lines[2:], 2),  # extra EDGE field
+        (lambda lines: lines[:1] + [lines[1].rsplit(" ", 1)[0]] + lines[2:], 2),
     ])
     def test_malformed_edge_names_file_and_line(self, tmp_path, tiny_scene, damage, line):
         path = tmp_path / "graph.txt"

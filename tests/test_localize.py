@@ -14,7 +14,7 @@ from msfm.localize import (
     ranked_2d2d_search,
 )
 from msfm.matching import RATIO_UNGUIDED, build_coarse_matchgraph, ratio_filter
-from msfm.model import FeatureRef, Model
+from msfm.model import Model
 from msfm.synth import SceneSpec, generate_scene
 
 
@@ -33,7 +33,7 @@ def holdout_setup():
         if image_id not in held_out:
             partial.attach_camera(gt.cameras[image_id])
     for pid in gt.point_ids():
-        refs = [FeatureRef(i, f) for i, f in sorted(gt.points[pid].track.items())
+        refs = [(i, f) for i, f in sorted(gt.points[pid].track.items())
                 if i not in held_out]
         if len(refs) >= 2:
             partial.add_point(gt.points[pid].position, refs)
@@ -92,7 +92,7 @@ class TestMeanDescriptor:
         model.attach_camera(scene.cameras[free_img].__class__(
             K=scene.cameras[free_img].K, R=scene.cameras[free_img].R,
             t=scene.cameras[free_img].t, image_id=free_img))
-        model.extend_track(pid, FeatureRef(free_img, fid))
+        model.extend_track(pid, free_img, fid)
         assert model.points[pid].mean_descriptor is None
 
 
@@ -192,8 +192,8 @@ class TestDirectSearch:
         from conftest import random_camera
         model.attach_camera(random_camera(rng, image_id=0))
         model.attach_camera(random_camera(rng, image_id=1))
-        p1 = model.add_point(np.zeros(3), [FeatureRef(0, 0), FeatureRef(1, 0)])
-        p2 = model.add_point(np.ones(3), [FeatureRef(0, 1), FeatureRef(1, 1)])
+        p1 = model.add_point(np.zeros(3), [(0, 0), (1, 0)])
+        p2 = model.add_point(np.ones(3), [(0, 1), (1, 1)])
         model.points[p1].mean_descriptor = desc[0].astype(np.float32)
         model.points[p2].mean_descriptor = desc[0].astype(np.float32)
         corr = direct_3d2d_search(model, [p1, p2], fs, store)

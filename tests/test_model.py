@@ -1,14 +1,17 @@
 import copy
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from msfm.errors import AlreadyRegisteredError, NotRegisteredError
+from msfm.io import read_model, write_model
 from msfm.model import (
     Camera,
-    FeatureRef,
     Model,
+    covisible_pairs,
     model_stats,
     reprojection_errors,
 )
@@ -58,7 +61,7 @@ class TestVisibilityQueries:
 
     def test_single_point_two_images(self):
         model = simple_model(2)
-        pid = model.add_point(np.zeros(3), [FeatureRef(0, 4), FeatureRef(1, 9)])
+        pid = model.add_point(np.zeros(3), [(0, 4), (1, 9)])
         assert model.points_visible_in(0) == {pid}
         assert model.points_visible_in(1) == {pid}
 
@@ -90,9 +93,14 @@ class TestOwnershipIndex:
             assert model.tracked(image_id) == tracked[image_id]
             assert model.points_visible_in(image_id) == set(tracked[image_id].values())
             for feature_id in range(self.N_FEATURES):
-                assert (model.owner(FeatureRef(image_id, feature_id))
+                assert (model.tracked(image_id).get(feature_id)
                         == tracked[image_id].get(feature_id))
         model.check_consistency()
+        expected = [(pid, i, f) for pid in sorted(model.points)
+                    for i, f in sorted(model.points[pid].track.items())]
+        columns = model.observations()
+        assert all(c.dtype == np.int64 for c in columns)
+        assert list(zip(*(c.tolist() for c in columns))) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -118,33 +126,44 @@ class TestOwnershipIndex:
                     else:
                         taken.add(feature_id)
                         seen.add(pid)
-                refs = [(pid, FeatureRef(image_id, f)) for pid, f in inliers]
-                assert model.attach_camera(random_camera(rng, image_id=image_id), refs) == conflicts
+                assert model.attach_camera(random_camera(rng, image_id=image_id),
+                                           inliers) == conflicts
             elif op == "add":
                 chosen = data.draw(st.lists(st.sampled_from(images), min_size=2, max_size=3,
                                             unique=True), label="images")
-                refs = [FeatureRef(i, data.draw(feature, label="feature")) for i in chosen]
-                if any(r.feature_id in tracked[r.image_id] for r in refs):
+                pairs = [(i, data.draw(feature, label="feature")) for i in chosen]
+                if any(f in tracked[i] for i, f in pairs):
                     with pytest.raises(ValueError):
-                        model.add_point(np.zeros(3), refs)
+                        model.add_point(np.zeros(3), pairs)
                 else:
-                    pid = model.add_point(np.zeros(3), refs)
-                    assert model.points[pid].track == {r.image_id: r.feature_id for r in refs}
+                    pid = model.add_point(np.zeros(3), pairs)
+                    assert model.points[pid].track == dict(pairs)
             elif op == "extend" and pids:
                 pid = data.draw(st.sampled_from(pids), label="point")
-                ref = FeatureRef(data.draw(st.sampled_from(images), label="image"),
-                                 data.draw(feature, label="feature"))
-                free = (ref.feature_id not in tracked[ref.image_id]
-                        and ref.image_id not in model.points[pid].track)
-                assert model.extend_track(pid, ref) == free
+                image_id = data.draw(st.sampled_from(images), label="image")
+                feature_id = data.draw(feature, label="feature")
+                free = (feature_id not in tracked[image_id]
+                        and image_id not in model.points[pid].track)
+                assert model.extend_track(pid, image_id, feature_id) == free
             elif op == "remove" and pids:
                 model.remove_point(data.draw(st.sampled_from(pids), label="point"))
             self.assert_index_matches_tracks(model)
+        # the file form keeps every track; point ids are renumbered in order
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.msfm"
+            write_model(model, path)
+            loaded = read_model(path)
+        self.assert_index_matches_tracks(loaded)
+        point, image, feature = model.observations()
+        loaded_point, loaded_image, loaded_feature = loaded.observations()
+        assert np.array_equal(np.searchsorted(model.point_ids(), point), loaded_point)
+        assert np.array_equal(image, loaded_image)
+        assert np.array_equal(feature, loaded_feature)
 
     def test_tracked_is_live_and_checks_registration(self):
         model = simple_model(2)
         owned = model.tracked(0)
-        pid = model.add_point(np.zeros(3), [FeatureRef(0, 4), FeatureRef(1, 9)])
+        pid = model.add_point(np.zeros(3), [(0, 4), (1, 9)])
         assert owned == {4: pid}
         model.remove_point(pid)
         assert owned == {}
@@ -166,9 +185,9 @@ class TestAttachCamera:
         rng = np.random.default_rng(6)
         model = simple_model(2, rng)
         pids = [model.add_point(rng.normal(size=3),
-                                [FeatureRef(0, i), FeatureRef(1, i)])
+                                [(0, i), (1, i)])
                 for i in range(20)]
-        inliers = [(pid, FeatureRef(9, k)) for k, pid in enumerate(pids)]
+        inliers = [(pid, k) for k, pid in enumerate(pids)]
         model.attach_camera(random_camera(rng, image_id=9), inliers)
         for pid in pids:
             assert model.points[pid].track_length() == 3
@@ -177,23 +196,22 @@ class TestAttachCamera:
     def test_duplicate_registration_is_idempotent(self):
         rng = np.random.default_rng(7)
         model = simple_model(2, rng)
-        pid = model.add_point(np.zeros(3), [FeatureRef(0, 0), FeatureRef(1, 0)])
+        pid = model.add_point(np.zeros(3), [(0, 0), (1, 0)])
         snapshot = copy.deepcopy(model)
         with pytest.raises(AlreadyRegisteredError):
             model.attach_camera(random_camera(rng, image_id=1),
-                                [(pid, FeatureRef(1, 5))])
+                                [(pid, 5)])
         assert model.points[pid].track == snapshot.points[pid].track
         assert model.image_ids() == snapshot.image_ids()
 
     def test_conflicting_ref_dropped_not_fatal(self):
         rng = np.random.default_rng(8)
         model = simple_model(2, rng)
-        p1 = model.add_point(np.zeros(3), [FeatureRef(0, 0), FeatureRef(1, 0)])
-        p2 = model.add_point(np.ones(3), [FeatureRef(0, 1), FeatureRef(1, 1)])
+        p1 = model.add_point(np.zeros(3), [(0, 0), (1, 0)])
+        p2 = model.add_point(np.ones(3), [(0, 1), (1, 1)])
         # feature (2, 3) claimed for both points: second claim drops
-        conflicts = model.attach_camera(
-            random_camera(rng, image_id=2),
-            [(p1, FeatureRef(2, 3)), (p2, FeatureRef(2, 3)), (p2, FeatureRef(2, 4))])
+        conflicts = model.attach_camera(random_camera(rng, image_id=2),
+                                        [(p1, 3), (p2, 3), (p2, 4)])
         assert conflicts == 1
         assert model.points[p1].track[2] == 3
         assert model.points[p2].track[2] == 4
@@ -210,14 +228,13 @@ class TestAttachCamera:
                 rebuilt.attach_camera(model.cameras[image_id])
         kept = {}
         for pid, point in model.points.items():
-            refs = [FeatureRef(i, f) for i, f in sorted(point.track.items())
-                    if i != held_out]
-            if len(refs) >= 2:
-                kept[pid] = rebuilt.add_point(point.position, refs)
+            pairs = [(i, f) for i, f in sorted(point.track.items()) if i != held_out]
+            if len(pairs) >= 2:
+                kept[pid] = rebuilt.add_point(point.position, pairs)
         inliers = []
         for pid, point in model.points.items():
             if held_out in point.track and pid in kept:
-                inliers.append((kept[pid], FeatureRef(held_out, point.track[held_out])))
+                inliers.append((kept[pid], point.track[held_out]))
         rebuilt.attach_camera(model.cameras[held_out], inliers)
         expected = {
             kept[pid] for pid, point in model.points.items()
@@ -231,7 +248,7 @@ class TestModelStats:
     def test_pts3_definition(self):
         rng = np.random.default_rng(9)
         model = simple_model(2, rng)
-        model.add_point(np.zeros(3), [FeatureRef(0, 0), FeatureRef(1, 0)])
+        model.add_point(np.zeros(3), [(0, 0), (1, 0)])
 
         class FakeStore:
             def position(self, image_id, feature_id):
@@ -275,7 +292,7 @@ class TestModelStats:
     def test_connected_pairs_counts_sharing(self):
         rng = np.random.default_rng(10)
         model = simple_model(3, rng)
-        model.add_point(np.zeros(3), [FeatureRef(0, 0), FeatureRef(1, 0)])
+        model.add_point(np.zeros(3), [(0, 0), (1, 0)])
 
         class NullStore:
             def position(self, image_id, feature_id):
@@ -296,9 +313,9 @@ class TestModelStats:
                                        t=np.array([-float(i), 0.0, 0.0]),
                                        image_id=i))
         p0 = model.add_point(np.array([0.0, 0.0, 10.0]),
-                             [FeatureRef(0, 0), FeatureRef(1, 0), FeatureRef(2, 0)])
+                             [(0, 0), (1, 0), (2, 0)])
         p1 = model.add_point(np.array([1.0, 1.0, 10.0]),
-                             [FeatureRef(0, 1), FeatureRef(1, 1)])
+                             [(0, 1), (1, 1)])
 
         planted = {
             (0, 0): 0.0, (1, 0): 0.0, (2, 0): 0.0,
@@ -320,6 +337,23 @@ class TestModelStats:
         assert stats.connected_pairs == 3  # (0,1), (0,2), (1,2)
 
 
+class TestCovisiblePairs:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 7), min_size=2, max_size=6, unique=True),
+                    max_size=25))
+    def test_matches_set_intersections(self, tracks):
+        model = simple_model(8)
+        for k, images in enumerate(tracks):
+            model.add_point(np.zeros(3), [(i, k) for i in images])
+        point, image, _ = model.observations()
+        a, b, shared = covisible_pairs(point, image)
+        assert all(c.dtype == np.int64 for c in (a, b, shared))
+        seen = {i: model.points_visible_in(i) for i in model.image_ids()}
+        expected = [(i, j, len(seen[i] & seen[j])) for i in seen for j in seen
+                    if i < j and seen[i] & seen[j]]
+        assert list(zip(a.tolist(), b.tolist(), shared.tolist())) == expected
+
+
 class TestTrackExclusivity:
     def test_no_ref_in_two_tracks(self, tiny_scene):
         model = tiny_scene.ground_truth_model()
@@ -333,9 +367,9 @@ class TestTrackExclusivity:
     def test_extend_track_conflict_returns_false(self):
         rng = np.random.default_rng(11)
         model = simple_model(3, rng)
-        p1 = model.add_point(np.zeros(3), [FeatureRef(0, 0), FeatureRef(1, 0)])
-        p2 = model.add_point(np.ones(3), [FeatureRef(0, 1), FeatureRef(1, 1)])
-        assert model.extend_track(p1, FeatureRef(2, 0))
-        assert not model.extend_track(p2, FeatureRef(2, 0))  # taken
-        assert not model.extend_track(p1, FeatureRef(2, 5))  # image already in track
+        p1 = model.add_point(np.zeros(3), [(0, 0), (1, 0)])
+        p2 = model.add_point(np.ones(3), [(0, 1), (1, 1)])
+        assert model.extend_track(p1, 2, 0)
+        assert not model.extend_track(p2, 2, 0)  # taken
+        assert not model.extend_track(p1, 2, 5)  # image already in track
         model.check_consistency()

@@ -159,10 +159,11 @@ class TestTriangulateRefs:
         model = tiny_scene.ground_truth_model()
         sets = tiny_scene.store().sets
         pids = sorted(model.points)[:12]
-        tracks = [model.points[pid].refs()[:2 + i % 4] for i, pid in enumerate(pids)]
+        tracks = [sorted(model.points[pid].track.items())[:2 + i % 4]
+                  for i, pid in enumerate(pids)]
         # refs of two different points: no position fits both
-        a = model.points[pids[0]].refs()[0]
-        b = next(r for r in model.points[pids[1]].refs() if r.image_id != a.image_id)
+        a = sorted(model.points[pids[0]].track.items())[0]
+        b = next(r for r in sorted(model.points[pids[1]].track.items()) if r[0] != a[0])
         tracks.insert(5, [a, b])
         points = triangulate_refs(model, sets, tracks)
         assert [p is None for p in points] == [i == 5 for i in range(len(tracks))]
@@ -171,7 +172,7 @@ class TestTriangulateRefs:
             assert (alone is None) == (point is None)
             if point is not None:
                 assert point.tobytes() == alone.tobytes()
-                pid = model.owner(refs[0])
+                pid = model.tracked(refs[0][0])[refs[0][1]]
                 assert np.linalg.norm(point - model.points[pid].position) < 1e-6
 
 
