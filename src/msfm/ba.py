@@ -35,6 +35,35 @@ def rodrigues(w: np.ndarray) -> np.ndarray:
     return np.eye(3) + np.sin(theta) * K + (1.0 - np.cos(theta)) * (K @ K)
 
 
+def pose_jacobian(xc: np.ndarray, t: np.ndarray, f):
+    """Jacobians of pinhole pixels at camera-frame points ``xc = R X + t``.
+
+    Returns d(pixel)/d(camera-frame point), (n, 2, 3), and d(pixel)/d(pose),
+    (n, 2, 6), over a left rotation increment (R <- exp([w]x) R) then the
+    translation.  ``f`` is the focal length, a scalar or one per row.
+    """
+    x, y, z = xc[:, 0], xc[:, 1], xc[:, 2]
+    n = len(xc)
+    d_uv = np.zeros((n, 2, 3))
+    d_uv[:, 0, 0] = f / z
+    d_uv[:, 0, 2] = -f * x / z ** 2
+    d_uv[:, 1, 1] = f / z
+    d_uv[:, 1, 2] = -f * y / z ** 2
+    # rotation: left increment, d(xc)/dw = -[R X]x
+    RX = xc - t
+    d_rot = np.zeros((n, 3, 3))
+    d_rot[:, 0, 1] = RX[:, 2]
+    d_rot[:, 0, 2] = -RX[:, 1]
+    d_rot[:, 1, 0] = -RX[:, 2]
+    d_rot[:, 1, 2] = RX[:, 0]
+    d_rot[:, 2, 0] = RX[:, 1]
+    d_rot[:, 2, 1] = -RX[:, 0]
+    J = np.zeros((n, 2, 6))
+    J[:, :, 0:3] = d_uv @ d_rot
+    J[:, :, 3:6] = d_uv
+    return d_uv, J
+
+
 @dataclass
 class BAProblem:
     """Observation arrays plus the parameter state being optimized."""
@@ -75,33 +104,12 @@ class BAProblem:
     def jacobian_blocks(self):
         """Per-observation (2,7) camera and (2,3) point Jacobian blocks."""
         Ro = self.R[self.cam_idx]
-        Xo = self.X[self.pt_idx]
-        xc = np.einsum("oij,oj->oi", Ro, Xo) + self.t[self.cam_idx]
-        x, y, z = xc[:, 0], xc[:, 1], xc[:, 2]
-        fo = self.f[self.cam_idx]
-        n = self.n_obs
-        # d(pixel)/d(camera-frame point)
-        d_uv = np.zeros((n, 2, 3))
-        d_uv[:, 0, 0] = fo / z
-        d_uv[:, 0, 2] = -fo * x / z ** 2
-        d_uv[:, 1, 1] = fo / z
-        d_uv[:, 1, 2] = -fo * y / z ** 2
-        # rotation: left increment, d(xc)/dw = -[R X]x
-        RX = xc - self.t[self.cam_idx]
-        d_rot = np.zeros((n, 3, 3))
-        d_rot[:, 0, 1] = RX[:, 2]
-        d_rot[:, 0, 2] = -RX[:, 1]
-        d_rot[:, 1, 0] = -RX[:, 2]
-        d_rot[:, 1, 2] = RX[:, 0]
-        d_rot[:, 2, 0] = RX[:, 1]
-        d_rot[:, 2, 1] = -RX[:, 0]
-        Jc = np.zeros((n, 2, CAM_PARAMS))
-        Jc[:, :, 0:3] = d_uv @ d_rot
-        Jc[:, :, 3:6] = d_uv
-        Jc[:, 0, 6] = x / z
-        Jc[:, 1, 6] = y / z
-        Jp = d_uv @ Ro
-        return Jc, Jp
+        xc = np.einsum("oij,oj->oi", Ro, self.X[self.pt_idx]) + self.t[self.cam_idx]
+        d_uv, J_pose = pose_jacobian(xc, self.t[self.cam_idx], self.f[self.cam_idx])
+        Jc = np.zeros((self.n_obs, 2, CAM_PARAMS))
+        Jc[:, :, 0:6] = J_pose
+        Jc[:, :, 6] = xc[:, :2] / xc[:, 2:3]
+        return Jc, d_uv @ Ro
 
     def dense_jacobian(self) -> np.ndarray:
         """Full (2 n_obs, 7 n_cam + 3 n_pts) Jacobian, for verification."""

@@ -13,7 +13,6 @@ import logging
 
 import numpy as np
 
-from .descriptors import SearchStats
 from .errors import DegenerateGeometryError
 from .geometry import fundamental_from_poses
 from .guided import BAND_D_PX, GRID_INFLATION, build_grid, guided_match_pair, sorted_unique
@@ -27,14 +26,16 @@ COVIS_THRESHOLD = 8
 CANDIDATE_FRACTION = 0.10
 
 
-def select_pairs(model: Model, query_images, *, threshold: int = COVIS_THRESHOLD,
+def select_pairs(observations, query_images, *, threshold: int = COVIS_THRESHOLD,
                  k_limit: int) -> list[tuple[int, int]]:
     """Candidate pairs of the query images, as sorted unordered pairs.
 
-    Each query image keeps its top ``k_limit`` partners that share more than
-    ``threshold`` points with it, most shared first, ties to the lower id.
+    ``observations`` are the model's (point, image, feature) columns
+    (``Model.observations()``).  Each query image keeps its top ``k_limit``
+    partners that share more than ``threshold`` points with it, most shared
+    first, ties to the lower id.
     """
-    point, image, _ = model.observations()
+    point, image, _ = observations
     a, b, shared = covisible_pairs(point, image)
     strong = shared > threshold
     query = np.concatenate([a[strong], b[strong]])
@@ -50,10 +51,11 @@ def select_pairs(model: Model, query_images, *, threshold: int = COVIS_THRESHOLD
     return list(zip((codes >> 32).tolist(), (codes & 0xFFFFFFFF).tolist()))
 
 
-def merge_tracks(pair_matches, model: Model):
+def merge_tracks(pair_matches, observations):
     """Connected components over feature references, seeded with model tracks.
 
-    ``pair_matches`` holds (query_image, target_image, Matches) triples.
+    ``pair_matches`` holds (query_image, target_image, Matches) triples, and
+    ``observations`` the model's columns (``Model.observations()``).
     Returns (new_tracks, extensions): new_tracks are lists of (image_id,
     feature_id) pairs spanning >= 2 images with no existing point;
     extensions map point_id to the new pairs joining that track, each list
@@ -73,7 +75,7 @@ def merge_tracks(pair_matches, model: Model):
     query = np.concatenate([np.int64(q) << 32 | m.query for q, _, m in pair_matches])
     target = np.concatenate([np.int64(t) << 32 | m.target for _, t, m in pair_matches])
     distance = np.concatenate([m.distance for _, _, m in pair_matches])
-    point, image, feature = model.observations()
+    point, image, feature = observations
     observed = image << 32 | feature
 
     nodes = sorted_unique(np.concatenate([query, target, observed]))
@@ -130,8 +132,7 @@ def densify_stage(model: Model, feature_store, *,
                   ratio: float = RATIO_GUIDED,
                   inflation: float = GRID_INFLATION,
                   threshold: int = COVIS_THRESHOLD,
-                  candidate_fraction: float = CANDIDATE_FRACTION,
-                  stats: SearchStats | None = None) -> dict:
+                  candidate_fraction: float = CANDIDATE_FRACTION) -> dict:
     """Match untracked features along epipolar bands and triangulate them.
 
     ``query_images`` defaults to all registered images (first iteration);
@@ -143,7 +144,8 @@ def densify_stage(model: Model, feature_store, *,
         query_images = registered
     query_images = [i for i in sorted(query_images) if model.is_registered(i)]
     k_limit = max(1, int(np.ceil(candidate_fraction * len(registered))))
-    pairs = select_pairs(model, query_images, threshold=threshold, k_limit=k_limit)
+    observations = model.observations()  # the model is unchanged until the merge
+    pairs = select_pairs(observations, query_images, threshold=threshold, k_limit=k_limit)
     query_set = set(query_images)
 
     def untracked(image_id: int) -> np.ndarray:
@@ -172,9 +174,9 @@ def densify_stage(model: Model, feature_store, *,
         pair_matches.append((q, t, guided_match_pair(
             feature_store.sets[q], feature_store.sets[t], geom,
             d=d, ratio=ratio, inflation=inflation,
-            query_indices=untracked_cache[q], grid=grid_for(t), stats=stats)))
+            query_indices=untracked_cache[q], grid=grid_for(t))))
 
-    new_tracks, extensions = merge_tracks(pair_matches, model)
+    new_tracks, extensions = merge_tracks(pair_matches, observations)
 
     added_points = 0
     for track, point in zip(new_tracks, triangulate_refs(model, feature_store.sets, new_tracks)):

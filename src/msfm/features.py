@@ -70,7 +70,7 @@ class FeatureSet:
     def tier_indices(self) -> np.ndarray:
         return np.arange(self.coarse_count)
 
-    def descriptors_f32(self) -> np.ndarray:
+    def float_descriptors(self) -> np.ndarray:
         """Float32 view of the descriptors, cached (distances accumulate in f32)."""
         if self._desc_f32 is None:
             self._desc_f32 = np.ascontiguousarray(self.descriptors, dtype=np.float32)
@@ -217,6 +217,3 @@ class FeatureStore:
     def position(self, image_id: int, feature_id) -> np.ndarray:
         """A feature's pixel position; (k, 2) positions for an array of ids."""
         return self.sets[image_id].xy[feature_id]
-
-    def descriptor(self, image_id: int, feature_id: int) -> np.ndarray:
-        return self.sets[image_id].descriptors[feature_id]

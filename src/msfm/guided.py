@@ -358,9 +358,9 @@ def guided_match_pair(query_fs: FeatureSet, target_fs: FeatureSet,
     groups = group_queries(query_fs, geom, bounds, query_indices=query_indices)
     if not groups:
         return NO_MATCHES
-    tdesc = target_fs.descriptors_f32()[ti]
+    tdesc = target_fs.float_descriptors()[ti]
     tnorm = np.einsum("ij,ij->i", tdesc, tdesc)
-    qdesc = query_fs.descriptors_f32()
+    qdesc = query_fs.float_descriptors()
     qnorm = np.einsum("ij,ij->i", qdesc, qdesc)
 
     # members of all groups, group by group, with each member's own line

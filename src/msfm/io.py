@@ -62,7 +62,10 @@ def read_model(path) -> Model:
         kind = fields[0]
         try:
             if kind == "STAGE":
-                model.stage_tag = fields[1] if len(fields) > 1 else ""
+                if len(fields) != 2:
+                    raise FormatError(f"{path}:{lineno}: STAGE record has {len(fields)} "
+                                      "fields, not 2")
+                model.stage_tag = fields[1]
             elif kind == "CAM":
                 if len(fields) != 17:
                     raise FormatError(f"{path}:{lineno}: CAM record has {len(fields)} "

@@ -1,9 +1,11 @@
 """Camera addition: register every unregistered image against a model snapshot.
 
-Every attempt reads the same snapshot and none adds to it, so the images
-register independently of one another: first direct 3D-2D matching of point
-mean descriptors into the image's features, then, if that fails the
-correspondence gate, ranked 2D-2D matching through the image's
+The snapshot's query side is built once: the sorted point ids (all points,
+or a greedy set cover of them on very large models) and their mean
+descriptors.  Every attempt reads those arrays and the model and writes
+nothing, so the images register independently of one another: first direct
+3D-2D matching of the mean descriptors into the image's features, then, if
+that fails the inlier gate, ranked 2D-2D matching through the image's
 best-connected localized neighbours.  Successful poses are applied in one
 deterministic merge pass.
 """
@@ -18,8 +20,9 @@ import numpy as np
 
 from .descriptors import two_nearest_bruteforce
 from .errors import InsufficientDataError
+from .features import DESCRIPTOR_DIM
 from .matching import NO_ENTRIES, MatchGraph, RATIO_UNGUIDED, closest_one_to_one, ratio_filter
-from .model import Camera, Model, Point3D
+from .model import Camera, Model
 from .reconstruct import PNP_MIN_INLIERS, resect_image
 
 log = logging.getLogger(__name__)
@@ -27,15 +30,7 @@ log = logging.getLogger(__name__)
 SET_COVER_K = 400
 SET_COVER_ENGAGE_POINTS = 100_000
 RANKED_TOP_K = 10
-MIN_CORRESPONDENCES = 16
 NO_CORRESPONDENCES = np.empty((0, 2), dtype=np.int64)
-
-
-@dataclass
-class SetCover:
-    selected: list[int]
-    k: int
-    coverage: dict[int, int]  # image_id -> achieved coverage
 
 
 @dataclass(eq=False)
@@ -52,29 +47,40 @@ class LocalizationResult:
     reason: str = ""
 
 
-def mean_descriptor(point: Point3D, feature_store) -> np.ndarray:
-    """Mean of the track's descriptors, cached on the point until it grows."""
-    if point.mean_descriptor is None:
-        descs = [
-            feature_store.descriptor(image_id, feature_id).astype(np.float32)
-            for image_id, feature_id in sorted(point.track.items())
-        ]
-        point.mean_descriptor = np.mean(descs, axis=0)
-    return point.mean_descriptor
+def track_means(observations, feature_sets) -> tuple[np.ndarray, np.ndarray]:
+    """Each observed point's mean float32 descriptor, in one array pass.
+
+    ``observations`` are (point, image, feature) columns grouped by point,
+    images ascending within a track (``Model.observations()``'s order, or a
+    subset of its points).  Returns (sorted point ids, (n, 128) float32
+    means).  Each track is summed in float32 in that order and divided in
+    float32, which is what ``np.mean`` over the track's rows does.
+    """
+    point, image, feature = observations
+    rows = np.empty((len(point), DESCRIPTOR_DIM), dtype=np.float32)
+    for image_id in np.unique(image).tolist():
+        at = np.flatnonzero(image == image_id)
+        rows[at] = feature_sets[image_id].descriptors[feature[at]]
+    point_ids, starts, lengths = np.unique(point, return_index=True, return_counts=True)
+    # one step per track position, so every track sums in its own order
+    sums = rows[starts]
+    for k in range(1, lengths.max(initial=0)):
+        longer = lengths > k
+        sums[longer] += rows[starts[longer] + k]
+    return point_ids, sums / lengths.astype(np.float32)[:, None]
 
 
-def compute_set_cover(model: Model, k: int = SET_COVER_K) -> SetCover:
+def compute_set_cover(model: Model, k: int = SET_COVER_K) -> list[int]:
     """Greedy point subset covering every camera k times (or to saturation).
 
     Picks the point covering the most not-yet-satisfied cameras; ties prefer
-    longer tracks, then lower point ids.
+    longer tracks, then lower point ids.  Returns the ids in the order picked.
     """
     if k < 1:
         raise ValueError(f"coverage target must be >= 1, got {k}")
     remaining = {image_id: k for image_id in model.cameras}
     pending = sorted(model.points)
     selected: list[int] = []
-    coverage = {image_id: 0 for image_id in model.cameras}
 
     # lazy greedy: scores only decrease, so a stale top entry is re-scored
     def score(pid: int) -> int:
@@ -94,25 +100,22 @@ def compute_set_cover(model: Model, k: int = SET_COVER_K) -> SetCover:
         for image_id in model.points[pid].track:
             if remaining.get(image_id, 0) > 0:
                 remaining[image_id] -= 1
-            coverage[image_id] = coverage.get(image_id, 0) + 1
         if all(v == 0 for v in remaining.values()):
             break
-    return SetCover(selected=selected, k=k, coverage=coverage)
+    return selected
 
 
-def direct_3d2d_search(model: Model, point_ids, image_fs, feature_store, *,
+def direct_3d2d_search(point_ids: np.ndarray, queries: np.ndarray, image_fs, *,
                        ratio: float = RATIO_UNGUIDED) -> np.ndarray:
-    """Match covered points' mean descriptors into an image's features.
+    """Match points' mean descriptors (``queries``, one row per id of the
+    sorted ``point_ids``) into an image's features.
 
     Returns (n, 2) (point_id, feature_id) rows sorted by point; a feature
     backs at most one point.
     """
-    point_ids = np.array(sorted(point_ids), dtype=np.int64)
     if len(point_ids) == 0 or len(image_fs) == 0:
         return NO_CORRESPONDENCES
-    queries = np.stack([mean_descriptor(model.points[pid], feature_store)
-                        for pid in point_ids.tolist()])
-    dist, idx = two_nearest_bruteforce(queries, image_fs.descriptors_f32())
+    dist, idx = two_nearest_bruteforce(queries, image_fs.float_descriptors())
     rows, feats, d, _ = ratio_filter(dist, idx, ratio)
     return closest_one_to_one(point_ids[rows], feats, d)
 
@@ -120,14 +123,14 @@ def direct_3d2d_search(model: Model, point_ids, image_fs, feature_store, *,
 def ranked_2d2d_search(model: Model, graph: MatchGraph, image_id: int, image_fs,
                        feature_store, *,
                        ratio: float = RATIO_UNGUIDED,
-                       min_correspondences: int = MIN_CORRESPONDENCES) -> np.ndarray:
+                       min_inliers: int = PNP_MIN_INLIERS) -> np.ndarray:
     """3D-2D correspondences via track features of well-matched neighbours.
 
     The localized neighbours are ranked by shared coarse matches; each
     neighbour's tracked 2D features, in (point, feature) order, act as
     proxies for their points.  Returns (n, 2) (point_id, feature_id) rows
-    sorted by point, or none unless more than ``min_correspondences`` were
-    found.  Raises InsufficientDataError when no localized neighbour exists.
+    sorted by point, or none unless more than ``min_inliers`` were found.
+    Raises InsufficientDataError when no localized neighbour exists.
     """
     neighbors = [
         (graph.match_count(image_id, other), -other, other)
@@ -142,41 +145,42 @@ def ranked_2d2d_search(model: Model, graph: MatchGraph, image_id: int, image_fs,
         tracked = model.tracked(other)
         feats, pids = (np.fromiter(v, np.int64, len(tracked)) for v in (tracked, tracked.values()))
         order = np.lexsort((feats, pids))
-        queries = feature_store.sets[other].descriptors_f32()[feats[order]]
-        dist, idx = two_nearest_bruteforce(queries, image_fs.descriptors_f32())
+        queries = feature_store.sets[other].float_descriptors()[feats[order]]
+        dist, idx = two_nearest_bruteforce(queries, image_fs.float_descriptors())
         rows, found, d, _ = ratio_filter(dist, idx, ratio)
         entries.append((pids[order][rows], found, d))
     corr = closest_one_to_one(*map(np.concatenate, zip(*entries)))
-    if len(corr) <= min_correspondences:
+    if len(corr) <= min_inliers:
         return NO_CORRESPONDENCES
     return corr
 
 
 def localize_image(model: Model, graph: MatchGraph, image_id: int, feature_store,
-                   intrinsics: np.ndarray, *,
-                   cover_points=None,
+                   intrinsics: np.ndarray, point_ids: np.ndarray, queries: np.ndarray, *,
                    ratio: float = RATIO_UNGUIDED,
-                   min_correspondences: int = MIN_CORRESPONDENCES,
-                   pnp_min_inliers: int = PNP_MIN_INLIERS,
+                   min_inliers: int = PNP_MIN_INLIERS,
                    seed: int = 0) -> LocalizationResult:
-    """Pure function of (snapshot, image): direct search, then ranked fallback."""
+    """Pure function of (snapshot, image): direct search, then ranked fallback.
+
+    ``point_ids`` and ``queries`` are the snapshot's query side, as
+    ``track_means`` gives it.  More than ``min_inliers`` correspondences go
+    on to resection, which must keep ``min_inliers`` of them.
+    """
     image_fs = feature_store.sets[image_id]
-    points = cover_points if cover_points is not None else sorted(model.points)
-    corr = direct_3d2d_search(model, points, image_fs, feature_store, ratio=ratio)
+    corr = direct_3d2d_search(point_ids, queries, image_fs, ratio=ratio)
     method = "direct3d2d"
-    if len(corr) <= min_correspondences:
+    if len(corr) <= min_inliers:
         try:
             corr = ranked_2d2d_search(model, graph, image_id, image_fs, feature_store,
-                                      ratio=ratio,
-                                      min_correspondences=min_correspondences)
+                                      ratio=ratio, min_inliers=min_inliers)
         except InsufficientDataError:
             corr = NO_CORRESPONDENCES
         method = "ranked2d2d"
-        if len(corr) <= min_correspondences:
+        if len(corr) <= min_inliers:
             return LocalizationResult(image_id=image_id, method=method,
                                       reason="below correspondence gate")
     resected = resect_image(model, feature_store.sets, image_id, corr, intrinsics,
-                            min_inliers=pnp_min_inliers, seed=seed)
+                            min_inliers=min_inliers, seed=seed)
     if resected is None:
         return LocalizationResult(image_id=image_id, method=method,
                                   correspondences=corr, reason="resection failed")
@@ -191,16 +195,16 @@ def localize_all(model: Model, feature_store, graph: MatchGraph,
                  set_cover_k: int = SET_COVER_K,
                  set_cover_engage: int = SET_COVER_ENGAGE_POINTS,
                  ratio: float = RATIO_UNGUIDED,
-                 min_correspondences: int = MIN_CORRESPONDENCES,
-                 pnp_min_inliers: int = PNP_MIN_INLIERS,
+                 min_inliers: int = PNP_MIN_INLIERS,
                  seed: int = 0,
                  order=None) -> tuple[list[int], list[LocalizationResult]]:
     """Attempt every unregistered image against the current snapshot.
 
-    All attempts read the same snapshot, to which no attempt adds; successful
-    poses are attached afterwards in a single image-id-ordered merge, so the
-    outcome does not depend on the order of the attempts.  Returns (newly
-    registered ids, per-image results in attempt order).
+    All attempts read the same snapshot and its query side, built once
+    here, and none writes to them; successful poses are attached afterwards
+    in a single image-id-ordered merge, so the outcome does not depend on
+    the order of the attempts.  Returns (newly registered ids, per-image
+    results in attempt order).
     """
     unregistered = [i for i in sorted(feature_store.sets) if not model.is_registered(i)]
     if order is not None:
@@ -209,15 +213,15 @@ def localize_all(model: Model, feature_store, graph: MatchGraph,
     if not unregistered:
         model.stage_tag = f"after_localize({iteration})"
         return [], []
-    cover_points = None
+    observations = model.observations()
     if len(model.points) > set_cover_engage:
-        cover_points = compute_set_cover(model, set_cover_k).selected
+        keep = np.isin(observations[0], compute_set_cover(model, set_cover_k))
+        observations = tuple(column[keep] for column in observations)
+    point_ids, queries = track_means(observations, feature_store.sets)
 
     results = [
         localize_image(model, graph, image_id, feature_store, intrinsics[image_id],
-                       cover_points=cover_points, ratio=ratio,
-                       min_correspondences=min_correspondences,
-                       pnp_min_inliers=pnp_min_inliers, seed=seed)
+                       point_ids, queries, ratio=ratio, min_inliers=min_inliers, seed=seed)
         for image_id in unregistered
     ]
 

@@ -173,8 +173,8 @@ def match_pair(query_fs: FeatureSet, target_fs: FeatureSet, *,
     ti = target_fs.tier_indices if target_indices is None else np.asarray(target_indices)
     if len(qi) == 0 or len(ti) == 0:
         return NO_MATCHES
-    dist, idx = two_nearest_bruteforce(query_fs.descriptors_f32()[qi],
-                                       target_fs.descriptors_f32()[ti], stats)
+    dist, idx = two_nearest_bruteforce(query_fs.float_descriptors()[qi],
+                                       target_fs.float_descriptors()[ti], stats)
     return matches_from(ratio_filter(dist, idx, ratio, single_cap), query_ids=qi, target_ids=ti)
 
 
@@ -193,7 +193,7 @@ def hybrid_match(query_fs: FeatureSet, target_fs: FeatureSet, *,
         return NO_MATCHES
     batch = max(1, int(np.ceil(HYBRID_BATCH_FRACTION * len(query_fs))))
     ti = target_fs.tier_indices
-    tdesc = target_fs.descriptors_f32()[ti]
+    tdesc = target_fs.float_descriptors()[ti]
     parts = []
     n_accepted = 0
     for start in range(0, n_tier, batch):
@@ -202,7 +202,7 @@ def hybrid_match(query_fs: FeatureSet, target_fs: FeatureSet, *,
         if n_accepted >= early_stop:
             break
         stop = min(start + batch, n_tier)
-        dist, idx = two_nearest_bruteforce(query_fs.descriptors_f32()[start:stop], tdesc, stats)
+        dist, idx = two_nearest_bruteforce(query_fs.float_descriptors()[start:stop], tdesc, stats)
         rows, targets, d, r = ratio_filter(dist, idx, ratio)
         parts.append((rows + start, targets, d, r))
         n_accepted += len(rows)
@@ -232,8 +232,7 @@ def build_coarse_matchgraph(feature_sets: dict[int, FeatureSet], *,
                             ratio: float = RATIO_UNGUIDED,
                             preemptive: bool = False,
                             min_edge_inliers: int = MIN_EDGE_INLIERS,
-                            seed: int = 0,
-                            stats: SearchStats | None = None) -> MatchGraph:
+                            seed: int = 0) -> MatchGraph:
     """Hybrid-match every surviving pair and keep geometry-verified edges.
 
     The fundamental-matrix RANSACs of all matched pairs run in lockstep,
@@ -247,7 +246,7 @@ def build_coarse_matchgraph(feature_sets: dict[int, FeatureSet], *,
 
     matched = []
     for a, b in pairs:
-        matches = hybrid_match(feature_sets[a], feature_sets[b], ratio=ratio, stats=stats)
+        matches = hybrid_match(feature_sets[a], feature_sets[b], ratio=ratio)
         if len(matches) >= MIN_EDGE_MATCHES:
             matched.append((a, b, matches))
     verified = estimate_fundamental_ransac([

@@ -58,7 +58,6 @@ class Point3D:
 
     position: np.ndarray
     track: dict[int, int] = field(default_factory=dict)  # image_id -> feature_id
-    mean_descriptor: np.ndarray | None = None
 
     def track_length(self) -> int:
         return len(self.track)
@@ -176,7 +175,6 @@ class Model:
 
     def _link(self, point_id: int, image_id: int, feature_id: int) -> None:
         self.points[point_id].track[image_id] = feature_id
-        self.points[point_id].mean_descriptor = None  # track grew, cache stale
         self._owner[image_id][feature_id] = point_id
 
     # -- integrity ---------------------------------------------------------

@@ -70,8 +70,7 @@ def run_localize(config: PipelineConfig, store: FeatureStore, model: Model,
         model, store, graph, intrinsics_for_store(store, config.focal),
         iteration=iteration, set_cover_k=config.set_cover_k,
         set_cover_engage=config.set_cover_engage, ratio=config.ratio_unguided,
-        min_correspondences=config.min_inliers, pnp_min_inliers=config.min_inliers,
-        seed=config.seed)
+        min_inliers=config.min_inliers, seed=config.seed)
 
 
 def run_densify(config: PipelineConfig, store: FeatureStore, model: Model,

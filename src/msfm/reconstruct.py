@@ -18,7 +18,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .ba import bundle_adjust, rodrigues
+from .ba import bundle_adjust, pose_jacobian, rodrigues
 from .errors import InsufficientDataError, NoSeedError
 from .geometry import (
     TRI_MAX_ERROR_PX,
@@ -33,7 +33,7 @@ log = logging.getLogger(__name__)
 
 PNP_THRESHOLD_PX = 4.0
 PNP_MIN_INLIERS = 16
-PNP_MIN_CORRESPONDENCES = 6
+PNP_SAMPLE_SIZE = 6
 PNP_MAX_ITERS = 2048
 PNP_CONFIDENCE = 0.999
 PNP_LM_ITERS = 20
@@ -117,23 +117,7 @@ def refine_pose_lm(R, t, K, points3d, pixels):
     cost = float((res ** 2).sum())
     lam = 1e-6
     for _ in range(PNP_LM_ITERS):
-        x, y, z = xc[:, 0], xc[:, 1], xc[:, 2]
-        d_uv = np.zeros((len(X), 2, 3))
-        d_uv[:, 0, 0] = f / z
-        d_uv[:, 0, 2] = -f * x / z ** 2
-        d_uv[:, 1, 1] = f / z
-        d_uv[:, 1, 2] = -f * y / z ** 2
-        RX = xc - t
-        d_rot = np.zeros((len(X), 3, 3))
-        d_rot[:, 0, 1] = RX[:, 2]
-        d_rot[:, 0, 2] = -RX[:, 1]
-        d_rot[:, 1, 0] = -RX[:, 2]
-        d_rot[:, 1, 2] = RX[:, 0]
-        d_rot[:, 2, 0] = RX[:, 1]
-        d_rot[:, 2, 1] = -RX[:, 0]
-        J = np.zeros((len(X), 2, 6))
-        J[:, :, 0:3] = d_uv @ d_rot
-        J[:, :, 3:6] = d_uv
+        J = pose_jacobian(xc, t, f)[1]
         Jf = J.reshape(-1, 6)
         rf = res.reshape(-1)
         H = Jf.T @ Jf
@@ -181,7 +165,7 @@ def _refit_pose(X, uv, K, mask):
     Returns (R, t, inlier mask), or None below 6 correspondences or when
     the DLT fails.
     """
-    if int(mask.sum()) < PNP_MIN_CORRESPONDENCES:
+    if int(mask.sum()) < PNP_SAMPLE_SIZE:
         return None
     try:
         R, t, ok = dlt_pose(X[mask][None], uv[mask][None], K)
@@ -205,7 +189,7 @@ def pnp_ransac(points3d, pixels, K, *, min_inliers: int = PNP_MIN_INLIERS, seed:
     X = np.asarray(points3d, dtype=np.float64).reshape(-1, 3)
     uv = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
     n = len(X)
-    if n < PNP_MIN_CORRESPONDENCES:
+    if n < PNP_SAMPLE_SIZE:
         raise InsufficientDataError(f"resection needs >= 6 correspondences, got {n}")
 
     def fit(_, samples):
@@ -222,9 +206,9 @@ def pnp_ransac(points3d, pixels, K, *, min_inliers: int = PNP_MIN_INLIERS, seed:
         return None if last["refit"] is None else last["refit"][2]
 
     [(best_mask, best_count)] = block_ransac(
-        [n], [seed], PNP_MIN_CORRESPONDENCES, fit, score,
+        [n], [seed], PNP_SAMPLE_SIZE, fit, score,
         confidence=PNP_CONFIDENCE, max_iters=PNP_MAX_ITERS, refine=refine)
-    if best_count < max(min_inliers, PNP_MIN_CORRESPONDENCES):
+    if best_count < max(min_inliers, PNP_SAMPLE_SIZE):
         return None
     # block_ransac refines each new best until it stops growing, so the
     # last refit is that of the best consensus

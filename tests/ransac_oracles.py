@@ -21,7 +21,7 @@ from msfm.geometry import (
 from msfm.reconstruct import (
     PNP_CONFIDENCE,
     PNP_MAX_ITERS,
-    PNP_MIN_CORRESPONDENCES,
+    PNP_SAMPLE_SIZE,
     PNP_MIN_INLIERS,
     PNP_THRESHOLD_PX,
     refine_pose_lm,
@@ -196,7 +196,7 @@ def pnp_ransac(points3d, pixels, K, *, min_inliers: int = PNP_MIN_INLIERS, seed:
     X = np.asarray(points3d, dtype=np.float64).reshape(-1, 3)
     uv = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
     n = len(X)
-    if n < PNP_MIN_CORRESPONDENCES:
+    if n < PNP_SAMPLE_SIZE:
         raise InsufficientDataError(f"resection needs >= 6 correspondences, got {n}")
     rng = np.random.default_rng(seed)
     best_mask = None
@@ -222,7 +222,7 @@ def pnp_ransac(points3d, pixels, K, *, min_inliers: int = PNP_MIN_INLIERS, seed:
                 best_mask = refit[2]
                 best_count = int(best_mask.sum())
             needed = ransac_stop_count(best_count / n, 6, PNP_CONFIDENCE, PNP_MAX_ITERS)
-    if best_mask is None or best_count < max(min_inliers, PNP_MIN_CORRESPONDENCES):
+    if best_mask is None or best_count < max(min_inliers, PNP_SAMPLE_SIZE):
         return None
     refit = refit_pose(X, uv, K, best_mask)
     if refit is None or int(refit[2].sum()) < min_inliers:

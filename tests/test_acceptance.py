@@ -300,7 +300,7 @@ class TestCriterion7OracleEquivalences:
                     query=np.array([0]), target=np.array([0]),
                     distance=np.array([1.0]), ratio=np.array([0.5]))))
                 union((int(a), 0), (int(b), 0))
-            new_tracks, _ = merge_tracks(matches, model)
+            new_tracks, _ = merge_tracks(matches, model.observations())
             got = {frozenset(refs) for refs in new_tracks}
             groups = {}
             for node in parent:

@@ -266,34 +266,35 @@ class TestSelectPairs:
                 model.add_point(np.zeros(3), [(int(i), k) for i in images])
             threshold, k_limit = int(rng.integers(0, 6)), int(rng.integers(1, 4))
             query = sorted(int(i) for i in np.flatnonzero(rng.random(n_images) < 0.6))
-            assert select_pairs(model, query, threshold=threshold, k_limit=k_limit) == \
+            assert select_pairs(model.observations(), query, threshold=threshold,
+                                k_limit=k_limit) == \
                 reference_pairs(model, query, threshold, k_limit), trial
 
     def test_threshold_is_strict(self):
         model = self.shared_model({(0, 1): 8, (0, 2): 9}, 3)
-        assert select_pairs(model, [0], threshold=8, k_limit=10) == [(0, 2)]
-        assert select_pairs(model, [0], threshold=7, k_limit=10) == [(0, 1), (0, 2)]
+        assert select_pairs(model.observations(), [0], threshold=8, k_limit=10) == [(0, 2)]
+        assert select_pairs(model.observations(), [0], threshold=7, k_limit=10) == [(0, 1), (0, 2)]
 
     def test_ties_at_the_cut_go_to_the_lower_id(self):
         model = self.shared_model({(0, 3): 12, (0, 1): 10, (0, 2): 10, (1, 2): 20}, 4)
-        pairs = select_pairs(model, [0], threshold=8, k_limit=2)
+        pairs = select_pairs(model.observations(), [0], threshold=8, k_limit=2)
         assert pairs == [(0, 1), (0, 3)] == reference_pairs(model, [0], 8, 2)
 
     def test_query_subset_and_image_without_partner(self):
         # image 3 shares nothing; only images 2 and 3 are queried, as in a
         # later iteration that localized them
         model = self.shared_model({(0, 1): 20, (0, 2): 15, (1, 2): 9}, 4)
-        assert select_pairs(model, [2, 3], threshold=8, k_limit=1) == [(0, 2)]
-        assert select_pairs(model, [3], threshold=8, k_limit=5) == []
-        assert select_pairs(model, [], threshold=8, k_limit=5) == []
+        assert select_pairs(model.observations(), [2, 3], threshold=8, k_limit=1) == [(0, 2)]
+        assert select_pairs(model.observations(), [3], threshold=8, k_limit=5) == []
+        assert select_pairs(model.observations(), [], threshold=8, k_limit=5) == []
         for query in ([2, 3], [3], [0, 1, 2, 3]):
-            assert select_pairs(model, query, threshold=8, k_limit=1) == \
+            assert select_pairs(model.observations(), query, threshold=8, k_limit=1) == \
                 reference_pairs(model, query, 8, 1)
 
     def test_equals_oracle_on_a_ring(self, model):
         ids = model.image_ids()
         for query, k_limit in ((ids, 4), (ids[::3], 2), (ids[:1], 6)):
-            assert select_pairs(model, query, threshold=8, k_limit=k_limit) == \
+            assert select_pairs(model.observations(), query, threshold=8, k_limit=k_limit) == \
                 reference_pairs(model, query, 8, k_limit)
 
 
@@ -301,7 +302,7 @@ class TestMergeTracks:
     def test_chain_merges(self):
         model = Model()
         matches = [match(0, 1, 1, 3), match(1, 3, 2, 7)]
-        new_tracks, extensions = merge_tracks(matches, model)
+        new_tracks, extensions = merge_tracks(matches, model.observations())
         assert extensions == {}
         assert len(new_tracks) == 1
         assert set(new_tracks[0]) == {(0, 1), (1, 3), (2, 7)}
@@ -310,7 +311,7 @@ class TestMergeTracks:
         model = Model()
         # A1 and A2 both connect to B3; A1's edge is stronger (smaller dist)
         matches = [match(0, 1, 1, 3, dist=0.5), match(0, 2, 1, 3, dist=2.0)]
-        new_tracks, _ = merge_tracks(matches, model)
+        new_tracks, _ = merge_tracks(matches, model.observations())
         assert len(new_tracks) == 1
         assert set(new_tracks[0]) == {(0, 1), (1, 3)}
 
@@ -327,7 +328,7 @@ class TestMergeTracks:
                 fa, fb = rng.integers(0, n_feats, size=2)
                 matches.append(match(int(a), int(fa), int(b), int(fb)))
                 uf.union((int(a), int(fa)), (int(b), int(fb)))
-            new_tracks, _ = merge_tracks(matches, model)
+            new_tracks, _ = merge_tracks(matches, model.observations())
             # compare component structure before conflict resolution: every
             # surviving track must sit inside exactly one oracle component
             comp_of = {}
@@ -354,7 +355,7 @@ class TestMergeTracks:
                 # feature id equal to a fixed per-image value: no conflicts
                 matches.append(match(int(a), 7, int(b), 7))
                 uf.union((int(a), 7), (int(b), 7))
-            new_tracks, _ = merge_tracks(matches, model)
+            new_tracks, _ = merge_tracks(matches, model.observations())
             got = {frozenset(refs) for refs in new_tracks}
             expected = {c for c in uf.components() if len(c) >= 2}
             assert got == expected
@@ -381,7 +382,7 @@ class TestMergeTracks:
                 pair_matches.append((qi, ti, Matches(
                     query=rng.integers(0, n_feats, n), target=rng.integers(0, n_feats, n),
                     distance=rng.integers(0, 3, n).astype(float), ratio=np.full(n, 0.5))))
-            assert merge_tracks(pair_matches, model) == \
+            assert merge_tracks(pair_matches, model.observations()) == \
                 reference_merge_tracks(pair_matches, model), trial
 
     def test_extends_existing_track(self):
@@ -391,7 +392,7 @@ class TestMergeTracks:
             model.attach_camera(random_camera(rng, image_id=i))
         pid = model.add_point(np.zeros(3), [(0, 1), (1, 1)])
         matches = [match(1, 1, 2, 9)]
-        new_tracks, extensions = merge_tracks(matches, model)
+        new_tracks, extensions = merge_tracks(matches, model.observations())
         assert new_tracks == []
         assert extensions == {pid: [(2, 9)]}
 
@@ -403,7 +404,7 @@ class TestMergeTracks:
         p1 = model.add_point(np.zeros(3), [(0, 1), (1, 1)])
         p2 = model.add_point(np.ones(3), [(2, 1), (3, 1)])
         matches = [match(1, 1, 2, 1)]  # bridges the two tracks
-        new_tracks, extensions = merge_tracks(matches, model)
+        new_tracks, extensions = merge_tracks(matches, model.observations())
         assert new_tracks == []
         assert extensions == {}
         assert len(model.points) == 2  # untouched
@@ -416,7 +417,7 @@ class TestMergeTracks:
         pid = model.add_point(np.zeros(3), [(0, 1), (1, 1)])
         # new feature (0, 5) connects into the track, but image 0 is taken
         matches = [match(0, 5, 1, 1, dist=0.01)]
-        new_tracks, extensions = merge_tracks(matches, model)
+        new_tracks, extensions = merge_tracks(matches, model.observations())
         assert extensions == {}
         assert new_tracks == []
 

@@ -59,9 +59,9 @@ def reference_guided_match_pair(query_fs, target_fs, geom, *, d=8.0, ratio=0.8,
         grid = build_grid(txy, d * inflation, width=bounds[0], height=bounds[1])
 
     groups = reference_group_queries(query_fs, geom, bounds, query_indices=query_indices)
-    tdesc = target_fs.descriptors_f32()[ti]
+    tdesc = target_fs.float_descriptors()[ti]
     tnorm = np.einsum("ij,ij->i", tdesc, tdesc)
-    qdesc = query_fs.descriptors_f32()
+    qdesc = query_fs.float_descriptors()
     qxy = query_fs.xy.astype(np.float64)
     accepted = []
     for group in groups:
@@ -502,7 +502,6 @@ class TestGuidedOracle:
         run_densify(config, store, model)
         assert len(calls) >= 10
         for args, kw in calls:
-            del kw["stats"]
             assert len(assert_same_as_reference(*args, **kw)) > 0
 
     def test_repetition_scene(self):
@@ -584,7 +583,7 @@ class TestGuidedMemory:
         scene = generate_scene(large_pair_spec(21_000))
         fs_q, fs_t = scene.feature_sets[0], scene.feature_sets[1]
         geom = fundamental_from_poses(scene.cameras[0], scene.cameras[1])
-        fs_q.descriptors_f32(), fs_t.descriptors_f32()  # cached before tracing
+        fs_q.float_descriptors(), fs_t.float_descriptors()  # cached before tracing
         tracemalloc.start()
         try:
             matches = guided_match_pair(fs_q, fs_t, geom, d=8.0)

@@ -67,6 +67,8 @@ class TestModelFile:
         ("PT", lambda line: line + " 7 7"),
         ("PT", lambda line: line + " 7"),
         ("PT", lambda line: line.rsplit(" ", 2)[0]),
+        ("STAGE", lambda line: line + " junk 3"),
+        ("STAGE", lambda line: "STAGE"),
     ])
     def test_field_count_names_file_and_line(self, tmp_path, tiny_scene, kind, damage):
         # a record's fields are all read: extra or missing ones are an error

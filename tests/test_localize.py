@@ -1,21 +1,30 @@
+import copy
+import pickle
+from collections import Counter
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from msfm.descriptors import two_nearest_bruteforce
 from msfm.errors import InsufficientDataError
 from msfm.io import write_model
 from msfm.localize import (
-    MIN_CORRESPONDENCES,
     RANKED_TOP_K,
     compute_set_cover,
     direct_3d2d_search,
     localize_all,
-    mean_descriptor,
+    localize_image,
     ranked_2d2d_search,
+    track_means,
 )
 from msfm.matching import RATIO_UNGUIDED, build_coarse_matchgraph, ratio_filter
 from msfm.model import Model
+from msfm.reconstruct import PNP_MIN_INLIERS
 from msfm.synth import SceneSpec, generate_scene
+
+from conftest import random_camera
 
 
 @pytest.fixture(scope="module")
@@ -41,25 +50,40 @@ def holdout_setup():
     return scene, store, graph, partial, held_out, K
 
 
+def per_point_means(model, point_ids, feature_sets):
+    """Each point's ``np.mean`` over its track's float32 descriptors, images
+    ascending: the per-point cache ``track_means`` replaced, as its oracle."""
+    return np.array([
+        np.mean([feature_sets[i].descriptors[f].astype(np.float32)
+                 for i, f in sorted(model.points[pid].track.items())], axis=0)
+        for pid in point_ids], dtype=np.float32).reshape(-1, 128)
+
+
+def subset(observations, point_ids):
+    keep = np.isin(observations[0], point_ids)
+    return tuple(column[keep] for column in observations)
+
+
 class TestMeanDescriptor:
     def test_track_of_one_returns_it(self, tiny_scene):
         store = tiny_scene.store()
         model = tiny_scene.ground_truth_model()
         pid = model.point_ids()[0]
-        point = model.points[pid]
-        image_id, feature_id = sorted(point.track.items())[0]
-        point.track = {image_id: feature_id}
-        got = mean_descriptor(point, store)
-        assert np.allclose(got, store.descriptor(image_id, feature_id).astype(np.float32))
+        image_id, feature_id = sorted(model.points[pid].track.items())[0]
+        ids, got = track_means(
+            (np.array([pid]), np.array([image_id]), np.array([feature_id])), store.sets)
+        assert ids.tolist() == [pid]
+        assert np.allclose(got[0], store[image_id].descriptors[feature_id].astype(np.float32))
 
     def test_identical_descriptors(self, tiny_scene):
         store = tiny_scene.store()
         model = tiny_scene.ground_truth_model()
         pid = model.point_ids()[1]
-        got = mean_descriptor(model.points[pid], store)
+        ids, got = track_means(model.observations(), store.sets)
         # noise-free scene: every observation is the base descriptor
-        first = sorted(model.points[pid].track.items())[0]
-        assert np.allclose(got, store.descriptor(*first).astype(np.float32))
+        image_id, feature_id = sorted(model.points[pid].track.items())[0]
+        assert np.allclose(got[ids.tolist().index(pid)],
+                           store[image_id].descriptors[feature_id].astype(np.float32))
 
     def test_concentration_with_track_length(self):
         rng = np.random.default_rng(5)
@@ -77,46 +101,67 @@ class TestMeanDescriptor:
         d2, d8 = mean_dist(2), mean_dist(8)
         assert d8 < d2 / 1.5  # ~1/sqrt(track length) shrinkage
 
-    def test_cache_invalidated_on_growth(self, holdout_setup):
-        import copy
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_equals_per_point_mean_bitwise(self, data):
+        # tracks of 2-12 images, each added in a drawn order, and a drawn
+        # subset of the points; non-integer descriptors, so that a track
+        # summed in another order, or divided in float64, changes the bits
+        n_images = 12
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        model = Model()
+        for i in range(n_images):
+            model.attach_camera(random_camera(rng, image_id=i))
+        lengths = data.draw(st.lists(st.integers(2, 12), min_size=1, max_size=12))
+        for k, length in enumerate(lengths):
+            images = data.draw(st.permutations(range(n_images)))[:length]
+            pid = model.add_point(np.zeros(3), [(i, k) for i in images[:2]])
+            for i in images[2:]:
+                model.extend_track(pid, i, k)
+        feature_sets = {i: SimpleNamespace(descriptors=rng.uniform(
+            0, 255, size=(len(lengths), 128)).astype(np.float32)) for i in range(n_images)}
+        chosen = sorted(data.draw(st.sets(st.sampled_from(model.point_ids()))))
+        ids, got = track_means(subset(model.observations(), chosen), feature_sets)
+        want = per_point_means(model, chosen, feature_sets)
+        assert ids.dtype == np.int64 and ids.tolist() == chosen
+        assert got.dtype == np.float32 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_equals_per_point_mean_on_a_scene(self, holdout_setup):
         scene, store, graph, partial, held_out, K = holdout_setup
-        model = copy.deepcopy(partial)
-        pid = model.point_ids()[0]
-        v1 = mean_descriptor(model.points[pid], store)
-        assert model.points[pid].mean_descriptor is not None
-        # grow the track: cache must drop
-        free_img = held_out[0]
-        fid = scene.feature_of_point(free_img, pid)
-        if fid is None:
-            pytest.skip("held-out image does not see the point")
-        model.attach_camera(scene.cameras[free_img].__class__(
-            K=scene.cameras[free_img].K, R=scene.cameras[free_img].R,
-            t=scene.cameras[free_img].t, image_id=free_img))
-        model.extend_track(pid, free_img, fid)
-        assert model.points[pid].mean_descriptor is None
+        for chosen in (partial.point_ids(), sorted(compute_set_cover(partial, 40))):
+            ids, got = track_means(subset(partial.observations(), chosen), store.sets)
+            assert ids.tolist() == chosen
+            assert got.tobytes() == per_point_means(partial, chosen, store.sets).tobytes()
+
+
+def coverage(model, cover):
+    """Image -> number of the chosen points that it observes."""
+    return Counter(image_id for pid in cover for image_id in model.points[pid].track)
 
 
 class TestSetCover:
     def test_feasible_coverage(self, tiny_scene):
         model = tiny_scene.ground_truth_model()
         k = 5
-        cover = compute_set_cover(model, k)
+        covered = coverage(model, compute_set_cover(model, k))
         for image_id in model.image_ids():
             visible = len(model.points_visible_in(image_id))
-            assert cover.coverage[image_id] >= min(k, visible)
+            assert covered[image_id] >= min(k, visible)
 
     def test_saturation_when_k_exceeds_visibility(self):
         scene = generate_scene(SceneSpec(n_cameras=4, n_points=30, seed=13))
         model = scene.ground_truth_model()
         cover = compute_set_cover(model, 10_000)
-        assert sorted(cover.selected) == model.point_ids()
+        assert sorted(cover) == model.point_ids()
+        covered = coverage(model, cover)
         for image_id in model.image_ids():
-            assert cover.coverage[image_id] == len(model.points_visible_in(image_id))
+            assert covered[image_id] == len(model.points_visible_in(image_id))
 
     def test_compression(self, ring_scene):
         model = ring_scene.ground_truth_model()
         cover = compute_set_cover(model, 50)
-        assert len(cover.selected) <= 0.5 * len(model.points)
+        assert len(cover) <= 0.5 * len(model.points)
 
     def test_greedy_minimality(self, tiny_scene):
         # dropping any selected point breaks k-coverage for some camera that
@@ -124,8 +169,8 @@ class TestSetCover:
         model = tiny_scene.ground_truth_model()
         k = 4
         cover = compute_set_cover(model, k)
-        selected = set(cover.selected)
-        for pid in cover.selected[:20]:
+        selected = set(cover)
+        for pid in cover[:20]:
             without = selected - {pid}
             broken = False
             for image_id in model.points[pid].track:
@@ -148,14 +193,14 @@ class TestDirectSearch:
             rng.uniform(0, [1023, 767], size=(n, 2)),
             rng.uniform(1, 20, size=n), np.zeros(n),
             rng.integers(0, 256, size=(n, 128), dtype=np.uint8))
-        corr = direct_3d2d_search(partial, partial.point_ids(), fs, store)
+        corr = direct_3d2d_search(*track_means(partial.observations(), store.sets), fs)
         assert len(corr) <= 16
 
     def test_holdout_recovers_visible_points(self, holdout_setup):
         scene, store, graph, partial, held_out, K = holdout_setup
         image_id = held_out[0]
-        corr = direct_3d2d_search(partial, partial.point_ids(),
-                                  store[image_id], store)
+        corr = direct_3d2d_search(*track_means(partial.observations(), store.sets),
+                                  store[image_id])
         correct = 0
         matched_points = set()
         for pid, feat in corr:
@@ -178,8 +223,7 @@ class TestDirectSearch:
                 visible_covered.add(pid)
         assert len(matched_points & visible_covered) / len(visible_covered) >= 0.9
 
-    def test_duplicate_mean_descriptors_rejected(self, holdout_setup):
-        scene, store, graph, partial, held_out, K = holdout_setup
+    def test_duplicate_mean_descriptors_rejected(self):
         # two points sharing one mean descriptor: ratio test kills both
         from msfm.features import FeatureSet
         rng = np.random.default_rng(22)
@@ -188,15 +232,8 @@ class TestDirectSearch:
             98, 1024, 768, np.array([[10.0, 10.0], [500.0, 500.0]]),
             np.array([2.0, 2.0]), np.zeros(2),
             np.vstack([desc, desc]))
-        model = Model()
-        from conftest import random_camera
-        model.attach_camera(random_camera(rng, image_id=0))
-        model.attach_camera(random_camera(rng, image_id=1))
-        p1 = model.add_point(np.zeros(3), [(0, 0), (1, 0)])
-        p2 = model.add_point(np.ones(3), [(0, 1), (1, 1)])
-        model.points[p1].mean_descriptor = desc[0].astype(np.float32)
-        model.points[p2].mean_descriptor = desc[0].astype(np.float32)
-        corr = direct_3d2d_search(model, [p1, p2], fs, store)
+        queries = np.vstack([desc, desc]).astype(np.float32)
+        corr = direct_3d2d_search(np.array([0, 1]), queries, fs)
         assert len(corr) == 0
 
 
@@ -211,9 +248,9 @@ def tuple_loop_ranked_search(model, graph, image_id, image_fs, store):
         proxy = sorted((pid, feat) for feat, pid in model.tracked(other).items())
         if not proxy:
             continue
-        queries = np.stack([store.descriptor(other, feat).astype(np.float32)
+        queries = np.stack([store[other].descriptors[feat].astype(np.float32)
                             for _, feat in proxy])
-        dist, idx = two_nearest_bruteforce(queries, image_fs.descriptors_f32())
+        dist, idx = two_nearest_bruteforce(queries, image_fs.float_descriptors())
         rows, feats, d, _ = ratio_filter(dist, idx, RATIO_UNGUIDED)
         entries += zip([proxy[row][0] for row in rows.tolist()], feats.tolist(), d.tolist())
 
@@ -227,7 +264,7 @@ def tuple_loop_ranked_search(model, graph, image_id, image_fs, store):
 
     per_point = closest_per_key(entries, 0).values()
     corr = sorted((pid, feat) for pid, feat, _ in closest_per_key(per_point, 1).values())
-    return corr if len(corr) > MIN_CORRESPONDENCES else []
+    return corr if len(corr) > PNP_MIN_INLIERS else []
 
 
 class TestRankedSearch:
@@ -236,7 +273,7 @@ class TestRankedSearch:
         for image_id in held_out:
             corr = ranked_2d2d_search(partial, graph, image_id, store[image_id], store)
             want = tuple_loop_ranked_search(partial, graph, image_id, store[image_id], store)
-            assert len(want) > MIN_CORRESPONDENCES
+            assert len(want) > PNP_MIN_INLIERS
             assert corr.dtype == np.int64 and corr.shape == (len(want), 2)
             assert [tuple(row) for row in corr.tolist()] == want
 
@@ -287,7 +324,6 @@ class TestLocalizeAll:
 
     def test_holdouts_localized(self, holdout_setup, tmp_path):
         scene, store, graph, partial, held_out, K = holdout_setup
-        import copy
         model = copy.deepcopy(partial)
         newly, results = localize_all(model, store, graph, K, iteration=1)
         assert set(held_out) <= set(newly)
@@ -305,7 +341,6 @@ class TestLocalizeAll:
 
     def test_order_invariance(self, holdout_setup, tmp_path):
         scene, store, graph, partial, held_out, K = holdout_setup
-        import copy
         m1 = copy.deepcopy(partial)
         m2 = copy.deepcopy(partial)
         localize_all(m1, store, graph, K, order=sorted(store.sets))
@@ -315,9 +350,26 @@ class TestLocalizeAll:
         write_model(m2, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_attempts_leave_snapshot_untouched(self, holdout_setup, tmp_path):
+        scene, store, graph, partial, held_out, K = holdout_setup
+        model = copy.deepcopy(partial)
+        before = tmp_path / "before.msfm"
+        write_model(model, before)
+        points = {pid: pickle.dumps(vars(point)) for pid, point in model.points.items()}
+        point_ids, queries = track_means(model.observations(), store.sets)
+        unregistered = [i for i in sorted(store.sets) if not model.is_registered(i)]
+        assert unregistered == held_out
+        for image_id in unregistered:
+            result = localize_image(model, graph, image_id, store, K[image_id],
+                                    point_ids, queries)
+            assert result.pose is not None
+        after = tmp_path / "after.msfm"
+        write_model(model, after)
+        assert after.read_bytes() == before.read_bytes()
+        assert {pid: pickle.dumps(vars(point)) for pid, point in model.points.items()} == points
+
     def test_forced_set_cover_path(self, holdout_setup):
         scene, store, graph, partial, held_out, K = holdout_setup
-        import copy
         model = copy.deepcopy(partial)
         newly, _ = localize_all(model, store, graph, K,
                                 set_cover_engage=0, set_cover_k=40)
@@ -327,7 +379,6 @@ class TestLocalizeAll:
         # a one-point cover leaves direct search below the gate, so every
         # held-out image falls back to the ranked 2D-2D search
         scene, store, graph, partial, held_out, K = holdout_setup
-        import copy
         model = copy.deepcopy(partial)
         newly, results = localize_all(model, store, graph, K,
                                       set_cover_engage=0, set_cover_k=1)
