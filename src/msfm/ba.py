@@ -4,7 +4,8 @@ Each camera contributes 7 parameters (3 rotation, 3 translation, 1 focal);
 principal points stay fixed.  Rotations update multiplicatively on the left,
 R <- exp([w]x) R.  The damped normal equations are solved by eliminating the
 3x3 point blocks (Schur complement), which keeps the dense solve at 7 * n_cam
-unknowns.
+unknowns; that reduced camera system is solved by Cholesky factorization
+(``spd_solve``), numpy only.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import MsfmError
 from .model import Camera, Model, make_intrinsics
@@ -111,36 +111,6 @@ class BAProblem:
         Jc[:, :, 6] = xc[:, :2] / xc[:, 2:3]
         return Jc, d_uv @ Ro
 
-    def dense_jacobian(self) -> np.ndarray:
-        """Full (2 n_obs, 7 n_cam + 3 n_pts) Jacobian, for verification."""
-        Jc, Jp = self.jacobian_blocks()
-        J = np.zeros((2 * self.n_obs, CAM_PARAMS * self.n_cams + 3 * self.n_pts))
-        for o in range(self.n_obs):
-            c = self.cam_idx[o] * CAM_PARAMS
-            p = CAM_PARAMS * self.n_cams + self.pt_idx[o] * 3
-            J[2 * o:2 * o + 2, c:c + CAM_PARAMS] = Jc[o]
-            J[2 * o:2 * o + 2, p:p + 3] = Jp[o]
-        return J
-
-    def pack(self) -> np.ndarray:
-        """Parameter vector for finite differencing: zero rotation increments."""
-        parts = []
-        for c in range(self.n_cams):
-            parts.append(np.zeros(3))
-            parts.append(self.t[c])
-            parts.append([self.f[c]])
-        parts.append(self.X.reshape(-1))
-        return np.concatenate([np.asarray(p, dtype=np.float64).reshape(-1) for p in parts])
-
-    def residuals_at(self, params: np.ndarray) -> np.ndarray:
-        """Residual vector at a packed parameter vector (increments applied)."""
-        nc = self.n_cams
-        R = np.array([rodrigues(params[7 * c:7 * c + 3]) @ self.R[c] for c in range(nc)])
-        t = np.stack([params[7 * c + 3:7 * c + 6] for c in range(nc)])
-        f = np.array([params[7 * c + 6] for c in range(nc)])
-        X = params[7 * nc:].reshape(-1, 3)
-        return self.residuals(R=R, t=t, f=f, X=X).reshape(-1)
-
 
 def problem_from_model(model: Model, feature_store) -> tuple[BAProblem, list[int], list[int]]:
     """The model as a BA problem: observations grouped by point, cameras
@@ -180,6 +150,27 @@ class BAStats:
 
 
 _SCHUR_POINT_CHUNK = 64
+_SUBSTITUTION_BLOCK = 32
+
+
+def _lower_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """y with L y = b for a lower-triangular L, by blocked forward
+    substitution: O(n^2) work, one small dense solve per diagonal block."""
+    y = np.empty_like(b)
+    for lo in range(0, len(b), _SUBSTITUTION_BLOCK):
+        hi = lo + _SUBSTITUTION_BLOCK
+        y[lo:hi] = np.linalg.solve(L[lo:hi, lo:hi], b[lo:hi] - L[lo:hi, :lo] @ y[:lo])
+    return y
+
+
+def spd_solve(S: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with S x = b for a symmetric positive definite S, through its
+    Cholesky factor L (S = L L^T).  Raises ``np.linalg.LinAlgError`` when S
+    is not positive definite."""
+    L = np.linalg.cholesky(S)
+    y = _lower_solve(L, b)
+    # L^T x = y is lower triangular with rows and columns reversed
+    return _lower_solve(L.T[::-1, ::-1], y[::-1])[::-1]
 
 
 def _lm_iterate(problem: BAProblem, max_iters: int) -> tuple[float, float, int]:
@@ -249,9 +240,8 @@ def _lm_iterate(problem: BAProblem, max_iters: int) -> tuple[float, float, int]:
             np.add.at(rhs, problem.cam_idx,
                       np.einsum("oab,ob->oa", WM, g_pt[problem.pt_idx]))
             try:
-                chol = cho_factor(S, lower=True, check_finite=False)
-                delta_cam = cho_solve(chol, rhs.reshape(-1), check_finite=False).reshape(nc, nu)
-            except (np.linalg.LinAlgError, ValueError):
+                delta_cam = spd_solve(S, rhs.reshape(-1)).reshape(nc, nu)
+            except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
 

@@ -51,6 +51,33 @@ def select_pairs(observations, query_images, *, threshold: int = COVIS_THRESHOLD
     return list(zip((codes >> 32).tolist(), (codes & 0xFFFFFFFF).tolist()))
 
 
+def connected_components(n_nodes: int, u: np.ndarray, v: np.ndarray) -> tuple[int, np.ndarray]:
+    """Components of the undirected graph on nodes ``0..n_nodes-1`` with
+    edges ``(u[i], v[i])``.  Returns (count, labels), components numbered
+    0, 1, ... in the order of their lowest node.
+
+    Min-label hooking with pointer jumping: every node points to a node of
+    its component no higher than itself.  Each round hooks the higher root
+    of each split edge to the lower one (the lowest on offer), then jumps
+    pointers until every node points at a root; it stops when no edge is
+    split, so each component's root is its lowest node.
+    """
+    parent = np.arange(n_nodes)
+    while True:
+        pu, pv = parent[u], parent[v]
+        split = pu != pv
+        if not split.any():
+            break
+        np.minimum.at(parent, np.maximum(pu, pv)[split], np.minimum(pu, pv)[split])
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
+    root = parent == np.arange(n_nodes)
+    return int(root.sum()), (np.cumsum(root) - 1)[parent]
+
+
 def merge_tracks(pair_matches, observations):
     """Connected components over feature references, seeded with model tracks.
 
@@ -61,15 +88,13 @@ def merge_tracks(pair_matches, observations):
     extensions map point_id to the new pairs joining that track, each list
     sorted.  The nodes are ``image << 32 | feature``; every model observation
     is a node linked to its track, so components absorb whole tracks, and
-    one ``connected_components`` pass numbers them by their lowest node.
+    one ``connected_components`` pass (numpy, in this module) numbers them
+    by their lowest node.
     Conflicts (two features of one image, or two distinct existing points in
     one component) are resolved by dropping the weaker-supported features
     (larger smallest match distance, ties to the higher node), never by
     touching existing tracks.
     """
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
     if not sum(len(m) for _, _, m in pair_matches):
         return [], {}
     query = np.concatenate([np.int64(q) << 32 | m.query for q, _, m in pair_matches])
@@ -81,9 +106,9 @@ def merge_tracks(pair_matches, observations):
     nodes = sorted_unique(np.concatenate([query, target, observed]))
     qi, ti, oi = (np.searchsorted(nodes, x) for x in (query, target, observed))
     # each observation links to its track's first one
-    links = (np.concatenate([qi, oi[np.searchsorted(point, point)]]), np.concatenate([ti, oi]))
-    graph = coo_matrix((np.ones(len(links[0])), links), shape=(len(nodes), len(nodes)))
-    n_comp, label = connected_components(graph, directed=False)
+    n_comp, label = connected_components(
+        len(nodes), np.concatenate([qi, oi[np.searchsorted(point, point)]]),
+        np.concatenate([ti, oi]))
     owner = np.full(len(nodes), -1, dtype=np.int64)
     owner[oi] = point
     support = np.full(len(nodes), np.inf)

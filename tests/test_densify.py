@@ -4,10 +4,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components as scipy_components
 
 from msfm.densify import (
     COVIS_THRESHOLD,
     CANDIDATE_FRACTION,
+    connected_components,
     densify_stage,
     merge_tracks,
     select_pairs,
@@ -296,6 +300,59 @@ class TestSelectPairs:
         for query, k_limit in ((ids, 4), (ids[::3], 2), (ids[:1], 6)):
             assert select_pairs(model.observations(), query, threshold=8, k_limit=k_limit) == \
                 reference_pairs(model, query, 8, k_limit)
+
+
+@st.composite
+def edge_lists(draw):
+    """A node count and an edge list over it, drawn so that isolated nodes,
+    self-loops and repeated edges all occur."""
+    n = draw(st.integers(0, 40))
+    if n == 0:
+        return 0, []
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.one_of(st.tuples(node, node), node.map(lambda i: (i, i))),
+                          max_size=2 * n))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=n))
+    return n, draw(st.permutations(edges))
+
+
+def assert_same_as_scipy(n, u, v):
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    count, label = connected_components(n, u, v)
+    expected_count, expected = scipy_components(
+        coo_matrix((np.ones(len(u)), (u, v)), shape=(n, n)), directed=False)
+    assert count == expected_count
+    assert np.array_equal(label, expected)
+
+
+class TestConnectedComponents:
+    """The numpy components pass against ``scipy.sparse.csgraph``."""
+
+    def test_no_edges(self):
+        assert_same_as_scipy(0, [], [])
+        assert_same_as_scipy(5, [], [])
+
+    @settings(max_examples=200, deadline=None)
+    @given(edge_lists())
+    def test_equals_scipy(self, graph):
+        n, edges = graph
+        assert_same_as_scipy(n, [a for a, _ in edges], [b for _, b in edges])
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 3000), st.integers(0, 2 ** 32 - 1), st.integers(0, 4))
+    def test_long_chains(self, n, seed, cuts):
+        """Chains through the nodes in random order, edges shuffled and some
+        reversed, cut into pieces: many hooking rounds and long pointer paths."""
+        rng = np.random.default_rng(seed)
+        path = rng.permutation(n)
+        keep = np.ones(n - 1, dtype=bool)
+        keep[rng.integers(0, n - 1, size=cuts)] = False
+        u, v = path[:-1][keep], path[1:][keep]
+        flip = rng.random(len(u)) < 0.5
+        u, v = np.where(flip, v, u), np.where(flip, u, v)
+        order = rng.permutation(len(u))
+        assert_same_as_scipy(n, u[order], v[order])
 
 
 class TestMergeTracks:

@@ -1,5 +1,12 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import msfm
 from msfm.config import PipelineConfig
 from msfm.errors import StageError
 from msfm.io import read_model
@@ -69,3 +76,46 @@ class TestRunPipeline:
         cfg = PipelineConfig(focal=900.0)
         with pytest.raises(StageError):
             run_pipeline(cfg, None, store=scene.store())
+
+
+NUMPY_ONLY_RUN = """
+import json, sys, tempfile
+import msfm, msfm.cli
+from msfm import ba, densify
+from msfm.config import PipelineConfig
+from msfm.pipeline import run_pipeline
+from msfm.synth import SceneSpec, generate_scene
+
+calls = {"spd_solve": 0, "connected_components": 0}
+def counted(module, name):
+    inner = getattr(module, name)
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return inner(*args, **kwargs)
+    setattr(module, name, wrapper)
+counted(ba, "spd_solve")
+counted(densify, "connected_components")
+scene = generate_scene(SceneSpec(n_cameras=8, n_points=400, visibility_fraction=0.7,
+                                 pixel_noise=0.4, descriptor_noise=3.0, seed=5))
+with tempfile.TemporaryDirectory() as out:
+    run_pipeline(PipelineConfig(focal=900.0, iterations=1), None,
+                 store=scene.store(), out_dir=out)
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"calls": calls, "scipy": scipy}))
+"""
+
+
+class TestNumpyOnly:
+    def test_import_and_run_load_no_scipy(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(msfm.__file__).parents[1])]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY_RUN], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout.splitlines()[-1])
+        # BA's solve and the track merge both ran
+        assert out["calls"]["spd_solve"] > 0
+        assert out["calls"]["connected_components"] > 0
+        assert out["scipy"] == []
