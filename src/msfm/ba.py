@@ -4,8 +4,10 @@ Each camera contributes 7 parameters (3 rotation, 3 translation, 1 focal);
 principal points stay fixed.  Rotations update multiplicatively on the left,
 R <- exp([w]x) R.  The damped normal equations are solved by eliminating the
 3x3 point blocks (Schur complement), which keeps the dense solve at 7 * n_cam
-unknowns; that reduced camera system is solved by Cholesky factorization
-(``spd_solve``), numpy only.
+unknowns.  That reduced camera system is assembled block by block from each
+point's pairs of observing cameras (Triggs et al., "Bundle Adjustment - A
+Modern Synthesis", 1999, section 6), never through a points x cameras array,
+and solved by Cholesky factorization (``spd_solve``), numpy only.
 """
 
 from __future__ import annotations
@@ -149,8 +151,63 @@ class BAStats:
     pruned_points: int = 0
 
 
-_SCHUR_POINT_CHUNK = 64
 _SUBSTITUTION_BLOCK = 32
+# observation pairs per stacked product when the reduced camera system is built
+_SCHUR_PAIR_CHUNK = 2048
+
+
+@dataclass
+class _Segments:
+    """Observations grouped into consecutive runs, one run per camera or per
+    point: ``order`` lists the observation rows run by run, and run i holds
+    ``counts[i]`` rows from ``starts[i]``."""
+
+    order: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def of(cls, order: np.ndarray, labels: np.ndarray, n: int) -> "_Segments":
+        counts = np.bincount(labels, minlength=n)
+        return cls(order, np.cumsum(counts) - counts, counts)
+
+    def sum(self, values: np.ndarray) -> np.ndarray:
+        """Per-run sums of the rows of ``values``, added in ``order``.  An
+        empty run sums to zero: ``np.add.reduceat`` alone gives it the first
+        row of the next run."""
+        grouped = values[self.order]
+        sums = np.add.reduceat(grouped, np.minimum(self.starts, len(grouped) - 1), axis=0)
+        sums[self.counts == 0] = 0.0
+        return sums
+
+
+def _camera_pair_chunks(cam_idx: np.ndarray, by_point: _Segments, nc: int):
+    """Each point's pairs of observing cameras, for the reduced camera system.
+
+    A point seen from cameras a <= b (a == b pairs an observation with
+    itself) couples block (b, a) of the system through its observations
+    ``ob`` in b and ``oa`` in a.  The pairs are sorted by camera pair and cut
+    into chunks of whole camera pairs, about ``_SCHUR_PAIR_CHUNK``
+    observation pairs each.  Returns one (ob, oa, run starts, b, a) per
+    chunk, with one run per camera pair.
+    """
+    n = len(by_point.order)
+    # pair each observation with itself and the later ones of its point
+    later = np.repeat(by_point.starts + by_point.counts, by_point.counts) - np.arange(n)
+    first = np.repeat(np.arange(n), later)
+    second = first + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    oa, ob = by_point.order[first], by_point.order[second]
+    key = cam_idx[ob] * nc + cam_idx[oa]
+    order = np.argsort(key, kind="stable")
+    oa, ob, key = oa[order], ob[order], key[order]
+    runs = np.flatnonzero(np.diff(key, prepend=-1))
+    cuts = np.flatnonzero(np.diff(runs // _SCHUR_PAIR_CHUNK, prepend=-1)).tolist()
+    chunks = []
+    for r0, r1 in zip(cuts, cuts[1:] + [len(runs)]):
+        lo, hi = runs[r0], runs[r1] if r1 < len(runs) else len(key)
+        run = runs[r0:r1]
+        chunks.append((ob[lo:hi], oa[lo:hi], run - lo, key[run] // nc, key[run] % nc))
+    return chunks
 
 
 def _lower_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -173,7 +230,52 @@ def spd_solve(S: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _lower_solve(L.T[::-1, ::-1], y[::-1])[::-1]
 
 
+def _reduced_camera_system(pair_chunks, B: np.ndarray, BM: np.ndarray,
+                           H_cc_d: np.ndarray) -> np.ndarray:
+    """The (nc nu, nc nu) Schur complement S = H_cc_d - W M W^T, built from
+    the camera pairs of ``_camera_pair_chunks``: block (b, a) of W M W^T
+    sums B_ob M_p B_oa^T over the points p that cameras b and a share, with
+    ``BM`` = B M per observation.  ``H_cc_d`` holds the damped (nc, nu, nu)
+    camera blocks."""
+    nc, nu = H_cc_d.shape[:2]
+    S = np.zeros((nc * nu, nc * nu))
+    blocks = S.reshape(nc, nu, nc, nu)
+    for ob, oa, runs, b, a in pair_chunks:
+        coupled = np.add.reduceat(BM[ob] @ B[oa].transpose(0, 2, 1), runs, axis=0)
+        blocks[b, :, a, :] -= coupled
+        off = b != a
+        blocks[a[off], :, b[off], :] -= coupled[off].transpose(0, 2, 1)
+    cams = np.arange(nc)
+    blocks[cams, :, cams, :] += H_cc_d
+    return S
+
+
+def _normal_equations(problem: BAProblem, by_cam: _Segments, by_point: _Segments):
+    """The undamped normal equations at the current parameters: camera
+    blocks H_cc (n_cam, nu, nu) and gradient g_cam, point blocks H_pp
+    (n_pts, 3, 3) and g_pt, and the per-observation coupling B (n_obs, nu, 3)."""
+    nu = CAM_PARAMS
+    Jc, Jp = problem.jacobian_blocks()
+    res = problem.residuals()
+    # one (2 n_c, nu) Gram product per camera
+    Jc_by_cam = Jc[by_cam.order].reshape(-1, nu)
+    bounds = zip((2 * by_cam.starts).tolist(), (2 * (by_cam.starts + by_cam.counts)).tolist())
+    H_cc = np.stack([Jc_by_cam[lo:hi].T @ Jc_by_cam[lo:hi] for lo, hi in bounds])
+    g_cam = by_cam.sum(np.einsum("oki,ok->oi", Jc, res))
+    H_pp = by_point.sum(np.einsum("oki,okj->oij", Jp, Jp))
+    g_pt = by_point.sum(np.einsum("oki,ok->oi", Jp, res))
+    return H_cc, g_cam, H_pp, g_pt, Jc.transpose(0, 2, 1) @ Jp
+
+
 def _lm_iterate(problem: BAProblem, max_iters: int) -> tuple[float, float, int]:
+    """Levenberg-Marquardt on all parameters; returns (initial cost, final
+    cost, iterations).  A point has at most one observation per camera.
+
+    The normal equations are summed per camera and per point over runs of
+    the observations, and the reduced camera system over each point's pairs
+    of observing cameras, so memory and work follow the observations and
+    the sum of squared track lengths, never points times cameras.
+    """
     nc, npnt = problem.n_cams, problem.n_pts
     nu = CAM_PARAMS
     res = problem.residuals()
@@ -183,25 +285,14 @@ def _lm_iterate(problem: BAProblem, max_iters: int) -> tuple[float, float, int]:
     initial_cost = cost
     lam = 1e-6
     diag3 = np.arange(3)
-    diag7 = np.arange(nu)
+    diagu = np.arange(nu)
+    by_cam = _Segments.of(np.argsort(problem.cam_idx, kind="stable"), problem.cam_idx, nc)
+    by_point = _Segments.of(np.lexsort((problem.cam_idx, problem.pt_idx)), problem.pt_idx, npnt)
+    pair_chunks = _camera_pair_chunks(problem.cam_idx, by_point, nc)
     it = 0
     while it < max_iters:
         it += 1
-        Jc, Jp = problem.jacobian_blocks()
-        res = problem.residuals()
-        g_cam = np.zeros((nc, nu))
-        H_cc = np.zeros((nc, nu, nu))
-        np.add.at(g_cam, problem.cam_idx, np.einsum("oki,ok->oi", Jc, res))
-        np.add.at(H_cc, problem.cam_idx, np.einsum("oki,okj->oij", Jc, Jc))
-        g_pt = np.zeros((npnt, 3))
-        H_pp = np.zeros((npnt, 3, 3))
-        np.add.at(g_pt, problem.pt_idx, np.einsum("oki,ok->oi", Jp, res))
-        np.add.at(H_pp, problem.pt_idx, np.einsum("oki,okj->oij", Jp, Jp))
-        B = np.einsum("oki,okj->oij", Jc, Jp)  # (n_obs, 7, 3) cam-point coupling
-        # per-point stacked coupling: U[p] is the (nc*7, 3) column of W for point p
-        U = np.zeros((npnt, nc, nu, 3))
-        U[problem.pt_idx, problem.cam_idx] = B
-        U = U.reshape(npnt, nc * nu, 3)
+        H_cc, g_cam, H_pp, g_pt, B = _normal_equations(problem, by_cam, by_point)
 
         accepted = False
         for _ in range(12):
@@ -213,14 +304,9 @@ def _lm_iterate(problem: BAProblem, max_iters: int) -> tuple[float, float, int]:
                 lam *= 10.0
                 continue
 
-            # reduced camera system: damped block diagonal minus W M W^T
-            S = np.zeros((nc * nu, nc * nu))
-            for lo in range(0, npnt, _SCHUR_POINT_CHUNK):
-                Uc = U[lo:lo + _SCHUR_POINT_CHUNK]
-                UM = Uc @ M[lo:lo + _SCHUR_POINT_CHUNK]
-                S -= np.einsum("pij,pkj->ik", UM, Uc, optimize=True)
+            BM = B @ M[problem.pt_idx]
             H_cc_d = H_cc.copy()
-            H_cc_d[:, diag7, diag7] += lam * np.maximum(H_cc[:, diag7, diag7], 1e-12)
+            H_cc_d[:, diagu, diagu] += lam * np.maximum(H_cc[:, diagu, diagu], 1e-12)
             # pin the 7-dim similarity gauge: first camera's pose plus the
             # scale direction (second camera's translation radius); pure
             # stiffness toward the current values, so no bias is introduced
@@ -232,13 +318,9 @@ def _lm_iterate(problem: BAProblem, max_iters: int) -> tuple[float, float, int]:
                 if norm1 > 1e-9:
                     that = t1 / norm1
                     H_cc_d[1, 3:6, 3:6] += kappa * np.outer(that, that)
-            for c in range(nc):
-                S[c * nu:(c + 1) * nu, c * nu:(c + 1) * nu] += H_cc_d[c]
+            S = _reduced_camera_system(pair_chunks, B, BM, H_cc_d)
 
-            WM = np.einsum("oab,obc->oac", B, M[problem.pt_idx])
-            rhs = -g_cam.copy()
-            np.add.at(rhs, problem.cam_idx,
-                      np.einsum("oab,ob->oa", WM, g_pt[problem.pt_idx]))
+            rhs = by_cam.sum(np.einsum("oab,ob->oa", BM, g_pt[problem.pt_idx])) - g_cam
             try:
                 delta_cam = spd_solve(S, rhs.reshape(-1)).reshape(nc, nu)
             except np.linalg.LinAlgError:
@@ -246,9 +328,7 @@ def _lm_iterate(problem: BAProblem, max_iters: int) -> tuple[float, float, int]:
                 continue
 
             # back-substitute the point updates
-            contrib = np.einsum("oab,oa->ob", B, delta_cam[problem.cam_idx])
-            acc = np.zeros((npnt, 3))
-            np.add.at(acc, problem.pt_idx, contrib)
+            acc = by_point.sum(np.einsum("oab,oa->ob", B, delta_cam[problem.cam_idx]))
             delta_pt = np.einsum("pij,pj->pi", M, -g_pt - acc)
 
             R_new = np.stack([rodrigues(delta_cam[c, 0:3]) @ problem.R[c] for c in range(nc)])
@@ -281,13 +361,12 @@ def refine_points_only(problem: BAProblem) -> float:
     final total cost.
     """
     npnt = problem.n_pts
+    by_point = _Segments.of(np.argsort(problem.pt_idx, kind="stable"), problem.pt_idx, npnt)
     for _ in range(POINT_SWEEPS):
         res = problem.residuals()
         _, Jp = problem.jacobian_blocks()
-        H = np.zeros((npnt, 3, 3))
-        g = np.zeros((npnt, 3))
-        np.add.at(H, problem.pt_idx, np.einsum("oki,okj->oij", Jp, Jp))
-        np.add.at(g, problem.pt_idx, np.einsum("oki,ok->oi", Jp, res))
+        H = by_point.sum(np.einsum("oki,okj->oij", Jp, Jp))
+        g = by_point.sum(np.einsum("oki,ok->oi", Jp, res))
         H[:, np.arange(3), np.arange(3)] += 1e-12
         try:
             delta = np.linalg.solve(H, -g[..., None])[..., 0]

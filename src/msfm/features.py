@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +57,6 @@ class FeatureSet:
     orientation: np.ndarray  # (n,) float32 radians
     descriptors: np.ndarray  # (n, 128) uint8
     coarse_count: int = -1
-    _desc_f32: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.coarse_count < 0:
@@ -69,12 +68,6 @@ class FeatureSet:
     @property
     def tier_indices(self) -> np.ndarray:
         return np.arange(self.coarse_count)
-
-    def float_descriptors(self) -> np.ndarray:
-        """Float32 view of the descriptors, cached (distances accumulate in f32)."""
-        if self._desc_f32 is None:
-            self._desc_f32 = np.ascontiguousarray(self.descriptors, dtype=np.float32)
-        return self._desc_f32
 
     @classmethod
     def from_arrays(cls, image_id, width, height, xy, scale, orientation, descriptors):
@@ -160,7 +153,7 @@ def select_top_scale(fs: FeatureSet, eta: float = DEFAULT_ETA) -> FeatureSet:
         count = n
     else:
         count = math.ceil(eta / 100.0 * n)
-    return replace(fs, coarse_count=count, _desc_f32=fs._desc_f32)
+    return replace(fs, coarse_count=count)
 
 
 def quantize_scale_levels(scale: np.ndarray) -> np.ndarray:

@@ -22,6 +22,10 @@ RANSAC_MAX_ITERS = 2048
 MIN_EDGE_INLIERS = 16
 # samples per problem in each lockstep round of block_ransac; the last repeats
 RANSAC_BLOCKS = (8, 16, 32, 64, 128)
+# samples per stacked fit: a round's lockstep block is fitted in stacks of at
+# most this many, which bounds the fit's temporaries (a stacked SVD works one
+# matrix at a time, so the stack size changes no result)
+RANSAC_FIT_STACK = 256
 
 TRI_MAX_ERROR_PX = 4.0
 TRI_MIN_ANGLE_DEG = 1.0
@@ -158,24 +162,30 @@ def draw_samples(rng: np.random.Generator, n: int, k: int, m: int) -> np.ndarray
 
 
 def _fit_block(fit, owner: np.ndarray, samples: np.ndarray):
-    """``fit``'s (hypotheses, ok) for a block of samples.
+    """``fit``'s (hypotheses, ok) for a block of samples, in stacks of at
+    most ``RANSAC_FIT_STACK``.
 
-    A stacked SVD that raises fails its whole block, so such a block is
+    A stacked SVD that raises fails its whole stack, so such a stack is
     refit one sample at a time; a sample that raises alone is not ok.
     """
-    try:
-        return fit(owner, samples)
-    except np.linalg.LinAlgError:
-        pass
     hypotheses, ok = None, np.zeros(len(samples), dtype=bool)
-    for j in range(len(samples)):
-        try:
-            one, one_ok = fit(owner[j:j + 1], samples[j:j + 1])
-        except np.linalg.LinAlgError:
-            continue
+
+    def put(rows, fitted):
+        nonlocal hypotheses
         if hypotheses is None:
-            hypotheses = np.zeros((len(samples), *one.shape[1:]))
-        hypotheses[j], ok[j] = one[0], one_ok[0]
+            hypotheses = np.zeros((len(samples), *fitted[0].shape[1:]))
+        hypotheses[rows], ok[rows] = fitted
+
+    for lo in range(0, len(samples), RANSAC_FIT_STACK):
+        stack = slice(lo, lo + RANSAC_FIT_STACK)
+        try:
+            put(stack, fit(owner[stack], samples[stack]))
+        except np.linalg.LinAlgError:
+            for j in range(*stack.indices(len(samples))):
+                try:
+                    put(slice(j, j + 1), fit(owner[j:j + 1], samples[j:j + 1]))
+                except np.linalg.LinAlgError:
+                    pass
     return hypotheses, ok
 
 

@@ -151,15 +151,6 @@ def candidates_linear(xy: np.ndarray, line: EpipolarLine, d: float) -> np.ndarra
     return np.flatnonzero(dist <= d)
 
 
-def candidates_grid(grid: OverlapGrid, line: EpipolarLine, d: float) -> np.ndarray:
-    """Band query of one line via the grid cells of its samples.
-
-    The result also holds features outside the band; callers filter it to
-    the exact band.
-    """
-    return _candidates_batch(grid, np.array([[line.a, line.b, line.c]]), d)[1]
-
-
 def _edge_hits(lines: np.ndarray, x0: float, x1: float, y0: float, y1: float) -> np.ndarray:
     """(N, 4, 2) crossings of N lines with the edges x0, x1, y0 and y1; NaN if missed.
 
@@ -358,13 +349,14 @@ def guided_match_pair(query_fs: FeatureSet, target_fs: FeatureSet,
     groups = group_queries(query_fs, geom, bounds, query_indices=query_indices)
     if not groups:
         return NO_MATCHES
-    tdesc = target_fs.float_descriptors()[ti]
-    tnorm = np.einsum("ij,ij->i", tdesc, tdesc)
-    qdesc = query_fs.float_descriptors()
-    qnorm = np.einsum("ij,ij->i", qdesc, qdesc)
-
     # members of all groups, group by group, with each member's own line
     members, member_start, rep = groups.members, groups.starts, groups.lines
+    # float32 rows of the features that products may take: the members, in
+    # member order, and the target features
+    qdesc = query_fs.descriptors[members].astype(np.float32)
+    qnorm = np.einsum("ij,ij->i", qdesc, qdesc)
+    tdesc = target_fs.descriptors[ti].astype(np.float32)
+    tnorm = np.einsum("ij,ij->i", tdesc, tdesc)
     n_members = groups.sizes()
     hom = np.hstack([query_fs.xy[members].astype(np.float64), np.ones((len(members), 1))])
     mlines = hom @ geom.F.T
@@ -426,11 +418,11 @@ def guided_match_pair(query_fs: FeatureSet, target_fs: FeatureSet,
                                   kept_start.tolist(), (kept_start + n_kept).tolist()):
             if c0 == c1:
                 continue
-            product = qdesc[members[m0:m1]] @ tdesc[kept[c0:c1]].T
+            product = qdesc[m0:m1] @ tdesc[kept[c0:c1]].T
             prod[at:at + product.size] = product.ravel()
             at += product.size
         block_members = slice(int(ms[0]), int(ms[-1] + nm[-1]))
-        d2 = np.repeat(qnorm[members[block_members]], per_row) + tnorm[cand_of]
+        d2 = np.repeat(qnorm[block_members], per_row) + tnorm[cand_of]
         d2 -= 2.0 * prod
         np.maximum(d2, 0.0, out=d2)
         d2[band_dist(block_members, cand_of, per_row) > d] = np.inf

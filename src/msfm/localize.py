@@ -115,7 +115,7 @@ def direct_3d2d_search(point_ids: np.ndarray, queries: np.ndarray, image_fs, *,
     """
     if len(point_ids) == 0 or len(image_fs) == 0:
         return NO_CORRESPONDENCES
-    dist, idx = two_nearest_bruteforce(queries, image_fs.float_descriptors())
+    dist, idx = two_nearest_bruteforce(queries, image_fs.descriptors)
     rows, feats, d, _ = ratio_filter(dist, idx, ratio)
     return closest_one_to_one(point_ids[rows], feats, d)
 
@@ -141,12 +141,13 @@ def ranked_2d2d_search(model: Model, graph: MatchGraph, image_id: int, image_fs,
         raise InsufficientDataError(f"image {image_id} has no localized neighbours")
     neighbors.sort(reverse=True)
     entries = [NO_ENTRIES]
+    targets = image_fs.descriptors.astype(np.float32)  # once for every neighbour
     for _, _, other in neighbors[:RANKED_TOP_K]:
         tracked = model.tracked(other)
         feats, pids = (np.fromiter(v, np.int64, len(tracked)) for v in (tracked, tracked.values()))
         order = np.lexsort((feats, pids))
-        queries = feature_store.sets[other].float_descriptors()[feats[order]]
-        dist, idx = two_nearest_bruteforce(queries, image_fs.float_descriptors())
+        queries = feature_store.sets[other].descriptors[feats[order]]
+        dist, idx = two_nearest_bruteforce(queries, targets)
         rows, found, d, _ = ratio_filter(dist, idx, ratio)
         entries.append((pids[order][rows], found, d))
     corr = closest_one_to_one(*map(np.concatenate, zip(*entries)))

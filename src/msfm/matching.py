@@ -173,8 +173,8 @@ def match_pair(query_fs: FeatureSet, target_fs: FeatureSet, *,
     ti = target_fs.tier_indices if target_indices is None else np.asarray(target_indices)
     if len(qi) == 0 or len(ti) == 0:
         return NO_MATCHES
-    dist, idx = two_nearest_bruteforce(query_fs.float_descriptors()[qi],
-                                       target_fs.float_descriptors()[ti], stats)
+    dist, idx = two_nearest_bruteforce(query_fs.descriptors[qi], target_fs.descriptors[ti],
+                                       stats)
     return matches_from(ratio_filter(dist, idx, ratio, single_cap), query_ids=qi, target_ids=ti)
 
 
@@ -193,7 +193,8 @@ def hybrid_match(query_fs: FeatureSet, target_fs: FeatureSet, *,
         return NO_MATCHES
     batch = max(1, int(np.ceil(HYBRID_BATCH_FRACTION * len(query_fs))))
     ti = target_fs.tier_indices
-    tdesc = target_fs.float_descriptors()[ti]
+    # converted once: every batch multiplies the whole target tier
+    tdesc = target_fs.descriptors[ti].astype(np.float32)
     parts = []
     n_accepted = 0
     for start in range(0, n_tier, batch):
@@ -202,7 +203,7 @@ def hybrid_match(query_fs: FeatureSet, target_fs: FeatureSet, *,
         if n_accepted >= early_stop:
             break
         stop = min(start + batch, n_tier)
-        dist, idx = two_nearest_bruteforce(query_fs.float_descriptors()[start:stop], tdesc, stats)
+        dist, idx = two_nearest_bruteforce(query_fs.descriptors[start:stop], tdesc, stats)
         rows, targets, d, r = ratio_filter(dist, idx, ratio)
         parts.append((rows + start, targets, d, r))
         n_accepted += len(rows)

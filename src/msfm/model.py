@@ -59,9 +59,6 @@ class Point3D:
     position: np.ndarray
     track: dict[int, int] = field(default_factory=dict)  # image_id -> feature_id
 
-    def track_length(self) -> int:
-        return len(self.track)
-
 
 class Model:
     """Cameras plus points, with the feature -> point map of each image."""
@@ -90,9 +87,6 @@ class Model:
             return self._owner[image_id]
         except KeyError:
             raise NotRegisteredError(f"image {image_id} is not registered") from None
-
-    def points_visible_in(self, image_id: int) -> set[int]:
-        return set(self.tracked(image_id).values())
 
     def observations(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(point, image, feature) int64 columns of every track entry,
@@ -177,20 +171,6 @@ class Model:
         self.points[point_id].track[image_id] = feature_id
         self._owner[image_id][feature_id] = point_id
 
-    # -- integrity ---------------------------------------------------------
-
-    def check_consistency(self) -> None:
-        """Exhaustive invariant check (tests); raises AssertionError on drift."""
-        assert self._owner.keys() == self.cameras.keys()
-        for pid, point in self.points.items():
-            assert len(point.track) >= 2, f"point {pid} has a short track"
-            for image_id, feature_id in point.track.items():
-                owner = self._owner.get(image_id, {}).get(feature_id)
-                assert owner == pid, f"{image_id}:{feature_id} of point {pid} owned by {owner}"
-        # every track entry is indexed, so equal counts leave no stale entry
-        n_obs = sum(len(point.track) for point in self.points.values())
-        assert sum(map(len, self._owner.values())) == n_obs
-
 
 @dataclass
 class StatsReport:
@@ -217,13 +197,6 @@ def _observations(model: Model, feature_store):
     from .ba import problem_from_model  # ba builds on this module
 
     return problem_from_model(model, feature_store)[0]
-
-
-def reprojection_errors(model: Model, feature_store) -> np.ndarray:
-    """Per-observation reprojection error in pixels over every track."""
-    if not model.points:
-        return np.zeros(0)
-    return np.linalg.norm(_observations(model, feature_store).residuals(), axis=1)
 
 
 def covisible_pairs(point: np.ndarray, image: np.ndarray):

@@ -55,15 +55,6 @@ class SyntheticScene:
     def store(self) -> FeatureStore:
         return FeatureStore(self.feature_sets)
 
-    def exact_store(self) -> "ExactPositionStore":
-        """Positions recomputed in float64, bypassing file-format quantization.
-
-        The feature files keep pixels as float32 (~1e-5 px of rounding at
-        1000-pixel coordinates); numerical contracts at 1e-6 px and below
-        need the exact projections.
-        """
-        return ExactPositionStore(self)
-
     def feature_of_point(self, image_id: int, point_id: int) -> int | None:
         hits = np.flatnonzero(self.point_of_feature[image_id] == point_id)
         return int(hits[0]) if hits.size else None
@@ -72,17 +63,6 @@ class SyntheticScene:
         table = self.point_of_feature[image_id]
         return set(int(p) for p in table[table >= 0])
 
-    def oracle_matches(self, image_a: int, image_b: int) -> list[tuple[int, int]]:
-        """(feature_a, feature_b) pairs that project the same world point."""
-        ta = self.point_of_feature[image_a]
-        tb = self.point_of_feature[image_b]
-        where_b = {int(p): j for j, p in enumerate(tb) if p >= 0}
-        out = []
-        for i, p in enumerate(ta):
-            if p >= 0 and int(p) in where_b:
-                out.append((i, where_b[int(p)]))
-        return out
-
     def triangulable_points(self) -> set[int]:
         """Points observed in at least two images."""
         counts = np.zeros(len(self.points), dtype=np.int64)
@@ -90,16 +70,6 @@ class SyntheticScene:
             seen = np.unique(table[table >= 0])
             counts[seen] += 1
         return set(np.flatnonzero(counts >= 2).astype(int))
-
-    def covisibility_matrix(self) -> np.ndarray:
-        ids = sorted(self.feature_sets)
-        vis = [self.visible_points(i) for i in ids]
-        n = len(ids)
-        mat = np.zeros((n, n), dtype=np.int64)
-        for i in range(n):
-            for j in range(i + 1, n):
-                mat[i, j] = mat[j, i] = len(vis[i] & vis[j])
-        return mat
 
     def ground_truth_model(self) -> Model:
         """Model holding every camera and every point with >= 2 observations."""
@@ -114,30 +84,6 @@ class SyntheticScene:
                     track.append((image_id, fid))
             model.add_point(self.points[pid], track)
         return model
-
-
-class ExactPositionStore:
-    """Float64 projections of the true points, keyed like a FeatureStore.
-
-    Only positions are exact; descriptors and pixel noise come from the
-    rendered feature sets, so this is for numerical tests, not matching.
-    """
-
-    def __init__(self, scene: "SyntheticScene"):
-        self._positions: dict[int, np.ndarray] = {}
-        for image_id in sorted(scene.feature_sets):
-            cam = scene.cameras[image_id]
-            table = scene.point_of_feature[image_id]
-            fs = scene.feature_sets[image_id]
-            proj, _ = cam.project(scene.points)
-            arr = fs.xy.astype(np.float64).copy()
-            tracked = table >= 0
-            arr[tracked] = proj[table[tracked]]
-            self._positions[image_id] = arr
-
-    def position(self, image_id: int, feature_id) -> np.ndarray:
-        """A feature's pixel position; (k, 2) positions for an array of ids."""
-        return self._positions[image_id][feature_id]
 
 
 def _camera_positions(spec: SceneSpec, rng: np.random.Generator) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 
 from msfm.errors import DegenerateGeometryError
 from msfm.geometry import EpipolarLine, TwoViewGeometry
-from msfm.guided import _OFFSETS, GROUP_BOUNDARY_PX, _pack
+from msfm.guided import _OFFSETS, GROUP_BOUNDARY_PX, _candidates_batch, _pack
 
 
 def epipolar_line(geom: TwoViewGeometry | np.ndarray, p) -> EpipolarLine:
@@ -157,3 +157,13 @@ def reference_group_queries(query_fs, geom: TwoViewGeometry, bounds, *,
         groups.append(QueryGroup(representative_line=EpipolarLine(*lines[rows[0]].tolist()),
                                  member_features=qi[rows]))
     return groups
+
+
+def candidates_grid(grid, line: EpipolarLine, d: float) -> np.ndarray:
+    """Band query of one line via the grid cells of its samples, as a batch
+    of one for ``_candidates_batch``.
+
+    The result also holds features outside the band; callers filter it to
+    the exact band.
+    """
+    return _candidates_batch(grid, np.array([[line.a, line.b, line.c]]), d)[1]

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from ba_oracles import dense_jacobian, pack, residuals_at
+from line_oracles import candidates_grid
+from model_oracles import exact_store, oracle_matches, reprojection_errors
 from msfm.ba import bundle_adjust, problem_from_model, rodrigues
 from msfm.config import PipelineConfig
 from msfm.densify import merge_tracks
@@ -25,12 +27,11 @@ from msfm.geometry import (
 )
 from msfm.guided import (
     build_grid,
-    candidates_grid,
     candidates_linear,
     guided_match_pair,
 )
 from msfm.matching import Matches, match_pair
-from msfm.model import Camera, Model, reprojection_errors
+from msfm.model import Camera, Model
 from msfm.pipeline import run_pipeline
 from msfm.synth import SceneSpec, generate_scene, write_scene
 
@@ -220,7 +221,7 @@ class TestCriterion5GuidedDensity:
         scene = generate_scene(spec)
         fs_q, fs_t = scene.feature_sets[0], scene.feature_sets[1]
         geom = fundamental_from_poses(scene.cameras[0], scene.cameras[1])
-        oracle = dict(scene.oracle_matches(0, 1))
+        oracle = dict(oracle_matches(scene, 0, 1))
 
         def correct(matches):
             return sum(1 for q, t in zip(matches.query.tolist(), matches.target.tolist())
@@ -351,7 +352,7 @@ class TestCriterion7OracleEquivalences:
             scene = generate_scene(SceneSpec(
                 n_cameras=2, layout="grid", ring_radius=6.0, cloud_radius=1.8,
                 n_points=300, visibility_fraction=1.0, seed=trial + 40))
-            pairs = scene.oracle_matches(0, 1)
+            pairs = oracle_matches(scene, 0, 1)
             fs0, fs1 = scene.feature_sets[0], scene.feature_sets[1]
             pq = np.stack([fs0.xy[a] for a, _ in pairs]).astype(np.float64)
             pc = np.stack([fs1.xy[b] for _, b in pairs]).astype(np.float64)
@@ -368,7 +369,7 @@ class TestCriterion8NumericalChecks:
     def test_jacobian_and_monotonicity(self):
         scene = generate_scene(SceneSpec(
             n_cameras=6, n_points=80, visibility_fraction=0.8, seed=7))
-        store = scene.exact_store()
+        store = exact_store(scene)
         model = scene.ground_truth_model()
         problem, _, _ = problem_from_model(model, store)
         J = dense_jacobian(problem)
@@ -432,7 +433,7 @@ class TestCriterion8NumericalChecks:
                 n_cameras=2, layout="grid", ring_radius=6.0, cloud_radius=1.8,
                 n_points=120, visibility_fraction=1.0, seed=trial + 60))
             F1 = fundamental_from_poses(s2.cameras[0], s2.cameras[1]).F
-            pairs = s2.oracle_matches(0, 1)
+            pairs = oracle_matches(s2, 0, 1)
             pq = np.stack([s2.feature_sets[0].xy[a] for a, _ in pairs])
             pc = np.stack([s2.feature_sets[1].xy[b] for _, b in pairs])
             F2 = estimate_fundamental_ransac([(pq, pc, trial)])[0][0].F

@@ -1,11 +1,24 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
-from ba_oracles import dense_jacobian, pack, residuals_at
-from msfm.ba import bundle_adjust, problem_from_model, rodrigues, spd_solve
-from msfm.model import Camera, reprojection_errors
+from ba_oracles import dense_jacobian, pack, residuals_at, ring_ba_model
+from model_oracles import check_consistency, exact_store, reprojection_errors
+from msfm.ba import (
+    CAM_PARAMS,
+    _camera_pair_chunks,
+    _lm_iterate,
+    _reduced_camera_system,
+    _Segments,
+    bundle_adjust,
+    problem_from_model,
+    rodrigues,
+    spd_solve,
+)
+from msfm.model import Camera
 from msfm.synth import SceneSpec, generate_scene
 
 
@@ -74,7 +87,7 @@ class TestProblemFromModel:
 class TestJacobian:
     def test_matches_central_differences(self, exact_scene):
         model = exact_scene.ground_truth_model()
-        problem, _, _ = problem_from_model(model, exact_scene.exact_store())
+        problem, _, _ = problem_from_model(model, exact_store(exact_scene))
         J = dense_jacobian(problem)
         params = pack(problem)
         rng = np.random.default_rng(0)
@@ -94,7 +107,7 @@ class TestJacobian:
 
 class TestBundleAdjust:
     def test_noise_free_fixed_point(self, exact_scene):
-        store = exact_scene.exact_store()
+        store = exact_store(exact_scene)
         model = exact_scene.ground_truth_model()
         R_before = {i: c.R.copy() for i, c in model.cameras.items()}
         f_before = {i: c.K[0, 0] for i, c in model.cameras.items()}
@@ -106,7 +119,7 @@ class TestBundleAdjust:
             assert abs(model.cameras[i].K[0, 0] - f_before[i]) < 1e-9
 
     def test_single_perturbed_point_recovers(self, exact_scene):
-        store = exact_scene.exact_store()
+        store = exact_store(exact_scene)
         model = exact_scene.ground_truth_model()
         pid = model.point_ids()[5]
         model.points[pid].position = model.points[pid].position + np.array([0.1, 0, 0])
@@ -121,7 +134,7 @@ class TestBundleAdjust:
             dR = rodrigues(rng.normal(0, 0.01, 3))
             model.cameras[i] = Camera(K=cam.K, R=dR @ cam.R,
                                       t=cam.t + rng.normal(0, 0.02, 3), image_id=i)
-        stats = bundle_adjust(model, exact_scene.exact_store())
+        stats = bundle_adjust(model, exact_store(exact_scene))
         assert stats.final_cost <= stats.initial_cost
         assert stats.final_cost < 1e-3 * stats.initial_cost
 
@@ -138,7 +151,7 @@ class TestBundleAdjust:
         assert errors.mean() < 1.0  # back at the 0.5 px noise floor
 
     def test_behind_camera_point_pruned(self, exact_scene):
-        store = exact_scene.exact_store()
+        store = exact_store(exact_scene)
         model = exact_scene.ground_truth_model()
         pid = model.point_ids()[0]
         cam = model.cameras[model.image_ids()[0]]
@@ -148,10 +161,10 @@ class TestBundleAdjust:
         stats = bundle_adjust(model, store)
         assert stats.pruned_points >= 1
         assert len(model.points) < n_before
-        model.check_consistency()
+        check_consistency(model)
 
     def test_focal_refinement(self, exact_scene):
-        store = exact_scene.exact_store()
+        store = exact_store(exact_scene)
         model = exact_scene.ground_truth_model()
         true_f = {i: c.K[0, 0] for i, c in model.cameras.items()}
         for i, cam in list(model.cameras.items()):
@@ -161,3 +174,63 @@ class TestBundleAdjust:
         bundle_adjust(model, store)
         for i in model.cameras:
             assert model.cameras[i].K[0, 0] == pytest.approx(true_f[i], rel=1e-4)
+
+
+class TestReducedCameraSystem:
+    def test_equals_dense_schur_complement(self):
+        # the camera-pair blocks against H - W M W^T with a dense W
+        model, store = ring_ba_model(9, 60, track=(2, 6), seed=5)
+        problem, _, _ = problem_from_model(model, store)
+        nc, npnt, nu = problem.n_cams, problem.n_pts, CAM_PARAMS
+        rng = np.random.default_rng(6)
+        B = rng.normal(size=(problem.n_obs, nu, 3))
+        A = rng.normal(size=(npnt, 3, 3))
+        M = A @ A.transpose(0, 2, 1) + np.eye(3)
+        H = rng.normal(size=(nc, nu, nu))
+        by_point = _Segments.of(np.lexsort((problem.cam_idx, problem.pt_idx)),
+                                problem.pt_idx, npnt)
+        chunks = _camera_pair_chunks(problem.cam_idx, by_point, nc)
+        S = _reduced_camera_system(chunks, B, B @ M[problem.pt_idx], H)
+
+        W = np.zeros((nc * nu, npnt * 3))
+        for o, (c, p) in enumerate(zip(problem.cam_idx, problem.pt_idx)):
+            W[c * nu:(c + 1) * nu, p * 3:p * 3 + 3] = B[o]
+        M_dense = np.zeros((npnt * 3, npnt * 3))
+        for p in range(npnt):
+            M_dense[p * 3:p * 3 + 3, p * 3:p * 3 + 3] = M[p]
+        expected = -W @ M_dense @ W.T
+        for c in range(nc):
+            expected[c * nu:(c + 1) * nu, c * nu:(c + 1) * nu] += H[c]
+        np.testing.assert_allclose(S, expected, rtol=0, atol=1e-9 * np.abs(expected).max())
+
+    def test_camera_without_observations_stays_put(self):
+        # an empty run of observations must sum to zero, not to the next
+        # camera's first row
+        model, store = ring_ba_model(12, 300, seed=3)
+        problem, _, _ = problem_from_model(model, store)
+        keep = problem.cam_idx != 5
+        problem.cam_idx, problem.pt_idx = problem.cam_idx[keep], problem.pt_idx[keep]
+        problem.uv = problem.uv[keep]
+        R, t, f = problem.R[5].copy(), problem.t[5].copy(), problem.f[5]
+        initial, final, _ = _lm_iterate(problem, 20)
+        assert np.isfinite(final) and final < initial
+        assert np.isfinite(problem.X).all()
+        assert np.array_equal(problem.R[5], R)
+        assert np.array_equal(problem.t[5], t)
+        assert problem.f[5] == f
+
+
+class TestBAMemory:
+    def test_traced_peak_below_dense_coupling(self):
+        # 120 cameras: a dense (points, cameras * 7, 3) coupling array alone
+        # would take n_pts * 7 n_cams * 3 * 8 bytes
+        n_cams, n_pts = 120, 1500
+        model, store = ring_ba_model(n_cams, n_pts, seed=1)
+        tracemalloc.start()
+        try:
+            stats = bundle_adjust(model, store)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.final_cost < stats.initial_cost
+        assert peak < n_pts * CAM_PARAMS * n_cams * 3 * 8

@@ -23,6 +23,7 @@ from msfm.reconstruct import incremental_reconstruct
 from msfm.synth import SceneSpec, generate_scene
 
 from conftest import random_camera
+from model_oracles import check_consistency, covisibility_matrix, points_visible_in
 
 
 class UnionFind:
@@ -199,13 +200,13 @@ class TestCandidateImages:
 
     def test_ranking_matches_covisibility_oracle(self, ring_scene, model):
         k_limit = 6
-        mat = ring_scene.covisibility_matrix()
+        mat = covisibility_matrix(ring_scene)
         ids = model.image_ids()
         for image_id in ids[:8]:
             cs = candidate_images(model, image_id, threshold=8, k_limit=k_limit)
             got = [other for other, _ in cs.candidates]
             counts = {
-                other: len(model.points_visible_in(image_id) & model.points_visible_in(other))
+                other: len(points_visible_in(model, image_id) & points_visible_in(model, other))
                 for other in ids if other != image_id
             }
             expected = sorted(
@@ -484,7 +485,7 @@ class TestDensifyStage:
         scene, store, model = coarse_setup
         work = copy.deepcopy(model)
         densify_stage(work, store, iteration=1)
-        work.check_consistency()
+        check_consistency(work)
         covered = set()
         for pt in work.points.values():
             ids = {

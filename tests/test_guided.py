@@ -13,7 +13,6 @@ from msfm.geometry import EpipolarLine, TwoViewGeometry, fundamental_from_poses,
 from msfm.guided import (
     _candidates_batch,
     build_grid,
-    candidates_grid,
     candidates_linear,
     clip_lines,
     group_queries,
@@ -25,6 +24,7 @@ from msfm.pipeline import run_coarse, run_densify, run_match
 from msfm.synth import SceneSpec, generate_scene
 
 from line_oracles import (
+    candidates_grid,
     cell_indices,
     clip_line_to_bounds,
     encode,
@@ -34,6 +34,7 @@ from line_oracles import (
     reference_grid_table,
     reference_group_queries,
 )
+from model_oracles import oracle_matches
 
 
 def random_lines(rng, n, width, height):
@@ -59,9 +60,9 @@ def reference_guided_match_pair(query_fs, target_fs, geom, *, d=8.0, ratio=0.8,
         grid = build_grid(txy, d * inflation, width=bounds[0], height=bounds[1])
 
     groups = reference_group_queries(query_fs, geom, bounds, query_indices=query_indices)
-    tdesc = target_fs.float_descriptors()[ti]
+    tdesc = target_fs.descriptors[ti].astype(np.float32)
     tnorm = np.einsum("ij,ij->i", tdesc, tdesc)
-    qdesc = query_fs.float_descriptors()
+    qdesc = query_fs.descriptors.astype(np.float32)
     qxy = query_fs.xy.astype(np.float64)
     accepted = []
     for group in groups:
@@ -411,7 +412,7 @@ class TestGuidedMatchPair:
         scene, geom = self._scene_pair()
         fs_q, fs_t = scene.feature_sets[0], scene.feature_sets[1]
         matches = guided_match_pair(fs_q, fs_t, geom, d=8.0)
-        oracle = dict(scene.oracle_matches(0, 1))
+        oracle = dict(oracle_matches(scene, 0, 1))
         correct = sum(1 for q, t, _, _ in match_rows(matches) if oracle.get(q) == t)
         assert len(matches) > 0
         assert correct / len(matches) >= 0.99
@@ -454,7 +455,7 @@ class TestGuidedMatchPair:
         scene = generate_scene(spec)
         geom = fundamental_from_poses(scene.cameras[0], scene.cameras[1])
         fs_q, fs_t = scene.feature_sets[0], scene.feature_sets[1]
-        oracle = dict(scene.oracle_matches(0, 1))
+        oracle = dict(oracle_matches(scene, 0, 1))
 
         def correct_count(matches):
             return sum(1 for q, t, _, _ in match_rows(matches) if oracle.get(q) == t)
@@ -583,7 +584,6 @@ class TestGuidedMemory:
         scene = generate_scene(large_pair_spec(21_000))
         fs_q, fs_t = scene.feature_sets[0], scene.feature_sets[1]
         geom = fundamental_from_poses(scene.cameras[0], scene.cameras[1])
-        fs_q.float_descriptors(), fs_t.float_descriptors()  # cached before tracing
         tracemalloc.start()
         try:
             matches = guided_match_pair(fs_q, fs_t, geom, d=8.0)

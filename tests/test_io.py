@@ -14,6 +14,8 @@ from msfm.io import (
 from msfm.matching import build_coarse_matchgraph
 from msfm.model import Model
 
+from model_oracles import check_consistency
+
 
 class TestModelFile:
     def test_empty_model_header_only(self, tmp_path):
@@ -38,7 +40,7 @@ class TestModelFile:
         for image_id in model.image_ids():
             assert np.array_equal(loaded.cameras[image_id].R, model.cameras[image_id].R)
             assert np.array_equal(loaded.cameras[image_id].t, model.cameras[image_id].t)
-        loaded.check_consistency()
+        check_consistency(loaded)
 
     def test_track_contents_preserved(self, tmp_path, tiny_scene):
         model = tiny_scene.ground_truth_model()

@@ -25,6 +25,7 @@ from msfm.reconstruct import PNP_MIN_INLIERS
 from msfm.synth import SceneSpec, generate_scene
 
 from conftest import random_camera
+from model_oracles import check_consistency, points_visible_in
 
 
 @pytest.fixture(scope="module")
@@ -146,7 +147,7 @@ class TestSetCover:
         k = 5
         covered = coverage(model, compute_set_cover(model, k))
         for image_id in model.image_ids():
-            visible = len(model.points_visible_in(image_id))
+            visible = len(points_visible_in(model, image_id))
             assert covered[image_id] >= min(k, visible)
 
     def test_saturation_when_k_exceeds_visibility(self):
@@ -156,7 +157,7 @@ class TestSetCover:
         assert sorted(cover) == model.point_ids()
         covered = coverage(model, cover)
         for image_id in model.image_ids():
-            assert covered[image_id] == len(model.points_visible_in(image_id))
+            assert covered[image_id] == len(points_visible_in(model, image_id))
 
     def test_compression(self, ring_scene):
         model = ring_scene.ground_truth_model()
@@ -174,7 +175,7 @@ class TestSetCover:
             without = selected - {pid}
             broken = False
             for image_id in model.points[pid].track:
-                visible = model.points_visible_in(image_id)
+                visible = points_visible_in(model, image_id)
                 if len(visible) >= k and len(visible & without) < k:
                     broken = True
                     break
@@ -250,7 +251,7 @@ def tuple_loop_ranked_search(model, graph, image_id, image_fs, store):
             continue
         queries = np.stack([store[other].descriptors[feat].astype(np.float32)
                             for _, feat in proxy])
-        dist, idx = two_nearest_bruteforce(queries, image_fs.float_descriptors())
+        dist, idx = two_nearest_bruteforce(queries, image_fs.descriptors)
         rows, feats, d, _ = ratio_filter(dist, idx, RATIO_UNGUIDED)
         entries += zip([proxy[row][0] for row in rows.tolist()], feats.tolist(), d.tolist())
 
@@ -292,7 +293,7 @@ class TestRankedSearch:
                                             ratio=np.zeros(40)),
                             inlier_mask=np.ones(40, dtype=bool))
         corr = ranked_2d2d_search(partial, g, 97, fs, store)
-        tracked = {f for pid in partial.points_visible_in(source)
+        tracked = {f for pid in points_visible_in(partial, source)
                    for i, f in partial.points[pid].track.items() if i == source}
         got_feats = {feat for _, feat in corr}
         assert len(corr) > 16
@@ -337,7 +338,7 @@ class TestLocalizeAll:
             true = scene.cameras[image_id]
             c = np.clip((np.trace(est.R @ true.R.T) - 1) / 2, -1, 1)
             assert np.degrees(np.arccos(c)) < 0.1
-        model.check_consistency()
+        check_consistency(model)
 
     def test_order_invariance(self, holdout_setup, tmp_path):
         scene, store, graph, partial, held_out, K = holdout_setup

@@ -15,6 +15,8 @@ from msfm.matching import (
 )
 from msfm.synth import SceneSpec, generate_scene
 
+from model_oracles import covisibility_matrix, oracle_matches
+
 
 def feature_set_from_descriptors(descs, image_id=0, scales=None, xy=None,
                                  width=1024, height=768):
@@ -323,7 +325,7 @@ class TestPreemptiveFilter:
             pixel_noise=0.5, descriptor_noise=4.0, seed=31))
         store = scene.store()
         kept = set(preemptive_pair_filter(store.sets))
-        mat = scene.covisibility_matrix()
+        mat = covisibility_matrix(scene)
         ids = sorted(store.sets)
         strong = {
             (ids[i], ids[j])
@@ -365,7 +367,7 @@ class TestBuildCoarseMatchGraph:
         store = scene.store()
         graph = build_coarse_matchgraph(store.sets)
         for (a, b), edge in list(graph.edges.items())[:5]:
-            oracle = dict(scene.oracle_matches(a, b))
+            oracle = dict(oracle_matches(scene, a, b))
             for q, t in id_pairs(edge.inliers()):
                 assert oracle.get(q) == t
 

@@ -13,10 +13,16 @@ from msfm.model import (
     Model,
     covisible_pairs,
     model_stats,
-    reprojection_errors,
 )
 
 from conftest import random_camera
+from model_oracles import (
+    check_consistency,
+    exact_store,
+    points_visible_in,
+    reprojection_errors,
+    track_length,
+)
 
 
 def simple_model(n_cams=3, rng=None):
@@ -57,13 +63,13 @@ class TestVisibilityQueries:
     def test_empty_model_raises(self):
         model = Model()
         with pytest.raises(NotRegisteredError):
-            model.points_visible_in(0)
+            points_visible_in(model, 0)
 
     def test_single_point_two_images(self):
         model = simple_model(2)
         pid = model.add_point(np.zeros(3), [(0, 4), (1, 9)])
-        assert model.points_visible_in(0) == {pid}
-        assert model.points_visible_in(1) == {pid}
+        assert points_visible_in(model, 0) == {pid}
+        assert points_visible_in(model, 1) == {pid}
 
     def test_visibility_matches_track_scan(self, tiny_scene):
         model = tiny_scene.ground_truth_model()
@@ -72,7 +78,7 @@ class TestVisibilityQueries:
                 pid for pid, point in model.points.items()
                 if image_id in point.track
             }
-            assert model.points_visible_in(image_id) == expected
+            assert points_visible_in(model, image_id) == expected
 
 
 def tracks_oracle(model):
@@ -91,11 +97,11 @@ class TestOwnershipIndex:
         tracked = tracks_oracle(model)
         for image_id in model.image_ids():
             assert model.tracked(image_id) == tracked[image_id]
-            assert model.points_visible_in(image_id) == set(tracked[image_id].values())
+            assert points_visible_in(model, image_id) == set(tracked[image_id].values())
             for feature_id in range(self.N_FEATURES):
                 assert (model.tracked(image_id).get(feature_id)
                         == tracked[image_id].get(feature_id))
-        model.check_consistency()
+        check_consistency(model)
         expected = [(pid, i, f) for pid in sorted(model.points)
                     for i, f in sorted(model.points[pid].track.items())]
         columns = model.observations()
@@ -175,11 +181,11 @@ class TestAttachCamera:
     def test_empty_inliers(self):
         rng = np.random.default_rng(5)
         model = simple_model(2, rng)
-        n_before = {pid: p.track_length() for pid, p in model.points.items()}
+        n_before = {pid: track_length(p) for pid, p in model.points.items()}
         conflicts = model.attach_camera(random_camera(rng, image_id=7))
         assert conflicts == 0
         assert model.is_registered(7)
-        assert {pid: p.track_length() for pid, p in model.points.items()} == n_before
+        assert {pid: track_length(p) for pid, p in model.points.items()} == n_before
 
     def test_twenty_inliers_grow_twenty_tracks(self):
         rng = np.random.default_rng(6)
@@ -190,8 +196,8 @@ class TestAttachCamera:
         inliers = [(pid, k) for k, pid in enumerate(pids)]
         model.attach_camera(random_camera(rng, image_id=9), inliers)
         for pid in pids:
-            assert model.points[pid].track_length() == 3
-        model.check_consistency()
+            assert track_length(model.points[pid]) == 3
+        check_consistency(model)
 
     def test_duplicate_registration_is_idempotent(self):
         rng = np.random.default_rng(7)
@@ -215,7 +221,7 @@ class TestAttachCamera:
         assert conflicts == 1
         assert model.points[p1].track[2] == 3
         assert model.points[p2].track[2] == 4
-        model.check_consistency()
+        check_consistency(model)
 
     def test_oracle_visibility_after_attach(self, tiny_scene):
         scene = tiny_scene
@@ -240,8 +246,8 @@ class TestAttachCamera:
             kept[pid] for pid, point in model.points.items()
             if held_out in point.track and pid in kept
         }
-        assert rebuilt.points_visible_in(held_out) == expected
-        rebuilt.check_consistency()
+        assert points_visible_in(rebuilt, held_out) == expected
+        check_consistency(rebuilt)
 
 
 class TestModelStats:
@@ -262,7 +268,7 @@ class TestModelStats:
 
     def test_noise_free_reprojection(self, tiny_scene):
         model = tiny_scene.ground_truth_model()
-        errors = reprojection_errors(model, tiny_scene.exact_store())
+        errors = reprojection_errors(model, exact_store(tiny_scene))
         assert errors.mean() < 1e-6
 
     def test_noisy_reprojection_in_band(self, ring_scene):
@@ -348,7 +354,7 @@ class TestCovisiblePairs:
         point, image, _ = model.observations()
         a, b, shared = covisible_pairs(point, image)
         assert all(c.dtype == np.int64 for c in (a, b, shared))
-        seen = {i: model.points_visible_in(i) for i in model.image_ids()}
+        seen = {i: points_visible_in(model, i) for i in model.image_ids()}
         expected = [(i, j, len(seen[i] & seen[j])) for i in seen for j in seen
                     if i < j and seen[i] & seen[j]]
         assert list(zip(a.tolist(), b.tolist(), shared.tolist())) == expected
@@ -372,4 +378,4 @@ class TestTrackExclusivity:
         assert model.extend_track(p1, 2, 0)
         assert not model.extend_track(p2, 2, 0)  # taken
         assert not model.extend_track(p1, 2, 5)  # image already in track
-        model.check_consistency()
+        check_consistency(model)

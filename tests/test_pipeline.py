@@ -13,6 +13,8 @@ from msfm.io import read_model
 from msfm.pipeline import intrinsics_for_store, run_pipeline
 from msfm.synth import SceneSpec, generate_scene
 
+from model_oracles import check_consistency
+
 
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
@@ -29,7 +31,7 @@ class TestRunPipeline:
     def test_full_recovery(self, small_run):
         scene, cfg, result, out = small_run
         assert len(result.model.cameras) == 12
-        result.model.check_consistency()
+        check_consistency(result.model)
 
     def test_stage_sequence_and_snapshots(self, small_run):
         scene, cfg, result, out = small_run

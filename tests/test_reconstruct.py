@@ -14,6 +14,8 @@ from msfm.reconstruct import (
 )
 from msfm.synth import SceneSpec, generate_scene
 
+from model_oracles import check_consistency, points_visible_in, track_length
+
 
 def rotation_error_deg(R_est, R_true):
     c = np.clip((np.trace(R_est @ R_true.T) - 1.0) / 2.0, -1.0, 1.0)
@@ -187,7 +189,7 @@ class TestIncrementalReconstruct:
         model = incremental_reconstruct(sub, store, K)
         assert sorted(model.cameras) == list(key)
         assert len(model.points) >= 16
-        model.check_consistency()
+        check_consistency(model)
 
     def test_noise_free_full_registration(self, tiny_scene):
         store = tiny_scene.store()
@@ -199,8 +201,8 @@ class TestIncrementalReconstruct:
         assert rep.mean_rotation_deg < 0.01
         assert model.stage_tag == "coarse"
         for point in model.points.values():
-            assert point.track_length() >= 2
-        model.check_consistency()
+            assert track_length(point) >= 2
+        check_consistency(model)
 
     def test_every_camera_has_min_inliers(self, ring_scene):
         store = ring_scene.store()
@@ -209,7 +211,7 @@ class TestIncrementalReconstruct:
         model = incremental_reconstruct(graph, store, K)
         # every registered camera supports at least the gate in observations
         for image_id in model.image_ids():
-            assert len(model.points_visible_in(image_id)) >= 16
+            assert len(points_visible_in(model, image_id)) >= 16
 
     def test_gauge_freedom_across_seeds(self, tiny_scene):
         store = tiny_scene.store()

@@ -1,7 +1,9 @@
 import numpy as np
 
 from msfm.features import load_features
-from msfm.synth import ExactPositionStore, SceneSpec, generate_scene, write_scene
+from msfm.synth import SceneSpec, generate_scene, write_scene
+
+from model_oracles import ExactPositionStore, covisibility_matrix, oracle_matches
 
 
 class TestGenerateScene:
@@ -30,7 +32,7 @@ class TestGenerateScene:
     def test_ring_covisibility_band(self):
         scene = generate_scene(SceneSpec(
             n_cameras=60, n_points=600, visibility_fraction=0.7, seed=3))
-        mat = scene.covisibility_matrix()
+        mat = covisibility_matrix(scene)
         n = 60
         adjacent = np.array([mat[i, (i + 1) % n] for i in range(n)])
         opposite = np.array([mat[i, (i + n // 2) % n] for i in range(n)])
@@ -62,7 +64,7 @@ class TestGenerateScene:
 
 class TestOracles:
     def test_oracle_matches_identity_pair(self, tiny_scene):
-        pairs = tiny_scene.oracle_matches(0, 0)
+        pairs = oracle_matches(tiny_scene, 0, 0)
         table = tiny_scene.point_of_feature[0]
         expected = sum(1 for p in table if p >= 0)
         assert len(pairs) == expected
@@ -70,9 +72,9 @@ class TestOracles:
 
     def test_oracle_matches_transitive(self, tiny_scene):
         # closure over pairwise oracles equals the per-point groupings
-        m01 = dict(tiny_scene.oracle_matches(0, 1))
-        m12 = dict(tiny_scene.oracle_matches(1, 2))
-        m02 = dict(tiny_scene.oracle_matches(0, 2))
+        m01 = dict(oracle_matches(tiny_scene, 0, 1))
+        m12 = dict(oracle_matches(tiny_scene, 1, 2))
+        m02 = dict(oracle_matches(tiny_scene, 0, 2))
         for f0, f1 in m01.items():
             if f1 in m12:
                 assert m02.get(f0) == m12[f1]
@@ -80,7 +82,7 @@ class TestOracles:
     def test_disjoint_pair_empty(self):
         scene = generate_scene(SceneSpec(
             n_cameras=8, n_points=200, visibility_fraction=0.25, seed=8))
-        assert scene.oracle_matches(0, 4) == []
+        assert oracle_matches(scene, 0, 4) == []
 
     def test_triangulable_points(self, tiny_scene):
         tri = tiny_scene.triangulable_points()

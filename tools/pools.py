@@ -29,24 +29,41 @@ def setup(workdir: Path) -> Path:
     return workdir
 
 
+def generate_pool(name: str, work: Path) -> list[str]:
+    """Regenerate every noise draw of workload ``name`` with
+    ``benchmark/inputs.generate(..., whole_pool=True)`` into ``work/in``.
+
+    Returns the draw names ``r<k>`` in order.
+    """
+    import inputs
+
+    inputs.generate(name, 0, work / "in", whole_pool=True)
+    return sorted((p.name for p in (work / "in").iterdir()), key=lambda n: int(n[1:]))
+
+
+def pool_config(name: str):
+    """The configuration a workload's draws run with: its ``iterations``,
+    ``focal=900``."""
+    import inputs
+    from msfm.config import PipelineConfig
+
+    return PipelineConfig(focal=900.0, iterations=inputs.workload_spec(name).iterations)
+
+
 def run_pools(workdir: Path):
-    """Regenerate every noise draw of each workload with
-    ``benchmark/inputs.generate(..., whole_pool=True)`` into
-    ``workdir/<workload>/in`` and run ``run_pipeline`` on each (the
-    workload's ``iterations``, ``focal=900``) into ``workdir/<workload>/out``.
+    """Regenerate every noise draw of each workload into
+    ``workdir/<workload>/in`` (``generate_pool``) and run ``run_pipeline``
+    on each (``pool_config``) into ``workdir/<workload>/out``.
 
     Yields (workload, draw name ``r<k>``, input dir, output dir) after each run.
     """
-    import inputs
-    from msfm.config import PipelineConfig
     from msfm.pipeline import run_pipeline
 
     for name in WORKLOADS:
         work = workdir / name
-        inputs.generate(name, 0, work / "in", whole_pool=True)
+        draws = generate_pool(name, work)
         shutil.rmtree(work / "out", ignore_errors=True)  # no stale files from an earlier run
-        config = PipelineConfig(focal=900.0, iterations=inputs.workload_spec(name).iterations)
-        draws = sorted((p.name for p in (work / "in").iterdir()), key=lambda n: int(n[1:]))
+        config = pool_config(name)
         for draw in draws:
             out = work / "out" / draw
             run_pipeline(config, work / "in" / draw, out_dir=out)
