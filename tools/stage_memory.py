@@ -83,7 +83,7 @@ class LayerPeaks:
             finally:
                 self.fold()
                 self.open.pop()
-                calls, rise, peak = self.layers.setdefault(layer, [0, 0, 0])
+                calls, rise, peak = self.layers.get(layer, (0, 0, 0))
                 self.layers[layer] = [calls + 1, max(rise, frame[1] - entry),
                                       max(peak, frame[1])]
         return wrapper
@@ -147,7 +147,7 @@ def main(argv=None) -> int:
 
     print(f"{args.workload}/{draw.name}")
     for layer in dict.fromkeys(layer for layer, _, _ in LAYERS):
-        calls, rise, peak = peaks.layers.get(layer, [0, 0, 0])
+        calls, rise, peak = peaks.layers.get(layer, (0, 0, 0))
         print(f"{layer:<9} calls={calls:<5} rise_mb={rise / MB:7.2f} peak_mb={peak / MB:7.2f}")
     print(f"run traced_peak_mb={peaks.peak / MB:.2f}")
     # ru_maxrss is in KiB on Linux
