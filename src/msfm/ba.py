@@ -173,41 +173,56 @@ class _Segments:
 
     def sum(self, values: np.ndarray) -> np.ndarray:
         """Per-run sums of the rows of ``values``, added in ``order``.  An
-        empty run sums to zero: ``np.add.reduceat`` alone gives it the first
-        row of the next run."""
-        grouped = values[self.order]
-        sums = np.add.reduceat(grouped, np.minimum(self.starts, len(grouped) - 1), axis=0)
-        sums[self.counts == 0] = 0.0
+        empty run sums to zero, so only the other runs are reduced:
+        ``np.add.reduceat`` gives an empty run the next run's first row."""
+        sums = np.zeros((len(self.counts),) + values.shape[1:])
+        filled = self.counts > 0
+        sums[filled] = np.add.reduceat(values[self.order], self.starts[filled], axis=0)
         return sums
 
 
-def _camera_pair_chunks(cam_idx: np.ndarray, by_point: _Segments, nc: int):
+class _CameraPairChunks:
     """Each point's pairs of observing cameras, for the reduced camera system.
 
     A point seen from cameras a <= b (a == b pairs an observation with
     itself) couples block (b, a) of the system through its observations
-    ``ob`` in b and ``oa`` in a.  The pairs are sorted by camera pair and cut
-    into chunks of whole camera pairs, about ``_SCHUR_PAIR_CHUNK``
-    observation pairs each.  Returns one (ob, oa, run starts, b, a) per
-    chunk, with one run per camera pair.
+    ``ob`` in b and ``oa`` in a.  The pairs are listed camera by camera: each
+    observation ``ob``, in ``by_cam`` order, with the observations of its
+    point up to itself in ``by_point`` order.  They are cut into chunks of
+    about ``_SCHUR_PAIR_CHUNK`` pairs, and a chunk's pairs are listed only
+    when it is iterated, so memory follows the chunk, not the sum of squared
+    track lengths; a chunk spans few cameras b, so its pairs fall into few
+    camera pairs.  Iterating yields (ob, oa, run starts, b, a) per chunk: the
+    chunk's pairs sorted by camera pair, one run per camera pair.
     """
-    n = len(by_point.order)
-    # pair each observation with itself and the later ones of its point
-    later = np.repeat(by_point.starts + by_point.counts, by_point.counts) - np.arange(n)
-    first = np.repeat(np.arange(n), later)
-    second = first + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
-    oa, ob = by_point.order[first], by_point.order[second]
-    key = cam_idx[ob] * nc + cam_idx[oa]
-    order = np.argsort(key, kind="stable")
-    oa, ob, key = oa[order], ob[order], key[order]
-    runs = np.flatnonzero(np.diff(key, prepend=-1))
-    cuts = np.flatnonzero(np.diff(runs // _SCHUR_PAIR_CHUNK, prepend=-1)).tolist()
-    chunks = []
-    for r0, r1 in zip(cuts, cuts[1:] + [len(runs)]):
-        lo, hi = runs[r0], runs[r1] if r1 < len(runs) else len(key)
-        run = runs[r0:r1]
-        chunks.append((ob[lo:hi], oa[lo:hi], run - lo, key[run] // nc, key[run] % nc))
-    return chunks
+
+    def __init__(self, cam_idx: np.ndarray, by_cam: _Segments, by_point: _Segments, nc: int):
+        self.cam_idx, self.nc = cam_idx, nc
+        self.ob_order, self.oa_order = by_cam.order, by_point.order
+        n = len(cam_idx)
+        position = np.empty(n, dtype=np.intp)
+        position[by_point.order] = np.arange(n)
+        position = position[by_cam.order]
+        # by_point position of each observation's point run, camera by camera
+        self.first = np.repeat(by_point.starts, by_point.counts)[position]
+        self.partners = position - self.first + 1
+        pair_ends = np.cumsum(self.partners)
+        total = int(pair_ends[-1]) if n else 0
+        cuts = np.searchsorted(pair_ends, np.arange(_SCHUR_PAIR_CHUNK, total, _SCHUR_PAIR_CHUNK),
+                               side="right")
+        self.bounds = np.unique(np.concatenate(([0], cuts, [n]))).tolist()
+
+    def __iter__(self):
+        for lo, hi in zip(self.bounds, self.bounds[1:]):
+            partners = self.partners[lo:hi]
+            ob = np.repeat(self.ob_order[lo:hi], partners)
+            offset = np.arange(len(ob)) - np.repeat(np.cumsum(partners) - partners, partners)
+            oa = self.oa_order[np.repeat(self.first[lo:hi], partners) + offset]
+            key = self.cam_idx[ob] * self.nc + self.cam_idx[oa]
+            by_pair = np.argsort(key, kind="stable")
+            oa, ob, key = oa[by_pair], ob[by_pair], key[by_pair]
+            runs = np.flatnonzero(np.diff(key, prepend=-1))
+            yield ob, oa, runs, key[runs] // self.nc, key[runs] % self.nc
 
 
 def _lower_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -230,10 +245,10 @@ def spd_solve(S: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _lower_solve(L.T[::-1, ::-1], y[::-1])[::-1]
 
 
-def _reduced_camera_system(pair_chunks, B: np.ndarray, BM: np.ndarray,
+def _reduced_camera_system(pair_chunks: _CameraPairChunks, B: np.ndarray, BM: np.ndarray,
                            H_cc_d: np.ndarray) -> np.ndarray:
     """The (nc nu, nc nu) Schur complement S = H_cc_d - W M W^T, built from
-    the camera pairs of ``_camera_pair_chunks``: block (b, a) of W M W^T
+    the camera pairs of ``pair_chunks``: block (b, a) of W M W^T
     sums B_ob M_p B_oa^T over the points p that cameras b and a share, with
     ``BM`` = B M per observation.  ``H_cc_d`` holds the damped (nc, nu, nu)
     camera blocks."""
@@ -258,9 +273,9 @@ def _normal_equations(problem: BAProblem, by_cam: _Segments, by_point: _Segments
     Jc, Jp = problem.jacobian_blocks()
     res = problem.residuals()
     # one (2 n_c, nu) Gram product per camera
-    Jc_by_cam = Jc[by_cam.order].reshape(-1, nu)
-    bounds = zip((2 * by_cam.starts).tolist(), (2 * (by_cam.starts + by_cam.counts)).tolist())
-    H_cc = np.stack([Jc_by_cam[lo:hi].T @ Jc_by_cam[lo:hi] for lo, hi in bounds])
+    H_cc = np.stack([J.T @ J for J in (
+        Jc[by_cam.order[lo:lo + n]].reshape(-1, nu)
+        for lo, n in zip(by_cam.starts.tolist(), by_cam.counts.tolist()))])
     g_cam = by_cam.sum(np.einsum("oki,ok->oi", Jc, res))
     H_pp = by_point.sum(np.einsum("oki,okj->oij", Jp, Jp))
     g_pt = by_point.sum(np.einsum("oki,ok->oi", Jp, res))
@@ -273,8 +288,9 @@ def _lm_iterate(problem: BAProblem, max_iters: int) -> tuple[float, float, int]:
 
     The normal equations are summed per camera and per point over runs of
     the observations, and the reduced camera system over each point's pairs
-    of observing cameras, so memory and work follow the observations and
-    the sum of squared track lengths, never points times cameras.
+    of observing cameras, listed a chunk at a time: work follows the
+    observations and the sum of squared track lengths, and memory the
+    observations, never points times cameras.
     """
     nc, npnt = problem.n_cams, problem.n_pts
     nu = CAM_PARAMS
@@ -288,10 +304,11 @@ def _lm_iterate(problem: BAProblem, max_iters: int) -> tuple[float, float, int]:
     diagu = np.arange(nu)
     by_cam = _Segments.of(np.argsort(problem.cam_idx, kind="stable"), problem.cam_idx, nc)
     by_point = _Segments.of(np.lexsort((problem.cam_idx, problem.pt_idx)), problem.pt_idx, npnt)
-    pair_chunks = _camera_pair_chunks(problem.cam_idx, by_point, nc)
+    pair_chunks = _CameraPairChunks(problem.cam_idx, by_cam, by_point, nc)
     it = 0
     while it < max_iters:
         it += 1
+        B = BM = None  # release the last iteration's couplings before the next
         H_cc, g_cam, H_pp, g_pt, B = _normal_equations(problem, by_cam, by_point)
 
         accepted = False

@@ -60,10 +60,10 @@ def ring_ba_model(n_cams: int, n_pts: int, *, track=(3, 12), noise_px=0.5,
     """A ring of ``n_cams`` cameras around a ball of ``n_pts`` points.
 
     Each point is seen by a run of ring neighbours, ``track`` (low, high)
-    cameras long, so tracks stay local however large the ring grows, as in
-    a real sequence.  Pixels get ``noise_px`` of Gaussian noise, and the
-    model starts from rotations, translations and points perturbed by
-    ``perturb`` (radians, units, units).  Returns (model, store).
+    cameras long, so tracks stay local however large the ring grows.
+    Pixels get ``noise_px`` of Gaussian noise, and the model starts from
+    rotations, translations and points perturbed by ``perturb`` (radians,
+    units, units).  Returns (model, store).
     """
     rng = np.random.default_rng(seed)
     K = make_intrinsics(800.0, 320.0, 240.0)

@@ -7,10 +7,12 @@ from scipy.linalg import cho_factor, cho_solve
 
 from ba_oracles import dense_jacobian, pack, residuals_at, ring_ba_model
 from model_oracles import check_consistency, exact_store, reprojection_errors
+from msfm import ba
 from msfm.ba import (
     CAM_PARAMS,
-    _camera_pair_chunks,
+    _CameraPairChunks,
     _lm_iterate,
+    _normal_equations,
     _reduced_camera_system,
     _Segments,
     bundle_adjust,
@@ -177,8 +179,10 @@ class TestBundleAdjust:
 
 
 class TestReducedCameraSystem:
-    def test_equals_dense_schur_complement(self):
-        # the camera-pair blocks against H - W M W^T with a dense W
+    def test_equals_dense_schur_complement(self, monkeypatch):
+        # the camera-pair blocks against H - W M W^T with a dense W; small
+        # chunks, so a camera pair's sum spans several chunks
+        monkeypatch.setattr(ba, "_SCHUR_PAIR_CHUNK", 16)
         model, store = ring_ba_model(9, 60, track=(2, 6), seed=5)
         problem, _, _ = problem_from_model(model, store)
         nc, npnt, nu = problem.n_cams, problem.n_pts, CAM_PARAMS
@@ -187,9 +191,10 @@ class TestReducedCameraSystem:
         A = rng.normal(size=(npnt, 3, 3))
         M = A @ A.transpose(0, 2, 1) + np.eye(3)
         H = rng.normal(size=(nc, nu, nu))
+        by_cam = _Segments.of(np.argsort(problem.cam_idx, kind="stable"), problem.cam_idx, nc)
         by_point = _Segments.of(np.lexsort((problem.cam_idx, problem.pt_idx)),
                                 problem.pt_idx, npnt)
-        chunks = _camera_pair_chunks(problem.cam_idx, by_point, nc)
+        chunks = _CameraPairChunks(problem.cam_idx, by_cam, by_point, nc)
         S = _reduced_camera_system(chunks, B, B @ M[problem.pt_idx], H)
 
         W = np.zeros((nc * nu, npnt * 3))
@@ -203,21 +208,35 @@ class TestReducedCameraSystem:
             expected[c * nu:(c + 1) * nu, c * nu:(c + 1) * nu] += H[c]
         np.testing.assert_allclose(S, expected, rtol=0, atol=1e-9 * np.abs(expected).max())
 
-    def test_camera_without_observations_stays_put(self):
+    @pytest.mark.parametrize("dropped", [5, 11])
+    def test_camera_without_observations_stays_put(self, dropped):
         # an empty run of observations must sum to zero, not to the next
-        # camera's first row
-        model, store = ring_ba_model(12, 300, seed=3)
+        # camera's first row, and the run before it must keep all its rows
+        # (camera 11 is the last one)
+        nc = 12
+        model, store = ring_ba_model(nc, 300, seed=3)
         problem, _, _ = problem_from_model(model, store)
-        keep = problem.cam_idx != 5
+        keep = problem.cam_idx != dropped
         problem.cam_idx, problem.pt_idx = problem.cam_idx[keep], problem.pt_idx[keep]
         problem.uv = problem.uv[keep]
-        R, t, f = problem.R[5].copy(), problem.t[5].copy(), problem.f[5]
+
+        by_cam = _Segments.of(np.argsort(problem.cam_idx, kind="stable"), problem.cam_idx, nc)
+        by_point = _Segments.of(np.lexsort((problem.cam_idx, problem.pt_idx)),
+                                problem.pt_idx, problem.n_pts)
+        _, g_cam, _, _, _ = _normal_equations(problem, by_cam, by_point)
+        Jc, _ = problem.jacobian_blocks()
+        expected = np.zeros((nc, CAM_PARAMS))
+        np.add.at(expected, problem.cam_idx, np.einsum("oki,ok->oi", Jc, problem.residuals()))
+        np.testing.assert_allclose(g_cam, expected, rtol=1e-9, atol=1e-9 * np.abs(expected).max())
+        assert not g_cam[dropped].any()
+
+        R, t, f = problem.R[dropped].copy(), problem.t[dropped].copy(), problem.f[dropped]
         initial, final, _ = _lm_iterate(problem, 20)
         assert np.isfinite(final) and final < initial
         assert np.isfinite(problem.X).all()
-        assert np.array_equal(problem.R[5], R)
-        assert np.array_equal(problem.t[5], t)
-        assert problem.f[5] == f
+        assert np.array_equal(problem.R[dropped], R)
+        assert np.array_equal(problem.t[dropped], t)
+        assert problem.f[dropped] == f
 
 
 class TestBAMemory:
@@ -234,3 +253,23 @@ class TestBAMemory:
             tracemalloc.stop()
         assert stats.final_cost < stats.initial_cost
         assert peak < n_pts * CAM_PARAMS * n_cams * 3 * 8
+
+    def test_pair_listing_follows_the_chunk(self):
+        # long tracks: listing the camera pairs holds a chunk's pairs at a
+        # time, never one int64 per pair of the whole problem
+        model, store = ring_ba_model(60, 400, track=(45, 60), seed=2)
+        problem, _, _ = problem_from_model(model, store)
+        nc, npnt = problem.n_cams, problem.n_pts
+        by_cam = _Segments.of(np.argsort(problem.cam_idx, kind="stable"), problem.cam_idx, nc)
+        by_point = _Segments.of(np.lexsort((problem.cam_idx, problem.pt_idx)),
+                                problem.pt_idx, npnt)
+        n_pairs = int((by_point.counts * (by_point.counts + 1) // 2).sum())
+        tracemalloc.start()
+        try:
+            chunks = _CameraPairChunks(problem.cam_idx, by_cam, by_point, nc)
+            listed = sum(len(ob) for ob, _, _, _, _ in chunks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert listed == n_pairs
+        assert peak < n_pairs * 8

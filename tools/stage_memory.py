@@ -4,9 +4,10 @@ Regenerates the whole noise pool of one benchmark workload into a work
 directory (``pools.generate_pool``, in a child process so that its memory
 does not count here), loads one draw's feature store, then runs
 ``run_pipeline`` on that store under ``tracemalloc``, as the benchmark's
-timed passes run it from a loaded store.  The layers are wrapped from outside, as
-``benchmark/tracing.py`` wraps them: every binding of the function in a
-loaded ``msfm`` module is replaced for the run.  One line per layer:
+timed passes run it from a loaded store.  The layers are wrapped from
+outside with ``benchmark/tracing.py``'s own patching (``Tracer._replace``):
+every binding of the function in a loaded ``msfm`` module is replaced for
+the run.  One line per layer:
 
     <layer> calls=<n> rise_mb=<largest rise above entry> peak_mb=<largest traced bytes>
 
@@ -89,24 +90,20 @@ class LayerPeaks:
         return wrapper
 
 
-def install(peaks: LayerPeaks) -> list[tuple[object, str, object]]:
-    """Wrap every layer in every loaded ``msfm`` module; returns the
-    (module, name, original) bindings replaced."""
+def install(peaks: LayerPeaks):
+    """Wrap every layer in every loaded ``msfm`` module with the patching of
+    ``benchmark/tracing.py``; returns the ``Tracer`` whose ``uninstall``
+    puts the originals back."""
     import importlib
 
     import msfm.pipeline  # noqa: F401  (loads every module a run uses)
+    from tracing import Tracer
 
-    patched = []
+    tracer = Tracer()
     for layer, module_name, attr in LAYERS:
-        original = getattr(importlib.import_module(f"msfm.{module_name}"), attr)
-        wrapper = peaks.wrap(layer, original)
-        for mod in list(sys.modules.values()):
-            if getattr(mod, "__name__", "").startswith("msfm"):
-                for key, value in list(vars(mod).items()):
-                    if value is original:
-                        setattr(mod, key, wrapper)
-                        patched.append((mod, key, original))
-    return patched
+        module = importlib.import_module(f"msfm.{module_name}")
+        tracer._replace(module, attr, peaks.wrap(layer, getattr(module, attr)))
+    return tracer
 
 
 def main(argv=None) -> int:
@@ -135,15 +132,14 @@ def main(argv=None) -> int:
     config = pools.pool_config(args.workload)
     store = FeatureStore.load_dir(draw)
     peaks = LayerPeaks()
-    patched = install(peaks)
+    tracer = install(peaks)
     tracemalloc.start()
     try:
         run_pipeline(config, None, store=store, out_dir=out)
         peaks.fold()
     finally:
         tracemalloc.stop()
-        for mod, key, original in reversed(patched):
-            setattr(mod, key, original)
+        tracer.uninstall()
 
     print(f"{args.workload}/{draw.name}")
     for layer in dict.fromkeys(layer for layer, _, _ in LAYERS):
