@@ -431,10 +431,10 @@ def bundle_adjust(model: Model, feature_store, *, max_iters: int = BA_MAX_ITERS)
             R = U @ Vt
             if np.linalg.det(R) < 0:
                 R = U @ np.diag([1.0, 1.0, -1.0]) @ Vt
-            model.cameras[image_id] = Camera(
+            model.replace_camera(Camera(
                 K=make_intrinsics(float(problem.f[i]), old.K[0, 2], old.K[1, 2]),
                 R=R, t=problem.t[i], image_id=image_id,
-            )
+            ))
         for j, pid in enumerate(pt_ids):
             model.set_position(pid, problem.X[j])
         return BAStats(initial_cost=initial, final_cost=final,

@@ -2,10 +2,14 @@
 
 Candidates for a query feature are the target features within a band of
 distance d around its epipolar line.  They are retrieved from four offset
-grids that bin the target features once per image: every sample of the
-line gathers its four containing cells, giving O(K + |C'|) retrieval.  With
-samples at most d apart and a cell half-size of at least sqrt(5)/2 of the
-band, the gathered cells provably cover the whole band.  The exact linear
+grids of cell size 2D that bin the target features once per image: every
+sample of the line gathers its four containing cells, giving O(K + |C'|)
+retrieval.  With samples at most d apart and a cell half-size D of at least
+sqrt(5)/2 of the band, the gathered cells provably cover the whole band.
+The four grids are stored as one table of half-cells of size D
+(``OverlapGrid``): a sample's four cells hold exactly the features of the
+3 x 3 half-cells around its own, and along a line those neighbourhoods are
+one contiguous slice of the table per half-cell column.  The exact linear
 scan ``candidates_linear`` is the reference the tests compare against.
 
 Lines are normalized ``(n, 3)`` arrays of (a, b, c) with a*x + b*y + c = 0
@@ -13,7 +17,7 @@ throughout; ``clip_lines`` is the one rectangle clip.  Queries whose
 epipolar lines pierce the target boundary at nearly the same points share
 one candidate set (``group_queries``).  ``guided_match_pair`` handles all
 groups of an image pair in flat array passes: it samples every
-representative line, looks up every sample cell, filters every candidate
+representative line, reads every line's table slices, filters every candidate
 to the exact band of each member's own line and takes every member's two
 nearest neighbours at once.  Only the descriptor product runs once per
 group.
@@ -22,7 +26,7 @@ group.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,65 +47,39 @@ GROUP_BOUNDARY_PX = 2.0
 # 1 MB each whatever the image or group size; larger blocks raise the
 # pipeline's peak RSS, smaller ones cost time per block
 _BLOCK_WORK = 1 << 16
-# a batch's (cell key, line) pairs share one int64: key << 16 | line, as
-# keys stay below 2^46
-_LINE_BITS = 16
-
-_OFFSETS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+# the half-cell table reaches this many half-cells beyond the image on
+# every side: samples lie in the image padded by d <= D, and their 3 x 3
+# neighbourhoods reach two half-cells beyond it, plus one for rounding
+_MARGIN = 3
 
 
 @dataclass
 class OverlapGrid:
-    """Four offset grids of cell size 2d binning target features by position.
+    """Target features binned once per image, read as four offset grids.
 
-    Cell indices may be negative.  All four grids share one sorted lookup
-    table keyed by (grid, cell).
+    The four grids have cells of size 2D (D = ``d``), offset by 0 or D in x
+    and y.  They are stored as one table of half-cells of size D: a feature
+    shares a cell of some offset grid with a point exactly when their
+    half-cells (floor(x / D), floor(y / D)) differ by at most 1 on each
+    axis, as floor(t / 2) = floor(floor(t) / 2).  Features are sorted by
+    column-major half-cell, and ``_starts`` holds the offset of every
+    half-cell's run of ``_members``, so that the half-cells of one column
+    between two rows are one slice.  The table covers half-cell columns
+    -_MARGIN .. floor(width / D) + _MARGIN and the rows alike, about
+    (floor(W / D) + 7) (floor(H / D) + 7) offsets: 9 k at 1024 x 768 and
+    74 k at 3072 x 2304 with D = 10; features beyond it are never read.
+    Offsets and ids are int32, which halves the table that densify keeps
+    for every target image of a stage.
     """
 
     d: float
     width: float
     height: float
-    _keys: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
-    _starts: np.ndarray = field(default_factory=lambda: np.zeros(1, np.int64))
-    _members: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
-
-    def cell_keys(self, xy: np.ndarray) -> np.ndarray:
-        """(n, 4) keys of the cells holding each point, one column per grid.
-
-        Grid g is offset by ``_OFFSETS[g] * d``; its cell (cx, cy) spans
-        [2d cx, 2d (cx + 1)) plus that offset.
-        """
-        xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
-        size = 2.0 * self.d
-        cols = [np.floor((xy[:, 0] - off * self.d) / size).astype(np.int64) for off in (0.0, 1.0)]
-        rows = [np.floor((xy[:, 1] - off * self.d) / size).astype(np.int64) for off in (0.0, 1.0)]
-        return np.stack([_pack(cols[int(ox)], rows[int(oy)], g)
-                         for g, (ox, oy) in enumerate(_OFFSETS)], axis=1)
-
-    def lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Feature ids binned under the given packed keys: (ids, found, lengths).
-
-        ``keys[found[i]]`` holds the next ``lengths[i]`` ids, in key order;
-        ids repeat when keys do.
-        """
-        table = self._keys
-        empty = np.array([], dtype=np.int64)
-        if len(table) == 0 or len(keys) == 0:
-            return empty, empty, empty
-        pos = np.searchsorted(table, keys)
-        pos = np.minimum(pos, len(table) - 1)
-        found = np.flatnonzero(table[pos] == keys)
-        pos = pos[found]
-        lo = self._starts[pos]
-        lengths = self._starts[pos + 1] - lo
-        # ragged gather: concatenate members[lo[i]:lo[i]+lengths[i]] for all i
-        return self._members[np.repeat(lo, lengths) + _segment_offsets(lengths)], found, lengths
-
-
-def _pack(cx: np.ndarray, cy: np.ndarray, grid) -> np.ndarray:
-    """One int64 key per (grid id, cx, cy); cell indices lie within +-2^20."""
-    cell = (cx + (1 << 20)) * (1 << 21) + (cy + (1 << 20))
-    return cell + np.asarray(grid, dtype=np.int64) * (1 << 44)
+    columns: int
+    rows: int
+    n_features: int
+    _starts: np.ndarray
+    _members: np.ndarray
 
 
 def sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -111,14 +89,9 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     table and takes 10-30x longer than this one sort.
     """
     values = np.sort(values)
-    return values[_run_starts(values)]
-
-
-def _run_starts(values: np.ndarray) -> np.ndarray:
-    """Mask of the first entry of every run of equal values."""
     first = np.ones(len(values), dtype=bool)
     np.not_equal(values[1:], values[:-1], out=first[1:])
-    return first
+    return values[first]
 
 
 def _segment_offsets(lengths: np.ndarray) -> np.ndarray:
@@ -127,21 +100,27 @@ def _segment_offsets(lengths: np.ndarray) -> np.ndarray:
     return np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
 
+def _half_cells(coordinates: np.ndarray, d: float) -> np.ndarray:
+    """Half-cell index of each coordinate, shifted by ``_MARGIN``, as floats."""
+    return np.floor(coordinates / d) + _MARGIN
+
+
 def build_grid(xy: np.ndarray, d: float, *, width: float, height: float) -> OverlapGrid:
-    """Bin feature positions into the four offset grids (once per target image)."""
+    """Bin feature positions into the half-cell table (once per target image)."""
     if d <= 0:
         raise ValueError(f"cell half-size d must be positive, got {d}")
-    grid = OverlapGrid(d=float(d), width=float(width), height=float(height))
-    cells = grid.cell_keys(xy)
-    feat_ids = np.repeat(np.arange(len(cells), dtype=np.int64), 4)
-    keys = cells.reshape(-1)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    first = _run_starts(sorted_keys)
-    grid._keys = sorted_keys[first]
-    grid._starts = np.append(np.flatnonzero(first), len(sorted_keys))
-    grid._members = feat_ids[order]
-    return grid
+    xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
+    columns = math.floor(width / d) + 2 * _MARGIN + 1
+    rows = math.floor(height / d) + 2 * _MARGIN + 1
+    half = _half_cells(xy, d)
+    inside = np.flatnonzero(((half >= 0) & (half < [columns, rows])).all(axis=1))
+    cells = half[inside, 0].astype(np.int64) * rows + half[inside, 1].astype(np.int64)
+    order = np.argsort(cells, kind="stable")
+    starts = np.zeros(columns * rows + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cells, minlength=columns * rows), out=starts[1:])
+    return OverlapGrid(d=float(d), width=float(width), height=float(height),
+                       columns=columns, rows=rows, n_features=len(xy),
+                       _starts=starts, _members=inside[order].astype(np.int32))
 
 
 def candidates_linear(xy: np.ndarray, line: EpipolarLine, d: float) -> np.ndarray:
@@ -193,14 +172,17 @@ def clip_lines(lines: np.ndarray, width: float, height: float, *, pad: float = 0
     return ok, pa, pb
 
 
-def _line_samples(lines: np.ndarray, width: float, height: float, d: float):
+def _line_samples(lines: np.ndarray, grid: OverlapGrid, d: float):
     """Where each line's grid samples lie: (number of samples, K, p_A, p_B).
 
     Sample k = 0 .. K of a line is (k p_A + (K - k) p_B) / K on its segment
-    clipped to the image padded by d, so samples lie at most d apart; a line
-    that misses the padded image has no samples.
+    clipped to the grid's image padded by d, so samples lie at most d
+    apart; a line that misses the padded image has no samples.  A band d
+    wider than the grid's half-cell is a ValueError.
     """
-    ok, pa, pb = clip_lines(lines, width, height, pad=d)
+    if d > grid.d:
+        raise ValueError(f"band d = {d} exceeds the grid's half-cell size {grid.d}")
+    ok, pa, pb = clip_lines(lines, grid.width, grid.height, pad=d)
     length = np.hypot(pb[:, 0] - pa[:, 0], pb[:, 1] - pa[:, 1])
     k_count = np.maximum(1.0, np.ceil(length / d))
     n_samples = np.where(ok, k_count + 1.0, 0.0).astype(np.int64)
@@ -270,32 +252,76 @@ def group_queries(query_fs: FeatureSet, geom: TwoViewGeometry,
 
 
 def _candidates_batch(grid: OverlapGrid, lines: np.ndarray, d: float):
-    """Grid candidates of every row of ``lines`` (at most 2^16) in one pass.
+    """Grid candidates of every row of ``lines`` in one pass.
 
-    Every sample of a line (``_line_samples``) gathers the features of its
-    four containing cells: with samples at most d apart and cell half-size
-    >= d * sqrt(5)/2 this covers the whole band of distance d.  Returns
-    (line, feature id) arrays sorted by line, then id.
+    The candidates of a line are the features that share a cell of some
+    offset grid with one of its samples (``_line_samples``): with samples at
+    most d apart and cell half-size >= d * sqrt(5)/2 this covers the whole
+    band of distance d.  In the half-cell table they are the 3 x 3
+    neighbourhoods of the samples' half-cells.  Samples step at most one
+    half-cell, as d <= ``grid.d``, so the samples of one line in one column
+    form a run of contiguous rows, and a column's neighbourhood rows are
+    one interval: the rows of its run and of the runs before and after it,
+    widened by one.  A run with no neighbouring run on one side also reads
+    the column beyond it.  Returns (line, feature id) arrays sorted by
+    line, then id.
     """
-    n_samples, k_count, pa, pb = _line_samples(lines, grid.width, grid.height, d)
-    # every sample of every line and its four cell keys; a key the previous
-    # sample of the same line had adds nothing
-    line_of = np.repeat(np.arange(len(lines)), n_samples)
-    k = _segment_offsets(n_samples).astype(np.float64)[:, None]
-    kc = np.repeat(k_count, n_samples)[:, None]
-    samples = (k * np.repeat(pa, n_samples, axis=0)
-               + (kc - k) * np.repeat(pb, n_samples, axis=0)) / kc
-    keys = grid.cell_keys(samples)
-    fresh = np.ones(keys.shape, dtype=bool)
-    fresh[1:] = (keys[1:] != keys[:-1]) | (line_of[1:] != line_of[:-1])[:, None]
-    # each distinct (cell, line) once, in key order so that the table search
-    # walks forward
-    cells = sorted_unique(keys[fresh] << _LINE_BITS
-                          | np.broadcast_to(line_of[:, None], keys.shape)[fresh])
-    ids, found, lengths = grid.lookup(cells >> _LINE_BITS)
-    line_of_id = np.repeat(cells[found] & ((1 << _LINE_BITS) - 1), lengths)
-    n_t = int(grid._members.max(initial=0)) + 1
-    return np.divmod(sorted_unique(line_of_id * n_t + ids), n_t)
+    return _sampled_candidates(grid, *_line_samples(lines, grid, d))
+
+
+def _sampled_candidates(grid: OverlapGrid, n_samples, k_count, pa, pb):
+    """``_candidates_batch`` of lines that ``_line_samples`` sampled."""
+    total = int(n_samples.sum())
+    if total == 0 or grid.n_features == 0:
+        return np.zeros(0, np.int64), np.zeros(0, np.int64)
+    k = _segment_offsets(n_samples).astype(np.float64)
+    kc = np.repeat(k_count, n_samples)
+
+    def half_cells(a, b):
+        """Half-cell index of every sample on one axis, from its ends' a and b."""
+        along = (k * np.repeat(a, n_samples) + (kc - k) * np.repeat(b, n_samples)) / kc
+        return _half_cells(along, grid.d).astype(np.int64)
+
+    hx, hy = half_cells(pa[:, 0], pb[:, 0]), half_cells(pa[:, 1], pb[:, 1])
+    # runs of samples of one line in one column
+    line_start = np.zeros(total, dtype=bool)
+    line_start[(np.cumsum(n_samples) - n_samples)[n_samples > 0]] = True
+    first = line_start.copy()
+    first[1:] |= hx[1:] != hx[:-1]
+    first = np.flatnonzero(first)
+    line = np.repeat(np.arange(len(n_samples)), n_samples)[first]
+    col = hx[first]
+    lo, hi = np.minimum.reduceat(hy, first), np.maximum.reduceat(hy, first)
+    # the run before and after each one in its line, or the run itself
+    opens = line_start[first]
+    closes = np.append(opens[1:], True)
+
+    def shifted(values, step):
+        out = np.roll(values, step)
+        ends = opens if step > 0 else closes
+        out[ends] = values[ends]
+        return out
+
+    # a column's rows are those of its run and of the neighbouring runs,
+    # which lie one column to either side
+    top = np.minimum(lo, np.minimum(shifted(lo, 1), shifted(lo, -1)))
+    bottom = np.maximum(hi, np.maximum(shifted(hi, 1), shifted(hi, -1)))
+    prev_col, next_col = shifted(col, 1), shifted(col, -1)
+    parts = [(line, col, top, bottom)]
+    for side in (-1, 1):
+        alone = (prev_col != col + side) & (next_col != col + side)
+        parts.append((line[alone], col[alone] + side, lo[alone], hi[alone]))
+    line, col, top, bottom = (np.concatenate(column) for column in zip(*parts))
+    begin = grid._starts[col * grid.rows + top - 1]
+    lengths = grid._starts[col * grid.rows + bottom + 2] - begin
+    # every slice's ids, concatenated: ``_segment_offsets`` with the slice
+    # starts folded into its one repeat
+    ids = grid._members[np.arange(int(lengths.sum()))
+                        + np.repeat(begin - (np.cumsum(lengths) - lengths), lengths)]
+    # a line whose samples jitter across a column boundary, as a near-axis
+    # line can, reads that column more than once
+    n = grid.n_features
+    return np.divmod(sorted_unique(np.repeat(line, lengths) * n + ids), n)
 
 
 def _two_nearest(d2: np.ndarray, starts: np.ndarray):
@@ -370,7 +396,8 @@ def guided_match_pair(query_fs: FeatureSet, target_fs: FeatureSet,
         a, b, c = (np.repeat(col[rows], repeats) for col in (line_a, line_b, line_c))
         return np.abs(a * tx[cand] + b * ty[cand] + c)
 
-    n_samples, _, pa, pb = _line_samples(rep, grid.width, grid.height, d)
+    samples = _line_samples(rep, grid, d)
+    n_samples, _, pa, pb = samples
     # A member's line minus the line of member 0 of its group is a linear
     # function.  A candidate lies in a cell that holds a sample of the
     # segment pa-pb, so within r = 2 sqrt(2) grid.d of it, where that
@@ -383,7 +410,7 @@ def guided_match_pair(query_fs: FeatureSet, target_fs: FeatureSet,
     slack = np.maximum.reduceat(stray, member_start) + 1e-6
 
     # a block's arrays grow with its samples and with its (member, candidate)
-    # pairs; at least 2 * 3 per group, so it holds fewer than 2^_LINE_BITS groups
+    # pairs
     work = np.maximum(n_samples, 2) * (n_members + 2)
     block_of = (np.cumsum(work) - work) // _BLOCK_WORK
     cuts = np.flatnonzero(np.diff(block_of, prepend=-1, append=block_of[-1] + 1)).tolist()
@@ -391,7 +418,7 @@ def guided_match_pair(query_fs: FeatureSet, target_fs: FeatureSet,
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         nm = n_members[lo:hi]
         ms = member_start[lo:hi]
-        cand_group, cand = _candidates_batch(grid, rep[lo:hi], d)
+        cand_group, cand = _sampled_candidates(grid, *(part[lo:hi] for part in samples))
         n_cand = np.bincount(cand_group, minlength=hi - lo)
         # a candidate stays if it lies in the band of a member of its group:
         # decided by member 0 unless it is within the slack of that band

@@ -31,23 +31,31 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_model(model: Model, path) -> None:
-    lines = [MODEL_MAGIC]
-    if model.stage_tag:
-        lines.append(f"STAGE {model.stage_tag}")
-    for image_id in model.image_ids():
-        cam = model.cameras[image_id]
-        parts = ["CAM", str(image_id), _fmt(cam.K[0, 0]), _fmt(cam.K[0, 2]), _fmt(cam.K[1, 2])]
-        parts += [_fmt(v) for v in cam.R.reshape(-1)]
-        parts += [_fmt(v) for v in cam.t]
-        lines.append(" ".join(parts))
-    for pid in model.point_ids():
-        point = model.points[pid]
-        parts = ["PT"] + [_fmt(v) for v in point.position] + [str(len(point.track))]
-        for image_id in sorted(point.track):
-            parts += [str(image_id), str(point.track[image_id])]
-        lines.append(" ".join(parts))
-    Path(path).write_text("\n".join(lines) + "\n")
+def write_model(model: Model, path, *, body: str | None = None) -> str:
+    """Write ``model`` to ``path``; returns the CAM and PT lines written.
+
+    ``body``, what an earlier call returned for the model at the same
+    ``Model.revision``, is written in place of formatting the cameras and
+    points again.
+    """
+    if body is None:
+        lines = []
+        for image_id in model.image_ids():
+            cam = model.cameras[image_id]
+            parts = ["CAM", str(image_id), _fmt(cam.K[0, 0]), _fmt(cam.K[0, 2]), _fmt(cam.K[1, 2])]
+            parts += [_fmt(v) for v in cam.R.reshape(-1)]
+            parts += [_fmt(v) for v in cam.t]
+            lines.append(" ".join(parts) + "\n")
+        for pid in model.point_ids():
+            point = model.points[pid]
+            parts = ["PT"] + [_fmt(v) for v in point.position] + [str(len(point.track))]
+            for image_id in sorted(point.track):
+                parts += [str(image_id), str(point.track[image_id])]
+            lines.append(" ".join(parts) + "\n")
+        body = "".join(lines)
+    stage = f"STAGE {model.stage_tag}\n" if model.stage_tag else ""
+    Path(path).write_text(f"{MODEL_MAGIC}\n{stage}{body}")
+    return body
 
 
 def read_model(path) -> Model:

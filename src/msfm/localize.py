@@ -53,17 +53,19 @@ def track_means(observations, feature_sets) -> tuple[np.ndarray, np.ndarray]:
     ``observations`` are (point, image, feature) columns grouped by point,
     images ascending within a track (``Model.observations()``'s order, or a
     subset of its points).  Returns (sorted point ids, (n, 128) float32
-    means).  Each track is summed in float32 in that order and divided in
-    float32, which is what ``np.mean`` over the track's rows does.
+    means).  Each track is summed in float32 and divided in float32, which
+    is what ``np.mean`` over the track's rows does.  The rows are gathered
+    as uint8: their float32 sums are integers below 2^24, so exact in any
+    order.
     """
     point, image, feature = observations
-    rows = np.empty((len(point), DESCRIPTOR_DIM), dtype=np.float32)
+    rows = np.empty((len(point), DESCRIPTOR_DIM), dtype=np.uint8)
     for image_id in np.unique(image).tolist():
         at = np.flatnonzero(image == image_id)
         rows[at] = feature_sets[image_id].descriptors[feature[at]]
     point_ids, starts, lengths = np.unique(point, return_index=True, return_counts=True)
-    # one step per track position, so every track sums in its own order
-    sums = rows[starts]
+    # one step per track position
+    sums = rows[starts].astype(np.float32)
     for k in range(1, lengths.max(initial=0)):
         longer = lengths > k
         sums[longer] += rows[starts[longer] + k]

@@ -2,8 +2,10 @@
 
 Next to the tracks (point -> image -> feature), the model keeps their inverse:
 one map per registered image from feature id to the point that owns it.
-Every mutator goes through attach_camera / add_point / extend_track /
-remove_point, so the index can never drift from the tracks.  Observations
+Every change goes through attach_camera / replace_camera / add_point /
+extend_track / set_position / remove_point, so the index can never drift
+from the tracks, and each change bumps ``Model.revision``: two reads at one
+revision see the same cameras, points and tracks.  Observations
 go in as (image, feature) pairs or (point, feature) rows of one image, and
 come out as one array view, ``Model.observations()``.
 """
@@ -66,7 +68,8 @@ class Model:
     def __init__(self, stage_tag: str = ""):
         self.cameras: dict[int, Camera] = {}
         self.points: dict[int, Point3D] = {}
-        self.stage_tag = stage_tag
+        self.stage_tag = stage_tag  # a label, outside the revision count
+        self.revision = 0
         self._next_point_id = 0
         self._owner: dict[int, dict[int, int]] = {}  # image -> feature -> point
 
@@ -120,6 +123,7 @@ class Model:
             if point_id not in self.points:
                 raise KeyError(f"unknown point id {point_id}")
         self.cameras[image_id] = camera
+        self.revision += 1
         owned = self._owner[image_id] = {}
         conflicts = 0
         for point_id, feature_id in rows:
@@ -128,6 +132,13 @@ class Model:
                 continue
             self._link(point_id, image_id, feature_id)
         return conflicts
+
+    def replace_camera(self, camera: Camera) -> None:
+        """Give a registered image a new camera; its observations stay."""
+        if camera.image_id not in self.cameras:
+            raise NotRegisteredError(f"image {camera.image_id} is not registered")
+        self.cameras[camera.image_id] = camera
+        self.revision += 1
 
     def add_point(self, position: np.ndarray, pairs) -> int:
         """Create a point from >= 2 (image_id, feature_id) pairs of distinct
@@ -144,6 +155,7 @@ class Model:
                                  f"to point {owner}")
         point_id = self._next_point_id
         self._next_point_id += 1
+        self.revision += 1
         self.points[point_id] = Point3D(position=np.asarray(position, dtype=np.float64).copy())
         for image_id, feature_id in pairs:
             self._link(point_id, image_id, feature_id)
@@ -157,13 +169,16 @@ class Model:
         if feature_id in self._owner[image_id] or image_id in point.track:
             return False
         self._link(point_id, image_id, feature_id)
+        self.revision += 1
         return True
 
     def set_position(self, point_id: int, position: np.ndarray) -> None:
         self.points[point_id].position = np.asarray(position, dtype=np.float64).copy()
+        self.revision += 1
 
     def remove_point(self, point_id: int) -> None:
         point = self.points.pop(point_id)
+        self.revision += 1
         for image_id, feature_id in point.track.items():
             del self._owner[image_id][feature_id]
 

@@ -133,15 +133,21 @@ def run_pipeline(config: PipelineConfig, feature_dir, *,
 
     reports: list[StageReport] = []
     loc_log: list[str] = []
+    # stats and model-file body of the last snapshot, and the model revision
+    # they describe: a stage that left the model unchanged reuses both
+    last_revision, last_stats, last_body = -1, None, None
 
     def snapshot(model: Model, name: str, t0: float, added_cam=0, added_pts=0, extra=None):
-        rep = StageReport(name=name, seconds=time.perf_counter() - t0,
-                          stats=model_stats(model, store),
+        nonlocal last_revision, last_stats, last_body
+        seconds = time.perf_counter() - t0
+        if model.revision != last_revision:
+            last_revision, last_stats, last_body = model.revision, model_stats(model, store), None
+        rep = StageReport(name=name, seconds=seconds, stats=last_stats,
                           added_cameras=added_cam, added_points=added_pts,
                           extra=extra or {})
         reports.append(rep)
         if out_dir is not None:
-            write_model(model, out_dir / f"model_{name}.msfm")
+            last_body = write_model(model, out_dir / f"model_{name}.msfm", body=last_body)
         log.info("%s", " ".join(rep.lines()))
 
     t0 = time.perf_counter()
@@ -175,7 +181,8 @@ def run_pipeline(config: PipelineConfig, feature_dir, *,
         snapshot(model, "final_ba", t0)
 
     if out_dir is not None:
-        write_model(model, out_dir / "model_final.msfm")
+        write_model(model, out_dir / "model_final.msfm",
+                    body=last_body if model.revision == last_revision else None)
         write_ply(model, out_dir / "points_final.ply")
         (out_dir / "stages.txt").write_text(
             PipelineResult(model, reports).report_text())

@@ -243,19 +243,24 @@ def triangulate_refs(model: Model, feature_sets, tracks) -> list:
     """Points of (image_id, feature_id) tracks through the model's cameras
     (4 px / 1 deg gates).
 
-    One stacked ``triangulate_track`` call per track length.  Returns each
-    track's point, or None where it fails the gates, in input order.
+    One stacked ``triangulate_track`` call per track length, its pixels
+    gathered with one index per image.  Returns each track's point, or None
+    where it fails the gates, in input order.
     """
     points = [None] * len(tracks)
     by_length = defaultdict(list)
     for i, track in enumerate(tracks):
         by_length[len(track)].append(i)
-    for rows in by_length.values():
+    for length, rows in by_length.items():
         pairs = [pair for i in rows for pair in tracks[i]]
-        X, _, ok = triangulate_track(
-            model.cameras, np.array([i for i, _ in pairs]).reshape(len(rows), -1),
-            np.array([feature_sets[i].xy[f] for i, f in pairs],
-                     dtype=np.float64).reshape(len(rows), -1, 2))
+        image = np.fromiter((i for i, _ in pairs), np.int64, len(pairs))
+        feature = np.fromiter((f for _, f in pairs), np.int64, len(pairs))
+        pixels = np.empty((len(image), 2))
+        for image_id in np.unique(image).tolist():
+            at = np.flatnonzero(image == image_id)
+            pixels[at] = feature_sets[image_id].xy[feature[at]]
+        X, _, ok = triangulate_track(model.cameras, image.reshape(len(rows), length),
+                                     pixels.reshape(len(rows), length, 2))
         for j in np.flatnonzero(ok).tolist():
             points[rows[j]] = X[j]
     return points

@@ -11,7 +11,9 @@ import numpy as np
 
 from msfm.errors import DegenerateGeometryError
 from msfm.geometry import EpipolarLine, TwoViewGeometry
-from msfm.guided import _OFFSETS, GROUP_BOUNDARY_PX, _candidates_batch, _pack
+from msfm.guided import GROUP_BOUNDARY_PX, _candidates_batch
+
+OFFSETS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
 
 def epipolar_line(geom: TwoViewGeometry | np.ndarray, p) -> EpipolarLine:
@@ -82,43 +84,49 @@ def equidistant_line_points(line: EpipolarLine, bounds: tuple[float, float],
 
 
 def cell_indices(grid, xy: np.ndarray) -> np.ndarray:
-    """(n, 4, 2) integer cell index of each point in each offset grid."""
+    """(n, 4, 2) integer cell index of each point in each offset grid.
+
+    Grid g has cells of size 2 ``grid.d``, offset by ``OFFSETS[g] * grid.d``.
+    """
     xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
-    shifted = xy[:, None, :] - _OFFSETS[None, :, :] * grid.d
+    shifted = xy[:, None, :] - OFFSETS[None, :, :] * grid.d
     return np.floor(shifted / (2.0 * grid.d)).astype(np.int64)
 
 
-def encode(idx: np.ndarray, grid_id=0) -> np.ndarray:
-    """Pack grid id and (cx, cy) into one int64 key."""
-    return _pack(idx[..., 0], idx[..., 1], grid_id)
-
-
-def lookup_ids(grid, keys: np.ndarray) -> np.ndarray:
-    """Feature ids binned under the given packed keys (may repeat)."""
-    return grid.lookup(keys)[0]
+def encode(idx: np.ndarray) -> np.ndarray:
+    """One int64 per (..., 2) cell index; indices lie within +-2^20."""
+    return (idx[..., 0] + (1 << 20)) * (1 << 21) + (idx[..., 1] + (1 << 20))
 
 
 def reference_grid_table(grid, xy: np.ndarray):
-    """(keys, starts, members) of ``grid``'s lookup table over ``xy``, via ``np.unique``."""
-    keys = encode(cell_indices(grid, xy), np.arange(4)[None, :]).reshape(-1)
-    order = np.argsort(keys, kind="stable")
-    uniq, starts = np.unique(keys[order], return_index=True)
-    members = np.repeat(np.arange(len(keys) // 4, dtype=np.int64), 4)[order]
-    return uniq, np.append(starts, len(keys)), members
+    """(starts, members) of ``grid``'s half-cell table over ``xy``, via ``np.unique``.
+
+    Half-cell (floor(x / D), floor(y / D)) sits at column and row
+    ``index + 3`` of a ``grid.columns`` x ``grid.rows`` table; features
+    beyond it are left out.
+    """
+    xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
+    half = np.floor(xy / grid.d).astype(np.int64) + 3
+    inside = np.flatnonzero(((half >= 0) & (half < [grid.columns, grid.rows])).all(axis=1))
+    cells = half[inside, 0] * grid.rows + half[inside, 1]
+    counts = np.zeros(grid.columns * grid.rows, dtype=np.int64)
+    uniq, n = np.unique(cells, return_counts=True)
+    counts[uniq] = n
+    return np.concatenate([[0], np.cumsum(counts)]), inside[np.lexsort((inside, cells))]
 
 
-def reference_candidates_grid(grid, line: EpipolarLine, d: float) -> np.ndarray:
-    """Grid candidates of one line: the features of all four cells of every sample."""
+def reference_candidates_grid(grid, xy: np.ndarray, line: EpipolarLine, d: float) -> np.ndarray:
+    """Grid candidates of one line, brute force from the feature positions:
+    the features that share a cell of any of the four offset grids with any
+    sample of the line.  Reads ``grid``'s geometry, not its table."""
     samples = equidistant_line_points(line, (grid.width, grid.height), d, pad=d)
-    if len(samples) == 0:
+    if len(samples) == 0 or len(xy) == 0:
         return np.array([], dtype=np.int64)
-    idx = cell_indices(grid, samples)
-    grids = np.repeat(np.arange(4)[None, :], len(samples), axis=0)
-    keys = encode(idx, grids).reshape(-1)
-    members = lookup_ids(grid, np.unique(keys))
-    if len(members) == 0:
-        return members
-    return np.unique(members)
+    features, at = cell_indices(grid, xy), cell_indices(grid, samples)
+    shared = np.zeros(len(features), dtype=bool)
+    for g in range(4):
+        shared |= np.isin(encode(features[:, g]), encode(at[:, g]))
+    return np.flatnonzero(shared)
 
 
 @dataclass

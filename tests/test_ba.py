@@ -120,6 +120,15 @@ class TestBundleAdjust:
             assert np.abs(model.cameras[i].R - R_before[i]).max() < 1e-9
             assert abs(model.cameras[i].K[0, 0] - f_before[i]) < 1e-9
 
+    def test_bumps_model_revision(self, exact_scene):
+        model = exact_scene.ground_truth_model()
+        before = model.revision
+        cameras = dict(model.cameras)
+        bundle_adjust(model, exact_store(exact_scene))
+        # one bump per camera replaced and per point moved
+        assert model.revision >= before + len(model.cameras) + len(model.points)
+        assert all(model.cameras[i] is not cameras[i] for i in cameras)
+
     def test_single_perturbed_point_recovers(self, exact_scene):
         store = exact_store(exact_scene)
         model = exact_scene.ground_truth_model()

@@ -29,7 +29,6 @@ from line_oracles import (
     clip_line_to_bounds,
     encode,
     equidistant_line_points,
-    lookup_ids,
     reference_candidates_grid,
     reference_grid_table,
     reference_group_queries,
@@ -66,7 +65,7 @@ def reference_guided_match_pair(query_fs, target_fs, geom, *, d=8.0, ratio=0.8,
     qxy = query_fs.xy.astype(np.float64)
     accepted = []
     for group in groups:
-        cand = reference_candidates_grid(grid, group.representative_line, d)
+        cand = reference_candidates_grid(grid, txy, group.representative_line, d)
         if len(cand) == 0:
             continue
         members = group.member_features
@@ -130,46 +129,88 @@ def large_pair_spec(n_points):
                      visibility_fraction=1.0, pixel_noise=0.3, descriptor_noise=3.0, seed=77)
 
 
+def table_slice(grid, hx, hy):
+    """Feature ids the half-cell table holds for half-cell (hx, hy)."""
+    cell = (hx + 3) * grid.rows + hy + 3
+    return grid._members[grid._starts[cell]:grid._starts[cell + 1]]
+
+
+def neighbourhood_ids(grid, hx, hy):
+    """Feature ids of the 3 x 3 half-cells around (hx, hy), sorted."""
+    return np.sort(np.concatenate([table_slice(grid, hx + i, hy + j)
+                                   for i in (-1, 0, 1) for j in (-1, 0, 1)]))
+
+
 class TestBuildGrid:
     def test_origin_cell_indices(self):
         grid = build_grid(np.array([[0.0, 0.0]]), 10.0, width=100, height=100)
         idx = cell_indices(grid, np.array([[0.0, 0.0]]))[0]
         assert idx.tolist() == [[0, 0], [-1, 0], [0, -1], [-1, -1]]
         assert cell_indices(grid, np.array([[25.0, 25.0]]))[0, 0].tolist() == [1, 1]
-        assert grid.cell_keys(np.array([[0.0, 0.0]]))[0].tolist() == \
-            [encode(idx[g], g) for g in range(4)]
+        assert (grid.columns, grid.rows) == (17, 17)
+        assert table_slice(grid, 0, 0).tolist() == [0]
+        assert table_slice(grid, -1, 0).tolist() == table_slice(grid, 0, -1).tolist() == []
 
-    def test_every_feature_in_four_bins(self):
+    def test_every_feature_in_one_half_cell(self):
         rng = np.random.default_rng(1)
-        xy = rng.uniform(0, [640, 480], size=(10_000, 2))
+        xy = rng.uniform(-40, [680, 520], size=(10_000, 2))
         grid = build_grid(xy, 8.0, width=640, height=480)
-        idx = cell_indices(grid, xy)
-        assert np.array_equal(grid.cell_keys(xy), encode(idx, np.arange(4)[None, :]))
-        for g in range(4):
-            members = lookup_ids(grid, np.unique(encode(idx[:, g, :], g)))
-            assert sorted(members.tolist()) == list(range(10_000))
-        # members lie inside their cells
-        for g in range(4):
-            keys = encode(idx[:, g, :], g)
-            uniq = np.unique(keys)
-            for key in uniq[:50]:
-                ids = lookup_ids(grid, np.array([key]))
-                sub_idx = idx[ids, g, :]
-                assert (encode(sub_idx, g) == key).all()
+        half = np.floor(xy / 8.0).astype(np.int64)
+        inside = ((half >= -3) & (half <= [80 + 3, 60 + 3])).all(axis=1)
+        assert np.array_equal(np.sort(grid._members), np.flatnonzero(inside))
+        assert grid._starts[0] == 0 and grid._starts[-1] == inside.sum()
+        assert (np.diff(grid._starts) >= 0).all()
+        # each half-cell's run holds exactly the features of that half-cell,
+        # in id order
+        for hx, hy in half[inside][:200].tolist():
+            ids = table_slice(grid, hx, hy)
+            assert (half[ids] == [hx, hy]).all()
+            assert np.array_equal(ids, np.flatnonzero((half == [hx, hy]).all(axis=1)))
 
     @pytest.mark.parametrize("d", [3.3, 10.0, 12.5])
     def test_table_equals_unique_reference(self, d):
         rng = np.random.default_rng(17)
         xy = rng.uniform(-20, [660, 500], size=(5000, 2))
         grid = build_grid(xy, d, width=640, height=480)
-        keys, starts, members = reference_grid_table(grid, xy)
-        assert np.array_equal(grid._keys, keys)
+        starts, members = reference_grid_table(grid, xy)
         assert np.array_equal(grid._starts, starts)
         assert np.array_equal(grid._members, members)
+
+    def test_table_size(self):
+        # (floor(W / D) + 7) (floor(H / D) + 7) offsets
+        for (w, h), n_cells in (((1024, 768), 109 * 83), ((3072, 2304), 314 * 237)):
+            grid = build_grid(np.zeros((1, 2)), 10.0, width=w, height=h)
+            assert len(grid._starts) == n_cells + 1
+
+    @given(features=st.lists(st.tuples(st.integers(-3000, 44_000), st.integers(-3000, 34_000)),
+                             min_size=1, max_size=60),
+           points=st.lists(st.tuples(st.integers(-2000, 43_000), st.integers(-2000, 33_000)),
+                           min_size=1, max_size=8),
+           d=st.sampled_from([4.0, 8.0]), inflation=st.sampled_from([1.25, np.sqrt(2.0), 40.0]))
+    def test_half_cell_neighbourhood_equals_offset_grids(self, features, points, d, inflation):
+        # positions on a 1/64 px lattice, negative ones and ones beyond the
+        # 640 x 480 image included: the features sharing any of the four
+        # offset cells with a point are those of the 3 x 3 half-cells around it
+        xy = np.array(features, dtype=np.float64) / 64.0
+        grid = build_grid(xy, d * inflation, width=640, height=480)
+        cells, half = cell_indices(grid, xy), np.floor(xy / grid.d)
+        for p in np.array(points, dtype=np.float64) / 64.0:
+            at = cell_indices(grid, p)[0]
+            shared = (encode(cells) == encode(at)[None, :]).any(axis=1)
+            assert np.array_equal(shared, (np.abs(half - np.floor(p / grid.d)) <= 1).all(axis=1))
+            # the table holds the whole neighbourhood of points this near the image
+            hx, hy = np.floor(p / grid.d).astype(np.int64).tolist()
+            if -2 <= hx <= grid.columns - 5 and -2 <= hy <= grid.rows - 5:
+                assert neighbourhood_ids(grid, hx, hy).tolist() == np.flatnonzero(shared).tolist()
 
     def test_invalid_d(self):
         with pytest.raises(ValueError):
             build_grid(np.zeros((1, 2)), 0.0, width=10, height=10)
+
+    def test_band_wider_than_half_cell(self):
+        grid = build_grid(np.zeros((1, 2)), 8.0, width=100, height=100)
+        with pytest.raises(ValueError):
+            _candidates_batch(grid, np.array([[0.0, 1.0, -50.0]]), 8.5)
 
 
 class TestEquidistantPoints:
@@ -573,9 +614,33 @@ class TestBatchedRetrieval:
                           for ang, x, y in raw])
         line_of, cand = _candidates_batch(grid, lines, d)
         for i, line in enumerate(lines):
-            want = reference_candidates_grid(grid, EpipolarLine(*line), d)
+            want = reference_candidates_grid(grid, xy, EpipolarLine(*line), d)
             assert np.array_equal(cand[line_of == i], want)
             assert np.array_equal(candidates_grid(grid, EpipolarLine(*line), d), want)
+
+
+    @pytest.mark.parametrize("x, angle, y", [
+        (407.29350596345137, 1.5707963267948966, 13.228374356672816),
+        (543.0580079512686, 1.5707963267948977, 258.30879034525356),
+        (509.1168824543143, 1.570796326794896, 378.44577764563405),
+    ])
+    def test_line_jittering_across_a_column(self, x, angle, y):
+        # near-vertical lines within rounding of a half-cell column boundary:
+        # their samples' columns go back and forth, and each candidate still
+        # comes once, from the 3 x 3 half-cells around the samples
+        d, grid_d = 8.0, 8.0 * np.sqrt(2.0)
+        line = np.array([np.sin(angle), -np.cos(angle),
+                         -(np.sin(angle) * x - np.cos(angle) * y)])
+        samples = equidistant_line_points(EpipolarLine(*line), (640, 480), d, pad=d)
+        half = np.floor(samples / grid_d)
+        assert len(np.flatnonzero(np.diff(half[:, 0]))) >= 2
+        xy = np.random.default_rng(3).uniform(0, [640, 480], size=(20_000, 2))
+        grid = build_grid(xy, grid_d, width=640, height=480)
+        want = np.zeros(len(xy), dtype=bool)
+        for h in half:
+            want |= (np.abs(np.floor(xy / grid_d) - h) <= 1).all(axis=1)
+        got = candidates_grid(grid, EpipolarLine(*line), d)
+        assert got.tolist() == np.flatnonzero(want).tolist()
 
 
 class TestGuidedMemory:

@@ -105,22 +105,23 @@ class TestMeanDescriptor:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_equals_per_point_mean_bitwise(self, data):
-        # tracks of 2-12 images, each added in a drawn order, and a drawn
-        # subset of the points; non-integer descriptors, so that a track
-        # summed in another order, or divided in float64, changes the bits
-        n_images = 12
+        # tracks of 2-12 images, or of up to 300 (long tracks, whose sums
+        # leave uint8 far behind), each added in a drawn order, and a drawn
+        # subset of the points; uint8 descriptors, as feature sets hold them,
+        # so a division in float64 would change the bits
+        n_images = data.draw(st.sampled_from([12, 300]))
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
         model = Model()
         for i in range(n_images):
             model.attach_camera(random_camera(rng, image_id=i))
-        lengths = data.draw(st.lists(st.integers(2, 12), min_size=1, max_size=12))
+        lengths = data.draw(st.lists(st.integers(2, n_images), min_size=1, max_size=12))
         for k, length in enumerate(lengths):
             images = data.draw(st.permutations(range(n_images)))[:length]
             pid = model.add_point(np.zeros(3), [(i, k) for i in images[:2]])
             for i in images[2:]:
                 model.extend_track(pid, i, k)
-        feature_sets = {i: SimpleNamespace(descriptors=rng.uniform(
-            0, 255, size=(len(lengths), 128)).astype(np.float32)) for i in range(n_images)}
+        feature_sets = {i: SimpleNamespace(descriptors=rng.integers(
+            0, 256, size=(len(lengths), 128), dtype=np.uint8)) for i in range(n_images)}
         chosen = sorted(data.draw(st.sets(st.sampled_from(model.point_ids()))))
         ids, got = track_means(subset(model.observations(), chosen), feature_sets)
         want = per_point_means(model, chosen, feature_sets)

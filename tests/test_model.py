@@ -250,6 +250,54 @@ class TestAttachCamera:
         check_consistency(rebuilt)
 
 
+class TestRevision:
+    def test_every_mutator_bumps_revision(self):
+        rng = np.random.default_rng(8)
+        model = Model()
+        assert model.revision == 0
+
+        def bumps(change):
+            before = model.revision
+            out = change()
+            assert model.revision > before
+            return out
+
+        for i in range(3):
+            bumps(lambda: model.attach_camera(random_camera(rng, image_id=i)))
+        pid = bumps(lambda: model.add_point(np.zeros(3), [(0, 1), (1, 1)]))
+        bumps(lambda: model.attach_camera(random_camera(rng, image_id=3), [(pid, 4)]))
+        assert bumps(lambda: model.extend_track(pid, 2, 5))
+        bumps(lambda: model.set_position(pid, np.ones(3)))
+        bumps(lambda: model.replace_camera(random_camera(rng, image_id=1)))
+        bumps(lambda: model.remove_point(pid))
+
+    def test_calls_that_change_nothing_keep_revision(self):
+        rng = np.random.default_rng(9)
+        model = simple_model(3, rng)
+        pid = model.add_point(np.zeros(3), [(0, 1), (1, 1)])
+        before = model.revision
+        with pytest.raises(AlreadyRegisteredError):
+            model.attach_camera(random_camera(rng, image_id=0))
+        with pytest.raises(ValueError):
+            model.add_point(np.zeros(3), [(0, 1), (2, 1)])
+        with pytest.raises(NotRegisteredError):
+            model.replace_camera(random_camera(rng, image_id=7))
+        assert not model.extend_track(pid, 1, 2)
+        model.stage_tag = "relabelled"
+        model.observations()
+        assert model.revision == before
+
+    def test_replace_camera_keeps_tracks(self):
+        rng = np.random.default_rng(10)
+        model = simple_model(2, rng)
+        pid = model.add_point(np.zeros(3), [(0, 3), (1, 4)])
+        camera = random_camera(rng, image_id=1)
+        model.replace_camera(camera)
+        assert model.cameras[1] is camera
+        assert model.tracked(1) == {4: pid}
+        check_consistency(model)
+
+
 class TestModelStats:
     def test_pts3_definition(self):
         rng = np.random.default_rng(9)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import msfm
+from msfm import pipeline
 from msfm.config import PipelineConfig
 from msfm.errors import StageError
 from msfm.io import read_model
@@ -78,6 +79,43 @@ class TestRunPipeline:
         cfg = PipelineConfig(focal=900.0)
         with pytest.raises(StageError):
             run_pipeline(cfg, None, store=scene.store())
+
+
+class TestSnapshotReuse:
+    def test_unchanged_stages_reuse_stats_and_model_text(self, tmp_path, monkeypatch):
+        # every camera registers in the coarse stage, so camera addition and
+        # the second densify change nothing: stats run once per revision,
+        # and every model file holds what a fresh write of the model gives
+        calls = []
+        stats, write = pipeline.model_stats, pipeline.write_model
+
+        def counted_stats(model, store):
+            calls.append(model.revision)
+            return stats(model, store)
+
+        def checked_write(model, path, **kwargs):
+            body = write(model, path, **kwargs)
+            write(model, tmp_path / "fresh.msfm")
+            assert path.read_bytes() == (tmp_path / "fresh.msfm").read_bytes()
+            return body
+
+        monkeypatch.setattr(pipeline, "model_stats", counted_stats)
+        monkeypatch.setattr(pipeline, "write_model", checked_write)
+        scene = generate_scene(SceneSpec(n_cameras=8, n_points=400, visibility_fraction=0.7,
+                                         pixel_noise=0.4, descriptor_noise=3.0, seed=5))
+        out = tmp_path / "out"
+        result = run_pipeline(PipelineConfig(focal=900.0, iterations=2), None,
+                              store=scene.store(), out_dir=out)
+        names = [rep.name for rep in result.reports]
+        assert names == ["coarse", "localize_1", "densify_1", "localize_2", "densify_2"]
+        assert [rep.added_cameras for rep in result.reports[1:]] == [0, 0, 0, 0]
+        assert len(calls) == len(set(calls)) == 2
+        stats_of = {rep.name: rep.stats for rep in result.reports}
+        assert stats_of["localize_1"] is stats_of["coarse"]
+        assert stats_of["localize_2"] is stats_of["densify_2"] is stats_of["densify_1"]
+        assert read_model(out / "model_localize_2.msfm").stage_tag == "after_localize(2)"
+        assert (out / "model_final.msfm").read_text().split("\n")[2:] == \
+            (out / "model_densify_1.msfm").read_text().split("\n")[2:]
 
 
 NUMPY_ONLY_RUN = """
