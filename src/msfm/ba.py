@@ -265,13 +265,13 @@ def _reduced_camera_system(pair_chunks: _CameraPairChunks, B: np.ndarray, BM: np
     return S
 
 
-def _normal_equations(problem: BAProblem, by_cam: _Segments, by_point: _Segments):
-    """The undamped normal equations at the current parameters: camera
-    blocks H_cc (n_cam, nu, nu) and gradient g_cam, point blocks H_pp
-    (n_pts, 3, 3) and g_pt, and the per-observation coupling B (n_obs, nu, 3)."""
+def _normal_equations(problem: BAProblem, res: np.ndarray, by_cam: _Segments,
+                      by_point: _Segments):
+    """The undamped normal equations at the current parameters, with
+    residuals ``res``: camera blocks H_cc (n_cam, nu, nu) and gradient g_cam,
+    point blocks H_pp (n_pts, 3, 3) and g_pt, and the coupling B (n_obs, nu, 3)."""
     nu = CAM_PARAMS
     Jc, Jp = problem.jacobian_blocks()
-    res = problem.residuals()
     # one (2 n_c, nu) Gram product per camera
     H_cc = np.stack([J.T @ J for J in (
         Jc[by_cam.order[lo:lo + n]].reshape(-1, nu)
@@ -309,7 +309,7 @@ def _lm_iterate(problem: BAProblem, max_iters: int) -> tuple[float, float, int]:
     while it < max_iters:
         it += 1
         B = BM = None  # release the last iteration's couplings before the next
-        H_cc, g_cam, H_pp, g_pt, B = _normal_equations(problem, by_cam, by_point)
+        H_cc, g_cam, H_pp, g_pt, B = _normal_equations(problem, res, by_cam, by_point)
 
         accepted = False
         for _ in range(12):
@@ -357,7 +357,7 @@ def _lm_iterate(problem: BAProblem, max_iters: int) -> tuple[float, float, int]:
             if np.isfinite(cost_new) and cost_new < cost:
                 rel = (cost - cost_new) / max(cost, 1e-30)
                 problem.R, problem.t, problem.f, problem.X = R_new, t_new, f_new, X_new
-                cost = cost_new
+                res, cost = res_new, cost_new
                 lam = max(lam / 10.0, 1e-15)
                 accepted = True
                 if rel < BA_REL_TOL:

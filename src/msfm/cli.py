@@ -18,7 +18,7 @@ from .config import PipelineConfig, coerce_value, field_kinds, load_config, read
 from .descriptors import SearchStats
 from .errors import ConfigError, FormatError, MsfmError
 from .evaluate import align_models
-from .features import FeatureStore, load_features, scale_coverage, select_top_scale
+from .features import DEFAULT_ETA, FeatureStore, load_features, scale_coverage, select_top_scale
 from .geometry import fundamental_from_poses
 from .guided import guided_match_pair
 from .io import (
@@ -41,6 +41,7 @@ from .synth import SceneSpec, generate_scene, write_scene
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    parser.allow_abbrev = False  # so that --iteration is not --iterations
     parser.add_argument("--config", help="key=value config file")
     for name, kind in field_kinds(PipelineConfig).items():
         flag = "--" + name.replace("_", "-")
@@ -138,10 +139,10 @@ def cmd_localize(args) -> int:
     store = FeatureStore.load_dir(args.features)
     model = _read_checked(read_model, args.model, store, args.features)
     graph = _read_checked(read_matchgraph, args.graph, store, args.features)
-    newly, results = run_localize(cfg, store, model, graph)
+    iteration, newly, results = run_localize(cfg, store, model, graph)
     write_model(model, args.out)
     if args.report:
-        lines = localization_lines(results, iteration=1)
+        lines = localization_lines(results, iteration)
         Path(args.report).write_text("\n".join(lines) + "\n" if lines else "")
     print(f"localized={len(newly)} out={args.out}")
     return 0
@@ -151,7 +152,7 @@ def cmd_densify(args) -> int:
     cfg = _build_config(args)
     store = FeatureStore.load_dir(args.features)
     model = _read_checked(read_model, args.model, store, args.features)
-    summary = run_densify(cfg, store, model, args.iteration)
+    summary = run_densify(cfg, store, model)
     write_model(model, args.out)
     print(" ".join(f"{k}={v}" for k, v in sorted(summary.items())))
     return 0
@@ -202,8 +203,7 @@ def cmd_bench_guided(args) -> int:
         stats = SearchStats()
         t0 = time.perf_counter()
         matches = guided_match_pair(
-            store[a], store[b], geom, d=cfg.d, ratio=cfg.ratio_guided,
-            inflation=cfg.grid_inflation, stats=stats)
+            store[a], store[b], geom, d=cfg.d, ratio=cfg.ratio_guided, stats=stats)
         dt = (time.perf_counter() - t0) * 1000.0
         print(f"pair={a},{b} time_ms={dt:.2f} "
               f"comparisons={stats.candidates} matches={len(matches)}")
@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(func=cmd_features_validate)
     ps = fsub.add_parser("stats")
     ps.add_argument("dir")
-    ps.add_argument("--eta", type=float, default=20.0)
+    ps.add_argument("--eta", type=float, default=DEFAULT_ETA)
     ps.set_defaults(func=cmd_features_stats)
 
     p = sub.add_parser("match", help="build the coarse match graph")
@@ -258,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("densify", help="guided matching and triangulation")
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
-    p.add_argument("--iteration", type=int, default=1)
     p.add_argument("--out", required=True)
     _add_config_flags(p)
     p.set_defaults(func=cmd_densify)

@@ -8,7 +8,7 @@ from pathlib import Path
 from .densify import CANDIDATE_FRACTION, COVIS_THRESHOLD
 from .errors import ConfigError
 from .features import DEFAULT_ETA
-from .guided import BAND_D_PX, GRID_INFLATION, MIN_GRID_INFLATION
+from .guided import BAND_D_PX
 from .localize import SET_COVER_ENGAGE_POINTS, SET_COVER_K
 from .matching import RATIO_GUIDED, RATIO_UNGUIDED
 from .reconstruct import PNP_MIN_INLIERS
@@ -28,7 +28,6 @@ class PipelineConfig:
     iterations: int = 2
     preemptive: bool = False
     final_ba: bool = False
-    grid_inflation: float = GRID_INFLATION
     focal: float = 0.0  # 0 means per-image heuristic (1.2 * max dimension)
     seed: int = 0
     # benchmark/timed.py still passes threads=1; this goes when the benchmark drops it
@@ -47,9 +46,6 @@ class PipelineConfig:
             v = getattr(self, name)
             if not 0 < v < 1:
                 raise ConfigError(f"{name} must be in (0, 1), got {v}")
-        if self.grid_inflation < MIN_GRID_INFLATION:
-            raise ConfigError(f"grid_inflation must be >= sqrt(5)/2 so the grid cells "
-                              f"cover the band, got {self.grid_inflation}")
         if self.set_cover_k < 1:
             raise ConfigError(f"set_cover_k must be >= 1, got {self.set_cover_k}")
         if self.iterations < 0:

@@ -143,19 +143,10 @@ def merge_tracks(pair_matches, observations):
     return new_tracks, extensions
 
 
-def _pair_geometry(model: Model, a: int, b: int):
-    try:
-        return fundamental_from_poses(model.cameras[a], model.cameras[b])
-    except DegenerateGeometryError:
-        return None
-
-
 def densify_stage(model: Model, feature_store, *,
-                  iteration: int = 1,
                   query_images=None,
                   d: float = BAND_D_PX,
                   ratio: float = RATIO_GUIDED,
-                  inflation: float = GRID_INFLATION,
                   threshold: int = COVIS_THRESHOLD,
                   candidate_fraction: float = CANDIDATE_FRACTION) -> dict:
     """Match untracked features along epipolar bands and triangulate them.
@@ -173,33 +164,27 @@ def densify_stage(model: Model, feature_store, *,
     pairs = select_pairs(observations, query_images, threshold=threshold, k_limit=k_limit)
     query_set = set(query_images)
 
-    def untracked(image_id: int) -> np.ndarray:
-        mask = np.ones(len(feature_store.sets[image_id]), dtype=bool)
-        mask[list(model.tracked(image_id))] = False
-        return np.flatnonzero(mask)
-
-    untracked_cache = {i: untracked(i) for i in sorted({x for p in pairs for x in p})}
-    grid_cache: dict[int, object] = {}
-
-    def grid_for(image_id: int):
-        if image_id not in grid_cache:
-            fs = feature_store.sets[image_id]
-            grid_cache[image_id] = build_grid(
-                fs.xy.astype(np.float64), d * inflation,
-                width=fs.width, height=fs.height)
-        return grid_cache[image_id]
-
-    # every pair is matched against the pre-stage model; tracks merge after
+    # every pair is matched against the pre-stage model; tracks merge after.
+    # A query image's untracked features and a target image's grid are
+    # found once.
+    untracked, grids = {}, {}
     pair_matches = []
     for a, b in pairs:
         q, t = (a, b) if a in query_set else (b, a)
-        geom = _pair_geometry(model, q, t)
-        if geom is None:
+        try:
+            geom = fundamental_from_poses(model.cameras[q], model.cameras[t])
+        except DegenerateGeometryError:
             continue
+        fq, ft = feature_store.sets[q], feature_store.sets[t]
+        if q not in untracked:
+            mask = np.ones(len(fq), dtype=bool)
+            mask[list(model.tracked(q))] = False
+            untracked[q] = np.flatnonzero(mask)
+        if t not in grids:
+            grids[t] = build_grid(ft.xy.astype(np.float64), d * GRID_INFLATION,
+                                  width=ft.width, height=ft.height)
         pair_matches.append((q, t, guided_match_pair(
-            feature_store.sets[q], feature_store.sets[t], geom,
-            d=d, ratio=ratio, inflation=inflation,
-            query_indices=untracked_cache[q], grid=grid_for(t))))
+            fq, ft, geom, d=d, ratio=ratio, query_indices=untracked[q], grid=grids[t])))
 
     new_tracks, extensions = merge_tracks(pair_matches, observations)
 
@@ -223,12 +208,9 @@ def densify_stage(model: Model, feature_store, *,
         model.set_position(pid, point)
         extended_tracks += 1
 
-    model.stage_tag = f"after_densify({iteration})"
-    summary = {
+    return {
         "pairs": len(pairs),
         "matches": sum(len(m) for _, _, m in pair_matches),
         "new_points": added_points,
         "extended_tracks": extended_tracks,
     }
-    log.info("densify iteration %d: %s", iteration, summary)
-    return summary

@@ -45,7 +45,11 @@ def two_nearest_bruteforce(queries: np.ndarray, targets: np.ndarray,
     for start in range(0, nq, _QUERY_BLOCK):
         qb = q[start:start + _QUERY_BLOCK]
         qq = np.einsum("ij,ij->i", qb, qb)
-        d2 = qq[:, None] + tt[None, :] - 2.0 * (qb @ t.T)
+        # (qq + tt) - 2 p, in that order, in two (block, n) arrays
+        p = qb @ t.T
+        p *= 2.0
+        d2 = np.add.outer(qq, tt)
+        d2 -= p
         np.maximum(d2, 0.0, out=d2)
         best = np.argmin(d2, axis=1)
         rows = np.arange(len(qb))
@@ -57,6 +61,7 @@ def two_nearest_bruteforce(queries: np.ndarray, targets: np.ndarray,
         else:
             second = np.full(len(qb), -1, dtype=np.int64)
             second_d2 = np.full(len(qb), np.inf)
+        del p, d2  # before the next block makes its own
         sl = slice(start, start + len(qb))
         dist[sl, 0] = np.sqrt(best_d2)
         dist[sl, 1] = np.sqrt(second_d2)

@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import DegenerateGeometryError, InsufficientDataError
 
-RANK2_TOL = 1e-6
 SAMPSON_THRESHOLD_PX = 2.0
 RANSAC_CONFIDENCE = 0.999
 RANSAC_MAX_ITERS = 2048

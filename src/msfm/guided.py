@@ -36,10 +36,9 @@ from .geometry import EpipolarLine, TwoViewGeometry
 from .matching import NO_MATCHES, RATIO_GUIDED, Matches, matches_from, ratio_filter
 
 BAND_D_PX = 8.0
+# grid cell half-size over band d: at least sqrt(5)/2 so that a sample's four
+# cells cover the band; candidates are band-filtered, so it sets speed only
 GRID_INFLATION = 1.25
-# below this cell half-size / band ratio the four cells of a sample no
-# longer cover the band
-MIN_GRID_INFLATION = math.sqrt(5.0) / 2.0
 GROUP_BOUNDARY_PX = 2.0
 
 # guided matching handles a pair's groups in blocks of about this much work
@@ -349,7 +348,6 @@ def guided_match_pair(query_fs: FeatureSet, target_fs: FeatureSet,
                       geom: TwoViewGeometry, *,
                       d: float = BAND_D_PX,
                       ratio: float = RATIO_GUIDED,
-                      inflation: float = GRID_INFLATION,
                       query_indices: np.ndarray | None = None,
                       target_indices: np.ndarray | None = None,
                       grid: OverlapGrid | None = None,
@@ -359,7 +357,7 @@ def guided_match_pair(query_fs: FeatureSet, target_fs: FeatureSet,
     A group's candidates are the target features in the grid cells of its
     representative line's samples (``_candidates_batch``); ``grid`` defaults
     to one built over the target features with cell half-size
-    ``d * inflation``.  Candidates are post-filtered to the exact band of
+    ``d * GRID_INFLATION``.  Candidates are post-filtered to the exact band of
     each member's own line, so every returned match satisfies dist <= d.
     Groups run in blocks of flat arrays; only the descriptor product is
     taken group by group.
@@ -370,7 +368,7 @@ def guided_match_pair(query_fs: FeatureSet, target_fs: FeatureSet,
     bounds = (float(target_fs.width), float(target_fs.height))
     txy = target_fs.xy[ti].astype(np.float64)
     if grid is None:
-        grid = build_grid(txy, d * inflation, width=bounds[0], height=bounds[1])
+        grid = build_grid(txy, d * GRID_INFLATION, width=bounds[0], height=bounds[1])
 
     groups = group_queries(query_fs, geom, bounds, query_indices=query_indices)
     if not groups:

@@ -194,7 +194,6 @@ def localize_image(model: Model, graph: MatchGraph, image_id: int, feature_store
 
 def localize_all(model: Model, feature_store, graph: MatchGraph,
                  intrinsics: dict[int, np.ndarray], *,
-                 iteration: int = 1,
                  set_cover_k: int = SET_COVER_K,
                  set_cover_engage: int = SET_COVER_ENGAGE_POINTS,
                  ratio: float = RATIO_UNGUIDED,
@@ -214,7 +213,6 @@ def localize_all(model: Model, feature_store, graph: MatchGraph,
         wanted = set(unregistered)
         unregistered = [i for i in order if i in wanted]
     if not unregistered:
-        model.stage_tag = f"after_localize({iteration})"
         return [], []
     observations = model.observations()
     if len(model.points) > set_cover_engage:
@@ -239,5 +237,4 @@ def localize_all(model: Model, feature_store, graph: MatchGraph,
             log.info("image %d attached with %d dropped conflicts",
                      result.image_id, conflicts)
         newly.append(result.image_id)
-    model.stage_tag = f"after_localize({iteration})"
     return newly, results

@@ -2,13 +2,15 @@
 addition, with per-stage snapshots, stats and timing reports.
 
 ``run_match``, ``run_coarse``, ``run_localize`` and ``run_densify`` are the
-only places where a ``PipelineConfig`` becomes stage arguments; the full run
-and the CLI stage commands both go through them.
+only places where a ``PipelineConfig`` becomes stage arguments, and the only
+writers of a model's STAGE tag; the full run and the CLI stage commands both
+go through them, and both take a stage's iteration from that tag.
 """
 
 from __future__ import annotations
 
 import logging
+import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -55,32 +57,52 @@ def run_coarse(config: PipelineConfig, store: FeatureStore, graph: MatchGraph) -
     if not graph.edges:
         raise StageError("match graph has no verified edges")
     try:
-        return incremental_reconstruct(
+        model = incremental_reconstruct(
             graph, store, intrinsics_for_store(store, config.focal),
             min_inliers=config.min_inliers, seed=config.seed)
     except Exception as exc:
         raise StageError(f"coarse reconstruction failed: {exc}") from exc
+    model.stage_tag = "coarse"
+    return model
+
+
+_AFTER = re.compile(r"after_(localize|densify)\((\d+)\)")
+
+
+def stage_iteration(model: Model, stage: str) -> int:
+    """The iteration ``stage`` ("localize" or "densify") runs on ``model``:
+    localize follows ``after_densify(k)`` as k+1, densify follows
+    ``after_localize(k)`` as k, a stage rerun on its own output keeps its
+    iteration, and any other tag (``coarse``, none) starts iteration 1."""
+    after = _AFTER.fullmatch(model.stage_tag)
+    if after is None:
+        return 1
+    k = int(after.group(2))
+    return k + 1 if stage == "localize" and after.group(1) == "densify" else k
 
 
 def run_localize(config: PipelineConfig, store: FeatureStore, model: Model,
-                 graph: MatchGraph, iteration: int = 1
-                 ) -> tuple[list[int], list[LocalizationResult]]:
-    """Camera addition: register the remaining images to ``model`` in place."""
-    return localize_all(
+                 graph: MatchGraph) -> tuple[int, list[int], list[LocalizationResult]]:
+    """Camera addition: register the remaining images to ``model`` in place;
+    returns (iteration, newly registered ids, per-image results)."""
+    iteration = stage_iteration(model, "localize")
+    newly, results = localize_all(
         model, store, graph, intrinsics_for_store(store, config.focal),
-        iteration=iteration, set_cover_k=config.set_cover_k,
-        set_cover_engage=config.set_cover_engage, ratio=config.ratio_unguided,
-        min_inliers=config.min_inliers, seed=config.seed)
+        set_cover_k=config.set_cover_k, set_cover_engage=config.set_cover_engage,
+        ratio=config.ratio_unguided, min_inliers=config.min_inliers, seed=config.seed)
+    model.stage_tag = f"after_localize({iteration})"
+    return iteration, newly, results
 
 
 def run_densify(config: PipelineConfig, store: FeatureStore, model: Model,
-                iteration: int = 1, query_images=None) -> dict:
+                query_images=None) -> dict:
     """Point addition: guided matching and triangulation into ``model``."""
-    return densify_stage(
-        model, store, iteration=iteration, query_images=query_images,
-        d=config.d, ratio=config.ratio_guided, inflation=config.grid_inflation,
-        threshold=config.covis_threshold,
-        candidate_fraction=config.candidate_fraction)
+    iteration = stage_iteration(model, "densify")
+    summary = densify_stage(
+        model, store, query_images=query_images, d=config.d, ratio=config.ratio_guided,
+        threshold=config.covis_threshold, candidate_fraction=config.candidate_fraction)
+    model.stage_tag = f"after_densify({iteration})"
+    return summary
 
 
 def localization_lines(results: list[LocalizationResult], iteration: int) -> list[str]:
@@ -159,10 +181,10 @@ def run_pipeline(config: PipelineConfig, feature_dir, *,
     snapshot(model, "coarse", t0,
              added_cam=len(model.cameras), added_pts=len(model.points))
 
-    for iteration in range(1, config.iterations + 1):
+    for _ in range(config.iterations):
         t0 = time.perf_counter()
         n_pts0 = len(model.points)
-        newly, results = run_localize(config, store, model, graph, iteration)
+        iteration, newly, results = run_localize(config, store, model, graph)
         loc_log += localization_lines(results, iteration)
         snapshot(model, f"localize_{iteration}", t0, added_cam=len(newly),
                  extra={"attempted": len(results)})
@@ -170,7 +192,7 @@ def run_pipeline(config: PipelineConfig, feature_dir, *,
         t0 = time.perf_counter()
         # later iterations query only the newly localized cameras; with none,
         # densify finds no pairs and adds nothing
-        summary = run_densify(config, store, model, iteration,
+        summary = run_densify(config, store, model,
                               query_images=None if iteration == 1 else newly)
         snapshot(model, f"densify_{iteration}", t0,
                  added_pts=len(model.points) - n_pts0, extra=summary)

@@ -380,7 +380,7 @@ def incremental_reconstruct(graph: MatchGraph, feature_store, intrinsics: dict[i
     matches, pts_q, pts_c = _edge_points(graph, feature_sets, a, b)
     R, t, _, _ = relative_pose_from_fundamental(
         graph.edges[(a, b)].geometry, intrinsics[a], intrinsics[b], pts_q, pts_c)
-    model = Model(stage_tag="coarse")
+    model = Model()
     model.attach_camera(Camera(K=intrinsics[a], R=np.eye(3), t=np.zeros(3), image_id=a))
     model.attach_camera(Camera(K=intrinsics[b], R=R, t=t, image_id=b))
     seed_pairs = zip(matches.query.tolist(), matches.target.tolist())
@@ -419,5 +419,4 @@ def incremental_reconstruct(graph: MatchGraph, feature_store, intrinsics: dict[i
             bundle_adjust(model, feature_store, max_iters=BA_ITERS_EARLY)
             since_ba = 0
     bundle_adjust(model, feature_store, max_iters=BA_ITERS_FINAL)
-    model.stage_tag = "coarse"
     return model

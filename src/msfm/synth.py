@@ -59,10 +59,6 @@ class SyntheticScene:
         hits = np.flatnonzero(self.point_of_feature[image_id] == point_id)
         return int(hits[0]) if hits.size else None
 
-    def visible_points(self, image_id: int) -> set[int]:
-        table = self.point_of_feature[image_id]
-        return set(int(p) for p in table[table >= 0])
-
     def triangulable_points(self) -> set[int]:
         """Points observed in at least two images."""
         counts = np.zeros(len(self.points), dtype=np.int64)

@@ -18,6 +18,12 @@ def points_visible_in(model, image_id: int) -> set[int]:
     return set(model.tracked(image_id).values())
 
 
+def visible_points(scene, image_id: int) -> set[int]:
+    """The true points that the scene's image ``image_id`` observes."""
+    table = scene.point_of_feature[image_id]
+    return set(int(p) for p in table[table >= 0])
+
+
 def check_consistency(model) -> None:
     """Exhaustive invariant check; raises AssertionError on drift."""
     owners = model._owner
@@ -87,7 +93,7 @@ def oracle_matches(scene, image_a: int, image_b: int) -> list[tuple[int, int]]:
 
 def covisibility_matrix(scene) -> np.ndarray:
     ids = sorted(scene.feature_sets)
-    vis = [scene.visible_points(i) for i in ids]
+    vis = [visible_points(scene, i) for i in ids]
     n = len(ids)
     mat = np.zeros((n, n), dtype=np.int64)
     for i in range(n):

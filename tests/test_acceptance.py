@@ -12,7 +12,7 @@ import pytest
 
 from ba_oracles import dense_jacobian, pack, residuals_at
 from line_oracles import candidates_grid
-from model_oracles import exact_store, oracle_matches, reprojection_errors
+from model_oracles import exact_store, oracle_matches, reprojection_errors, visible_points
 from msfm.ba import bundle_adjust, problem_from_model, rodrigues
 from msfm.config import PipelineConfig
 from msfm.densify import merge_tracks
@@ -94,7 +94,7 @@ class TestCriterion2FinalCompleteness:
         frac_pts = len(covered & tri) / len(tri)
 
         ids = sorted(store.sets)
-        vis = {i: scene.visible_points(i) & tri for i in ids}
+        vis = {i: visible_points(scene, i) & tri for i in ids}
         oracle_pairs = sum(
             1 for i in range(len(ids)) for j in range(i + 1, len(ids))
             if vis[ids[i]] & vis[ids[j]]

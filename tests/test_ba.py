@@ -232,7 +232,7 @@ class TestReducedCameraSystem:
         by_cam = _Segments.of(np.argsort(problem.cam_idx, kind="stable"), problem.cam_idx, nc)
         by_point = _Segments.of(np.lexsort((problem.cam_idx, problem.pt_idx)),
                                 problem.pt_idx, problem.n_pts)
-        _, g_cam, _, _, _ = _normal_equations(problem, by_cam, by_point)
+        _, g_cam, _, _, _ = _normal_equations(problem, problem.residuals(), by_cam, by_point)
         Jc, _ = problem.jacobian_blocks()
         expected = np.zeros((nc, CAM_PARAMS))
         np.add.at(expected, problem.cam_idx, np.einsum("oki,ok->oi", Jc, problem.residuals()))

@@ -56,12 +56,19 @@ class TestConfig:
         assert main(["run", "--features", str(tmp_path), "--out", str(tmp_path / "o"),
                      "--eta", "x"]) == 2
 
-    def test_grid_inflation_below_cover_bound_exit2(self, tmp_path):
-        # below sqrt(5)/2 the grid cells no longer cover the band
+    def test_removed_knobs_exit2(self, tmp_path):
+        # the iteration comes from the model's STAGE tag, and the grid's cell
+        # size is fixed: neither is a flag, nor grid_inflation a config key
+        config = tmp_path / "grid.cfg"
+        config.write_text("grid_inflation = 1.25\n")
         assert main(["run", "--features", str(tmp_path), "--out", str(tmp_path / "o"),
-                     "--grid-inflation", "0"]) == 2
-        assert main(["run", "--features", str(tmp_path), "--out", str(tmp_path / "o"),
-                     "--grid-inflation", "1.1"]) == 2
+                     "--config", str(config)]) == 2
+        for argv in (["densify", "--model", "m", "--features", "f", "--out", "o",
+                      "--iteration", "1"],
+                     ["run", "--features", "f", "--out", "o", "--grid-inflation", "1.25"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
     def test_set_cover_k_below_one_exit2(self, tmp_path):
         assert main(["run", "--features", str(tmp_path), "--out", str(tmp_path / "o"),
@@ -130,7 +137,7 @@ class TestCliCommands:
                      "--report", str(report), "--focal", "900"]) == 0
         model2 = tmp_path / "model2.msfm"
         assert main(["densify", "--model", str(model1), "--features", str(feat_dir),
-                     "--iteration", "1", "--out", str(model2), "--focal", "900"]) == 0
+                     "--out", str(model2), "--focal", "900"]) == 0
         m = read_model(model2)
         assert len(m.points) > len(read_model(model0).points)
         assert main(["eval", "--model", str(model2),
@@ -330,7 +337,7 @@ class TestRunPipelineCli:
         assert main(["coarse", "--graph", str(graph), "--out", str(coarse)] + common) == 0
         assert main(["localize", "--model", str(coarse), "--graph", str(graph),
                      "--out", str(localized)] + common) == 0
-        assert main(["densify", "--model", str(localized), "--iteration", "1",
+        assert main(["densify", "--model", str(localized),
                      "--out", str(densified)] + common) == 0
         for mine, theirs in ((coarse, "model_coarse.msfm"),
                              (localized, "model_localize_1.msfm"),
@@ -355,8 +362,11 @@ class TestRunPipelineCli:
 
     def test_localize_report_matches_run(self, tmp_path):
         # a sparse scene with three images blinded, so the coarse tier cannot
-        # reach them and camera addition registers two of them; both
-        # commands write one record format
+        # reach them; camera addition registers two of them in iteration 1
+        # and image 6 in iteration 2.  The stage commands read each
+        # iteration from their model's STAGE tag, so the chain match, coarse,
+        # localize, densify, localize writes run's second localize model, and
+        # its two reports are run's records
         feat_dir = tmp_path / "features"
         scene = generate_scene(SceneSpec(
             n_cameras=10, n_points=800, visibility_fraction=0.4, pixel_noise=0.3,
@@ -368,19 +378,29 @@ class TestRunPipelineCli:
                            feat_dir / f"image_{image_id:05d}.msft")
         common = ["--features", str(feat_dir), "--focal", "900", "--eta", "10"]
         run = tmp_path / "run"
-        assert main(["run", "--out", str(run), "--iterations", "1"] + common) == 0
+        assert main(["run", "--out", str(run), "--iterations", "2"] + common) == 0
         graph = tmp_path / "graph.txt"
         coarse = tmp_path / "coarse.msfm"
-        report = tmp_path / "loc.txt"
+        localized = [tmp_path / f"localize_{k}.msfm" for k in (1, 2)]
+        reports = [tmp_path / f"loc_{k}.txt" for k in (1, 2)]
+        densified = tmp_path / "densify_1.msfm"
         assert main(["match", "--out", str(graph)] + common) == 0
         assert main(["coarse", "--graph", str(graph), "--out", str(coarse)] + common) == 0
         assert main(["localize", "--model", str(coarse), "--graph", str(graph),
-                     "--out", str(tmp_path / "localize.msfm"), "--report", str(report)]
-                    + common) == 0
-        records = report.read_text().splitlines()
-        assert [r.split()[1] for r in records] == ["image=5", "image=6", "image=7"]
-        assert [r.split()[5] for r in records] == ["ok=1", "ok=0", "ok=1"]
-        assert report.read_text() == (run / "localization.txt").read_text()
+                     "--out", str(localized[0]), "--report", str(reports[0])] + common) == 0
+        assert main(["densify", "--model", str(localized[0]),
+                     "--out", str(densified)] + common) == 0
+        assert main(["localize", "--model", str(densified), "--graph", str(graph),
+                     "--out", str(localized[1]), "--report", str(reports[1])] + common) == 0
+        records = [r.split() for path in reports for r in path.read_text().splitlines()]
+        assert [r[:2] for r in records] == [
+            ["iteration=1", "image=5"], ["iteration=1", "image=6"], ["iteration=1", "image=7"],
+            ["iteration=2", "image=6"]]
+        assert [r[5] for r in records] == ["ok=1", "ok=0", "ok=1", "ok=1"]
+        assert read_model(localized[1]).stage_tag == "after_localize(2)"
+        assert localized[1].read_bytes() == (run / "model_localize_2.msfm").read_bytes()
+        assert "".join(path.read_text() for path in reports) == \
+            (run / "localization.txt").read_text()
 
     def test_run_produces_snapshots(self, scene_dir, tmp_path, capsys):
         feat_dir, scene = scene_dir

@@ -484,7 +484,7 @@ class TestDensifyStage:
     def test_adds_most_triangulable_points(self, coarse_setup):
         scene, store, model = coarse_setup
         work = copy.deepcopy(model)
-        densify_stage(work, store, iteration=1)
+        densify_stage(work, store)
         check_consistency(work)
         covered = set()
         for pt in work.points.values():
@@ -497,13 +497,13 @@ class TestDensifyStage:
                 covered |= ids
         tri = scene.triangulable_points()
         assert len(covered) / len(tri) >= 0.9
-        assert work.stage_tag == "after_densify(1)"
+        assert work.stage_tag == model.stage_tag  # tags are the pipeline's
 
     def test_monotone_counts(self, coarse_setup):
         scene, store, model = coarse_setup
         work = copy.deepcopy(model)
         n_cam, n_pts = len(work.cameras), len(work.points)
-        densify_stage(work, store, iteration=1)
+        densify_stage(work, store)
         assert len(work.cameras) == n_cam
         assert len(work.points) >= n_pts
 
@@ -511,16 +511,16 @@ class TestDensifyStage:
         scene, store, model = coarse_setup
         work = copy.deepcopy(model)
         before = len(work.points)
-        summary = densify_stage(work, store, iteration=2, query_images=[])
+        summary = densify_stage(work, store, query_images=[])
         assert summary["pairs"] == 0
         assert len(work.points) == before
 
     def test_saturated_model_adds_nothing_new(self, coarse_setup):
         scene, store, model = coarse_setup
         work = copy.deepcopy(model)
-        densify_stage(work, store, iteration=1)
+        densify_stage(work, store)
         n = len(work.points)
-        densify_stage(work, store, iteration=2)
+        densify_stage(work, store)
         # rerunning may extend tracks but adds few new points
         assert len(work.points) <= n * 1.02
 
@@ -530,7 +530,7 @@ class TestDensifyStage:
         scene, store, model = coarse_setup
         work = copy.deepcopy(model)
         pre = set(work.point_ids())
-        densify_stage(work, store, iteration=1, d=8.0)
+        densify_stage(work, store, d=8.0)
         fresh = [p for p in work.point_ids() if p not in pre]
         rng = np.random.default_rng(0)
         for pid in rng.choice(fresh, size=min(40, len(fresh)), replace=False):

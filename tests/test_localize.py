@@ -25,7 +25,7 @@ from msfm.reconstruct import PNP_MIN_INLIERS
 from msfm.synth import SceneSpec, generate_scene
 
 from conftest import random_camera
-from model_oracles import check_consistency, points_visible_in
+from model_oracles import check_consistency, points_visible_in, visible_points
 
 
 @pytest.fixture(scope="module")
@@ -216,7 +216,7 @@ class TestDirectSearch:
         assert len(corr) > 16
         assert correct / len(corr) >= 0.9
         # recall over the model points actually visible in this image
-        oracle_visible = scene.visible_points(image_id)
+        oracle_visible = visible_points(scene, image_id)
         visible_covered = set()
         for pid in partial.point_ids():
             any_ref = sorted(partial.points[pid].track.items())[0]
@@ -327,9 +327,9 @@ class TestLocalizeAll:
     def test_holdouts_localized(self, holdout_setup, tmp_path):
         scene, store, graph, partial, held_out, K = holdout_setup
         model = copy.deepcopy(partial)
-        newly, results = localize_all(model, store, graph, K, iteration=1)
+        newly, results = localize_all(model, store, graph, K)
         assert set(held_out) <= set(newly)
-        assert model.stage_tag == "after_localize(1)"
+        assert model.stage_tag == "coarse"  # tags are the pipeline's
         for r in results:
             if r.pose is not None:
                 assert r.inliers >= 16

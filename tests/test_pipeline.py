@@ -11,7 +11,8 @@ from msfm import pipeline
 from msfm.config import PipelineConfig
 from msfm.errors import StageError
 from msfm.io import read_model
-from msfm.pipeline import intrinsics_for_store, run_pipeline
+from msfm.model import Model
+from msfm.pipeline import intrinsics_for_store, run_pipeline, stage_iteration
 from msfm.synth import SceneSpec, generate_scene
 
 from model_oracles import check_consistency
@@ -79,6 +80,43 @@ class TestRunPipeline:
         cfg = PipelineConfig(focal=900.0)
         with pytest.raises(StageError):
             run_pipeline(cfg, None, store=scene.store())
+
+
+class TestStageIteration:
+    @pytest.mark.parametrize("tag, localize, densify", [
+        ("", 1, 1), ("coarse", 1, 1), ("ground_truth", 1, 1),
+        ("after_localize(1)", 1, 1), ("after_densify(1)", 2, 1),
+        ("after_localize(3)", 3, 3), ("after_densify(12)", 13, 12)])
+    def test_iteration_from_tag(self, tag, localize, densify):
+        # localize follows densify k as k+1, densify follows localize k as k;
+        # a stage run again on its own output keeps its iteration
+        model = Model(stage_tag=tag)
+        assert stage_iteration(model, "localize") == localize
+        assert stage_iteration(model, "densify") == densify
+
+
+class TestFinalBA:
+    def test_final_ba_refines_every_camera(self, tmp_path):
+        scene = generate_scene(SceneSpec(n_cameras=8, n_points=400, visibility_fraction=0.7,
+                                         pixel_noise=0.4, descriptor_noise=3.0, seed=5))
+        out = tmp_path / "out"
+        result = run_pipeline(PipelineConfig(focal=900.0, iterations=1, final_ba=True), None,
+                              store=scene.store(), out_dir=out)
+        assert [rep.name for rep in result.reports] == \
+            ["coarse", "localize_1", "densify_1", "final_ba"]
+        assert "stage=final_ba" in (out / "stages.txt").read_text()
+        densified = read_model(out / "model_densify_1.msfm")
+        adjusted = read_model(out / "model_final_ba.msfm")
+        assert sorted(adjusted.cameras) == sorted(densified.cameras) == list(range(8))
+        check_consistency(adjusted)
+
+        def cameras(path):
+            return [line for line in path.read_text().splitlines() if line.startswith("CAM ")]
+
+        # the adjustment moved the cameras, and the final model is its output
+        assert cameras(out / "model_final_ba.msfm") != cameras(out / "model_densify_1.msfm")
+        assert (out / "model_final.msfm").read_bytes() == \
+            (out / "model_final_ba.msfm").read_bytes()
 
 
 class TestSnapshotReuse:

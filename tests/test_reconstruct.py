@@ -14,7 +14,12 @@ from msfm.reconstruct import (
 )
 from msfm.synth import SceneSpec, generate_scene
 
-from model_oracles import check_consistency, points_visible_in, track_length
+from model_oracles import (
+    check_consistency,
+    points_visible_in,
+    track_length,
+    visible_points,
+)
 
 
 def rotation_error_deg(R_est, R_true):
@@ -25,7 +30,7 @@ def rotation_error_deg(R_est, R_true):
 class TestDltPose:
     def test_exact_six_points(self, tiny_scene):
         cam = tiny_scene.cameras[2]
-        vis = sorted(tiny_scene.visible_points(2))[:6]
+        vis = sorted(visible_points(tiny_scene, 2))[:6]
         X = tiny_scene.points[vis]
         uv, _ = cam.project(X)
         R, t, ok = dlt_pose(X[None], uv[None], cam.K)
@@ -41,7 +46,7 @@ class TestDltPose:
 class TestPnpRansac:
     def test_noise_free_exact(self, tiny_scene):
         cam = tiny_scene.cameras[1]
-        vis = sorted(tiny_scene.visible_points(1))[:100]
+        vis = sorted(visible_points(tiny_scene, 1))[:100]
         X = tiny_scene.points[vis]
         uv, _ = cam.project(X)
         R, t, mask = pnp_ransac(X, uv, cam.K, seed=0)
@@ -51,7 +56,7 @@ class TestPnpRansac:
     def test_forty_percent_outliers(self, tiny_scene):
         rng = np.random.default_rng(1)
         cam = tiny_scene.cameras[3]
-        vis = sorted(tiny_scene.visible_points(3))[:100]
+        vis = sorted(visible_points(tiny_scene, 3))[:100]
         X = tiny_scene.points[vis]
         uv, _ = cam.project(X)
         uv = uv + rng.normal(0, 0.3, uv.shape)
@@ -90,7 +95,7 @@ class TestPnpRansac:
     def test_inlier_gate(self, tiny_scene):
         rng = np.random.default_rng(5)
         cam = tiny_scene.cameras[0]
-        vis = sorted(tiny_scene.visible_points(0))[:30]
+        vis = sorted(visible_points(tiny_scene, 0))[:30]
         X = tiny_scene.points[vis]
         uv = rng.uniform(0, [1024, 768], size=(30, 2))  # pure noise
         assert pnp_ransac(X, uv, cam.K, seed=6) is None
@@ -199,7 +204,7 @@ class TestIncrementalReconstruct:
         assert len(model.cameras) == 10
         rep = align_models(model, tiny_scene.ground_truth_model())
         assert rep.mean_rotation_deg < 0.01
-        assert model.stage_tag == "coarse"
+        assert model.stage_tag == ""  # the pipeline tags it
         for point in model.points.values():
             assert track_length(point) >= 2
         check_consistency(model)
