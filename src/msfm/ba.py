@@ -7,7 +7,9 @@ R <- exp([w]x) R.  The damped normal equations are solved by eliminating the
 unknowns.  That reduced camera system is assembled block by block from each
 point's pairs of observing cameras (Triggs et al., "Bundle Adjustment - A
 Modern Synthesis", 1999, section 6), never through a points x cameras array,
-and solved by Cholesky factorization (``spd_solve``), numpy only.
+and solved by Cholesky factorization (``spd_solve``), numpy only.  Residuals
+and Jacobians use the pinhole model of ``model.pixels`` and
+``model.pixel_jacobian``, and the result is the LM solve's.
 """
 
 from __future__ import annotations
@@ -17,11 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MsfmError
-from .model import Camera, Model, make_intrinsics
+from .model import Camera, Model, make_intrinsics, pixel_jacobian, pixels
 
 BA_MAX_ITERS = 100
 BA_REL_TOL = 1e-6
-POINT_SWEEPS = 2
 
 CAM_PARAMS = 7  # rotation (3), translation (3), focal (1)
 
@@ -40,17 +41,13 @@ def rodrigues(w: np.ndarray) -> np.ndarray:
 def pose_jacobian(xc: np.ndarray, t: np.ndarray, f):
     """Jacobians of pinhole pixels at camera-frame points ``xc = R X + t``.
 
-    Returns d(pixel)/d(camera-frame point), (n, 2, 3), and d(pixel)/d(pose),
-    (n, 2, 6), over a left rotation increment (R <- exp([w]x) R) then the
-    translation.  ``f`` is the focal length, a scalar or one per row.
+    Returns d(pixel)/d(camera-frame point), (n, 2, 3) (``pixel_jacobian``),
+    and d(pixel)/d(pose), (n, 2, 6), over a left rotation increment
+    (R <- exp([w]x) R) then the translation.  ``f`` is the focal length, a
+    scalar or one per row.
     """
-    x, y, z = xc[:, 0], xc[:, 1], xc[:, 2]
     n = len(xc)
-    d_uv = np.zeros((n, 2, 3))
-    d_uv[:, 0, 0] = f / z
-    d_uv[:, 0, 2] = -f * x / z ** 2
-    d_uv[:, 1, 1] = f / z
-    d_uv[:, 1, 2] = -f * y / z ** 2
+    d_uv = pixel_jacobian(xc, f)
     # rotation: left increment, d(xc)/dw = -[R X]x
     RX = xc - t
     d_rot = np.zeros((n, 3, 3))
@@ -98,10 +95,7 @@ class BAProblem:
         f = self.f if f is None else f
         X = self.X if X is None else X
         xc = np.einsum("oij,oj->oi", R[self.cam_idx], X[self.pt_idx]) + t[self.cam_idx]
-        z = xc[:, 2]
-        fo = f[self.cam_idx]
-        pred = fo[:, None] * xc[:, :2] / z[:, None] + self.pp[self.cam_idx]
-        return pred - self.uv
+        return pixels(xc, f[self.cam_idx], self.pp[self.cam_idx]) - self.uv
 
     def jacobian_blocks(self):
         """Per-observation (2,7) camera and (2,3) point Jacobian blocks."""
@@ -110,7 +104,7 @@ class BAProblem:
         d_uv, J_pose = pose_jacobian(xc, self.t[self.cam_idx], self.f[self.cam_idx])
         Jc = np.zeros((self.n_obs, 2, CAM_PARAMS))
         Jc[:, :, 0:6] = J_pose
-        Jc[:, :, 6] = xc[:, :2] / xc[:, 2:3]
+        Jc[:, :, 6] = xc[:, :2] / xc[:, 2:3]  # d pixel / d f
         return Jc, d_uv @ Ro
 
 
@@ -369,37 +363,6 @@ def _lm_iterate(problem: BAProblem, max_iters: int) -> tuple[float, float, int]:
     return initial_cost, cost, it
 
 
-def refine_points_only(problem: BAProblem) -> float:
-    """Gauss-Newton sweeps on point positions with cameras held fixed.
-
-    Each point's 3x3 system is independent and well conditioned, which mops
-    up the numerical floor the coupled solve leaves behind.  Steps are
-    accepted per point only when they reduce that point's cost; returns the
-    final total cost.
-    """
-    npnt = problem.n_pts
-    by_point = _Segments.of(np.argsort(problem.pt_idx, kind="stable"), problem.pt_idx, npnt)
-    for _ in range(POINT_SWEEPS):
-        res = problem.residuals()
-        _, Jp = problem.jacobian_blocks()
-        H = by_point.sum(np.einsum("oki,okj->oij", Jp, Jp))
-        g = by_point.sum(np.einsum("oki,ok->oi", Jp, res))
-        H[:, np.arange(3), np.arange(3)] += 1e-12
-        try:
-            delta = np.linalg.solve(H, -g[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            break
-        cost_pt = np.bincount(problem.pt_idx, weights=(res ** 2).sum(axis=1),
-                              minlength=npnt)
-        X_new = problem.X + delta
-        res_new = problem.residuals(X=X_new)
-        cost_pt_new = np.bincount(problem.pt_idx, weights=(res_new ** 2).sum(axis=1),
-                                  minlength=npnt)
-        improved = np.isfinite(cost_pt_new) & (cost_pt_new < cost_pt)
-        problem.X[improved] = X_new[improved]
-    return float((problem.residuals() ** 2).sum())
-
-
 def bundle_adjust(model: Model, feature_store, *, max_iters: int = BA_MAX_ITERS) -> BAStats:
     """Optimize all cameras (pose + focal) and points in place.
 
@@ -424,7 +387,6 @@ def bundle_adjust(model: Model, feature_store, *, max_iters: int = BA_MAX_ITERS)
                 pruned += 1
             continue
         initial, final, iters = _lm_iterate(problem, max_iters)
-        final = min(final, refine_points_only(problem))
         for i, image_id in enumerate(cam_ids):
             old = model.cameras[image_id]
             U, _, Vt = np.linalg.svd(problem.R[i])

@@ -199,11 +199,11 @@ def cmd_bench_guided(args) -> int:
             raise FormatError(f"{where}: image {missing[0]} has no camera in {args.model}")
         pairs.append((a, b))
     for a, b in pairs:
-        geom = fundamental_from_poses(model.cameras[a], model.cameras[b])
+        F = fundamental_from_poses(model.cameras[a], model.cameras[b])
         stats = SearchStats()
         t0 = time.perf_counter()
         matches = guided_match_pair(
-            store[a], store[b], geom, d=cfg.d, ratio=cfg.ratio_guided, stats=stats)
+            store[a], store[b], F, d=cfg.d, ratio=cfg.ratio_guided, stats=stats)
         dt = (time.perf_counter() - t0) * 1000.0
         print(f"pair={a},{b} time_ms={dt:.2f} "
               f"comparisons={stats.candidates} matches={len(matches)}")

@@ -172,7 +172,7 @@ def densify_stage(model: Model, feature_store, *,
     for a, b in pairs:
         q, t = (a, b) if a in query_set else (b, a)
         try:
-            geom = fundamental_from_poses(model.cameras[q], model.cameras[t])
+            F = fundamental_from_poses(model.cameras[q], model.cameras[t])
         except DegenerateGeometryError:
             continue
         fq, ft = feature_store.sets[q], feature_store.sets[t]
@@ -184,7 +184,7 @@ def densify_stage(model: Model, feature_store, *,
             grids[t] = build_grid(ft.xy.astype(np.float64), d * GRID_INFLATION,
                                   width=ft.width, height=ft.height)
         pair_matches.append((q, t, guided_match_pair(
-            fq, ft, geom, d=d, ratio=ratio, query_indices=untracked[q], grid=grids[t])))
+            fq, ft, F, d=d, ratio=ratio, query_indices=untracked[q], grid=grids[t])))
 
     new_tracks, extensions = merge_tracks(pair_matches, observations)
 

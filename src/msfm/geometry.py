@@ -1,9 +1,10 @@
 """Two-view epipolar geometry and multi-view triangulation.
 
-Conventions: pixels project as x ~ K (R X + t), camera centre C = -R^T t,
-pixel origin at the top-left with y growing downward.  Fundamental matrices
-map query-image points to target-image lines, i.e. p_target^T F p_query = 0,
-and are kept Frobenius-normalized with rank 2.
+Conventions: pixels project as x ~ K (R X + t) (``model.pixels``), camera
+centre C = -R^T t, pixel origin at the top-left with y growing downward.
+A two-view geometry is its fundamental matrix F, a (3, 3) array mapping
+query-image points to target-image lines, i.e. p_target^T F p_query = 0,
+kept Frobenius-normalized with rank 2.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometryError, InsufficientDataError
+from .model import pixel_jacobian, pixels
 
 SAMPSON_THRESHOLD_PX = 2.0
 RANSAC_CONFIDENCE = 0.999
@@ -28,15 +30,6 @@ RANSAC_FIT_STACK = 256
 
 TRI_MAX_ERROR_PX = 4.0
 TRI_MIN_ANGLE_DEG = 1.0
-
-
-@dataclass
-class TwoViewGeometry:
-    """Fundamental matrix for an image pair plus estimation metadata."""
-
-    F: np.ndarray
-    inlier_count: int = 0
-    degenerate_planar: bool = False
 
 
 @dataclass(frozen=True)
@@ -66,7 +59,7 @@ def _normalize_f(F: np.ndarray) -> np.ndarray:
     return np.where(big[..., None] < 0, -F, F)
 
 
-def fundamental_from_poses(cam_q, cam_c) -> TwoViewGeometry:
+def fundamental_from_poses(cam_q, cam_c) -> np.ndarray:
     """Fundamental matrix of a pose-known pair, p_c^T F p_q = 0.
 
     Raises DegenerateGeometryError when the camera centres coincide.
@@ -80,7 +73,7 @@ def fundamental_from_poses(cam_q, cam_c) -> TwoViewGeometry:
     Kq_inv = np.linalg.inv(cam_q.K)
     Kc_inv = np.linalg.inv(cam_c.K)
     F = Kc_inv.T @ cam_c.R @ skew(centre_diff) @ cam_q.R.T @ Kq_inv
-    return TwoViewGeometry(F=_normalize_f(F))
+    return _normalize_f(F)
 
 
 def _hartley_normalize(pts: np.ndarray):
@@ -99,11 +92,8 @@ def _hartley_normalize(pts: np.ndarray):
 def eight_point(pts_q: np.ndarray, pts_c: np.ndarray):
     """Normalized 8-point fits of a stack of b correspondence sets.
 
-    ``pts_q`` and ``pts_c`` are (b, n, 2), n >= 8.  Returns F (b, 3, 3) and
-    each fit's design-space gap ratio s[-2]/s[0] (b,), 0 when n = 8: a
-    near-zero gap means the system admits a solution family (coplanar
-    scene), which callers flag.  Raises np.linalg.LinAlgError when any
-    slice's SVD fails.
+    ``pts_q`` and ``pts_c`` are (b, n, 2), n >= 8.  Returns F (b, 3, 3).
+    Raises np.linalg.LinAlgError when any slice's SVD fails.
     """
     nq, Tq = _hartley_normalize(np.asarray(pts_q, dtype=np.float64))
     nc, Tc = _hartley_normalize(np.asarray(pts_c, dtype=np.float64))
@@ -111,13 +101,12 @@ def eight_point(pts_q: np.ndarray, pts_c: np.ndarray):
     xp, yp = nc[..., 0], nc[..., 1]
     A = np.stack([xp * x, xp * y, xp, yp * x, yp * y, yp, x, y, np.ones_like(x)], axis=-1)
     # thin only when tall: a thin SVD of an 8 x 9 sample drops its null vector
-    _, s, Vt = np.linalg.svd(A, full_matrices=A.shape[-2] < A.shape[-1])
-    gap = s[:, -2] / s[:, 0] if s.shape[-1] >= 9 else np.zeros(len(s))
+    _, _, Vt = np.linalg.svd(A, full_matrices=A.shape[-2] < A.shape[-1])
     U, sv, Vt2 = np.linalg.svd(Vt[:, -1].reshape(-1, 3, 3))
     D = np.zeros_like(U)
     D[:, 0, 0], D[:, 1, 1] = sv[:, 0], sv[:, 1]
     F = Tc.transpose(0, 2, 1) @ (U @ D @ Vt2) @ Tq
-    return _normalize_f(F), gap
+    return _normalize_f(F)
 
 
 def sampson_distance(F: np.ndarray, pts_q: np.ndarray, pts_c: np.ndarray) -> np.ndarray:
@@ -257,7 +246,7 @@ def estimate_fundamental_ransac(problems):
 
     ``problems`` is a sequence of (pts_q, pts_c, seed), one per pair; the
     pairs are verified in lockstep (``block_ransac``), each drawing from its
-    own seed.  Returns one (TwoViewGeometry, inlier_mask) per pair; the
+    own seed.  Returns one (F, inlier_mask) per pair; the
     caller decides whether the inlier count clears its gate.  Raises
     InsufficientDataError when a pair has below 8 correspondences.
     """
@@ -273,7 +262,7 @@ def estimate_fundamental_ransac(problems):
 
     def fit(owner, samples):
         rows = offsets[owner][:, None] + samples
-        return eight_point(all_q[rows], all_c[rows])[0], np.ones(len(rows), dtype=bool)
+        return eight_point(all_q[rows], all_c[rows]), np.ones(len(rows), dtype=bool)
 
     def score(i, F):
         return sampson_distance(F, *pts[i]) < SAMPSON_THRESHOLD_PX
@@ -283,13 +272,10 @@ def estimate_fundamental_ransac(problems):
     results = []
     for (q, c), (best_mask, best_count) in zip(pts, found):
         if best_count < 8:
-            results.append((TwoViewGeometry(F=np.eye(3) / np.sqrt(3.0), inlier_count=0),
-                            np.zeros(len(q), dtype=bool)))
+            results.append((np.eye(3) / np.sqrt(3.0), np.zeros(len(q), dtype=bool)))
             continue
-        F, gap = eight_point(q[best_mask][None], c[best_mask][None])
-        mask = sampson_distance(F[0], q, c) < SAMPSON_THRESHOLD_PX
-        results.append((TwoViewGeometry(F=F[0], inlier_count=int(mask.sum()),
-                                        degenerate_planar=bool(gap[0] < 1e-9)), mask))
+        F = eight_point(q[best_mask][None], c[best_mask][None])[0]
+        results.append((F, sampson_distance(F, q, c) < SAMPSON_THRESHOLD_PX))
     return results
 
 
@@ -312,7 +298,7 @@ def _triangulate_two_view_normalized(R, t, xq, xc):
     return X[:, :3] / w[:, None]
 
 
-def relative_pose_from_fundamental(geom: TwoViewGeometry, K_q, K_c, pts_q, pts_c):
+def relative_pose_from_fundamental(F: np.ndarray, K_q, K_c, pts_q, pts_c):
     """Decompose E = K_c^T F K_q into the (R, t) of the target w.r.t. the query.
 
     Returns (R, t, cheirality_count, median triangulation angle in radians)
@@ -324,7 +310,7 @@ def relative_pose_from_fundamental(geom: TwoViewGeometry, K_q, K_c, pts_q, pts_c
     n = len(pts_q)
     if n < 5:
         raise InsufficientDataError(f"need >= 5 inliers, got {n}")
-    E = K_c.T @ geom.F @ K_q
+    E = K_c.T @ F @ K_q
     U, _, Vt = np.linalg.svd(E)
     if np.linalg.det(U) < 0:
         U = -U
@@ -358,12 +344,11 @@ def relative_pose_from_fundamental(geom: TwoViewGeometry, K_q, K_c, pts_q, pts_c
     return R, tc, count, median_angle
 
 
-def _reproject(K, R, t, X, pix):
+def _reproject(f, pp, R, t, X, pix):
     """Residuals (n, k, 2), camera-frame points (n, k, 3) and mean errors (n,)
     of points X (n, 3); a point at or behind a camera reads an inf error."""
     xc = (R @ X[:, None, :, None])[..., 0] + t
-    uv = (K @ xc[..., None])[..., 0]
-    res = uv[..., :2] / uv[..., 2:3] - pix
+    res = pixels(xc, f, pp) - pix
     res[xc[..., 2] <= 1e-12] = np.inf
     err = np.linalg.norm(res, axis=-1).mean(axis=-1)
     return res, xc, np.where(np.isfinite(res).all(axis=(1, 2)), err, np.inf)
@@ -389,7 +374,8 @@ def triangulate_track(cameras, images, pixels, *,
     ids, slot = np.unique(images, return_inverse=True)
     cams = [cameras[i] for i in ids.tolist()]
     slot = slot.reshape(n, k)
-    K = np.stack([c.K for c in cams])[slot]
+    f = np.array([c.K[0, 0] for c in cams])[slot]
+    pp = np.stack([c.K[:2, 2] for c in cams])[slot]
     R = np.stack([c.R for c in cams])[slot]
     t = np.stack([c.t for c in cams])[slot]
     centers = np.stack([c.center() for c in cams])[slot]
@@ -400,20 +386,12 @@ def triangulate_track(cameras, images, pixels, *,
         Xh = Vt[:, -1]
         parallel = np.abs(Xh[:, 3]) < 1e-12 * np.linalg.norm(Xh[:, :3], axis=-1)
         X = Xh[:, :3] / Xh[:, 3:]
-        res, xc, err = _reproject(K, R, t, X, pix)
+        res, xc, err = _reproject(f, pp, R, t, X, pix)
 
         # one Gauss-Newton pass on the reprojection residuals; a singular
         # system skips its own track's step only
         live = np.flatnonzero(np.isfinite(err))
-        x, y, z = xc[live].transpose(2, 0, 1)
-        f = K[live, :, 0, 0]
-        # libm pow, as a scalar z ** 2 rounds; z * z can differ in the last bit
-        z2 = np.float_power(z, 2)
-        d_uv = np.zeros((len(live), k, 2, 3))
-        d_uv[..., 0, 0] = d_uv[..., 1, 1] = f / z
-        d_uv[..., 0, 2] = -f * x / z2
-        d_uv[..., 1, 2] = -f * y / z2
-        J = (d_uv @ R[live]).reshape(len(live), 2 * k, 3)
+        J = (pixel_jacobian(xc[live], f[live]) @ R[live]).reshape(len(live), 2 * k, 3)
         Jt = J.transpose(0, 2, 1)
         H = Jt @ J
         H[:, np.arange(3), np.arange(3)] += 1e-12
@@ -421,7 +399,7 @@ def triangulate_track(cameras, images, pixels, *,
         solvable = np.linalg.det(H) != 0
         live = live[solvable]
         X_new = X[live] + np.linalg.solve(H[solvable], -g[solvable])[..., 0]
-        _, xc_new, err_new = _reproject(K[live], R[live], t[live], X_new, pix[live])
+        _, xc_new, err_new = _reproject(f[live], pp[live], R[live], t[live], X_new, pix[live])
         better = err_new <= err[live]
         keep = live[better]
         X[keep], xc[keep], err[keep] = X_new[better], xc_new[better], err_new[better]

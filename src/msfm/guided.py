@@ -32,7 +32,7 @@ import numpy as np
 
 from .descriptors import SearchStats
 from .features import FeatureSet
-from .geometry import EpipolarLine, TwoViewGeometry
+from .geometry import EpipolarLine
 from .matching import NO_MATCHES, RATIO_GUIDED, Matches, matches_from, ratio_filter
 
 BAND_D_PX = 8.0
@@ -212,7 +212,7 @@ class QueryGroups:
 NO_GROUPS = QueryGroups(np.empty(0, np.int64), np.empty(0, np.int64), np.empty((0, 3)))
 
 
-def group_queries(query_fs: FeatureSet, geom: TwoViewGeometry,
+def group_queries(query_fs: FeatureSet, F: np.ndarray,
                   bounds: tuple[float, float], *,
                   query_indices: np.ndarray | None = None) -> QueryGroups:
     """Partition query features by quantized boundary intersections.
@@ -226,7 +226,7 @@ def group_queries(query_fs: FeatureSet, geom: TwoViewGeometry,
     if len(qi) == 0:
         return NO_GROUPS
     hom = np.hstack([query_fs.xy[qi].astype(np.float64), np.ones((len(qi), 1))])
-    lines = hom @ geom.F.T
+    lines = hom @ F.T
     norms = np.hypot(lines[:, 0], lines[:, 1])
     ok = norms > 1e-12
     lines[ok] /= norms[ok, None]
@@ -345,7 +345,7 @@ def _two_nearest(d2: np.ndarray, starts: np.ndarray):
 
 
 def guided_match_pair(query_fs: FeatureSet, target_fs: FeatureSet,
-                      geom: TwoViewGeometry, *,
+                      F: np.ndarray, *,
                       d: float = BAND_D_PX,
                       ratio: float = RATIO_GUIDED,
                       query_indices: np.ndarray | None = None,
@@ -370,7 +370,7 @@ def guided_match_pair(query_fs: FeatureSet, target_fs: FeatureSet,
     if grid is None:
         grid = build_grid(txy, d * GRID_INFLATION, width=bounds[0], height=bounds[1])
 
-    groups = group_queries(query_fs, geom, bounds, query_indices=query_indices)
+    groups = group_queries(query_fs, F, bounds, query_indices=query_indices)
     if not groups:
         return NO_MATCHES
     # members of all groups, group by group, with each member's own line
@@ -383,7 +383,7 @@ def guided_match_pair(query_fs: FeatureSet, target_fs: FeatureSet,
     tnorm = np.einsum("ij,ij->i", tdesc, tdesc)
     n_members = groups.sizes()
     hom = np.hstack([query_fs.xy[members].astype(np.float64), np.ones((len(members), 1))])
-    mlines = hom @ geom.F.T
+    mlines = hom @ F.T
     mlines /= np.maximum(np.hypot(mlines[:, 0], mlines[:, 1]), 1e-15)[:, None]
 
     line_a, line_b, line_c = np.ascontiguousarray(mlines.T)

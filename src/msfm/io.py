@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import FormatError, MsfmError
 from .matching import Edge, Matches, MatchGraph
-from .geometry import TwoViewGeometry
 from .model import Camera, Model, make_intrinsics
 
 MODEL_MAGIC = "MSFM-MODEL 1"
@@ -129,8 +128,8 @@ def write_matchgraph(graph: MatchGraph, path) -> None:
         edge = graph.edges[(a, b)]
         m = edge.matches
         lines.append(f"EDGE {a} {b} {len(m)} {int(edge.inlier_mask.sum())}")
-        if edge.geometry is not None:
-            lines.append("F " + " ".join(_fmt(v) for v in edge.geometry.F.reshape(-1)))
+        if edge.F is not None:
+            lines.append("F " + " ".join(_fmt(v) for v in edge.F.reshape(-1)))
         lines += [f"{q} {t} {_fmt(d)} {_fmt(r)} {int(flag)}"
                   for q, t, d, r, flag in zip(m.query.tolist(), m.target.tolist(),
                                               m.distance.tolist(), m.ratio.tolist(),
@@ -158,11 +157,10 @@ def read_matchgraph(path) -> MatchGraph:
                 raise FormatError(f"{path}:{lineno}: edge {a} {b} is not an ascending pair")
             if (a, b) in graph.edges:
                 raise FormatError(f"{path}:{lineno}: edge {a} {b} is repeated")
-            geometry = None
+            F = None
             if lineno < len(text) and text[lineno].startswith("F "):
                 lineno += 1
                 F = np.array([float(v) for v in text[lineno - 1].split()[1:]]).reshape(3, 3)
-                geometry = TwoViewGeometry(F=F)
             if lineno + n_matches > len(text):
                 raise FormatError(f"{path}:{len(text)}: file ends inside edge {a} {b} "
                                   f"of {n_matches} matches")
@@ -179,10 +177,8 @@ def read_matchgraph(path) -> MatchGraph:
             if n_flags != n_inliers:
                 raise FormatError(f"{path}:{edge_line}: edge {a} {b} has {n_flags} "
                                   f"inlier flags, not {n_inliers}")
-            if geometry is not None:
-                geometry.inlier_count = n_flags
             matches = Matches(query=ids[0], target=ids[1], distance=values[0], ratio=values[1])
-            graph.edges[(a, b)] = Edge(matches=matches, inlier_mask=mask, geometry=geometry)
+            graph.edges[(a, b)] = Edge(matches=matches, inlier_mask=mask, F=F)
     except ValueError as exc:
         raise FormatError(f"{path}:{lineno}: {exc}") from exc
     return graph

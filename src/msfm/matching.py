@@ -16,7 +16,7 @@ import numpy as np
 
 from .descriptors import SearchStats, two_nearest_bruteforce
 from .features import FeatureSet
-from .geometry import MIN_EDGE_INLIERS, TwoViewGeometry, estimate_fundamental_ransac
+from .geometry import MIN_EDGE_INLIERS, estimate_fundamental_ransac
 
 RATIO_UNGUIDED = 0.6
 RATIO_GUIDED = 0.8
@@ -62,11 +62,12 @@ NO_ENTRIES = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
 
 @dataclass
 class Edge:
-    """Matches of the images (a, b) of its key: a is the query image."""
+    """Matches of the images (a, b) of its key: a is the query image, and
+    ``F`` (p_b^T F p_a = 0) is None when the pair has no verified geometry."""
 
     matches: Matches
     inlier_mask: np.ndarray
-    geometry: TwoViewGeometry | None = None
+    F: np.ndarray | None = None
 
     def inliers(self) -> Matches:
         return self.matches.subset(self.inlier_mask)
@@ -254,7 +255,7 @@ def build_coarse_matchgraph(feature_sets: dict[int, FeatureSet], *,
         (feature_sets[a].xy[m.query], feature_sets[b].xy[m.target], seed + a * 100003 + b)
         for a, b, m in matched])
     graph = MatchGraph()
-    for (a, b, matches), (geom, mask) in zip(matched, verified):
+    for (a, b, matches), (F, mask) in zip(matched, verified):
         if int(mask.sum()) >= min_edge_inliers:
-            graph.edges[(a, b)] = Edge(matches=matches, inlier_mask=mask, geometry=geom)
+            graph.edges[(a, b)] = Edge(matches=matches, inlier_mask=mask, F=F)
     return graph

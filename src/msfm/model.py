@@ -1,5 +1,10 @@
 """Reconstruction state: cameras, 3D points, tracks and one ownership index.
 
+The pinhole model is written once, here: ``pixels`` projects camera-frame
+points and ``pixel_jacobian`` is its derivative; resection, triangulation
+and bundle adjustment each form their own camera-frame points R X + t and
+call these two.
+
 Next to the tracks (point -> image -> feature), the model keeps their inverse:
 one map per registered image from feature id to the point that owns it.
 Every change goes through attach_camera / replace_camera / add_point /
@@ -44,10 +49,27 @@ class Camera:
     def project(self, X: np.ndarray):
         """Project world points (n,3); returns (pixels (n,2), depths (n,))."""
         X = np.asarray(X, dtype=np.float64).reshape(-1, 3)
-        xc = X @ self.R.T + self.t
-        depths = xc[:, 2]
-        uv = xc @ self.K.T
-        return uv[:, :2] / uv[:, 2:3], depths
+        xc = np.einsum("ij,nj->ni", self.R, X) + self.t  # R X + t as BA forms it
+        return pixels(xc, self.K[0, 0], self.K[:2, 2]), xc[:, 2]
+
+
+def pixels(xc: np.ndarray, f, pp) -> np.ndarray:
+    """Pinhole pixels (..., 2) of camera-frame points ``xc`` (..., 3).
+
+    ``f`` is the focal length, a scalar or an array over the leading axes
+    of ``xc``, and ``pp`` the principal point, broadcast against (..., 2).
+    """
+    return np.asarray(f)[..., None] * xc[..., :2] / xc[..., 2:3] + pp
+
+
+def pixel_jacobian(xc: np.ndarray, f) -> np.ndarray:
+    """d pixel / d camera-frame point (..., 2, 3) of ``pixels`` at ``xc``."""
+    x, y, z = xc[..., 0], xc[..., 1], xc[..., 2]
+    J = np.zeros((*xc.shape[:-1], 2, 3))
+    J[..., 0, 0] = J[..., 1, 1] = f / z
+    J[..., 0, 2] = -f * x / z ** 2
+    J[..., 1, 2] = -f * y / z ** 2
+    return J
 
 
 def make_intrinsics(focal: float, cx: float, cy: float) -> np.ndarray:

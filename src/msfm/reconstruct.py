@@ -2,12 +2,13 @@
 
 Seeded from the strongest well-conditioned edge, then grown image by image:
 the unregistered image with the most 2D matches into already-triangulated
-tracks is registered by robust resection, its fresh correspondences are
-triangulated, and bundle adjustment runs every few registrations plus once
-at the end.  This is the only stage that bundle-adjusts.  Camera and point
-addition reuse its resection (``resect_image``) and track triangulation
-(``triangulate_refs``, one stacked pass per track length) with the same
-gates.
+tracks (more than ``min_inliers``, as in camera addition) is registered by
+robust resection, its fresh correspondences are triangulated
+(``_triangulate_new_tracks``, which also makes the seed pair's points), and
+bundle adjustment runs every few registrations plus once at the end.  This
+is the only stage that bundle-adjusts.  Camera and point addition reuse its
+resection (``resect_image``) and track triangulation (``triangulate_refs``,
+one stacked pass per track length) with the same gates.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .geometry import (
     triangulate_track,
 )
 from .matching import NO_ENTRIES, MatchGraph, closest_one_to_one
-from .model import Camera, Model
+from .model import Camera, Model, pixels
 
 log = logging.getLogger(__name__)
 
@@ -40,7 +41,6 @@ PNP_LM_ITERS = 20
 
 SEED_MIN_MEDIAN_ANGLE_DEG = 2.0
 SEED_ANGLE_SAMPLES = 64
-MIN_REGISTER_CORRESPONDENCES = 16
 BA_BATCH = 8
 BA_ITERS_EARLY = 50
 BA_ITERS_FINAL = 100
@@ -102,16 +102,16 @@ def dlt_pose(points3d: np.ndarray, pixels: np.ndarray, K: np.ndarray):
     return R[rows, pick], t[rows, pick], ok
 
 
-def refine_pose_lm(R, t, K, points3d, pixels):
+def refine_pose_lm(R, t, K, points3d, uv):
     """Levenberg-Marquardt on (rotation, translation) with K fixed."""
     X = np.asarray(points3d, dtype=np.float64)
-    uv = np.asarray(pixels, dtype=np.float64)
+    uv = np.asarray(uv, dtype=np.float64)
     f = K[0, 0]
     pp = K[:2, 2]
 
     def residuals(Rc, tc):
         xc = X @ Rc.T + tc
-        return f * xc[:, :2] / xc[:, 2:3] + pp - uv, xc
+        return pixels(xc, f, pp) - uv, xc
 
     res, xc = residuals(R, t)
     cost = float((res ** 2).sum())
@@ -153,8 +153,7 @@ def _pnp_inliers(R, t, K, X, uv) -> np.ndarray:
     within ``PNP_THRESHOLD_PX`` of the pixels."""
     xc = X @ np.swapaxes(R, -1, -2) + t[..., None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        proj = K[0, 0] * xc[..., :2] / xc[..., 2:3] + K[:2, 2]
-        err = np.linalg.norm(proj - uv, axis=-1)
+        err = np.linalg.norm(pixels(xc, K[0, 0], K[:2, 2]) - uv, axis=-1)
     return (xc[..., 2] > 0) & np.isfinite(err) & (err < PNP_THRESHOLD_PX)
 
 
@@ -255,25 +254,15 @@ def triangulate_refs(model: Model, feature_sets, tracks) -> list:
         pairs = [pair for i in rows for pair in tracks[i]]
         image = np.fromiter((i for i, _ in pairs), np.int64, len(pairs))
         feature = np.fromiter((f for _, f in pairs), np.int64, len(pairs))
-        pixels = np.empty((len(image), 2))
+        uv = np.empty((len(image), 2))
         for image_id in np.unique(image).tolist():
             at = np.flatnonzero(image == image_id)
-            pixels[at] = feature_sets[image_id].xy[feature[at]]
+            uv[at] = feature_sets[image_id].xy[feature[at]]
         X, _, ok = triangulate_track(model.cameras, image.reshape(len(rows), length),
-                                     pixels.reshape(len(rows), length, 2))
+                                     uv.reshape(len(rows), length, 2))
         for j in np.flatnonzero(ok).tolist():
             points[rows[j]] = X[j]
     return points
-
-
-def _triangulate_pairs(model: Model, feature_sets, pairs) -> None:
-    """Two-view points from the (a, feature, b, feature) pairs of untracked
-    features, added in order unless a feature is tracked by then."""
-    tracks = [((a, q), (b, t)) for a, q, b, t in pairs]
-    points = triangulate_refs(model, feature_sets, tracks)
-    for (a, q, b, t), track, point in zip(pairs, tracks, points):
-        if point is not None and q not in model.tracked(a) and t not in model.tracked(b):
-            model.add_point(point, track)
 
 
 def _edge_points(graph: MatchGraph, feature_sets, a: int, b: int):
@@ -287,7 +276,7 @@ def _edge_median_angle(edge, intrinsics, a, b, pts_q, pts_c):
     step = max(1, len(pts_q) // SEED_ANGLE_SAMPLES)
     try:
         *_, angle = relative_pose_from_fundamental(
-            edge.geometry, intrinsics[a], intrinsics[b], pts_q[::step], pts_c[::step])
+            edge.F, intrinsics[a], intrinsics[b], pts_q[::step], pts_c[::step])
     except Exception:
         return None
     return float(np.degrees(angle))
@@ -301,7 +290,7 @@ def select_seed_pair(graph: MatchGraph, feature_sets, intrinsics) -> tuple[int, 
     NoSeedError when nothing qualifies.
     """
     order = sorted(
-        (key for key in graph.edges if graph.edges[key].geometry is not None),
+        (key for key in graph.edges if graph.edges[key].F is not None),
         key=lambda key: (-len(graph.edges[key].inliers()), key))
     for (a, b) in order:
         matches, pts_q, pts_c = _edge_points(graph, feature_sets, a, b)
@@ -340,8 +329,9 @@ def _triangulate_new_tracks(model: Model, graph: MatchGraph, feature_sets,
 
     A match whose other feature already belongs to a track extends that track
     (reprojection gated); a match between two untracked features triangulates
-    a new two-view point.  Extending first keeps one physical point from
-    spawning parallel tracks across edges.
+    a new two-view point, added in match order unless a feature is tracked by
+    then.  Extending first keeps one physical point from spawning parallel
+    tracks across edges.
     """
     def maybe_extend(pid: int, image: int, feat: int) -> None:
         pix = feature_sets[image].xy[feat].astype(np.float64)
@@ -363,28 +353,32 @@ def _triangulate_new_tracks(model: Model, graph: MatchGraph, feature_sets,
             elif own_t is not None and own_q is None:
                 maybe_extend(own_t, a, q)
             elif own_q is None and own_t is None:
-                pending.append((a, q, b, t))
-    _triangulate_pairs(model, feature_sets, pending)
+                pending.append(((a, q), (b, t)))
+    for track, point in zip(pending, triangulate_refs(model, feature_sets, pending)):
+        (a, q), (b, t) = track
+        if point is not None and q not in model.tracked(a) and t not in model.tracked(b):
+            model.add_point(point, track)
 
 
 def incremental_reconstruct(graph: MatchGraph, feature_store, intrinsics: dict[int, np.ndarray],
                             *, min_inliers: int = PNP_MIN_INLIERS, seed: int = 0) -> Model:
     """Grow a model from the match graph until no image clears the gate.
 
-    ``min_inliers`` gates each resection; ``seed`` seeds its RANSAC.
+    As in camera addition, an image with more than ``min_inliers``
+    correspondences to the model is resected, and its resection must keep
+    ``min_inliers`` of them; ``seed`` seeds its RANSAC.
     """
     feature_sets = feature_store.sets
     if not graph.edges:
         raise NoSeedError("empty match graph")
     a, b = select_seed_pair(graph, feature_sets, intrinsics)
-    matches, pts_q, pts_c = _edge_points(graph, feature_sets, a, b)
+    _, pts_q, pts_c = _edge_points(graph, feature_sets, a, b)
     R, t, _, _ = relative_pose_from_fundamental(
-        graph.edges[(a, b)].geometry, intrinsics[a], intrinsics[b], pts_q, pts_c)
+        graph.edges[(a, b)].F, intrinsics[a], intrinsics[b], pts_q, pts_c)
     model = Model()
     model.attach_camera(Camera(K=intrinsics[a], R=np.eye(3), t=np.zeros(3), image_id=a))
     model.attach_camera(Camera(K=intrinsics[b], R=R, t=t, image_id=b))
-    seed_pairs = zip(matches.query.tolist(), matches.target.tolist())
-    _triangulate_pairs(model, feature_sets, [(a, q, b, t) for q, t in seed_pairs])
+    _triangulate_new_tracks(model, graph, feature_sets, b)
     log.info("seed pair (%d, %d): %d points", a, b, len(model.points))
     bundle_adjust(model, feature_store, max_iters=BA_ITERS_EARLY)
 
@@ -395,7 +389,7 @@ def incremental_reconstruct(graph: MatchGraph, feature_store, intrinsics: dict[i
             if model.is_registered(image_id):
                 continue
             corr = _correspondences_to_model(model, graph, image_id)
-            if len(corr) >= MIN_REGISTER_CORRESPONDENCES:
+            if len(corr) > min_inliers:
                 candidates.append((len(corr), -image_id, image_id, corr))
         if not candidates:
             break

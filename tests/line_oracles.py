@@ -10,15 +10,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from msfm.errors import DegenerateGeometryError
-from msfm.geometry import EpipolarLine, TwoViewGeometry
+from msfm.geometry import EpipolarLine
 from msfm.guided import GROUP_BOUNDARY_PX, _candidates_batch
 
 OFFSETS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
 
-def epipolar_line(geom: TwoViewGeometry | np.ndarray, p) -> EpipolarLine:
+def epipolar_line(F: np.ndarray, p) -> EpipolarLine:
     """Map a query-image pixel to its target-image epipolar line."""
-    F = geom.F if isinstance(geom, TwoViewGeometry) else geom
     x, y = float(p[0]), float(p[1])
     l = F @ np.array([x, y, 1.0])
     n = float(np.hypot(l[0], l[1]))
@@ -137,7 +136,7 @@ class QueryGroup:
     member_features: np.ndarray
 
 
-def reference_group_queries(query_fs, geom: TwoViewGeometry, bounds, *,
+def reference_group_queries(query_fs, F: np.ndarray, bounds, *,
                             query_indices=None) -> list[QueryGroup]:
     """``group_queries`` as a list of groups, each query clipped on its own.
 
@@ -148,7 +147,7 @@ def reference_group_queries(query_fs, geom: TwoViewGeometry, bounds, *,
     if len(qi) == 0:
         return []
     hom = np.hstack([query_fs.xy[qi].astype(np.float64), np.ones((len(qi), 1))])
-    lines = hom @ geom.F.T
+    lines = hom @ F.T
     norms = np.hypot(lines[:, 0], lines[:, 1])
     ok = norms > 1e-12
     lines[ok] /= norms[ok, None]

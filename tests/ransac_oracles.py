@@ -15,7 +15,6 @@ from msfm.geometry import (
     RANSAC_CONFIDENCE,
     RANSAC_MAX_ITERS,
     SAMPSON_THRESHOLD_PX,
-    TwoViewGeometry,
     ransac_stop_count,
 )
 from msfm.reconstruct import (
@@ -57,7 +56,7 @@ def hartley_normalize(pts: np.ndarray):
 
 
 def eight_point(pts_q: np.ndarray, pts_c: np.ndarray):
-    """Normalized 8-point fit of one sample; returns (F, s[-2]/s[0] or 0)."""
+    """Normalized 8-point fit of one sample."""
     pts_q = np.asarray(pts_q, dtype=np.float64)
     pts_c = np.asarray(pts_c, dtype=np.float64)
     nq, Tq = hartley_normalize(pts_q)
@@ -65,13 +64,12 @@ def eight_point(pts_q: np.ndarray, pts_c: np.ndarray):
     x, y = nq[:, 0], nq[:, 1]
     xp, yp = nc[:, 0], nc[:, 1]
     A = np.stack([xp * x, xp * y, xp, yp * x, yp * y, yp, x, y, np.ones_like(x)], axis=1)
-    _, s, Vt = np.linalg.svd(A, full_matrices=len(A) < 9)
-    gap = s[-2] / s[0] if len(s) >= 9 else 0.0
+    _, _, Vt = np.linalg.svd(A, full_matrices=len(A) < 9)
     F0 = Vt[-1].reshape(3, 3)
     U, sv, Vt2 = np.linalg.svd(F0)
     F0 = U @ np.diag([sv[0], sv[1], 0.0]) @ Vt2
     F = Tc.T @ F0 @ Tq
-    return normalize_f(F), float(gap)
+    return normalize_f(F)
 
 
 def sampson_distance(F: np.ndarray, pts_q: np.ndarray, pts_c: np.ndarray) -> np.ndarray:
@@ -100,7 +98,7 @@ def estimate_fundamental_ransac(pts_q, pts_c, *, seed: int = 0):
     while it < needed and it < RANSAC_MAX_ITERS:
         sample = draw_sample(rng, n, 8)
         try:
-            F, _ = eight_point(pts_q[sample], pts_c[sample])
+            F = eight_point(pts_q[sample], pts_c[sample])
         except np.linalg.LinAlgError:
             it += 1
             continue
@@ -112,13 +110,9 @@ def estimate_fundamental_ransac(pts_q, pts_c, *, seed: int = 0):
             needed = ransac_stop_count(count / n, 8, RANSAC_CONFIDENCE, RANSAC_MAX_ITERS)
         it += 1
     if best_count < 8:
-        geom = TwoViewGeometry(F=np.eye(3) / np.sqrt(3.0), inlier_count=0)
-        return geom, np.zeros(n, dtype=bool)
-    F, gap = eight_point(pts_q[best_mask], pts_c[best_mask])
-    mask = sampson_distance(F, pts_q, pts_c) < SAMPSON_THRESHOLD_PX
-    geom = TwoViewGeometry(F=F, inlier_count=int(mask.sum()),
-                           degenerate_planar=gap < 1e-9)
-    return geom, mask
+        return np.eye(3) / np.sqrt(3.0), np.zeros(n, dtype=bool)
+    F = eight_point(pts_q[best_mask], pts_c[best_mask])
+    return F, sampson_distance(F, pts_q, pts_c) < SAMPSON_THRESHOLD_PX
 
 
 def dlt_pose(points3d: np.ndarray, pixels: np.ndarray, K: np.ndarray):

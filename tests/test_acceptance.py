@@ -220,14 +220,14 @@ class TestCriterion5GuidedDensity:
                          descriptor_noise=2.0, seed=6)
         scene = generate_scene(spec)
         fs_q, fs_t = scene.feature_sets[0], scene.feature_sets[1]
-        geom = fundamental_from_poses(scene.cameras[0], scene.cameras[1])
+        F = fundamental_from_poses(scene.cameras[0], scene.cameras[1])
         oracle = dict(oracle_matches(scene, 0, 1))
 
         def correct(matches):
             return sum(1 for q, t in zip(matches.query.tolist(), matches.target.tolist())
                        if oracle.get(q) == t)
 
-        guided = guided_match_pair(fs_q, fs_t, geom, d=8.0, ratio=0.8)
+        guided = guided_match_pair(fs_q, fs_t, F, d=8.0, ratio=0.8)
         unguided = match_pair(
             fs_q, fs_t, ratio=0.6,
             query_indices=np.arange(len(fs_q)),
@@ -251,11 +251,11 @@ class TestCriterion6GuidedSpeed:
         scene = generate_scene(spec)
         fs_q, fs_t = scene.feature_sets[0], scene.feature_sets[1]
         assert len(fs_q) >= 20_000 and len(fs_t) >= 20_000
-        geom = fundamental_from_poses(scene.cameras[0], scene.cameras[1])
+        F = fundamental_from_poses(scene.cameras[0], scene.cameras[1])
 
         stats_g = SearchStats()
         t0 = time.perf_counter()
-        guided_match_pair(fs_q, fs_t, geom, d=8.0, stats=stats_g)
+        guided_match_pair(fs_q, fs_t, F, d=8.0, stats=stats_g)
         t_guided = time.perf_counter() - t0
 
         stats_u = SearchStats()
@@ -358,8 +358,7 @@ class TestCriterion7OracleEquivalences:
             pc = np.stack([fs1.xy[b] for _, b in pairs]).astype(np.float64)
             est, _ = estimate_fundamental_ransac([(pq, pc, trial)])[0]
             true = fundamental_from_poses(scene.cameras[0], scene.cameras[1])
-            diff = min(np.linalg.norm(est.F - true.F),
-                       np.linalg.norm(est.F + true.F))
+            diff = min(np.linalg.norm(est - true), np.linalg.norm(est + true))
             worst = max(worst, diff)
         report("criterion-7c pose F vs estimated F", worst < 1e-6,
                f"max Frobenius distance {worst:.2e} < 1e-6")
@@ -432,11 +431,11 @@ class TestCriterion8NumericalChecks:
             s2 = generate_scene(SceneSpec(
                 n_cameras=2, layout="grid", ring_radius=6.0, cloud_radius=1.8,
                 n_points=120, visibility_fraction=1.0, seed=trial + 60))
-            F1 = fundamental_from_poses(s2.cameras[0], s2.cameras[1]).F
+            F1 = fundamental_from_poses(s2.cameras[0], s2.cameras[1])
             pairs = oracle_matches(s2, 0, 1)
             pq = np.stack([s2.feature_sets[0].xy[a] for a, _ in pairs])
             pc = np.stack([s2.feature_sets[1].xy[b] for _, b in pairs])
-            F2 = estimate_fundamental_ransac([(pq, pc, trial)])[0][0].F
+            F2 = estimate_fundamental_ransac([(pq, pc, trial)])[0][0]
             for F in (F1, F2):
                 s = np.linalg.svd(F, compute_uv=False)
                 if s[2] / s[0] >= 1e-6:

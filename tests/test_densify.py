@@ -537,8 +537,8 @@ class TestDensifyStage:
             refs = sorted(work.points[pid].track.items())
             for i in range(len(refs) - 1):
                 a, b = refs[i], refs[i + 1]
-                geom = fundamental_from_poses(work.cameras[a[0]], work.cameras[b[0]])
-                line = epipolar_line(geom, store.position(*a))
+                F = fundamental_from_poses(work.cameras[a[0]], work.cameras[b[0]])
+                line = epipolar_line(F, store.position(*a))
                 dist = point_line_distance(store.position(*b), line)
                 # matched pairs respect the band; chained refs may differ a bit
                 assert dist <= 8.0 * 2.5

@@ -58,8 +58,8 @@ class TestFundamentalFromPoses:
         K = np.eye(3)
         cam_q = Camera(K=K, R=np.eye(3), t=np.zeros(3), image_id=0)
         cam_c = Camera(K=K, R=np.eye(3), t=np.array([-1.0, 0.0, 0.0]), image_id=1)
-        geom = fundamental_from_poses(cam_q, cam_c)
-        line = epipolar_line(geom, (5.0, 7.0))
+        F = fundamental_from_poses(cam_q, cam_c)
+        line = epipolar_line(F, (5.0, 7.0))
         # (0, -1, y) up to scale: horizontal line y' = 7
         assert abs(line.a) < 1e-12
         assert abs(line.c / line.b - (-7.0)) < 1e-9
@@ -70,7 +70,7 @@ class TestFundamentalFromPoses:
             cam_q, cam_c = facing_pair(rng)
             pts = covisible_cloud(rng, cam_q, cam_c, n=100,
                                   depth_center=np.array([0.5, 0.0, 6.0]))
-            F = fundamental_from_poses(cam_q, cam_c).F
+            F = fundamental_from_poses(cam_q, cam_c)
             pq, _ = cam_q.project(pts)
             pc, _ = cam_c.project(pts)
             # residuals on the normalized-coordinate scale
@@ -86,15 +86,15 @@ class TestFundamentalFromPoses:
     def test_swap_gives_transpose_up_to_sign(self):
         rng = np.random.default_rng(5)
         cam_q, cam_c = facing_pair(rng)
-        F_qc = fundamental_from_poses(cam_q, cam_c).F
-        F_cq = fundamental_from_poses(cam_c, cam_q).F
+        F_qc = fundamental_from_poses(cam_q, cam_c)
+        F_cq = fundamental_from_poses(cam_c, cam_q)
         diff = min(np.abs(F_cq - F_qc.T).max(), np.abs(F_cq + F_qc.T).max())
         assert diff < 1e-12
 
     def test_rank_two(self):
         rng = np.random.default_rng(7)
         cam_q, cam_c = facing_pair(rng)
-        F = fundamental_from_poses(cam_q, cam_c).F
+        F = fundamental_from_poses(cam_q, cam_c)
         s = np.linalg.svd(F, compute_uv=False)
         assert s[2] / s[0] < 1e-6
 
@@ -113,8 +113,8 @@ class TestEpipolarLine:
         K = np.eye(3)
         cam_q = Camera(K=K, R=np.eye(3), t=np.zeros(3), image_id=0)
         cam_c = Camera(K=K, R=np.eye(3), t=np.array([-1.0, 0.0, 0.0]), image_id=1)
-        geom = fundamental_from_poses(cam_q, cam_c)
-        line = epipolar_line(geom, (5.0, 7.0))
+        F = fundamental_from_poses(cam_q, cam_c)
+        line = epipolar_line(F, (5.0, 7.0))
         assert point_line_distance((3.0, 7.0), line) < 1e-12
 
     def test_true_correspondence_on_line(self):
@@ -122,17 +122,17 @@ class TestEpipolarLine:
         cam_q, cam_c = facing_pair(rng)
         pts = covisible_cloud(rng, cam_q, cam_c, n=50,
                               depth_center=np.array([0.5, 0.0, 6.0]))
-        geom = fundamental_from_poses(cam_q, cam_c)
+        F = fundamental_from_poses(cam_q, cam_c)
         pq, _ = cam_q.project(pts)
         pc, _ = cam_c.project(pts)
         for i in range(50):
-            line = epipolar_line(geom, pq[i])
+            line = epipolar_line(F, pq[i])
             assert point_line_distance(pc[i], line) < 1e-6
 
     def test_epipole_raises(self):
         rng = np.random.default_rng(11)
         cam_q, cam_c = facing_pair(rng)
-        F = fundamental_from_poses(cam_q, cam_c).F
+        F = fundamental_from_poses(cam_q, cam_c)
         # right null vector of F is the epipole in the query image
         _, _, Vt = np.linalg.svd(F)
         e = Vt[-1]
@@ -191,11 +191,11 @@ class TestEstimateFundamentalRansac:
                               depth_center=np.array([0.5, 0.0, 6.0]))
         pq, _ = cam_q.project(pts)
         pc, _ = cam_c.project(pts)
-        geom, mask = estimate_fundamental_ransac([(pq, pc, 1)])[0]
+        F, mask = estimate_fundamental_ransac([(pq, pc, 1)])[0]
         assert mask.all()
         hq = np.hstack([pq, np.ones((8, 1))])
         hc = np.hstack([pc, np.ones((8, 1))])
-        res = np.einsum("ij,jk,ik->i", hc / 1000.0, geom.F, hq / 1000.0)
+        res = np.einsum("ij,jk,ik->i", hc / 1000.0, F, hq / 1000.0)
         assert np.abs(res).max() < 1e-6
 
     def test_outlier_recall(self):
@@ -211,10 +211,9 @@ class TestEstimateFundamentalRansac:
         truth = np.ones(200, dtype=bool)
         truth[outliers] = False
         pc[outliers] = rng.uniform(0, [1024, 768], size=(60, 2))
-        geom, mask = estimate_fundamental_ransac([(pq, pc, 2)])[0]
+        F, mask = estimate_fundamental_ransac([(pq, pc, 2)])[0]
         recall = (mask & truth).sum() / truth.sum()
         assert recall >= 0.95
-        assert geom.inlier_count == mask.sum()
 
     def test_too_few_matches(self):
         with pytest.raises(InsufficientDataError):
@@ -228,10 +227,9 @@ class TestEstimateFundamentalRansac:
         pts = np.column_stack([xy, 6.0 + 0.3 * xy[:, 0] + 0.1 * xy[:, 1]])
         pq, _ = cam_q.project(pts)
         pc, _ = cam_c.project(pts)
-        geom, mask = estimate_fundamental_ransac([(pq, pc, 3)])[0]
-        sd = sampson_distance(geom.F, pq, pc)
+        F, mask = estimate_fundamental_ransac([(pq, pc, 3)])[0]
+        sd = sampson_distance(F, pq, pc)
         assert sd.max() < 1e-3
-        assert geom.degenerate_planar
 
     def test_agrees_with_pose_fundamental(self):
         rng = np.random.default_rng(29)
@@ -242,7 +240,7 @@ class TestEstimateFundamentalRansac:
         pc, _ = cam_c.project(pts)
         est, _ = estimate_fundamental_ransac([(pq, pc, 4)])[0]
         true = fundamental_from_poses(cam_q, cam_c)
-        diff = min(np.linalg.norm(est.F - true.F), np.linalg.norm(est.F + true.F))
+        diff = min(np.linalg.norm(est - true), np.linalg.norm(est + true))
         assert diff < 1e-6
 
     def test_incidence_symmetry(self):
@@ -250,12 +248,12 @@ class TestEstimateFundamentalRansac:
         cam_q, cam_c = facing_pair(rng)
         pts = covisible_cloud(rng, cam_q, cam_c, n=30,
                               depth_center=np.array([0.5, 0.0, 6.0]))
-        geom = fundamental_from_poses(cam_q, cam_c)
+        F = fundamental_from_poses(cam_q, cam_c)
         pq, _ = cam_q.project(pts)
         pc, _ = cam_c.project(pts)
         for i in range(30):
-            d1 = point_line_distance(pc[i], epipolar_line(geom.F, pq[i]))
-            d2 = point_line_distance(pq[i], epipolar_line(geom.F.T, pc[i]))
+            d1 = point_line_distance(pc[i], epipolar_line(F, pq[i]))
+            d2 = point_line_distance(pq[i], epipolar_line(F.T, pc[i]))
             assert abs(d1 - d2) < 1e-6
 
 
@@ -267,8 +265,8 @@ class TestRelativePose:
                               depth_center=np.array([0.5, 0.0, 6.0]))
         pq, _ = cam_q.project(pts)
         pc, _ = cam_c.project(pts)
-        geom = fundamental_from_poses(cam_q, cam_c)
-        R, t, count, _ = relative_pose_from_fundamental(geom, cam_q.K, cam_c.K, pq, pc)
+        F = fundamental_from_poses(cam_q, cam_c)
+        R, t, count, _ = relative_pose_from_fundamental(F, cam_q.K, cam_c.K, pq, pc)
         R_true = cam_c.R @ cam_q.R.T
         t_true = cam_c.t - R_true @ cam_q.t
         t_true = t_true / np.linalg.norm(t_true)
@@ -288,9 +286,9 @@ class TestRelativePose:
                               depth_center=np.array([0.0, 0.0, 6.0]))
         pq, _ = cam_q.project(pts)
         pc, _ = cam_c.project(pts)
-        geom, _ = estimate_fundamental_ransac([(pq, pc, 5)])[0]
+        F, _ = estimate_fundamental_ransac([(pq, pc, 5)])[0]
         with pytest.raises(DegenerateGeometryError):
-            relative_pose_from_fundamental(geom, K, K, pq, pc)
+            relative_pose_from_fundamental(F, K, K, pq, pc)
 
     def test_unique_cheirality_winner(self):
         rng = np.random.default_rng(43)
@@ -299,8 +297,8 @@ class TestRelativePose:
                               depth_center=np.array([0.5, 0.0, 6.0]))
         pq, _ = cam_q.project(pts)
         pc, _ = cam_c.project(pts)
-        geom = fundamental_from_poses(cam_q, cam_c)
-        _, _, count, _ = relative_pose_from_fundamental(geom, cam_q.K, cam_c.K, pq, pc)
+        F = fundamental_from_poses(cam_q, cam_c)
+        _, _, count, _ = relative_pose_from_fundamental(F, cam_q.K, cam_c.K, pq, pc)
         assert count == 40  # the winning candidate places everything in front
 
 
@@ -486,8 +484,7 @@ def loop_triangulate(obs, max_error=4.0, min_angle_deg=1.0):
             xc = c.R @ Xw + c.t
             depths[i] = xc[2]
             if xc[2] > 1e-12:
-                uv = c.K @ xc
-                res[i] = uv[:2] / uv[2] - pix[i]
+                res[i] = c.K[0, 0] * xc[:2] / xc[2] + c.K[:2, 2] - pix[i]
         err = np.mean(np.linalg.norm(res, axis=1)) if np.isfinite(res).all() else np.inf
         return err, depths
 
@@ -497,9 +494,9 @@ def loop_triangulate(obs, max_error=4.0, min_angle_deg=1.0):
         for c, uv in zip(cams, pix):
             x, y, z = c.R @ X + c.t
             f = c.K[0, 0]
-            J.append(np.array([[f / z, 0.0, -f * x / z ** 2],
-                               [0.0, f / z, -f * y / z ** 2]]) @ c.R)
-            r.append((c.K @ np.array([x, y, z]))[:2] / z - uv)
+            J.append(np.array([[f / z, 0.0, -f * x / (z * z)],
+                               [0.0, f / z, -f * y / (z * z)]]) @ c.R)
+            r.append(f * np.array([x, y]) / z + c.K[:2, 2] - uv)
         J, r = np.vstack(J), np.concatenate(r)
         H = J.T @ J + 1e-12 * np.eye(3)
         try:

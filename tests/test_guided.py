@@ -9,7 +9,7 @@ from msfm import densify
 from msfm.config import PipelineConfig
 from msfm.descriptors import SearchStats
 from msfm.features import DESCRIPTOR_DIM, FeatureSet
-from msfm.geometry import EpipolarLine, TwoViewGeometry, fundamental_from_poses, skew
+from msfm.geometry import EpipolarLine, fundamental_from_poses, skew
 from msfm.guided import (
     _candidates_batch,
     build_grid,
@@ -46,7 +46,7 @@ def random_lines(rng, n, width, height):
     return out
 
 
-def reference_guided_match_pair(query_fs, target_fs, geom, *, d=8.0, ratio=0.8,
+def reference_guided_match_pair(query_fs, target_fs, F, *, d=8.0, ratio=0.8,
                                 inflation=1.25, query_indices=None, target_indices=None,
                                 grid=None, stats=None):
     """The group-by-group loop that ``guided_match_pair`` replaced, as its oracle."""
@@ -58,7 +58,7 @@ def reference_guided_match_pair(query_fs, target_fs, geom, *, d=8.0, ratio=0.8,
     if grid is None:
         grid = build_grid(txy, d * inflation, width=bounds[0], height=bounds[1])
 
-    groups = reference_group_queries(query_fs, geom, bounds, query_indices=query_indices)
+    groups = reference_group_queries(query_fs, F, bounds, query_indices=query_indices)
     tdesc = target_fs.descriptors[ti].astype(np.float32)
     tnorm = np.einsum("ij,ij->i", tdesc, tdesc)
     qdesc = query_fs.descriptors.astype(np.float32)
@@ -72,7 +72,7 @@ def reference_guided_match_pair(query_fs, target_fs, geom, *, d=8.0, ratio=0.8,
         # exact band of each member's own line; descriptor distances are only
         # computed for candidates inside the union of the members' bands
         hom = np.hstack([qxy[members], np.ones((len(members), 1))])
-        mlines = hom @ geom.F.T
+        mlines = hom @ F.T
         mnorm = np.hypot(mlines[:, 0], mlines[:, 1])
         mlines /= np.maximum(mnorm, 1e-15)[:, None]
         in_band = np.abs(mlines[:, :2] @ txy[cand].T + mlines[:, 2:3]) <= d
@@ -111,11 +111,11 @@ def match_rows(matches):
                     matches.distance.tolist(), matches.ratio.tolist()))
 
 
-def assert_same_as_reference(query_fs, target_fs, geom, **kw):
+def assert_same_as_reference(query_fs, target_fs, F, **kw):
     """Equal matches (ids, distances, ratios) and equal search counters."""
     got_stats, want_stats = SearchStats(), SearchStats()
-    got = guided_match_pair(query_fs, target_fs, geom, stats=got_stats, **kw)
-    want = reference_guided_match_pair(query_fs, target_fs, geom, stats=want_stats, **kw)
+    got = guided_match_pair(query_fs, target_fs, F, stats=got_stats, **kw)
+    want = reference_guided_match_pair(query_fs, target_fs, F, stats=want_stats, **kw)
     assert match_rows(got) == match_rows(want)
     assert (got_stats.queries, got_stats.candidates) == \
         (want_stats.queries, want_stats.candidates)
@@ -308,11 +308,11 @@ class TestGroupQueries:
         scene = generate_scene(SceneSpec(n_cameras=4, n_points=500, seed=seed))
         fs_q = scene.feature_sets[0]
         fs_t = scene.feature_sets[1]
-        geom = fundamental_from_poses(scene.cameras[0], scene.cameras[1])
-        return scene, fs_q, fs_t, geom
+        F = fundamental_from_poses(scene.cameras[0], scene.cameras[1])
+        return scene, fs_q, fs_t, F
 
     def test_identical_lines_one_group(self):
-        scene, fs_q, fs_t, geom = self._pair()
+        scene, fs_q, fs_t, F = self._pair()
         # duplicate one query feature: same position, same epipolar line
         fs_dup = FeatureSet(
             image_id=0, width=fs_q.width, height=fs_q.height,
@@ -321,13 +321,13 @@ class TestGroupQueries:
             orientation=np.zeros(2, dtype=np.float32),
             descriptors=fs_q.descriptors[:2],
         )
-        groups = group_queries(fs_dup, geom, (fs_t.width, fs_t.height))
+        groups = group_queries(fs_dup, F, (fs_t.width, fs_t.height))
         assert len(groups) == 1
         assert groups.members.tolist() == [0, 1]
 
     def test_groups_partition_queries(self):
-        scene, fs_q, fs_t, geom = self._pair()
-        groups = group_queries(fs_q, geom, (fs_t.width, fs_t.height))
+        scene, fs_q, fs_t, F = self._pair()
+        groups = group_queries(fs_q, F, (fs_t.width, fs_t.height))
         seen = groups.members.tolist()
         assert len(seen) == len(set(seen))
         # every member's own line hits the boundary within tolerance of the
@@ -338,7 +338,7 @@ class TestGroupQueries:
                 EpipolarLine(*groups.lines[g]), fs_t.width, fs_t.height)
             for fid in groups.members[ends[g]:ends[g + 1]]:
                 hom = np.append(fs_q.xy[fid].astype(np.float64), 1.0)
-                l = geom.F @ hom
+                l = F @ hom
                 l = l / np.hypot(l[0], l[1])
                 clipped = clip_line_to_bounds(
                     EpipolarLine(*l), fs_t.width, fs_t.height)
@@ -352,13 +352,13 @@ class TestGroupQueries:
         K = np.eye(3)
         cam_q = Camera(K=K, R=np.eye(3), t=np.zeros(3), image_id=0)
         cam_c = Camera(K=K, R=np.eye(3), t=np.array([-1.0, 0.0, 0.0]), image_id=1)
-        geom = fundamental_from_poses(cam_q, cam_c)
+        F = fundamental_from_poses(cam_q, cam_c)
         xy = np.array([[5.0, 7.0], [5.0, 10.0]], dtype=np.float32)
         fs = FeatureSet(image_id=0, width=100, height=100, xy=xy,
                         scale=np.ones(2, dtype=np.float32),
                         orientation=np.zeros(2, dtype=np.float32),
                         descriptors=np.zeros((2, DESCRIPTOR_DIM), dtype=np.uint8))
-        groups = group_queries(fs, geom, (100.0, 100.0))
+        groups = group_queries(fs, F, (100.0, 100.0))
         assert len(groups) == 2
 
     @given(width=st.integers(4, 40_000), height=st.integers(4, 40_000),
@@ -379,7 +379,7 @@ class TestGroupQueries:
                         scale=np.ones(n, dtype=np.float32),
                         orientation=np.zeros(n, dtype=np.float32),
                         descriptors=np.zeros((n, DESCRIPTOR_DIM), dtype=np.uint8))
-        groups = group_queries(fs, TwoViewGeometry(F=F), (float(width), float(height)))
+        groups = group_queries(fs, F, (float(width), float(height)))
         members, starts = groups.members, groups.starts
         lines = np.hstack([xy[members].astype(np.float64), np.ones((len(members), 1))]) @ F.T
         lines /= np.hypot(lines[:, 0], lines[:, 1])[:, None]
@@ -428,9 +428,9 @@ class TestGroupQueries:
                         orientation=np.zeros(n, dtype=np.float32),
                         descriptors=np.zeros((n, DESCRIPTOR_DIM), dtype=np.uint8))
         qi = rng.permutation(n)[:int(rng.integers(0, n + 1))] if subset else None
-        geom, bounds = TwoViewGeometry(F=F), (float(width), float(height))
-        got = group_queries(fs, geom, bounds, query_indices=qi)
-        want = reference_group_queries(fs, geom, bounds, query_indices=qi)
+        bounds = (float(width), float(height))
+        got = group_queries(fs, F, bounds, query_indices=qi)
+        want = reference_group_queries(fs, F, bounds, query_indices=qi)
         sizes = [len(g.member_features) for g in want]
         assert len(got) == len(want)
         assert got.members.tolist() == [q for g in want for q in g.member_features.tolist()]
@@ -446,13 +446,13 @@ class TestGuidedMatchPair:
                          cloud_radius=2.0, n_points=kw.pop("n_points", 600),
                          seed=kw.pop("seed", 9), **kw)
         scene = generate_scene(spec)
-        geom = fundamental_from_poses(scene.cameras[0], scene.cameras[1])
-        return scene, geom
+        F = fundamental_from_poses(scene.cameras[0], scene.cameras[1])
+        return scene, F
 
     def test_noise_free_recovers_oracle(self):
-        scene, geom = self._scene_pair()
+        scene, F = self._scene_pair()
         fs_q, fs_t = scene.feature_sets[0], scene.feature_sets[1]
-        matches = guided_match_pair(fs_q, fs_t, geom, d=8.0)
+        matches = guided_match_pair(fs_q, fs_t, F, d=8.0)
         oracle = dict(oracle_matches(scene, 0, 1))
         correct = sum(1 for q, t, _, _ in match_rows(matches) if oracle.get(q) == t)
         assert len(matches) > 0
@@ -461,12 +461,12 @@ class TestGuidedMatchPair:
         assert correct >= 0.95 * len(oracle)
 
     def test_band_respected(self):
-        scene, geom = self._scene_pair(seed=10)
+        scene, F = self._scene_pair(seed=10)
         fs_q, fs_t = scene.feature_sets[0], scene.feature_sets[1]
         d = 8.0
-        for q, t, _, _ in match_rows(guided_match_pair(fs_q, fs_t, geom, d=d)):
+        for q, t, _, _ in match_rows(guided_match_pair(fs_q, fs_t, F, d=d)):
             hom = np.append(fs_q.xy[q].astype(np.float64), 1.0)
-            l = geom.F @ hom
+            l = F @ hom
             l = l / np.hypot(l[0], l[1])
             p = fs_t.xy[t]
             dist = abs(l[0] * p[0] + l[1] * p[1] + l[2])
@@ -480,13 +480,13 @@ class TestGuidedMatchPair:
                                              cloud_radius=2.0, n_points=600, seed=seed))
             for a, b in ((0, 1), (1, 2), (0, 2)):
                 fs_q, fs_t = scene.feature_sets[a], scene.feature_sets[b]
-                geom = fundamental_from_poses(scene.cameras[a], scene.cameras[b])
+                F = fundamental_from_poses(scene.cameras[a], scene.cameras[b])
                 w, h = fs_t.width, fs_t.height
                 exhaustive = build_grid(fs_t.xy.astype(np.float64), 4 * max(w, h),
                                         width=w, height=h)
-                got = match_rows(guided_match_pair(fs_q, fs_t, geom))
+                got = match_rows(guided_match_pair(fs_q, fs_t, F))
                 assert len(got) > 0
-                assert got == match_rows(guided_match_pair(fs_q, fs_t, geom, grid=exhaustive))
+                assert got == match_rows(guided_match_pair(fs_q, fs_t, F, grid=exhaustive))
 
     def test_repetition_groups_guided_beats_unguided(self):
         spec = SceneSpec(n_cameras=2, layout="grid", ring_radius=1.2,
@@ -494,14 +494,14 @@ class TestGuidedMatchPair:
                          repetition_groups=20, repetition_group_size=10,
                          descriptor_noise=2.0, pixel_noise=0.3)
         scene = generate_scene(spec)
-        geom = fundamental_from_poses(scene.cameras[0], scene.cameras[1])
+        F = fundamental_from_poses(scene.cameras[0], scene.cameras[1])
         fs_q, fs_t = scene.feature_sets[0], scene.feature_sets[1]
         oracle = dict(oracle_matches(scene, 0, 1))
 
         def correct_count(matches):
             return sum(1 for q, t, _, _ in match_rows(matches) if oracle.get(q) == t)
 
-        guided = guided_match_pair(fs_q, fs_t, geom, d=8.0, ratio=0.8)
+        guided = guided_match_pair(fs_q, fs_t, F, d=8.0, ratio=0.8)
         unguided = match_pair(
             fs_q, fs_t, ratio=0.6,
             query_indices=np.arange(len(fs_q)), target_indices=np.arange(len(fs_t)))
@@ -510,11 +510,11 @@ class TestGuidedMatchPair:
         assert precision >= 0.95
 
     def test_comparison_count_bounded_by_groups(self):
-        scene, geom = self._scene_pair(seed=13)
+        scene, F = self._scene_pair(seed=13)
         fs_q, fs_t = scene.feature_sets[0], scene.feature_sets[1]
         stats = SearchStats()
-        guided_match_pair(fs_q, fs_t, geom, d=8.0, stats=stats)
-        groups = group_queries(fs_q, geom, (fs_t.width, fs_t.height))
+        guided_match_pair(fs_q, fs_t, F, d=8.0, stats=stats)
+        groups = group_queries(fs_q, F, (fs_t.width, fs_t.height))
         grid = build_grid(fs_t.xy.astype(np.float64), 8.0 * 1.25,
                           width=fs_t.width, height=fs_t.height)
         group_of, _ = _candidates_batch(grid, groups.lines, 8.0)
@@ -522,9 +522,9 @@ class TestGuidedMatchPair:
         assert stats.candidates <= bound
 
     def test_empty_target(self):
-        scene, geom = self._scene_pair(seed=14)
+        scene, F = self._scene_pair(seed=14)
         fs_q, fs_t = scene.feature_sets[0], scene.feature_sets[1]
-        got = guided_match_pair(fs_q, fs_t, geom, target_indices=np.array([], dtype=int))
+        got = guided_match_pair(fs_q, fs_t, F, target_indices=np.array([], dtype=int))
         assert len(got) == 0
 
 
@@ -553,21 +553,21 @@ class TestGuidedOracle:
             repetition_groups=20, repetition_group_size=10, image_width=1024,
             image_height=768, focal=900.0, visibility_fraction=1.0, pixel_noise=0.3,
             descriptor_noise=2.0, seed=6))
-        geom = fundamental_from_poses(scene.cameras[0], scene.cameras[1])
-        assert_same_as_reference(scene.feature_sets[0], scene.feature_sets[1], geom,
+        F = fundamental_from_poses(scene.cameras[0], scene.cameras[1])
+        assert_same_as_reference(scene.feature_sets[0], scene.feature_sets[1], F,
                                  d=8.0, ratio=0.8)
 
     def test_query_and_target_subsets(self):
         scene = generate_scene(SceneSpec(n_cameras=2, layout="grid", ring_radius=1.2,
                                          cloud_radius=2.0, n_points=600, seed=9))
         fs_q, fs_t = scene.feature_sets[0], scene.feature_sets[1]
-        geom = fundamental_from_poses(scene.cameras[0], scene.cameras[1])
+        F = fundamental_from_poses(scene.cameras[0], scene.cameras[1])
         rng = np.random.default_rng(5)
         qi = np.sort(rng.choice(len(fs_q), len(fs_q) // 2, replace=False))
         ti = np.sort(rng.choice(len(fs_t), len(fs_t) // 2, replace=False))
-        assert_same_as_reference(fs_q, fs_t, geom, query_indices=qi)
-        assert_same_as_reference(fs_q, fs_t, geom, target_indices=ti)
-        assert_same_as_reference(fs_q, fs_t, geom, query_indices=qi,
+        assert_same_as_reference(fs_q, fs_t, F, query_indices=qi)
+        assert_same_as_reference(fs_q, fs_t, F, target_indices=ti)
+        assert_same_as_reference(fs_q, fs_t, F, query_indices=qi,
                                  target_indices=rng.permutation(ti))
 
     def test_exact_ties_go_to_the_lower_target(self):
@@ -576,13 +576,13 @@ class TestGuidedOracle:
         scene = generate_scene(SceneSpec(n_cameras=2, layout="grid", ring_radius=1.2,
                                          cloud_radius=2.0, n_points=300, seed=9))
         fs_q, fs_t = scene.feature_sets[0], scene.feature_sets[1]
-        geom = fundamental_from_poses(scene.cameras[0], scene.cameras[1])
+        F = fundamental_from_poses(scene.cameras[0], scene.cameras[1])
         twins = FeatureSet(image_id=fs_t.image_id, width=fs_t.width, height=fs_t.height,
                            xy=np.vstack([fs_t.xy, fs_t.xy + 0.5]).astype(np.float32),
                            scale=np.concatenate([fs_t.scale, fs_t.scale]),
                            orientation=np.concatenate([fs_t.orientation, fs_t.orientation]),
                            descriptors=np.vstack([fs_t.descriptors, fs_t.descriptors]))
-        matches = assert_same_as_reference(fs_q, twins, geom, ratio=1.5)
+        matches = assert_same_as_reference(fs_q, twins, F, ratio=1.5)
         assert sum(matches.ratio == 1.0) >= 20
 
     def test_groups_of_many_members(self):
@@ -590,10 +590,10 @@ class TestGuidedOracle:
         # many members whose bands differ at the candidates' edges
         scene = generate_scene(large_pair_spec(4000))
         fs_q, fs_t = scene.feature_sets[0], scene.feature_sets[1]
-        geom = fundamental_from_poses(scene.cameras[0], scene.cameras[1])
-        groups = group_queries(fs_q, geom, (fs_t.width, fs_t.height))
+        F = fundamental_from_poses(scene.cameras[0], scene.cameras[1])
+        groups = group_queries(fs_q, F, (fs_t.width, fs_t.height))
         assert groups.sizes().max() >= 8
-        assert_same_as_reference(fs_q, fs_t, geom, d=8.0)
+        assert_same_as_reference(fs_q, fs_t, F, d=8.0)
 
 
 class TestBatchedRetrieval:
@@ -648,10 +648,10 @@ class TestGuidedMemory:
         # 21k x 21k features: the pair's flat arrays must come in blocks
         scene = generate_scene(large_pair_spec(21_000))
         fs_q, fs_t = scene.feature_sets[0], scene.feature_sets[1]
-        geom = fundamental_from_poses(scene.cameras[0], scene.cameras[1])
+        F = fundamental_from_poses(scene.cameras[0], scene.cameras[1])
         tracemalloc.start()
         try:
-            matches = guided_match_pair(fs_q, fs_t, geom, d=8.0)
+            matches = guided_match_pair(fs_q, fs_t, F, d=8.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

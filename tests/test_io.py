@@ -115,7 +115,7 @@ class TestMatchGraphFile:
             e1, e2 = graph.edges[key], loaded.edges[key]
             assert len(e1.matches) == len(e2.matches)
             assert np.array_equal(e1.inlier_mask, e2.inlier_mask)
-            assert np.allclose(e1.geometry.F, e2.geometry.F)
+            assert np.allclose(e1.F, e2.F)
         # ids, distances and ratios survive the text form bit for bit
         again = tmp_path / "again.txt"
         write_matchgraph(loaded, again)

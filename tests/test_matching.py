@@ -358,7 +358,7 @@ class TestBuildCoarseMatchGraph:
         assert len(graph.edges) > 0
         for (a, b), edge in graph.edges.items():
             assert a < b
-            assert edge.geometry is not None
+            assert edge.F is not None
             assert edge.inlier_mask.sum() >= 16
             assert len(edge.inlier_mask) == len(edge.matches)
 

@@ -12,7 +12,10 @@ from msfm.model import (
     Camera,
     Model,
     covisible_pairs,
+    make_intrinsics,
     model_stats,
+    pixel_jacobian,
+    pixels,
 )
 
 from conftest import random_camera
@@ -57,6 +60,50 @@ class TestCameraType:
         uv, depth = cam.project(X)
         assert depth[0] == pytest.approx(2.0)
         assert uv[0] == pytest.approx([cam.K[0, 2], cam.K[1, 2]])
+
+
+def camera_frame_points(rng, shape):
+    """Points (*shape, 3) in front of a camera, within a 90 degree cone."""
+    z = rng.uniform(0.5, 20.0, shape)
+    return np.stack([rng.uniform(-z, z), rng.uniform(-z, z), z], axis=-1)
+
+
+class TestPinholeModel:
+    @given(shape=st.lists(st.integers(1, 4), max_size=3), per_point_f=st.booleans(),
+           per_point_pp=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_pixels_and_jacobian(self, shape, per_point_f, per_point_pp, seed):
+        rng = np.random.default_rng(seed)
+        shape = tuple(shape)
+        xc = camera_frame_points(rng, shape)
+        f = rng.uniform(100.0, 3000.0, shape) if per_point_f else rng.uniform(100.0, 3000.0)
+        pp = rng.uniform(0.0, 2000.0, shape + (2,) if per_point_pp else (2,))
+        uv = pixels(xc, f, pp)
+        assert uv.shape == shape + (2,)
+        # an independent projection: K (3, 3) per point, x ~ K xc
+        f_all = np.broadcast_to(f, shape).reshape(-1)
+        pp_all = np.broadcast_to(pp, shape + (2,)).reshape(-1, 2)
+        for i, (x, fi, (cx, cy)) in enumerate(zip(xc.reshape(-1, 3), f_all, pp_all)):
+            h = make_intrinsics(fi, cx, cy) @ x
+            assert np.abs(h[:2] / h[2] - uv.reshape(-1, 2)[i]).max() < 1e-9
+        # d pixel / d xc against central differences
+        J = pixel_jacobian(xc, f)
+        assert J.shape == shape + (2, 3)
+        step = 1e-6 * np.linalg.norm(xc, axis=-1)[..., None]
+        for j in range(3):
+            e = np.zeros(3)
+            e[j] = 1.0
+            numeric = (pixels(xc + step * e, f, pp) - pixels(xc - step * e, f, pp)) / (2 * step)
+            assert np.allclose(J[..., j], numeric, rtol=1e-6, atol=1e-6)
+
+    def test_project_is_pixels_of_its_camera_frame(self):
+        rng = np.random.default_rng(4)
+        cam = random_camera(rng)
+        X = cam.center() + camera_frame_points(rng, (50,)) @ cam.R
+        uv, depth = cam.project(X)
+        xc = np.einsum("ij,nj->ni", cam.R, X) + cam.t
+        assert np.array_equal(uv, pixels(xc, cam.K[0, 0], cam.K[:2, 2]))
+        assert np.array_equal(depth, xc[:, 2])
 
 
 class TestVisibilityQueries:

@@ -23,8 +23,10 @@ from model_oracles import (
 
 
 def rotation_error_deg(R_est, R_true):
-    c = np.clip((np.trace(R_est @ R_true.T) - 1.0) / 2.0, -1.0, 1.0)
-    return np.degrees(np.arccos(c))
+    # from the chord, ||R_est - R_true|| = 2 sqrt(2) sin(angle / 2): the
+    # arccos of the trace reads no angle between 0 and 8.5e-7 deg (one ulp)
+    chord = np.linalg.norm(R_est - R_true) / (2.0 * np.sqrt(2.0))
+    return np.degrees(2.0 * np.arcsin(min(chord, 1.0)))
 
 
 class TestDltPose:
@@ -152,7 +154,7 @@ class TestSelectSeedPair:
         matches = edge.inliers()
         pts_q = store.sets[a].xy[matches.query]
         pts_c = store.sets[b].xy[matches.target]
-        R, t, _, _ = relative_pose_from_fundamental(edge.geometry, K[a], K[b],
+        R, t, _, _ = relative_pose_from_fundamental(edge.F, K[a], K[b],
                                                     pts_q, pts_c)
         cam_a = Camera(K=K[a], R=np.eye(3), t=np.zeros(3), image_id=a)
         cam_b = Camera(K=K[b], R=R, t=t, image_id=b)
