@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateGeometryError
 from .geometry import fundamental_from_poses
-from .guided import BAND_D_PX, GRID_INFLATION, build_grid, guided_match_pair, sorted_unique
+from .guided import BAND_D_PX, build_index, guided_match_pair, sorted_unique
 from .matching import RATIO_GUIDED
 from .model import Model, covisible_pairs
 from .reconstruct import triangulate_refs
@@ -165,9 +165,9 @@ def densify_stage(model: Model, feature_store, *,
     query_set = set(query_images)
 
     # every pair is matched against the pre-stage model; tracks merge after.
-    # A query image's untracked features and a target image's grid are
-    # found once.
-    untracked, grids = {}, {}
+    # A query image's untracked features and a target image's band index
+    # are found once.
+    untracked, indexes = {}, {}
     pair_matches = []
     for a, b in pairs:
         q, t = (a, b) if a in query_set else (b, a)
@@ -180,11 +180,10 @@ def densify_stage(model: Model, feature_store, *,
             mask = np.ones(len(fq), dtype=bool)
             mask[list(model.tracked(q))] = False
             untracked[q] = np.flatnonzero(mask)
-        if t not in grids:
-            grids[t] = build_grid(ft.xy.astype(np.float64), d * GRID_INFLATION,
-                                  width=ft.width, height=ft.height)
+        if t not in indexes:
+            indexes[t] = build_index(ft.xy)
         pair_matches.append((q, t, guided_match_pair(
-            fq, ft, F, d=d, ratio=ratio, query_indices=untracked[q], grid=grids[t])))
+            fq, ft, F, d=d, ratio=ratio, query_indices=untracked[q], index=indexes[t])))
 
     new_tracks, extensions = merge_tracks(pair_matches, observations)
 

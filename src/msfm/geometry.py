@@ -10,7 +10,6 @@ kept Frobenius-normalized with rank 2.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,15 +29,6 @@ RANSAC_FIT_STACK = 256
 
 TRI_MAX_ERROR_PX = 4.0
 TRI_MIN_ANGLE_DEG = 1.0
-
-
-@dataclass(frozen=True)
-class EpipolarLine:
-    """Line a*x + b*y + c = 0 with (a, b) unit length."""
-
-    a: float
-    b: float
-    c: float
 
 
 def skew(v: np.ndarray) -> np.ndarray:

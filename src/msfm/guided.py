@@ -1,84 +1,92 @@
 """Geometry-guided feature matching near epipolar lines.
 
 Candidates for a query feature are the target features within a band of
-distance d around its epipolar line.  They are retrieved from four offset
-grids of cell size 2D that bin the target features once per image: every
-sample of the line gathers its four containing cells, giving O(K + |C'|)
-retrieval.  With samples at most d apart and a cell half-size D of at least
-sqrt(5)/2 of the band, the gathered cells provably cover the whole band.
-The four grids are stored as one table of half-cells of size D
-(``OverlapGrid``): a sample's four cells hold exactly the features of the
-3 x 3 half-cells around its own, and along a line those neighbourhoods are
-one contiguous slice of the table per half-cell column.  The exact linear
-scan ``candidates_linear`` is the reference the tests compare against.
+distance d around its epipolar line.  They are read from a ``BandIndex``
+built once per target image: the target features sorted by (row strip, x)
+and by (column strip, y), strips being ``STRIP_PX`` high.  A line reads the
+strips that run along its flatter axis, one ``searchsorted`` interval per
+strip its band crosses, so retrieval costs O(strips + |C'|) per line and
+never samples the line.
 
 Lines are normalized ``(n, 3)`` arrays of (a, b, c) with a*x + b*y + c = 0
 throughout; ``clip_lines`` is the one rectangle clip.  Queries whose
 epipolar lines pierce the target boundary at nearly the same points share
-one candidate set (``group_queries``).  ``guided_match_pair`` handles all
-groups of an image pair in flat array passes: it samples every
-representative line, reads every line's table slices, filters every candidate
-to the exact band of each member's own line and takes every member's two
-nearest neighbours at once.  Only the descriptor product runs once per
-group.
+one candidate set (``group_queries``), read around the first member's line
+widened by a slack that covers every member's band.  ``guided_match_pair``
+handles all groups of an image pair in flat array passes: it reads every
+group's strips, filters every candidate to the exact band of each member's
+own line and takes every member's two nearest neighbours at once.  Only
+the descriptor product runs once per group.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .descriptors import SearchStats
 from .features import FeatureSet
-from .geometry import EpipolarLine
 from .matching import NO_MATCHES, RATIO_GUIDED, Matches, matches_from, ratio_filter
 
 BAND_D_PX = 8.0
-# grid cell half-size over band d: at least sqrt(5)/2 so that a sample's four
-# cells cover the band; candidates are band-filtered, so it sets speed only
-GRID_INFLATION = 1.25
 GROUP_BOUNDARY_PX = 2.0
+# height of the band index's strips: a line reads one interval per strip its
+# band crosses, and each interval reaches at most one strip height beyond
+# the band; a power of two, so that a feature's strip is exact
+STRIP_PX = 16.0
 
 # guided matching handles a pair's groups in blocks of about this much work
-# (line samples times members, plus two), so that its flat arrays stay near
-# 1 MB each whatever the image or group size; larger blocks raise the
+# (candidates times members, plus two each), so that its flat arrays stay
+# near 1 MB each whatever the image or group size; larger blocks raise the
 # pipeline's peak RSS, smaller ones cost time per block
 _BLOCK_WORK = 1 << 16
-# the half-cell table reaches this many half-cells beyond the image on
-# every side: samples lie in the image padded by d <= D, and their 3 x 3
-# neighbourhoods reach two half-cells beyond it, plus one for rounding
-_MARGIN = 3
 
 
-@dataclass
-class OverlapGrid:
-    """Target features binned once per image, read as four offset grids.
+@dataclass(frozen=True, eq=False)
+class BandIndex:
+    """Target features sorted for band queries, built once per target image.
 
-    The four grids have cells of size 2D (D = ``d``), offset by 0 or D in x
-    and y.  They are stored as one table of half-cells of size D: a feature
-    shares a cell of some offset grid with a point exactly when their
-    half-cells (floor(x / D), floor(y / D)) differ by at most 1 on each
-    axis, as floor(t / 2) = floor(floor(t) / 2).  Features are sorted by
-    column-major half-cell, and ``_starts`` holds the offset of every
-    half-cell's run of ``_members``, so that the half-cells of one column
-    between two rows are one slice.  The table covers half-cell columns
-    -_MARGIN .. floor(width / D) + _MARGIN and the rows alike, about
-    (floor(W / D) + 7) (floor(H / D) + 7) offsets: 9 k at 1024 x 768 and
-    74 k at 3072 x 2304 with D = 10; features beyond it are never read.
-    Offsets and ids are int32, which halves the table that densify keeps
-    for every target image of a stage.
+    Coordinates are taken from ``lo``, the least x and y of the features,
+    so that they lie in the box [0, extent].  Row strip k holds the
+    features with floor(y / STRIP_PX) = k, column strip k those with
+    floor(x / STRIP_PX) = k; row strips are numbered 0 .. ``row_strips`` - 1
+    and column strips after them.  Each feature is in ``keys`` twice,
+    ascending: as strip * span + x in its row strip and strip * span + y in
+    its column strip, with span > extent, so that the features of one strip
+    with coordinate in [u, v] are one ``searchsorted`` interval.  ``ids``
+    holds the feature of each key.  Keys are float32 and ids int32: 16 bytes
+    per feature.  Rounding is monotone, so a query key rounded as the
+    features' keys are never leaves out a feature it bounds; it may take in
+    a neighbour, which the band filter removes.
     """
 
-    d: float
-    width: float
-    height: float
-    columns: int
-    rows: int
-    n_features: int
-    _starts: np.ndarray
-    _members: np.ndarray
+    lo: np.ndarray  # (2,)
+    extent: np.ndarray  # (2,)
+    row_strips: int
+    span: float
+    keys: np.ndarray
+    ids: np.ndarray
+
+    @property
+    def n_features(self) -> int:
+        return len(self.ids) // 2
+
+
+def build_index(xy: np.ndarray) -> BandIndex:
+    """Sort feature positions into the band index (once per target image)."""
+    xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
+    lo = xy.min(axis=0) if len(xy) else np.zeros(2)
+    local = xy - lo
+    extent = local.max(axis=0) if len(xy) else np.zeros(2)
+    span = float(extent.max()) + 1.0
+    strip = np.floor(local / STRIP_PX)
+    row_strips = int(extent[1] // STRIP_PX) + 1
+    keys = np.concatenate([strip[:, 1] * span + local[:, 0],
+                           (row_strips + strip[:, 0]) * span + local[:, 1]]).astype(np.float32)
+    order = np.argsort(keys, kind="stable")
+    return BandIndex(lo=lo, extent=extent, row_strips=row_strips, span=span,
+                     keys=keys[order], ids=(order % max(len(xy), 1)).astype(np.int32))
 
 
 def sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -97,36 +105,6 @@ def _segment_offsets(lengths: np.ndarray) -> np.ndarray:
     """0, 1, .., n-1 for every segment length n, concatenated."""
     total = int(lengths.sum())
     return np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-
-
-def _half_cells(coordinates: np.ndarray, d: float) -> np.ndarray:
-    """Half-cell index of each coordinate, shifted by ``_MARGIN``, as floats."""
-    return np.floor(coordinates / d) + _MARGIN
-
-
-def build_grid(xy: np.ndarray, d: float, *, width: float, height: float) -> OverlapGrid:
-    """Bin feature positions into the half-cell table (once per target image)."""
-    if d <= 0:
-        raise ValueError(f"cell half-size d must be positive, got {d}")
-    xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
-    columns = math.floor(width / d) + 2 * _MARGIN + 1
-    rows = math.floor(height / d) + 2 * _MARGIN + 1
-    half = _half_cells(xy, d)
-    inside = np.flatnonzero(((half >= 0) & (half < [columns, rows])).all(axis=1))
-    cells = half[inside, 0].astype(np.int64) * rows + half[inside, 1].astype(np.int64)
-    order = np.argsort(cells, kind="stable")
-    starts = np.zeros(columns * rows + 1, dtype=np.int32)
-    np.cumsum(np.bincount(cells, minlength=columns * rows), out=starts[1:])
-    return OverlapGrid(d=float(d), width=float(width), height=float(height),
-                       columns=columns, rows=rows, n_features=len(xy),
-                       _starts=starts, _members=inside[order].astype(np.int32))
-
-
-def candidates_linear(xy: np.ndarray, line: EpipolarLine, d: float) -> np.ndarray:
-    """Exact band query: indices of features within distance d of the line."""
-    xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
-    dist = np.abs(xy @ np.array([line.a, line.b]) + line.c)
-    return np.flatnonzero(dist <= d)
 
 
 def _edge_hits(lines: np.ndarray, x0: float, x1: float, y0: float, y1: float) -> np.ndarray:
@@ -150,15 +128,15 @@ def _edge_hits(lines: np.ndarray, x0: float, x1: float, y0: float, y1: float) ->
     return cand
 
 
-def clip_lines(lines: np.ndarray, width: float, height: float, *, pad: float = 0.0):
-    """Clip N normalized lines to the rectangle [-pad, width + pad] x [-pad, height + pad].
+def clip_lines(lines: np.ndarray, width: float, height: float):
+    """Clip N normalized lines to the rectangle [0, width] x [0, height].
 
     Returns (ok, p_A, p_B): p_A and p_B are the lexicographically least and
     greatest edge crossings, so the order of the endpoints does not depend
     on the line's sign.  Rows with ok False miss the rectangle or touch it
     in one point; their endpoints are 0.
     """
-    cand = _edge_hits(lines, -pad, width + pad, -pad, height + pad)
+    cand = _edge_hits(lines, 0.0, width, 0.0, height)
     x, y = cand[:, :, 0], cand[:, :, 1]
     hit = ~np.isnan(x)
     xa = np.where(hit, x, np.inf).min(axis=1)
@@ -171,38 +149,27 @@ def clip_lines(lines: np.ndarray, width: float, height: float, *, pad: float = 0
     return ok, pa, pb
 
 
-def _line_samples(lines: np.ndarray, grid: OverlapGrid, d: float):
-    """Where each line's grid samples lie: (number of samples, K, p_A, p_B).
-
-    Sample k = 0 .. K of a line is (k p_A + (K - k) p_B) / K on its segment
-    clipped to the grid's image padded by d, so samples lie at most d
-    apart; a line that misses the padded image has no samples.  A band d
-    wider than the grid's half-cell is a ValueError.
-    """
-    if d > grid.d:
-        raise ValueError(f"band d = {d} exceeds the grid's half-cell size {grid.d}")
-    ok, pa, pb = clip_lines(lines, grid.width, grid.height, pad=d)
-    length = np.hypot(pb[:, 0] - pa[:, 0], pb[:, 1] - pa[:, 1])
-    k_count = np.maximum(1.0, np.ceil(length / d))
-    n_samples = np.where(ok, k_count + 1.0, 0.0).astype(np.int64)
-    return n_samples, k_count, pa, pb
-
-
 @dataclass(frozen=True, eq=False)
 class QueryGroups:
     """Query features grouped by where their epipolar lines pierce the target boundary.
 
     Group g holds ``members[starts[g]:starts[g + 1]]`` (the last one runs to
-    the end), in id order; ``lines[g]`` is the normalized epipolar line of
-    its first member, the group's representative.
+    the end), in id order; ``member_lines`` holds the normalized epipolar
+    line of every member, in member order.  A group's first member is its
+    representative.
     """
 
     members: np.ndarray
     starts: np.ndarray
-    lines: np.ndarray  # (groups, 3)
+    member_lines: np.ndarray  # (members, 3)
 
     def __len__(self) -> int:
         return len(self.starts)
+
+    @property
+    def lines(self) -> np.ndarray:
+        """(groups, 3) lines of the representatives."""
+        return self.member_lines[self.starts]
 
     def sizes(self) -> np.ndarray:
         """Members per group."""
@@ -247,80 +214,57 @@ def group_queries(query_fs: FeatureSet, F: np.ndarray,
     changed = (sorted_cells[1:] != sorted_cells[:-1]).any(axis=1)
     starts = np.flatnonzero(np.concatenate([[True], changed]))
     return QueryGroups(members=qi[kept_rows[order]], starts=starts,
-                       lines=lines[kept_rows[order[starts]]])
+                       member_lines=lines[kept_rows[order]])
 
 
-def _candidates_batch(grid: OverlapGrid, lines: np.ndarray, d: float):
-    """Grid candidates of every row of ``lines`` in one pass.
+def _band_slices(index: BandIndex, lines: np.ndarray, w: np.ndarray):
+    """Intervals of ``index.keys`` that hold every feature within w of each line.
 
-    The candidates of a line are the features that share a cell of some
-    offset grid with one of its samples (``_line_samples``): with samples at
-    most d apart and cell half-size >= d * sqrt(5)/2 this covers the whole
-    band of distance d.  In the half-cell table they are the 3 x 3
-    neighbourhoods of the samples' half-cells.  Samples step at most one
-    half-cell, as d <= ``grid.d``, so the samples of one line in one column
-    form a run of contiguous rows, and a column's neighbourhood rows are
-    one interval: the rows of its run and of the runs before and after it,
-    widened by one.  A run with no neighbouring run on one side also reads
-    the column beyond it.  Returns (line, feature id) arrays sorted by
-    line, then id.
+    A line with |a| <= |b| runs along the rows and reads row strips, any
+    other line column strips.  In the frame of its strips, u along them and
+    v across, with the box's corner at 0, the line is p u + q v + c = 0 with
+    |q| >= sqrt(1/2).  Its band spans v between the least and the greatest
+    of -(c + p u) / q -+ w / |q| over u in [0, extent], clipped to the box;
+    each strip that range crosses is read over the u of the band between the
+    strip's edges (within that range), clipped to the box.  Returns (line,
+    begin, end): one row per strip read, in line order.
     """
-    return _sampled_candidates(grid, *_line_samples(lines, grid, d))
+    a, b, c = lines.T
+    flat = np.abs(a) <= np.abs(b)
+    p, q = np.where(flat, a, b), np.where(flat, b, a)
+    extent_u, extent_v = np.where(flat, index.extent[:, None], index.extent[::-1, None])
+    c = c + a * index.lo[0] + b * index.lo[1]
+    ends = [-(c + p * u) / q for u in (0.0, extent_u)]
+    v0 = np.maximum(np.minimum(*ends) - w / np.abs(q), 0.0)
+    v1 = np.minimum(np.maximum(*ends) + w / np.abs(q), extent_v)
+    first = np.floor(v0 / STRIP_PX)
+    n_strips = np.where(v0 <= v1, np.floor(v1 / STRIP_PX) - first + 1.0, 0.0).astype(np.int64)
+    line = np.repeat(np.arange(len(lines)), n_strips)
+    strip = first[line] + _segment_offsets(n_strips)
+    p, c, w, extent_u = p[line], c[line], w[line], extent_u[line]
+    v = np.clip(np.stack([strip, strip + 1.0]) * STRIP_PX, v0[line], v1[line])
+    crossing = np.abs(p) > 1e-12  # else the line runs along the strip, end to end
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        u = -(c + q[line] * v) / p
+        u0 = np.where(crossing, u.min(axis=0) - w / np.abs(p), 0.0)
+        u1 = np.where(crossing, u.max(axis=0) + w / np.abs(p), extent_u)
+    base = (strip + np.where(flat, 0, index.row_strips)[line]) * index.span
+    begin = np.searchsorted(index.keys, (base + np.clip(u0, 0.0, extent_u)).astype(np.float32))
+    end = np.searchsorted(index.keys, (base + np.clip(u1, 0.0, extent_u)).astype(np.float32),
+                          side="right")
+    return line, begin, end
 
 
-def _sampled_candidates(grid: OverlapGrid, n_samples, k_count, pa, pb):
-    """``_candidates_batch`` of lines that ``_line_samples`` sampled."""
-    total = int(n_samples.sum())
-    if total == 0 or grid.n_features == 0:
-        return np.zeros(0, np.int64), np.zeros(0, np.int64)
-    k = _segment_offsets(n_samples).astype(np.float64)
-    kc = np.repeat(k_count, n_samples)
+def _gather(index: BandIndex, line: np.ndarray, begin: np.ndarray, end: np.ndarray):
+    """(line, feature id) of every key in the intervals, sorted by line, then id.
 
-    def half_cells(a, b):
-        """Half-cell index of every sample on one axis, from its ends' a and b."""
-        along = (k * np.repeat(a, n_samples) + (kc - k) * np.repeat(b, n_samples)) / kc
-        return _half_cells(along, grid.d).astype(np.int64)
-
-    hx, hy = half_cells(pa[:, 0], pb[:, 0]), half_cells(pa[:, 1], pb[:, 1])
-    # runs of samples of one line in one column
-    line_start = np.zeros(total, dtype=bool)
-    line_start[(np.cumsum(n_samples) - n_samples)[n_samples > 0]] = True
-    first = line_start.copy()
-    first[1:] |= hx[1:] != hx[:-1]
-    first = np.flatnonzero(first)
-    line = np.repeat(np.arange(len(n_samples)), n_samples)[first]
-    col = hx[first]
-    lo, hi = np.minimum.reduceat(hy, first), np.maximum.reduceat(hy, first)
-    # the run before and after each one in its line, or the run itself
-    opens = line_start[first]
-    closes = np.append(opens[1:], True)
-
-    def shifted(values, step):
-        out = np.roll(values, step)
-        ends = opens if step > 0 else closes
-        out[ends] = values[ends]
-        return out
-
-    # a column's rows are those of its run and of the neighbouring runs,
-    # which lie one column to either side
-    top = np.minimum(lo, np.minimum(shifted(lo, 1), shifted(lo, -1)))
-    bottom = np.maximum(hi, np.maximum(shifted(hi, 1), shifted(hi, -1)))
-    prev_col, next_col = shifted(col, 1), shifted(col, -1)
-    parts = [(line, col, top, bottom)]
-    for side in (-1, 1):
-        alone = (prev_col != col + side) & (next_col != col + side)
-        parts.append((line[alone], col[alone] + side, lo[alone], hi[alone]))
-    line, col, top, bottom = (np.concatenate(column) for column in zip(*parts))
-    begin = grid._starts[col * grid.rows + top - 1]
-    lengths = grid._starts[col * grid.rows + bottom + 2] - begin
-    # every slice's ids, concatenated: ``_segment_offsets`` with the slice
-    # starts folded into its one repeat
-    ids = grid._members[np.arange(int(lengths.sum()))
-                        + np.repeat(begin - (np.cumsum(lengths) - lengths), lengths)]
-    # a line whose samples jitter across a column boundary, as a near-axis
-    # line can, reads that column more than once
-    n = grid.n_features
-    return np.divmod(sorted_unique(np.repeat(line, lengths) * n + ids), n)
+    A feature is in at most one interval of a line: its strips differ.
+    """
+    lengths = np.maximum(end - begin, 0)
+    ids = index.ids[np.arange(int(lengths.sum()))
+                    + np.repeat(begin - (np.cumsum(lengths) - lengths), lengths)]
+    n = index.n_features
+    return np.divmod(np.sort(np.repeat(line, lengths) * n + ids), n)
 
 
 def _two_nearest(d2: np.ndarray, starts: np.ndarray):
@@ -350,31 +294,31 @@ def guided_match_pair(query_fs: FeatureSet, target_fs: FeatureSet,
                       ratio: float = RATIO_GUIDED,
                       query_indices: np.ndarray | None = None,
                       target_indices: np.ndarray | None = None,
-                      grid: OverlapGrid | None = None,
+                      index: BandIndex | None = None,
                       stats: SearchStats | None = None) -> Matches:
     """Match query features against target candidates near their epipolar lines.
 
-    A group's candidates are the target features in the grid cells of its
-    representative line's samples (``_candidates_batch``); ``grid`` defaults
-    to one built over the target features with cell half-size
-    ``d * GRID_INFLATION``.  Candidates are post-filtered to the exact band of
-    each member's own line, so every returned match satisfies dist <= d.
-    Groups run in blocks of flat arrays; only the descriptor product is
-    taken group by group.
+    A group's candidates are the target features that ``index`` (default:
+    one built over the target features) finds within d plus the group's
+    slack of its representative's line; the slack makes them hold every
+    member's band.  Candidates are post-filtered to the exact band of each
+    member's own line, so every returned match satisfies dist <= d, and the
+    result is what a scan of every member's band over all target features
+    would give.  Groups run in blocks of flat arrays; only the descriptor
+    product is taken group by group.
     """
     ti = np.arange(len(target_fs)) if target_indices is None else np.asarray(target_indices)
     if len(ti) == 0:
         return NO_MATCHES
     bounds = (float(target_fs.width), float(target_fs.height))
     txy = target_fs.xy[ti].astype(np.float64)
-    if grid is None:
-        grid = build_grid(txy, d * GRID_INFLATION, width=bounds[0], height=bounds[1])
+    if index is None:
+        index = build_index(txy)
 
     groups = group_queries(query_fs, F, bounds, query_indices=query_indices)
     if not groups:
         return NO_MATCHES
-    # members of all groups, group by group, with each member's own line
-    members, member_start, rep = groups.members, groups.starts, groups.lines
+    members, member_start, mlines = groups.members, groups.starts, groups.member_lines
     # float32 rows of the features that products may take: the members, in
     # member order, and the target features
     qdesc = query_fs.descriptors[members].astype(np.float32)
@@ -382,9 +326,6 @@ def guided_match_pair(query_fs: FeatureSet, target_fs: FeatureSet,
     tdesc = target_fs.descriptors[ti].astype(np.float32)
     tnorm = np.einsum("ij,ij->i", tdesc, tdesc)
     n_members = groups.sizes()
-    hom = np.hstack([query_fs.xy[members].astype(np.float64), np.ones((len(members), 1))])
-    mlines = hom @ F.T
-    mlines /= np.maximum(np.hypot(mlines[:, 0], mlines[:, 1]), 1e-15)[:, None]
 
     line_a, line_b, line_c = np.ascontiguousarray(mlines.T)
     tx, ty = np.ascontiguousarray(txy.T)
@@ -394,29 +335,46 @@ def guided_match_pair(query_fs: FeatureSet, target_fs: FeatureSet,
         a, b, c = (np.repeat(col[rows], repeats) for col in (line_a, line_b, line_c))
         return np.abs(a * tx[cand] + b * ty[cand] + c)
 
-    samples = _line_samples(rep, grid, d)
-    n_samples, _, pa, pb = samples
-    # A member's line minus the line of member 0 of its group is a linear
-    # function.  A candidate lies in a cell that holds a sample of the
-    # segment pa-pb, so within r = 2 sqrt(2) grid.d of it, where that
-    # function is at most its larger end value plus r times its gradient.
-    # The group's slack bounds this over its members; 1e-6 px covers rounding.
-    diff = mlines - mlines[np.repeat(member_start, n_members)]
-    at_ends = [np.abs(diff[:, 0] * p[:, 0] + diff[:, 1] * p[:, 1] + diff[:, 2])
-               for p in (np.repeat(pa, n_members, axis=0), np.repeat(pb, n_members, axis=0))]
-    stray = np.maximum(*at_ends) + 2.0 * math.sqrt(2.0) * grid.d * np.hypot(diff[:, 0], diff[:, 1])
+    # The slack bounds how much farther than d from the representative's
+    # line r a target feature p within d of a member's line m may lie.
+    # With m's sign turned to face r's, m - r is linear.  At the foot of p
+    # on r it is at most A, its larger value where the index box's corners
+    # project onto r; from there to p it changes by r(p) (cos t - 1), t the
+    # angle between the lines.  So with h = 1 - cos t, |r(p)| <= |m(p)| + A
+    # + h |r(p)| gives |r(p)| <= d + (A + h d) / (1 - h) when h < 1.  The
+    # largest |m - r| on the box's corners bounds it too.  1e-6 px covers
+    # rounding.
+    rep = mlines[np.repeat(member_start, n_members)]
+    diff = np.where((mlines[:, :2] * rep[:, :2]).sum(axis=1, keepdims=True) < 0,
+                    -mlines, mlines) - rep
+    corners = np.array([[x, y, 1.0] for x in (0.0, index.extent[0])
+                        for y in (0.0, index.extent[1])])
+    corners[:, :2] += index.lo
+    direction = np.stack([-rep[:, 1], rep[:, 0]], axis=1)
+    along = corners[:, :2] @ direction.T  # (4, members)
+    origin = rep[:, :2] * -rep[:, 2:]  # the point of r nearest (0, 0)
+    ends = [origin + direction * t[:, None] for t in (along.min(axis=0), along.max(axis=0))]
+    reach = np.maximum(*(np.abs((diff[:, :2] * q).sum(axis=1) + diff[:, 2]) for q in ends))
+    h = 0.5 * (diff[:, 0] ** 2 + diff[:, 1] ** 2)  # |n_m - n_r|^2 = 2 - 2 cos t
+    with np.errstate(divide="ignore"):
+        stray = np.where(h < 1.0, (reach + h * d) / (1.0 - h), np.inf)
+    stray = np.minimum(stray, np.abs(diff @ corners.T).max(axis=1))
     slack = np.maximum.reduceat(stray, member_start) + 1e-6
 
-    # a block's arrays grow with its samples and with its (member, candidate)
-    # pairs
-    work = np.maximum(n_samples, 2) * (n_members + 2)
+    # every group's strip intervals; a block's arrays grow with its
+    # (member, candidate) pairs
+    slice_group, begin, end = _band_slices(index, groups.lines, d + slack)
+    n_read = np.bincount(slice_group, np.maximum(end - begin, 0),
+                         minlength=len(groups)).astype(np.int64)
+    work = (n_read + 2) * (n_members + 2)
     block_of = (np.cumsum(work) - work) // _BLOCK_WORK
     cuts = np.flatnonzero(np.diff(block_of, prepend=-1, append=block_of[-1] + 1)).tolist()
+    slice_cuts = np.searchsorted(slice_group, cuts).tolist()
     parts = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
+    for lo, hi, s0, s1 in zip(cuts[:-1], cuts[1:], slice_cuts[:-1], slice_cuts[1:]):
         nm = n_members[lo:hi]
         ms = member_start[lo:hi]
-        cand_group, cand = _sampled_candidates(grid, *(part[lo:hi] for part in samples))
+        cand_group, cand = _gather(index, slice_group[s0:s1] - lo, begin[s0:s1], end[s0:s1])
         n_cand = np.bincount(cand_group, minlength=hi - lo)
         # a candidate stays if it lies in the band of a member of its group:
         # decided by member 0 unless it is within the slack of that band

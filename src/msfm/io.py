@@ -38,19 +38,17 @@ def write_model(model: Model, path, *, body: str | None = None) -> str:
     points again.
     """
     if body is None:
+        # repr of the Python floats that ``tolist`` gives is ``_fmt``'s text
         lines = []
         for image_id in model.image_ids():
             cam = model.cameras[image_id]
-            parts = ["CAM", str(image_id), _fmt(cam.K[0, 0]), _fmt(cam.K[0, 2]), _fmt(cam.K[1, 2])]
-            parts += [_fmt(v) for v in cam.R.reshape(-1)]
-            parts += [_fmt(v) for v in cam.t]
-            lines.append(" ".join(parts) + "\n")
+            values = cam.K[[0, 0, 1], [0, 2, 2]].tolist() + cam.R.ravel().tolist() + cam.t.tolist()
+            lines.append(f"CAM {image_id} {' '.join(map(repr, values))}\n")
         for pid in model.point_ids():
             point = model.points[pid]
-            parts = ["PT"] + [_fmt(v) for v in point.position] + [str(len(point.track))]
-            for image_id in sorted(point.track):
-                parts += [str(image_id), str(point.track[image_id])]
-            lines.append(" ".join(parts) + "\n")
+            parts = [*map(repr, point.position.tolist()), str(len(point.track))]
+            parts += [f"{i} {point.track[i]}" for i in sorted(point.track)]
+            lines.append(f"PT {' '.join(parts)}\n")
         body = "".join(lines)
     stage = f"STAGE {model.stage_tag}\n" if model.stage_tag else ""
     Path(path).write_text(f"{MODEL_MAGIC}\n{stage}{body}")

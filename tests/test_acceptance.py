@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ba_oracles import dense_jacobian, pack, residuals_at
-from line_oracles import candidates_grid
+from line_oracles import EpipolarLine, candidates_index, candidates_linear
 from model_oracles import exact_store, oracle_matches, reprojection_errors, visible_points
 from msfm.ba import bundle_adjust, problem_from_model, rodrigues
 from msfm.config import PipelineConfig
@@ -20,16 +20,11 @@ from msfm.descriptors import SearchStats
 from msfm.evaluate import align_models
 from msfm.features import DESCRIPTOR_DIM, FeatureSet
 from msfm.geometry import (
-    EpipolarLine,
     estimate_fundamental_ransac,
     fundamental_from_poses,
     triangulate_track,
 )
-from msfm.guided import (
-    build_grid,
-    candidates_linear,
-    guided_match_pair,
-)
+from msfm.guided import build_index, guided_match_pair
 from msfm.matching import Matches, match_pair
 from msfm.model import Camera, Model
 from msfm.pipeline import run_pipeline
@@ -131,26 +126,25 @@ class TestCriterion4GridFidelity:
     def test_recall_and_scaling(self):
         rng = np.random.default_rng(4)
         d = 8.0
-        inflation = 1.25
         total_true = total_hit = total_cand = 0
         for _ in range(50):
             side = 1024.0
             xy = rng.uniform(0, side, size=(10_000, 2))
-            grid = build_grid(xy, d * inflation, width=side, height=side)
+            index = build_index(xy)
             for _ in range(200):
                 p0 = rng.uniform(0, side, size=2)
                 ang = rng.uniform(0, np.pi)
                 a, b = np.sin(ang), -np.cos(ang)
                 line = EpipolarLine(a, b, -(a * p0[0] + b * p0[1]))
                 true = candidates_linear(xy, line, d)
-                got = candidates_grid(grid, line, d)
+                got = candidates_index(index, line, d)
                 total_true += len(true)
                 total_hit += len(np.intersect1d(true, got, assume_unique=True))
                 total_cand += len(got)
         recall = total_hit / total_true
         blow_up = total_cand / total_true
 
-        # cost growth when |F_c| doubles at fixed density.  The grid is
+        # cost growth when |F_c| doubles at fixed density.  The index is
         # measured at the 10K instance size; the linear scan's doubling is
         # measured from a 20K base, where the O(|F_c|) scan dominates the
         # fixed numpy dispatch cost of a single call.  Interleaved
@@ -158,7 +152,7 @@ class TestCriterion4GridFidelity:
         # noisy shared machine.
         import gc
 
-        def make(n, side, with_grid):
+        def make(n, side, with_index):
             xy = rng.uniform(0, side, size=(n, 2))
             lines = []
             for _ in range(200):
@@ -166,15 +160,13 @@ class TestCriterion4GridFidelity:
                 ang = rng.uniform(0, np.pi)
                 a, b = np.sin(ang), -np.cos(ang)
                 lines.append(EpipolarLine(a, b, -(a * p0[0] + b * p0[1])))
-            grid = build_grid(xy, d * inflation, width=side, height=side) \
-                if with_grid else None
-            return xy, lines, grid
+            return xy, lines, build_index(xy) if with_index else None
 
-        def run_grid(inst):
-            xy, lines, grid = inst
+        def run_index(inst):
+            xy, lines, index = inst
             t0 = time.perf_counter()
             for line in lines:
-                candidates_grid(grid, line, d)
+                candidates_index(index, line, d)
             return time.perf_counter() - t0
 
         def run_linear(inst):
@@ -184,9 +176,9 @@ class TestCriterion4GridFidelity:
                 candidates_linear(xy, line, d)
             return time.perf_counter() - t0
 
-        def doubling_ratio(runner, n_base, side_base, with_grid):
-            small = make(n_base, side_base, with_grid)
-            big = make(2 * n_base, side_base * np.sqrt(2.0), with_grid)
+        def doubling_ratio(runner, n_base, side_base, with_index):
+            small = make(n_base, side_base, with_index)
+            big = make(2 * n_base, side_base * np.sqrt(2.0), with_index)
             runner(small), runner(big)  # warmup
             gc.collect()
             gc.disable()
@@ -199,14 +191,14 @@ class TestCriterion4GridFidelity:
                 gc.enable()
             return min(t_big) / min(t_small)
 
-        grid_ratio = doubling_ratio(run_grid, 10_000, 1024.0, True)
+        index_ratio = doubling_ratio(run_index, 10_000, 1024.0, True)
         gc.collect()
         linear_ratio = doubling_ratio(run_linear, 20_000, 1448.0, False)
         passed = (recall >= 0.99 and blow_up <= 4.0
-                  and grid_ratio <= 1.3 and linear_ratio >= 1.8)
-        report("criterion-4 grid fidelity", passed,
-               f"recall {recall:.5f} >= 0.99 at inflation 1.25, |C'|/|C| "
-               f"{blow_up:.2f} <= 4, grid cost x{grid_ratio:.2f} <= 1.3, "
+                  and index_ratio <= 1.3 and linear_ratio >= 1.8)
+        report("criterion-4 band index fidelity", passed,
+               f"recall {recall:.5f} >= 0.99, |C'|/|C| "
+               f"{blow_up:.2f} <= 4, index cost x{index_ratio:.2f} <= 1.3, "
                f"linear cost x{linear_ratio:.2f} >= 1.8")
 
 

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from msfm.ba import rodrigues
 from msfm.errors import DegenerateGeometryError, InsufficientDataError
 from msfm.geometry import (
-    EpipolarLine,
     estimate_fundamental_ransac,
     fundamental_from_poses,
     ransac_stop_count,
@@ -16,7 +15,7 @@ from msfm.geometry import (
 from msfm.model import Camera, make_intrinsics
 
 from conftest import random_rotation
-from line_oracles import epipolar_line, point_line_distance
+from line_oracles import EpipolarLine, epipolar_line, point_line_distance
 
 
 def covisible_cloud(rng, cam_q, cam_c, n=100, depth_center=None):

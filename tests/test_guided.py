@@ -3,17 +3,16 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
-from scipy.spatial import cKDTree
 
 from msfm import densify
 from msfm.config import PipelineConfig
 from msfm.descriptors import SearchStats
 from msfm.features import DESCRIPTOR_DIM, FeatureSet
-from msfm.geometry import EpipolarLine, fundamental_from_poses, skew
+from msfm.geometry import fundamental_from_poses, skew
 from msfm.guided import (
-    _candidates_batch,
-    build_grid,
-    candidates_linear,
+    GROUP_BOUNDARY_PX,
+    STRIP_PX,
+    build_index,
     clip_lines,
     group_queries,
     guided_match_pair,
@@ -24,13 +23,12 @@ from msfm.pipeline import run_coarse, run_densify, run_match
 from msfm.synth import SceneSpec, generate_scene
 
 from line_oracles import (
-    candidates_grid,
-    cell_indices,
+    EpipolarLine,
+    band_candidates,
+    band_slices,
+    candidates_index,
+    candidates_linear,
     clip_line_to_bounds,
-    encode,
-    equidistant_line_points,
-    reference_candidates_grid,
-    reference_grid_table,
     reference_group_queries,
 )
 from model_oracles import oracle_matches
@@ -47,16 +45,18 @@ def random_lines(rng, n, width, height):
 
 
 def reference_guided_match_pair(query_fs, target_fs, F, *, d=8.0, ratio=0.8,
-                                inflation=1.25, query_indices=None, target_indices=None,
-                                grid=None, stats=None):
-    """The group-by-group loop that ``guided_match_pair`` replaced, as its oracle."""
+                                query_indices=None, target_indices=None, index=None,
+                                stats=None):
+    """Guided matching as an exhaustive scan of every member's band, group by group.
+
+    Every target feature is a candidate of every group; ``index`` is not
+    read.
+    """
     ti = np.arange(len(target_fs)) if target_indices is None else np.asarray(target_indices)
     if len(ti) == 0:
         return NO_MATCHES
     bounds = (float(target_fs.width), float(target_fs.height))
     txy = target_fs.xy[ti].astype(np.float64)
-    if grid is None:
-        grid = build_grid(txy, d * inflation, width=bounds[0], height=bounds[1])
 
     groups = reference_group_queries(query_fs, F, bounds, query_indices=query_indices)
     tdesc = target_fs.descriptors[ti].astype(np.float32)
@@ -65,9 +65,7 @@ def reference_guided_match_pair(query_fs, target_fs, F, *, d=8.0, ratio=0.8,
     qxy = query_fs.xy.astype(np.float64)
     accepted = []
     for group in groups:
-        cand = reference_candidates_grid(grid, txy, group.representative_line, d)
-        if len(cand) == 0:
-            continue
+        cand = np.arange(len(ti))
         members = group.member_features
         # exact band of each member's own line; descriptor distances are only
         # computed for candidates inside the union of the members' bands
@@ -129,124 +127,6 @@ def large_pair_spec(n_points):
                      visibility_fraction=1.0, pixel_noise=0.3, descriptor_noise=3.0, seed=77)
 
 
-def table_slice(grid, hx, hy):
-    """Feature ids the half-cell table holds for half-cell (hx, hy)."""
-    cell = (hx + 3) * grid.rows + hy + 3
-    return grid._members[grid._starts[cell]:grid._starts[cell + 1]]
-
-
-def neighbourhood_ids(grid, hx, hy):
-    """Feature ids of the 3 x 3 half-cells around (hx, hy), sorted."""
-    return np.sort(np.concatenate([table_slice(grid, hx + i, hy + j)
-                                   for i in (-1, 0, 1) for j in (-1, 0, 1)]))
-
-
-class TestBuildGrid:
-    def test_origin_cell_indices(self):
-        grid = build_grid(np.array([[0.0, 0.0]]), 10.0, width=100, height=100)
-        idx = cell_indices(grid, np.array([[0.0, 0.0]]))[0]
-        assert idx.tolist() == [[0, 0], [-1, 0], [0, -1], [-1, -1]]
-        assert cell_indices(grid, np.array([[25.0, 25.0]]))[0, 0].tolist() == [1, 1]
-        assert (grid.columns, grid.rows) == (17, 17)
-        assert table_slice(grid, 0, 0).tolist() == [0]
-        assert table_slice(grid, -1, 0).tolist() == table_slice(grid, 0, -1).tolist() == []
-
-    def test_every_feature_in_one_half_cell(self):
-        rng = np.random.default_rng(1)
-        xy = rng.uniform(-40, [680, 520], size=(10_000, 2))
-        grid = build_grid(xy, 8.0, width=640, height=480)
-        half = np.floor(xy / 8.0).astype(np.int64)
-        inside = ((half >= -3) & (half <= [80 + 3, 60 + 3])).all(axis=1)
-        assert np.array_equal(np.sort(grid._members), np.flatnonzero(inside))
-        assert grid._starts[0] == 0 and grid._starts[-1] == inside.sum()
-        assert (np.diff(grid._starts) >= 0).all()
-        # each half-cell's run holds exactly the features of that half-cell,
-        # in id order
-        for hx, hy in half[inside][:200].tolist():
-            ids = table_slice(grid, hx, hy)
-            assert (half[ids] == [hx, hy]).all()
-            assert np.array_equal(ids, np.flatnonzero((half == [hx, hy]).all(axis=1)))
-
-    @pytest.mark.parametrize("d", [3.3, 10.0, 12.5])
-    def test_table_equals_unique_reference(self, d):
-        rng = np.random.default_rng(17)
-        xy = rng.uniform(-20, [660, 500], size=(5000, 2))
-        grid = build_grid(xy, d, width=640, height=480)
-        starts, members = reference_grid_table(grid, xy)
-        assert np.array_equal(grid._starts, starts)
-        assert np.array_equal(grid._members, members)
-
-    def test_table_size(self):
-        # (floor(W / D) + 7) (floor(H / D) + 7) offsets
-        for (w, h), n_cells in (((1024, 768), 109 * 83), ((3072, 2304), 314 * 237)):
-            grid = build_grid(np.zeros((1, 2)), 10.0, width=w, height=h)
-            assert len(grid._starts) == n_cells + 1
-
-    @given(features=st.lists(st.tuples(st.integers(-3000, 44_000), st.integers(-3000, 34_000)),
-                             min_size=1, max_size=60),
-           points=st.lists(st.tuples(st.integers(-2000, 43_000), st.integers(-2000, 33_000)),
-                           min_size=1, max_size=8),
-           d=st.sampled_from([4.0, 8.0]), inflation=st.sampled_from([1.25, np.sqrt(2.0), 40.0]))
-    def test_half_cell_neighbourhood_equals_offset_grids(self, features, points, d, inflation):
-        # positions on a 1/64 px lattice, negative ones and ones beyond the
-        # 640 x 480 image included: the features sharing any of the four
-        # offset cells with a point are those of the 3 x 3 half-cells around it
-        xy = np.array(features, dtype=np.float64) / 64.0
-        grid = build_grid(xy, d * inflation, width=640, height=480)
-        cells, half = cell_indices(grid, xy), np.floor(xy / grid.d)
-        for p in np.array(points, dtype=np.float64) / 64.0:
-            at = cell_indices(grid, p)[0]
-            shared = (encode(cells) == encode(at)[None, :]).any(axis=1)
-            assert np.array_equal(shared, (np.abs(half - np.floor(p / grid.d)) <= 1).all(axis=1))
-            # the table holds the whole neighbourhood of points this near the image
-            hx, hy = np.floor(p / grid.d).astype(np.int64).tolist()
-            if -2 <= hx <= grid.columns - 5 and -2 <= hy <= grid.rows - 5:
-                assert neighbourhood_ids(grid, hx, hy).tolist() == np.flatnonzero(shared).tolist()
-
-    def test_invalid_d(self):
-        with pytest.raises(ValueError):
-            build_grid(np.zeros((1, 2)), 0.0, width=10, height=10)
-
-    def test_band_wider_than_half_cell(self):
-        grid = build_grid(np.zeros((1, 2)), 8.0, width=100, height=100)
-        with pytest.raises(ValueError):
-            _candidates_batch(grid, np.array([[0.0, 1.0, -50.0]]), 8.5)
-
-
-class TestEquidistantPoints:
-    def test_horizontal_line_across_image(self):
-        pts = equidistant_line_points(EpipolarLine(0.0, 1.0, -50.0), (640, 480), 10.0)
-        assert len(pts) == 65
-        ends = {tuple(pts[0]), tuple(pts[-1])}
-        assert ends == {(0.0, 50.0), (640.0, 50.0)}
-        gaps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-        assert (gaps <= 10.0 + 1e-9).all()
-
-    def test_corner_clip_two_points(self):
-        # a diagonal line cutting a tiny corner: segment shorter than d
-        line = EpipolarLine(np.sqrt(0.5), np.sqrt(0.5), -3.0)
-        pts = equidistant_line_points(line, (640, 480), 10.0)
-        assert len(pts) == 2
-
-    def test_miss_returns_empty(self):
-        line = EpipolarLine(0.0, 1.0, 100.0)  # y = -100
-        assert len(equidistant_line_points(line, (640, 480), 10.0)) == 0
-
-    def test_every_band_feature_near_a_sample(self):
-        rng = np.random.default_rng(2)
-        xy = rng.uniform(0, [640, 480], size=(4000, 2))
-        for line in random_lines(rng, 40, 640, 480):
-            pts = equidistant_line_points(line, (640, 480), 8.0, pad=8.0)
-            if len(pts) == 0:
-                continue
-            band = candidates_linear(xy, line, 8.0)
-            if len(band) == 0:
-                continue
-            tree = cKDTree(pts)
-            dist, _ = tree.query(xy[band])
-            assert dist.max() <= 8.0 * np.sqrt(2.0) + 1e-9
-
-
 class TestCandidateRetrieval:
     def setup_method(self):
         rng = np.random.default_rng(3)
@@ -267,41 +147,33 @@ class TestCandidateRetrieval:
         assert len(candidates_linear(self.xy, line, self.d)) == 0
 
     def test_grid_full_recall_at_default_inflation(self):
-        grid = build_grid(self.xy, self.d * 1.25, width=self.W, height=self.H)
-        total = hits = candidates = 0
+        # the band index at the band's own half-width: every band feature,
+        # at most four times as many candidates
+        index = build_index(self.xy)
+        total = candidates = 0
         for line in self.lines:
             lin = set(candidates_linear(self.xy, line, self.d).tolist())
-            got = set(candidates_grid(grid, line, self.d).tolist())
+            got = set(candidates_index(index, line, self.d).tolist())
+            assert lin <= got
             total += len(lin)
-            hits += len(lin & got)
             candidates += len(got)
-        assert hits / total >= 0.99
         assert candidates <= 4 * total
 
-    def test_grid_containment_at_sqrt2(self):
-        grid = build_grid(self.xy, self.d * np.sqrt(2.0), width=self.W, height=self.H)
-        for line in self.lines[:60]:
-            lin = set(candidates_linear(self.xy, line, self.d).tolist())
-            got = set(candidates_grid(grid, line, self.d).tolist())
-            assert lin <= got
-
     def test_feature_on_line_always_retrieved(self):
-        rng = self.rng
-        grid_pts = self.xy.copy()
         for line in self.lines[:30]:
-            pts = equidistant_line_points(line, (self.W, self.H), self.d)
-            if len(pts) < 3:
+            clipped = clip_line_to_bounds(line, self.W, self.H)
+            if clipped is None:
                 continue
-            on_line = pts[len(pts) // 2] + 0.01
-            xy = np.vstack([grid_pts, on_line])
-            grid = build_grid(xy, self.d * 1.25, width=self.W, height=self.H)
-            got = candidates_grid(grid, line, self.d)
+            on_line = (clipped[0] + clipped[1]) / 2.0 + 0.01
+            xy = np.vstack([self.xy, on_line])
+            got = candidates_index(build_index(xy), line, self.d)
             assert len(xy) - 1 in got
 
     def test_empty_grid(self):
-        grid = build_grid(np.zeros((0, 2)), 10.0, width=100, height=100)
+        index = build_index(np.zeros((0, 2)))
         line = EpipolarLine(0.0, 1.0, -50.0)
-        assert len(candidates_grid(grid, line, 10.0)) == 0
+        assert len(candidates_index(index, line, 10.0)) == 0
+
 
 class TestGroupQueries:
     def _pair(self, seed=5):
@@ -473,20 +345,15 @@ class TestGuidedMatchPair:
             assert dist <= d + 1e-6
 
     def test_strategies_agree_on_matches(self):
-        # reference: one grid cell spans the whole image, so every target
-        # feature is a candidate of every group (an exhaustive band scan)
+        # reference: an exhaustive scan of every member's band, reading no
+        # index
         for seed in (11, 3, 7, 21, 42):
             scene = generate_scene(SceneSpec(n_cameras=3, layout="grid", ring_radius=1.2,
                                              cloud_radius=2.0, n_points=600, seed=seed))
             for a, b in ((0, 1), (1, 2), (0, 2)):
                 fs_q, fs_t = scene.feature_sets[a], scene.feature_sets[b]
                 F = fundamental_from_poses(scene.cameras[a], scene.cameras[b])
-                w, h = fs_t.width, fs_t.height
-                exhaustive = build_grid(fs_t.xy.astype(np.float64), 4 * max(w, h),
-                                        width=w, height=h)
-                got = match_rows(guided_match_pair(fs_q, fs_t, F))
-                assert len(got) > 0
-                assert got == match_rows(guided_match_pair(fs_q, fs_t, F, grid=exhaustive))
+                assert len(assert_same_as_reference(fs_q, fs_t, F)) > 0
 
     def test_repetition_groups_guided_beats_unguided(self):
         spec = SceneSpec(n_cameras=2, layout="grid", ring_radius=1.2,
@@ -510,16 +377,17 @@ class TestGuidedMatchPair:
         assert precision >= 0.95
 
     def test_comparison_count_bounded_by_groups(self):
+        # a group compares each member with the target features in the
+        # union of its members' bands, and with no other
         scene, F = self._scene_pair(seed=13)
         fs_q, fs_t = scene.feature_sets[0], scene.feature_sets[1]
         stats = SearchStats()
         guided_match_pair(fs_q, fs_t, F, d=8.0, stats=stats)
         groups = group_queries(fs_q, F, (fs_t.width, fs_t.height))
-        grid = build_grid(fs_t.xy.astype(np.float64), 8.0 * 1.25,
-                          width=fs_t.width, height=fs_t.height)
-        group_of, _ = _candidates_batch(grid, groups.lines, 8.0)
-        bound = int((groups.sizes() * np.bincount(group_of, minlength=len(groups))).sum())
-        assert stats.candidates <= bound
+        txy = fs_t.xy.astype(np.float64)
+        near = np.abs(groups.member_lines[:, :2] @ txy.T + groups.member_lines[:, 2:]) <= 8.0
+        in_union = np.logical_or.reduceat(near, groups.starts, axis=0).sum(axis=1)
+        assert stats.candidates == int((groups.sizes() * in_union).sum())
 
     def test_empty_target(self):
         scene, F = self._scene_pair(seed=14)
@@ -531,8 +399,8 @@ class TestGuidedMatchPair:
 class TestGuidedOracle:
     @pytest.mark.parametrize("seed", [2024, 7])
     def test_every_densify_pair_of_a_ring(self, seed, monkeypatch):
-        # the pairs, query subsets and grids that densify passes on a
-        # 16-camera ring of the benchmark's make-up
+        # the pairs, query subsets and band indexes that densify passes on
+        # a 16-camera ring of the benchmark's make-up
         scene = generate_scene(SceneSpec(n_cameras=16, n_points=2500, visibility_fraction=0.55,
                                          pixel_noise=0.5, descriptor_noise=4.0, seed=seed))
         store = scene.store()
@@ -596,51 +464,175 @@ class TestGuidedOracle:
         assert_same_as_reference(fs_q, fs_t, F, d=8.0)
 
 
-class TestBatchedRetrieval:
-    @given(st.lists(st.tuples(st.one_of(st.sampled_from([0.0, np.pi / 4, np.pi / 2]),
-                                        st.floats(0.0, np.pi)),
-                              st.floats(-60.0, 700.0), st.floats(-60.0, 540.0)),
-                    min_size=1, max_size=12),
-           st.sampled_from([4.0, 8.0]), st.sampled_from([1.25, np.sqrt(2.0), 40.0]),
-           st.integers(0, 2**32 - 1))
+    @pytest.mark.parametrize("right, crossing", [(300.0, False), (300.0, True), (100.0, True)],
+                             ids=["side_by_side", "crossing", "flat_crossing"])
+    def test_group_at_the_full_boundary_spread(self, right, crossing):
+        # Query features whose lines pierce the left and right edges of a
+        # 640 x 480 target up to GROUP_BOUNDARY_PX apart, the most one group
+        # allows: side by side, or crossing so that they turn apart.  One
+        # member's line has the opposite sign.  Target features lie near the
+        # lines, so that the index's box hugs them, and just inside and
+        # just outside every member's band at both edges, where the bands
+        # stray farthest from the representative's.
+        inside = 1e-6 * GROUP_BOUNDARY_PX  # off the buckets' bounds, for rounding
+        left, right = ((y + inside, y + GROUP_BOUNDARY_PX - inside) for y in (100.0, right))
+        # (height at x = 0, height at x = 640) of the two outermost members
+        ends = ([(left[0], right[1]), (left[1], right[0])] if crossing
+                else [(left[0], right[0]), (left[1], right[1])])
+        middle = ((ends[0][0] + ends[1][0]) / 2, (ends[0][1] + ends[1][1]) / 2)
+
+        def line(y0, y1):
+            # through (0, y0) and (640, y1), as (m, -1, k) so that lines mix
+            # linearly in their heights
+            return np.array([(y1 - y0) / 640.0, -1.0, y0])
+
+        queries = np.array([[10.0, 10.0, 1.0], [90.0, 10.0, 1.0], [50.0, 90.0, 1.0]])
+        lines = np.stack([line(*ends[0]), line(*ends[1]), -line(*middle)])
+        F = lines.T @ np.linalg.inv(queries.T)
+        t = np.linspace(0.0, 1.0, 9)
+        qxy = np.vstack([np.outer(1 - t, queries[0, :2]) + np.outer(t, queries[1, :2]),
+                         queries[2:, :2]])
+        rng = np.random.default_rng(8)
+        x = rng.uniform(0, 640, 2000)
+        txy = [np.column_stack([x, middle[0] + (middle[1] - middle[0]) * x / 640.0
+                                + rng.uniform(-12.0, 12.0, 2000)])]
+        for y0, y1 in ends:
+            normal = np.array([y1 - y0, -640.0]) / np.hypot(y1 - y0, 640.0)
+            for x in (0.0, 320.0, 640.0):
+                on = np.array([x, y0 + (y1 - y0) * x / 640.0])
+                txy.append([on + s * (8.0 + e) * normal for s in (-1, 1) for e in (-1e-4, 1e-4)])
+        txy = np.vstack(txy)
+
+        def feature_set(xy, image_id):
+            n = len(xy)
+            return FeatureSet(image_id=image_id, width=640, height=480,
+                              xy=xy.astype(np.float32), scale=np.ones(n, dtype=np.float32),
+                              orientation=np.zeros(n, dtype=np.float32),
+                              descriptors=rng.integers(0, 256, (n, DESCRIPTOR_DIM),
+                                                       dtype=np.uint8))
+
+        fs_q, fs_t = feature_set(qxy, 0), feature_set(txy, 1)
+        groups = group_queries(fs_q, F, (640.0, 480.0))
+        assert groups.sizes().tolist() == [len(qxy)]
+        assert assert_same_as_reference(fs_q, fs_t, F, ratio=1.5)
+        mlines = groups.member_lines
+        assert (mlines[:, 1] > 0).any() and (mlines[:, 1] < 0).any()
+        near = np.abs(mlines[:, :2] @ txy.T + mlines[:, 2:]) <= 8.0
+        assert (near[:, 2000:].any(axis=0) & ~near[0, 2000:]).sum() >= 4
+
+
+class TestBandIndex:
+    W, H = 640.0, 480.0
+
+    def test_each_feature_once_per_strip_order(self):
+        rng = np.random.default_rng(1)
+        xy = rng.uniform([-30.0, 5.0], [700.0, 470.0], size=(3000, 2))
+        index = build_index(xy)
+        n = len(xy)
+        assert index.n_features == n
+        assert np.array_equal(index.lo, xy.min(axis=0))
+        assert (np.diff(index.keys) >= 0).all()
+        rows, columns = index.ids[:n], index.ids[n:]
+        assert np.array_equal(np.sort(rows), np.arange(n))
+        assert np.array_equal(np.sort(columns), np.arange(n))
+        local = xy - index.lo
+        # rows by (row strip, x), columns by (column strip, y)
+        assert np.array_equal(rows, np.lexsort((local[:, 0], np.floor(local[:, 1] / STRIP_PX))))
+        assert np.array_equal(columns,
+                              np.lexsort((local[:, 1], np.floor(local[:, 0] / STRIP_PX))))
+
+    # a line of each kind, as (kind, angle, offset): axis-parallel, 45
+    # degrees, any angle through a point of the image, any angle through a
+    # corner, grazing an edge within its band, and missing the image
+    line_kinds = st.one_of(
+        st.tuples(st.just("through"), st.sampled_from([0.0, np.pi / 2, np.pi / 4, 3 * np.pi / 4]),
+                  st.tuples(st.floats(0.0, 640.0), st.floats(0.0, 480.0))),
+        st.tuples(st.just("through"), st.floats(0.0, np.pi),
+                  st.tuples(st.floats(0.0, 640.0), st.floats(0.0, 480.0))),
+        st.tuples(st.just("through"), st.floats(0.0, np.pi),
+                  st.sampled_from([(0.0, 0.0), (640.0, 0.0), (0.0, 480.0), (640.0, 480.0)])),
+        st.tuples(st.just("graze"), st.sampled_from([0.0, 1e-9, 1e-4, -1e-3]),
+                  st.tuples(st.integers(0, 3), st.floats(-1.0, 1.0))),
+        st.tuples(st.just("miss"), st.floats(0.0, np.pi), st.floats(1.0, 500.0)),
+    )
+
+    def make_line(self, kind, angle, where, d):
+        """Normalized (a, b, c) of a line of ``line_kinds`` at band half-width d."""
+        if kind == "graze":
+            # along edge k, tilted by ``angle``, at +-d of it at its middle
+            edge, offset = where
+            x0, y0 = [(320.0, 0.0), (320.0, 480.0), (0.0, 240.0), (640.0, 240.0)][edge]
+            angle += 0.0 if edge < 2 else np.pi / 2
+            where = (x0 - offset * d * np.sin(angle), y0 + offset * d * np.cos(angle))
+        if kind == "miss":
+            # tangent to the circle around the image, pushed out past d
+            radius = np.hypot(320.0, 240.0) + d + where
+            where = (320.0 + radius * np.cos(angle + np.pi / 2),
+                     240.0 + radius * np.sin(angle + np.pi / 2))
+        a, b = np.sin(angle), -np.cos(angle)
+        return np.array([a, b, -(a * where[0] + b * where[1])])
+
+    @given(kinds=st.lists(line_kinds, min_size=1, max_size=8), d=st.floats(1.0, 20.0),
+           seed=st.integers(0, 2**32 - 1))
     @settings(deadline=None)
-    def test_equals_candidates_grid(self, raw, d, inflation, seed):
-        # lines through any point near the 640 x 480 image at any angle,
-        # axis-parallel and diagonal ones included; some miss the image
+    def test_every_band_feature_found(self, kinds, d, seed):
+        # features anywhere in the image, on its edges and at its corners
         rng = np.random.default_rng(seed)
-        xy = rng.uniform(0, [640, 480], size=(int(rng.integers(0, 3000)), 2))
-        grid = build_grid(xy, d * inflation, width=640, height=480)
-        lines = np.array([(np.sin(ang), -np.cos(ang), -(np.sin(ang) * x - np.cos(ang) * y))
-                          for ang, x, y in raw])
-        line_of, cand = _candidates_batch(grid, lines, d)
-        for i, line in enumerate(lines):
-            want = reference_candidates_grid(grid, xy, EpipolarLine(*line), d)
-            assert np.array_equal(cand[line_of == i], want)
-            assert np.array_equal(candidates_grid(grid, EpipolarLine(*line), d), want)
+        xy = np.vstack([rng.uniform(0, [self.W, self.H], size=(int(rng.integers(0, 3000)), 2)),
+                        np.column_stack([rng.uniform(0, self.W, 40), np.repeat([0.0, 480.0], 20)]),
+                        np.column_stack([np.repeat([0.0, 640.0], 20), rng.uniform(0, self.H, 40)]),
+                        [[0.0, 0.0], [640.0, 0.0], [0.0, 480.0], [640.0, 480.0]]])
+        lines = np.array([self.make_line(*kind, d) for kind in kinds])
+        line_of, cand = band_candidates(build_index(xy), lines, d)
+        for i, (kind, _, _) in enumerate(kinds):
+            got = cand[line_of == i]
+            assert np.array_equal(got, np.unique(got))
+            want = candidates_linear(xy, EpipolarLine(*lines[i]), d)
+            assert np.isin(want, got).all()
+            if kind == "miss":
+                assert len(want) == len(got) == 0
+            # nothing beyond one strip of the band is read
+            dist = np.abs(xy[got] @ lines[i, :2] + lines[i, 2])
+            assert (dist <= d + STRIP_PX + 1e-6).all()
 
+    @staticmethod
+    def strips_crossed(line, w, width, height):
+        """Strips of the box [0, width] x [0, height] that the band of ``line`` meets.
 
-    @pytest.mark.parametrize("x, angle, y", [
-        (407.29350596345137, 1.5707963267948966, 13.228374356672816),
-        (543.0580079512686, 1.5707963267948977, 258.30879034525356),
-        (509.1168824543143, 1.570796326794896, 378.44577764563405),
-    ])
-    def test_line_jittering_across_a_column(self, x, angle, y):
-        # near-vertical lines within rounding of a half-cell column boundary:
-        # their samples' columns go back and forth, and each candidate still
-        # comes once, from the 3 x 3 half-cells around the samples
-        d, grid_d = 8.0, 8.0 * np.sqrt(2.0)
-        line = np.array([np.sin(angle), -np.cos(angle),
-                         -(np.sin(angle) * x - np.cos(angle) * y)])
-        samples = equidistant_line_points(EpipolarLine(*line), (640, 480), d, pad=d)
-        half = np.floor(samples / grid_d)
-        assert len(np.flatnonzero(np.diff(half[:, 0]))) >= 2
-        xy = np.random.default_rng(3).uniform(0, [640, 480], size=(20_000, 2))
-        grid = build_grid(xy, grid_d, width=640, height=480)
-        want = np.zeros(len(xy), dtype=bool)
-        for h in half:
-            want |= (np.abs(np.floor(xy / grid_d) - h) <= 1).all(axis=1)
-        got = candidates_grid(grid, EpipolarLine(*line), d)
-        assert got.tolist() == np.flatnonzero(want).tolist()
+        Flat lines (|a| <= |b|) count row strips, others column strips; the
+        band's vertices in the box are the corners inside it and the box
+        crossings of its two edges.
+        """
+        a, b, c = line
+        points = [p for offset in (-w, w)
+                  for p in (clip_line_to_bounds(EpipolarLine(a, b, c + offset), width, height)
+                            or ())]
+        points += [np.array(p) for p in ((0, 0), (width, 0), (0, height), (width, height))
+                   if abs(a * p[0] + b * p[1] + c) <= w]
+        if not points:
+            return 0
+        across = np.array([p[1] if abs(a) <= abs(b) else p[0] for p in points])
+        return int(np.floor(across.max() / STRIP_PX) - np.floor(across.min() / STRIP_PX)) + 1
+
+    def test_slices_per_line_bounded_by_strips(self):
+        # O(strips + |C'|): one interval per strip the band crosses, plus 2
+        rng = np.random.default_rng(4)
+        xy = np.vstack([rng.uniform(0, [self.W, self.H], size=(5000, 2)),
+                        [[0.0, 0.0], [self.W, self.H]]])
+        index = build_index(xy)
+        kinds = ([("through", ang, (x, y)) for ang, x, y in
+                  zip(rng.uniform(0, np.pi, 300), rng.uniform(0, self.W, 300),
+                      rng.uniform(0, self.H, 300))]
+                 + [("through", ang, (320.0, 240.0)) for ang in np.arange(8) * np.pi / 8]
+                 + [("graze", 1e-3, (k, 0.5)) for k in range(4)]
+                 + [("miss", ang, 5.0) for ang in (0.0, 1.0, 2.0)])
+        for d in (1.0, 8.0, 20.0):
+            lines = np.array([self.make_line(*kind, d) for kind in kinds])
+            line_of, _, _ = band_slices(index, lines, d)
+            reads = np.bincount(line_of, minlength=len(lines))
+            crossed = [self.strips_crossed(line, d, self.W, self.H) for line in lines]
+            assert (reads <= np.array(crossed) + 2).all()
+            assert reads.sum() > 0
 
 
 class TestGuidedMemory:
