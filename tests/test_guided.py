@@ -44,6 +44,17 @@ def random_lines(rng, n, width, height):
     return out
 
 
+def image_features(rng, n, width=640.0, height=480.0):
+    """n features in the image plus its two extreme corners, so the index's box is the image."""
+    return np.vstack([rng.uniform(0, [width, height], size=(n, 2)), [[0.0, 0.0], [width, height]]])
+
+
+def line_at(angle, x, y):
+    """Normalized (a, b, c) of the line through (x, y) at ``angle`` to the x axis."""
+    a, b = np.sin(angle), -np.cos(angle)
+    return np.array([a, b, -(a * x + b * y)])
+
+
 def reference_guided_match_pair(query_fs, target_fs, F, *, d=8.0, ratio=0.8,
                                 query_indices=None, target_indices=None, index=None,
                                 stats=None):
@@ -127,6 +138,104 @@ def large_pair_spec(n_points):
                      visibility_fraction=1.0, pixel_noise=0.3, descriptor_noise=3.0, seed=77)
 
 
+class TestBuildGrid:
+    """Building the band index."""
+
+    def test_origin_cell_indices(self):
+        # a feature at the box's origin keys 0 in row strip 0 and 0 in column
+        # strip 0; one at (25, 25) lies in row and column strip 1
+        index = build_index(np.array([[0.0, 0.0], [25.0, 25.0], [100.0, 100.0]]))
+        assert index.lo.tolist() == [0.0, 0.0] and index.extent.tolist() == [100.0, 100.0]
+        assert (index.row_strips, index.span) == (7, 101.0)
+        span = index.span
+        assert index.ids.tolist() == [0, 1, 2, 0, 1, 2]
+        assert index.keys.tolist() == [0.0, span + 25.0, 6 * span + 100.0,
+                                       7 * span, 8 * span + 25.0, 13 * span + 100.0]
+        assert candidates_index(index, EpipolarLine(0.0, 1.0, 0.0), 1.0).tolist() == [0]
+
+    def test_every_feature_in_one_half_cell(self):
+        # each feature keys once as its row strip * span + x and once as
+        # (row strips + its column strip) * span + y, rounded to float32;
+        # features off the image included
+        rng = np.random.default_rng(1)
+        xy = rng.uniform(-40, [680, 520], size=(10_000, 2))
+        index = build_index(xy)
+        n, local = len(xy), xy - index.lo
+        for ids, keys, along, across, first in (
+                (index.ids[:n], index.keys[:n], 0, 1, 0),
+                (index.ids[n:], index.keys[n:], 1, 0, index.row_strips)):
+            assert np.array_equal(np.sort(ids), np.arange(n))
+            strip = first + np.floor(local[ids, across] / STRIP_PX)
+            want = (strip * index.span + local[ids, along]).astype(np.float32)
+            assert np.array_equal(keys, want)
+
+    def test_table_size(self):
+        # two float32 keys and two int32 ids per feature, whatever the image size
+        rng = np.random.default_rng(5)
+        for w, h in ((1024, 768), (3072, 2304)):
+            index = build_index(rng.uniform(0, [w, h], size=(1000, 2)))
+            assert len(index.keys) == len(index.ids) == 2000
+            assert index.keys.nbytes + index.ids.nbytes == 16 * 1000
+
+    def test_band_wider_than_half_cell(self):
+        # bands wider than a strip are read over every strip they cross
+        rng = np.random.default_rng(6)
+        xy = np.vstack([rng.uniform(0, 100, size=(2000, 2)), [[0.0, 0.0], [100.0, 100.0]]])
+        index = build_index(xy)
+        line = EpipolarLine(0.0, 1.0, -50.0)  # y = 50
+        for w in (8.5, 2.5 * STRIP_PX):
+            got = candidates_index(index, line, w)
+            assert np.isin(candidates_linear(xy, line, w), got).all()
+            strips = np.floor(xy[:, 1] / STRIP_PX)
+            want = ((strips >= np.floor((50 - w) / STRIP_PX))
+                    & (strips <= np.floor((50 + w) / STRIP_PX)))
+            assert got.tolist() == np.flatnonzero(want).tolist()
+
+
+class TestEquidistantPoints:
+    """A line's band read strip by strip: across, clipping and missing the image."""
+
+    def setup_method(self):
+        self.xy = image_features(np.random.default_rng(2), 4000)
+        self.index = build_index(self.xy)
+
+    def read(self, line, d):
+        line_of, begin, end = band_slices(self.index, [line.a, line.b, line.c], d)
+        return len(line_of), candidates_index(self.index, line, d)
+
+    def test_horizontal_line_across_image(self):
+        # y = 50 at d = 10 crosses row strips 2 and 3, each read end to end
+        line = EpipolarLine(0.0, 1.0, -50.0)
+        slices, got = self.read(line, 10.0)
+        assert slices == 2
+        y = self.xy[:, 1]
+        assert got.tolist() == np.flatnonzero((y >= 2 * STRIP_PX) & (y < 4 * STRIP_PX)).tolist()
+        assert np.isin(candidates_linear(self.xy, line, 10.0), got).all()
+
+    def test_corner_clip_two_points(self):
+        # a diagonal line cutting a tiny corner: its band meets two row strips
+        line = EpipolarLine(np.sqrt(0.5), np.sqrt(0.5), -3.0)
+        slices, got = self.read(line, 10.0)
+        assert slices == 2
+        assert np.isin(candidates_linear(self.xy, line, 10.0), got).all()
+        dist = np.abs(self.xy[got] @ [line.a, line.b] + line.c)
+        assert (dist <= 10.0 + STRIP_PX + 1e-9).all()
+
+    def test_miss_returns_empty(self):
+        line = EpipolarLine(0.0, 1.0, 100.0)  # y = -100
+        assert self.read(line, 10.0)[0] == 0
+        assert len(self.read(line, 10.0)[1]) == 0
+
+    def test_every_band_feature_near_a_sample(self):
+        # every band feature is read, and every feature read is near the band
+        d = 8.0
+        for line in random_lines(np.random.default_rng(2), 40, 640, 480):
+            _, got = self.read(line, d)
+            assert np.isin(candidates_linear(self.xy, line, d), got).all()
+            dist = np.abs(self.xy[got] @ [line.a, line.b] + line.c)
+            assert (dist <= d + STRIP_PX + 1e-9).all()
+
+
 class TestCandidateRetrieval:
     def setup_method(self):
         rng = np.random.default_rng(3)
@@ -158,6 +267,15 @@ class TestCandidateRetrieval:
             total += len(lin)
             candidates += len(got)
         assert candidates <= 4 * total
+
+    def test_grid_containment_at_sqrt2(self):
+        # read at half-width d sqrt 2, the index holds every feature of that band
+        index = build_index(self.xy)
+        w = self.d * np.sqrt(2.0)
+        for line in self.lines[:60]:
+            lin = set(candidates_linear(self.xy, line, w).tolist())
+            got = set(candidates_index(index, line, w).tolist())
+            assert lin <= got
 
     def test_feature_on_line_always_retrieved(self):
         for line in self.lines[:30]:
@@ -633,6 +751,51 @@ class TestBandIndex:
             crossed = [self.strips_crossed(line, d, self.W, self.H) for line in lines]
             assert (reads <= np.array(crossed) + 2).all()
             assert reads.sum() > 0
+
+
+class TestBatchedRetrieval:
+    @given(st.lists(st.tuples(st.one_of(st.sampled_from([0.0, np.pi / 4, np.pi / 2]),
+                                        st.floats(0.0, np.pi)),
+                              st.floats(-60.0, 700.0), st.floats(-60.0, 540.0)),
+                    min_size=1, max_size=12),
+           st.sampled_from([4.0, 8.0]), st.sampled_from([1.25, np.sqrt(2.0), 40.0]),
+           st.integers(0, 2**32 - 1))
+    @settings(deadline=None)
+    def test_equals_candidates_grid(self, raw, d, inflation, seed):
+        # lines through any point near the 640 x 480 image at any angle,
+        # axis-parallel and diagonal ones included; some miss the image.
+        # Read in one batch, at one half-width or one per line, each line
+        # gets what it gets read alone
+        rng = np.random.default_rng(seed)
+        xy = rng.uniform(0, [640, 480], size=(int(rng.integers(0, 3000)), 2))
+        index = build_index(xy)
+        lines = np.array([line_at(*line) for line in raw])
+        widths = d * rng.choice([1.0, inflation], size=len(lines))
+        for w in (d * inflation, widths):
+            line_of, cand = band_candidates(index, lines, w)
+            assert (np.diff(line_of) >= 0).all()
+            for i, (line, w_i) in enumerate(zip(lines, np.broadcast_to(w, len(lines)))):
+                want = candidates_index(index, EpipolarLine(*line), w_i)
+                assert np.array_equal(cand[line_of == i], want)
+
+    @pytest.mark.parametrize("x, angle, y", [
+        (407.29350596345137, 1.5707963267948966, 13.228374356672816),
+        (543.0580079512686, 1.5707963267948977, 258.30879034525356),
+        (509.1168824543143, 1.570796326794896, 378.44577764563405),
+    ])
+    def test_line_jittering_across_a_column(self, x, angle, y):
+        # near-vertical lines whose tilt is within rounding of zero, either
+        # way: each column strip their band crosses is read end to end, and
+        # each of its features comes once
+        d = 8.0
+        xy = image_features(np.random.default_rng(3), 20_000)
+        index = build_index(xy)
+        line = line_at(angle, x, y)
+        line_of, cand = band_candidates(index, line, d)
+        strips = np.floor(xy[:, 0] / STRIP_PX)
+        want = (strips >= np.floor((x - d) / STRIP_PX)) & (strips <= np.floor((x + d) / STRIP_PX))
+        assert len(band_slices(index, line, d)[0]) == 2
+        assert cand.tolist() == np.flatnonzero(want).tolist()
 
 
 class TestGuidedMemory:
