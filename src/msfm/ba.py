@@ -1,14 +1,15 @@
 """Bundle adjustment: Levenberg-Marquardt over cameras, focal lengths and points.
 
-Each camera contributes 7 parameters (3 rotation, 3 translation, 1 focal);
-principal points stay fixed.  Rotations update multiplicatively on the left,
-R <- exp([w]x) R.  The damped normal equations are solved by eliminating the
-3x3 point blocks (Schur complement), which keeps the dense solve at 7 * n_cam
-unknowns.  That reduced camera system is assembled block by block from each
-point's pairs of observing cameras (Triggs et al., "Bundle Adjustment - A
-Modern Synthesis", 1999, section 6), never through a points x cameras array,
-and solved by Cholesky factorization (``spd_solve``), numpy only.  Residuals
-and Jacobians use the pinhole model of ``model.pixels`` and
+Each camera has 7 parameters (3 rotation, 3 translation, 1 focal), and one
+(n_cam, 7) mask (``free_parameters``) says which are estimated: it removes
+the similarity gauge and a given focal length.  Principal points stay fixed,
+and rotations update on the left, R <- exp([w]x) R.  The damped normal
+equations are solved by eliminating the 3x3 point blocks (Schur complement),
+which leaves a dense solve over the free camera parameters.  That reduced
+camera system is assembled block by block from each point's pairs of
+observing cameras (Triggs et al., "Bundle Adjustment - A Modern Synthesis",
+1999, section 6), never through a points x cameras array.  Residuals and
+Jacobians use the pinhole model of ``model.pixels`` and
 ``model.pixel_jacobian``, and the result is the LM solve's.
 """
 
@@ -28,14 +29,17 @@ CAM_PARAMS = 7  # rotation (3), translation (3), focal (1)
 
 
 def rodrigues(w: np.ndarray) -> np.ndarray:
-    """exp([w]x) for a rotation vector w."""
-    theta = np.linalg.norm(w)
-    if theta < 1e-12:
-        W = np.array([[0, -w[2], w[1]], [w[2], 0, -w[0]], [-w[1], w[0], 0]], dtype=np.float64)
-        return np.eye(3) + W
-    k = w / theta
-    K = np.array([[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]])
-    return np.eye(3) + np.sin(theta) * K + (1.0 - np.cos(theta)) * (K @ K)
+    """exp([w]x) for rotation vectors w (..., 3), as (..., 3, 3) matrices."""
+    w = np.asarray(w, dtype=np.float64)
+    theta = np.sqrt(w[..., None, :] @ w[..., :, None])  # (..., 1, 1)
+    # below 1e-12 rad, I + [w]x: k is w itself, weighted 1 and 0
+    small = theta < 1e-12
+    k = w / np.where(small, 1.0, theta)[..., 0]
+    zero = np.zeros(k.shape[:-1])
+    K = np.stack([zero, -k[..., 2], k[..., 1], k[..., 2], zero, -k[..., 0],
+                  -k[..., 1], k[..., 0], zero], axis=-1).reshape(k.shape[:-1] + (3, 3))
+    return (np.eye(3) + np.where(small, 1.0, np.sin(theta)) * K
+            + np.where(small, 0.0, 1.0 - np.cos(theta)) * (K @ K))
 
 
 def pose_jacobian(xc: np.ndarray, t: np.ndarray, f):
@@ -88,24 +92,26 @@ class BAProblem:
     def n_obs(self) -> int:
         return len(self.uv)
 
-    def residuals(self, R=None, t=None, f=None, X=None) -> np.ndarray:
-        """(n_obs, 2) reprojection residuals, prediction minus measurement."""
+    def camera_points(self, R=None, t=None, X=None) -> np.ndarray:
+        """(n_obs, 3) camera-frame points R X + t of the observations."""
         R = self.R if R is None else R
         t = self.t if t is None else t
-        f = self.f if f is None else f
         X = self.X if X is None else X
-        xc = np.einsum("oij,oj->oi", R[self.cam_idx], X[self.pt_idx]) + t[self.cam_idx]
-        return pixels(xc, f[self.cam_idx], self.pp[self.cam_idx]) - self.uv
+        return np.einsum("oij,oj->oi", R[self.cam_idx], X[self.pt_idx]) + t[self.cam_idx]
+
+    def residuals(self, R=None, t=None, f=None, X=None) -> np.ndarray:
+        """(n_obs, 2) reprojection residuals, prediction minus measurement."""
+        f = (self.f if f is None else f)[self.cam_idx]
+        return pixels(self.camera_points(R, t, X), f, self.pp[self.cam_idx]) - self.uv
 
     def jacobian_blocks(self):
         """Per-observation (2,7) camera and (2,3) point Jacobian blocks."""
-        Ro = self.R[self.cam_idx]
-        xc = np.einsum("oij,oj->oi", Ro, self.X[self.pt_idx]) + self.t[self.cam_idx]
+        xc = self.camera_points()
         d_uv, J_pose = pose_jacobian(xc, self.t[self.cam_idx], self.f[self.cam_idx])
         Jc = np.zeros((self.n_obs, 2, CAM_PARAMS))
         Jc[:, :, 0:6] = J_pose
         Jc[:, :, 6] = xc[:, :2] / xc[:, 2:3]  # d pixel / d f
-        return Jc, d_uv @ Ro
+        return Jc, d_uv @ self.R[self.cam_idx]
 
 
 def problem_from_model(model: Model, feature_store) -> tuple[BAProblem, list[int], list[int]]:
@@ -145,7 +151,6 @@ class BAStats:
     pruned_points: int = 0
 
 
-_SUBSTITUTION_BLOCK = 32
 # observation pairs per stacked product when the reduced camera system is built
 _SCHUR_PAIR_CHUNK = 2048
 
@@ -219,26 +224,6 @@ class _CameraPairChunks:
             yield ob, oa, runs, key[runs] // self.nc, key[runs] % self.nc
 
 
-def _lower_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """y with L y = b for a lower-triangular L, by blocked forward
-    substitution: O(n^2) work, one small dense solve per diagonal block."""
-    y = np.empty_like(b)
-    for lo in range(0, len(b), _SUBSTITUTION_BLOCK):
-        hi = lo + _SUBSTITUTION_BLOCK
-        y[lo:hi] = np.linalg.solve(L[lo:hi, lo:hi], b[lo:hi] - L[lo:hi, :lo] @ y[:lo])
-    return y
-
-
-def spd_solve(S: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with S x = b for a symmetric positive definite S, through its
-    Cholesky factor L (S = L L^T).  Raises ``np.linalg.LinAlgError`` when S
-    is not positive definite."""
-    L = np.linalg.cholesky(S)
-    y = _lower_solve(L, b)
-    # L^T x = y is lower triangular with rows and columns reversed
-    return _lower_solve(L.T[::-1, ::-1], y[::-1])[::-1]
-
-
 def _reduced_camera_system(pair_chunks: _CameraPairChunks, B: np.ndarray, BM: np.ndarray,
                            H_cc_d: np.ndarray) -> np.ndarray:
     """The (nc nu, nc nu) Schur complement S = H_cc_d - W M W^T, built from
@@ -276,18 +261,41 @@ def _normal_equations(problem: BAProblem, res: np.ndarray, by_cam: _Segments,
     return H_cc, g_cam, H_pp, g_pt, Jc.transpose(0, 2, 1) @ Jp
 
 
-def _lm_iterate(problem: BAProblem, max_iters: int) -> tuple[float, float, int]:
-    """Levenberg-Marquardt on all parameters; returns (initial cost, final
-    cost, iterations).  A point has at most one observation per camera.
+def free_parameters(problem: BAProblem, *, fix_focal: bool = False) -> np.ndarray:
+    """The (n_cam, 7) boolean mask of the camera parameters BA estimates.
+
+    The 7 parameters of the similarity gauge are removed (Triggs et al.
+    1999, section 9): camera 0's pose, and one translation component of
+    camera 1 (a problem with observations has two cameras or more), the
+    largest of b = t1 + R1 C0 = R1 (C0 - C1), the direction that scale
+    moves t1 once camera 0 is fixed.  ``fix_focal`` fixes every focal, as
+    does a two-camera problem: its focals trade against depth at no cost
+    when the optical axes meet (Sturm, CVPR 1997).
+    """
+    free = np.ones((problem.n_cams, CAM_PARAMS), dtype=bool)
+    free[0, :6] = False
+    b = problem.t[1] - problem.R[1] @ problem.R[0].T @ problem.t[0]
+    free[1, 3 + int(np.argmax(np.abs(b)))] = False
+    free[:, 6] = not fix_focal and problem.n_cams > 2
+    return free
+
+
+def _lm_iterate(problem: BAProblem, max_iters: int,
+                free: np.ndarray) -> tuple[float, float, int]:
+    """Levenberg-Marquardt on the camera parameters of the (n_cam, 7) mask
+    ``free`` and on all points; returns (initial cost, final cost,
+    iterations).  A point has at most one observation per camera.
 
     The normal equations are summed per camera and per point over runs of
     the observations, and the reduced camera system over each point's pairs
     of observing cameras, listed a chunk at a time: work follows the
     observations and the sum of squared track lengths, and memory the
-    observations, never points times cameras.
+    observations, never points times cameras.  The system is solved over
+    the free columns only, and the fixed parameters step by exactly zero.
     """
     nc, npnt = problem.n_cams, problem.n_pts
     nu = CAM_PARAMS
+    free = np.flatnonzero(free.reshape(-1))  # flat indices of the free parameters
     res = problem.residuals()
     cost = float((res ** 2).sum())
     if not np.isfinite(cost):
@@ -305,7 +313,6 @@ def _lm_iterate(problem: BAProblem, max_iters: int) -> tuple[float, float, int]:
         B = BM = None  # release the last iteration's couplings before the next
         H_cc, g_cam, H_pp, g_pt, B = _normal_equations(problem, res, by_cam, by_point)
 
-        accepted = False
         for _ in range(12):
             H_pp_d = H_pp.copy()
             H_pp_d[:, diag3, diag3] += lam * np.maximum(H_pp[:, diag3, diag3], 1e-12)
@@ -318,22 +325,12 @@ def _lm_iterate(problem: BAProblem, max_iters: int) -> tuple[float, float, int]:
             BM = B @ M[problem.pt_idx]
             H_cc_d = H_cc.copy()
             H_cc_d[:, diagu, diagu] += lam * np.maximum(H_cc[:, diagu, diagu], 1e-12)
-            # pin the 7-dim similarity gauge: first camera's pose plus the
-            # scale direction (second camera's translation radius); pure
-            # stiffness toward the current values, so no bias is introduced
-            kappa = 1e8 * max(float(np.abs(H_cc).max()), 1.0)
-            H_cc_d[0, :6, :6] += kappa * np.eye(6)
-            if nc > 1:
-                t1 = problem.t[1]
-                norm1 = np.linalg.norm(t1)
-                if norm1 > 1e-9:
-                    that = t1 / norm1
-                    H_cc_d[1, 3:6, 3:6] += kappa * np.outer(that, that)
             S = _reduced_camera_system(pair_chunks, B, BM, H_cc_d)
 
             rhs = by_cam.sum(np.einsum("oab,ob->oa", BM, g_pt[problem.pt_idx])) - g_cam
+            delta_cam = np.zeros((nc, nu))
             try:
-                delta_cam = spd_solve(S, rhs.reshape(-1)).reshape(nc, nu)
+                delta_cam.flat[free] = np.linalg.solve(S[np.ix_(free, free)], rhs.flat[free])
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
@@ -342,7 +339,7 @@ def _lm_iterate(problem: BAProblem, max_iters: int) -> tuple[float, float, int]:
             acc = by_point.sum(np.einsum("oab,oa->ob", B, delta_cam[problem.cam_idx]))
             delta_pt = np.einsum("pij,pj->pi", M, -g_pt - acc)
 
-            R_new = np.stack([rodrigues(delta_cam[c, 0:3]) @ problem.R[c] for c in range(nc)])
+            R_new = rodrigues(delta_cam[:, 0:3]) @ problem.R
             t_new = problem.t + delta_cam[:, 3:6]
             f_new = problem.f + delta_cam[:, 6]
             X_new = problem.X + delta_pt
@@ -353,18 +350,19 @@ def _lm_iterate(problem: BAProblem, max_iters: int) -> tuple[float, float, int]:
                 problem.R, problem.t, problem.f, problem.X = R_new, t_new, f_new, X_new
                 res, cost = res_new, cost_new
                 lam = max(lam / 10.0, 1e-15)
-                accepted = True
                 if rel < BA_REL_TOL:
                     return initial_cost, cost, it
                 break
             lam *= 10.0
-        if not accepted:
-            break
+        else:
+            break  # no damping gave a lower cost
     return initial_cost, cost, it
 
 
-def bundle_adjust(model: Model, feature_store, *, max_iters: int = BA_MAX_ITERS) -> BAStats:
-    """Optimize all cameras (pose + focal) and points in place.
+def bundle_adjust(model: Model, feature_store, *, max_iters: int = BA_MAX_ITERS,
+                  fix_focal: bool = False) -> BAStats:
+    """Optimize the points and the free camera parameters
+    (``free_parameters``) in place.
 
     Points producing non-finite residuals (behind a camera) are pruned once
     and the optimization retried; a second failure raises.
@@ -374,11 +372,8 @@ def bundle_adjust(model: Model, feature_store, *, max_iters: int = BA_MAX_ITERS)
         problem, cam_ids, pt_ids = problem_from_model(model, feature_store)
         if problem.n_obs == 0:
             return BAStats(0.0, 0.0, 0)
-        res = problem.residuals()
-        bad = ~np.isfinite(res).all(axis=1)
-        xc = np.einsum("oij,oj->oi", problem.R[problem.cam_idx],
-                       problem.X[problem.pt_idx]) + problem.t[problem.cam_idx]
-        bad |= xc[:, 2] <= 1e-9
+        bad = ~np.isfinite(problem.residuals()).all(axis=1)
+        bad |= problem.camera_points()[:, 2] <= 1e-9
         if bad.any():
             if attempt == 1:
                 raise MsfmError("bundle adjustment still degenerate after pruning")
@@ -386,7 +381,8 @@ def bundle_adjust(model: Model, feature_store, *, max_iters: int = BA_MAX_ITERS)
                 model.remove_point(pt_ids[p])
                 pruned += 1
             continue
-        initial, final, iters = _lm_iterate(problem, max_iters)
+        initial, final, iters = _lm_iterate(
+            problem, max_iters, free_parameters(problem, fix_focal=fix_focal))
         for i, image_id in enumerate(cam_ids):
             old = model.cameras[image_id]
             U, _, Vt = np.linalg.svd(problem.R[i])

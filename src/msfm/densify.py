@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import DegenerateGeometryError
 from .geometry import fundamental_from_poses
-from .guided import BAND_D_PX, build_index, guided_match_pair, sorted_unique
-from .matching import RATIO_GUIDED
+from .guided import BAND_D_PX, build_index, guided_match_pair
+from .matching import RATIO_GUIDED, sorted_unique
 from .model import Model, covisible_pairs
 from .reconstruct import triangulate_refs
 

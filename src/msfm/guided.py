@@ -89,18 +89,6 @@ def build_index(xy: np.ndarray) -> BandIndex:
                      keys=keys[order], ids=(order % max(len(xy), 1)).astype(np.int32))
 
 
-def sorted_unique(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of an int64 array.
-
-    Same result as ``np.unique``, which in numpy 2.4 goes through a hash
-    table and takes 10-30x longer than this one sort.
-    """
-    values = np.sort(values)
-    first = np.ones(len(values), dtype=bool)
-    np.not_equal(values[1:], values[:-1], out=first[1:])
-    return values[first]
-
-
 def _segment_offsets(lengths: np.ndarray) -> np.ndarray:
     """0, 1, .., n-1 for every segment length n, concatenated."""
     total = int(lengths.sum())

@@ -21,7 +21,8 @@ import numpy as np
 from .descriptors import two_nearest_bruteforce
 from .errors import InsufficientDataError
 from .features import DESCRIPTOR_DIM
-from .matching import NO_ENTRIES, MatchGraph, RATIO_UNGUIDED, closest_one_to_one, ratio_filter
+from .matching import (NO_ENTRIES, MatchGraph, RATIO_UNGUIDED, closest_one_to_one, ratio_filter,
+                       sorted_unique)
 from .model import Camera, Model
 from .reconstruct import PNP_MIN_INLIERS, resect_image
 
@@ -60,10 +61,11 @@ def track_means(observations, feature_sets) -> tuple[np.ndarray, np.ndarray]:
     """
     point, image, feature = observations
     rows = np.empty((len(point), DESCRIPTOR_DIM), dtype=np.uint8)
-    for image_id in np.unique(image).tolist():
+    for image_id in sorted_unique(image).tolist():
         at = np.flatnonzero(image == image_id)
         rows[at] = feature_sets[image_id].descriptors[feature[at]]
-    point_ids, starts, lengths = np.unique(point, return_index=True, return_counts=True)
+    starts = np.flatnonzero(np.diff(point, prepend=-1))  # the column is grouped by point
+    point_ids, lengths = point[starts], np.diff(starts, append=len(point))
     # one step per track position
     sums = rows[starts].astype(np.float32)
     for k in range(1, lengths.max(initial=0)):

@@ -121,6 +121,18 @@ def closest_per_key(keys: np.ndarray, dist: np.ndarray, tie: np.ndarray) -> np.n
     return order[first]
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of an int64 array.
+
+    Same result as ``np.unique``, which in numpy 2.4 goes through a hash
+    table and takes 10-30x longer than this one sort.
+    """
+    values = np.sort(values)
+    first = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
+
+
 def closest_one_to_one(points: np.ndarray, features: np.ndarray,
                        distances: np.ndarray) -> np.ndarray:
     """(n, 2) int64 (point_id, feature_id) rows, sorted by point, from entries.

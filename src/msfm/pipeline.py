@@ -59,7 +59,7 @@ def run_coarse(config: PipelineConfig, store: FeatureStore, graph: MatchGraph) -
     try:
         model = incremental_reconstruct(
             graph, store, intrinsics_for_store(store, config.focal),
-            min_inliers=config.min_inliers, seed=config.seed)
+            min_inliers=config.min_inliers, seed=config.seed, fix_focal=config.focal > 0)
     except Exception as exc:
         raise StageError(f"coarse reconstruction failed: {exc}") from exc
     model.stage_tag = "coarse"
@@ -199,7 +199,7 @@ def run_pipeline(config: PipelineConfig, feature_dir, *,
 
     if config.final_ba:
         t0 = time.perf_counter()
-        bundle_adjust(model, store)
+        bundle_adjust(model, store, fix_focal=config.focal > 0)
         snapshot(model, "final_ba", t0)
 
     if out_dir is not None:

@@ -27,7 +27,7 @@ from .geometry import (
     relative_pose_from_fundamental,
     triangulate_track,
 )
-from .matching import NO_ENTRIES, MatchGraph, closest_one_to_one
+from .matching import NO_ENTRIES, MatchGraph, closest_one_to_one, sorted_unique
 from .model import Camera, Model, pixels
 
 log = logging.getLogger(__name__)
@@ -255,7 +255,7 @@ def triangulate_refs(model: Model, feature_sets, tracks) -> list:
         image = np.fromiter((i for i, _ in pairs), np.int64, len(pairs))
         feature = np.fromiter((f for _, f in pairs), np.int64, len(pairs))
         uv = np.empty((len(image), 2))
-        for image_id in np.unique(image).tolist():
+        for image_id in sorted_unique(image).tolist():
             at = np.flatnonzero(image == image_id)
             uv[at] = feature_sets[image_id].xy[feature[at]]
         X, _, ok = triangulate_track(model.cameras, image.reshape(len(rows), length),
@@ -361,12 +361,14 @@ def _triangulate_new_tracks(model: Model, graph: MatchGraph, feature_sets,
 
 
 def incremental_reconstruct(graph: MatchGraph, feature_store, intrinsics: dict[int, np.ndarray],
-                            *, min_inliers: int = PNP_MIN_INLIERS, seed: int = 0) -> Model:
+                            *, min_inliers: int = PNP_MIN_INLIERS, seed: int = 0,
+                            fix_focal: bool = False) -> Model:
     """Grow a model from the match graph until no image clears the gate.
 
     As in camera addition, an image with more than ``min_inliers``
     correspondences to the model is resected, and its resection must keep
-    ``min_inliers`` of them; ``seed`` seeds its RANSAC.
+    ``min_inliers`` of them; ``seed`` seeds its RANSAC.  With ``fix_focal``
+    (a given focal length) bundle adjustment keeps the intrinsics' focal.
     """
     feature_sets = feature_store.sets
     if not graph.edges:
@@ -380,7 +382,7 @@ def incremental_reconstruct(graph: MatchGraph, feature_store, intrinsics: dict[i
     model.attach_camera(Camera(K=intrinsics[b], R=R, t=t, image_id=b))
     _triangulate_new_tracks(model, graph, feature_sets, b)
     log.info("seed pair (%d, %d): %d points", a, b, len(model.points))
-    bundle_adjust(model, feature_store, max_iters=BA_ITERS_EARLY)
+    bundle_adjust(model, feature_store, max_iters=BA_ITERS_EARLY, fix_focal=fix_focal)
 
     since_ba = 0
     while True:
@@ -410,7 +412,7 @@ def incremental_reconstruct(graph: MatchGraph, feature_store, intrinsics: dict[i
         log.info("registered image %d (%d inliers), model: %d cams %d pts",
                  image_id, len(inliers), len(model.cameras), len(model.points))
         if since_ba >= BA_BATCH:
-            bundle_adjust(model, feature_store, max_iters=BA_ITERS_EARLY)
+            bundle_adjust(model, feature_store, max_iters=BA_ITERS_EARLY, fix_focal=fix_focal)
             since_ba = 0
-    bundle_adjust(model, feature_store, max_iters=BA_ITERS_FINAL)
+    bundle_adjust(model, feature_store, max_iters=BA_ITERS_FINAL, fix_focal=fix_focal)
     return model

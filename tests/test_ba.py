@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import cho_factor, cho_solve
 
 from ba_oracles import dense_jacobian, pack, residuals_at, ring_ba_model
 from model_oracles import check_consistency, exact_store, reprojection_errors
@@ -16,11 +15,14 @@ from msfm.ba import (
     _reduced_camera_system,
     _Segments,
     bundle_adjust,
+    free_parameters,
     problem_from_model,
     rodrigues,
-    spd_solve,
 )
+from msfm.config import PipelineConfig
+from msfm.io import write_model
 from msfm.model import Camera
+from msfm.pipeline import run_coarse, run_match
 from msfm.synth import SceneSpec, generate_scene
 
 
@@ -47,25 +49,17 @@ class TestRodrigues:
             assert np.allclose(R @ R.T, np.eye(3), atol=1e-12)
             assert np.linalg.det(R) == pytest.approx(1.0)
 
-
-class TestSpdSolve:
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(7, 420), st.integers(0, 2 ** 32 - 1))
-    def test_matches_scipy_cho_solve(self, n, seed):
-        rng = np.random.default_rng(seed)
-        A = rng.normal(size=(n, n))
-        S = A @ A.T + n * np.eye(n)
-        b = rng.normal(size=n)
-        expected = cho_solve(cho_factor(S, lower=True), b)
-        x = spd_solve(S, b)
-        assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
-
-    def test_indefinite_raises(self):
-        rng = np.random.default_rng(4)
-        Q, _ = np.linalg.qr(rng.normal(size=(21, 21)))
-        S = Q @ np.diag(np.r_[np.ones(20), -1.0]) @ Q.T
-        with pytest.raises(np.linalg.LinAlgError):
-            spd_solve(S, np.ones(21))
+    def test_stack_rows_equal_single_calls(self):
+        # both sides of the 1e-12 rad small-angle branch, mixed in one stack
+        rng = np.random.default_rng(2)
+        w = np.concatenate([rng.normal(0, 1, (40, 3)), rng.normal(0, 1e-3, (20, 3)),
+                            rng.normal(0, 1e-13, (20, 3)), np.zeros((1, 3))])
+        w = w[rng.permutation(len(w))]
+        stack = rodrigues(w)
+        assert stack.shape == (len(w), 3, 3)
+        assert all(stack[i].tobytes() == rodrigues(w[i]).tobytes() for i in range(len(w)))
+        grid = rodrigues(w[:80].reshape(4, 20, 3))
+        assert grid.tobytes() == stack[:80].tobytes()
 
 
 class TestProblemFromModel:
@@ -187,6 +181,110 @@ class TestBundleAdjust:
             assert model.cameras[i].K[0, 0] == pytest.approx(true_f[i], rel=1e-4)
 
 
+def rotation_vector(R: np.ndarray) -> np.ndarray:
+    """w with exp([w]x) = R, for rotations well below pi, read from the
+    skew part: |w| = asin of its norm, exact at small angles."""
+    A = (R - R.T) / 2.0
+    v = np.array([A[2, 1], A[0, 2], A[1, 0]])
+    s = np.linalg.norm(v)
+    return v if s == 0.0 else v * (np.arcsin(s) / s)
+
+
+class TestFreeParameters:
+    def test_gauge_fixes_camera_0_and_the_scale_direction_of_camera_1(self):
+        # scaling the world about camera 0's centre moves t1 along
+        # d t1 / ds = R1 (C0 - C1); its largest component is the one fixed
+        model, store = ring_ba_model(8, 80, track=(3, 6), seed=4)
+        problem, _, _ = problem_from_model(model, store)
+        free = free_parameters(problem)
+        C = [-problem.R[c].T @ problem.t[c] for c in (0, 1)]
+        assert np.linalg.norm(C[0]) > 1.0  # camera 0 is off the origin
+        scale_dir = problem.R[1] @ (C[0] - C[1])
+        fixed = np.zeros_like(free)
+        fixed[0, :6] = True
+        fixed[1, 3 + np.argmax(np.abs(scale_dir))] = True
+        assert np.array_equal(free, ~fixed)
+        fixed[:, 6] = True
+        assert np.array_equal(free_parameters(problem, fix_focal=True), ~fixed)
+
+    def test_two_cameras_keep_their_focal(self):
+        # two views do not fix their focals (the ring's optical axes all
+        # meet), so a two-camera BA keeps them although none was given
+        model, store = ring_ba_model(2, 60, track=(2, 2), seed=5)
+        problem, _, _ = problem_from_model(model, store)
+        assert not free_parameters(problem)[:, 6].any()
+        focal = [c.K[0, 0] for c in model.cameras.values()]
+        stats = bundle_adjust(model, store)
+        assert stats.final_cost < stats.initial_cost
+        assert [c.K[0, 0] for c in model.cameras.values()] == focal
+        model, store = ring_ba_model(3, 60, track=(2, 3), seed=5)
+        problem, _, _ = problem_from_model(model, store)
+        assert free_parameters(problem)[:, 6].all()
+
+    @pytest.mark.parametrize("fix_focal", [False, True])
+    def test_one_iteration_is_the_dense_damped_step(self, fix_focal):
+        # the dense Gauss-Newton system with the fixed columns deleted, damped
+        # as the first LM try damps it (lambda 1e-6 on the diagonal)
+        model, store = ring_ba_model(8, 80, track=(3, 6), seed=4)
+        problem, _, _ = problem_from_model(model, store)
+        free = free_parameters(problem, fix_focal=fix_focal)
+        J = dense_jacobian(problem)
+        r = problem.residuals().reshape(-1)
+        keep = np.concatenate([np.flatnonzero(free.reshape(-1)),
+                               CAM_PARAMS * problem.n_cams + np.arange(3 * problem.n_pts)])
+        Jk = J[:, keep]
+        H = Jk.T @ Jk
+        H[np.diag_indices_from(H)] += 1e-6 * np.maximum(np.diag(H), 1e-12)
+        expected = np.linalg.solve(H, -Jk.T @ r)
+
+        R0, t0, f0, X0 = problem.R.copy(), problem.t.copy(), problem.f.copy(), problem.X.copy()
+        initial, final, iters = _lm_iterate(problem, 1, free)
+        assert iters == 1 and final < initial
+        step = np.concatenate(
+            [np.concatenate([rotation_vector(problem.R[c] @ R0[c].T), problem.t[c] - t0[c],
+                             [problem.f[c] - f0[c]]]) for c in range(problem.n_cams)]
+            + [(problem.X - X0).reshape(-1)])
+        assert not step[np.flatnonzero(~free.reshape(-1))].any()
+        np.testing.assert_allclose(step[keep], expected, rtol=0,
+                                   atol=1e-9 * np.abs(expected).max())
+
+    def test_fixed_parameters_are_bit_unchanged(self):
+        model, store = ring_ba_model(10, 200, track=(3, 8), seed=6)
+        problem, _, _ = problem_from_model(model, store)
+        free = free_parameters(problem, fix_focal=True)
+        before = [problem.R.copy(), problem.t.copy(), problem.f.copy()]
+        initial, final, iters = _lm_iterate(problem, 10, free)
+        assert final < initial and iters > 1
+        assert problem.R[0].tobytes() == before[0][0].tobytes()
+        assert problem.t[0].tobytes() == before[1][0].tobytes()
+        fixed_t1 = ~free[1, 3:6]
+        assert problem.t[1][fixed_t1].tobytes() == before[1][1][fixed_t1].tobytes()
+        assert problem.f.tobytes() == before[2].tobytes()
+        # the free translations of camera 1 and the other cameras moved
+        assert not np.array_equal(problem.t[1][~fixed_t1], before[1][1][~fixed_t1])
+        assert not np.array_equal(problem.t[2:], before[1][2:])
+
+    def test_gauge_only_final_cost_matches_the_stiffness_gauge(self):
+        # removing the 7 gauge parameters reaches the minimum that pinning
+        # them with a 1e8 * max|H_cc| stiffness reached: 906.3113768222463
+        model, store = ring_ba_model(12, 300, seed=3)
+        stats = bundle_adjust(model, store)
+        assert stats.final_cost == pytest.approx(906.3113768222463, rel=1e-6)
+
+    def test_given_focal_stays_in_the_coarse_model(self, tmp_path):
+        scene = generate_scene(SceneSpec(n_cameras=8, n_points=400, visibility_fraction=0.7,
+                                         pixel_noise=0.4, descriptor_noise=3.0, seed=5))
+        store = scene.store()
+        config = PipelineConfig(focal=900.0)
+        model = run_coarse(config, store, run_match(config, store))
+        assert len(model.cameras) >= 3
+        write_model(model, tmp_path / "coarse.msfm")
+        focals = [line.split()[2] for line in (tmp_path / "coarse.msfm").read_text().splitlines()
+                  if line.startswith("CAM ")]
+        assert len(focals) == len(model.cameras)
+        assert set(focals) == {"900.0"}
+
+
 class TestReducedCameraSystem:
     def test_equals_dense_schur_complement(self, monkeypatch):
         # the camera-pair blocks against H - W M W^T with a dense W; small
@@ -240,7 +338,7 @@ class TestReducedCameraSystem:
         assert not g_cam[dropped].any()
 
         R, t, f = problem.R[dropped].copy(), problem.t[dropped].copy(), problem.f[dropped]
-        initial, final, _ = _lm_iterate(problem, 20)
+        initial, final, _ = _lm_iterate(problem, 20, free_parameters(problem))
         assert np.isfinite(final) and final < initial
         assert np.isfinite(problem.X).all()
         assert np.array_equal(problem.R[dropped], R)

@@ -41,6 +41,21 @@ class TestAlignModels:
         assert rep.mean_translation_abs < 1e-9
         assert len(rep.image_ids) == len(model.cameras)
 
+    def test_reads_a_rotation_of_1e_7_degrees(self, tiny_scene):
+        # the arccos of the trace reads no angle below 8.5e-7 deg; the chord does
+        from msfm.ba import rodrigues
+        model = tiny_scene.ground_truth_model()
+        turned = Model()
+        for image_id, cam in model.cameras.items():
+            R = cam.R
+            if image_id == 3:
+                R = rodrigues(np.radians(1e-7) * np.array([0.6, 0.0, 0.8])) @ cam.R
+            turned.attach_camera(Camera(K=cam.K, R=R, t=-R @ cam.center(), image_id=image_id))
+        rep = align_models(turned, model)
+        errors = dict(zip(rep.image_ids, rep.rotation_errors_deg))
+        assert abs(errors.pop(3) - 1e-7) < 1e-9
+        assert max(errors.values()) < 1e-9
+
     def test_similarity_invariance(self, tiny_scene):
         model = tiny_scene.ground_truth_model()
         rng = np.random.default_rng(2)

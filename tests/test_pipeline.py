@@ -164,14 +164,14 @@ from msfm.config import PipelineConfig
 from msfm.pipeline import run_pipeline
 from msfm.synth import SceneSpec, generate_scene
 
-calls = {"spd_solve": 0, "connected_components": 0}
+calls = {"_lm_iterate": 0, "connected_components": 0}
 def counted(module, name):
     inner = getattr(module, name)
     def wrapper(*args, **kwargs):
         calls[name] += 1
         return inner(*args, **kwargs)
     setattr(module, name, wrapper)
-counted(ba, "spd_solve")
+counted(ba, "_lm_iterate")
 counted(densify, "connected_components")
 scene = generate_scene(SceneSpec(n_cameras=8, n_points=400, visibility_fraction=0.7,
                                  pixel_noise=0.4, descriptor_noise=3.0, seed=5))
@@ -193,7 +193,7 @@ class TestNumpyOnly:
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         out = json.loads(proc.stdout.splitlines()[-1])
-        # BA's solve and the track merge both ran
-        assert out["calls"]["spd_solve"] > 0
+        # BA's LM solve and the track merge both ran
+        assert out["calls"]["_lm_iterate"] > 0
         assert out["calls"]["connected_components"] > 0
         assert out["scipy"] == []

@@ -9,13 +9,16 @@ frame of the cameras of the draw's ``model_coarse.msfm``, as the benchmark
 does.  One line per draw, then one total per workload:
 
     <workload>/r<k> points=<n> true_points=<d> duplicates=<n - d - u> unattributed=<u>
-        cameras=<c> observations=<o> pairs=<p> reproj_px=<mean> rot_deg=<median> failures=<f>
+        cameras=<c> observations=<o> pairs=<p> ba_iters=<i> reproj_px=<mean> rot_deg=<median>
+        failures=<f>
 
 (one line in the output).  ``true_points`` counts the distinct true points
 the model hits, and ``duplicates`` the model points beyond the first per
 true point; a track with no true feature is ``unattributed``.  ``cameras``,
 ``observations`` and ``pairs`` are the benchmark's ``cameras_registered``,
-``observations`` and ``pairs_connected``; ``reproj_px`` is the mean
+``observations`` and ``pairs_connected``; ``ba_iters`` sums the LM
+iterations of the draw's bundle adjustments, as the ``ba_iters`` counters
+of ``benchmark/tracing.py``'s ``Tracer`` read them; ``reproj_px`` is the mean
 reprojection error over the observations, ``rot_deg`` the median camera
 rotation error and ``failures`` the number of failed checks.  A total sums
 the counts, and takes the mean and the median over all the workload's
@@ -41,7 +44,7 @@ from pathlib import Path
 import pools
 
 COUNTS = ("points", "true_points", "duplicates", "unattributed",
-          "cameras", "observations", "pairs")
+          "cameras", "observations", "pairs", "ba_iters")
 
 
 def counts(tracks, truth) -> Counter:
@@ -81,7 +84,10 @@ def main(argv=None) -> int:
     workdir = pools.setup(args.workdir)
     import checks
     import numpy as np
+    import tracing
 
+    tracer = tracing.Tracer()
+    tracer.install()
     totals = {}
     for name, draw, inputs, out in pools.run_pools(workdir):
         truth = checks.Truth.load(inputs / "truth.npz")
@@ -89,6 +95,9 @@ def main(argv=None) -> int:
         outcome = checks.check_model(out / "model_final.msfm", inputs, truth, frame)
         c = counts(checks.read_model_file(out / "model_final.msfm").tracks, truth)
         c.update(quality(outcome))
+        c["ba_iters"] = sum(n for key, n in tracer.counters.items() if key.endswith(".ba_iters"))
+        tracer.spans.clear()
+        tracer.counters.clear()
         print(line(f"{name}/{draw}", c, outcome.reproj_px.mean(),
                    np.median(outcome.rot_err_deg)), flush=True)
         totals.setdefault(name, []).append((c, outcome.reproj_px, outcome.rot_err_deg))
