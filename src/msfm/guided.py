@@ -9,9 +9,9 @@ strip its band crosses, so retrieval costs O(strips + |C'|) per line and
 never samples the line.
 
 Lines are normalized ``(n, 3)`` arrays of (a, b, c) with a*x + b*y + c = 0
-throughout; ``clip_lines`` is the one rectangle clip.  Queries whose
-epipolar lines pierce the target boundary at nearly the same points share
-one candidate set (``group_queries``), read around the first member's line
+throughout.  Queries whose epipolar lines cross the target image's two
+sides across their flatter axis at nearly the same points share one
+candidate set (``group_queries``), read around the first member's line
 widened by a slack that covers every member's band.  ``guided_match_pair``
 handles all groups of an image pair in flat array passes: it reads every
 group's strips, filters every candidate to the exact band of each member's
@@ -95,51 +95,9 @@ def _segment_offsets(lengths: np.ndarray) -> np.ndarray:
     return np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
 
-def _edge_hits(lines: np.ndarray, x0: float, x1: float, y0: float, y1: float) -> np.ndarray:
-    """(N, 4, 2) crossings of N lines with the edges x0, x1, y0 and y1; NaN if missed.
-
-    A crossing within 1e-9 of the edge's span counts and is clamped to it.
-    """
-    a, b, c = lines[:, 0], lines[:, 1], lines[:, 2]
-    cand = np.full((len(lines), 4, 2), np.nan)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k, xv in enumerate((x0, x1)):
-            y = -(a * xv + c) / b
-            valid = (np.abs(b) > 1e-15) & (y >= y0 - 1e-9) & (y <= y1 + 1e-9)
-            cand[valid, k, 0] = xv
-            cand[valid, k, 1] = np.clip(y[valid], y0, y1)
-        for k, yv in enumerate((y0, y1)):
-            x = -(b * yv + c) / a
-            valid = (np.abs(a) > 1e-15) & (x >= x0 - 1e-9) & (x <= x1 + 1e-9)
-            cand[valid, k + 2, 0] = np.clip(x[valid], x0, x1)
-            cand[valid, k + 2, 1] = yv
-    return cand
-
-
-def clip_lines(lines: np.ndarray, width: float, height: float):
-    """Clip N normalized lines to the rectangle [0, width] x [0, height].
-
-    Returns (ok, p_A, p_B): p_A and p_B are the lexicographically least and
-    greatest edge crossings, so the order of the endpoints does not depend
-    on the line's sign.  Rows with ok False miss the rectangle or touch it
-    in one point; their endpoints are 0.
-    """
-    cand = _edge_hits(lines, 0.0, width, 0.0, height)
-    x, y = cand[:, :, 0], cand[:, :, 1]
-    hit = ~np.isnan(x)
-    xa = np.where(hit, x, np.inf).min(axis=1)
-    xb = np.where(hit, x, -np.inf).max(axis=1)
-    ya = np.where(x == xa[:, None], y, np.inf).min(axis=1)
-    yb = np.where(x == xb[:, None], y, -np.inf).max(axis=1)
-    ok = (hit.sum(axis=1) >= 2) & (np.hypot(xb - xa, yb - ya) >= 1e-12)
-    pa = np.where(ok[:, None], np.stack([xa, ya], axis=1), 0.0)
-    pb = np.where(ok[:, None], np.stack([xb, yb], axis=1), 0.0)
-    return ok, pa, pb
-
-
 @dataclass(frozen=True, eq=False)
 class QueryGroups:
-    """Query features grouped by where their epipolar lines pierce the target boundary.
+    """Query features grouped by where their epipolar lines cross the target image's sides.
 
     Group g holds ``members[starts[g]:starts[g + 1]]`` (the last one runs to
     the end), in id order; ``member_lines`` holds the normalized epipolar
@@ -170,12 +128,14 @@ NO_GROUPS = QueryGroups(np.empty(0, np.int64), np.empty(0, np.int64), np.empty((
 def group_queries(query_fs: FeatureSet, F: np.ndarray,
                   bounds: tuple[float, float], *,
                   query_indices: np.ndarray | None = None) -> QueryGroups:
-    """Partition query features by quantized boundary intersections.
+    """Partition query features by where their lines cross the target image's sides.
 
-    Bucket width equals ``GROUP_BOUNDARY_PX``, so two members of one group
-    always hit the boundary within that distance of each other on both
-    endpoints.  Groups come in bucket order.
-    Queries whose lines miss the target image are left out.
+    A line with |a| <= |b| is keyed on its y at x = 0 and at x = width, any
+    other line on its x at y = 0 and at y = height; each crossing is
+    bucketed at ``GROUP_BOUNDARY_PX``, so two members of one group cross
+    both sides within that distance of each other.  Groups come in key
+    order (the first kind of line first), members in id order.  Queries
+    whose line has a near-zero normal (at the epipole) are left out.
     """
     qi = np.arange(len(query_fs)) if query_indices is None else np.asarray(query_indices)
     if len(qi) == 0:
@@ -183,26 +143,23 @@ def group_queries(query_fs: FeatureSet, F: np.ndarray,
     hom = np.hstack([query_fs.xy[qi].astype(np.float64), np.ones((len(qi), 1))])
     lines = hom @ F.T
     norms = np.hypot(lines[:, 0], lines[:, 1])
-    ok = norms > 1e-12
-    lines[ok] /= norms[ok, None]
-    clip_ok, pa, pb = clip_lines(lines, bounds[0], bounds[1])
-    keep = ok & clip_ok
-    if not keep.any():
+    kept_rows = np.flatnonzero(norms > 1e-12)
+    if len(kept_rows) == 0:
         return NO_GROUPS
-    cells = np.concatenate([
-        np.floor(pa[keep] / GROUP_BOUNDARY_PX).astype(np.int64),
-        np.floor(pb[keep] / GROUP_BOUNDARY_PX).astype(np.int64),
-    ], axis=1)
-    kept_rows = np.flatnonzero(keep)
-    # sort by the four bucket coordinates (first column primary), then by
-    # query id, so members come out sorted; a group starts wherever any
-    # coordinate changes
-    order = np.lexsort((qi[kept_rows], cells[:, 3], cells[:, 2], cells[:, 1], cells[:, 0]))
+    lines = lines[kept_rows] / norms[kept_rows, None]
+    a, b, c = lines.T
+    steep = np.abs(a) > np.abs(b)
+    p, q = np.where(steep, b, a), np.where(steep, a, b)
+    side = np.where(steep, bounds[1], bounds[0])
+    cells = np.stack([steep, np.floor(-c / q / GROUP_BOUNDARY_PX),
+                      np.floor(-(c + p * side) / q / GROUP_BOUNDARY_PX)], axis=1)
+    # sort by the key (first column primary), then by query id, so members
+    # come out sorted; a group starts wherever any key column changes
+    order = np.lexsort((qi[kept_rows], cells[:, 2], cells[:, 1], cells[:, 0]))
     sorted_cells = cells[order]
     changed = (sorted_cells[1:] != sorted_cells[:-1]).any(axis=1)
     starts = np.flatnonzero(np.concatenate([[True], changed]))
-    return QueryGroups(members=qi[kept_rows[order]], starts=starts,
-                       member_lines=lines[kept_rows[order]])
+    return QueryGroups(members=qi[kept_rows[order]], starts=starts, member_lines=lines[order])
 
 
 def _band_slices(index: BandIndex, lines: np.ndarray, w: np.ndarray):
@@ -281,25 +238,26 @@ def guided_match_pair(query_fs: FeatureSet, target_fs: FeatureSet,
                       d: float = BAND_D_PX,
                       ratio: float = RATIO_GUIDED,
                       query_indices: np.ndarray | None = None,
-                      target_indices: np.ndarray | None = None,
                       index: BandIndex | None = None,
                       stats: SearchStats | None = None) -> Matches:
     """Match query features against target candidates near their epipolar lines.
 
     A group's candidates are the target features that ``index`` (default:
     one built over the target features) finds within d plus the group's
-    slack of its representative's line; the slack makes them hold every
-    member's band.  Candidates are post-filtered to the exact band of each
+    slack of its representative's line.  The slack is the largest |m - r|
+    over the index box's corners, for each member's line m turned to face
+    the representative's line r: m - r is affine, so that bounds it over
+    the whole box, and every feature within d of m lies within d plus the
+    slack of r.  Candidates are post-filtered to the exact band of each
     member's own line, so every returned match satisfies dist <= d, and the
     result is what a scan of every member's band over all target features
     would give.  Groups run in blocks of flat arrays; only the descriptor
     product is taken group by group.
     """
-    ti = np.arange(len(target_fs)) if target_indices is None else np.asarray(target_indices)
-    if len(ti) == 0:
+    if len(target_fs) == 0:
         return NO_MATCHES
     bounds = (float(target_fs.width), float(target_fs.height))
-    txy = target_fs.xy[ti].astype(np.float64)
+    txy = target_fs.xy.astype(np.float64)
     if index is None:
         index = build_index(txy)
 
@@ -311,7 +269,7 @@ def guided_match_pair(query_fs: FeatureSet, target_fs: FeatureSet,
     # member order, and the target features
     qdesc = query_fs.descriptors[members].astype(np.float32)
     qnorm = np.einsum("ij,ij->i", qdesc, qdesc)
-    tdesc = target_fs.descriptors[ti].astype(np.float32)
+    tdesc = target_fs.descriptors.astype(np.float32)
     tnorm = np.einsum("ij,ij->i", tdesc, tdesc)
     n_members = groups.sizes()
 
@@ -323,31 +281,14 @@ def guided_match_pair(query_fs: FeatureSet, target_fs: FeatureSet,
         a, b, c = (np.repeat(col[rows], repeats) for col in (line_a, line_b, line_c))
         return np.abs(a * tx[cand] + b * ty[cand] + c)
 
-    # The slack bounds how much farther than d from the representative's
-    # line r a target feature p within d of a member's line m may lie.
-    # With m's sign turned to face r's, m - r is linear.  At the foot of p
-    # on r it is at most A, its larger value where the index box's corners
-    # project onto r; from there to p it changes by r(p) (cos t - 1), t the
-    # angle between the lines.  So with h = 1 - cos t, |r(p)| <= |m(p)| + A
-    # + h |r(p)| gives |r(p)| <= d + (A + h d) / (1 - h) when h < 1.  The
-    # largest |m - r| on the box's corners bounds it too.  1e-6 px covers
-    # rounding.
+    # each group's slack; 1e-6 px covers rounding
     rep = mlines[np.repeat(member_start, n_members)]
     diff = np.where((mlines[:, :2] * rep[:, :2]).sum(axis=1, keepdims=True) < 0,
                     -mlines, mlines) - rep
     corners = np.array([[x, y, 1.0] for x in (0.0, index.extent[0])
                         for y in (0.0, index.extent[1])])
     corners[:, :2] += index.lo
-    direction = np.stack([-rep[:, 1], rep[:, 0]], axis=1)
-    along = corners[:, :2] @ direction.T  # (4, members)
-    origin = rep[:, :2] * -rep[:, 2:]  # the point of r nearest (0, 0)
-    ends = [origin + direction * t[:, None] for t in (along.min(axis=0), along.max(axis=0))]
-    reach = np.maximum(*(np.abs((diff[:, :2] * q).sum(axis=1) + diff[:, 2]) for q in ends))
-    h = 0.5 * (diff[:, 0] ** 2 + diff[:, 1] ** 2)  # |n_m - n_r|^2 = 2 - 2 cos t
-    with np.errstate(divide="ignore"):
-        stray = np.where(h < 1.0, (reach + h * d) / (1.0 - h), np.inf)
-    stray = np.minimum(stray, np.abs(diff @ corners.T).max(axis=1))
-    slack = np.maximum.reduceat(stray, member_start) + 1e-6
+    slack = np.maximum.reduceat(np.abs(diff @ corners.T).max(axis=1), member_start) + 1e-6
 
     # every group's strip intervals; a block's arrays grow with its
     # (member, candidate) pairs
@@ -403,4 +344,4 @@ def guided_match_pair(query_fs: FeatureSet, target_fs: FeatureSet,
     if not parts:
         return NO_MATCHES
     accepted = tuple(np.concatenate(column) for column in zip(*parts))
-    return matches_from(accepted, query_ids=None, target_ids=ti)
+    return matches_from(accepted, query_ids=None, target_ids=np.arange(len(target_fs)))

@@ -5,6 +5,7 @@ functions here do the same work one line at a time, in plain Python where
 it reads best; the tests compare the array code against them.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,18 +101,29 @@ def candidates_index(index, line: EpipolarLine, d: float) -> np.ndarray:
 
 @dataclass
 class QueryGroup:
-    """Query features whose epipolar lines pierce the target boundary together."""
+    """Query features whose epipolar lines cross the target image's sides together."""
 
     representative_line: EpipolarLine
     member_features: np.ndarray
 
 
+def side_crossings(line: EpipolarLine, width: float, height: float):
+    """(steep, s0, s1): where a line crosses the two sides across its flatter axis.
+
+    A line with |a| <= |b| is not steep, and s0 and s1 are its y at x = 0
+    and x = width; a steep one gives its x at y = 0 and y = height.
+    """
+    steep = abs(line.a) > abs(line.b)
+    p, q, side = (line.b, line.a, height) if steep else (line.a, line.b, width)
+    return steep, -line.c / q, -(line.c + p * side) / q
+
+
 def reference_group_queries(query_fs, F: np.ndarray, bounds, *,
                             query_indices=None) -> list[QueryGroup]:
-    """``group_queries`` as a list of groups, each query clipped on its own.
+    """``group_queries`` as a list of groups, each query keyed on its own.
 
-    Groups come in order of their (p_A, p_B) buckets, members in id order;
-    the representative is the first member.
+    Groups come in order of their (steep, s0, s1) buckets, members in id
+    order; the representative is the first member.
     """
     qi = np.arange(len(query_fs)) if query_indices is None else np.asarray(query_indices)
     if len(qi) == 0:
@@ -123,10 +135,8 @@ def reference_group_queries(query_fs, F: np.ndarray, bounds, *,
     lines[ok] /= norms[ok, None]
     buckets = {}
     for row in np.flatnonzero(ok).tolist():
-        clipped = clip_line_to_bounds(EpipolarLine(*lines[row].tolist()), *bounds)
-        if clipped is None:
-            continue
-        key = tuple(np.floor(np.concatenate(clipped) / GROUP_BOUNDARY_PX).astype(int).tolist())
+        steep, s0, s1 = side_crossings(EpipolarLine(*lines[row].tolist()), *bounds)
+        key = (steep, math.floor(s0 / GROUP_BOUNDARY_PX), math.floor(s1 / GROUP_BOUNDARY_PX))
         buckets.setdefault(key, []).append(row)
     groups = []
     for key in sorted(buckets):

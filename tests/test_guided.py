@@ -13,7 +13,6 @@ from msfm.guided import (
     GROUP_BOUNDARY_PX,
     STRIP_PX,
     build_index,
-    clip_lines,
     group_queries,
     guided_match_pair,
 )
@@ -30,6 +29,7 @@ from line_oracles import (
     candidates_linear,
     clip_line_to_bounds,
     reference_group_queries,
+    side_crossings,
 )
 from model_oracles import oracle_matches
 
@@ -56,27 +56,25 @@ def line_at(angle, x, y):
 
 
 def reference_guided_match_pair(query_fs, target_fs, F, *, d=8.0, ratio=0.8,
-                                query_indices=None, target_indices=None, index=None,
-                                stats=None):
+                                query_indices=None, index=None, stats=None):
     """Guided matching as an exhaustive scan of every member's band, group by group.
 
     Every target feature is a candidate of every group; ``index`` is not
     read.
     """
-    ti = np.arange(len(target_fs)) if target_indices is None else np.asarray(target_indices)
-    if len(ti) == 0:
+    if len(target_fs) == 0:
         return NO_MATCHES
     bounds = (float(target_fs.width), float(target_fs.height))
-    txy = target_fs.xy[ti].astype(np.float64)
+    txy = target_fs.xy.astype(np.float64)
 
     groups = reference_group_queries(query_fs, F, bounds, query_indices=query_indices)
-    tdesc = target_fs.descriptors[ti].astype(np.float32)
+    tdesc = target_fs.descriptors.astype(np.float32)
     tnorm = np.einsum("ij,ij->i", tdesc, tdesc)
     qdesc = query_fs.descriptors.astype(np.float32)
     qxy = query_fs.xy.astype(np.float64)
     accepted = []
     for group in groups:
-        cand = np.arange(len(ti))
+        cand = np.arange(len(target_fs))
         members = group.member_features
         # exact band of each member's own line; descriptor distances are only
         # computed for candidates inside the union of the members' bands
@@ -112,7 +110,7 @@ def reference_guided_match_pair(query_fs, target_fs, F, *, d=8.0, ratio=0.8,
     if not accepted:
         return NO_MATCHES
     return matches_from(tuple(np.concatenate(column) for column in zip(*accepted)),
-                        query_ids=None, target_ids=ti)
+                        query_ids=None, target_ids=np.arange(len(target_fs)))
 
 
 def match_rows(matches):
@@ -318,24 +316,21 @@ class TestGroupQueries:
     def test_groups_partition_queries(self):
         scene, fs_q, fs_t, F = self._pair()
         groups = group_queries(fs_q, F, (fs_t.width, fs_t.height))
-        seen = groups.members.tolist()
-        assert len(seen) == len(set(seen))
-        # every member's own line hits the boundary within tolerance of the
-        # representative's endpoints
+        # every query is in one group: none has its line at the epipole, and
+        # no line is dropped for missing the image
+        assert sorted(groups.members.tolist()) == list(range(len(fs_q)))
+        # every member's own line crosses the sides that the
+        # representative's line crosses, within a bucket of its crossings
         ends = np.append(groups.starts, len(groups.members))
         for g in range(min(40, len(groups))):
-            rep_a, rep_b = clip_line_to_bounds(
-                EpipolarLine(*groups.lines[g]), fs_t.width, fs_t.height)
+            steep, *rep = side_crossings(EpipolarLine(*groups.lines[g]), fs_t.width, fs_t.height)
             for fid in groups.members[ends[g]:ends[g + 1]]:
                 hom = np.append(fs_q.xy[fid].astype(np.float64), 1.0)
                 l = F @ hom
                 l = l / np.hypot(l[0], l[1])
-                clipped = clip_line_to_bounds(
-                    EpipolarLine(*l), fs_t.width, fs_t.height)
-                assert clipped is not None
-                pa, pb = clipped
-                assert np.linalg.norm(pa - rep_a) <= 2.0 * np.sqrt(2)
-                assert np.linalg.norm(pb - rep_b) <= 2.0 * np.sqrt(2)
+                own_steep, *own = side_crossings(EpipolarLine(*l), fs_t.width, fs_t.height)
+                assert own_steep == steep
+                assert np.abs(np.subtract(own, rep)).max() < GROUP_BOUNDARY_PX
 
     def test_distant_boundary_hits_split(self):
         # two horizontal epipolar lines 3 px apart must land in two groups
@@ -358,7 +353,8 @@ class TestGroupQueries:
     def test_group_members_share_buckets_at_any_image_size(self, width, height, epipole):
         # every epipolar line passes through an epipole on the left edge and
         # through its own query point, placed every pixel along the bottom
-        # and right edges of the target: boundary hits cover both edges
+        # and right edges of the target: flat and steep lines of every
+        # slope, with crossings all along the sides
         y0 = 2.0 * np.floor(epipole * height / 2.0) + 1.0
         F = np.array([[0.0, -1.0, y0], [1.0, 0.0, 0.0], [-y0, 0.0, 0.0]])
         bottom = np.stack([np.arange(width) + 0.5, np.full(width, float(height))], axis=1)
@@ -371,12 +367,13 @@ class TestGroupQueries:
                         descriptors=np.zeros((n, DESCRIPTOR_DIM), dtype=np.uint8))
         groups = group_queries(fs, F, (float(width), float(height)))
         members, starts = groups.members, groups.starts
+        assert sorted(members.tolist()) == list(range(n))
         lines = np.hstack([xy[members].astype(np.float64), np.ones((len(members), 1))]) @ F.T
         lines /= np.hypot(lines[:, 0], lines[:, 1])[:, None]
-        ok, pa, pb = clip_lines(lines, width, height)
-        assert ok.all()
-        buckets = np.floor(np.hstack([pa, pb]) / 2.0).astype(np.int64)
-        for col in range(4):
+        keys = np.array([side_crossings(EpipolarLine(*line), width, height) for line in lines])
+        buckets = np.column_stack([keys[:, 0], np.floor(keys[:, 1:] / GROUP_BOUNDARY_PX)])
+        assert buckets[:, 0].min() == 0 and buckets[:, 0].max() == 1
+        for col in range(3):
             lo = np.minimum.reduceat(buckets[:, col], starts)
             hi = np.maximum.reduceat(buckets[:, col], starts)
             assert (lo == hi).all()
@@ -510,8 +507,13 @@ class TestGuidedMatchPair:
     def test_empty_target(self):
         scene, F = self._scene_pair(seed=14)
         fs_q, fs_t = scene.feature_sets[0], scene.feature_sets[1]
-        got = guided_match_pair(fs_q, fs_t, F, target_indices=np.array([], dtype=int))
-        assert len(got) == 0
+        empty = FeatureSet(image_id=fs_t.image_id, width=fs_t.width, height=fs_t.height,
+                           xy=np.zeros((0, 2), dtype=np.float32),
+                           scale=np.zeros(0, dtype=np.float32),
+                           orientation=np.zeros(0, dtype=np.float32),
+                           descriptors=np.zeros((0, DESCRIPTOR_DIM), dtype=np.uint8))
+        assert len(guided_match_pair(fs_q, empty, F)) == 0
+        assert len(reference_guided_match_pair(fs_q, empty, F)) == 0
 
 
 class TestGuidedOracle:
@@ -550,11 +552,8 @@ class TestGuidedOracle:
         F = fundamental_from_poses(scene.cameras[0], scene.cameras[1])
         rng = np.random.default_rng(5)
         qi = np.sort(rng.choice(len(fs_q), len(fs_q) // 2, replace=False))
-        ti = np.sort(rng.choice(len(fs_t), len(fs_t) // 2, replace=False))
         assert_same_as_reference(fs_q, fs_t, F, query_indices=qi)
-        assert_same_as_reference(fs_q, fs_t, F, target_indices=ti)
-        assert_same_as_reference(fs_q, fs_t, F, query_indices=qi,
-                                 target_indices=rng.permutation(ti))
+        assert_same_as_reference(fs_q, fs_t, F, query_indices=rng.permutation(qi))
 
     def test_exact_ties_go_to_the_lower_target(self):
         # every target feature has a twin 0.5 px away with its descriptor; a
@@ -637,6 +636,54 @@ class TestGuidedOracle:
         assert (mlines[:, 1] > 0).any() and (mlines[:, 1] < 0).any()
         near = np.abs(mlines[:, :2] @ txy.T + mlines[:, 2:]) <= 8.0
         assert (near[:, 2000:].any(axis=0) & ~near[0, 2000:]).sum() >= 4
+
+
+    @staticmethod
+    def feature_set(xy, descriptors, image_id):
+        n = len(xy)
+        return FeatureSet(image_id=image_id, width=640, height=480,
+                          xy=np.asarray(xy, dtype=np.float32),
+                          scale=np.ones(n, dtype=np.float32),
+                          orientation=np.zeros(n, dtype=np.float32), descriptors=descriptors)
+
+    def test_line_missing_the_target_within_the_band(self):
+        # query 0's line y = -5 misses the 640 x 480 target by less than d,
+        # and a target feature 6 px from it carries query 0's descriptor:
+        # the two match, as a scan of the band over the target finds
+        rng = np.random.default_rng(12)
+        lines = np.array([[0.0, 1.0, 5.0], [0.0, 1.0, -100.0], [1.0, 0.0, -300.0]])
+        queries = np.array([[10.0, 10.0, 1.0], [90.0, 10.0, 1.0], [50.0, 90.0, 1.0]])
+        F = lines.T @ np.linalg.inv(queries.T)
+        assert clip_line_to_bounds(EpipolarLine(*lines[0]), 640.0, 480.0) is None
+        txy = np.vstack([[[200.0, 1.0]], image_features(rng, 500)])
+        tdesc = rng.integers(0, 256, (len(txy), DESCRIPTOR_DIM), dtype=np.uint8)
+        qdesc = rng.integers(0, 256, (3, DESCRIPTOR_DIM), dtype=np.uint8)
+        qdesc[0] = tdesc[0]
+        fs_q = self.feature_set(queries[:, :2], qdesc, 0)
+        fs_t = self.feature_set(txy, tdesc, 1)
+        matches = assert_same_as_reference(fs_q, fs_t, F)
+        assert (0, 0) in zip(matches.query.tolist(), matches.target.tolist())
+
+    def test_pencil_straddling_the_diagonal(self):
+        # lines through the target's centre at 45 and 135 degrees, tilted by
+        # up to 2e-3 rad either way: |a| = |b| splits each fan into flat and
+        # steep lines, which group apart
+        rng = np.random.default_rng(13)
+        centre = np.array([320.0, 240.0, 1.0])
+        angles = np.concatenate([np.pi / 4 + np.linspace(-2e-3, 2e-3, 41),
+                                 3 * np.pi / 4 + np.linspace(-2e-3, 2e-3, 41)])
+        qxy = centre[:2] + 100.0 * np.column_stack([np.cos(angles), np.sin(angles)])
+        F = skew(centre)
+        fs_q = self.feature_set(qxy, rng.integers(0, 256, (len(qxy), DESCRIPTOR_DIM),
+                                                  dtype=np.uint8), 0)
+        txy = image_features(rng, 3000)
+        fs_t = self.feature_set(txy, rng.integers(0, 256, (len(txy), DESCRIPTOR_DIM),
+                                                  dtype=np.uint8), 1)
+        groups = group_queries(fs_q, F, (640.0, 480.0))
+        steep = np.abs(groups.member_lines[:, 0]) > np.abs(groups.member_lines[:, 1])
+        assert 0 < steep.sum() < len(qxy)
+        assert len(groups.members) == len(qxy)
+        assert len(assert_same_as_reference(fs_q, fs_t, F, ratio=1.5)) > 0
 
 
 class TestBandIndex:
