@@ -46,6 +46,11 @@ class PipelineConfig:
             v = getattr(self, name)
             if not 0 < v < 1:
                 raise ConfigError(f"{name} must be in (0, 1), got {v}")
+        if self.focal < 0:
+            raise ConfigError(f"focal must be >= 0 (0: guessed per image), got {self.focal}")
+        if not 0 < self.candidate_fraction <= 1:
+            raise ConfigError(
+                f"candidate_fraction must be in (0, 1], got {self.candidate_fraction}")
         if self.set_cover_k < 1:
             raise ConfigError(f"set_cover_k must be >= 1, got {self.set_cover_k}")
         if self.iterations < 0:

@@ -74,6 +74,13 @@ class TestConfig:
         assert main(["run", "--features", str(tmp_path), "--out", str(tmp_path / "o"),
                      "--set-cover-k", "0", "--set-cover-engage", "0"]) == 2
 
+    @pytest.mark.parametrize("flag, value", [("--focal", "-900"),
+                                             ("--candidate-fraction", "0"),
+                                             ("--candidate-fraction", "1.5")])
+    def test_out_of_range_value_exit2(self, tmp_path, flag, value):
+        assert main(["run", "--features", str(tmp_path), "--out", str(tmp_path / "o"),
+                     flag, value]) == 2
+
     def test_threads_is_not_a_setting(self, tmp_path):
         # the stages run serially: neither a config line nor a flag sets threads
         config = tmp_path / "threads.cfg"
