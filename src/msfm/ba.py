@@ -381,14 +381,16 @@ def bundle_adjust(model: Model, feature_store, *, max_iters: int = BA_MAX_ITERS,
                 model.remove_point(pt_ids[p])
                 pruned += 1
             continue
-        initial, final, iters = _lm_iterate(
-            problem, max_iters, free_parameters(problem, fix_focal=fix_focal))
+        free = free_parameters(problem, fix_focal=fix_focal)
+        initial, final, iters = _lm_iterate(problem, max_iters, free)
         for i, image_id in enumerate(cam_ids):
             old = model.cameras[image_id]
-            U, _, Vt = np.linalg.svd(problem.R[i])
-            R = U @ Vt
-            if np.linalg.det(R) < 0:
-                R = U @ np.diag([1.0, 1.0, -1.0]) @ Vt
+            R = problem.R[i]
+            if free[i, :3].any():  # back onto SO(3); a fixed rotation stays bit-equal
+                U, _, Vt = np.linalg.svd(R)
+                R = U @ Vt
+                if np.linalg.det(R) < 0:
+                    R = U @ np.diag([1.0, 1.0, -1.0]) @ Vt
             model.replace_camera(Camera(
                 K=make_intrinsics(float(problem.f[i]), old.K[0, 2], old.K[1, 2]),
                 R=R, t=problem.t[i], image_id=image_id,
