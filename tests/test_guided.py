@@ -517,6 +517,14 @@ class TestGuidedMatchPair:
 
 
 class TestGuidedOracle:
+    @staticmethod
+    def feature_set(xy, descriptors, image_id):
+        n = len(xy)
+        return FeatureSet(image_id=image_id, width=640, height=480,
+                          xy=np.asarray(xy, dtype=np.float32),
+                          scale=np.ones(n, dtype=np.float32),
+                          orientation=np.zeros(n, dtype=np.float32), descriptors=descriptors)
+
     @pytest.mark.parametrize("seed", [2024, 7])
     def test_every_densify_pair_of_a_ring(self, seed, monkeypatch):
         # the pairs, query subsets and band indexes that densify passes on
@@ -619,16 +627,9 @@ class TestGuidedOracle:
                 on = np.array([x, y0 + (y1 - y0) * x / 640.0])
                 txy.append([on + s * (8.0 + e) * normal for s in (-1, 1) for e in (-1e-4, 1e-4)])
         txy = np.vstack(txy)
-
-        def feature_set(xy, image_id):
-            n = len(xy)
-            return FeatureSet(image_id=image_id, width=640, height=480,
-                              xy=xy.astype(np.float32), scale=np.ones(n, dtype=np.float32),
-                              orientation=np.zeros(n, dtype=np.float32),
-                              descriptors=rng.integers(0, 256, (n, DESCRIPTOR_DIM),
-                                                       dtype=np.uint8))
-
-        fs_q, fs_t = feature_set(qxy, 0), feature_set(txy, 1)
+        fs_q, fs_t = (self.feature_set(xy, rng.integers(0, 256, (len(xy), DESCRIPTOR_DIM),
+                                                        dtype=np.uint8), image_id)
+                      for image_id, xy in enumerate((qxy, txy)))
         groups = group_queries(fs_q, F, (640.0, 480.0))
         assert groups.sizes().tolist() == [len(qxy)]
         assert assert_same_as_reference(fs_q, fs_t, F, ratio=1.5)
@@ -637,14 +638,6 @@ class TestGuidedOracle:
         near = np.abs(mlines[:, :2] @ txy.T + mlines[:, 2:]) <= 8.0
         assert (near[:, 2000:].any(axis=0) & ~near[0, 2000:]).sum() >= 4
 
-
-    @staticmethod
-    def feature_set(xy, descriptors, image_id):
-        n = len(xy)
-        return FeatureSet(image_id=image_id, width=640, height=480,
-                          xy=np.asarray(xy, dtype=np.float32),
-                          scale=np.ones(n, dtype=np.float32),
-                          orientation=np.zeros(n, dtype=np.float32), descriptors=descriptors)
 
     def test_line_missing_the_target_within_the_band(self):
         # query 0's line y = -5 misses the 640 x 480 target by less than d,
