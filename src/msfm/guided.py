@@ -10,9 +10,11 @@ never samples the line.
 
 Lines are normalized ``(n, 3)`` arrays of (a, b, c) with a*x + b*y + c = 0
 throughout.  Queries whose epipolar lines cross the target image's two
-sides across their flatter axis at nearly the same points share one
-candidate set (``group_queries``), read around the first member's line
-widened by a slack that covers every member's band.  ``guided_match_pair``
+sides across their flatter axis in the same d-wide buckets, d being the
+band half-width, share one candidate set (``group_queries``), read around
+the first member's line widened by a slack that covers every member's band.
+A wider bucket means fewer, larger groups and products, and a wider read;
+the matches are the same at any width.  ``guided_match_pair``
 handles all groups of an image pair in flat array passes: it reads every
 group's strips, filters every candidate to the exact band of each member's
 own line and takes every member's two nearest neighbours at once.  Only
@@ -30,7 +32,6 @@ from .features import FeatureSet
 from .matching import NO_MATCHES, RATIO_GUIDED, Matches, matches_from, ratio_filter
 
 BAND_D_PX = 8.0
-GROUP_BOUNDARY_PX = 2.0
 # height of the band index's strips: a line reads one interval per strip its
 # band crosses, and each interval reaches at most one strip height beyond
 # the band; a power of two, so that a feature's strip is exact
@@ -126,16 +127,18 @@ NO_GROUPS = QueryGroups(np.empty(0, np.int64), np.empty(0, np.int64), np.empty((
 
 
 def group_queries(query_fs: FeatureSet, F: np.ndarray,
-                  bounds: tuple[float, float], *,
+                  bounds: tuple[float, float], d: float, *,
                   query_indices: np.ndarray | None = None) -> QueryGroups:
     """Partition query features by where their lines cross the target image's sides.
 
     A line with |a| <= |b| is keyed on its y at x = 0 and at x = width, any
     other line on its x at y = 0 and at y = height; each crossing is
-    bucketed at ``GROUP_BOUNDARY_PX``, so two members of one group cross
-    both sides within that distance of each other.  Groups come in key
-    order (the first kind of line first), members in id order.  Queries
-    whose line has a near-zero normal (at the epipole) are left out.
+    bucketed d wide, d being the band half-width, so two members of one
+    group cross both sides within d of each other and a group's slack stays
+    near d.  The width changes only how many products run and how much is
+    read, never the matches.  Groups come in key order (the first kind of
+    line first), members in id order.  Queries whose line has a near-zero
+    normal (at the epipole) are left out.
     """
     qi = np.arange(len(query_fs)) if query_indices is None else np.asarray(query_indices)
     if len(qi) == 0:
@@ -151,8 +154,7 @@ def group_queries(query_fs: FeatureSet, F: np.ndarray,
     steep = np.abs(a) > np.abs(b)
     p, q = np.where(steep, b, a), np.where(steep, a, b)
     side = np.where(steep, bounds[1], bounds[0])
-    cells = np.stack([steep, np.floor(-c / q / GROUP_BOUNDARY_PX),
-                      np.floor(-(c + p * side) / q / GROUP_BOUNDARY_PX)], axis=1)
+    cells = np.stack([steep, np.floor(-c / q / d), np.floor(-(c + p * side) / q / d)], axis=1)
     # sort by the key (first column primary), then by query id, so members
     # come out sorted; a group starts wherever any key column changes
     order = np.lexsort((qi[kept_rows], cells[:, 2], cells[:, 1], cells[:, 0]))
@@ -261,7 +263,7 @@ def guided_match_pair(query_fs: FeatureSet, target_fs: FeatureSet,
     if index is None:
         index = build_index(txy)
 
-    groups = group_queries(query_fs, F, bounds, query_indices=query_indices)
+    groups = group_queries(query_fs, F, bounds, d, query_indices=query_indices)
     if not groups:
         return NO_MATCHES
     members, member_start, mlines = groups.members, groups.starts, groups.member_lines

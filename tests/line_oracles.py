@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from msfm.errors import DegenerateGeometryError
-from msfm.guided import GROUP_BOUNDARY_PX, _band_slices, _gather
+from msfm.guided import _band_slices, _gather
 
 
 @dataclass(frozen=True)
@@ -118,12 +118,13 @@ def side_crossings(line: EpipolarLine, width: float, height: float):
     return steep, -line.c / q, -(line.c + p * side) / q
 
 
-def reference_group_queries(query_fs, F: np.ndarray, bounds, *,
+def reference_group_queries(query_fs, F: np.ndarray, bounds, d: float, *,
                             query_indices=None) -> list[QueryGroup]:
     """``group_queries`` as a list of groups, each query keyed on its own.
 
-    Groups come in order of their (steep, s0, s1) buckets, members in id
-    order; the representative is the first member.
+    Groups come in order of their (steep, s0, s1) buckets, each crossing
+    bucketed d wide, members in id order; the representative is the first
+    member.
     """
     qi = np.arange(len(query_fs)) if query_indices is None else np.asarray(query_indices)
     if len(qi) == 0:
@@ -136,7 +137,7 @@ def reference_group_queries(query_fs, F: np.ndarray, bounds, *,
     buckets = {}
     for row in np.flatnonzero(ok).tolist():
         steep, s0, s1 = side_crossings(EpipolarLine(*lines[row].tolist()), *bounds)
-        key = (steep, math.floor(s0 / GROUP_BOUNDARY_PX), math.floor(s1 / GROUP_BOUNDARY_PX))
+        key = (steep, math.floor(s0 / d), math.floor(s1 / d))
         buckets.setdefault(key, []).append(row)
     groups = []
     for key in sorted(buckets):

@@ -10,7 +10,7 @@ from msfm.descriptors import SearchStats
 from msfm.features import DESCRIPTOR_DIM, FeatureSet
 from msfm.geometry import fundamental_from_poses, skew
 from msfm.guided import (
-    GROUP_BOUNDARY_PX,
+    BAND_D_PX,
     STRIP_PX,
     build_index,
     group_queries,
@@ -67,7 +67,7 @@ def reference_guided_match_pair(query_fs, target_fs, F, *, d=8.0, ratio=0.8,
     bounds = (float(target_fs.width), float(target_fs.height))
     txy = target_fs.xy.astype(np.float64)
 
-    groups = reference_group_queries(query_fs, F, bounds, query_indices=query_indices)
+    groups = reference_group_queries(query_fs, F, bounds, d, query_indices=query_indices)
     tdesc = target_fs.descriptors.astype(np.float32)
     tnorm = np.einsum("ij,ij->i", tdesc, tdesc)
     qdesc = query_fs.descriptors.astype(np.float32)
@@ -309,13 +309,13 @@ class TestGroupQueries:
             orientation=np.zeros(2, dtype=np.float32),
             descriptors=fs_q.descriptors[:2],
         )
-        groups = group_queries(fs_dup, F, (fs_t.width, fs_t.height))
+        groups = group_queries(fs_dup, F, (fs_t.width, fs_t.height), BAND_D_PX)
         assert len(groups) == 1
         assert groups.members.tolist() == [0, 1]
 
     def test_groups_partition_queries(self):
         scene, fs_q, fs_t, F = self._pair()
-        groups = group_queries(fs_q, F, (fs_t.width, fs_t.height))
+        groups = group_queries(fs_q, F, (fs_t.width, fs_t.height), BAND_D_PX)
         # every query is in one group: none has its line at the epipole, and
         # no line is dropped for missing the image
         assert sorted(groups.members.tolist()) == list(range(len(fs_q)))
@@ -330,20 +330,21 @@ class TestGroupQueries:
                 l = l / np.hypot(l[0], l[1])
                 own_steep, *own = side_crossings(EpipolarLine(*l), fs_t.width, fs_t.height)
                 assert own_steep == steep
-                assert np.abs(np.subtract(own, rep)).max() < GROUP_BOUNDARY_PX
+                assert np.abs(np.subtract(own, rep)).max() < BAND_D_PX
 
     def test_distant_boundary_hits_split(self):
-        # two horizontal epipolar lines 3 px apart must land in two groups
+        # two horizontal epipolar lines more than d apart must land in two
+        # groups
         K = np.eye(3)
         cam_q = Camera(K=K, R=np.eye(3), t=np.zeros(3), image_id=0)
         cam_c = Camera(K=K, R=np.eye(3), t=np.array([-1.0, 0.0, 0.0]), image_id=1)
         F = fundamental_from_poses(cam_q, cam_c)
-        xy = np.array([[5.0, 7.0], [5.0, 10.0]], dtype=np.float32)
+        xy = np.array([[5.0, 7.0], [5.0, 7.0 + BAND_D_PX + 1.0]], dtype=np.float32)
         fs = FeatureSet(image_id=0, width=100, height=100, xy=xy,
                         scale=np.ones(2, dtype=np.float32),
                         orientation=np.zeros(2, dtype=np.float32),
                         descriptors=np.zeros((2, DESCRIPTOR_DIM), dtype=np.uint8))
-        groups = group_queries(fs, F, (100.0, 100.0))
+        groups = group_queries(fs, F, (100.0, 100.0), BAND_D_PX)
         assert len(groups) == 2
 
     @given(width=st.integers(4, 40_000), height=st.integers(4, 40_000),
@@ -365,13 +366,13 @@ class TestGroupQueries:
                         scale=np.ones(n, dtype=np.float32),
                         orientation=np.zeros(n, dtype=np.float32),
                         descriptors=np.zeros((n, DESCRIPTOR_DIM), dtype=np.uint8))
-        groups = group_queries(fs, F, (float(width), float(height)))
+        groups = group_queries(fs, F, (float(width), float(height)), BAND_D_PX)
         members, starts = groups.members, groups.starts
         assert sorted(members.tolist()) == list(range(n))
         lines = np.hstack([xy[members].astype(np.float64), np.ones((len(members), 1))]) @ F.T
         lines /= np.hypot(lines[:, 0], lines[:, 1])[:, None]
         keys = np.array([side_crossings(EpipolarLine(*line), width, height) for line in lines])
-        buckets = np.column_stack([keys[:, 0], np.floor(keys[:, 1:] / GROUP_BOUNDARY_PX)])
+        buckets = np.column_stack([keys[:, 0], np.floor(keys[:, 1:] / BAND_D_PX)])
         assert buckets[:, 0].min() == 0 and buckets[:, 0].max() == 1
         for col in range(3):
             lo = np.minimum.reduceat(buckets[:, col], starts)
@@ -385,10 +386,11 @@ class TestGroupQueries:
            flatten=st.tuples(st.sampled_from([0, 1]),
                              st.sampled_from([1.0, 0.0, 1e-12, 1e-7, 1e-3])),
            through=st.tuples(st.floats(-0.2, 1.2), st.floats(-0.2, 1.2), st.floats(0.0, 2.0)),
-           n=st.integers(0, 300), subset=st.booleans(), seed=st.integers(0, 2**32 - 1))
+           n=st.integers(0, 300), subset=st.booleans(), seed=st.integers(0, 2**32 - 1),
+           d=st.sampled_from([BAND_D_PX / 4, BAND_D_PX, 2 * BAND_D_PX]))
     @settings(deadline=None)
     def test_arrays_equal_list_reference(self, size, pencil, rows, flatten, through, n,
-                                         subset, seed):
+                                         subset, seed, d):
         width, height = size
         cx, cy, spread = through
         F = np.array(rows, dtype=np.float64)
@@ -416,8 +418,8 @@ class TestGroupQueries:
                         descriptors=np.zeros((n, DESCRIPTOR_DIM), dtype=np.uint8))
         qi = rng.permutation(n)[:int(rng.integers(0, n + 1))] if subset else None
         bounds = (float(width), float(height))
-        got = group_queries(fs, F, bounds, query_indices=qi)
-        want = reference_group_queries(fs, F, bounds, query_indices=qi)
+        got = group_queries(fs, F, bounds, d, query_indices=qi)
+        want = reference_group_queries(fs, F, bounds, d, query_indices=qi)
         sizes = [len(g.member_features) for g in want]
         assert len(got) == len(want)
         assert got.members.tolist() == [q for g in want for q in g.member_features.tolist()]
@@ -498,7 +500,7 @@ class TestGuidedMatchPair:
         fs_q, fs_t = scene.feature_sets[0], scene.feature_sets[1]
         stats = SearchStats()
         guided_match_pair(fs_q, fs_t, F, d=8.0, stats=stats)
-        groups = group_queries(fs_q, F, (fs_t.width, fs_t.height))
+        groups = group_queries(fs_q, F, (fs_t.width, fs_t.height), 8.0)
         txy = fs_t.xy.astype(np.float64)
         near = np.abs(groups.member_lines[:, :2] @ txy.T + groups.member_lines[:, 2:]) <= 8.0
         in_union = np.logical_or.reduceat(near, groups.starts, axis=0).sum(axis=1)
@@ -584,23 +586,34 @@ class TestGuidedOracle:
         scene = generate_scene(large_pair_spec(4000))
         fs_q, fs_t = scene.feature_sets[0], scene.feature_sets[1]
         F = fundamental_from_poses(scene.cameras[0], scene.cameras[1])
-        groups = group_queries(fs_q, F, (fs_t.width, fs_t.height))
+        groups = group_queries(fs_q, F, (fs_t.width, fs_t.height), 8.0)
         assert groups.sizes().max() >= 8
         assert_same_as_reference(fs_q, fs_t, F, d=8.0)
 
+    # (bucket of the right-hand crossings, crossing) of the full-spread
+    # scenes; the left-hand crossings lie in bucket 13
+    SPREADS = {"side_by_side": (37, False), "crossing": (37, True), "flat_crossing": (13, True)}
 
-    @pytest.mark.parametrize("right, crossing", [(300.0, False), (300.0, True), (100.0, True)],
-                             ids=["side_by_side", "crossing", "flat_crossing"])
-    def test_group_at_the_full_boundary_spread(self, right, crossing):
-        # Query features whose lines pierce the left and right edges of a
-        # 640 x 480 target up to GROUP_BOUNDARY_PX apart, the most one group
-        # allows: side by side, or crossing so that they turn apart.  One
-        # member's line has the opposite sign.  Target features lie near the
-        # lines, so that the index's box hugs them, and just inside and
-        # just outside every member's band at both edges, where the bands
-        # stray farthest from the representative's.
-        inside = 1e-6 * GROUP_BOUNDARY_PX  # off the buckets' bounds, for rounding
-        left, right = ((y + inside, y + GROUP_BOUNDARY_PX - inside) for y in (100.0, right))
+    @classmethod
+    def random_descriptors(cls, rng, xy, image_id):
+        return cls.feature_set(xy, rng.integers(0, 256, (len(xy), DESCRIPTOR_DIM),
+                                                dtype=np.uint8), image_id)
+
+    @classmethod
+    def spread_scene(cls, right, crossing):
+        """(query features, target features, F, F's ends) of one group at the full spread.
+
+        Query features whose lines pierce the left and right edges of a
+        640 x 480 target up to d apart, the most one group allows: side by
+        side, or crossing so that they turn apart.  One member's line has
+        the opposite sign.  Target features lie near the lines, so that the
+        index's box hugs them, and just inside and just outside every
+        member's band at both edges, where the bands stray farthest from the
+        representative's.
+        """
+        d = BAND_D_PX
+        inside = 1e-6 * d  # off the buckets' bounds, for rounding
+        left, right = ((k * d + inside, (k + 1) * d - inside) for k in (13, right))
         # (height at x = 0, height at x = 640) of the two outermost members
         ends = ([(left[0], right[1]), (left[1], right[0])] if crossing
                 else [(left[0], right[0]), (left[1], right[1])])
@@ -625,24 +638,17 @@ class TestGuidedOracle:
             normal = np.array([y1 - y0, -640.0]) / np.hypot(y1 - y0, 640.0)
             for x in (0.0, 320.0, 640.0):
                 on = np.array([x, y0 + (y1 - y0) * x / 640.0])
-                txy.append([on + s * (8.0 + e) * normal for s in (-1, 1) for e in (-1e-4, 1e-4)])
-        txy = np.vstack(txy)
-        fs_q, fs_t = (self.feature_set(xy, rng.integers(0, 256, (len(xy), DESCRIPTOR_DIM),
-                                                        dtype=np.uint8), image_id)
-                      for image_id, xy in enumerate((qxy, txy)))
-        groups = group_queries(fs_q, F, (640.0, 480.0))
-        assert groups.sizes().tolist() == [len(qxy)]
-        assert assert_same_as_reference(fs_q, fs_t, F, ratio=1.5)
-        mlines = groups.member_lines
-        assert (mlines[:, 1] > 0).any() and (mlines[:, 1] < 0).any()
-        near = np.abs(mlines[:, :2] @ txy.T + mlines[:, 2:]) <= 8.0
-        assert (near[:, 2000:].any(axis=0) & ~near[0, 2000:]).sum() >= 4
+                txy.append([on + s * (d + e) * normal for s in (-1, 1) for e in (-1e-4, 1e-4)])
+        fs_q, fs_t = (cls.random_descriptors(rng, xy, image_id)
+                      for image_id, xy in enumerate((qxy, np.vstack(txy))))
+        return fs_q, fs_t, F
 
+    @classmethod
+    def missing_line_scene(cls):
+        """Query 0's line y = -5 misses the 640 x 480 target by less than d.
 
-    def test_line_missing_the_target_within_the_band(self):
-        # query 0's line y = -5 misses the 640 x 480 target by less than d,
-        # and a target feature 6 px from it carries query 0's descriptor:
-        # the two match, as a scan of the band over the target finds
+        A target feature 6 px from it, target 0, carries query 0's descriptor.
+        """
         rng = np.random.default_rng(12)
         lines = np.array([[0.0, 1.0, 5.0], [0.0, 1.0, -100.0], [1.0, 0.0, -300.0]])
         queries = np.array([[10.0, 10.0, 1.0], [90.0, 10.0, 1.0], [50.0, 90.0, 1.0]])
@@ -652,31 +658,88 @@ class TestGuidedOracle:
         tdesc = rng.integers(0, 256, (len(txy), DESCRIPTOR_DIM), dtype=np.uint8)
         qdesc = rng.integers(0, 256, (3, DESCRIPTOR_DIM), dtype=np.uint8)
         qdesc[0] = tdesc[0]
-        fs_q = self.feature_set(queries[:, :2], qdesc, 0)
-        fs_t = self.feature_set(txy, tdesc, 1)
-        matches = assert_same_as_reference(fs_q, fs_t, F)
-        assert (0, 0) in zip(matches.query.tolist(), matches.target.tolist())
+        return cls.feature_set(queries[:, :2], qdesc, 0), cls.feature_set(txy, tdesc, 1), F
 
-    def test_pencil_straddling_the_diagonal(self):
-        # lines through the target's centre at 45 and 135 degrees, tilted by
-        # up to 2e-3 rad either way: |a| = |b| splits each fan into flat and
-        # steep lines, which group apart
+    @classmethod
+    def pencil_scene(cls):
+        """Lines through the 640 x 480 target's centre at 45 and 135 degrees.
+
+        Each is tilted by up to 2e-3 rad either way: |a| = |b| splits each
+        fan into flat and steep lines.
+        """
         rng = np.random.default_rng(13)
         centre = np.array([320.0, 240.0, 1.0])
         angles = np.concatenate([np.pi / 4 + np.linspace(-2e-3, 2e-3, 41),
                                  3 * np.pi / 4 + np.linspace(-2e-3, 2e-3, 41)])
         qxy = centre[:2] + 100.0 * np.column_stack([np.cos(angles), np.sin(angles)])
-        F = skew(centre)
-        fs_q = self.feature_set(qxy, rng.integers(0, 256, (len(qxy), DESCRIPTOR_DIM),
-                                                  dtype=np.uint8), 0)
-        txy = image_features(rng, 3000)
-        fs_t = self.feature_set(txy, rng.integers(0, 256, (len(txy), DESCRIPTOR_DIM),
-                                                  dtype=np.uint8), 1)
-        groups = group_queries(fs_q, F, (640.0, 480.0))
+        fs_q = cls.random_descriptors(rng, qxy, 0)
+        fs_t = cls.random_descriptors(rng, image_features(rng, 3000), 1)
+        return fs_q, fs_t, skew(centre)
+
+    @staticmethod
+    def view_pair_scene():
+        """Two 640 x 480 views of one noisy cloud: many lines, some side by side."""
+        scene = generate_scene(SceneSpec(n_cameras=2, layout="grid", ring_radius=1.2,
+                                         cloud_radius=2.0, n_points=1500, image_width=640,
+                                         image_height=480, focal=560.0, pixel_noise=0.5,
+                                         descriptor_noise=4.0, seed=9))
+        return (scene.feature_sets[0], scene.feature_sets[1],
+                fundamental_from_poses(scene.cameras[0], scene.cameras[1]))
+
+    @pytest.mark.parametrize("spread", SPREADS)
+    def test_group_at_the_full_boundary_spread(self, spread):
+        fs_q, fs_t, F = self.spread_scene(*self.SPREADS[spread])
+        groups = group_queries(fs_q, F, (640.0, 480.0), BAND_D_PX)
+        assert groups.sizes().tolist() == [len(fs_q)]
+        assert assert_same_as_reference(fs_q, fs_t, F, ratio=1.5)
+        mlines = groups.member_lines
+        assert (mlines[:, 1] > 0).any() and (mlines[:, 1] < 0).any()
+        near = np.abs(mlines[:, :2] @ fs_t.xy.T.astype(np.float64) + mlines[:, 2:]) <= BAND_D_PX
+        # target features in another member's band but not the representative's
+        assert (near[:, 2000:].any(axis=0) & ~near[0, 2000:]).sum() >= 4
+
+    def test_line_missing_the_target_within_the_band(self):
+        # query 0 and target 0 match, as a scan of the band over the target
+        # finds
+        matches = assert_same_as_reference(*self.missing_line_scene())
+        assert (0, 0) in zip(matches.query.tolist(), matches.target.tolist())
+
+    def test_pencil_straddling_the_diagonal(self):
+        # the flat and the steep lines of each fan group apart
+        fs_q, fs_t, F = self.pencil_scene()
+        groups = group_queries(fs_q, F, (640.0, 480.0), BAND_D_PX)
         steep = np.abs(groups.member_lines[:, 0]) > np.abs(groups.member_lines[:, 1])
-        assert 0 < steep.sum() < len(qxy)
-        assert len(groups.members) == len(qxy)
+        assert 0 < steep.sum() < len(fs_q)
+        assert len(groups.members) == len(fs_q)
         assert len(assert_same_as_reference(fs_q, fs_t, F, ratio=1.5)) > 0
+
+    @pytest.mark.parametrize("width", [BAND_D_PX / 4, 2 * BAND_D_PX], ids=["quarter_d", "twice_d"])
+    def test_bucket_width_changes_no_match(self, width, monkeypatch):
+        # grouping decides how many products run and how much is read, never
+        # what matches: with the side crossings bucketed d / 4 or 2 d wide in
+        # place of d, every scene's Matches hold the same bytes
+        scenes = [self.spread_scene(*spread) for spread in self.SPREADS.values()]
+        scenes += [self.missing_line_scene(), self.pencil_scene(), self.view_pair_scene()]
+
+        def match_all():
+            stats = SearchStats()
+            return [guided_match_pair(*scene, ratio=1.5, stats=stats) for scene in scenes], stats
+
+        want, at_d = match_all()
+        regroup = group_queries
+        monkeypatch.setattr("msfm.guided.group_queries",
+                            lambda query_fs, F, bounds, d, **kw:
+                            regroup(query_fs, F, bounds, width, **kw))
+        got, at_width = match_all()
+        assert sum(len(m) for m in want) > 0
+        for new, old in zip(got, want):
+            for column in ("query", "target", "distance", "ratio"):
+                a, b = getattr(new, column), getattr(old, column)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        # finer buckets split groups and compare fewer pairs, coarser ones
+        # merge groups and compare more
+        assert (at_width.candidates > at_d.candidates) == (width > BAND_D_PX)
+        assert at_width.candidates != at_d.candidates
 
 
 class TestBandIndex:
