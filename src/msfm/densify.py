@@ -133,8 +133,11 @@ def merge_tracks(pair_matches, observations):
     new_tracks: list[list[tuple[int, int]]] = []
     extensions: dict[int, list[tuple[int, int]]] = {}
     starts = np.flatnonzero(np.diff(label[fresh], prepend=-1))
-    for comp, codes in zip(label[fresh[starts]].tolist(), np.split(nodes[fresh], starts[1:])):
-        pairs = list(zip((codes >> 32).tolist(), (codes & 0xFFFFFFFF).tolist()))
+    codes = nodes[fresh]
+    refs = list(zip((codes >> 32).tolist(), (codes & 0xFFFFFFFF).tolist()))
+    cuts = starts.tolist() + [len(refs)]
+    for comp, start, end in zip(label[fresh[starts]].tolist(), cuts, cuts[1:]):
+        pairs = refs[start:end]
         pid = int(comp_owner[comp])
         if pid >= 0:
             extensions[pid] = pairs

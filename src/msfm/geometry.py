@@ -259,13 +259,18 @@ def estimate_fundamental_ransac(problems):
 
     found = block_ransac(sizes, [seed for *_, seed in problems], 8, fit, score,
                          confidence=RANSAC_CONFIDENCE, max_iters=RANSAC_MAX_ITERS)
-    results = []
-    for (q, c), (best_mask, best_count) in zip(pts, found):
-        if best_count < 8:
-            results.append((np.eye(3) / np.sqrt(3.0), np.zeros(len(q), dtype=bool)))
-            continue
-        F = eight_point(q[best_mask][None], c[best_mask][None])[0]
-        results.append((F, sampson_distance(F, q, c) < SAMPSON_THRESHOLD_PX))
+    results = [(np.eye(3) / np.sqrt(3.0), np.zeros(size, dtype=bool)) for size in sizes]
+    # one stacked refit per best count; the SVDs run slice by slice, so each
+    # F is the one a refit of its pair alone gives
+    by_count: dict[int, list[int]] = {}
+    for i, (_, count) in enumerate(found):
+        if count >= 8:
+            by_count.setdefault(count, []).append(i)
+    for which in by_count.values():
+        Fs = eight_point(*(np.stack([pts[i][side][found[i][0]] for i in which])
+                           for side in (0, 1)))
+        for i, F in zip(which, Fs):
+            results[i] = (F, sampson_distance(F, *pts[i]) < SAMPSON_THRESHOLD_PX)
     return results
 
 
@@ -372,7 +377,8 @@ def triangulate_track(cameras, images, pixels, *,
     P = np.stack([c.K @ np.hstack([c.R, c.t.reshape(3, 1)]) for c in cams])[slot]
     shared_centre = (np.linalg.norm(centers - centers[:, :1], axis=-1) < 1e-12).all(axis=1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        _, _, Vt = np.linalg.svd(_dlt_rows(P, pix))
+        # thin: the (n, 2k, 4) stack is tall, and Vt is the same
+        _, _, Vt = np.linalg.svd(_dlt_rows(P, pix), full_matrices=False)
         Xh = Vt[:, -1]
         parallel = np.abs(Xh[:, 3]) < 1e-12 * np.linalg.norm(Xh[:, :3], axis=-1)
         X = Xh[:, :3] / Xh[:, 3:]

@@ -102,6 +102,34 @@ class TestPly:
         x, y, z, r, g, b = lines[header_end + 1].split()
         assert (int(r), int(g), int(b)) == (128, 128, 128)
 
+    @staticmethod
+    def per_vertex_text(model):
+        """The PLY text formatted one vertex at a time."""
+        pids = model.point_ids()
+        lines = ["ply", "format ascii 1.0", f"element vertex {len(pids)}",
+                 *(f"property float {axis}" for axis in "xyz"),
+                 *(f"property uchar {channel}" for channel in ("red", "green", "blue")),
+                 "end_header"]
+        for pid in pids:
+            x, y, z = model.points[pid].position
+            lines.append(f"{x:.6f} {y:.6f} {z:.6f} 128 128 128")
+        return "\n".join(lines) + "\n"
+
+    def test_text_equals_per_vertex_format(self, tmp_path, tiny_scene):
+        # magnitudes 1e-8 to 1e8 of both signs, signed zeros and values that
+        # round half-way at six decimals
+        model = tiny_scene.ground_truth_model()
+        rng = np.random.default_rng(4)
+        magnitudes = 10.0 ** np.arange(-8, 9) * rng.uniform(1.0, 10.0, 17)
+        values = np.concatenate([magnitudes, -magnitudes, [-0.0, 0.0, 5e-7, -5e-7, 0.0000125]])
+        pids = model.point_ids()
+        for k, pid in enumerate(pids[:len(values)]):
+            model.set_position(pid, np.roll(values, k)[:3])
+        for m in (model, Model()):
+            path = tmp_path / "pts.ply"
+            write_ply(m, path)
+            assert path.read_text() == self.per_vertex_text(m)
+
 
 class TestMatchGraphFile:
     def test_roundtrip(self, tmp_path, tiny_scene):

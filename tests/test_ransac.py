@@ -316,6 +316,31 @@ class TestFundamentalRansac:
         assert sum(b for b in calls if b > 1) == RANSAC_MAX_ITERS
         assert calls[:len(RANSAC_BLOCKS)] == list(RANSAC_BLOCKS)
 
+    def test_refits_stacked_by_count_equal_per_pair_refits(self, monkeypatch):
+        # noise-free pairs of 40 and 60 correspondences keep all of them,
+        # two pairs with outliers keep fewer (and differ): one refit stacks
+        # the three pairs of count 40, and every F and mask is bit-equal to
+        # its pair's refit alone
+        rng = np.random.default_rng(41)
+        problems = [(*two_view(rng, n, "general", outliers, noise=0.0 if not outliers else 0.5),
+                     seed) for seed, (n, outliers) in enumerate(
+                         [(40, 0.0), (60, 0.0), (40, 0.0), (90, 0.4), (40, 0.0), (70, 0.3)])]
+        alone = [estimate_fundamental_ransac([problem])[0] for problem in problems]
+        refits = []
+        fit = geometry.eight_point
+
+        def counting_fit(q, c):
+            if q.shape[1] > 8:  # a refit; samples have 8 rows
+                refits.append(q.shape[:2])
+            return fit(q, c)
+
+        monkeypatch.setattr(geometry, "eight_point", counting_fit)
+        stacked = estimate_fundamental_ransac(problems)
+        for new, old in zip(stacked, alone):
+            assert_same_geometry(new, old)
+        # one refit each for counts 40 and 60 and for the two outlier pairs
+        assert (3, 40) in refits and (1, 60) in refits and len(refits) == 4
+
     def test_eight_points_recover_f(self):
         # the minimal system is 8 x 9: its F is the null vector that a thin
         # SVD would drop
