@@ -1,7 +1,12 @@
 """Exact two-nearest-neighbour search over 128-dim descriptors.
 
-Distances come from blocked BLAS distance matrices accumulated in f32; ties
-break toward the lower index.
+Distances come from blocked BLAS products accumulated in f32; ties break
+toward the lower index.  A block ranks each query's targets by tt - 2p (p
+the products), since qq is constant along a row, and computes only the two
+winners' distances, as (qq + tt) - 2p clamped at 0.  For uint8 descriptors
+every term is an integer below 2^24, so the ranking is exactly that of the
+distances; for float32 queries (localize's track means) a winner's distance
+is the same float32 arithmetic as the whole matrix would give.
 """
 
 from __future__ import annotations
@@ -45,26 +50,21 @@ def two_nearest_bruteforce(queries: np.ndarray, targets: np.ndarray,
     for start in range(0, nq, _QUERY_BLOCK):
         qb = q[start:start + _QUERY_BLOCK]
         qq = np.einsum("ij,ij->i", qb, qb)
-        # (qq + tt) - 2 p, in that order, in two (block, n) arrays
-        p = qb @ t.T
-        p *= 2.0
-        d2 = np.add.outer(qq, tt)
-        d2 -= p
-        np.maximum(d2, 0.0, out=d2)
-        best = np.argmin(d2, axis=1)
         rows = np.arange(len(qb))
-        best_d2 = d2[rows, best].copy()
-        d2[rows, best] = np.inf
+        # rank by tt - 2p (qq is constant along a row) in a second array:
+        # qq added to tt - 2p would round otherwise than (qq + tt) - 2p on
+        # float32 means, so p is kept for the winners' distances
+        p = qb @ t.T
+        rank = np.multiply(p, -2.0)
+        rank += tt
+        winners = [np.argmin(rank, axis=1)]
         if nt > 1:
-            second = np.argmin(d2, axis=1)
-            second_d2 = d2[rows, second]
-        else:
-            second = np.full(len(qb), -1, dtype=np.int64)
-            second_d2 = np.full(len(qb), np.inf)
-        del p, d2  # before the next block makes its own
+            rank[rows, winners[0]] = np.inf
+            winners.append(np.argmin(rank, axis=1))
         sl = slice(start, start + len(qb))
-        dist[sl, 0] = np.sqrt(best_d2)
-        dist[sl, 1] = np.sqrt(second_d2)
-        idx[sl, 0] = best
-        idx[sl, 1] = second
+        for k, j in enumerate(winners):
+            # only the winners' distances, as (qq + tt) - 2p clamped at 0
+            dist[sl, k] = np.sqrt(np.maximum((qq + tt[j]) - 2.0 * p[rows, j], 0.0))
+            idx[sl, k] = j
+        del p, rank  # before the next block makes its own
     return dist, idx

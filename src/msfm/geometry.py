@@ -23,8 +23,8 @@ MIN_EDGE_INLIERS = 16
 # samples per problem in each lockstep round of block_ransac; the last repeats
 RANSAC_BLOCKS = (8, 16, 32, 64, 128)
 # samples per stacked fit: a round's lockstep block is fitted in stacks of at
-# most this many, which bounds the fit's temporaries (a stacked SVD works one
-# matrix at a time, so the stack size changes no result)
+# most this many, which bounds the fit's temporaries (a stacked SVD or QR works
+# one matrix at a time, so the stack size changes no result)
 RANSAC_FIT_STACK = 256
 
 TRI_MAX_ERROR_PX = 4.0
@@ -83,16 +83,23 @@ def eight_point(pts_q: np.ndarray, pts_c: np.ndarray):
     """Normalized 8-point fits of a stack of b correspondence sets.
 
     ``pts_q`` and ``pts_c`` are (b, n, 2), n >= 8.  Returns F (b, 3, 3).
-    Raises np.linalg.LinAlgError when any slice's SVD fails.
+    A minimal sample (n = 8) takes its null vector from a QR of A^T, a
+    taller system from the thin SVD of A.  Raises np.linalg.LinAlgError
+    when any slice's factorization fails.
     """
     nq, Tq = _hartley_normalize(np.asarray(pts_q, dtype=np.float64))
     nc, Tc = _hartley_normalize(np.asarray(pts_c, dtype=np.float64))
     x, y = nq[..., 0], nq[..., 1]
     xp, yp = nc[..., 0], nc[..., 1]
     A = np.stack([xp * x, xp * y, xp, yp * x, yp * y, yp, x, y, np.ones_like(x)], axis=-1)
-    # thin only when tall: a thin SVD of an 8 x 9 sample drops its null vector
-    _, _, Vt = np.linalg.svd(A, full_matrices=A.shape[-2] < A.shape[-1])
-    U, sv, Vt2 = np.linalg.svd(Vt[:, -1].reshape(-1, 3, 3))
+    if A.shape[-2] < A.shape[-1]:
+        # an 8 x 9 minimal sample has an exact null vector: the last column
+        # of the complete Q of A^T, orthogonal to A's rows
+        null = np.linalg.qr(np.swapaxes(A, -1, -2), mode="complete")[0][..., -1]
+    else:
+        # tall: the thin SVD keeps the least singular vector
+        null = np.linalg.svd(A, full_matrices=False)[2][:, -1]
+    U, sv, Vt2 = np.linalg.svd(null.reshape(-1, 3, 3))
     D = np.zeros_like(U)
     D[:, 0, 0], D[:, 1, 1] = sv[:, 0], sv[:, 1]
     F = Tc.transpose(0, 2, 1) @ (U @ D @ Vt2) @ Tq

@@ -9,18 +9,25 @@ bundle adjustment runs every few registrations plus once at the end.  This
 is the only stage that bundle-adjusts.  Camera and point addition reuse its
 resection (``resect_image``) and track triangulation (``triangulate_refs``,
 one stacked pass per track length) with the same gates.
+
+The loop reads the match graph once (``_inlier_links``).  Each round builds
+one feature -> point array per registered image (``_track_lookup``), so an
+unregistered image's 3D-2D entries are one lookup per link, and ranks the
+images by the size of their one-to-one correspondence sets without building
+them (``_one_to_one_count``); rows are built only for the images resection
+tries.
 """
 
 from __future__ import annotations
 
 import logging
 from collections import defaultdict
-from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
 from .ba import bundle_adjust, pose_jacobian, rodrigues
-from .errors import InsufficientDataError, NoSeedError
+from .errors import InsufficientDataError, MsfmError, NoSeedError
 from .geometry import (
     TRI_MAX_ERROR_PX,
     block_ransac,
@@ -272,12 +279,13 @@ def _edge_points(graph: MatchGraph, feature_sets, a: int, b: int):
 
 
 def _edge_median_angle(edge, intrinsics, a, b, pts_q, pts_c):
-    """Median triangulation angle (degrees) of an edge, or None if unusable."""
+    """Median triangulation angle (degrees) of an edge, or None when its pose
+    fails (an ``MsfmError`` or a failed SVD); any other error propagates."""
     step = max(1, len(pts_q) // SEED_ANGLE_SAMPLES)
     try:
         *_, angle = relative_pose_from_fundamental(
             edge.F, intrinsics[a], intrinsics[b], pts_q[::step], pts_c[::step])
-    except Exception:
+    except (MsfmError, np.linalg.LinAlgError):
         return None
     return float(np.degrees(angle))
 
@@ -302,29 +310,56 @@ def select_seed_pair(graph: MatchGraph, feature_sets, intrinsics) -> tuple[int, 
     raise NoSeedError("no geometry-verified edge has enough parallax to seed")
 
 
-def _registered_edges(model: Model, graph: MatchGraph, image_id: int):
-    """(a, b, edge) of the graph edges linking an image to registered images."""
-    for other in graph.neighbors(image_id):
-        if model.is_registered(other) and other != image_id:
-            a, b = (image_id, other) if image_id < other else (other, image_id)
-            yield a, b, graph.edges[(a, b)]
-
-
-def _correspondences_to_model(model: Model, graph: MatchGraph, image_id: int) -> np.ndarray:
-    """(n, 2) (point_id, feature_id) rows linking an unregistered image to tracks."""
-    entries = [NO_ENTRIES]
-    for a, b, edge in _registered_edges(model, graph, image_id):
+def _inlier_links(graph: MatchGraph) -> dict[int, list]:
+    """Each image's inlier links, neighbours ascending: (neighbour, the
+    image's own feature ids, the neighbour's feature ids, distances)."""
+    links = defaultdict(list)
+    for (a, b), edge in graph.edges.items():
         m = edge.inliers()
-        own, theirs, other = (m.query, m.target, b) if a == image_id else (m.target, m.query, a)
-        owned = model.tracked(other)
-        pids = np.fromiter(map(owned.get, theirs.tolist(), repeat(-1)), np.int64, len(theirs))
-        hit = pids >= 0
-        entries.append((pids[hit], own[hit], m.distance[hit]))
-    return closest_one_to_one(*map(np.concatenate, zip(*entries)))
+        links[a].append((b, m.query, m.target, m.distance))
+        links[b].append((a, m.target, m.query, m.distance))
+    for image_links in links.values():
+        image_links.sort(key=itemgetter(0))
+    return links
 
 
-def _triangulate_new_tracks(model: Model, graph: MatchGraph, feature_sets,
-                            image_id: int) -> None:
+def _track_lookup(model: Model, feature_sets) -> dict[int, np.ndarray]:
+    """One int64 feature -> point array per registered image, -1 where a
+    feature is untracked."""
+    lookup = {}
+    for image_id in model.cameras:
+        owned = model.tracked(image_id)
+        table = np.full(len(feature_sets[image_id]), -1, dtype=np.int64)
+        table[np.fromiter(owned, np.int64, len(owned))] = np.fromiter(
+            owned.values(), np.int64, len(owned))
+        lookup[image_id] = table
+    return lookup
+
+
+def _model_entries(links, lookup, image_id: int):
+    """(points, features, distances) of an unregistered image's inlier
+    links into the tracks of registered images (``_track_lookup``), in
+    link order: the entries ``closest_one_to_one`` takes."""
+    entries = [NO_ENTRIES]
+    for other, own, theirs, distance in links[image_id]:
+        if other in lookup:
+            pids = lookup[other][theirs]
+            hit = pids >= 0
+            entries.append((pids[hit], own[hit], distance[hit]))
+    return tuple(map(np.concatenate, zip(*entries)))
+
+
+def _one_to_one_count(points, features, distances) -> int:
+    """``len(closest_one_to_one(points, features, distances))`` without its
+    rows: the distinct features among each point's closest entry (ties to
+    its first entry, as a stable sort keeps them)."""
+    order = np.lexsort((distances, points))
+    first = np.ones(len(order), dtype=bool)
+    np.not_equal(points[order[1:]], points[order[:-1]], out=first[1:])
+    return len(sorted_unique(features[order[first]]))
+
+
+def _triangulate_new_tracks(model: Model, links, feature_sets, image_id: int) -> None:
     """Grow tracks between a fresh camera and its registered neighbours.
 
     A match whose other feature already belongs to a track extends that track
@@ -341,11 +376,15 @@ def _triangulate_new_tracks(model: Model, graph: MatchGraph, feature_sets,
         model.extend_track(pid, image, feat)
 
     pending = []
-    for a, b, edge in _registered_edges(model, graph, image_id):
-        m = edge.inliers()
+    for other, own, theirs, _ in links[image_id]:
+        if not model.is_registered(other):
+            continue
+        # each match as its edge (a, b), a < b, holds it
+        a, b, qs, ts = ((image_id, other, own, theirs) if image_id < other
+                        else (other, image_id, theirs, own))
         # live maps: a track extended earlier in the loop is seen later
         owned_a, owned_b = model.tracked(a), model.tracked(b)
-        for q, t in zip(m.query.tolist(), m.target.tolist()):
+        for q, t in zip(qs.tolist(), ts.tolist()):
             own_q = owned_a.get(q)
             own_t = owned_b.get(t)
             if own_q is not None and own_t is None:
@@ -374,29 +413,35 @@ def incremental_reconstruct(graph: MatchGraph, feature_store, intrinsics: dict[i
     if not graph.edges:
         raise NoSeedError("empty match graph")
     a, b = select_seed_pair(graph, feature_sets, intrinsics)
+    links = _inlier_links(graph)
     _, pts_q, pts_c = _edge_points(graph, feature_sets, a, b)
     R, t, _, _ = relative_pose_from_fundamental(
         graph.edges[(a, b)].F, intrinsics[a], intrinsics[b], pts_q, pts_c)
     model = Model()
     model.attach_camera(Camera(K=intrinsics[a], R=np.eye(3), t=np.zeros(3), image_id=a))
     model.attach_camera(Camera(K=intrinsics[b], R=R, t=t, image_id=b))
-    _triangulate_new_tracks(model, graph, feature_sets, b)
+    _triangulate_new_tracks(model, links, feature_sets, b)
     log.info("seed pair (%d, %d): %d points", a, b, len(model.points))
     bundle_adjust(model, feature_store, max_iters=BA_ITERS_EARLY, fix_focal=fix_focal)
 
     since_ba = 0
     while True:
+        lookup = _track_lookup(model, feature_sets)
         candidates = []
         for image_id in sorted(feature_sets):
             if model.is_registered(image_id):
                 continue
-            corr = _correspondences_to_model(model, graph, image_id)
-            if len(corr) > min_inliers:
-                candidates.append((len(corr), -image_id, image_id, corr))
+            entries = _model_entries(links, lookup, image_id)
+            count = _one_to_one_count(*entries)
+            if count > min_inliers:
+                candidates.append((count, -image_id, image_id, entries))
         if not candidates:
             break
-        candidates.sort(reverse=True)
-        for _, _, image_id, corr in candidates:
+        # most correspondences first, ties to the lower image id; rows are
+        # built only for the images resection tries
+        candidates.sort(key=itemgetter(0, 1), reverse=True)
+        for _, _, image_id, entries in candidates:
+            corr = closest_one_to_one(*entries)
             resected = resect_image(model, feature_sets, image_id, corr, intrinsics[image_id],
                                     min_inliers=min_inliers, seed=seed)
             if resected is not None:
@@ -407,7 +452,7 @@ def incremental_reconstruct(graph: MatchGraph, feature_store, intrinsics: dict[i
             break
         cam, inliers = resected
         model.attach_camera(cam, inliers)
-        _triangulate_new_tracks(model, graph, feature_sets, image_id)
+        _triangulate_new_tracks(model, links, feature_sets, image_id)
         since_ba += 1
         log.info("registered image %d (%d inliers), model: %d cams %d pts",
                  image_id, len(inliers), len(model.cameras), len(model.points))

@@ -1,13 +1,16 @@
 """Model and scene queries that only tests need.
 
 ``msfm.model`` and ``msfm.synth`` keep what the pipeline runs; the checks
-here (invariants, per-image visibility, exact positions, true matches) are
-for tests alone.
+here (invariants, per-image visibility, exact positions, true matches, the
+coarse loop's per-call gather of 3D-2D correspondences) are for tests alone.
 """
+
+from itertools import repeat
 
 import numpy as np
 
 from msfm.ba import problem_from_model
+from msfm.matching import NO_ENTRIES, closest_one_to_one
 
 
 def track_length(point) -> int:
@@ -100,3 +103,27 @@ def covisibility_matrix(scene) -> np.ndarray:
         for j in range(i + 1, n):
             mat[i, j] = mat[j, i] = len(vis[i] & vis[j])
     return mat
+
+
+def correspondence_entries(model, graph, image_id: int):
+    """(points, features, distances) linking an unregistered image to the
+    model's tracks, gathered per call as the coarse loop once did: each
+    registered neighbour of ``graph.neighbors`` in turn, its inlier matches
+    looked up in the live ``model.tracked`` map."""
+    entries = [NO_ENTRIES]
+    for other in graph.neighbors(image_id):
+        if not model.is_registered(other) or other == image_id:
+            continue
+        a, b = (image_id, other) if image_id < other else (other, image_id)
+        m = graph.edges[(a, b)].inliers()
+        own, theirs = (m.query, m.target) if a == image_id else (m.target, m.query)
+        owned = model.tracked(other)
+        pids = np.fromiter(map(owned.get, theirs.tolist(), repeat(-1)), np.int64, len(theirs))
+        hit = pids >= 0
+        entries.append((pids[hit], own[hit], m.distance[hit]))
+    return tuple(map(np.concatenate, zip(*entries)))
+
+
+def correspondences_to_model(model, graph, image_id: int) -> np.ndarray:
+    """(n, 2) (point_id, feature_id) rows of ``correspondence_entries``."""
+    return closest_one_to_one(*correspondence_entries(model, graph, image_id))

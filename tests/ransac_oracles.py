@@ -64,8 +64,11 @@ def eight_point(pts_q: np.ndarray, pts_c: np.ndarray):
     x, y = nq[:, 0], nq[:, 1]
     xp, yp = nc[:, 0], nc[:, 1]
     A = np.stack([xp * x, xp * y, xp, yp * x, yp * y, yp, x, y, np.ones_like(x)], axis=1)
-    _, _, Vt = np.linalg.svd(A, full_matrices=len(A) < 9)
-    F0 = Vt[-1].reshape(3, 3)
+    if len(A) < 9:
+        # the minimal sample's null vector, as msfm.geometry takes it
+        F0 = np.linalg.qr(A.T, mode="complete")[0][:, -1].reshape(3, 3)
+    else:
+        F0 = np.linalg.svd(A, full_matrices=False)[2][-1].reshape(3, 3)
     U, sv, Vt2 = np.linalg.svd(F0)
     F0 = U @ np.diag([sv[0], sv[1], 0.0]) @ Vt2
     F = Tc.T @ F0 @ Tq

@@ -244,6 +244,12 @@ class TestCriterion6GuidedSpeed:
         fs_q, fs_t = scene.feature_sets[0], scene.feature_sets[1]
         assert len(fs_q) >= 20_000 and len(fs_t) >= 20_000
         F = fundamental_from_poses(scene.cameras[0], scene.cameras[1])
+        every_q, every_t = np.arange(len(fs_q)), np.arange(len(fs_t))
+
+        # one untimed call of each first: a process's first call can run
+        # 2-3x slower on a busy host
+        guided_match_pair(fs_q, fs_t, F, d=8.0)
+        match_pair(fs_q, fs_t, ratio=0.6, query_indices=every_q, target_indices=every_t)
 
         stats_g = SearchStats()
         t0 = time.perf_counter()
@@ -252,9 +258,8 @@ class TestCriterion6GuidedSpeed:
 
         stats_u = SearchStats()
         t0 = time.perf_counter()
-        match_pair(fs_q, fs_t, ratio=0.6,
-                   query_indices=np.arange(len(fs_q)),
-                   target_indices=np.arange(len(fs_t)), stats=stats_u)
+        match_pair(fs_q, fs_t, ratio=0.6, query_indices=every_q, target_indices=every_t,
+                   stats=stats_u)
         t_unguided = time.perf_counter() - t0
 
         ratio = stats_g.candidates / stats_u.candidates

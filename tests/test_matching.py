@@ -1,5 +1,5 @@
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from msfm.descriptors import SearchStats, two_nearest_bruteforce
 from msfm.features import DESCRIPTOR_DIM, FeatureSet, select_top_scale
@@ -15,6 +15,7 @@ from msfm.matching import (
 )
 from msfm.synth import SceneSpec, generate_scene
 
+import descriptor_oracles
 from model_oracles import covisibility_matrix, oracle_matches
 
 
@@ -89,6 +90,37 @@ class TestTwoNearest:
         two_nearest_bruteforce(t[:10], t, stats)
         assert stats.queries == 10
         assert stats.candidates == 1000
+
+    # few levels make tied distances; over 512 queries spans two blocks
+    @given(seed=st.integers(0, 2**32 - 1), nq=st.integers(0, 600), nt=st.integers(0, 30),
+           levels=st.sampled_from([2, 3, 256]), duplicated=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_uint8_equals_shipped_form(self, seed, nq, nt, levels, duplicated):
+        rng = np.random.default_rng(seed)
+        q = rng.integers(0, levels, (nq, DESCRIPTOR_DIM), dtype=np.uint8)
+        t = rng.integers(0, levels, (nt, DESCRIPTOR_DIM), dtype=np.uint8)
+        if duplicated and nt:
+            t[rng.random(nt) < 0.5] = t[0]
+            q[rng.random(nq) < 0.5] = t[int(rng.integers(0, nt))]
+        dist, idx = two_nearest_bruteforce(q, t)
+        dist_o, idx_o = descriptor_oracles.two_nearest_bruteforce(q, t)
+        assert np.array_equal(idx, idx_o)
+        assert np.array_equal(dist, dist_o)
+
+    @given(seed=st.integers(0, 2**32 - 1), nq=st.integers(1, 300), nt=st.integers(2, 60))
+    @settings(max_examples=30, deadline=None)
+    def test_float_means_equal_shipped_form_where_winners_agree(self, seed, nq, nt):
+        # float32 means of 2-8 noisy uint8 rows, as localize's track means
+        rng = np.random.default_rng(seed)
+        t = rng.integers(0, 256, (nt, DESCRIPTOR_DIM), dtype=np.uint8)
+        rows = t[rng.integers(0, nt, nq)].astype(np.float64)
+        k = int(rng.integers(2, 9))
+        noisy = np.clip(rows[:, None] + rng.normal(0.0, 4.0, (nq, k, DESCRIPTOR_DIM)), 0, 255)
+        q = noisy.astype(np.uint8).astype(np.float32).mean(axis=1)
+        dist, idx = two_nearest_bruteforce(q, t)
+        dist_o, idx_o = descriptor_oracles.two_nearest_bruteforce(q, t)
+        agree = idx == idx_o
+        assert np.array_equal(dist[agree], dist_o[agree])
 
 
 class TestMatchPair:

@@ -17,6 +17,7 @@ from msfm.errors import InsufficientDataError
 from msfm.geometry import (
     RANSAC_BLOCKS,
     RANSAC_MAX_ITERS,
+    SAMPSON_THRESHOLD_PX,
     _normalize_f,
     block_ransac,
     draw_samples,
@@ -111,6 +112,26 @@ class TestStackedFits:
         d = sampson_distance(F, pq[0], pc[0])
         for j in range(b):
             assert np.array_equal(d[j], oracle.sampson_distance(F[j], pq[0], pc[0]))
+
+    @given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_minimal_qr_equals_svd(self, seed, b):
+        # a minimal sample's null vector from the QR of A^T against the one
+        # a complete SVD of A gives: the same F up to rounding, the same masks
+        rng = np.random.default_rng(seed)
+        pq, pc = two_view(rng, 50, "general", 0.3)
+        samples = draw_samples(rng, 50, 8, b)
+        q, c = pq[samples], pc[samples]
+        F = eight_point(q, c)
+        (nq, Tq), (nc, Tc) = geometry._hartley_normalize(q), geometry._hartley_normalize(c)
+        x, y, xp, yp = nq[..., 0], nq[..., 1], nc[..., 0], nc[..., 1]
+        A = np.stack([xp * x, xp * y, xp, yp * x, yp * y, yp, x, y, np.ones_like(x)], axis=-1)
+        U, sv, Vt = np.linalg.svd(np.linalg.svd(A)[2][:, -1].reshape(-1, 3, 3))
+        F_svd = _normalize_f(Tc.transpose(0, 2, 1) @ (U * [1.0, 1.0, 0.0] * sv[:, None] @ Vt) @ Tq)
+        # both Frobenius-normalized: an absolute bound is a relative one
+        assert np.abs(F - F_svd).max() <= 1e-9
+        assert np.array_equal(sampson_distance(F, pq, pc) < SAMPSON_THRESHOLD_PX,
+                              sampson_distance(F_svd, pq, pc) < SAMPSON_THRESHOLD_PX)
 
     @given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 20))
     @settings(max_examples=30, deadline=None)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from msfm.errors import InsufficientDataError, NoSeedError
+from msfm import reconstruct
+from msfm.errors import DegenerateGeometryError, InsufficientDataError, NoSeedError
 from msfm.evaluate import align_models
-from msfm.matching import MatchGraph, build_coarse_matchgraph
+from msfm.matching import MatchGraph, build_coarse_matchgraph, closest_one_to_one
 from msfm.model import make_intrinsics
 from msfm.reconstruct import (
     dlt_pose,
@@ -16,6 +18,8 @@ from msfm.synth import SceneSpec, generate_scene
 
 from model_oracles import (
     check_consistency,
+    correspondence_entries,
+    correspondences_to_model,
     points_visible_in,
     track_length,
     visible_points,
@@ -145,6 +149,29 @@ class TestSelectSeedPair:
         with pytest.raises(NoSeedError):
             select_seed_pair(g2, sets, {0: K[0], 1: K[0]})
 
+    def test_programming_errors_propagate(self, tiny_scene, monkeypatch):
+        store, graph, K = self._graph_and_k(tiny_scene)
+
+        def broken(*args):
+            raise TypeError("not a geometry failure")
+
+        monkeypatch.setattr(reconstruct, "relative_pose_from_fundamental", broken)
+        with pytest.raises(TypeError):
+            select_seed_pair(graph, store.sets, K)
+
+    def test_degenerate_best_edge_passes_to_the_next(self, tiny_scene, monkeypatch):
+        store, graph, K = self._graph_and_k(tiny_scene)
+        order = sorted(graph.edges, key=lambda key: (-len(graph.edges[key].inliers()), key))
+        pose = reconstruct.relative_pose_from_fundamental
+
+        def degenerate_on_best(F, *args):
+            if F is graph.edges[order[0]].F:
+                raise DegenerateGeometryError("planted")
+            return pose(F, *args)
+
+        monkeypatch.setattr(reconstruct, "relative_pose_from_fundamental", degenerate_on_best)
+        assert select_seed_pair(graph, store.sets, K) == order[1]
+
     def test_seed_triangulates_cleanly(self, tiny_scene):
         store, graph, K = self._graph_and_k(tiny_scene)
         a, b = select_seed_pair(graph, store.sets, K)
@@ -229,3 +256,45 @@ class TestIncrementalReconstruct:
         rep = align_models(m1, m2)
         assert rep.mean_rotation_deg < 1e-3
         assert rep.mean_translation_rel < 1e-3
+
+
+class TestCoarseCorrespondences:
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
+                              st.sampled_from([0.0, 0.5, 1.0])), max_size=40))
+    def test_count_equals_rows(self, entries):
+        # tied distances and features repeated across points
+        columns = (np.array([e[0] for e in entries], dtype=np.int64),
+                   np.array([e[1] for e in entries], dtype=np.int64),
+                   np.array([e[2] for e in entries], dtype=np.float64))
+        assert reconstruct._one_to_one_count(*columns) == len(closest_one_to_one(*columns))
+
+    def test_every_round_equals_per_call_gather(self, ring_scene, monkeypatch):
+        store = ring_scene.store()
+        graph = build_coarse_matchgraph(store.sets)
+        K = {i: ring_scene.cameras[i].K for i in store.sets}
+        lookup, entries = reconstruct._track_lookup, reconstruct._model_entries
+        seen = {"model": None, "rounds": 0, "images": 0}
+
+        def round_lookup(model, feature_sets):
+            seen["model"] = model
+            seen["rounds"] += 1
+            return lookup(model, feature_sets)
+
+        def checked_entries(links, table, image_id):
+            got = entries(links, table, image_id)
+            want = correspondence_entries(seen["model"], graph, image_id)
+            for column, oracle in zip(got, want):
+                assert column.dtype == oracle.dtype
+                assert np.array_equal(column, oracle)
+            rows = closest_one_to_one(*got)
+            assert np.array_equal(rows, correspondences_to_model(seen["model"], graph, image_id))
+            assert reconstruct._one_to_one_count(*got) == len(rows)
+            seen["images"] += 1
+            return got
+
+        monkeypatch.setattr(reconstruct, "_track_lookup", round_lookup)
+        monkeypatch.setattr(reconstruct, "_model_entries", checked_entries)
+        model = incremental_reconstruct(graph, store, K)
+        # one round per registration after the seed pair, and a last one
+        assert seen["rounds"] == len(model.cameras) - 1
+        assert seen["images"] > seen["rounds"]
