@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MsfmError
+from .features import gather_by_image
 from .model import Camera, Model, make_intrinsics, pixel_jacobian, pixels
 
 BA_MAX_ITERS = 100
@@ -122,23 +123,16 @@ def problem_from_model(model: Model, feature_store) -> tuple[BAProblem, list[int
     cam_ids = model.image_ids()
     pt_ids = model.point_ids()
     point, image, obs_feature = model.observations()
-    obs_cam = np.searchsorted(cam_ids, image)
-    # one position gather per image, over the observations sorted by camera
-    order = np.argsort(obs_cam, kind="stable")
-    starts = np.searchsorted(obs_cam[order], np.arange(len(cam_ids) + 1))
-    obs_uv = np.zeros((len(obs_cam), 2))
-    for c, image_id in enumerate(cam_ids):
-        rows = order[starts[c]:starts[c + 1]]
-        obs_uv[rows] = feature_store.position(image_id, obs_feature[rows])
     problem = BAProblem(
         R=np.stack([model.cameras[c].R for c in cam_ids]),
         t=np.stack([model.cameras[c].t for c in cam_ids]),
         f=np.array([model.cameras[c].K[0, 0] for c in cam_ids]),
         pp=np.stack([model.cameras[c].K[:2, 2] for c in cam_ids]),
         X=np.stack([model.points[p].position for p in pt_ids]),
-        cam_idx=obs_cam,
+        cam_idx=np.searchsorted(cam_ids, image),
         pt_idx=np.searchsorted(pt_ids, point),
-        uv=obs_uv,
+        uv=gather_by_image(image, obs_feature, feature_store.position,
+                           np.empty((len(image), 2))),
     )
     return problem, cam_ids, pt_ids
 

@@ -155,7 +155,7 @@ def densify_stage(model: Model, feature_store, *,
     """Match untracked features along epipolar bands and triangulate them.
 
     ``query_images`` defaults to all registered images (first iteration);
-    later iterations pass only newly localized cameras.  No bundle
+    later iterations pass the cameras their localize attached.  No bundle
     adjustment runs here.  Returns a summary dict.
     """
     registered = model.image_ids()

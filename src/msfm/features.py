@@ -156,6 +156,17 @@ def select_top_scale(fs: FeatureSet, eta: float = DEFAULT_ETA) -> FeatureSet:
     return replace(fs, coarse_count=count)
 
 
+def gather_by_image(image: np.ndarray, feature: np.ndarray, lookup, out: np.ndarray) -> np.ndarray:
+    """``out`` with row i set to ``lookup(image[i], feature[i])``: one stable
+    argsort by image, then one ``lookup(image_id, feature_ids)`` per image."""
+    order = np.argsort(image, kind="stable")
+    starts = np.flatnonzero(np.diff(image[order], prepend=-1)).tolist() + [len(order)]
+    for start, end in zip(starts, starts[1:]):
+        at = order[start:end]
+        out[at] = lookup(int(image[at[0]]), feature[at])
+    return out
+
+
 def quantize_scale_levels(scale: np.ndarray) -> np.ndarray:
     """Map scales to integer (octave, interval) levels of the scale pyramid."""
     levels = np.log2(np.asarray(scale, dtype=np.float64) / SIGMA0) * INTERVALS_PER_OCTAVE

@@ -20,9 +20,8 @@ import numpy as np
 
 from .descriptors import two_nearest_bruteforce
 from .errors import InsufficientDataError
-from .features import DESCRIPTOR_DIM
-from .matching import (NO_ENTRIES, MatchGraph, RATIO_UNGUIDED, closest_one_to_one, ratio_filter,
-                       sorted_unique)
+from .features import DESCRIPTOR_DIM, gather_by_image
+from .matching import NO_ENTRIES, MatchGraph, RATIO_UNGUIDED, closest_one_to_one, ratio_filter
 from .model import Camera, Model
 from .reconstruct import PNP_MIN_INLIERS, resect_image
 
@@ -60,10 +59,8 @@ def track_means(observations, feature_sets) -> tuple[np.ndarray, np.ndarray]:
     order.
     """
     point, image, feature = observations
-    rows = np.empty((len(point), DESCRIPTOR_DIM), dtype=np.uint8)
-    for image_id in sorted_unique(image).tolist():
-        at = np.flatnonzero(image == image_id)
-        rows[at] = feature_sets[image_id].descriptors[feature[at]]
+    rows = gather_by_image(image, feature, lambda i, f: feature_sets[i].descriptors[f],
+                           np.empty((len(point), DESCRIPTOR_DIM), dtype=np.uint8))
     starts = np.flatnonzero(np.diff(point, prepend=-1))  # the column is grouped by point
     point_ids, lengths = point[starts], np.diff(starts, append=len(point))
     # one step per track position
@@ -125,16 +122,14 @@ def direct_3d2d_search(point_ids: np.ndarray, queries: np.ndarray, image_fs, *,
 
 
 def ranked_2d2d_search(model: Model, graph: MatchGraph, image_id: int, image_fs,
-                       feature_store, *,
-                       ratio: float = RATIO_UNGUIDED,
-                       min_inliers: int = PNP_MIN_INLIERS) -> np.ndarray:
+                       feature_store, *, ratio: float = RATIO_UNGUIDED) -> np.ndarray:
     """3D-2D correspondences via track features of well-matched neighbours.
 
     The localized neighbours are ranked by shared coarse matches; each
     neighbour's tracked 2D features, in (point, feature) order, act as
     proxies for their points.  Returns (n, 2) (point_id, feature_id) rows
-    sorted by point, or none unless more than ``min_inliers`` were found.
-    Raises InsufficientDataError when no localized neighbour exists.
+    sorted by point.  Raises InsufficientDataError when no localized
+    neighbour exists.
     """
     neighbors = [
         (graph.match_count(image_id, other), -other, other)
@@ -154,10 +149,7 @@ def ranked_2d2d_search(model: Model, graph: MatchGraph, image_id: int, image_fs,
         dist, idx = two_nearest_bruteforce(queries, targets)
         rows, found, d, _ = ratio_filter(dist, idx, ratio)
         entries.append((pids[order][rows], found, d))
-    corr = closest_one_to_one(*map(np.concatenate, zip(*entries)))
-    if len(corr) <= min_inliers:
-        return NO_CORRESPONDENCES
-    return corr
+    return closest_one_to_one(*map(np.concatenate, zip(*entries)))
 
 
 def localize_image(model: Model, graph: MatchGraph, image_id: int, feature_store,
@@ -176,8 +168,7 @@ def localize_image(model: Model, graph: MatchGraph, image_id: int, feature_store
     method = "direct3d2d"
     if len(corr) <= min_inliers:
         try:
-            corr = ranked_2d2d_search(model, graph, image_id, image_fs, feature_store,
-                                      ratio=ratio, min_inliers=min_inliers)
+            corr = ranked_2d2d_search(model, graph, image_id, image_fs, feature_store, ratio=ratio)
         except InsufficientDataError:
             corr = NO_CORRESPONDENCES
         method = "ranked2d2d"

@@ -229,13 +229,6 @@ class StatsReport:
         ]
 
 
-def _observations(model: Model, feature_store):
-    """The model's observation arrays, as bundle adjustment sees them."""
-    from .ba import problem_from_model  # ba builds on this module
-
-    return problem_from_model(model, feature_store)[0]
-
-
 def covisible_pairs(point: np.ndarray, image: np.ndarray):
     """(a, b, shared) int64 arrays over every image pair a < b that shares
     points, sorted by (a, b); ``shared`` counts the points both observe.
@@ -256,11 +249,14 @@ def covisible_pairs(point: np.ndarray, image: np.ndarray):
 
 
 def model_stats(model: Model, feature_store) -> StatsReport:
-    """Camera/point counts, reprojection errors and connected-pair count."""
+    """Camera/point counts, reprojection errors and connected-pair count,
+    over the observations as bundle adjustment sees them."""
+    from .ba import problem_from_model  # ba builds on this module
+
     errors = np.zeros(0)
     n_points3 = connected_pairs = 0
     if model.points:
-        obs = _observations(model, feature_store)
+        obs = problem_from_model(model, feature_store)[0]
         errors = np.linalg.norm(obs.residuals(), axis=1)
         n_points3 = int((np.bincount(obs.pt_idx) >= 3).sum())
         connected_pairs = len(covisible_pairs(obs.pt_idx, obs.cam_idx)[2])

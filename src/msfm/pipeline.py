@@ -3,8 +3,8 @@ addition, with per-stage snapshots, stats and timing reports.
 
 ``run_match``, ``run_coarse``, ``run_localize`` and ``run_densify`` are the
 only places where a ``PipelineConfig`` becomes stage arguments, and the only
-writers of a model's STAGE tag; the full run and the CLI stage commands both
-go through them, and both take a stage's iteration from that tag.
+writers of a model's STAGE tag, which they read back; the full run and the
+CLI stage commands make the same calls, so the chain replays every iteration.
 """
 
 from __future__ import annotations
@@ -66,14 +66,14 @@ def run_coarse(config: PipelineConfig, store: FeatureStore, graph: MatchGraph) -
     return model
 
 
-_AFTER = re.compile(r"after_(localize|densify)\((\d+)\)")
+_AFTER = re.compile(r"after_(localize|densify)\((\d+)(?::(\d+(?:,\d+)*))?\)")
 
 
 def stage_iteration(model: Model, stage: str) -> int:
     """The iteration ``stage`` ("localize" or "densify") runs on ``model``:
     localize follows ``after_densify(k)`` as k+1, densify follows
-    ``after_localize(k)`` as k, a stage rerun on its own output keeps its
-    iteration, and any other tag (``coarse``, none) starts iteration 1."""
+    ``after_localize(k[:ids])`` as k, a stage rerun on its own output keeps
+    its iteration, and any other tag (``coarse``, none) starts iteration 1."""
     after = _AFTER.fullmatch(model.stage_tag)
     if after is None:
         return 1
@@ -81,25 +81,37 @@ def stage_iteration(model: Model, stage: str) -> int:
     return k + 1 if stage == "localize" and after.group(1) == "densify" else k
 
 
+def attached_cameras(model: Model) -> list[int]:
+    """The cameras a localize tag ``after_localize(k:i1,i2,...)`` names as
+    attached, ascending; none for ``after_localize(k)`` and any other tag."""
+    after = _AFTER.fullmatch(model.stage_tag)
+    ids = after and after.group(1) == "localize" and after.group(3)
+    return [int(i) for i in ids.split(",")] if ids else []
+
+
 def run_localize(config: PipelineConfig, store: FeatureStore, model: Model,
                  graph: MatchGraph) -> tuple[int, list[int], list[LocalizationResult]]:
     """Camera addition: register the remaining images to ``model`` in place;
-    returns (iteration, newly registered ids, per-image results)."""
+    returns (iteration, newly registered ids, per-image results).  The tag
+    names every camera attached in this iteration, an earlier run's too."""
     iteration = stage_iteration(model, "localize")
     newly, results = localize_all(
         model, store, graph, intrinsics_for_store(store, config.focal),
         set_cover_k=config.set_cover_k, set_cover_engage=config.set_cover_engage,
         ratio=config.ratio_unguided, min_inliers=config.min_inliers, seed=config.seed)
-    model.stage_tag = f"after_localize({iteration})"
+    ids = ",".join(map(str, sorted({*attached_cameras(model), *newly})))
+    model.stage_tag = f"after_localize({iteration}{':' if ids else ''}{ids})"
     return iteration, newly, results
 
 
-def run_densify(config: PipelineConfig, store: FeatureStore, model: Model,
-                query_images=None) -> dict:
-    """Point addition: guided matching and triangulation into ``model``."""
+def run_densify(config: PipelineConfig, store: FeatureStore, model: Model) -> dict:
+    """Point addition: guided matching and triangulation into ``model``.
+    Iteration 1 queries every registered image (the coarse model was never
+    densified), a later one the cameras the tag names (none on a rerun)."""
     iteration = stage_iteration(model, "densify")
     summary = densify_stage(
-        model, store, query_images=query_images, d=config.d, ratio=config.ratio_guided,
+        model, store, query_images=None if iteration == 1 else attached_cameras(model),
+        d=config.d, ratio=config.ratio_guided,
         threshold=config.covis_threshold, candidate_fraction=config.candidate_fraction)
     model.stage_tag = f"after_densify({iteration})"
     return summary
@@ -190,10 +202,7 @@ def run_pipeline(config: PipelineConfig, feature_dir, *,
                  extra={"attempted": len(results)})
 
         t0 = time.perf_counter()
-        # later iterations query only the newly localized cameras; with none,
-        # densify finds no pairs and adds nothing
-        summary = run_densify(config, store, model,
-                              query_images=None if iteration == 1 else newly)
+        summary = run_densify(config, store, model)
         snapshot(model, f"densify_{iteration}", t0,
                  added_pts=len(model.points) - n_pts0, extra=summary)
 

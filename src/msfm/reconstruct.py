@@ -28,6 +28,7 @@ import numpy as np
 
 from .ba import bundle_adjust, pose_jacobian, rodrigues
 from .errors import InsufficientDataError, MsfmError, NoSeedError
+from .features import gather_by_image
 from .geometry import (
     TRI_MAX_ERROR_PX,
     block_ransac,
@@ -261,10 +262,8 @@ def triangulate_refs(model: Model, feature_sets, tracks) -> list:
         pairs = [pair for i in rows for pair in tracks[i]]
         image = np.fromiter((i for i, _ in pairs), np.int64, len(pairs))
         feature = np.fromiter((f for _, f in pairs), np.int64, len(pairs))
-        uv = np.empty((len(image), 2))
-        for image_id in sorted_unique(image).tolist():
-            at = np.flatnonzero(image == image_id)
-            uv[at] = feature_sets[image_id].xy[feature[at]]
+        uv = gather_by_image(image, feature, lambda i, f: feature_sets[i].xy[f],
+                             np.empty((len(image), 2)))
         X, _, ok = triangulate_track(model.cameras, image.reshape(len(rows), length),
                                      uv.reshape(len(rows), length, 2))
         for j in np.flatnonzero(ok).tolist():

@@ -367,13 +367,14 @@ class TestRunPipelineCli:
             descriptors=np.concatenate([rng.integers(0, 256, (n, DESCRIPTOR_DIM), dtype=np.uint8),
                                         fs.descriptors]))
 
-    def test_localize_report_matches_run(self, tmp_path):
+    def test_localize_report_matches_run(self, tmp_path, capsys):
         # a sparse scene with three images blinded, so the coarse tier cannot
         # reach them; camera addition registers two of them in iteration 1
         # and image 6 in iteration 2.  The stage commands read each
-        # iteration from their model's STAGE tag, so the chain match, coarse,
-        # localize, densify, localize writes run's second localize model, and
-        # its two reports are run's records
+        # iteration, and densify its query images, from their model's STAGE
+        # tag, so the chain match, coarse, localize, densify, localize,
+        # densify writes run's second localize and densify models, and its
+        # reports are run's records
         feat_dir = tmp_path / "features"
         scene = generate_scene(SceneSpec(
             n_cameras=10, n_points=800, visibility_fraction=0.4, pixel_noise=0.3,
@@ -404,10 +405,22 @@ class TestRunPipelineCli:
             ["iteration=1", "image=5"], ["iteration=1", "image=6"], ["iteration=1", "image=7"],
             ["iteration=2", "image=6"]]
         assert [r[5] for r in records] == ["ok=1", "ok=0", "ok=1", "ok=1"]
-        assert read_model(localized[1]).stage_tag == "after_localize(2)"
+        assert read_model(localized[1]).stage_tag == "after_localize(2:6)"
         assert localized[1].read_bytes() == (run / "model_localize_2.msfm").read_bytes()
         assert "".join(path.read_text() for path in reports) == \
             (run / "localization.txt").read_text()
+        # the second densify queries only image 6, as run's does
+        densified_2 = tmp_path / "densify_2.msfm"
+        capsys.readouterr()
+        assert main(["densify", "--model", str(localized[1]),
+                     "--out", str(densified_2)] + common) == 0
+        printed = dict(field.split("=") for field in capsys.readouterr().out.split())
+        record = next(dict(field.split("=") for field in line.split())
+                      for line in (run / "stages.txt").read_text().splitlines()
+                      if line.startswith("stage=densify_2 "))
+        for key in ("pairs", "matches", "new_points"):
+            assert printed[key] == record[key]
+        assert densified_2.read_bytes() == (run / "model_densify_2.msfm").read_bytes()
 
     def test_run_produces_snapshots(self, scene_dir, tmp_path, capsys):
         feat_dir, scene = scene_dir

@@ -7,6 +7,7 @@ from msfm.features import (
     DESCRIPTOR_DIM,
     FeatureSet,
     FeatureStore,
+    gather_by_image,
     load_features,
     quantize_scale_levels,
     scale_coverage,
@@ -179,3 +180,28 @@ class TestScaleCoverage:
         levels = np.array([0, 1, 5, 23])
         scales = 1.6 * 2.0 ** (levels / 3.0)
         assert quantize_scale_levels(scales).tolist() == levels.tolist()
+
+
+class TestGatherByImage:
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 29)), max_size=60))
+    def test_equals_row_by_row_lookup(self, refs):
+        # one lookup per image fills every row as a row-by-row lookup does
+        store = FeatureStore({i: make_set(30, np.random.default_rng(i), image_id=i)
+                              for i in range(5)})
+        image = np.array([i for i, _ in refs], dtype=np.int64)
+        feature = np.array([f for _, f in refs], dtype=np.int64)
+        calls = []
+
+        def lookup(image_id, ids):
+            calls.append(image_id)
+            return store[image_id].descriptors[ids]
+
+        got = gather_by_image(image, feature, lookup,
+                              np.empty((len(refs), DESCRIPTOR_DIM), dtype=np.uint8))
+        want = np.array([store[i].descriptors[f] for i, f in refs],
+                        dtype=np.uint8).reshape(-1, DESCRIPTOR_DIM)
+        assert np.array_equal(got, want)
+        assert calls == sorted(set(image.tolist()))
+        xy = gather_by_image(image, feature, store.position, np.empty((len(refs), 2)))
+        assert np.array_equal(xy, [store.position(i, f) for i, f in refs] or np.empty((0, 2)))

@@ -42,6 +42,18 @@ class TestModelFile:
             assert np.array_equal(loaded.cameras[image_id].t, model.cameras[image_id].t)
         check_consistency(loaded)
 
+    def test_stage_tag_with_camera_ids_roundtrips(self, tmp_path, tiny_scene):
+        # a localize tag naming the cameras it attached is one STAGE token
+        model = tiny_scene.ground_truth_model()
+        model.stage_tag = "after_localize(2:3,5,11)"
+        p1, p2 = tmp_path / "a.msfm", tmp_path / "b.msfm"
+        write_model(model, p1)
+        assert p1.read_text().splitlines()[1] == "STAGE after_localize(2:3,5,11)"
+        loaded = read_model(p1)
+        assert loaded.stage_tag == "after_localize(2:3,5,11)"
+        write_model(loaded, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
     def test_track_contents_preserved(self, tmp_path, tiny_scene):
         model = tiny_scene.ground_truth_model()
         path = tmp_path / "m.msfm"

@@ -303,10 +303,13 @@ class TestRankedSearch:
     def test_below_gate_returns_empty(self, holdout_setup):
         scene, store, graph, partial, held_out, K = holdout_setup
         image_id = held_out[0]
-        # an absurdly strict ratio forces almost no matches
-        corr = ranked_2d2d_search(partial, graph, image_id, store[image_id],
-                                  store, ratio=1e-6)
-        assert len(corr) == 0
+        # an absurdly strict ratio forces almost no matches, so both searches
+        # fall below localize_image's gate, and the result carries none
+        point_ids, queries = track_means(partial.observations(), store.sets)
+        result = localize_image(partial, graph, image_id, store, K[image_id],
+                                point_ids, queries, ratio=1e-6)
+        assert (result.method, result.reason) == ("ranked2d2d", "below correspondence gate")
+        assert result.pose is None and len(result.correspondences) == 0
 
     def test_no_neighbours_raises(self, holdout_setup):
         scene, store, graph, partial, held_out, K = holdout_setup

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -12,7 +13,9 @@ from msfm.config import PipelineConfig
 from msfm.errors import StageError
 from msfm.io import read_model
 from msfm.model import Model
-from msfm.pipeline import intrinsics_for_store, run_pipeline, stage_iteration
+from msfm.matching import build_coarse_matchgraph
+from msfm.pipeline import (attached_cameras, intrinsics_for_store, run_densify, run_localize,
+                           run_pipeline, stage_iteration)
 from msfm.synth import SceneSpec, generate_scene
 
 from model_oracles import check_consistency
@@ -86,13 +89,70 @@ class TestStageIteration:
     @pytest.mark.parametrize("tag, localize, densify", [
         ("", 1, 1), ("coarse", 1, 1), ("ground_truth", 1, 1),
         ("after_localize(1)", 1, 1), ("after_densify(1)", 2, 1),
-        ("after_localize(3)", 3, 3), ("after_densify(12)", 13, 12)])
+        ("after_localize(3)", 3, 3), ("after_densify(12)", 13, 12),
+        ("after_localize(1:5,7)", 1, 1), ("after_localize(2:6)", 2, 2),
+        ("after_localize(3:4,12,40)", 3, 3)])
     def test_iteration_from_tag(self, tag, localize, densify):
         # localize follows densify k as k+1, densify follows localize k as k;
         # a stage run again on its own output keeps its iteration
         model = Model(stage_tag=tag)
         assert stage_iteration(model, "localize") == localize
         assert stage_iteration(model, "densify") == densify
+
+    @pytest.mark.parametrize("tag, ids", [
+        ("after_localize(1:5,7)", [5, 7]), ("after_localize(2:6)", [6]),
+        ("after_localize(3:4,12,40)", [4, 12, 40]), ("after_localize(2)", []),
+        ("after_densify(2)", []), ("coarse", []), ("", []),
+        ("after_localize(2:)", []), ("after_localize(2:6,)", [])])
+    def test_attached_cameras_from_tag(self, tag, ids):
+        # a tag without ids, or not of the grammar, names no camera
+        assert attached_cameras(Model(stage_tag=tag)) == ids
+
+
+@pytest.fixture(scope="module")
+def holdout_setup():
+    """A ground-truth model without camera 11, tagged as if a localize of
+    iteration 2 had attached camera 3, with its scene's store and graph."""
+    scene = generate_scene(SceneSpec(
+        n_cameras=12, n_points=700, visibility_fraction=0.7,
+        pixel_noise=0.3, descriptor_noise=3.0, seed=77))
+    store = scene.store()
+    gt = scene.ground_truth_model()
+    model = Model(stage_tag="after_localize(2:3)")
+    for image_id in gt.image_ids()[:-1]:
+        model.attach_camera(gt.cameras[image_id])
+    for pid in gt.point_ids():
+        refs = [(i, f) for i, f in sorted(gt.points[pid].track.items()) if i != 11]
+        if len(refs) >= 2:
+            model.add_point(gt.points[pid].position, refs)
+    return store, build_coarse_matchgraph(store.sets), model
+
+
+class TestStageTagCameras:
+    def test_localize_rerun_keeps_earlier_ids(self, holdout_setup):
+        # a localize run again on its own output is the same iteration, and
+        # its tag names the cameras of both runs, ascending
+        store, graph, model = holdout_setup
+        model, cfg = copy.deepcopy(model), PipelineConfig(focal=900.0)
+        assert run_localize(cfg, store, model, graph)[:2] == (2, [11])
+        assert model.stage_tag == "after_localize(2:3,11)"
+        assert run_localize(cfg, store, model, graph)[:2] == (2, [])
+        assert model.stage_tag == "after_localize(2:3,11)"
+
+    def test_densify_queries_the_tagged_cameras(self, holdout_setup):
+        # iteration 2 queries only the cameras the tag names; a rerun on its
+        # own output, and a tag that names none, query nothing
+        store, graph, model = holdout_setup
+        cfg = PipelineConfig(focal=900.0)
+        tagged = copy.deepcopy(model)
+        assert run_densify(cfg, store, tagged)["pairs"] > 0
+        assert tagged.stage_tag == "after_densify(2)"
+        assert run_densify(cfg, store, tagged)["pairs"] == 0
+        untagged = copy.deepcopy(model)
+        untagged.stage_tag = "after_localize(2)"
+        assert run_densify(cfg, store, untagged) == {
+            "pairs": 0, "matches": 0, "new_points": 0, "extended_tracks": 0}
+        assert untagged.revision == model.revision
 
 
 class TestFinalBA:
