@@ -55,6 +55,8 @@ class PipelineConfig:
             raise ConfigError(f"set_cover_k must be >= 1, got {self.set_cover_k}")
         if self.iterations < 0:
             raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         return self
 
 

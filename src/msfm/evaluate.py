@@ -1,11 +1,12 @@
 """Model-to-reference alignment and camera error reports.
 
 A similarity transform (scale, rotation, translation) is estimated over the
-common camera centres with RANSAC on 3-camera samples, each solved in closed
-form, then refit on the inliers.  Rotation errors are the residual angles
-after alignment, read from the chord ||R_a - R_b||_F = 2 sqrt(2) sin(angle / 2)
-(the trace's arccos reads 0 below 8.5e-7 deg); translation errors are reported
-both absolutely and relative to the reference's mean inter-camera distance.
+common camera centres with RANSAC on 3-camera samples (``block_ransac``),
+each solved in closed form, then refit on the inliers.  Rotation errors are
+the residual angles after alignment, read from the chord ||R_a - R_b||_F =
+2 sqrt(2) sin(angle / 2) (the trace's arccos reads 0 below 8.5e-7 deg);
+translation errors are reported both absolutely and relative to the
+reference's mean inter-camera distance.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometryError, InsufficientDataError
+from .geometry import RANSAC_CONFIDENCE, block_ransac
 from .model import Model
 
 ALIGN_INLIER_FRACTION = 0.05
@@ -106,11 +108,12 @@ def mean_camera_distance(centers: np.ndarray) -> float:
     return float(dist[iu].mean())
 
 
-def _collinear(pts: np.ndarray) -> bool:
-    v1 = pts[1] - pts[0]
-    v2 = pts[2] - pts[0]
-    cross = np.linalg.norm(np.cross(v1, v2))
-    scale = max(np.linalg.norm(v1) * np.linalg.norm(v2), 1e-30)
+def _collinear(pts: np.ndarray) -> np.ndarray:
+    """Whether each point triple of a (..., 3, 3) stack lies on one line."""
+    v1 = pts[..., 1, :] - pts[..., 0, :]
+    v2 = pts[..., 2, :] - pts[..., 0, :]
+    cross = np.linalg.norm(np.cross(v1, v2), axis=-1)
+    scale = np.maximum(np.linalg.norm(v1, axis=-1) * np.linalg.norm(v2, axis=-1), 1e-30)
     return cross < 1e-9 * scale
 
 
@@ -124,29 +127,22 @@ def align_models(estimated: Model, reference: Model) -> AlignmentReport:
     ref_dist = mean_camera_distance(ref_centers)
     threshold = ALIGN_INLIER_FRACTION * ref_dist
 
-    rng = np.random.default_rng(0)
-    n = len(common)
-    best_mask = None
-    best_count = -1
-    degenerate_only = True
-    for _ in range(ALIGN_SAMPLES):
-        pick = rng.choice(n, size=3, replace=False)
-        if _collinear(ref_centers[pick]) or _collinear(est_centers[pick]):
-            continue
-        degenerate_only = False
-        sim = umeyama(est_centers[pick], ref_centers[pick])
-        err = np.linalg.norm(sim.apply(est_centers) - ref_centers, axis=1)
-        mask = err < threshold
-        count = int(mask.sum())
-        if count > best_count:
-            best_count = count
-            best_mask = mask
-        if count == n:
-            break
-    if best_mask is None or best_count < 3:
-        if degenerate_only:
-            raise DegenerateGeometryError("all camera-centre samples are collinear")
-        raise DegenerateGeometryError("alignment found no inlier consensus")
+    def fit(_, samples):
+        # a sample is the estimated centres it places; collinear ones fix no rotation
+        ok = ~(_collinear(ref_centers[samples]) | _collinear(est_centers[samples]))
+        placed = np.zeros((len(samples), len(common), 3))
+        for j in np.flatnonzero(ok):
+            placed[j] = umeyama(est_centers[samples[j]], ref_centers[samples[j]]).apply(est_centers)
+        return placed, ok
+
+    def score(_, placed):
+        return np.linalg.norm(placed - ref_centers, axis=-1) < threshold
+
+    [(best_mask, best_count)] = block_ransac(
+        [len(common)], [0], 3, fit, score,
+        confidence=RANSAC_CONFIDENCE, max_iters=ALIGN_SAMPLES)
+    if best_count < 3:
+        raise DegenerateGeometryError("alignment found no non-collinear consensus")
     sim = umeyama(est_centers[best_mask], ref_centers[best_mask])
 
     R_al = np.stack([estimated.cameras[i].R for i in common]) @ sim.R.T

@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 
 from .errors import DegenerateGeometryError, InsufficientDataError
-from .model import pixel_jacobian, pixels
+from .model import Camera, pixel_jacobian, pixels
 
 SAMPSON_THRESHOLD_PX = 2.0
 RANSAC_CONFIDENCE = 0.999
@@ -287,25 +287,16 @@ def _dlt_rows(P: np.ndarray, pix: np.ndarray) -> np.ndarray:
     return A.reshape(*A.shape[:-3], -1, 4)
 
 
-def _triangulate_two_view_normalized(R, t, xq, xc):
-    """DLT triangulation of normalized-coordinate pairs under P=[I|0], [R|t].
-
-    Batched: one (n, 4, 4) SVD instead of n small ones.
-    """
-    P = np.stack([np.hstack([np.eye(3), np.zeros((3, 1))]), np.hstack([R, t.reshape(3, 1)])])
-    _, _, Vt = np.linalg.svd(_dlt_rows(P, np.stack([xq, xc], axis=1)))
-    X = Vt[:, -1, :]
-    w = X[:, 3].copy()
-    w[np.abs(w) < 1e-15] = 1e-15
-    return X[:, :3] / w[:, None]
-
-
 def relative_pose_from_fundamental(F: np.ndarray, K_q, K_c, pts_q, pts_c):
     """Decompose E = K_c^T F K_q into the (R, t) of the target w.r.t. the query.
 
-    Returns (R, t, cheirality_count, median triangulation angle in radians)
-    with unit-norm t.  Raises DegenerateGeometryError when no candidate
-    passes the positive-depth majority (e.g. a zero-baseline pair).
+    The four (R, +-t) candidates triangulate the pairs in one
+    ``triangulate_track`` pass, the query camera at K_q [I | 0] and each
+    candidate's at K_c [R | t]; the first candidate placing the most points
+    in front of both cameras wins.  Returns (R, t, cheirality_count, median
+    triangulation angle in radians) with unit-norm t.  Raises
+    DegenerateGeometryError when no candidate passes the positive-depth
+    majority (e.g. a zero-baseline pair).
     """
     pts_q = np.asarray(pts_q, dtype=np.float64).reshape(-1, 2)
     pts_c = np.asarray(pts_c, dtype=np.float64).reshape(-1, 2)
@@ -320,27 +311,28 @@ def relative_pose_from_fundamental(F: np.ndarray, K_q, K_c, pts_q, pts_c):
         Vt = -Vt
     W = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     t = U[:, 2]
-    xq = (np.linalg.inv(K_q) @ np.hstack([pts_q, np.ones((n, 1))]).T).T[:, :2]
-    xc = (np.linalg.inv(K_c) @ np.hstack([pts_c, np.ones((n, 1))]).T).T[:, :2]
+    candidates = [(R, tc) for R in (U @ W @ Vt, U @ W.T @ Vt) for tc in (t, -t)]
+    cameras = {0: Camera(K=K_q, R=np.eye(3), t=np.zeros(3), image_id=0)}
+    for j, (R, tc) in enumerate(candidates, start=1):
+        cameras[j] = Camera(K=K_c, R=R, t=tc, image_id=j)
+    images = np.stack([np.zeros(4 * n, dtype=np.int64), np.repeat(np.arange(1, 5), n)], axis=1)
+    pix = np.tile(np.stack([pts_q, pts_c], axis=1), (4, 1, 1))
+    X, _, _ = triangulate_track(cameras, images, pix)
     best = None
-    for R in (U @ W @ Vt, U @ W.T @ Vt):
-        for tc in (t, -t):
-            X = _triangulate_two_view_normalized(R, tc, xq, xc)
-            z1 = X[:, 2]
-            z2 = (X @ R.T + tc)[:, 2]
-            count = int(((z1 > 0) & (z2 > 0)).sum())
-            if best is None or count > best[0]:
-                rays = X / np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-15)
-                centre2 = -R.T @ tc
-                rays2 = X - centre2
-                rays2 /= np.maximum(np.linalg.norm(rays2, axis=1, keepdims=True), 1e-15)
-                cosang = np.clip(np.einsum("ij,ij->i", rays, rays2), -1.0, 1.0)
-                best = (count, R, tc, float(np.median(np.arccos(cosang))))
-    count, R, tc, median_angle = best
+    for (R, tc), Xc in zip(candidates, X.reshape(4, n, 3)):
+        count = int(((Xc[:, 2] > 0) & ((Xc @ R.T + tc)[:, 2] > 0)).sum())
+        if best is None or count > best[0]:
+            best = (count, R, tc, Xc)
+    count, R, tc, X = best
     if count <= n // 2:
         raise DegenerateGeometryError(
             f"no pose candidate places a majority of points in front ({count}/{n})"
         )
+    rays = X / np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-15)
+    rays2 = X + R.T @ tc
+    rays2 /= np.maximum(np.linalg.norm(rays2, axis=1, keepdims=True), 1e-15)
+    cosang = np.clip(np.einsum("ij,ij->i", rays, rays2), -1.0, 1.0)
+    median_angle = float(np.median(np.arccos(cosang)))
     if median_angle < 1e-4:
         raise DegenerateGeometryError("near-zero parallax; relative pose unobservable")
     return R, tc, count, median_angle

@@ -271,41 +271,36 @@ def triangulate_refs(model: Model, feature_sets, tracks) -> list:
     return points
 
 
-def _edge_points(graph: MatchGraph, feature_sets, a: int, b: int):
-    matches = graph.edges[(a, b)].inliers()
-    return (matches, feature_sets[a].xy[matches.query].astype(np.float64),
-            feature_sets[b].xy[matches.target].astype(np.float64))
-
-
-def _edge_median_angle(edge, intrinsics, a, b, pts_q, pts_c):
-    """Median triangulation angle (degrees) of an edge, or None when its pose
-    fails (an ``MsfmError`` or a failed SVD); any other error propagates."""
-    step = max(1, len(pts_q) // SEED_ANGLE_SAMPLES)
-    try:
-        *_, angle = relative_pose_from_fundamental(
-            edge.F, intrinsics[a], intrinsics[b], pts_q[::step], pts_c[::step])
-    except (MsfmError, np.linalg.LinAlgError):
-        return None
-    return float(np.degrees(angle))
-
-
-def select_seed_pair(graph: MatchGraph, feature_sets, intrinsics) -> tuple[int, int]:
-    """Edge with the most inliers among those with adequate parallax.
+def select_seed_pair(graph: MatchGraph, feature_sets, intrinsics):
+    """Edge with the most inliers among those with adequate parallax, and its pose.
 
     Edges are tried in descending inlier count (ties lexicographic), so the
-    usual case evaluates the parallax gate on one edge only.  Raises
-    NoSeedError when nothing qualifies.
+    usual case solves one edge only.  An edge's ``relative_pose_from_fundamental``
+    runs on every ``len // SEED_ANGLE_SAMPLES``-th of its inliers (all of
+    them below ``2 * SEED_ANGLE_SAMPLES``): they gate its median
+    triangulation angle and also vote on the cheirality of the (R, t) it
+    returns.  An edge whose pose fails (an ``MsfmError`` or a failed SVD)
+    has no parallax; any other error propagates.  Returns (a, b, R, t), the
+    pose of b with a at [I | 0].  Raises NoSeedError when nothing qualifies.
     """
     order = sorted(
-        (key for key in graph.edges if graph.edges[key].F is not None),
-        key=lambda key: (-len(graph.edges[key].inliers()), key))
+        (key for key, edge in graph.edges.items() if edge.F is not None),
+        key=lambda key: (-int(graph.edges[key].inlier_mask.sum()), key))
     for (a, b) in order:
-        matches, pts_q, pts_c = _edge_points(graph, feature_sets, a, b)
+        edge = graph.edges[(a, b)]
+        matches = edge.inliers()
         if len(matches) < 8:
             continue
-        median_angle = _edge_median_angle(graph.edges[(a, b)], intrinsics, a, b, pts_q, pts_c)
-        if median_angle is not None and median_angle >= SEED_MIN_MEDIAN_ANGLE_DEG:
-            return a, b
+        step = max(1, len(matches) // SEED_ANGLE_SAMPLES)
+        try:
+            R, t, _, angle = relative_pose_from_fundamental(
+                edge.F, intrinsics[a], intrinsics[b],
+                feature_sets[a].xy[matches.query[::step]],
+                feature_sets[b].xy[matches.target[::step]])
+        except (MsfmError, np.linalg.LinAlgError):
+            continue
+        if np.degrees(angle) >= SEED_MIN_MEDIAN_ANGLE_DEG:
+            return a, b, R, t
     raise NoSeedError("no geometry-verified edge has enough parallax to seed")
 
 
@@ -411,11 +406,8 @@ def incremental_reconstruct(graph: MatchGraph, feature_store, intrinsics: dict[i
     feature_sets = feature_store.sets
     if not graph.edges:
         raise NoSeedError("empty match graph")
-    a, b = select_seed_pair(graph, feature_sets, intrinsics)
+    a, b, R, t = select_seed_pair(graph, feature_sets, intrinsics)
     links = _inlier_links(graph)
-    _, pts_q, pts_c = _edge_points(graph, feature_sets, a, b)
-    R, t, _, _ = relative_pose_from_fundamental(
-        graph.edges[(a, b)].F, intrinsics[a], intrinsics[b], pts_q, pts_c)
     model = Model()
     model.attach_camera(Camera(K=intrinsics[a], R=np.eye(3), t=np.zeros(3), image_id=a))
     model.attach_camera(Camera(K=intrinsics[b], R=R, t=t, image_id=b))

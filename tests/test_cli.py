@@ -81,6 +81,12 @@ class TestConfig:
         assert main(["run", "--features", str(tmp_path), "--out", str(tmp_path / "o"),
                      flag, value]) == 2
 
+    def test_negative_seed_exit2(self, tmp_path, capsys):
+        # numpy's generators take no negative seed: a config error, not a traceback
+        assert main(["run", "--features", str(tmp_path), "--out", str(tmp_path / "o"),
+                     "--seed", "-5"]) == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_threads_is_not_a_setting(self, tmp_path):
         # the stages run serially: neither a config line nor a flag sets threads
         config = tmp_path / "threads.cfg"

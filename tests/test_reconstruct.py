@@ -107,6 +107,13 @@ class TestPnpRansac:
         assert pnp_ransac(X, uv, cam.K, seed=6) is None
 
 
+@pytest.fixture(scope="module")
+def dense_scene():
+    """6 cameras whose seed edge has 300 coarse inliers."""
+    return generate_scene(SceneSpec(n_cameras=6, n_points=3000, pixel_noise=0.5,
+                                    descriptor_noise=4.0, seed=23))
+
+
 class TestSelectSeedPair:
     def _graph_and_k(self, scene):
         store = scene.store()
@@ -118,7 +125,7 @@ class TestSelectSeedPair:
         store, graph, K = self._graph_and_k(tiny_scene)
         key = sorted(graph.edges)[0]
         single = MatchGraph(edges={key: graph.edges[key]})
-        assert select_seed_pair(single, store.sets, K) == key
+        assert select_seed_pair(single, store.sets, K)[:2] == key
 
     def test_angle_gate_beats_inlier_count(self, tiny_scene):
         store, graph, K = self._graph_and_k(tiny_scene)
@@ -128,7 +135,7 @@ class TestSelectSeedPair:
         keys = sorted(graph.edges,
                       key=lambda k: -len(graph.edges[k].inliers()))[:2]
         sub = MatchGraph(edges={k: graph.edges[k] for k in keys})
-        chosen = select_seed_pair(sub, store.sets, K)
+        chosen = select_seed_pair(sub, store.sets, K)[:2]
         counts = {k: len(sub.edges[k].inliers()) for k in keys}
         assert counts[chosen] == max(counts.values())
 
@@ -170,24 +177,36 @@ class TestSelectSeedPair:
             return pose(F, *args)
 
         monkeypatch.setattr(reconstruct, "relative_pose_from_fundamental", degenerate_on_best)
-        assert select_seed_pair(graph, store.sets, K) == order[1]
+        assert select_seed_pair(graph, store.sets, K)[:2] == order[1]
 
     def test_seed_triangulates_cleanly(self, tiny_scene):
         store, graph, K = self._graph_and_k(tiny_scene)
-        a, b = select_seed_pair(graph, store.sets, K)
-        from msfm.geometry import relative_pose_from_fundamental, triangulate_track
+        a, b, R, t = select_seed_pair(graph, store.sets, K)
+        from msfm.geometry import triangulate_track
         from msfm.model import Camera
-        edge = graph.edges[(a, b)]
-        matches = edge.inliers()
+        matches = graph.edges[(a, b)].inliers()
         pts_q = store.sets[a].xy[matches.query]
         pts_c = store.sets[b].xy[matches.target]
-        R, t, _, _ = relative_pose_from_fundamental(edge.F, K[a], K[b],
-                                                    pts_q, pts_c)
         cam_a = Camera(K=K[a], R=np.eye(3), t=np.zeros(3), image_id=a)
         cam_b = Camera(K=K[b], R=R, t=t, image_id=b)
         _, _, ok = triangulate_track({a: cam_a, b: cam_b}, np.tile([a, b], (len(matches), 1)),
                                      np.stack([pts_q, pts_c], axis=1))
         assert ok.sum() / len(matches) >= 0.9
+
+    @pytest.mark.parametrize("scene", ["tiny_scene", "ring_scene", "dense_scene"])
+    def test_pose_equals_the_all_inlier_solve(self, scene, request):
+        # the gate's inliers vote on the same cheirality as all of them: every
+        # inlier on tiny and ring (90 and 103), every 4th of 300 on dense
+        store, graph, K = self._graph_and_k(request.getfixturevalue(scene))
+        a, b, R, t = select_seed_pair(graph, store.sets, K)
+        edge = graph.edges[(a, b)]
+        matches = edge.inliers()
+        if scene == "dense_scene":
+            assert len(matches) >= 2 * reconstruct.SEED_ANGLE_SAMPLES
+        R_all, t_all, _, _ = reconstruct.relative_pose_from_fundamental(
+            edge.F, K[a], K[b], store.sets[a].xy[matches.query], store.sets[b].xy[matches.target])
+        assert R.tobytes() == R_all.tobytes()
+        assert t.tobytes() == t_all.tobytes()
 
 
 class TestTriangulateRefs:
