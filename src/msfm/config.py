@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass, fields
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from .densify import CANDIDATE_FRACTION, COVIS_THRESHOLD
 from .errors import ConfigError
 from .features import DEFAULT_ETA
 from .guided import BAND_D_PX
-from .localize import SET_COVER_ENGAGE_POINTS, SET_COVER_K
+from .localize import SET_COVER_K
 from .matching import RATIO_GUIDED, RATIO_UNGUIDED
 from .reconstruct import PNP_MIN_INLIERS
 
@@ -23,10 +24,8 @@ class PipelineConfig:
     covis_threshold: int = COVIS_THRESHOLD
     candidate_fraction: float = CANDIDATE_FRACTION
     set_cover_k: int = SET_COVER_K
-    set_cover_engage: int = SET_COVER_ENGAGE_POINTS
     min_inliers: int = PNP_MIN_INLIERS
     iterations: int = 2
-    preemptive: bool = False
     final_ba: bool = False
     focal: float = 0.0  # 0 means per-image heuristic (1.2 * max dimension)
     seed: int = 0
@@ -40,14 +39,15 @@ class PipelineConfig:
     def validate(self) -> "PipelineConfig":
         if not 0 < self.eta <= 100:
             raise ConfigError(f"eta must be in (0, 100], got {self.eta}")
-        if self.d <= 0:
+        if not self.d > 0:
             raise ConfigError(f"band d must be positive, got {self.d}")
         for name in ("ratio_unguided", "ratio_guided"):
             v = getattr(self, name)
             if not 0 < v < 1:
                 raise ConfigError(f"{name} must be in (0, 1), got {v}")
-        if self.focal < 0:
-            raise ConfigError(f"focal must be >= 0 (0: guessed per image), got {self.focal}")
+        if not 0 <= self.focal < math.inf:
+            raise ConfigError(
+                f"focal must be finite and >= 0 (0: guessed per image), got {self.focal}")
         if not 0 < self.candidate_fraction <= 1:
             raise ConfigError(
                 f"candidate_fraction must be in (0, 1], got {self.candidate_fraction}")

@@ -188,7 +188,6 @@ def localize_image(model: Model, graph: MatchGraph, image_id: int, feature_store
 def localize_all(model: Model, feature_store, graph: MatchGraph,
                  intrinsics: dict[int, np.ndarray], *,
                  set_cover_k: int = SET_COVER_K,
-                 set_cover_engage: int = SET_COVER_ENGAGE_POINTS,
                  ratio: float = RATIO_UNGUIDED,
                  min_inliers: int = PNP_MIN_INLIERS,
                  seed: int = 0,
@@ -198,7 +197,9 @@ def localize_all(model: Model, feature_store, graph: MatchGraph,
     All attempts read the same snapshot and its query side, built once
     here, and none writes to them; successful poses are attached afterwards
     in a single image-id-ordered merge, so the outcome does not depend on
-    the order of the attempts.  Returns (newly registered ids, per-image
+    the order of the attempts.  A model of more than
+    ``SET_COVER_ENGAGE_POINTS`` points is queried through its
+    ``set_cover_k``-cover only.  Returns (newly registered ids, per-image
     results in attempt order).
     """
     unregistered = [i for i in sorted(feature_store.sets) if not model.is_registered(i)]
@@ -208,7 +209,7 @@ def localize_all(model: Model, feature_store, graph: MatchGraph,
     if not unregistered:
         return [], []
     observations = model.observations()
-    if len(model.points) > set_cover_engage:
+    if len(model.points) > SET_COVER_ENGAGE_POINTS:
         keep = np.isin(observations[0], compute_set_cover(model, set_cover_k))
         observations = tuple(column[keep] for column in observations)
     point_ids, queries = track_means(observations, feature_store.sets)

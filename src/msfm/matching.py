@@ -31,9 +31,6 @@ HYBRID_CONTINUE_MIN = 4
 HYBRID_EARLY_STOP = 64
 MIN_EDGE_MATCHES = 16
 
-PREEMPTIVE_TOP = 100
-PREEMPTIVE_MIN_MATCHES = 4
-
 
 @dataclass(frozen=True, eq=False)
 class Matches:
@@ -224,39 +221,17 @@ def hybrid_match(query_fs: FeatureSet, target_fs: FeatureSet, *,
     return matches_from(accepted, query_ids=None, target_ids=ti)
 
 
-def preemptive_pair_filter(feature_sets: dict[int, FeatureSet], *,
-                           ratio: float = RATIO_UNGUIDED) -> list[tuple[int, int]]:
-    """Cheap pair filter: match only the top high-scale features of each pair."""
-    ids = sorted(feature_sets)
-    tops = {i: np.arange(min(PREEMPTIVE_TOP, len(feature_sets[i]))) for i in ids}
-    kept = []
-    for ai in range(len(ids)):
-        for bi in range(ai + 1, len(ids)):
-            a, b = ids[ai], ids[bi]
-            matches = match_pair(
-                feature_sets[a], feature_sets[b],
-                ratio=ratio, query_indices=tops[a], target_indices=tops[b],
-            )
-            if len(matches) >= PREEMPTIVE_MIN_MATCHES:
-                kept.append((a, b))
-    return kept
-
-
 def build_coarse_matchgraph(feature_sets: dict[int, FeatureSet], *,
                             ratio: float = RATIO_UNGUIDED,
-                            preemptive: bool = False,
                             min_edge_inliers: int = MIN_EDGE_INLIERS,
                             seed: int = 0) -> MatchGraph:
-    """Hybrid-match every surviving pair and keep geometry-verified edges.
+    """Hybrid-match every pair and keep geometry-verified edges.
 
     The fundamental-matrix RANSACs of all matched pairs run in lockstep,
     each pair seeded ``seed + a * 100003 + b``.
     """
-    if preemptive:
-        pairs = preemptive_pair_filter(feature_sets, ratio=ratio)
-    else:
-        ids = sorted(feature_sets)
-        pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
+    ids = sorted(feature_sets)
+    pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
 
     matched = []
     for a, b in pairs:

@@ -45,8 +45,8 @@ def run_match(config: PipelineConfig, store: FeatureStore) -> MatchGraph:
     """Match stage: select the top-eta% scale tier, then build the coarse graph."""
     store.apply_eta(config.eta)
     return build_coarse_matchgraph(
-        store.sets, ratio=config.ratio_unguided, preemptive=config.preemptive,
-        min_edge_inliers=config.min_inliers, seed=config.seed)
+        store.sets, ratio=config.ratio_unguided, min_edge_inliers=config.min_inliers,
+        seed=config.seed)
 
 
 def run_coarse(config: PipelineConfig, store: FeatureStore, graph: MatchGraph) -> Model:
@@ -97,8 +97,8 @@ def run_localize(config: PipelineConfig, store: FeatureStore, model: Model,
     iteration = stage_iteration(model, "localize")
     newly, results = localize_all(
         model, store, graph, intrinsics_for_store(store, config.focal),
-        set_cover_k=config.set_cover_k, set_cover_engage=config.set_cover_engage,
-        ratio=config.ratio_unguided, min_inliers=config.min_inliers, seed=config.seed)
+        set_cover_k=config.set_cover_k, ratio=config.ratio_unguided,
+        min_inliers=config.min_inliers, seed=config.seed)
     ids = ",".join(map(str, sorted({*attached_cameras(model), *newly})))
     model.stage_tag = f"after_localize({iteration}{':' if ids else ''}{ids})"
     return iteration, newly, results

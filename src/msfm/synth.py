@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ConfigError
 from .features import DESCRIPTOR_DIM, FeatureSet, FeatureStore, write_features
 from .model import Camera, Model, make_intrinsics
 
@@ -37,6 +38,19 @@ class SceneSpec:
     visibility_fraction: float = 1.0
     clutter_per_image: int = 0
     seed: int = 0
+
+    def validate(self) -> None:
+        """Reject a spec that ``generate_scene`` cannot draw, naming the field."""
+        if self.layout not in ("ring", "grid", "sphere_cap"):
+            raise ConfigError(f"layout must be ring, grid or sphere_cap, got {self.layout!r}")
+        for name in ("n_cameras", "n_points", "repetition_groups", "repetition_group_size",
+                     "clutter_per_image"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.repetition_groups * self.repetition_group_size > self.n_points:
+            raise ConfigError(
+                f"repetition_groups x repetition_group_size must be <= n_points, got "
+                f"{self.repetition_groups} x {self.repetition_group_size} > {self.n_points}")
 
 
 @dataclass
@@ -139,6 +153,7 @@ def level_to_scale(levels: np.ndarray, jitter: np.ndarray | None = None) -> np.n
 
 def generate_scene(spec: SceneSpec) -> SyntheticScene:
     """Build the scene: cameras, points, descriptors, rendered feature sets."""
+    spec.validate()
     rng = np.random.default_rng(spec.seed)
     positions = _camera_positions(spec, rng)
     cameras = []
@@ -160,9 +175,6 @@ def generate_scene(spec: SceneSpec) -> SyntheticScene:
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
 
     group_of_point = np.full(spec.n_points, -1, dtype=np.int64)
-    n_group_members = spec.repetition_groups * spec.repetition_group_size
-    if n_group_members > spec.n_points:
-        raise ValueError("repetition groups exceed the point count")
     for g in range(spec.repetition_groups):
         lo = g * spec.repetition_group_size
         group_of_point[lo:lo + spec.repetition_group_size] = g

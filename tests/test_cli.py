@@ -31,14 +31,13 @@ class TestConfig:
         assert cfg.covis_threshold == 8
         assert cfg.candidate_fraction == 0.10
         assert cfg.set_cover_k == 400
-        assert cfg.set_cover_engage == 100_000
         assert cfg.min_inliers == 16
         assert cfg.iterations == 2
 
     def test_parse_and_override(self):
-        cfg = parse_config_text("eta = 30\npreemptive = on\nseed=2\n# comment\n")
+        cfg = parse_config_text("eta = 30\nfinal_ba = on\nseed=2\n# comment\n")
         assert cfg.eta == 30.0
-        assert cfg.preemptive is True
+        assert cfg.final_ba is True
         assert cfg.seed == 2
 
     def test_unknown_key(self):
@@ -57,26 +56,33 @@ class TestConfig:
                      "--eta", "x"]) == 2
 
     def test_removed_knobs_exit2(self, tmp_path):
-        # the iteration comes from the model's STAGE tag, and the grid's cell
-        # size is fixed: neither is a flag, nor grid_inflation a config key
-        config = tmp_path / "grid.cfg"
-        config.write_text("grid_inflation = 1.25\n")
-        assert main(["run", "--features", str(tmp_path), "--out", str(tmp_path / "o"),
-                     "--config", str(config)]) == 2
+        # the iteration comes from the model's STAGE tag, the grid's cell size
+        # is fixed, every pair is hybrid-matched and the set cover engages by
+        # model size: none of these is a flag or a config key
+        config = tmp_path / "removed.cfg"
+        for line in ("grid_inflation = 1.25", "preemptive = on"):
+            config.write_text(line + "\n")
+            assert main(["run", "--features", str(tmp_path), "--out", str(tmp_path / "o"),
+                         "--config", str(config)]) == 2, line
         for argv in (["densify", "--model", "m", "--features", "f", "--out", "o",
                       "--iteration", "1"],
-                     ["run", "--features", "f", "--out", "o", "--grid-inflation", "1.25"]):
+                     ["run", "--features", "f", "--out", "o", "--grid-inflation", "1.25"],
+                     ["run", "--features", "f", "--out", "o", "--preemptive", "on"],
+                     ["run", "--features", "f", "--out", "o", "--set-cover-engage", "0"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
 
     def test_set_cover_k_below_one_exit2(self, tmp_path):
         assert main(["run", "--features", str(tmp_path), "--out", str(tmp_path / "o"),
-                     "--set-cover-k", "0", "--set-cover-engage", "0"]) == 2
+                     "--set-cover-k", "0"]) == 2
 
     @pytest.mark.parametrize("flag, value", [("--focal", "-900"),
                                              ("--candidate-fraction", "0"),
-                                             ("--candidate-fraction", "1.5")])
+                                             ("--candidate-fraction", "1.5"),
+                                             ("--d", "nan"),
+                                             ("--focal", "nan"),
+                                             ("--focal", "inf")])
     def test_out_of_range_value_exit2(self, tmp_path, flag, value):
         assert main(["run", "--features", str(tmp_path), "--out", str(tmp_path / "o"),
                      flag, value]) == 2
@@ -118,6 +124,19 @@ class TestCliCommands:
         for line in ("bogus = 1", "n_cameras = three"):
             spec.write_text(line + "\n")
             assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "x")]) == 2, line
+
+    @pytest.mark.parametrize("spec, field", [
+        ("layout = cube", "layout"),
+        ("n_points = 10\nrepetition_groups = 5\nrepetition_group_size = 5", "n_points"),
+        ("n_points = -5", "n_points"),
+        ("clutter_per_image = -2", "clutter_per_image"),
+    ])
+    def test_synth_undrawable_spec_exit2(self, tmp_path, capsys, spec, field):
+        path = tmp_path / "bad.cfg"
+        path.write_text(spec + "\n")
+        assert main(["synth", "--spec", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_features_stats_bad_eta_exit2(self, scene_dir):
         path, _ = scene_dir

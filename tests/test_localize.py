@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from msfm import localize
 from msfm.descriptors import two_nearest_bruteforce
 from msfm.errors import InsufficientDataError
 from msfm.io import write_model
@@ -373,20 +374,20 @@ class TestLocalizeAll:
         assert after.read_bytes() == before.read_bytes()
         assert {pid: pickle.dumps(vars(point)) for pid, point in model.points.items()} == points
 
-    def test_forced_set_cover_path(self, holdout_setup):
+    def test_forced_set_cover_path(self, holdout_setup, monkeypatch):
         scene, store, graph, partial, held_out, K = holdout_setup
         model = copy.deepcopy(partial)
-        newly, _ = localize_all(model, store, graph, K,
-                                set_cover_engage=0, set_cover_k=40)
+        monkeypatch.setattr(localize, "SET_COVER_ENGAGE_POINTS", 0)
+        newly, _ = localize_all(model, store, graph, K, set_cover_k=40)
         assert len(newly) >= len(held_out) - 1  # cover may drop a marginal one
 
-    def test_ranked_fallback_registers(self, holdout_setup):
+    def test_ranked_fallback_registers(self, holdout_setup, monkeypatch):
         # a one-point cover leaves direct search below the gate, so every
         # held-out image falls back to the ranked 2D-2D search
         scene, store, graph, partial, held_out, K = holdout_setup
         model = copy.deepcopy(partial)
-        newly, results = localize_all(model, store, graph, K,
-                                      set_cover_engage=0, set_cover_k=1)
+        monkeypatch.setattr(localize, "SET_COVER_ENGAGE_POINTS", 0)
+        newly, results = localize_all(model, store, graph, K, set_cover_k=1)
         assert newly == held_out
         assert [r.method for r in results] == ["ranked2d2d"] * len(held_out)
         for image_id in held_out:

@@ -10,13 +10,11 @@ from msfm.matching import (
     hybrid_match,
     match_pair,
     one_per_target,
-    preemptive_pair_filter,
     ratio_filter,
 )
-from msfm.synth import SceneSpec, generate_scene
 
 import descriptor_oracles
-from model_oracles import covisibility_matrix, oracle_matches
+from model_oracles import oracle_matches
 
 
 def feature_set_from_descriptors(descs, image_id=0, scales=None, xy=None,
@@ -332,48 +330,6 @@ class TestHybridMatch:
         hybrid = id_pairs(hybrid_match(fs_a, fs_b, ratio=0.6, early_stop=10**9))
         full = id_pairs(match_pair(fs_a, fs_b, ratio=0.6))
         assert hybrid <= full
-
-
-class TestPreemptiveFilter:
-    def test_identical_images_retained(self):
-        rng = np.random.default_rng(15)
-        descs = rng.integers(0, 256, size=(300, DESCRIPTOR_DIM))
-        sets = {0: feature_set_from_descriptors(descs, 0),
-                1: feature_set_from_descriptors(descs, 1)}
-        assert preemptive_pair_filter(sets) == [(0, 1)]
-
-    def test_unrelated_images_dropped(self):
-        rng = np.random.default_rng(16)
-        sets = {
-            i: feature_set_from_descriptors(
-                rng.integers(0, 256, size=(300, DESCRIPTOR_DIM)), i)
-            for i in range(2)
-        }
-        assert preemptive_pair_filter(sets) == []
-
-    def test_recall_against_covisibility(self):
-        scene = generate_scene(SceneSpec(
-            n_cameras=12, n_points=900, visibility_fraction=0.5,
-            pixel_noise=0.5, descriptor_noise=4.0, seed=31))
-        store = scene.store()
-        kept = set(preemptive_pair_filter(store.sets))
-        mat = covisibility_matrix(scene)
-        ids = sorted(store.sets)
-        strong = {
-            (ids[i], ids[j])
-            for i in range(len(ids)) for j in range(i + 1, len(ids))
-            if mat[i, j] >= 50
-        }
-        hit = sum(1 for pair in strong if pair in kept)
-        assert hit / len(strong) >= 0.95
-        # cameras on opposite sides of the ring share nothing and get dropped
-        disjoint = {
-            (ids[i], ids[j])
-            for i in range(len(ids)) for j in range(i + 1, len(ids))
-            if mat[i, j] == 0
-        }
-        assert disjoint
-        assert not (disjoint & kept)
 
 
 class TestBuildCoarseMatchGraph:

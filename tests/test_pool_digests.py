@@ -56,25 +56,59 @@ def inputs():
         del sys.modules[spec.name]
 
 
-@pytest.mark.parametrize("name", ["ring", "relocalize"])
-def test_first_draw_matches_the_record(inputs, name, tmp_path):
-    # the determinism contract on one draw per stage chain: every output file
-    # of r0, timings masked, as tools/pool_digests.txt records it
+def recorded_digests(prefix: str) -> dict[str, str]:
+    """The record's digests of the files under ``prefix``; skips the test
+    when the record was written under another numpy."""
     header, *lines = RECORD.read_text().splitlines()
     if header != f"numpy {np.__version__}":
         pytest.skip(f"digests recorded under {header}, not numpy {np.__version__}")
-    prefix = f"{name}/r0/"
-    recorded = {key: digest for key, digest in map(str.split, lines) if key.startswith(prefix)}
-    inputs.generate(name, 0, tmp_path / "in", whole_pool=True)  # r<k> is pool draw k
+    return {key: digest for key, digest in map(str.split, lines) if key.startswith(prefix)}
+
+
+def run_one_thread(script: str, *argv: str) -> None:
+    """``python -c script argv...`` on this checkout's ``src/`` with one-thread BLAS."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    iterations = inputs.workload_spec(name).iterations
-    proc = subprocess.run([sys.executable, "-c", RUN_DRAW, str(iterations),
-                           str(tmp_path / "in" / "r0"), str(tmp_path / "out")],
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("name", ["ring", "relocalize"])
+def test_first_draw_matches_the_record(inputs, name, tmp_path):
+    # the determinism contract on one draw per stage chain: every output file
+    # of r0, timings masked, as tools/pool_digests.txt records it
+    prefix = f"{name}/r0/"
+    recorded = recorded_digests(prefix)
+    inputs.generate(name, 0, tmp_path / "in", whole_pool=True)  # r<k> is pool draw k
+    iterations = inputs.workload_spec(name).iterations
+    run_one_thread(RUN_DRAW, str(iterations), str(tmp_path / "in" / "r0"),
+                   str(tmp_path / "out"))
     found = {prefix + path.name: file_digest(path)
              for path in sorted((tmp_path / "out").iterdir())}
     assert differences(recorded, found) == []
+
+
+# tools/pool_digests.py's reference scene, stopped after the coarse stage
+RUN_REFERENCE_COARSE = """
+import sys
+from msfm.config import PipelineConfig
+from msfm.pipeline import run_pipeline
+from msfm.synth import SceneSpec, generate_scene
+scene = generate_scene(SceneSpec(n_cameras=60, n_points=5000, visibility_fraction=0.55,
+                                 pixel_noise=0.5, descriptor_noise=4.0, seed=2024))
+run_pipeline(PipelineConfig(focal=900.0, iterations=0), None, out_dir=sys.argv[1],
+             store=scene.store())
+"""
+
+
+def test_reference_coarse_matches_the_record(tmp_path):
+    # the pool draws are small enough that a gate moved by a few percent
+    # (the triangulation gate's 4 px at 3.9 px) leaves all of them equal;
+    # the 60-camera coarse model is not
+    key = "reference/model_coarse.msfm"
+    recorded = recorded_digests(key)
+    run_one_thread(RUN_REFERENCE_COARSE, str(tmp_path))
+    assert file_digest(tmp_path / "model_coarse.msfm") == recorded[key]
